@@ -3,7 +3,7 @@
 The sensor is the variable element of a voltage divider against a fixed
 150 kohm resistor; a 12-bit ADC quantizes the divider output against the
 3.3 V rail. Both stages invert: voltage -> resistance algebraically,
-resistance -> pressure by bisecting the fitted calibration curve.
+resistance -> pressure by the closed-form inverse of the fitted curve.
 """
 
 from solesense.acquisition import (

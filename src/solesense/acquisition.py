@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sensor import CalibrationProfile, invert_static, static_resistance
-from .units import CHANNEL_ORDER, Pressure, PressureSample, Resistance, Voltage
+import numpy as np
 
-BATTERY_VOLTS = 3.7  # supply metadata only; see module docstring
+from .sensor import CalibrationProfile, invert_static_ohms, static_resistance
+from .units import CHANNEL_ORDER, Pressure, PressureSample, Resistance, Voltage
 
 
 @dataclass(frozen=True)
@@ -106,26 +106,50 @@ def pressure_to_count(
     return quantize(divider_out(static_resistance(profile, pressure), cfg), cfg)
 
 
+def decode_table(
+    profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
+) -> tuple[Pressure, ...]:
+    """Pressure of every code the divider reads: dequantize, invert_divider and
+    invert_static_ohms on all codes at once, 0 Pa at or above idle resistance.
+
+    Built once per divider and kept on the profile; equal values share one
+    Pressure. Codes above the rail (only when v_ref > v_in) end the table.
+    """
+    table = profile._decode_tables.get(cfg)
+    if table is None:
+        codes = 1 << cfg.adc_bits
+        volts = (np.arange(codes) + 0.5) * cfg.v_ref.volts / codes
+        volts = volts[volts <= cfg.v_in.volts]
+        with np.errstate(divide="ignore"):  # the rail itself is an open circuit
+            ohms = cfg.r1.ohms * volts / (cfg.v_in.volts - volts)
+        idle = ohms >= profile.idle_resistance_ohm
+        pascals = np.where(idle, 0.0, invert_static_ohms(profile, ohms)).tolist()
+        shared = {p: Pressure(p) for p in set(pascals)}
+        table = profile._decode_tables[cfg] = tuple(shared[p] for p in pascals)
+    return table
+
+
+def _decoded(table: tuple[Pressure, ...], code: int) -> Pressure:
+    if 0 <= code < len(table):
+        return table[code]
+    raise ValueError(f"count {code} is outside the {len(table)} codes this divider reads")
+
+
 def count_to_pressure(
     count: AdcCount, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
 ) -> Pressure:
-    """Inverse chain code -> voltage -> resistance -> pressure.
+    """Inverse chain code -> voltage -> resistance -> pressure, read from decode_table.
 
-    Codes whose resistance lies at or above the profile's idle value are
-    below onset (no contact) and report 0 Pa; see count_is_below_onset.
+    Codes at or above the profile's idle resistance read 0 Pa (no contact).
     """
-    resistance = invert_divider(dequantize(count, cfg), cfg)
-    if resistance.is_open or resistance.ohms >= profile.idle_resistance_ohm:
-        return Pressure(0.0)
-    return invert_static(profile, resistance)
+    return _decoded(decode_table(profile, cfg), count.value)
 
 
 def count_is_below_onset(
     count: AdcCount, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
 ) -> bool:
     """True when a code maps above the profile's idle resistance (no contact)."""
-    resistance = invert_divider(dequantize(count, cfg), cfg)
-    return resistance.is_open or resistance.ohms >= profile.idle_resistance_ohm
+    return count_to_pressure(count, profile, cfg).pascals == 0.0
 
 
 def sample_to_counts(
@@ -146,10 +170,7 @@ def counts_to_sample(
     """Decode five raw codes back into a pressure sample."""
     if len(counts) != len(CHANNEL_ORDER):
         raise ValueError(f"expected {len(CHANNEL_ORDER)} counts, got {len(counts)}")
+    table = decode_table(profile, cfg)
     return PressureSample(
-        timestamp,
-        {
-            channel: count_to_pressure(AdcCount(raw), profile, cfg)
-            for channel, raw in zip(CHANNEL_ORDER, counts)
-        },
+        timestamp, {channel: _decoded(table, raw) for channel, raw in zip(CHANNEL_ORDER, counts)}
     )

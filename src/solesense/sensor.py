@@ -76,6 +76,8 @@ class CalibrationProfile:
     fit_r2: float = 1.0
     _pressures: np.ndarray = field(init=False, repr=False, compare=False)
     _log_resistances: np.ndarray = field(init=False, repr=False, compare=False)
+    # code -> pressure tables by divider; see acquisition.decode_table
+    _decode_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_pressures", np.array([p.pressure_pa for p in self.points]))
@@ -140,25 +142,21 @@ def static_resistance(profile: CalibrationProfile, pressure: Pressure) -> Resist
 
 
 def invert_static(profile: CalibrationProfile, resistance: Resistance) -> Pressure:
-    """Pressure producing a given steady-state resistance, by bisection.
+    """Pressure producing a given steady-state resistance; see invert_static_ohms."""
+    return Pressure(float(invert_static_ohms(profile, resistance.ohms)))
 
-    Resistances at or above the idle value map to the first calibrated
-    pressure, at or below the final value to the last; the strictly monotone
-    interior is bisected on the fitted curve.
+
+def invert_static_ohms(profile: CalibrationProfile, ohms):
+    """Closed-form inverse of the static curve on bare ohms, a float or an array.
+
+    The curve is piecewise-linear in (pressure, ln R), so its inverse swaps the
+    axes. Ohms at or above the idle value (inf included) map to the first
+    pressure, at or below the last point's to the last pressure, and a flat
+    stretch (equal resistances) to its lower pressure.
     """
-    if resistance.is_open or resistance.ohms >= profile.idle_resistance_ohm:
-        return Pressure(profile.min_pressure_pa)
-    if resistance.ohms <= profile.points[-1].resistance_ohm:
-        return Pressure(profile.max_pressure_pa)
-    target = resistance.ohms
-    lo, hi = profile.min_pressure_pa, profile.max_pressure_pa
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if static_resistance(profile, Pressure(mid)).ohms > target:
-            lo = mid
-        else:
-            hi = mid
-    return Pressure(0.5 * (lo + hi))
+    pascals = np.interp(np.log(ohms), profile._log_resistances[::-1], profile._pressures[::-1])
+    # explicit, so that a flat last stretch clamps to the last pressure too
+    return np.where(ohms <= profile.points[-1].resistance_ohm, profile.max_pressure_pa, pascals)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,14 @@ The CRC is poly 0x1021, init 0xFFFF, no reflection, no xor-out; its check
 value over the ASCII bytes "123456789" is 0x29B1.
 
 Transport is TCP (lab-scale, reliability first); sequence numbers still
-travel so reconnect gaps are visible and a datagram mode stays possible. The
-collector resynchronizes on the magic after any decode error by scanning one
-byte at a time, so junk between frames never costs an intact frame.
+travel so reconnect gaps are visible and a datagram mode stays possible. After
+any decode error the collector resynchronizes on the next magic at a later
+byte, so junk between frames never costs an intact frame.
 """
 
 from __future__ import annotations
 
+import binascii
 import socket
 import struct
 import threading
@@ -42,19 +43,9 @@ TIMESTAMP_MAX_MS = (1 << 48) - 1
 DEFAULT_PORT = 7332
 ADDR_ENV_VAR = "SOLESENSE_ADDR"
 
-_CRC_TABLE = []
-for _byte in range(256):
-    _crc = _byte << 8
-    for _ in range(8):
-        _crc = ((_crc << 1) ^ 0x1021 if _crc & 0x8000 else _crc << 1) & 0xFFFF
-    _CRC_TABLE.append(_crc)
-
-
 def crc16_ccitt_false(data: bytes) -> int:
-    crc = 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
-    return crc
+    """CRC-16/CCITT-FALSE, which is binascii's CRC-CCITT started at 0xFFFF."""
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 class FrameError(ValueError):
@@ -100,13 +91,14 @@ class TelemetryFrame:
             raise ValueError(f"counts must be five u16 values, got {self.counts!r}")
 
 
+# magic, version, device id, sequence, timestamp (low 32 bits, high 16), counts
+_BODY = struct.Struct("<2sBBIIH5H")
+
+
 def encode(frame: TelemetryFrame) -> bytes:
-    body = (
-        MAGIC
-        + struct.pack("<BB", frame.version, frame.device_id)
-        + struct.pack("<I", frame.sequence)
-        + frame.timestamp_ms.to_bytes(6, "little")
-        + struct.pack("<5H", *frame.counts)
+    ts = frame.timestamp_ms
+    body = _BODY.pack(
+        MAGIC, frame.version, frame.device_id, frame.sequence, ts & 0xFFFFFFFF, ts >> 32, *frame.counts
     )
     return body + struct.pack("<H", crc16_ccitt_false(body))
 
@@ -114,32 +106,26 @@ def encode(frame: TelemetryFrame) -> bytes:
 def decode(data: bytes, offset: int = 0) -> TelemetryFrame:
     """Decode one frame starting at ``offset``; validates magic, version, CRC."""
     if len(data) - offset < FRAME_LENGTH:
-        raise Truncated(
-            f"need {FRAME_LENGTH} bytes, have {len(data) - offset}", offset
-        )
-    view = bytes(data[offset : offset + FRAME_LENGTH])
-    if view[:2] != MAGIC:
-        raise BadMagic(f"bad magic {view[:2]!r}", offset)
-    if view[2] != PROTOCOL_VERSION:
-        raise BadVersion(f"unsupported version {view[2]}", offset + 2)
-    (crc_wire,) = struct.unpack_from("<H", view, CRC_SPAN)
-    crc_calc = crc16_ccitt_false(view[:CRC_SPAN])
+        raise Truncated(f"need {FRAME_LENGTH} bytes, have {len(data) - offset}", offset)
+    magic, version, device_id, sequence, ts_low, ts_high, *counts = _BODY.unpack_from(data, offset)
+    if magic != MAGIC:
+        raise BadMagic(f"bad magic {magic!r}", offset)
+    if version != PROTOCOL_VERSION:
+        raise BadVersion(f"unsupported version {version}", offset + 2)
+    (crc_wire,) = struct.unpack_from("<H", data, offset + CRC_SPAN)
+    crc_calc = crc16_ccitt_false(data[offset : offset + CRC_SPAN])
     if crc_wire != crc_calc:
         raise BadCrc(f"crc mismatch: wire {crc_wire:#06x} != {crc_calc:#06x}", offset)
-    device_id = view[3]
-    (sequence,) = struct.unpack_from("<I", view, 4)
-    timestamp_ms = int.from_bytes(view[8:14], "little")
-    counts = struct.unpack_from("<5H", view, 14)
-    return TelemetryFrame(device_id, sequence, timestamp_ms, counts)
+    return TelemetryFrame(device_id, sequence, ts_low | ts_high << 32, tuple(counts))
 
 
 @dataclass
 class Deframer:
-    """Incremental frame extractor with one-byte resynchronization.
+    """Incremental frame extractor that resynchronizes on the magic.
 
-    Bytes that do not start a valid frame are skipped one at a time, so any
-    number of junk bytes between frames never costs an intact frame. A
-    truncated tail is kept for the next feed().
+    A bad version or CRC skips one byte, and junk is skipped up to the next
+    magic in one search, so junk between frames never costs an intact frame.
+    A truncated tail is kept for the next feed().
     """
 
     frames: int = 0
@@ -158,24 +144,25 @@ class Deframer:
         pos = 0
         while True:
             try:
-                frame = decode(self._buffer, pos)
+                frames.append(decode(self._buffer, pos))
             except Truncated:
                 break
             except BadMagic:
-                pos += 1
-                self.skipped_bytes += 1
-                continue
+                # jump to the next magic, stopping where less than a frame is left
+                tail = len(self._buffer) - FRAME_LENGTH + 1
+                found = self._buffer.find(MAGIC, pos, tail + 1)
+                skip_to = tail if found < 0 else found
+                self.skipped_bytes += skip_to - pos
+                pos = skip_to
             except BadVersion:
                 pos += 1
                 self.bad_version += 1
-                continue
             except BadCrc:
                 pos += 1
                 self.bad_crc += 1
-                continue
-            self.frames += 1
-            pos += FRAME_LENGTH
-            frames.append(frame)
+            else:
+                self.frames += 1
+                pos += FRAME_LENGTH
         del self._buffer[:pos]
         return frames
 
@@ -205,15 +192,9 @@ def frames_from_samples(
     start_sequence: int = 0,
 ) -> Iterator[TelemetryFrame]:
     """Pure sample -> frame conversion; sequence increments by one per sample."""
-    sequence = start_sequence
-    for sample in samples:
-        yield TelemetryFrame(
-            device_id=device_id,
-            sequence=sequence,
-            timestamp_ms=round(sample.timestamp * 1000.0),
-            counts=sample_to_counts(sample, profile, divider),
-        )
-        sequence += 1
+    for sequence, sample in enumerate(samples, start_sequence):
+        counts = sample_to_counts(sample, profile, divider)
+        yield TelemetryFrame(device_id, sequence, round(sample.timestamp * 1000.0), counts)
 
 
 class Emitter:
@@ -259,23 +240,20 @@ class Emitter:
                 self._sleep(backoff)
                 backoff = min(backoff * 2.0, self._backoff_cap)
 
+    def _paced(self, samples: Iterable[PressureSample]) -> Iterator[PressureSample]:
+        """Yield each sample after sleeping the timestamp delta since the last."""
+        previous_t = None
+        for sample in samples:
+            if previous_t is not None and sample.timestamp > previous_t:
+                self._sleep(sample.timestamp - previous_t)
+            previous_t = sample.timestamp
+            yield sample
+
     def run(self, samples: Iterable[PressureSample]) -> int:
         """Send every sample; returns the number of frames delivered."""
-        previous_t = None
-        sequence = 0
-        for sample in samples:
-            if self._pace and previous_t is not None:
-                delta = sample.timestamp - previous_t
-                if delta > 0:
-                    self._sleep(delta)
-            previous_t = sample.timestamp
-            frame = TelemetryFrame(
-                device_id=self._device_id,
-                sequence=sequence,
-                timestamp_ms=round(sample.timestamp * 1000.0),
-                counts=sample_to_counts(sample, self._profile, self._divider),
-            )
-            sequence += 1
+        if self._pace:
+            samples = self._paced(samples)
+        for frame in frames_from_samples(samples, self._profile, self._divider, self._device_id):
             payload = encode(frame)
             while True:
                 self._ensure_connected()

@@ -9,6 +9,7 @@ from solesense.acquisition import (
     count_is_below_onset,
     count_to_pressure,
     counts_to_sample,
+    decode_table,
     dequantize,
     divider_current,
     divider_out,
@@ -17,7 +18,16 @@ from solesense.acquisition import (
     quantize,
     sample_to_counts,
 )
-from solesense.sensor import datasheet_profile, measured_profile
+from solesense.sensor import (
+    CalibrationPoint,
+    builtin_profile,
+    builtin_profile_names,
+    datasheet_profile,
+    fit_profile,
+    invert_static,
+    measured_profile,
+    static_resistance,
+)
 from solesense.units import Pressure, PressureSample, Resistance, Voltage
 
 CFG = DividerConfig()
@@ -144,3 +154,90 @@ class TestPressureChain:
         counts2 = sample_to_counts(decoded, profile, CFG)
         assert counts == counts2
         assert counts_to_sample(1.25, counts2, profile, CFG).as_row() == decoded.as_row()
+
+
+def _bisect_pressure(profile, ohms):
+    """Reference inverse of the static curve: bisect static_resistance."""
+    if ohms >= profile.idle_resistance_ohm:
+        return profile.min_pressure_pa
+    if ohms <= profile.points[-1].resistance_ohm:
+        return profile.max_pressure_pa
+    lo, hi = profile.min_pressure_pa, profile.max_pressure_pa
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if static_resistance(profile, Pressure(mid)).ohms > ohms:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_decode(code, profile):
+    ohms = invert_divider(dequantize(AdcCount(code), CFG), CFG).ohms
+    return 0.0 if ohms >= profile.idle_resistance_ohm else _bisect_pressure(profile, ohms)
+
+
+# exp(ln 25 kOhm) is exactly 25 kOhm, so the forward curve reads this value
+# exactly along the flat stretch
+FLAT_OHMS = 25_000.0
+
+
+def _flat_profile():
+    rows = [(100e3, 80e3), (200e3, FLAT_OHMS), (300e3, FLAT_OHMS), (400e3, 4e3)]
+    return fit_profile("flat", [CalibrationPoint(p, r) for p, r in rows], Pressure(50e3))
+
+
+class TestDecodeTable:
+    @pytest.mark.parametrize("name", [*builtin_profile_names(), "flat"])
+    def test_matches_bisection_on_every_code(self, name):
+        profile = _flat_profile() if name == "flat" else builtin_profile(name)
+        got = [p.pascals for p in decode_table(profile, CFG)]
+        want = [_reference_decode(code, profile) for code in range(1 << CFG.adc_bits)]
+        assert len(got) == len(want)
+        far = [k for k, (g, w) in enumerate(zip(got, want)) if not math.isclose(g, w, rel_tol=1e-12)]
+        assert far == []
+        top = profile.max_pressure_pa
+        for end in (0.0, top):
+            assert [g == end for g in got] == [w == end for w in want]
+
+    def test_flat_stretch_reads_its_lower_pressure(self):
+        profile = _flat_profile()
+        assert static_resistance(profile, Pressure(250e3)).ohms == FLAT_OHMS
+        assert invert_static(profile, Resistance(FLAT_OHMS)).pascals == 200e3
+        assert _bisect_pressure(profile, FLAT_OHMS) == pytest.approx(200e3, rel=1e-12)
+
+    def test_invert_static_end_clamps(self):
+        profile = measured_profile()
+        idle = profile.idle_resistance_ohm
+        last = profile.points[-1].resistance_ohm
+        for ohms in (math.inf, 2.0 * idle, idle):
+            assert invert_static(profile, Resistance(ohms)).pascals == profile.min_pressure_pa
+        for ohms in (last, 0.5 * last):
+            assert invert_static(profile, Resistance(ohms)).pascals == profile.max_pressure_pa
+        # a flat last stretch still clamps to the last pressure
+        rows = [(100e3, 80e3), (200e3, FLAT_OHMS), (300e3, FLAT_OHMS)]
+        flat_end = fit_profile("flat-end", [CalibrationPoint(p, r) for p, r in rows], Pressure(50e3))
+        assert invert_static(flat_end, Resistance(FLAT_OHMS)).pascals == 300e3
+
+    def test_built_once_per_divider_and_shared(self):
+        profile = measured_profile()
+        table = decode_table(profile, CFG)
+        assert decode_table(profile, DividerConfig()) is table
+        assert decode_table(profile, DividerConfig(adc_bits=10)) is not table
+        assert table[CFG.full_scale_count] is table[CFG.full_scale_count - 1]  # both idle
+        assert count_to_pressure(AdcCount(1234), profile, CFG) is table[1234]
+
+    def test_codes_the_divider_cannot_read_raise_value_error(self):
+        profile = measured_profile()
+        with pytest.raises(ValueError):
+            count_to_pressure(AdcCount(1 << CFG.adc_bits), profile, CFG)
+        for bad in (1 << CFG.adc_bits, 0xFFFF, -1):
+            with pytest.raises(ValueError):
+                counts_to_sample(0.0, (4095, 4095, bad, 4095, 4095), profile, CFG)
+        # a reference above the rail: codes past v_in have no resistance
+        high_ref = DividerConfig(v_ref=Voltage(3.6))
+        readable = len(decode_table(profile, high_ref))
+        assert dequantize(AdcCount(readable - 1), high_ref).volts <= 3.3
+        assert dequantize(AdcCount(readable), high_ref).volts > 3.3
+        with pytest.raises(ValueError):
+            count_is_below_onset(AdcCount(readable), profile, high_ref)

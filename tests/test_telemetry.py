@@ -43,6 +43,20 @@ class TestCodec:
     def test_crc_check_vector(self):
         assert crc16_ccitt_false(b"123456789") == 0x29B1
 
+    def test_crc_matches_bitwise_definition(self):
+        def bitwise(data):  # poly 0x1021, init 0xFFFF, no reflection, no xor-out
+            crc = 0xFFFF
+            for byte in data:
+                crc ^= byte << 8
+                for _ in range(8):
+                    crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
+            return crc
+
+        rng = random.Random(16)
+        for _ in range(500):
+            span = bytes(rng.randrange(256) for _ in range(CRC_SPAN))
+            assert crc16_ccitt_false(span) == bitwise(span)
+
     def test_frame_layout(self):
         frame = TelemetryFrame(1, 0, 0, (0, 1, 2, 3, 4))
         wire = encode(frame)
@@ -128,6 +142,49 @@ class TestDeframer:
         assert len(got) == 7
         assert deframer.error_count == 3
 
+    def test_counters_match_a_bytewise_scan(self):
+        # reference: try every byte offset in turn, as a plain resync does
+        def bytewise(wire):
+            frames, skipped, bad_version, bad_crc, pos = [], 0, 0, 0, 0
+            while True:
+                try:
+                    frames.append(decode(wire, pos))
+                    pos += FRAME_LENGTH
+                except Truncated:
+                    return frames, skipped, bad_version, bad_crc
+                except BadMagic:
+                    skipped, pos = skipped + 1, pos + 1
+                except BadVersion:
+                    bad_version, pos = bad_version + 1, pos + 1
+                except BadCrc:
+                    bad_crc, pos = bad_crc + 1, pos + 1
+
+        rng = random.Random(5)
+        for _ in range(20):
+            wire = bytearray()
+            for _ in range(40):
+                encoded = bytearray(encode(_random_frame(rng)))
+                kind = rng.randrange(6)
+                if kind == 1:
+                    encoded[2] = 2  # bad version
+                elif kind == 2:
+                    encoded[rng.randrange(3, FRAME_LENGTH)] ^= 0x10  # bad CRC
+                elif kind == 3:
+                    encoded = encoded[: rng.randrange(1, FRAME_LENGTH)]  # cut short
+                wire += encoded
+                wire += bytes(rng.choice(b"SL\x00") for _ in range(rng.randrange(4)))
+                wire += bytes(rng.randrange(256) for _ in range(rng.randrange(12)))
+            frames, skipped, bad_version, bad_crc = bytewise(bytes(wire))
+            deframer = Deframer()
+            got, start = [], 0
+            while start < len(wire):
+                stop = start + rng.randrange(1, 3 * FRAME_LENGTH)
+                got.extend(deframer.feed(bytes(wire[start:stop])))
+                start = stop
+            assert got == frames
+            counters = (deframer.skipped_bytes, deframer.bad_version, deframer.bad_crc)
+            assert counters == (skipped, bad_version, bad_crc)
+
     def test_incremental_feeding(self):
         rng = random.Random(4)
         frames = [_random_frame(rng) for _ in range(15)]
@@ -209,6 +266,13 @@ class TestEmitter:
         emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=sleeps.append)
         emitter.run(self._samples(5))
         assert sleeps == pytest.approx([0.01, 0.01, 0.01, 0.01])
+
+    def test_wire_is_frames_from_samples_encoded(self):
+        samples = self._samples(50)
+        transport = _MemoryTransport()
+        Emitter(lambda: transport, PROFILE, DIVIDER, device_id=4).run(samples)
+        frames = frames_from_samples(samples, PROFILE, DIVIDER, device_id=4)
+        assert bytes(transport.buffer) == b"".join(encode(f) for f in frames)
 
     def test_frames_from_samples_pure(self):
         samples = self._samples(10)
@@ -305,6 +369,24 @@ class TestCollector:
         stats = collector.stats[frames[0].device_id]
         assert stats.decode_errors == 3
         assert stats.gaps == 3  # the corrupted sequence numbers never arrived
+
+    def test_out_of_range_count_counted_and_connection_kept(self):
+        sink = _ListSink()
+        collector = self._start(sink)
+        host, port = collector.address
+        counts = (4095, 4000, 3950, 3500, 3000)
+        frames = [TelemetryFrame(7, seq, 10 * seq, counts) for seq in range(5)]
+        # CRC-valid, but 4096 is beyond the 12-bit ADC
+        frames[2] = TelemetryFrame(7, 2, 20, (4095, 4096, 3950, 3500, 3000))
+        conn = socket.create_connection((host, port), timeout=5)
+        conn.sendall(b"".join(encode(f) for f in frames))
+        conn.close()
+        assert collector.connection_closed.wait(timeout=5.0)
+        collector.stop()
+        assert [s.timestamp for s in sink.samples[7]] == [0.0, 0.01, 0.03, 0.04]
+        stats = collector.stats[7]
+        assert (stats.frames, stats.decode_errors, stats.gaps) == (4, 1, 0)
+        assert collector.connections_closed == 1
 
     def test_end_to_end_conservation_in_memory(self):
         # lossless transport: collector output equals the acquisition
