@@ -10,6 +10,11 @@ near zero. The downstream analyzer treats full scale as "no contact". The ADC
 reference defaults to the 3.3 V logic rail of the acquisition board; the
 wearable itself runs from a 3.7 V lithium cell, which powers the board but
 does not set the ADC reference.
+
+Each step has a per-sample form and an array form (``divider_out_ohms``,
+``quantize_volts``, ``counts_to_samples``). The divider and the floor
+quantizer use only exactly-rounded operations, so both forms agree bit for
+bit; decoding indexes ``decode_table`` in both.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import numpy as np
 
 from .sensor import CalibrationProfile, invert_static_ohms, static_resistance
 from .units import CHANNEL_ORDER, Pressure, PressureSample, Resistance, Voltage
+
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,11 @@ class DividerConfig:
             raise ValueError(f"adc_bits must be in [1, 24], got {self.adc_bits!r}")
         if self.v_ref is None:
             object.__setattr__(self, "v_ref", self.v_in)
+        # hashed once: decode_table looks the divider up on every decoded sample
+        object.__setattr__(self, "_hash", hash((self.v_in, self.r1, self.adc_bits, self.v_ref)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def full_scale_count(self) -> int:
@@ -59,6 +71,17 @@ def divider_out(r2: Resistance, cfg: DividerConfig = DividerConfig()) -> Voltage
     if r2.is_open:
         return Voltage(cfg.v_in.volts)
     return Voltage(cfg.v_in.volts * r2.ohms / (cfg.r1.ohms + r2.ohms))
+
+
+def divider_out_ohms(ohms: np.ndarray, cfg: DividerConfig = DividerConfig()) -> np.ndarray:
+    """divider_out on an array of bare ohms, inf (open circuit) reading the rail.
+
+    The same exactly-rounded operations in the same order, so every element
+    equals the scalar result bit for bit.
+    """
+    v_in = cfg.v_in.volts
+    with np.errstate(invalid="ignore"):  # inf / inf where the sensor is open
+        return np.where(np.isinf(ohms), v_in, v_in * ohms / (cfg.r1.ohms + ohms))
 
 
 def invert_divider(v_out: Voltage, cfg: DividerConfig = DividerConfig()) -> Resistance:
@@ -89,6 +112,12 @@ def quantize(v: Voltage, cfg: DividerConfig = DividerConfig()) -> AdcCount:
     codes = 1 << cfg.adc_bits
     raw = math.floor(v.volts / cfg.v_ref.volts * codes)
     return AdcCount(min(max(raw, 0), codes - 1))
+
+
+def quantize_volts(volts: np.ndarray, cfg: DividerConfig = DividerConfig()) -> np.ndarray:
+    """quantize on an array of bare volts: integer codes, equal to the scalar ones."""
+    codes = 1 << cfg.adc_bits
+    return np.clip(np.floor(volts / cfg.v_ref.volts * codes), 0, codes - 1).astype(np.int64)
 
 
 def dequantize(count: AdcCount, cfg: DividerConfig = DividerConfig()) -> Voltage:
@@ -174,3 +203,30 @@ def counts_to_sample(
     return PressureSample(
         timestamp, {channel: _decoded(table, raw) for channel, raw in zip(CHANNEL_ORDER, counts)}
     )
+
+
+def counts_to_samples(
+    timestamps: np.ndarray,
+    counts: np.ndarray,
+    profile: CalibrationProfile,
+    cfg: DividerConfig = DividerConfig(),
+) -> list[PressureSample]:
+    """counts_to_sample on an (n, 5) block of codes, one row per timestamp.
+
+    A code outside the table raises counts_to_sample's ValueError for the
+    first such code in sample order.
+    """
+    if counts.ndim != 2 or counts.shape[1] != len(CHANNEL_ORDER):
+        raise ValueError(f"expected an (n, {len(CHANNEL_ORDER)}) block of counts, got shape {counts.shape}")
+    table = decode_table(profile, cfg)
+    outside = (counts < 0) | (counts >= len(table))
+    if outside.any():
+        _decoded(table, int(counts[outside][0]))
+    samples = []
+    for start in range(0, len(counts), _BLOCK_ROWS):  # bounds the Python copies of the block
+        block = slice(start, start + _BLOCK_ROWS)
+        samples.extend(
+            PressureSample(t, dict(zip(CHANNEL_ORDER, map(table.__getitem__, row))))
+            for t, row in zip(timestamps[block].tolist(), counts[block].tolist())
+        )
+    return samples

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .sensor import CalibrationProfile, DynamicsConfig, SensorState, step
+from .sensor import CalibrationProfile, DynamicsConfig, SensorState, run_channel
 from .units import (
     REGION_CHANNELS,
     FootRegion,
@@ -71,13 +71,6 @@ class ContactState:
     heel_on: bool = False
     midfoot_on: bool = False
     forefoot_on: bool = False
-
-    def region(self, region: FootRegion) -> bool:
-        return {
-            FootRegion.HEEL: self.heel_on,
-            FootRegion.MIDFOOT: self.midfoot_on,
-            FootRegion.FOREFOOT: self.forefoot_on,
-        }[region]
 
     @property
     def any_on(self) -> bool:
@@ -370,11 +363,8 @@ def compare_sensors(
     columns: list[list[float]] = []
     for profile, series in zip(profiles, stimuli):
         state = SensorState.settled(Pressure(series[0]), profile, timestamp=times_s[0])
-        column = [state.lagged_resistance.ohms]
-        for t, p in zip(times_s[1:], series[1:]):
-            state, resistance = step(state, Pressure(p), t, profile, dynamics)
-            column.append(resistance.ohms)
-        columns.append(column)
+        _, ohms = run_channel(state, series[1:], times_s[1:], profile, dynamics)
+        columns.append([state.lagged_resistance.ohms] + ohms.tolist())
 
     rows = tuple(tuple(col[i] for col in columns) for i in range(len(times_s)))
     return ComparisonTable(

@@ -16,8 +16,10 @@ import sys
 import time
 from datetime import datetime
 
+import numpy as np
+
 from . import plots, store
-from .acquisition import DividerConfig, counts_to_sample, divider_out, quantize
+from .acquisition import DividerConfig, counts_to_samples, divider_out_ohms, quantize_volts
 from .analysis import Analyzer, GaitReport, compare_sensors
 from .analysis import analyze as analyze_stream
 from .datasets import comparison_stimulus
@@ -33,11 +35,11 @@ from .sensor import (
     characterize,
     fit_profile,
     read_calibration_csv,
+    run_channel,
     static_resistance,
-    step,
 )
 from .store import SessionFormatError, SessionLog, default_header
-from .synth import GaitParams, synthesize
+from .synth import GaitParams, synthesize_columns
 from .telemetry import ADDR_ENV_VAR, DEFAULT_PORT, Collector, Emitter, SessionHeader
 from .units import CHANNEL_ORDER, PressureSample
 
@@ -111,6 +113,8 @@ def simulate_session(
 
     The stored pressures are what a collector would decode from the wire, not
     the synthetic ground truth: hysteresis, lag and quantization are all in.
+    The chain runs on columns and equals synthesize -> step -> divider_out ->
+    quantize -> counts_to_sample sample by sample, bit for bit.
     """
     if dynamics is None:
         dynamics = DynamicsConfig(sample_period=1.0 / params.sample_rate_hz)
@@ -121,19 +125,12 @@ def simulate_session(
         sample_rate_hz=params.sample_rate_hz,
         divider=divider,
     )
-    log = SessionLog(header=header)
-    states = {channel: SensorState.at_rest(0.0) for channel in CHANNEL_ORDER}
-    for truth in synthesize(params):
-        counts = []
-        for channel in CHANNEL_ORDER:
-            states[channel], resistance = step(
-                states[channel], truth.channels[channel], truth.timestamp, profile, dynamics
-            )
-            counts.append(quantize(divider_out(resistance, divider), divider).value)
-        log.samples.append(
-            counts_to_sample(truth.timestamp, tuple(counts), profile, divider)
-        )
-    return log
+    times, pascals = synthesize_columns(params)
+    ohms = np.empty_like(pascals)
+    for k in range(len(CHANNEL_ORDER)):
+        _, ohms[:, k] = run_channel(SensorState.at_rest(0.0), pascals[:, k], times, profile, dynamics)
+    counts = quantize_volts(divider_out_ohms(ohms, divider), divider)
+    return SessionLog(header=header, samples=counts_to_samples(times, counts, profile, divider))
 
 
 def _validate_epoch_flag(command: str, epoch: str) -> None:

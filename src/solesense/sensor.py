@@ -15,6 +15,12 @@ decades of ohms; a linear-space lag would make the relative settling error
 after one second larger than the replication tolerance of the bench
 comparison data, and log space is the natural companion of the log-linear
 static curve.
+
+``step`` advances one sample; ``run_channel`` advances a whole column of
+samples through the same float helpers and gives the same values bit for
+bit. The play and lag recurrences are scalar loops on plain floats, using
+``math.exp``/``math.log`` (``np.exp`` may differ from them in the last ulp);
+only the static curve runs as one ``np.interp`` over the column.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -134,11 +141,13 @@ def static_resistance(profile: CalibrationProfile, pressure: Pressure) -> Resist
     Below the onset pressure the sensor is an open circuit; outside the
     calibrated pressure range the curve clamps to its end values.
     """
-    p = pressure.pascals
-    if p < profile.onset_pressure.pascals:
-        return Resistance.open_circuit()
-    log_r = float(np.interp(p, profile._pressures, profile._log_resistances))
-    return Resistance(math.exp(log_r))
+    return Resistance(_static_ohms(profile, pressure.pascals))
+
+
+def _static_ohms(profile: CalibrationProfile, pascals: float) -> float:
+    if pascals < profile.onset_pressure.pascals:
+        return math.inf
+    return math.exp(float(np.interp(pascals, profile._pressures, profile._log_resistances)))
 
 
 def invert_static(profile: CalibrationProfile, resistance: Resistance) -> Pressure:
@@ -210,6 +219,21 @@ def play_update(effective_pa: float, applied_pa: float, halfwidth_pa: float) -> 
     return min(max(effective_pa, applied_pa - halfwidth_pa), applied_pa + halfwidth_pa)
 
 
+def _lagged_ohms(previous: float, target: float, dt: float, dynamics: DynamicsConfig) -> float:
+    """First-order approach of ln R from ``previous`` to ``target`` over ``dt``.
+
+    Open-circuit targets snap immediately (full release below onset), and the
+    first transition out of an open state likewise adopts the target with no
+    lag: a first-order approach from infinite ohms is undefined.
+    """
+    if target == math.inf or previous == math.inf:
+        return target
+    tau = dynamics.tau_load if target < previous else dynamics.tau_recover
+    decay = math.exp(-dt / tau)
+    log_target = math.log(target)
+    return math.exp(log_target + (math.log(previous) - log_target) * decay)
+
+
 def step(
     state: SensorState,
     applied_pressure: Pressure,
@@ -217,12 +241,7 @@ def step(
     profile: CalibrationProfile,
     dynamics: DynamicsConfig,
 ) -> tuple[SensorState, Resistance]:
-    """Advance the sensor one sample: play operator, static curve, then lag.
-
-    Open-circuit targets snap immediately (full release below onset), and the
-    first transition out of an open state likewise adopts the static value
-    with no lag: a first-order approach from infinite ohms is undefined.
-    """
+    """Advance the sensor one sample: play operator, static curve, then lag."""
     if timestamp < state.last_timestamp:
         raise ValueError(
             f"time went backwards: {timestamp} < {state.last_timestamp}"
@@ -230,18 +249,59 @@ def step(
     effective = play_update(
         state.effective_pressure.pascals, applied_pressure.pascals, dynamics.hysteresis_halfwidth
     )
-    target = static_resistance(profile, Pressure(effective))
+    lagged = Resistance(
+        _lagged_ohms(
+            state.lagged_resistance.ohms,
+            _static_ohms(profile, effective),
+            timestamp - state.last_timestamp,
+            dynamics,
+        )
+    )
+    return SensorState(Pressure(effective), lagged, timestamp), lagged
 
-    if target.is_open or state.lagged_resistance.is_open:
-        lagged = target
-    else:
-        tau = dynamics.tau_load if target.ohms < state.lagged_resistance.ohms else dynamics.tau_recover
-        decay = math.exp(-(timestamp - state.last_timestamp) / tau)
-        log_r = math.log(target.ohms) + (math.log(state.lagged_resistance.ohms) - math.log(target.ohms)) * decay
-        lagged = Resistance(math.exp(log_r))
 
-    new_state = SensorState(Pressure(effective), lagged, timestamp)
-    return new_state, lagged
+def run_channel(
+    state: SensorState,
+    applied_pa: np.ndarray,
+    timestamps: np.ndarray,
+    profile: CalibrationProfile,
+    dynamics: DynamicsConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """step() over a whole column of samples of one sensor, from ``state``.
+
+    Returns the effective pascals and the lagged ohms after each sample, equal
+    bit for bit to what step() gives sample by sample: the play and lag
+    recurrences run on plain floats through step()'s own helpers, and the
+    static curve is one np.interp over the column, which evaluates each point
+    as the scalar call does.
+    """
+    applied = np.asarray(applied_pa, dtype=float)
+    times = np.asarray(timestamps, dtype=float)
+    if applied.shape != times.shape or applied.ndim != 1:
+        raise ValueError(f"need one applied pressure per timestamp, got {applied.shape} and {times.shape}")
+    if not np.all(np.isfinite(applied) & (applied >= 0.0)):
+        raise ValueError("applied pressures must be finite and >= 0")
+    if np.any(np.diff(times, prepend=state.last_timestamp) < 0):
+        raise ValueError(f"time went backwards in the column starting at {state.last_timestamp}")
+
+    halfwidth = dynamics.hysteresis_halfwidth
+    effective = []
+    pascals = state.effective_pressure.pascals
+    for p in applied.tolist():
+        pascals = play_update(pascals, p, halfwidth)
+        effective.append(pascals)
+    effective = np.array(effective)
+
+    log_targets = np.interp(effective, profile._pressures, profile._log_resistances)
+    opens = effective < profile.onset_pressure.pascals
+    lagged = []
+    ohms, last = state.lagged_resistance.ohms, state.last_timestamp
+    for t, log_target, is_open in zip(times.tolist(), log_targets.tolist(), opens.tolist()):
+        target = math.inf if is_open else math.exp(log_target)
+        ohms = _lagged_ohms(ohms, target, t - last, dynamics)
+        last = t
+        lagged.append(ohms)
+    return effective, np.array(lagged)
 
 
 @dataclass(frozen=True)
@@ -299,13 +359,9 @@ def _transition_time(
     horizon = 10.0 * max(dynamics.tau_load, dynamics.tau_recover)
     n = max(int(math.ceil(horizon / dt)), 8)
 
-    times = np.empty(n)
-    log_r = np.empty(n)
-    applied = Pressure(end_pa)
-    for k in range(n):
-        state, resistance = step(state, applied, (k + 1) * dt, profile, dynamics)
-        times[k] = (k + 1) * dt
-        log_r[k] = math.log(resistance.ohms)
+    times = np.arange(1, n + 1) * dt
+    _, ohms = run_channel(state, np.full(n, end_pa), times, profile, dynamics)
+    log_r = np.array([math.log(r) for r in ohms.tolist()])
 
     log_end = log_r[-1]
     if abs(log_end - log_start) < 1e-12:
@@ -332,17 +388,9 @@ def _sweep_hysteresis_fraction(profile: CalibrationProfile, dynamics: DynamicsCo
     up = np.linspace(p_lo, p_hi, n)
     down = np.linspace(p_hi, p_lo, n)
     state = SensorState.settled(Pressure(p_lo), profile, timestamp=0.0)
-    eff_up = np.empty(n)
-    eff_down = np.empty(n)
-    t = 0.0
-    for i, p in enumerate(up):
-        t += quasi_static.sample_period
-        state, _ = step(state, Pressure(p), t, profile, quasi_static)
-        eff_up[i] = state.effective_pressure.pascals
-    for i, p in enumerate(down):
-        t += quasi_static.sample_period
-        state, _ = step(state, Pressure(p), t, profile, quasi_static)
-        eff_down[i] = state.effective_pressure.pascals
+    times = np.fromiter(accumulate(repeat(quasi_static.sample_period, 2 * n)), float, 2 * n)
+    effective, _ = run_channel(state, np.concatenate([up, down]), times, profile, quasi_static)
+    eff_up, eff_down = effective[:n], effective[n:]
 
     # Same effective pressure <=> same resistance; compare branch pressures
     # at matched effective levels over the fully engaged interior.

@@ -15,8 +15,9 @@ The report object's field names are fixed: ``cycles``, ``cadence_spm``,
 by phase name) and ``sequence_violations``.
 
 Floats are serialized in shortest round-trip form, so read(write(x)) is
-exact. Appends are line-atomic: a line is written (and flushed) whole, so a
-concurrent reader of a growing file never sees a torn record.
+exact. Samples are written in blocks of whole lines, each block written and
+flushed whole, so the file grows by whole records and a concurrent reader of
+a growing file never sees a torn one.
 
 A third, single-channel legacy layout (``time_s,pressure_pa,resistance_ohm``)
 replays old bench recordings.
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .acquisition import DividerConfig
 from .analysis import GaitEvent, GaitEventKind, GaitReport
@@ -105,6 +107,16 @@ def _parse_header_block(pairs: dict[str, str], path, line: int) -> SessionHeader
         raise SessionFormatError(f"{path}:{line}: bad header block: {exc}") from exc
 
 
+BLOCK_LINES = 256
+
+
+def _write_blocks(fh, lines: Iterator[str]) -> None:
+    """Write newline-terminated lines BLOCK_LINES at a time, flushing each block."""
+    while block := list(islice(lines, BLOCK_LINES)):
+        fh.write("".join(block))
+        fh.flush()
+
+
 def sample_csv_line(sample: PressureSample) -> str:
     return ",".join([repr(sample.timestamp)] + [repr(v) for v in sample.as_row()])
 
@@ -114,9 +126,7 @@ def write_csv(log: SessionLog, path) -> None:
         for line in _header_lines(log.header):
             fh.write(line + "\n")
         fh.write(",".join(SAMPLE_COLUMNS) + "\n")
-        for sample in log.samples:
-            fh.write(sample_csv_line(sample) + "\n")
-            fh.flush()
+        _write_blocks(fh, (sample_csv_line(sample) + "\n" for sample in log.samples))
 
 
 def read_csv(path) -> SessionLog:
@@ -230,9 +240,7 @@ def _json_line(obj: dict) -> str:
 def write_jsonl(log: SessionLog, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_json_line(_header_to_json(log.header)))
-        for sample in log.samples:
-            fh.write(_json_line(_sample_to_json(sample)))
-            fh.flush()
+        _write_blocks(fh, (_json_line(_sample_to_json(sample)) for sample in log.samples))
         for event in log.events:
             fh.write(_json_line(_event_to_json(event)))
         if log.report is not None:

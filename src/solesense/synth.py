@@ -7,6 +7,10 @@ raised-cosine lobes so downstream sensor dynamics see a C1 signal.
 
 One cycle is one stride of one foot (two steps), so at a cadence of
 ``c`` steps per minute the cycle lasts ``120 / c`` seconds.
+
+The signal is built on columns: ``synthesize_columns`` returns the whole
+stream as arrays, and ``synthesize`` and ``channel_shares`` read from the
+same envelope kernel.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ DEFAULT_LOAD_SCALE = 0.18
 HEEL_SHARE = 1.0
 FOREFOOT_SHARE = 1.1
 MIDFOOT_SHARE = 0.35
+
+_BLOCK_SAMPLES = 256  # samples per block of synthesize()
+_NO_LOAD = Pressure(0.0)  # shared: swing and clipped noise make many zeros
 
 
 @dataclass(frozen=True)
@@ -109,12 +116,6 @@ class PhaseTimeline:
 
     intervals: tuple[PhaseInterval, ...]
 
-    def phase_at(self, cycle_fraction: float) -> GaitPhase:
-        for interval in self.intervals:
-            if interval.start_fraction <= cycle_fraction < interval.end_fraction:
-                return interval.phase
-        return GaitPhase.SWING
-
 
 def default_timeline(stance_fraction: float = 0.6) -> PhaseTimeline:
     """Phase boundaries with the stance sub-phases stretched to the given
@@ -132,50 +133,53 @@ def default_timeline(stance_fraction: float = 0.6) -> PhaseTimeline:
     )
 
 
-def _half_cos_rise(u: float, a: float, b: float) -> float:
-    return 0.5 * (1.0 - math.cos(math.pi * (u - a) / (b - a)))
+def _cos(x: np.ndarray) -> np.ndarray:
+    # libm's cos, as in scalar code: numpy's SIMD loops may differ from it in
+    # the last ulp on some hosts (np.exp does on AVX-512)
+    return np.array([math.cos(v) for v in x.tolist()])
 
 
-def _half_cos_fall(u: float, a: float, b: float) -> float:
-    return 0.5 * (1.0 + math.cos(math.pi * (u - a) / (b - a)))
+def _half_cos_rise(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    return 0.5 * (1.0 - _cos(math.pi * (u - a) / (b - a)))
 
 
-def _raised_cos(u: float, a: float, b: float) -> float:
-    return 0.5 * (1.0 - math.cos(2.0 * math.pi * (u - a) / (b - a)))
+def _half_cos_fall(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    return 0.5 * (1.0 + _cos(math.pi * (u - a) / (b - a)))
 
 
-def channel_shares(cycle_fraction: float, stance_fraction: float = 0.6) -> dict[SoleChannel, float]:
-    """Per-channel envelope value (as a share of base pressure) at a point in
-    the cycle; all zero throughout swing."""
-    u = cycle_fraction
+def _raised_cos(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    return 0.5 * (1.0 - _cos(2.0 * math.pi * (u - a) / (b - a)))
+
+
+def _envelopes(u: np.ndarray, stance_fraction: float) -> np.ndarray:
+    """Per-channel envelope shares at cycle fractions ``u``: shape (len(u), 5)
+    in canonical channel order, all zero throughout swing."""
     scale = stance_fraction / _BASE_STANCE
     heel_peak, heel_end = _HEEL_PEAK * scale, _HEEL_END * scale
     mid_a, mid_b = _MID_START * scale, _MID_END * scale
     fore_a, fore_peak = _FORE_START * scale, _FORE_PEAK * scale
 
-    heel = 0.0
-    if 0.0 <= u < heel_peak:
-        heel = HEEL_SHARE * _half_cos_rise(u, 0.0, heel_peak)
-    elif heel_peak <= u < heel_end:
-        heel = HEEL_SHARE * _half_cos_fall(u, heel_peak, heel_end)
+    shares = np.zeros((len(u), len(CHANNEL_ORDER)))
+    fore, mid, heel = shares[:, 0], shares[:, 1], shares[:, 4]
+    for out, share, lobe, a, b in (
+        (heel, HEEL_SHARE, _half_cos_rise, 0.0, heel_peak),
+        (heel, HEEL_SHARE, _half_cos_fall, heel_peak, heel_end),
+        (mid, MIDFOOT_SHARE / 3.0, _raised_cos, mid_a, mid_b),
+        (fore, FOREFOOT_SHARE, _half_cos_rise, fore_a, fore_peak),
+        (fore, FOREFOOT_SHARE, _half_cos_fall, fore_peak, stance_fraction),
+    ):
+        inside = (a <= u) & (u < b)
+        out[inside] = share * lobe(u[inside], a, b)
+    shares[:, 2] = mid
+    shares[:, 3] = mid
+    return shares
 
-    mid = 0.0
-    if mid_a <= u < mid_b:
-        mid = (MIDFOOT_SHARE / 3.0) * _raised_cos(u, mid_a, mid_b)
 
-    fore = 0.0
-    if fore_a <= u < fore_peak:
-        fore = FOREFOOT_SHARE * _half_cos_rise(u, fore_a, fore_peak)
-    elif fore_peak <= u < stance_fraction:
-        fore = FOREFOOT_SHARE * _half_cos_fall(u, fore_peak, stance_fraction)
-
-    return {
-        SoleChannel.FOREFOOT: fore,
-        SoleChannel.MIDFOOT_MEDIAL: mid,
-        SoleChannel.MIDFOOT_CENTRAL: mid,
-        SoleChannel.MIDFOOT_LATERAL: mid,
-        SoleChannel.HEEL: heel,
-    }
+def channel_shares(cycle_fraction: float, stance_fraction: float = 0.6) -> dict[SoleChannel, float]:
+    """Per-channel envelope value (as a share of base pressure) at a point in
+    the cycle; all zero throughout swing."""
+    shares = _envelopes(np.array([cycle_fraction]), stance_fraction)[0]
+    return dict(zip(CHANNEL_ORDER, shares.tolist()))
 
 
 def peak_fractions(stance_fraction: float = 0.6) -> tuple[float, float]:
@@ -184,24 +188,41 @@ def peak_fractions(stance_fraction: float = 0.6) -> tuple[float, float]:
     return _HEEL_PEAK * scale, _FORE_PEAK * scale
 
 
-def synthesize(params: GaitParams) -> Iterator[PressureSample]:
-    """Generate the sample stream; deterministic for a given params (incl. seed).
+def synthesize_columns(params: GaitParams) -> tuple[np.ndarray, np.ndarray]:
+    """The sample stream as columns: timestamps (n,) and pascals (n, 5) in
+    canonical channel order; deterministic for a given params (incl. seed).
 
     Noise, when enabled, is additive Gaussian per channel, truncated at zero,
-    applied after envelope construction.
+    applied after envelope construction. It is drawn as one (n, 5) block,
+    which is the same stream as n draws of five.
+    """
+    return _columns(params, 0, params.sample_count, np.random.default_rng(params.seed))
+
+
+def _columns(params: GaitParams, start: int, stop: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Samples start..stop-1 of the stream, drawing their noise from ``rng``."""
+    period = params.cycle_duration_s
+    times = np.arange(start, stop) / params.sample_rate_hz
+    pascals = _envelopes((times % period) / period, params.stance_fraction)
+    pascals *= params.base_pressure_pa
+    if params.noise_sigma_pa > 0:
+        noisy = rng.normal(0.0, params.noise_sigma_pa, size=pascals.shape)
+        noisy += pascals
+        pascals = np.maximum(0.0, noisy, out=noisy)
+    return times, pascals
+
+
+def synthesize(params: GaitParams) -> Iterator[PressureSample]:
+    """The stream of synthesize_columns, one typed sample at a time.
+
+    Runs the same kernel on consecutive blocks of samples, with one generator
+    for the noise, so memory stays bounded however long the stream is.
     """
     rng = np.random.default_rng(params.seed)
-    period = params.cycle_duration_s
-    base = params.base_pressure_pa
-    for i in range(params.sample_count):
-        t = i / params.sample_rate_hz
-        u = (t % period) / period
-        shares = channel_shares(u, params.stance_fraction)
-        values = [shares[c] * base for c in CHANNEL_ORDER]
-        if params.noise_sigma_pa > 0:
-            noise = rng.normal(0.0, params.noise_sigma_pa, size=len(values))
-            values = [max(0.0, float(v + n)) for v, n in zip(values, noise)]
-        yield PressureSample(t, {c: Pressure(v) for c, v in zip(CHANNEL_ORDER, values)})
+    for start in range(0, params.sample_count, _BLOCK_SAMPLES):
+        times, pascals = _columns(params, start, min(start + _BLOCK_SAMPLES, params.sample_count), rng)
+        for t, row in zip(times.tolist(), pascals.tolist()):
+            yield PressureSample(t, {c: Pressure(v) if v else _NO_LOAD for c, v in zip(CHANNEL_ORDER, row)})
 
 
 @dataclass(frozen=True)

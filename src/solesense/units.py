@@ -86,8 +86,14 @@ class SoleChannel(Enum):
     MIDFOOT_LATERAL = "midfoot_lateral"
     HEEL = "heel"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent with equality; Enum's own __hash__ is Python code that would
+    # run on every channel-keyed dict lookup.
+    __hash__ = object.__hash__
+
 
 CHANNEL_ORDER: tuple[SoleChannel, ...] = tuple(SoleChannel)
+_CHANNEL_SET = frozenset(SoleChannel)
 
 
 class FootRegion(Enum):
@@ -152,10 +158,11 @@ class PressureSample:
     channels: Mapping[SoleChannel, Pressure]
 
     def __post_init__(self) -> None:
-        if set(self.channels) != set(SoleChannel):
-            missing = sorted(c.value for c in set(SoleChannel) - set(self.channels))
+        channels = dict(self.channels)
+        if channels.keys() != _CHANNEL_SET:
+            missing = sorted(c.value for c in _CHANNEL_SET - channels.keys())
             raise ValueError(f"sample must carry all five channels, missing {missing}")
-        object.__setattr__(self, "channels", MappingProxyType(dict(self.channels)))
+        object.__setattr__(self, "channels", MappingProxyType(channels))
 
     def value(self, channel: SoleChannel) -> float:
         return self.channels[channel].pascals

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from solesense.acquisition import (
@@ -9,13 +10,16 @@ from solesense.acquisition import (
     count_is_below_onset,
     count_to_pressure,
     counts_to_sample,
+    counts_to_samples,
     decode_table,
     dequantize,
     divider_current,
     divider_out,
+    divider_out_ohms,
     invert_divider,
     pressure_to_count,
     quantize,
+    quantize_volts,
     sample_to_counts,
 )
 from solesense.sensor import (
@@ -227,6 +231,17 @@ class TestDecodeTable:
         assert table[CFG.full_scale_count] is table[CFG.full_scale_count - 1]  # both idle
         assert count_to_pressure(AdcCount(1234), profile, CFG) is table[1234]
 
+    def test_equal_dividers_hash_alike_and_share_one_table(self):
+        profile = measured_profile()
+        a = DividerConfig(v_in=Voltage(3.3), r1=Resistance(150_000.0), adc_bits=12)
+        b = DividerConfig(v_ref=Voltage(3.3))
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(CFG)
+        assert decode_table(profile, a) is decode_table(profile, b)
+        other = DividerConfig(r1=Resistance(100_000.0))
+        assert other != a
+        assert decode_table(profile, other) is not decode_table(profile, a)
+
     def test_codes_the_divider_cannot_read_raise_value_error(self):
         profile = measured_profile()
         with pytest.raises(ValueError):
@@ -241,3 +256,41 @@ class TestDecodeTable:
         assert dequantize(AdcCount(readable), high_ref).volts > 3.3
         with pytest.raises(ValueError):
             count_is_below_onset(AdcCount(readable), profile, high_ref)
+
+
+class TestColumns:
+    """The array forms equal the per-sample functions exactly."""
+
+    @pytest.mark.parametrize(
+        "cfg", [CFG, DividerConfig(adc_bits=8), DividerConfig(v_ref=Voltage(3.0))], ids=str
+    )
+    def test_divider_and_quantizer_match_scalar(self, cfg):
+        rng = np.random.default_rng(3)
+        ohms = np.concatenate([10.0 ** rng.uniform(0.0, 8.0, (400, 5)), np.full((2, 5), math.inf)])
+        volts = divider_out_ohms(ohms, cfg)
+        codes = quantize_volts(volts, cfg)
+        for r, v, code in zip(ohms.ravel().tolist(), volts.ravel().tolist(), codes.ravel().tolist()):
+            assert divider_out(Resistance(r), cfg).volts == v
+            assert quantize(Voltage(v), cfg).value == code
+
+    def test_counts_to_samples_matches_counts_to_sample(self):
+        profile = measured_profile()
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 1 << CFG.adc_bits, (300, 5))
+        times = np.arange(300) / 100.0
+        got = counts_to_samples(times, counts, profile, CFG)
+        want = [counts_to_sample(t, tuple(row), profile, CFG) for t, row in zip(times.tolist(), counts.tolist())]
+        assert got == want
+
+    def test_counts_to_samples_names_the_first_bad_code(self):
+        profile = measured_profile()
+        counts = np.full((6, 5), 4095)
+        counts[3, 4] = 5000
+        counts[5, 0] = -1
+        with pytest.raises(ValueError, match="count 5000 is outside"):
+            counts_to_samples(np.arange(6.0), counts, profile, CFG)
+        counts[3, 4] = 4095
+        with pytest.raises(ValueError, match="count -1 is outside"):
+            counts_to_samples(np.arange(6.0), counts, profile, CFG)
+        with pytest.raises(ValueError, match="block"):
+            counts_to_samples(np.arange(6.0), counts[:, :4], profile, CFG)

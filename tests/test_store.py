@@ -1,13 +1,17 @@
+import json
+
 import pytest
 
 from solesense.analysis import analyze
 from solesense.datasets import BENCH_TIME_LOG
 from solesense.store import (
+    BLOCK_LINES,
     LegacyRecord,
     SessionFormatError,
     SessionLog,
     default_header,
     read_csv,
+    sample_csv_line,
     read_jsonl,
     read_legacy_csv,
     sniff_kind,
@@ -74,6 +78,22 @@ class TestCsv:
         for upto in range(10, len(lines) + 1):
             partial.write_text("".join(lines[:upto]))
             read_csv(partial)  # must never raise
+
+
+    def test_blocks_write_the_lines_one_by_one_would(self, tmp_path):
+        log = _session(cycles=6, noise=1_000.0)
+        assert len(log.samples) > 2 * BLOCK_LINES
+        write_csv(log, tmp_path / "s.csv")
+        body = "".join(sample_csv_line(s) + "\n" for s in log.samples)
+        assert (tmp_path / "s.csv").read_text().endswith("heel_pa\n" + body)
+        write_jsonl(log, tmp_path / "s.jsonl")
+        columns = ("forefoot_pa", "midfoot_medial_pa", "midfoot_central_pa", "midfoot_lateral_pa", "heel_pa")
+        body = "".join(
+            json.dumps({"type": "sample", "t_s": s.timestamp, **dict(zip(columns, s.as_row()))}, sort_keys=True) + "\n"
+            for s in log.samples
+        )
+        text = (tmp_path / "s.jsonl").read_text()
+        assert text.endswith(body) and text.count("\n") == 1 + len(log.samples)
 
 
 class TestJsonl:

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from solesense.synth import (
@@ -7,8 +10,9 @@ from solesense.synth import (
     ground_truth,
     peak_fractions,
     synthesize,
+    synthesize_columns,
 )
-from solesense.units import GaitPhase, SoleChannel
+from solesense.units import CHANNEL_ORDER, GaitPhase, SoleChannel
 
 
 class TestTimeline:
@@ -99,6 +103,21 @@ class TestSynthesize:
         for sample in synthesize(params):
             assert all(v >= 0.0 for v in sample.as_row())
 
+    @pytest.mark.parametrize("stance", [0.5, 0.6, 0.7])
+    @pytest.mark.parametrize("noise", [0.0, 2000.0])
+    def test_columns_equal_a_per_sample_scalar_reference(self, stance, noise):
+        params = GaitParams(
+            body_mass_kg=70, stance_fraction=stance, sample_rate_hz=1000.0, cycles=2,
+            noise_sigma_pa=noise, seed=9,
+        )
+        times, pascals = synthesize_columns(params)
+        want_t, want_p = _scalar_synthesis(params)
+        assert times.tolist() == want_t
+        assert pascals.tolist() == want_p
+        assert [(s.timestamp, list(s.as_row())) for s in synthesize(params)] == list(zip(want_t, want_p))
+        for u in np.linspace(0.0, 1.0, 41).tolist():
+            assert channel_shares(u, stance) == dict(zip(CHANNEL_ORDER, _scalar_shares(u, stance)))
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             GaitParams(body_mass_kg=-1)
@@ -132,3 +151,47 @@ class TestGroundTruth:
                 assert record.phase == interval.phase
                 assert record.start_s == pytest.approx((k + interval.start_fraction) * period, abs=1e-9)
                 assert record.end_s == pytest.approx((k + interval.end_fraction) * period, abs=1e-9)
+
+
+def _scalar_shares(u, stance):
+    """The envelope one point at a time with math.cos, as the kernel was first written."""
+    scale = stance / 0.6
+    heel_peak, heel_end = 0.07 * scale, 0.31 * scale
+    mid_a, mid_b = 0.08 * scale, 0.53 * scale
+    fore_a, fore_peak = 0.31 * scale, 0.55 * scale
+
+    def rise(a, b):
+        return 0.5 * (1.0 - math.cos(math.pi * (u - a) / (b - a)))
+
+    def fall(a, b):
+        return 0.5 * (1.0 + math.cos(math.pi * (u - a) / (b - a)))
+
+    heel = 0.0
+    if 0.0 <= u < heel_peak:
+        heel = 1.0 * rise(0.0, heel_peak)
+    elif heel_peak <= u < heel_end:
+        heel = 1.0 * fall(heel_peak, heel_end)
+    mid = 0.0
+    if mid_a <= u < mid_b:
+        mid = (0.35 / 3.0) * (0.5 * (1.0 - math.cos(2.0 * math.pi * (u - mid_a) / (mid_b - mid_a))))
+    fore = 0.0
+    if fore_a <= u < fore_peak:
+        fore = 1.1 * rise(fore_a, fore_peak)
+    elif fore_peak <= u < stance:
+        fore = 1.1 * fall(fore_peak, stance)
+    return [fore, mid, mid, mid, heel]
+
+
+def _scalar_synthesis(params):
+    rng = np.random.default_rng(params.seed)
+    period = params.cycle_duration_s
+    times, rows = [], []
+    for i in range(params.sample_count):
+        t = i / params.sample_rate_hz
+        values = [v * params.base_pressure_pa for v in _scalar_shares((t % period) / period, params.stance_fraction)]
+        if params.noise_sigma_pa > 0:
+            noise = rng.normal(0.0, params.noise_sigma_pa, size=5)
+            values = [max(0.0, float(v + n)) for v, n in zip(values, noise)]
+        times.append(t)
+        rows.append(values)
+    return times, rows

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -144,3 +146,31 @@ class TestDomainTypes:
             PressureSample(0.0, {SoleChannel.HEEL: Pressure(1.0)})
         with pytest.raises(ValueError):
             PressureSample.from_row(0.0, [1.0, 2.0])
+
+    def test_pressure_sample_keeps_a_read_only_copy(self):
+        channels = {c: Pressure(1.0) for c in CHANNEL_ORDER}
+        sample = PressureSample(0.0, channels)
+        channels[SoleChannel.HEEL] = Pressure(9.0)
+        assert sample.value(SoleChannel.HEEL) == 1.0
+        with pytest.raises(TypeError):
+            sample.channels[SoleChannel.HEEL] = Pressure(2.0)
+        extra = dict(sample.channels, heel=Pressure(1.0))  # a str key is no channel
+        with pytest.raises(ValueError, match=r"missing \[\]"):
+            PressureSample(0.0, extra)
+
+    def test_channel_keyed_dicts_and_sets(self):
+        by_channel = {c: c.value for c in CHANNEL_ORDER}
+        for channel in SoleChannel:
+            # lookups by a member found again by value or by name
+            assert by_channel[SoleChannel(channel.value)] == channel.value
+            assert by_channel[SoleChannel[channel.name]] == channel.value
+            assert hash(channel) == hash(SoleChannel(channel.value))
+            assert copy.deepcopy(channel) is channel
+            assert pickle.loads(pickle.dumps(channel)) is channel
+        assert "heel" not in by_channel  # members are not their values
+        assert pickle.loads(pickle.dumps(by_channel)) == by_channel
+        assert list(by_channel) == list(CHANNEL_ORDER)  # dicts keep insertion order
+        midfoot = set(REGION_CHANNELS[FootRegion.MIDFOOT])
+        assert set(SoleChannel) - midfoot == {SoleChannel.FOREFOOT, SoleChannel.HEEL}
+        assert frozenset(CHANNEL_ORDER) == set(SoleChannel)
+        assert len({c: 0 for c in list(SoleChannel) * 2}) == 5
