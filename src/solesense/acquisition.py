@@ -174,13 +174,6 @@ def count_to_pressure(
     return _decoded(decode_table(profile, cfg), count.value)
 
 
-def count_is_below_onset(
-    count: AdcCount, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
-) -> bool:
-    """True when a code maps above the profile's idle resistance (no contact)."""
-    return count_to_pressure(count, profile, cfg).pascals == 0.0
-
-
 def sample_to_counts(
     sample: PressureSample, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
 ) -> tuple[int, ...]:

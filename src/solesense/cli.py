@@ -231,18 +231,15 @@ def cmd_collect(args) -> int:
 
     def sink(device_id: int, sample: PressureSample) -> None:
         log = logs.get(device_id)
-        if log is None:
-            log = logs.setdefault(
-                device_id,
-                SessionLog(
-                    header=SessionHeader(
-                        device_id=device_id,
-                        epoch=args.epoch,
-                        profile_name=profile.name,
-                        sample_rate_hz=0.0,
-                        divider=divider,
-                    )
-                ),
+        if log is None:  # the collector calls the sink from one thread only
+            log = logs[device_id] = SessionLog(
+                header=SessionHeader(
+                    device_id=device_id,
+                    epoch=args.epoch,
+                    profile_name=profile.name,
+                    sample_rate_hz=0.0,
+                    divider=divider,
+                )
             )
         log.samples.append(sample)
         if args.analyze:

@@ -26,6 +26,7 @@ only the static curve runs as one ``np.interp`` over the column.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, repeat
@@ -483,7 +484,11 @@ _BUILTIN_PROFILES = {
 }
 
 
+@functools.cache
 def builtin_profile(name: str) -> CalibrationProfile:
+    """The built-in profile ``name``: one shared instance per name, so its
+    decode tables are built once per process. The factories it calls return
+    fresh profiles."""
     try:
         return _BUILTIN_PROFILES[name]()
     except KeyError:

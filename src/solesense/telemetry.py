@@ -15,18 +15,22 @@ The CRC is poly 0x1021, init 0xFFFF, no reflection, no xor-out; its check
 value over the ASCII bytes "123456789" is 0x29B1.
 
 Transport is TCP (lab-scale, reliability first); sequence numbers still
-travel so reconnect gaps are visible and a datagram mode stays possible. After
-any decode error the collector resynchronizes on the next magic at a later
-byte, so junk between frames never costs an intact frame.
+travel so reconnect gaps and resent duplicates are visible and a datagram mode
+stays possible. The collector resynchronizes on the next magic after any decode
+error, so junk between frames never costs an intact frame. One collector thread
+serves every device and runs the sink, so a slow sink delays every connection.
 """
 
 from __future__ import annotations
 
 import binascii
+import selectors
 import socket
 import struct
 import threading
 import time
+import traceback
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Callable, Iterable, Iterator
@@ -250,10 +254,10 @@ class Emitter:
             yield sample
 
     def run(self, samples: Iterable[PressureSample]) -> int:
-        """Send every sample; returns the number of frames delivered."""
+        """Send every sample, numbered on from earlier runs; returns the frames delivered so far."""
         if self._pace:
             samples = self._paced(samples)
-        for frame in frames_from_samples(samples, self._profile, self._divider, self._device_id):
+        for frame in frames_from_samples(samples, self._profile, self._divider, self._device_id, self.sent):
             payload = encode(frame)
             while True:
                 self._ensure_connected()
@@ -262,11 +266,7 @@ class Emitter:
                     self.sent += 1
                     break
                 except OSError:
-                    try:
-                        self._conn.close()
-                    except OSError:
-                        pass
-                    self._conn = None
+                    self.close()
                     self.retries += 1
         return self.sent
 
@@ -283,16 +283,18 @@ class Emitter:
 class DeviceStats:
     frames: int = 0
     gaps: int = 0
+    duplicates: int = 0
     decode_errors: int = 0
 
 
 class Collector:
     """TCP server ingesting frames from any number of devices.
 
-    Each connection gets its own sequential pipeline (deframe, convert counts
-    to pressures, forward to the sink in arrival order); a slow sink only
-    stalls its own connection. Decode errors are counted and skipped, never
-    fatal. ``sink`` is called as sink(device_id, PressureSample).
+    One thread runs a selector loop over the listener, every connection and a
+    socket pair that ``stop()`` writes to. Per connection, in arrival order, it
+    counts gaps, counts and drops duplicates, and counts and skips decode errors.
+    ``sink(device_id, PressureSample)`` runs on that thread: it needs no lock,
+    but a slow sink delays every connection; one that raises ends only its own.
     """
 
     def __init__(
@@ -309,11 +311,8 @@ class Collector:
         self._host = host
         self._port = port
         self._server: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._workers: list[threading.Thread] = []
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
-        self.stats: dict[int, DeviceStats] = {}
+        self._thread: threading.Thread | None = None
+        self.stats: dict[int, DeviceStats] = defaultdict(DeviceStats)
         self.connections_closed = 0
         self.connection_closed = threading.Event()
 
@@ -328,79 +327,79 @@ class Collector:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind((self._host, self._port))
         server.listen()
+        server.setblocking(False)
         self._server = server
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._wake_read, self._wake_write = socket.socketpair()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+    def _run(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._server, selectors.EVENT_READ)
+            selector.register(self._wake_read, selectors.EVENT_READ)
             try:
-                conn, _addr = self._server.accept()
-            except OSError:
-                return  # listener closed
-            worker = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            with self._lock:
-                self._workers.append(worker)
-            worker.start()
+                while True:
+                    for key, _events in selector.select():
+                        if key.fileobj is self._wake_read:
+                            return
+                        if key.fileobj is not self._server:
+                            self._read(selector, key)
+                            continue
+                        try:
+                            conn, _addr = self._server.accept()
+                        except OSError:  # the client left first, or no descriptor is free yet
+                            continue
+                        # per connection: its deframer and the next sequence per device
+                        selector.register(conn, selectors.EVENT_READ, (Deframer(), {}))
+            finally:
+                for key in list(selector.get_map().values()):
+                    if key.data is not None:
+                        self._close(selector, key)
+                self._server.close()
 
-    def _serve(self, conn: socket.socket) -> None:
-        deframer = Deframer()
-        expected: dict[int, int] = {}
+    def _read(self, selector: selectors.BaseSelector, key: selectors.SelectorKey) -> None:
+        deframer, expected = key.data
         try:
-            while not self._stopping.is_set():
+            chunk = key.fileobj.recv(4096)  # readable: returns at once, b"" at end of stream
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._close(selector, key)
+            return
+        try:
+            for frame in deframer.feed(chunk):
+                stats = self.stats[frame.device_id]
+                want = expected.get(frame.device_id, frame.sequence)
+                if frame.sequence < want:  # an at-least-once resend
+                    stats.duplicates += 1
+                    continue
+                stats.gaps += frame.sequence - want
+                expected[frame.device_id] = frame.sequence + 1
                 try:
-                    chunk = conn.recv(4096)
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                for frame in deframer.feed(chunk):
-                    stats = self._device_stats(frame.device_id)
-                    want = expected.get(frame.device_id)
-                    if want is not None and frame.sequence > want:
-                        stats.gaps += frame.sequence - want
-                    expected[frame.device_id] = frame.sequence + 1
-                    try:
-                        sample = counts_to_sample(
-                            frame.timestamp_ms / 1000.0, frame.counts, self._profile, self._divider
-                        )
-                    except ValueError:
-                        # CRC-valid but semantically bad (e.g. counts beyond
-                        # the ADC range): count it, never kill the connection
-                        stats.decode_errors += 1
-                        continue
-                    stats.frames += 1
-                    self._sink(frame.device_id, sample)
-        finally:
-            # connection-level decode errors land on the device(s) seen on it,
-            # or device 0 if the stream never produced a valid frame
-            errors = deframer.error_count
-            if errors:
-                device = next(iter(expected), 0)
-                self._device_stats(device).decode_errors += errors
-            try:
-                conn.close()
-            except OSError:
-                pass
-            self.connections_closed += 1
-            self.connection_closed.set()
+                    sample = counts_to_sample(frame.timestamp_ms / 1000.0, frame.counts, self._profile, self._divider)
+                except ValueError:  # CRC-valid but out of the table: never fatal
+                    stats.decode_errors += 1
+                    continue
+                stats.frames += 1
+                self._sink(frame.device_id, sample)
+        except Exception:
+            traceback.print_exc()  # a failing sink ends its own connection, not the loop
+            self._close(selector, key)
 
-    def _device_stats(self, device_id: int) -> DeviceStats:
-        with self._lock:
-            if device_id not in self.stats:
-                self.stats[device_id] = DeviceStats()
-            return self.stats[device_id]
+    def _close(self, selector: selectors.BaseSelector, key: selectors.SelectorKey) -> None:
+        selector.unregister(key.fileobj)
+        key.fileobj.close()
+        # its deframer's errors land on its first device, or device 0 if it had none
+        deframer, expected = key.data
+        if deframer.error_count:
+            self.stats[next(iter(expected), 0)].decode_errors += deframer.error_count
+        self.connections_closed += 1
+        self.connection_closed.set()
 
     def stop(self) -> None:
-        self._stopping.set()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            worker.join(timeout=5.0)
+        if self._thread is not None:
+            self._wake_write.send(b"\0")
+            self._thread.join()
+            self._thread = None
+            self._wake_read.close()
+            self._wake_write.close()

@@ -7,7 +7,6 @@ import pytest
 from solesense.acquisition import (
     AdcCount,
     DividerConfig,
-    count_is_below_onset,
     count_to_pressure,
     counts_to_sample,
     counts_to_samples,
@@ -131,7 +130,6 @@ class TestPressureChain:
         profile = datasheet_profile()
         count = pressure_to_count(Pressure(0.0), profile, CFG)
         assert count.value == CFG.full_scale_count
-        assert count_is_below_onset(count, profile, CFG)
         assert count_to_pressure(count, profile, CFG).pascals == 0.0
 
     def test_roundtrip_within_one_step_equivalent(self):
@@ -231,6 +229,13 @@ class TestDecodeTable:
         assert table[CFG.full_scale_count] is table[CFG.full_scale_count - 1]  # both idle
         assert count_to_pressure(AdcCount(1234), profile, CFG) is table[1234]
 
+    def test_builtin_profiles_are_shared_and_factories_fresh(self):
+        for name in builtin_profile_names():
+            profile = builtin_profile(name)
+            assert builtin_profile(name) is profile
+        assert measured_profile() is not measured_profile()
+        assert measured_profile() is not builtin_profile("measured")
+
     def test_equal_dividers_hash_alike_and_share_one_table(self):
         profile = measured_profile()
         a = DividerConfig(v_in=Voltage(3.3), r1=Resistance(150_000.0), adc_bits=12)
@@ -255,7 +260,7 @@ class TestDecodeTable:
         assert dequantize(AdcCount(readable - 1), high_ref).volts <= 3.3
         assert dequantize(AdcCount(readable), high_ref).volts > 3.3
         with pytest.raises(ValueError):
-            count_is_below_onset(AdcCount(readable), profile, high_ref)
+            count_to_pressure(AdcCount(readable), profile, high_ref)
 
 
 class TestColumns:

@@ -221,6 +221,15 @@ class TestEmitter:
         frames = Deframer().feed(bytes(transport.buffer))
         assert [f.sequence for f in frames] == list(range(100))
 
+    def test_sequence_continues_across_runs(self):
+        transport = _MemoryTransport()
+        emitter = Emitter(lambda: transport, PROFILE, DIVIDER)
+        samples = self._samples(100)
+        assert emitter.run(samples[:40]) == 40
+        assert emitter.run(samples[40:]) == 100
+        frames = Deframer().feed(bytes(transport.buffer))
+        assert [f.sequence for f in frames] == list(range(100))
+
     def test_sequence_continues_after_reconnect(self):
         transports = []
 
@@ -404,3 +413,70 @@ class TestCollector:
             assert decoded.timestamp == sample.timestamp
             expected = counts_to_sample(sample.timestamp, frame.counts, PROFILE, DIVIDER)
             assert decoded.as_row() == expected.as_row()
+
+    def test_resent_frame_is_dropped_and_counted(self):
+        sink = _ListSink()
+        collector = self._start(sink)
+        params = GaitParams(body_mass_kg=70, cycles=1, sample_rate_hz=100)
+        frames = list(frames_from_samples(synthesize(params), PROFILE, DIVIDER))[:10]
+        conn = socket.create_connection(collector.address, timeout=5)
+        # an at-least-once resend: frame 4 arrives again after frame 5
+        conn.sendall(b"".join(encode(f) for f in frames[:6] + frames[4:5] + frames[6:]))
+        conn.close()
+        assert collector.connection_closed.wait(timeout=5.0)
+        collector.stop()
+        expected = [counts_to_sample(f.timestamp_ms / 1000.0, f.counts, PROFILE, DIVIDER) for f in frames]
+        assert sink.samples[frames[0].device_id] == expected
+        stats = collector.stats[frames[0].device_id]
+        assert (stats.frames, stats.duplicates, stats.gaps, stats.decode_errors) == (10, 1, 0, 0)
+
+    def test_stop_is_prompt_and_leaves_no_thread(self):
+        before = set(threading.enumerate())
+        sink = _ListSink()
+        collector = self._start(sink)
+        frame = TelemetryFrame(5, 0, 0, (4095, 4095, 4095, 4095, 4095))
+        conn = socket.create_connection(collector.address, timeout=5)
+        try:
+            conn.sendall(encode(frame))
+            deadline = time.monotonic() + 5.0
+            while 5 not in sink.samples and time.monotonic() < deadline:
+                time.sleep(0.01)
+            t0 = time.perf_counter()
+            collector.stop()  # the connection is still open and idle
+            elapsed = time.perf_counter() - t0
+            assert conn.recv(1) == b""  # the collector closed its end
+        finally:
+            conn.close()
+        assert elapsed < 0.5
+        assert [t for t in threading.enumerate() if t not in before and t.is_alive()] == []
+        assert collector.connections_closed == 1
+        collector.stop()  # a second stop is a no-op
+
+    def test_raising_sink_ends_only_its_own_connection(self, capsys):
+        calls = {}
+
+        def sink(device_id, sample):
+            calls[device_id] = calls.get(device_id, 0) + 1
+            if device_id == 3:
+                raise RuntimeError("sink failed")
+            good.append(sample)
+
+        good = []
+        collector = self._start(sink)
+        counts = (4095, 4000, 3950, 3500, 3000)
+        wires = {d: [encode(TelemetryFrame(d, seq, 10 * seq, counts)) for seq in range(20)] for d in (3, 4)}
+        bad_conn = socket.create_connection(collector.address, timeout=5)
+        good_conn = socket.create_connection(collector.address, timeout=5)
+        good_conn.sendall(b"".join(wires[4][:10]))
+        bad_conn.sendall(b"".join(wires[3]))
+        good_conn.sendall(b"".join(wires[4][10:]))
+        bad_conn.close()
+        good_conn.close()
+        deadline = time.monotonic() + 5.0
+        while collector.connections_closed < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        collector.stop()
+        assert [s.timestamp for s in good] == [seq / 100 for seq in range(20)]
+        assert calls == {3: 1, 4: 20}
+        assert collector.connections_closed == 2
+        assert "RuntimeError: sink failed" in capsys.readouterr().err
