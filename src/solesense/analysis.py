@@ -7,6 +7,10 @@ cyclic phase order; illegal transitions are counted, never raised.
 
 Classification uses contact logic only -- never pressure magnitudes -- so no
 assumed load levels become load-bearing.
+
+The online Analyzer folds each gait cycle into running figures when the next
+heel strike closes it and keeps no events (update() returns them), so its
+state and its report are O(1) in session length.
 """
 
 from __future__ import annotations
@@ -192,8 +196,8 @@ class GaitReport:
 class Analyzer:
     """Online single-pass gait analyzer; one instance per stream.
 
-    State is bounded (no sample history is kept); feeding a stream in chunks
-    is equivalent to feeding the concatenation.
+    State and report() are O(1) in session length, and events come only from
+    update(); feeding a stream in chunks is equivalent to feeding the concatenation.
     """
 
     config: AnalyzerConfig = field(default_factory=AnalyzerConfig)
@@ -202,17 +206,20 @@ class Analyzer:
     _phase_since: float | None = None
     _last_timestamp: float | None = None
     _sample_index: int = 0
-    _events: list[GaitEvent] = field(default_factory=list)
     _violations: int = 0
-    _cycle_index: int = -1
-    _heel_strikes: list[float] = field(default_factory=list)
-    _toe_offs: list[float] = field(default_factory=list)
+    _cycle_index: int = -1  # heel strikes so far, minus one
+    _first_strike: float = 0.0
+    _last_strike: float | None = None
+    _toe_off: float | None = None  # the first toe-off since the last strike
+    # closed cycles' stance fractions: count, sum, Welford sum of squared deviations
+    _stances: int = 0
+    _stance_sum: float = 0.0
+    _stance_m2: float = 0.0
     _peaks: dict[FootRegion, float] = field(
         default_factory=lambda: {r: 0.0 for r in FootRegion}
     )
-    _phase_durations: dict[GaitPhase, list[float]] = field(
-        default_factory=lambda: {p: [] for p in GaitPhase}
-    )
+    _phase_totals: dict[GaitPhase, float] = field(default_factory=lambda: dict.fromkeys(GaitPhase, 0.0))
+    _phase_counts: dict[GaitPhase, int] = field(default_factory=lambda: dict.fromkeys(GaitPhase, 0))
 
     def update(self, sample: PressureSample) -> list[GaitEvent]:
         """Fold in one sample; returns any events it produced."""
@@ -247,13 +254,23 @@ class Analyzer:
             if new_phase != _NEXT_PHASE[self._phase]:
                 self._violations += 1
             if self._phase_since is not None:
-                self._phase_durations[self._phase].append(t - self._phase_since)
+                self._phase_totals[self._phase] += t - self._phase_since
+                self._phase_counts[self._phase] += 1
             if self._phase == GaitPhase.SWING and self._contact.heel_on:
+                if self._last_strike is None:
+                    self._first_strike = t
+                elif self._toe_off is not None:  # fold in the cycle this strike closes
+                    x = (self._toe_off - self._last_strike) / (t - self._last_strike)
+                    mean = self._stance_sum / max(self._stances, 1)  # the first fold adds 0
+                    self._stances += 1
+                    self._stance_sum += x
+                    self._stance_m2 += (x - mean) * (x - self._stance_sum / self._stances)
                 self._cycle_index += 1
-                self._heel_strikes.append(t)
+                self._last_strike, self._toe_off = t, None
                 produced.append(GaitEvent(GaitEventKind.HEEL_STRIKE, t, self._cycle_index))
             elif self._phase == GaitPhase.PRE_SWING and new_phase == GaitPhase.SWING:
-                self._toe_offs.append(t)
+                if self._toe_off is None:
+                    self._toe_off = t
                 produced.append(GaitEvent(GaitEventKind.TOE_OFF, t, max(self._cycle_index, 0)))
             else:
                 produced.append(
@@ -267,36 +284,19 @@ class Analyzer:
             self._phase = new_phase
             self._phase_since = t
 
-        self._events.extend(produced)
         return produced
 
-    @property
-    def events(self) -> list[GaitEvent]:
-        return list(self._events)
-
     def report(self) -> GaitReport:
-        strikes = self._heel_strikes
-        cycles = max(len(strikes) - 1, 0)
+        cycles = max(self._cycle_index, 0)
 
-        cadence = 0.0
-        if cycles >= 1 and strikes[-1] > strikes[0]:
-            cadence = 2.0 * cycles / ((strikes[-1] - strikes[0]) / 60.0)
-
-        stance_fractions = []
-        for k in range(cycles):
-            start, end = strikes[k], strikes[k + 1]
-            toe_off = next((t for t in self._toe_offs if start < t <= end), None)
-            if toe_off is not None:
-                stance_fractions.append((toe_off - start) / (end - start))
-        if stance_fractions:
-            mean = sum(stance_fractions) / len(stance_fractions)
-            std = math.sqrt(sum((x - mean) ** 2 for x in stance_fractions) / len(stance_fractions))
-        else:
-            mean = std = 0.0
+        # timestamps strictly increase, so two strikes span a positive time
+        cadence = 2.0 * cycles / ((self._last_strike - self._first_strike) / 60.0) if cycles else 0.0
+        n = max(self._stances, 1)  # without stance figures both read 0.0
+        mean, std = self._stance_sum / n, math.sqrt(self._stance_m2 / n)
 
         durations = {
-            phase: (sum(ds) / len(ds) if ds else 0.0)
-            for phase, ds in self._phase_durations.items()
+            phase: total / max(self._phase_counts[phase], 1)
+            for phase, total in self._phase_totals.items()
         }
         return GaitReport(
             cycles=cycles,
@@ -314,9 +314,8 @@ def analyze(
 ) -> tuple[list[GaitEvent], GaitReport]:
     """Fold a whole stream; identical to feeding an Analyzer sample by sample."""
     analyzer = Analyzer(config=config)
-    for sample in samples:
-        analyzer.update(sample)
-    return analyzer.events, analyzer.report()
+    events = [event for sample in samples for event in analyzer.update(sample)]
+    return events, analyzer.report()
 
 
 # --- side-by-side sensor comparison -----------------------------------------

@@ -39,7 +39,7 @@ from .sensor import (
     static_resistance,
 )
 from .store import SessionFormatError, SessionLog, default_header
-from .synth import GaitParams, synthesize_columns
+from .synth import DEFAULT_LOAD_SCALE, GaitParams, synthesize_columns
 from .telemetry import ADDR_ENV_VAR, DEFAULT_PORT, Collector, Emitter, SessionHeader
 from .units import CHANNEL_ORDER, PressureSample
 
@@ -82,7 +82,6 @@ def profile_to_json_dict(profile: CalibrationProfile) -> dict:
     return {
         "name": profile.name,
         "onset_pressure_pa": profile.onset_pressure.pascals,
-        "fit_r2": profile.fit_r2,
         "points": [[p.pressure_pa, p.resistance_ohm] for p in profile.points],
     }
 
@@ -140,10 +139,10 @@ def _validate_epoch_flag(command: str, epoch: str) -> None:
         raise _UsageError(f"{command}: --epoch must be an RFC 3339 timestamp, got {epoch!r}") from None
 
 
-def cmd_simulate(args) -> int:
-    _validate_epoch_flag("simulate", args.epoch)
+def _gait_params(args, command: str) -> GaitParams:
+    """The gait flags of ``simulate`` and ``stream --simulate`` as GaitParams."""
     try:
-        params = GaitParams(
+        return GaitParams(
             body_mass_kg=args.mass,
             cadence_spm=args.cadence,
             stance_fraction=args.stance,
@@ -154,7 +153,12 @@ def cmd_simulate(args) -> int:
             load_scale=args.load_scale,
         )
     except ValueError as exc:
-        raise _UsageError(f"simulate: {exc}") from exc
+        raise _UsageError(f"{command}: {exc}") from exc
+
+
+def cmd_simulate(args) -> int:
+    _validate_epoch_flag("simulate", args.epoch)
+    params = _gait_params(args, "simulate")
     profile = _load_profile(args.profile)
     log = simulate_session(params, profile, device_id=args.device_id, epoch=args.epoch)
     store.write_session(log, args.output)
@@ -169,18 +173,7 @@ def cmd_stream(args) -> int:
     if bool(args.input) == bool(args.simulate):
         raise _UsageError("stream: exactly one of --input or --simulate is required")
     if args.simulate:
-        try:
-            params = GaitParams(
-                body_mass_kg=args.mass,
-                cadence_spm=args.cadence,
-                stance_fraction=args.stance,
-                sample_rate_hz=args.rate,
-                cycles=args.cycles,
-                noise_sigma_pa=args.noise,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            raise _UsageError(f"stream: {exc}") from exc
+        params = _gait_params(args, "stream")
         profile = _load_profile(args.profile or "measured")
         log = simulate_session(params, profile)
     else:
@@ -243,7 +236,7 @@ def cmd_collect(args) -> int:
             )
         log.samples.append(sample)
         if args.analyze:
-            analyzers.setdefault(device_id, Analyzer()).update(sample)
+            log.events.extend(analyzers.setdefault(device_id, Analyzer()).update(sample))
         if args.live:
             now = time.monotonic()
             if now - last_render[0] >= 0.1:
@@ -300,7 +293,6 @@ def _flush_collected(args, logs: dict[int, SessionLog], analyzers: dict[int, Ana
             path = f"{base}-dev{device_id}{dot}{ext}" if dot else f"{args.output}-dev{device_id}"
         analyzer = analyzers.get(device_id)
         if analyzer is not None:
-            log.events = analyzer.events
             log.report = analyzer.report()
         store.write_session(log, path)
         print(f"wrote {len(log.samples)} samples to {path}")
@@ -508,35 +500,30 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="solesense", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="synthesize a gait session through the full sensor chain")
-    sim.add_argument("--mass", type=float, default=70.0, help="body mass [kg]")
-    sim.add_argument("--cadence", type=float, default=120.0, help="steps per minute")
-    sim.add_argument("--stance", type=float, default=0.6, help="stance fraction of the cycle")
-    sim.add_argument("--cycles", type=int, default=10)
-    sim.add_argument("--rate", type=float, default=100.0, help="sample rate [Hz]")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--noise", type=float, default=0.0, help="pressure noise sigma [Pa]")
-    sim.add_argument("--load-scale", type=float, default=0.18)
+    gait = _Parser(add_help=False)  # the gait flags of simulate and stream --simulate
+    gait.add_argument("--mass", type=float, default=70.0, help="body mass [kg]")
+    gait.add_argument("--cadence", type=float, default=120.0, help="steps per minute")
+    gait.add_argument("--stance", type=float, default=0.6, help="stance fraction of the cycle")
+    gait.add_argument("--cycles", type=int, default=10)
+    gait.add_argument("--rate", type=float, default=100.0, help="sample rate [Hz]")
+    gait.add_argument("--seed", type=int, default=0, help="noise seed")
+    gait.add_argument("--noise", type=float, default=0.0, help="pressure noise sigma [Pa]")
+    gait.add_argument("--load-scale", type=float, default=DEFAULT_LOAD_SCALE, help="body-weight share per sensor")
+
+    sim = sub.add_parser("simulate", parents=[gait], help="synthesize a gait session through the full sensor chain")
     sim.add_argument("--profile", default="measured", help=f"one of {builtin_profile_names()} or a profile JSON path")
     sim.add_argument("--device-id", type=int, default=1)
     sim.add_argument("--epoch", default=store.DEFAULT_EPOCH)
     sim.add_argument("-o", "--output", required=True)
     sim.set_defaults(func=cmd_simulate)
 
-    stream = sub.add_parser("stream", help="replay a session file (or a live simulation) to a collector")
+    stream = sub.add_parser("stream", parents=[gait], help="replay a session file or a live simulation to a collector")
     stream.add_argument("--input", "-i", default=None, help="session file to replay")
     stream.add_argument("--simulate", action="store_true", help="stream a live simulation instead of a file")
     stream.add_argument("--addr", default=_default_addr(), help="collector host:port")
     stream.add_argument("--device-id", type=int, default=None)
     stream.add_argument("--pace", action="store_true", help="pace frames by sample timestamps")
     stream.add_argument("--profile", default=None, help="override the session's profile")
-    stream.add_argument("--mass", type=float, default=70.0, help="(--simulate) body mass [kg]")
-    stream.add_argument("--cadence", type=float, default=120.0, help="(--simulate) steps per minute")
-    stream.add_argument("--stance", type=float, default=0.6, help="(--simulate) stance fraction")
-    stream.add_argument("--cycles", type=int, default=10, help="(--simulate) cycle count")
-    stream.add_argument("--rate", type=float, default=100.0, help="(--simulate) sample rate [Hz]")
-    stream.add_argument("--seed", type=int, default=0, help="(--simulate) noise seed")
-    stream.add_argument("--noise", type=float, default=0.0, help="(--simulate) noise sigma [Pa]")
     stream.set_defaults(func=cmd_stream)
 
     collect = sub.add_parser("collect", help="run the telemetry collector server")

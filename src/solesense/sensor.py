@@ -75,13 +75,11 @@ class CalibrationProfile:
     ``points`` are strictly increasing in pressure with non-increasing
     resistance (duplicates already averaged). Below ``onset_pressure`` the
     sensor reads as an open circuit; beyond the last point the curve clamps.
-    ``fit_r2`` is 1.0 for pure interpolation.
     """
 
     name: str
     points: tuple[CalibrationPoint, ...]
     onset_pressure: Pressure
-    fit_r2: float = 1.0
     _pressures: np.ndarray = field(init=False, repr=False, compare=False)
     _log_resistances: np.ndarray = field(init=False, repr=False, compare=False)
     # code -> pressure tables by divider; see acquisition.decode_table

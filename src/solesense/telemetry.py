@@ -285,6 +285,7 @@ class DeviceStats:
     gaps: int = 0
     duplicates: int = 0
     decode_errors: int = 0
+    stale_timestamps: int = 0
 
 
 class Collector:
@@ -292,7 +293,9 @@ class Collector:
 
     One thread runs a selector loop over the listener, every connection and a
     socket pair that ``stop()`` writes to. Per connection, in arrival order, it
-    counts gaps, counts and drops duplicates, and counts and skips decode errors.
+    counts gaps, counts and drops duplicates and frames whose millisecond
+    timestamp is not after the device's last kept one (above 1 kHz they
+    collide), and counts and skips decode errors.
     ``sink(device_id, PressureSample)`` runs on that thread: it needs no lock,
     but a slow sink delays every connection; one that raises ends only its own.
     """
@@ -349,7 +352,8 @@ class Collector:
                             conn, _addr = self._server.accept()
                         except OSError:  # the client left first, or no descriptor is free yet
                             continue
-                        # per connection: its deframer and the next sequence per device
+                        # per connection: its deframer and, per device, the next sequence
+                        # and the last kept timestamp
                         selector.register(conn, selectors.EVENT_READ, (Deframer(), {}))
             finally:
                 for key in list(selector.get_map().values()):
@@ -369,12 +373,16 @@ class Collector:
         try:
             for frame in deframer.feed(chunk):
                 stats = self.stats[frame.device_id]
-                want = expected.get(frame.device_id, frame.sequence)
+                want, last_ms = expected.get(frame.device_id) or (frame.sequence, -1)
                 if frame.sequence < want:  # an at-least-once resend
                     stats.duplicates += 1
                     continue
                 stats.gaps += frame.sequence - want
-                expected[frame.device_id] = frame.sequence + 1
+                if frame.timestamp_ms <= last_ms:  # the sink needs strictly increasing times
+                    expected[frame.device_id] = frame.sequence + 1, last_ms
+                    stats.stale_timestamps += 1
+                    continue
+                expected[frame.device_id] = frame.sequence + 1, frame.timestamp_ms
                 try:
                     sample = counts_to_sample(frame.timestamp_ms / 1000.0, frame.counts, self._profile, self._divider)
                 except ValueError:  # CRC-valid but out of the table: never fatal

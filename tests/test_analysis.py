@@ -1,3 +1,6 @@
+import math
+import pickle
+
 import pytest
 
 from solesense.analysis import (
@@ -10,8 +13,9 @@ from solesense.analysis import (
     compare_sensors,
     contact_state,
 )
+from solesense.cli import simulate_session
 from solesense.datasets import comparison_stimulus
-from solesense.sensor import bench_profile, fsr_reference_profile
+from solesense.sensor import bench_profile, fsr_reference_profile, measured_profile
 from solesense.synth import GaitParams, ground_truth, synthesize
 from solesense.units import GaitPhase, PressureSample
 
@@ -164,11 +168,41 @@ class TestAnalyze:
         samples = list(synthesize(params))
         whole_events, whole_report = analyze(samples)
         analyzer = Analyzer()
+        chunked_events = []
         for chunk_start in range(0, len(samples), 97):
             for sample in samples[chunk_start : chunk_start + 97]:
-                analyzer.update(sample)
-        assert analyzer.events == whole_events
+                chunked_events += analyzer.update(sample)
+        assert chunked_events == whole_events
         assert analyzer.report() == whole_report
+
+    def test_state_does_not_grow_with_the_session(self):
+        samples = list(synthesize(GaitParams(body_mass_kg=70, cycles=200, noise_sigma_pa=2_000.0, seed=5)))
+        analyzer = Analyzer()
+        sizes = []
+        for k, sample in enumerate(samples, 1):
+            analyzer.update(sample)
+            if k == 1000:  # 10 cycles of 100 samples
+                sizes.append(len(pickle.dumps(analyzer)))
+        sizes.append(len(pickle.dumps(analyzer)))
+        assert analyzer.report().cycles == 199
+        assert abs(sizes[1] - sizes[0]) <= 64
+
+    def test_report_matches_pairing_over_the_event_history(self):
+        grid = [
+            GaitParams(body_mass_kg=70, stance_fraction=stance, noise_sigma_pa=noise, seed=seed, cycles=8)
+            for stance in (0.5, 0.58, 0.62, 0.7)
+            for noise in (0.0, 3_000.0, 15_000.0)
+            for seed in (1, 2, 3)
+        ]
+        sessions = [list(synthesize(params)) for params in grid]
+        for seed in (1, 2):  # decoded through the sensor and ADC chain
+            params = GaitParams(body_mass_kg=70, cycles=8, noise_sigma_pa=2_000.0, seed=seed)
+            sessions.append(simulate_session(params, measured_profile()).samples)
+        for samples in sessions:
+            events, report = analyze(samples)
+            cycles, cadence, mean, std = _reference_figures(events)
+            assert (report.cycles, report.cadence_spm, report.stance_fraction_mean) == (cycles, cadence, mean)
+            assert report.stance_fraction_std == pytest.approx(std, rel=0, abs=1e-15)
 
     def test_event_timestamps_strictly_increase(self):
         params = GaitParams(body_mass_kg=70, cycles=8, noise_sigma_pa=3_000.0, seed=11)
@@ -183,6 +217,33 @@ class TestAnalyze:
 
         assert report.peak_pressure_pa[FootRegion.HEEL] == pytest.approx(549_360.0, rel=0.01)
         assert report.peak_pressure_pa[FootRegion.FOREFOOT] == pytest.approx(604_296.0, rel=0.01)
+
+
+def _reference_figures(events):
+    """Cycles, cadence and stance mean/std, paired over the whole event list.
+
+    Each cycle runs from one heel strike to the next and takes the first
+    toe-off in (strike, next strike]. The mean sums left to right (as sum()
+    does up to Python 3.11), the standard deviation takes a second pass.
+    """
+    strikes = [e.timestamp for e in events if e.kind == GaitEventKind.HEEL_STRIKE]
+    toe_offs = [e.timestamp for e in events if e.kind == GaitEventKind.TOE_OFF]
+    cycles = max(len(strikes) - 1, 0)
+    cadence = 0.0
+    if cycles >= 1 and strikes[-1] > strikes[0]:
+        cadence = 2.0 * cycles / ((strikes[-1] - strikes[0]) / 60.0)
+    fractions = []
+    for start, end in zip(strikes, strikes[1:]):
+        toe_off = next((t for t in toe_offs if start < t <= end), None)
+        if toe_off is not None:
+            fractions.append((toe_off - start) / (end - start))
+    if not fractions:
+        return cycles, cadence, 0.0, 0.0
+    total = 0.0
+    for x in fractions:
+        total += x
+    mean = total / len(fractions)
+    return cycles, cadence, mean, math.sqrt(sum((x - mean) ** 2 for x in fractions) / len(fractions))
 
 
 class TestCompareSensors:

@@ -1,14 +1,16 @@
 import json
 import threading
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from solesense import store
-from solesense.cli import main, profile_from_json_file
+from solesense.analysis import analyze
+from solesense.cli import main, profile_from_json_file, profile_to_json_dict
 from solesense.datasets import BENCH_TIME_LOG, MEASURED_CALIBRATION
 from solesense.plots import count_series
-from solesense.sensor import static_resistance
+from solesense.sensor import measured_profile, static_resistance
 from solesense.store import LegacyRecord, write_legacy_csv
 from solesense.units import Pressure
 
@@ -20,6 +22,22 @@ def _write_measured_csv(path):
     lines = ["pressure_pa,resistance_ohm"]
     lines += [f"{p!r},{r!r}" for p, r in MEASURED_CALIBRATION]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _start_collect(argv, capsys):
+    """Run ``collect`` on an ephemeral port in a daemon thread, so a failed test cannot hang
+    the run; returns the thread, its result and the address."""
+    results = {}
+    thread = threading.Thread(
+        target=lambda: results.update(rc=main(["collect", "--addr", "127.0.0.1:0", *argv])), daemon=True
+    )
+    thread.start()
+    for _ in range(200):
+        time.sleep(0.02)
+        text = capsys.readouterr().out
+        if "listening on" in text:
+            return thread, results, text.split("listening on ")[1].split()[0]
+    raise AssertionError("collect never started listening")
 
 
 class TestSimulate:
@@ -117,6 +135,11 @@ class TestCalibrate:
         profile = profile_from_json_file(out)
         for p, r in MEASURED_CALIBRATION:
             assert static_resistance(profile, Pressure(p)).ohms == pytest.approx(r, rel=1e-9)
+
+    def test_profile_file_with_fit_r2_still_loads(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**profile_to_json_dict(measured_profile()), "fit_r2": 1.0}))
+        assert profile_from_json_file(path) == measured_profile()
 
     def test_datasheet_range_report(self, tmp_path, capsys):
         cal = tmp_path / "two.csv"
@@ -247,6 +270,23 @@ class TestStreamCollect:
         assert rc == 0
         thread.join(timeout=30)
         assert len(store.read_csv(out).samples) == 300
+
+    def test_simulated_stream_replays_simulate_with_online_events(self, tmp_path, capsys):
+        flags = ["--cycles", "3", "--seed", "3", "--noise", "2000", "--load-scale", "0.15"]
+        source = tmp_path / "s.csv"
+        assert main(["simulate", *flags, "-o", str(source)]) == 0
+        out = tmp_path / "c.jsonl"
+        thread, results, addr = _start_collect(["-o", str(out), "--analyze", "--once"], capsys)
+        assert main(["stream", "--simulate", *flags, "--addr", addr]) == 0
+        thread.join(timeout=30)
+        assert results["rc"] == 0
+
+        collected = store.read_session(out)
+        expected = store.read_csv(source).samples
+        assert [(s.timestamp, s.as_row()) for s in collected.samples] == [(s.timestamp, s.as_row()) for s in expected]
+        events, report = analyze(collected.samples)
+        assert events and collected.events == events
+        assert collected.report == report
 
     def test_stream_requires_exactly_one_source(self, tmp_path):
         assert main(["stream"]) == 1

@@ -60,9 +60,6 @@ class TestFit:
         with pytest.raises(CalibrationError, match="must not increase"):
             fit_profile("bad", _points([(1e5, 1000.0), (2e5, 2000.0)]), Pressure(0.0))
 
-    def test_fit_r2_is_one_for_interpolation(self):
-        assert measured_profile().fit_r2 == 1.0
-
 
 class TestStaticCurve:
     def test_datasheet_end_points(self):

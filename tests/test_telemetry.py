@@ -6,6 +6,7 @@ import time
 import pytest
 
 from solesense.acquisition import DividerConfig, counts_to_sample
+from solesense.analysis import Analyzer
 from solesense.sensor import measured_profile
 from solesense.synth import GaitParams, synthesize
 from solesense.telemetry import (
@@ -429,6 +430,33 @@ class TestCollector:
         assert sink.samples[frames[0].device_id] == expected
         stats = collector.stats[frames[0].device_id]
         assert (stats.frames, stats.duplicates, stats.gaps, stats.decode_errors) == (10, 1, 0, 0)
+
+    def test_colliding_millisecond_timestamps_are_dropped_and_counted(self, capsys):
+        # above 1 kHz, round(t * 1000) repeats: the analyzer must never see it
+        params = GaitParams(body_mass_kg=70, cycles=1, sample_rate_hz=2000)
+        samples = list(synthesize(params))
+        stamps = [f.timestamp_ms for f in frames_from_samples(samples, PROFILE, DIVIDER)]
+        colliding = sum(1 for a, b in zip(stamps, stamps[1:]) if b <= a)
+        analyzer = Analyzer()
+        sunk = []
+
+        def sink(device_id, sample):
+            analyzer.update(sample)
+            sunk.append(sample.timestamp)
+
+        collector = self._start(sink)
+        emitter = Emitter(lambda: socket.create_connection(collector.address, timeout=5), PROFILE, DIVIDER)
+        emitter.run(samples)
+        emitter.close()
+        assert collector.connection_closed.wait(timeout=5.0)
+        collector.stop()
+        assert len(samples) == 2000 and colliding > 0
+        assert collector.connections_closed == 1 and emitter.retries == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert all(a < b for a, b in zip(sunk, sunk[1:]))
+        stats = collector.stats[1]
+        assert stats.stale_timestamps == colliding
+        assert stats.frames == len(sunk) == len(samples) - colliding
 
     def test_stop_is_prompt_and_leaves_no_thread(self):
         before = set(threading.enumerate())
