@@ -11,22 +11,38 @@ assumed load levels become load-bearing.
 The online Analyzer folds each gait cycle into running figures when the next
 heel strike closes it and keeps no events (update() returns them), so its
 state and its report are O(1) in session length.
+
+Analyzer.update folds one PressureSample; Analyzer.update_block folds a block
+of numpy columns (timestamps and (n, 5) pascals) and returns exactly the
+events, and leaves exactly the state, that update() would row by row. The
+block reduces regions, takes peaks and runs the Schmitt trigger on whole
+columns, then runs the one scalar phase machine only on the rows where the
+phase can move: a contact change, the rows it takes to settle, and the row a
+heel-only contact outlasts the loading dwell. analyze() folds its samples as
+one block.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .sensor import CalibrationProfile, DynamicsConfig, SensorState, run_channel
 from .units import (
+    CHANNEL_ORDER,
     REGION_CHANNELS,
     FootRegion,
     GaitPhase,
     Pressure,
     PressureSample,
+    samples_to_columns,
 )
 
 _NEXT_PHASE = {
@@ -81,9 +97,45 @@ class ContactState:
         return self.heel_on or self.midfoot_on or self.forefoot_on
 
 
-def region_pressure(sample: PressureSample, region: FootRegion, config: AnalyzerConfig) -> float:
-    values = [sample.value(c) for c in REGION_CHANNELS[region]]
-    return max(values) if config.reduction == "max" else sum(values) / len(values)
+# each region's channels as indices into a canonical-order row
+_REGION_INDICES = tuple(
+    tuple(CHANNEL_ORDER.index(c) for c in REGION_CHANNELS[region]) for region in FootRegion
+)
+
+
+def _reduce_region(values: Sequence, reduction: str, maximum=max):
+    """A region's pressure from its channels' values, floats or equal-length
+    columns alike: their max, or their mean summed left to right (so a column
+    and its rows add in the same order on every Python)."""
+    if reduction == "max":
+        return reduce(maximum, values)
+    return reduce(operator.add, values) / len(values)
+
+
+def _region_pressures(row: Sequence[float], config: AnalyzerConfig) -> list[float]:
+    """Forefoot, midfoot and heel pressure of one canonical-order row."""
+    return [_reduce_region([row[k] for k in indices], config.reduction) for indices in _REGION_INDICES]
+
+
+# contact states by code 4 * heel + 2 * midfoot + forefoot; bit weights follow FootRegion
+_CONTACTS = tuple(ContactState(bool(c & 4), bool(c & 2), bool(c & 1)) for c in range(8))
+_WEIGHTS = (1, 2, 4)
+_HEEL_ONLY = 4
+
+
+def _contact_code(state: ContactState) -> int:
+    return 4 * state.heel_on + 2 * state.midfoot_on + state.forefoot_on
+
+
+def _schmitt(pressures: Sequence[float], config: AnalyzerConfig, previous: ContactState) -> ContactState:
+    """Contact from forefoot, midfoot and heel pressures: on at or above the
+    on-threshold, off at or below the off-threshold, else as it was."""
+    was = _contact_code(previous)
+    code = 0
+    for weight, pressure in zip(_WEIGHTS, pressures):
+        if pressure >= config.on_threshold_pa or (pressure > config.off_threshold_pa and was & weight):
+            code += weight
+    return _CONTACTS[code]
 
 
 def contact_state(
@@ -93,19 +145,16 @@ def contact_state(
 ) -> ContactState:
     """Schmitt-triggered regional contact; between thresholds the previous
     state holds."""
+    return _schmitt(_region_pressures(sample.as_row(), config), config, previous)
 
-    def decide(pressure: float, was_on: bool) -> bool:
-        if pressure >= config.on_threshold_pa:
-            return True
-        if pressure <= config.off_threshold_pa:
-            return False
-        return was_on
 
-    return ContactState(
-        heel_on=decide(region_pressure(sample, FootRegion.HEEL, config), previous.heel_on),
-        midfoot_on=decide(region_pressure(sample, FootRegion.MIDFOOT, config), previous.midfoot_on),
-        forefoot_on=decide(region_pressure(sample, FootRegion.FOREFOOT, config), previous.forefoot_on),
-    )
+def _schmitt_column(pressure: np.ndarray, config: AnalyzerConfig, was_on: bool) -> np.ndarray:
+    """_schmitt on a column: each row takes the decision of the last row at
+    or before it outside the band, or ``was_on`` if there is none."""
+    on = pressure >= config.on_threshold_pa
+    decisive = np.where(on | (pressure <= config.off_threshold_pa), np.arange(1, len(on) + 1), 0)
+    np.maximum.accumulate(decisive, out=decisive)
+    return np.concatenate(([was_on], on))[decisive]
 
 
 def classify_phase(state: ContactState, previous: GaitPhase) -> GaitPhase:
@@ -197,7 +246,8 @@ class Analyzer:
     """Online single-pass gait analyzer; one instance per stream.
 
     State and report() are O(1) in session length, and events come only from
-    update(); feeding a stream in chunks is equivalent to feeding the concatenation.
+    update() and update_block(); feeding a stream in chunks, by row or by
+    block, is equivalent to feeding the concatenation.
     """
 
     config: AnalyzerConfig = field(default_factory=AnalyzerConfig)
@@ -224,6 +274,76 @@ class Analyzer:
     def update(self, sample: PressureSample) -> list[GaitEvent]:
         """Fold in one sample; returns any events it produced."""
         t = sample.timestamp
+        self._accept(t)
+        pressures = _region_pressures(sample.as_row(), self.config)
+        for region, pressure in zip(FootRegion, pressures):
+            self._peaks[region] = max(self._peaks[region], pressure)
+        self._contact = _schmitt(pressures, self.config, self._contact)
+        event = self._step(t, self._contact)
+        return [] if event is None else [event]
+
+    def update_block(self, times, pascals) -> list[GaitEvent]:
+        """Fold in a block of rows: timestamps and (n, 5) pressures in pascals,
+        channels in canonical order, each finite and >= 0 as a PressureSample
+        holds them.
+
+        Returns exactly the events, and leaves exactly the state, of calling
+        update() on each row. A bad timestamp raises update()'s error for its
+        row after the rows before it are folded (their events are dropped).
+        """
+        times = np.asarray(times, dtype=float)
+        pascals = np.asarray(pascals, dtype=float)
+        n = len(times)
+        if pascals.shape != (n, len(CHANNEL_ORDER)):
+            raise ValueError(f"expected ({n}, {len(CHANNEL_ORDER)}) pascals, got {pascals.shape}")
+        if n == 0:
+            return []
+        ok = np.isfinite(times)
+        ok[1:] &= np.diff(times) > 0
+        if self._last_timestamp is not None:
+            ok[0] &= times[0] > self._last_timestamp
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            self.update_block(times[:bad], pascals[:bad])
+            self._accept(float(times[bad]))  # raises update()'s error for that row
+        stamps = times.tolist()
+        self._last_timestamp = stamps[-1]
+        self._sample_index += n
+
+        previous = _contact_code(self._contact)
+        codes = np.zeros(n, dtype=int)  # 4 * heel + 2 * midfoot + forefoot, as _CONTACTS
+        for weight, region, indices in zip(_WEIGHTS, FootRegion, _REGION_INDICES):
+            pressure = _reduce_region([pascals[:, k] for k in indices], self.config.reduction, np.maximum)
+            self._peaks[region] = max(self._peaks[region], float(pressure.max()))
+            codes += weight * _schmitt_column(pressure, self.config, bool(previous & weight))
+
+        # step the phase machine only where the phase can move; on every other
+        # row it sits at the fixed point of the row's contact
+        changes = np.flatnonzero(np.diff(codes, prepend=previous)).tolist()
+        codes = codes.tolist()
+        events: list[GaitEvent] = []
+        i = k = 0
+        while i < n:
+            event = self._step(stamps[i], _CONTACTS[codes[i]])
+            if event is not None:  # the phase moved, and may move again next row
+                events.append(event)
+                i += 1
+                continue
+            k = bisect_right(changes, i, k)
+            next_row = changes[k] if k < len(changes) else n
+            if self._phase == GaitPhase.INITIAL_CONTACT and codes[i] == _HEEL_ONLY:
+                # the first later row whose heel-only contact outlasts the dwell
+                late = times[i + 1 : next_row] - self._phase_since >= self.config.loading_dwell_s
+                if late.any():
+                    next_row = i + 1 + int(np.argmax(late))
+            i = next_row
+        self._contact = _CONTACTS[codes[-1]]
+        return events
+
+    def _accept(self, t: float) -> None:
+        """Admit the next timestamp, or raise naming the sample."""
+        if not math.isfinite(t):
+            raise ValueError(f"sample {self._sample_index} has a non-finite timestamp: {t}")
         if self._last_timestamp is not None and t <= self._last_timestamp:
             raise ValueError(
                 f"sample {self._sample_index} out of order: {t} <= {self._last_timestamp}"
@@ -231,13 +351,10 @@ class Analyzer:
         self._last_timestamp = t
         self._sample_index += 1
 
-        for region in FootRegion:
-            self._peaks[region] = max(
-                self._peaks[region], region_pressure(sample, region, self.config)
-            )
-
-        self._contact = contact_state(sample, self.config, self._contact)
-        new_phase = classify_phase(self._contact, self._phase)
+    def _step(self, t: float, contact: ContactState) -> GaitEvent | None:
+        """Run the phase machine on one row of known contact; returns the
+        event of its transition, if the phase moved."""
+        new_phase = classify_phase(contact, self._phase)
 
         # dwell: a heel-only initial contact matures into loading response
         # even if the midfoot never distinctly activates
@@ -249,42 +366,36 @@ class Analyzer:
         ):
             new_phase = GaitPhase.LOADING_RESPONSE
 
-        produced: list[GaitEvent] = []
-        if new_phase != self._phase:
-            if new_phase != _NEXT_PHASE[self._phase]:
-                self._violations += 1
-            if self._phase_since is not None:
-                self._phase_totals[self._phase] += t - self._phase_since
-                self._phase_counts[self._phase] += 1
-            if self._phase == GaitPhase.SWING and self._contact.heel_on:
-                if self._last_strike is None:
-                    self._first_strike = t
-                elif self._toe_off is not None:  # fold in the cycle this strike closes
-                    x = (self._toe_off - self._last_strike) / (t - self._last_strike)
-                    mean = self._stance_sum / max(self._stances, 1)  # the first fold adds 0
-                    self._stances += 1
-                    self._stance_sum += x
-                    self._stance_m2 += (x - mean) * (x - self._stance_sum / self._stances)
-                self._cycle_index += 1
-                self._last_strike, self._toe_off = t, None
-                produced.append(GaitEvent(GaitEventKind.HEEL_STRIKE, t, self._cycle_index))
-            elif self._phase == GaitPhase.PRE_SWING and new_phase == GaitPhase.SWING:
-                if self._toe_off is None:
-                    self._toe_off = t
-                produced.append(GaitEvent(GaitEventKind.TOE_OFF, t, max(self._cycle_index, 0)))
-            else:
-                produced.append(
-                    GaitEvent(
-                        GaitEventKind.PHASE_TRANSITION,
-                        t,
-                        max(self._cycle_index, 0),
-                        phase=new_phase,
-                    )
-                )
-            self._phase = new_phase
-            self._phase_since = t
-
-        return produced
+        if new_phase == self._phase:
+            return None
+        if new_phase != _NEXT_PHASE[self._phase]:
+            self._violations += 1
+        if self._phase_since is not None:
+            self._phase_totals[self._phase] += t - self._phase_since
+            self._phase_counts[self._phase] += 1
+        if self._phase == GaitPhase.SWING and contact.heel_on:
+            if self._last_strike is None:
+                self._first_strike = t
+            elif self._toe_off is not None:  # fold in the cycle this strike closes
+                x = (self._toe_off - self._last_strike) / (t - self._last_strike)
+                mean = self._stance_sum / max(self._stances, 1)  # the first fold adds 0
+                self._stances += 1
+                self._stance_sum += x
+                self._stance_m2 += (x - mean) * (x - self._stance_sum / self._stances)
+            self._cycle_index += 1
+            self._last_strike, self._toe_off = t, None
+            event = GaitEvent(GaitEventKind.HEEL_STRIKE, t, self._cycle_index)
+        elif self._phase == GaitPhase.PRE_SWING and new_phase == GaitPhase.SWING:
+            if self._toe_off is None:
+                self._toe_off = t
+            event = GaitEvent(GaitEventKind.TOE_OFF, t, max(self._cycle_index, 0))
+        else:
+            event = GaitEvent(
+                GaitEventKind.PHASE_TRANSITION, t, max(self._cycle_index, 0), phase=new_phase
+            )
+        self._phase = new_phase
+        self._phase_since = t
+        return event
 
     def report(self) -> GaitReport:
         cycles = max(self._cycle_index, 0)
@@ -312,9 +423,10 @@ class Analyzer:
 def analyze(
     samples: Iterable[PressureSample], config: AnalyzerConfig = AnalyzerConfig()
 ) -> tuple[list[GaitEvent], GaitReport]:
-    """Fold a whole stream; identical to feeding an Analyzer sample by sample."""
+    """Fold a whole stream as one block; identical to feeding an Analyzer
+    sample by sample."""
     analyzer = Analyzer(config=config)
-    events = [event for sample in samples for event in analyzer.update(sample)]
+    events = analyzer.update_block(*samples_to_columns(samples))
     return events, analyzer.report()
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import plots, store
 from .acquisition import DividerConfig, counts_to_samples, divider_out_ohms, quantize_volts
 from .analysis import Analyzer, GaitReport, compare_sensors
-from .analysis import analyze as analyze_stream
 from .datasets import comparison_stimulus
 from .sensor import (
     CalibrationError,
@@ -306,13 +305,11 @@ def _flush_collected(args, logs: dict[int, SessionLog], analyzers: dict[int, Ana
 # --- analyze ------------------------------------------------------------------
 
 
-def _session_plots(args, log: SessionLog, profile: CalibrationProfile) -> None:
+def _session_plots(args, times, pascals, profile: CalibrationProfile) -> None:
     os.makedirs(args.plots, exist_ok=True)
-    times = [s.timestamp for s in log.samples]
-    pressure_series = [
-        (channel.value, times, [s.value(channel) for s in log.samples])
-        for channel in CHANNEL_ORDER
-    ]
+    times = times.tolist()
+    columns = pascals.T.tolist()
+    pressure_series = [(channel.value, times, column) for channel, column in zip(CHANNEL_ORDER, columns)]
     plots.write_chart(
         os.path.join(args.plots, "time_vs_pressure.svg"),
         os.path.join(args.plots, "time_vs_pressure.csv"),
@@ -323,10 +320,10 @@ def _session_plots(args, log: SessionLog, profile: CalibrationProfile) -> None:
         x_column="t_s",
     )
     resistance_series = []
-    for channel in CHANNEL_ORDER:
+    for channel, column in zip(CHANNEL_ORDER, columns):
         values = []
-        for s in log.samples:
-            r = static_resistance(profile, s.channels[channel])
+        for value in column:
+            r = static_resistance(profile, Pressure(value))
             values.append(None if r.is_open else r.ohms)
         resistance_series.append((channel.value, times, values))
     plots.write_chart(
@@ -380,17 +377,18 @@ def _legacy_plots(args, records) -> None:
 def cmd_analyze(args) -> int:
     kind = store.sniff_kind(args.input)
     if kind in ("session", "session_jsonl"):
-        log = store.read_session(args.input)
-        profile = _load_profile(args.profile or log.header.profile_name)
-        _events, report = analyze_stream(log.samples)
-        text = report_json_text(report)
+        header, times, pascals = store.read_columns(args.input)
+        profile = _load_profile(args.profile or header.profile_name)
+        analyzer = Analyzer()
+        analyzer.update_block(times, pascals)
+        text = report_json_text(analyzer.report())
         if args.json:
             with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
         if args.plots:
-            _session_plots(args, log, profile)
+            _session_plots(args, times, pascals, profile)
     elif kind == "legacy":
         records = store.read_legacy_csv(args.input)
         summary = {"kind": "legacy", "records": len(records)}

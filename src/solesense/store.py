@@ -19,6 +19,13 @@ exact. Samples are written in blocks of whole lines, each block written and
 flushed whole, so the file grows by whole records and a concurrent reader of
 a growing file never sees a torn one.
 
+read_columns() reads a session as numpy columns (timestamps and (n, 5)
+pascals) for consumers that fold whole blocks, such as ``solesense
+analyze``: a CSV body is parsed in one array pass and validated at once
+(six fields, every pressure finite and >= 0). A file that pass cannot take
+whole goes back through read_csv, so the columns always equal read_csv's
+samples and a malformed file raises the same ``path:line`` error.
+
 A third, single-channel legacy layout (``time_s,pressure_pa,resistance_ohm``)
 replays old bench recordings.
 """
@@ -27,14 +34,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .acquisition import DividerConfig
 from .analysis import GaitEvent, GaitEventKind, GaitReport
 from .telemetry import SessionHeader
-from .units import GaitPhase, PressureSample, Resistance, Voltage
+from .units import GaitPhase, PressureSample, Resistance, Voltage, samples_to_columns
 
 SAMPLE_COLUMNS = (
     "t_s",
@@ -129,27 +138,44 @@ def write_csv(log: SessionLog, path) -> None:
         _write_blocks(fh, (sample_csv_line(sample) + "\n" for sample in log.samples))
 
 
-def read_csv(path) -> SessionLog:
+def _add_header_pair(pairs: dict[str, str], line: str) -> None:
+    key, _, value = line[1:].partition(":")
+    pairs[key.strip()] = value.strip()
+
+
+def _read_column_line(fh, path) -> tuple[dict[str, str], int, int]:
+    """Read through the column header line, parsing the ``#`` lines before it.
+
+    Returns the key/value pairs, the number of the last ``#`` line and the
+    number of the column line.
+    """
     pairs: dict[str, str] = {}
-    samples: list[PressureSample] = []
-    saw_columns = False
     header_line = 0
+    for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
+        line = raw.rstrip("\n")
+        if line.startswith("#"):
+            _add_header_pair(pairs, line)
+            header_line = lineno
+        elif line:
+            if tuple(line.split(",")) != SAMPLE_COLUMNS:
+                raise SessionFormatError(
+                    f"{path}:{lineno}: expected columns {','.join(SAMPLE_COLUMNS)!r}, got {line!r}"
+                )
+            return pairs, header_line, lineno
+    raise SessionFormatError(f"{path}: missing column header line")
+
+
+def read_csv(path) -> SessionLog:
+    samples: list[PressureSample] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        pairs, header_line, columns_line = _read_column_line(fh, path)
+        for lineno, raw in enumerate(fh, start=columns_line + 1):
             line = raw.rstrip("\n")
             if not line:
                 continue
             if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                pairs[key.strip()] = value.strip()
+                _add_header_pair(pairs, line)
                 header_line = lineno
-                continue
-            if not saw_columns:
-                if tuple(line.split(",")) != SAMPLE_COLUMNS:
-                    raise SessionFormatError(
-                        f"{path}:{lineno}: expected columns {','.join(SAMPLE_COLUMNS)!r}, got {line!r}"
-                    )
-                saw_columns = True
                 continue
             parts = line.split(",")
             if len(parts) != len(SAMPLE_COLUMNS):
@@ -160,9 +186,25 @@ def read_csv(path) -> SessionLog:
                 samples.append(PressureSample.from_row(float(parts[0]), map(float, parts[1:])))
             except ValueError as exc:
                 raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not saw_columns:
-        raise SessionFormatError(f"{path}: missing column header line")
     return SessionLog(header=_parse_header_block(pairs, path, header_line), samples=samples)
+
+
+def _read_csv_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
+    """read_csv in one array pass; raises ValueError on anything read_csv
+    might read differently or reject."""
+    with open(path, "r", encoding="utf-8") as fh:
+        pairs, header_line, _ = _read_column_line(fh, path)
+        rows = np.empty((0, len(SAMPLE_COLUMNS)))
+        for first in iter(fh.readline, ""):
+            if first != "\n":  # loadtxt warns on a body of blank lines
+                rows = np.loadtxt(chain([first], fh), delimiter=",", comments=None, ndmin=2)
+                break
+    if rows.shape[1] != len(SAMPLE_COLUMNS):
+        raise ValueError(f"expected {len(SAMPLE_COLUMNS)} fields, got {rows.shape[1]}")
+    pascals = rows[:, 1:]
+    if not (np.isfinite(pascals).all() and (pascals >= 0).all()):
+        raise ValueError("pressure must be finite and >= 0")
+    return _parse_header_block(pairs, path, header_line), rows[:, 0], pascals
 
 
 # --- JSONL -------------------------------------------------------------------
@@ -282,6 +324,24 @@ def read_session(path) -> SessionLog:
     if str(path).endswith(".jsonl"):
         return read_jsonl(path)
     return read_csv(path)
+
+
+def read_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
+    """Read a session as (header, timestamps, (n, 5) pascals in canonical
+    channel order), without building a PressureSample per row.
+
+    CSV parses in one array pass. A file that pass cannot take whole is read
+    again by read_csv, which either returns the same rows or raises the
+    SessionFormatError naming the offending line. JSONL keeps its line parser.
+    """
+    if str(path).endswith(".jsonl"):
+        log = read_jsonl(path)
+    else:
+        try:
+            return _read_csv_columns(path)
+        except ValueError:
+            log = read_csv(path)
+    return (log.header, *samples_to_columns(log.samples))
 
 
 def write_session(log: SessionLog, path) -> None:

@@ -13,6 +13,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+import numpy as np
+
 GRAVITY_M_S2 = 9.81
 
 
@@ -177,6 +179,15 @@ class PressureSample:
         if len(vals) != len(CHANNEL_ORDER):
             raise ValueError(f"expected {len(CHANNEL_ORDER)} channel values, got {len(vals)}")
         return cls(float(timestamp), {c: Pressure(v) for c, v in zip(CHANNEL_ORDER, vals)})
+
+
+def samples_to_columns(samples: Iterable[PressureSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and (n, 5) canonical-order pressures in pascals."""
+    samples = list(samples)
+    n, width = len(samples), len(CHANNEL_ORDER)
+    times = np.fromiter((s.timestamp for s in samples), dtype=float, count=n)
+    values = (v for s in samples for v in s.as_row())
+    return times, np.fromiter(values, dtype=float, count=n * width).reshape(n, width)
 
 
 def force_from_mass(mass_kg: float) -> Force:

@@ -1,6 +1,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from solesense.analysis import (
@@ -17,7 +18,7 @@ from solesense.cli import simulate_session
 from solesense.datasets import comparison_stimulus
 from solesense.sensor import bench_profile, fsr_reference_profile, measured_profile
 from solesense.synth import GaitParams, ground_truth, synthesize
-from solesense.units import GaitPhase, PressureSample
+from solesense.units import GaitPhase, PressureSample, samples_to_columns
 
 CFG = AnalyzerConfig()
 
@@ -163,6 +164,34 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="sample 2"):
             analyzer.update(_sample(0.005))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_is_rejected(self, bad):
+        rows = [_sample(0.0), _sample(bad, heel=500_000.0), _sample(0.02, heel=500_000.0)]
+        analyzer = Analyzer()
+        analyzer.update(rows[0])
+        with pytest.raises(ValueError, match="sample 1 "):
+            analyzer.update(rows[1])
+        with pytest.raises(ValueError, match="sample 1 "):
+            Analyzer().update_block(*samples_to_columns(rows))
+        with pytest.raises(ValueError, match="sample 0 "):
+            Analyzer().update(rows[1])
+
+    def test_bad_row_mid_block_raises_after_folding_the_rows_before(self):
+        samples = list(synthesize(GaitParams(body_mass_kg=70, cycles=2, noise_sigma_pa=2_000.0, seed=4)))
+        samples[120] = PressureSample(samples[100].timestamp, samples[120].channels)
+        reference = Analyzer()
+        with pytest.raises(ValueError) as row_error:
+            for sample in samples:
+                reference.update(sample)
+        times, pascals = samples_to_columns(samples)
+        analyzer = Analyzer()
+        analyzer.update_block(times[:50], pascals[:50])
+        with pytest.raises(ValueError) as block_error:
+            analyzer.update_block(times[50:], pascals[50:])
+        assert str(block_error.value) == str(row_error.value)
+        assert str(row_error.value).startswith("sample 120 out of order")
+        assert analyzer == reference
+
     def test_chunked_equals_whole(self):
         params = GaitParams(body_mass_kg=70, cycles=6, noise_sigma_pa=2_000.0, seed=3)
         samples = list(synthesize(params))
@@ -217,6 +246,61 @@ class TestAnalyze:
 
         assert report.peak_pressure_pa[FootRegion.HEEL] == pytest.approx(549_360.0, rel=0.01)
         assert report.peak_pressure_pa[FootRegion.FOREFOOT] == pytest.approx(604_296.0, rel=0.01)
+
+
+class TestUpdateBlock:
+    """update_block folds a block exactly as update() folds its rows."""
+
+    @staticmethod
+    def _sessions():
+        for noise in (0.0, 3_000.0, 15_000.0):
+            params = GaitParams(body_mass_kg=70, cycles=6, noise_sigma_pa=noise, seed=5)
+            yield list(synthesize(params))
+            yield simulate_session(params, measured_profile()).samples  # decoded, heel-only stances
+
+    @pytest.mark.parametrize("reduction", ["max", "mean"])
+    @pytest.mark.parametrize("size", [1, 7, 157, None])
+    def test_blocks_equal_rows(self, reduction, size):
+        config = AnalyzerConfig(reduction=reduction)
+        for samples in self._sessions():
+            by_row = Analyzer(config=config)
+            row_events = [event for sample in samples for event in by_row.update(sample)]
+            times, pascals = samples_to_columns(samples)
+            by_block = Analyzer(config=config)
+            block_events = []
+            step = size or len(samples)
+            for start in range(0, len(samples), step):
+                block_events += by_block.update_block(times[start : start + step], pascals[start : start + step])
+            assert row_events and block_events == row_events
+            assert by_block.report() == by_row.report()
+            assert by_block == by_row  # every piece of state, not only the report
+
+    def test_dwell_and_settling_cross_block_edges(self):
+        heel, flat = {"heel": 500_000.0}, {"mid": 500_000.0, "heel": 500_000.0}
+        contacts = [{}, heel, heel, flat, flat, flat, {}] + [heel] * 10 + [{}]
+        rows = [_sample(0.01 * k, **c) for k, c in enumerate(contacts)]
+        by_row = Analyzer()
+        row_events = [event for sample in rows for event in by_row.update(sample)]
+        phases = [(round(e.timestamp * 100), e.phase) for e in row_events if e.phase is not None]
+        # midfoot joining settles over two rows; heel-only contact matures
+        # into loading response once it outlasts the 30 ms dwell
+        assert (3, GaitPhase.LOADING_RESPONSE) in phases and (4, GaitPhase.MID_STANCE) in phases
+        assert (10, GaitPhase.LOADING_RESPONSE) in phases
+        times, pascals = samples_to_columns(rows)
+        for cut in range(1, len(rows)):
+            by_block = Analyzer()
+            events = by_block.update_block(times[:cut], pascals[:cut])
+            events += by_block.update_block(times[cut:], pascals[cut:])
+            assert events == row_events and by_block == by_row
+
+    def test_empty_block_changes_nothing(self):
+        analyzer = Analyzer()
+        assert analyzer.update_block(np.empty(0), np.empty((0, 5))) == []
+        assert analyzer == Analyzer()
+
+    def test_shape_mismatch_is_rejected(self):
+        with pytest.raises(ValueError, match="pascals"):
+            Analyzer().update_block(np.zeros(3), np.zeros((3, 4)))
 
 
 def _reference_figures(events):

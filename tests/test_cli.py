@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import time
 import xml.etree.ElementTree as ET
@@ -7,12 +8,12 @@ import pytest
 
 from solesense import store
 from solesense.analysis import analyze
-from solesense.cli import main, profile_from_json_file, profile_to_json_dict
+from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text
 from solesense.datasets import BENCH_TIME_LOG, MEASURED_CALIBRATION
 from solesense.plots import count_series
 from solesense.sensor import measured_profile, static_resistance
 from solesense.store import LegacyRecord, write_legacy_csv
-from solesense.units import Pressure
+from solesense.units import Pressure, PressureSample
 
 EXPECTED_SENSOR_KOHM = [3342.9] * 5 + [29.16212] * 5 + [3342.9] * 4
 EXPECTED_FSR_KOHM = [3342.9] * 4 + [123.81111] * 3 + [3342.9] * 4 + [2051.325] * 3
@@ -80,6 +81,18 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["cadence_spm"] - 120.0) / 120.0 <= 0.01
         assert report["cycles"] == 19
+
+    def test_session_analysis_builds_no_per_row_samples(self, tmp_path, monkeypatch):
+        src = tmp_path / "s.csv"
+        main(["simulate", "--cycles", "5", "--seed", "3", "--noise", "2000", "-o", str(src)])
+        expected = report_json_text(analyze(store.read_csv(src).samples)[1])
+        built = []
+        post_init = PressureSample.__post_init__
+        monkeypatch.setattr(PressureSample, "__post_init__", lambda self: built.append(1) or post_init(self))
+        out = tmp_path / "r.json"
+        assert main(["analyze", str(src), "--json", str(out)]) == 0
+        assert len(built) == 0
+        assert out.read_text() == expected
 
     def test_legacy_plot_data_matches_rows(self, tmp_path, capsys):
         legacy = tmp_path / "bench.csv"
@@ -202,35 +215,9 @@ class TestStreamCollect:
         out = tmp_path / "c.csv"
         report_path = tmp_path / "r.json"
 
-        results = {}
-
-        def collect():
-            results["rc"] = main(
-                [
-                    "collect",
-                    "--addr",
-                    "127.0.0.1:0",
-                    "-o",
-                    str(out),
-                    "--analyze",
-                    "--report",
-                    str(report_path),
-                    "--once",
-                ]
-            )
-
-        thread = threading.Thread(target=collect)
-        thread.start()
-        addr = None
-        import time
-
-        for _ in range(200):
-            time.sleep(0.02)
-            text = capsys.readouterr().out
-            if "listening on" in text:
-                addr = text.split("listening on ")[1].split()[0]
-                break
-        assert addr is not None
+        thread, results, addr = _start_collect(
+            ["-o", str(out), "--analyze", "--report", str(report_path), "--once"], capsys
+        )
         assert main(["stream", "-i", str(src), "--addr", addr]) == 0
         thread.join(timeout=30)
         assert results["rc"] == 0
@@ -251,21 +238,8 @@ class TestStreamCollect:
     def test_stream_live_simulation(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
 
-        def collect():
-            # --live exercises the terminal meter rendering (display-only)
-            main(["collect", "--addr", "127.0.0.1:0", "-o", str(out), "--live", "--once"])
-
-        thread = threading.Thread(target=collect)
-        thread.start()
-        import time
-
-        addr = None
-        for _ in range(200):
-            time.sleep(0.02)
-            text = capsys.readouterr().out
-            if "listening on" in text:
-                addr = text.split("listening on ")[1].split()[0]
-                break
+        # --live exercises the terminal meter rendering (display-only)
+        thread, _results, addr = _start_collect(["-o", str(out), "--live", "--once"], capsys)
         rc = main(["stream", "--simulate", "--cycles", "3", "--seed", "5", "--addr", addr])
         assert rc == 0
         thread.join(timeout=30)
@@ -300,21 +274,7 @@ class TestStreamCollect:
     def test_collect_nothing_writes_valid_empty_session(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
 
-        def collect():
-            main(["collect", "--addr", "127.0.0.1:0", "-o", str(out), "--once"])
-
-        thread = threading.Thread(target=collect)
-        thread.start()
-        import socket
-        import time
-
-        addr = None
-        for _ in range(200):
-            time.sleep(0.02)
-            text = capsys.readouterr().out
-            if "listening on" in text:
-                addr = text.split("listening on ")[1].split()[0]
-                break
+        thread, _results, addr = _start_collect(["-o", str(out), "--once"], capsys)
         host, port = addr.rsplit(":", 1)
         conn = socket.create_connection((host, int(port)), timeout=5)
         conn.close()

@@ -10,6 +10,7 @@ from solesense.store import (
     SessionFormatError,
     SessionLog,
     default_header,
+    read_columns,
     read_csv,
     sample_csv_line,
     read_jsonl,
@@ -20,6 +21,15 @@ from solesense.store import (
     write_legacy_csv,
 )
 from solesense.synth import GaitParams, synthesize
+
+
+def _assert_columns_equal_rows(path, reader):
+    header, times, pascals = read_columns(path)
+    log = reader(path)
+    assert header == log.header
+    assert times.tolist() == [s.timestamp for s in log.samples]
+    assert pascals.shape == (len(log.samples), 5)
+    assert pascals.tolist() == [list(s.as_row()) for s in log.samples]
 
 
 def _session(cycles=2, noise=0.0, with_analysis=False):
@@ -49,12 +59,14 @@ class TestCsv:
         assert lines[-1].startswith("t_s,")
         assert all(line.startswith("#") for line in lines[:-1])
         assert read_csv(path).samples == []
+        _assert_columns_equal_rows(path, read_csv)
 
     def test_schema_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# epoch: x\nt_s,nope\n")
-        with pytest.raises(SessionFormatError, match=":2"):
-            read_csv(path)
+        for reader in (read_csv, read_columns):
+            with pytest.raises(SessionFormatError, match=":2"):
+                reader(path)
 
     def test_bad_value_reports_line(self, tmp_path):
         log = _session(cycles=1)
@@ -63,8 +75,33 @@ class TestCsv:
         text = path.read_text().splitlines()
         text[10] = text[10].replace(",", ",junk", 1)
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(SessionFormatError, match=":11"):
-            read_csv(path)
+        for reader in (read_csv, read_columns):
+            with pytest.raises(SessionFormatError, match=":11"):
+                reader(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("0.5,1,2,3,4,-5", ">= 0"), ("0.5,1,2,3,4,inf", "finite"), ("0.5,1,2,3,4", "fields"), ("   ", "fields")],
+    )
+    def test_rows_the_array_pass_rejects_are_named_by_line(self, tmp_path, line, message):
+        path = tmp_path / "session.csv"
+        write_csv(_session(cycles=1), path)
+        text = path.read_text().splitlines()
+        text[20] = line
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(SessionFormatError, match=f":21: .*{message}"):
+            read_columns(path)
+
+    @pytest.mark.parametrize("edit", ["# note: mid-session", "", "1_0.5,1,2,3,4,5"])
+    def test_unusual_lines_read_alike(self, tmp_path, edit):
+        # a header line among the samples, a blank line, a digit separator the
+        # array pass rejects
+        path = tmp_path / "session.csv"
+        write_csv(_session(cycles=1), path)
+        text = path.read_text().splitlines()
+        text.insert(20, edit)
+        path.write_text("\n".join(text) + "\n")
+        _assert_columns_equal_rows(path, read_csv)
 
     def test_every_line_prefix_is_readable(self, tmp_path):
         # writes are line-atomic: a reader that catches the file mid-growth
@@ -78,6 +115,7 @@ class TestCsv:
         for upto in range(10, len(lines) + 1):
             partial.write_text("".join(lines[:upto]))
             read_csv(partial)  # must never raise
+            _assert_columns_equal_rows(partial, read_csv)
 
 
     def test_blocks_write_the_lines_one_by_one_would(self, tmp_path):
@@ -114,6 +152,7 @@ class TestJsonl:
         write_jsonl(SessionLog(header=default_header()), path)
         back = read_jsonl(path)
         assert back.samples == [] and back.events == [] and back.report is None
+        _assert_columns_equal_rows(path, read_jsonl)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -138,6 +177,8 @@ class TestJsonl:
         a = read_csv(tmp_path / "s.csv").samples
         b = read_jsonl(tmp_path / "s.jsonl").samples
         assert [(s.timestamp, s.as_row()) for s in a] == [(s.timestamp, s.as_row()) for s in b]
+        _assert_columns_equal_rows(tmp_path / "s.csv", read_csv)
+        _assert_columns_equal_rows(tmp_path / "s.jsonl", read_jsonl)
 
 
 class TestLegacy:
