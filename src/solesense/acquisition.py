@@ -12,9 +12,10 @@ wearable itself runs from a 3.7 V lithium cell, which powers the board but
 does not set the ADC reference.
 
 Each step has a per-sample form and an array form (``divider_out_ohms``,
-``quantize_volts``, ``counts_to_samples``). The divider and the floor
-quantizer use only exactly-rounded operations, so both forms agree bit for
-bit; decoding indexes ``decode_table`` in both.
+``quantize_volts``, ``counts_from_pascals``, ``counts_to_samples``). The
+divider and the floor quantizer use only exactly-rounded operations, and the
+static curve is one ``np.interp`` followed by ``math.exp`` per element, so
+both forms agree bit for bit; decoding indexes ``decode_table`` in both.
 """
 
 from __future__ import annotations
@@ -181,6 +182,22 @@ def sample_to_counts(
     return tuple(
         pressure_to_count(sample.channels[c], profile, cfg).value for c in CHANNEL_ORDER
     )
+
+
+def counts_from_pascals(
+    pascals: np.ndarray, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
+) -> np.ndarray:
+    """sample_to_counts on an (n, 5) block of bare pascals: (n, 5) integer codes.
+
+    The static curve is one np.interp into ln R, then math.exp per element
+    (np.exp may differ from it in the last ulp), inf below onset, then
+    divider_out_ohms and quantize_volts: every code equals pressure_to_count's.
+    """
+    pascals = np.asarray(pascals, dtype=float)
+    log_ohms = np.interp(pascals, profile._pressures, profile._log_resistances)
+    ohms = np.array(list(map(math.exp, log_ohms.ravel().tolist()))).reshape(pascals.shape)
+    ohms[pascals < profile.onset_pressure.pascals] = math.inf
+    return quantize_volts(divider_out_ohms(ohms, cfg), cfg)
 
 
 def counts_to_sample(

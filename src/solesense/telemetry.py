@@ -19,6 +19,13 @@ travel so reconnect gaps and resent duplicates are visible and a datagram mode
 stays possible. The collector resynchronizes on the next magic after any decode
 error, so junk between frames never costs an intact frame. One collector thread
 serves every device and runs the sink, so a slow sink delays every connection.
+
+Both ends work a block at a time. An unpaced emitter reads ahead up to 256
+samples and converts them in one ``counts_from_pascals`` call; a paced one
+pulls and sends one sample at a time. The collector scans each received chunk
+for raw frame fields (``Deframer.scan``) and decodes them against one decode
+table; ``Deframer.feed`` wraps the same scan in TelemetryFrames for callers
+that want them.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .acquisition import DividerConfig, counts_to_sample, sample_to_counts
+from .acquisition import DividerConfig, counts_from_pascals, decode_table
 from .sensor import CalibrationProfile
-from .units import PressureSample
+from .units import CHANNEL_ORDER, PressureSample, samples_to_columns
 
 MAGIC = b"SL"
 PROTOCOL_VERSION = 1
@@ -46,6 +54,9 @@ CRC_SPAN = 24  # bytes covered by the CRC
 TIMESTAMP_MAX_MS = (1 << 48) - 1
 DEFAULT_PORT = 7332
 ADDR_ENV_VAR = "SOLESENSE_ADDR"
+# samples an unpaced emitter converts at a time: bounds its read-ahead and the
+# Python copies of one block
+_BLOCK_ROWS = 256
 
 def crc16_ccitt_false(data: bytes) -> int:
     """CRC-16/CCITT-FALSE, which is binascii's CRC-CCITT started at 0xFFFF."""
@@ -97,14 +108,19 @@ class TelemetryFrame:
 
 # magic, version, device id, sequence, timestamp (low 32 bits, high 16), counts
 _BODY = struct.Struct("<2sBBIIH5H")
+_CRC = struct.Struct("<H")
+
+
+def _pack(version: int, device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
+    """The 26 wire bytes of one frame whose fields are already in range."""
+    body = _BODY.pack(
+        MAGIC, version, device_id, sequence, timestamp_ms & 0xFFFFFFFF, timestamp_ms >> 32, *counts
+    )
+    return body + _CRC.pack(crc16_ccitt_false(body))
 
 
 def encode(frame: TelemetryFrame) -> bytes:
-    ts = frame.timestamp_ms
-    body = _BODY.pack(
-        MAGIC, frame.version, frame.device_id, frame.sequence, ts & 0xFFFFFFFF, ts >> 32, *frame.counts
-    )
-    return body + struct.pack("<H", crc16_ccitt_false(body))
+    return _pack(frame.version, frame.device_id, frame.sequence, frame.timestamp_ms, frame.counts)
 
 
 def decode(data: bytes, offset: int = 0) -> TelemetryFrame:
@@ -129,7 +145,9 @@ class Deframer:
 
     A bad version or CRC skips one byte, and junk is skipped up to the next
     magic in one search, so junk between frames never costs an intact frame.
-    A truncated tail is kept for the next feed().
+    A truncated tail is kept for the next call. ``scan()`` returns each valid
+    frame's raw fields, which is what the collector reads; ``feed()`` returns
+    them as TelemetryFrames.
     """
 
     frames: int = 0
@@ -142,33 +160,43 @@ class Deframer:
     def error_count(self) -> int:
         return self.bad_crc + self.bad_version
 
-    def feed(self, data: bytes) -> list[TelemetryFrame]:
-        self._buffer.extend(data)
-        frames: list[TelemetryFrame] = []
+    def scan(self, data: bytes) -> list[tuple]:
+        """The ``_BODY`` fields of each valid frame completed by ``data``:
+        (magic, version, device id, sequence, timestamp low 32 bits, high 16
+        bits, five counts). decode()'s magic, version and CRC checks, without
+        building a TelemetryFrame; the collector reads these directly."""
+        buffer = self._buffer
+        buffer.extend(data)
+        fields: list[tuple] = []
         pos = 0
-        while True:
-            try:
-                frames.append(decode(self._buffer, pos))
-            except Truncated:
-                break
-            except BadMagic:
+        last = len(buffer) - FRAME_LENGTH  # the last offset a whole frame starts at
+        while pos <= last:
+            body = _BODY.unpack_from(buffer, pos)
+            if body[0] != MAGIC:
                 # jump to the next magic, stopping where less than a frame is left
-                tail = len(self._buffer) - FRAME_LENGTH + 1
-                found = self._buffer.find(MAGIC, pos, tail + 1)
-                skip_to = tail if found < 0 else found
+                found = buffer.find(MAGIC, pos, last + 2)
+                skip_to = last + 1 if found < 0 else found
                 self.skipped_bytes += skip_to - pos
                 pos = skip_to
-            except BadVersion:
+            elif body[1] != PROTOCOL_VERSION:
                 pos += 1
                 self.bad_version += 1
-            except BadCrc:
+            elif crc16_ccitt_false(buffer[pos : pos + CRC_SPAN]) != _CRC.unpack_from(buffer, pos + CRC_SPAN)[0]:
                 pos += 1
                 self.bad_crc += 1
             else:
+                fields.append(body)
                 self.frames += 1
                 pos += FRAME_LENGTH
-        del self._buffer[:pos]
-        return frames
+        del buffer[:pos]
+        return fields
+
+    def feed(self, data: bytes) -> list[TelemetryFrame]:
+        """scan(), as TelemetryFrames."""
+        return [
+            TelemetryFrame(device_id, sequence, ts_low | ts_high << 32, tuple(counts))
+            for _magic, _version, device_id, sequence, ts_low, ts_high, *counts in self.scan(data)
+        ]
 
 
 @dataclass(frozen=True)
@@ -195,10 +223,51 @@ def frames_from_samples(
     device_id: int = 1,
     start_sequence: int = 0,
 ) -> Iterator[TelemetryFrame]:
-    """Pure sample -> frame conversion; sequence increments by one per sample."""
-    for sequence, sample in enumerate(samples, start_sequence):
-        counts = sample_to_counts(sample, profile, divider)
-        yield TelemetryFrame(device_id, sequence, round(sample.timestamp * 1000.0), counts)
+    """Pure sample -> frame conversion; sequence increments by one per sample.
+
+    Reads ahead up to 256 samples, which it converts as one block.
+    """
+    for sequence, timestamp_ms, counts in _framed(
+        samples, profile, divider, device_id, start_sequence, _BLOCK_ROWS
+    ):
+        yield TelemetryFrame(device_id, sequence, timestamp_ms, tuple(counts))
+
+
+def _framed(
+    samples: Iterable[PressureSample],
+    profile: CalibrationProfile,
+    divider: DividerConfig,
+    device_id: int,
+    start_sequence: int,
+    rows: int,
+) -> Iterator[tuple[int, int, list[int]]]:
+    """(sequence, timestamp ms, counts) of each sample, pulling ``rows``
+    samples at a time and converting them with one counts_from_pascals call.
+
+    Each block is checked once against TelemetryFrame's ranges. In a block
+    that fails, every row goes through TelemetryFrame, so the rows before the
+    first bad one are still yielded and that one raises its ValueError.
+    """
+    samples = iter(samples)
+    sequence = start_sequence
+    while block := list(islice(samples, rows)):
+        times, pascals = samples_to_columns(block)
+        stamps = [round(t * 1000.0) for t in times.tolist()]
+        codes = counts_from_pascals(pascals, profile, divider)
+        end = sequence + len(block)
+        in_range = (
+            0 <= device_id <= 0xFF
+            and 0 <= sequence
+            and end - 1 <= 0xFFFFFFFF
+            and 0 <= min(stamps)
+            and max(stamps) <= TIMESTAMP_MAX_MS
+            and codes.max() <= 0xFFFF
+        )
+        for row in zip(range(sequence, end), stamps, codes.tolist()):
+            if not in_range:
+                TelemetryFrame(device_id, *row)
+            yield row
+        sequence = end
 
 
 class Emitter:
@@ -210,6 +279,11 @@ class Emitter:
     reconnects. Delivery is at-least-once: a send that died mid-flight is
     retried, and any frames the transport had buffered but never delivered
     show up at the receiver as sequence gaps.
+
+    Unpaced, it reads ahead up to 256 samples and converts them as one block;
+    paced, it pulls one sample at a time, so a frame never waits for a later
+    sample. Either way each frame is packed straight to bytes and sent with
+    its own sendall().
     """
 
     def __init__(
@@ -255,10 +329,13 @@ class Emitter:
 
     def run(self, samples: Iterable[PressureSample]) -> int:
         """Send every sample, numbered on from earlier runs; returns the frames delivered so far."""
+        rows = _BLOCK_ROWS
         if self._pace:
-            samples = self._paced(samples)
-        for frame in frames_from_samples(samples, self._profile, self._divider, self._device_id, self.sent):
-            payload = encode(frame)
+            samples, rows = self._paced(samples), 1
+        for sequence, timestamp_ms, counts in _framed(
+            samples, self._profile, self._divider, self._device_id, self.sent, rows
+        ):
+            payload = _pack(PROTOCOL_VERSION, self._device_id, sequence, timestamp_ms, counts)
             while True:
                 self._ensure_connected()
                 try:
@@ -296,8 +373,11 @@ class Collector:
     counts gaps, counts and drops duplicates and frames whose millisecond
     timestamp is not after the device's last kept one (above 1 kHz they
     collide), and counts and skips decode errors.
-    ``sink(device_id, PressureSample)`` runs on that thread: it needs no lock,
-    but a slow sink delays every connection; one that raises ends only its own.
+    Each received chunk is scanned once (``Deframer.scan``, no TelemetryFrame)
+    and its kept frames are decoded through one ``decode_table`` lookup.
+    ``sink(device_id, PressureSample)`` runs on that thread, once per kept
+    frame: it needs no lock, but a slow sink delays every connection; one that
+    raises ends only its own.
     """
 
     def __init__(
@@ -371,25 +451,27 @@ class Collector:
             self._close(selector, key)
             return
         try:
-            for frame in deframer.feed(chunk):
-                stats = self.stats[frame.device_id]
-                want, last_ms = expected.get(frame.device_id) or (frame.sequence, -1)
-                if frame.sequence < want:  # an at-least-once resend
+            table = decode_table(self._profile, self._divider)
+            for _magic, _version, device_id, sequence, ts_low, ts_high, *counts in deframer.scan(chunk):
+                stats = self.stats[device_id]
+                timestamp_ms = ts_low | ts_high << 32
+                want, last_ms = expected.get(device_id) or (sequence, -1)
+                if sequence < want:  # an at-least-once resend
                     stats.duplicates += 1
                     continue
-                stats.gaps += frame.sequence - want
-                if frame.timestamp_ms <= last_ms:  # the sink needs strictly increasing times
-                    expected[frame.device_id] = frame.sequence + 1, last_ms
+                stats.gaps += sequence - want
+                if timestamp_ms <= last_ms:  # the sink needs strictly increasing times
+                    expected[device_id] = sequence + 1, last_ms
                     stats.stale_timestamps += 1
                     continue
-                expected[frame.device_id] = frame.sequence + 1, frame.timestamp_ms
-                try:
-                    sample = counts_to_sample(frame.timestamp_ms / 1000.0, frame.counts, self._profile, self._divider)
-                except ValueError:  # CRC-valid but out of the table: never fatal
+                expected[device_id] = sequence + 1, timestamp_ms
+                if max(counts) >= len(table):  # CRC-valid but out of the table: never fatal
                     stats.decode_errors += 1
                     continue
+                pressures = dict(zip(CHANNEL_ORDER, map(table.__getitem__, counts)))
+                sample = PressureSample(timestamp_ms / 1000.0, pressures)
                 stats.frames += 1
-                self._sink(frame.device_id, sample)
+                self._sink(device_id, sample)
         except Exception:
             traceback.print_exc()  # a failing sink ends its own connection, not the loop
             self._close(selector, key)

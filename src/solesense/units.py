@@ -103,6 +103,8 @@ class FootRegion(Enum):
     MIDFOOT = "midfoot"
     HEEL = "heel"
 
+    __hash__ = object.__hash__  # identity hashing, as in SoleChannel
+
 
 REGION_CHANNELS: Mapping[FootRegion, tuple[SoleChannel, ...]] = MappingProxyType(
     {
@@ -126,6 +128,8 @@ class GaitPhase(Enum):
     TERMINAL_STANCE = "terminal_stance"
     PRE_SWING = "pre_swing"
     SWING = "swing"
+
+    __hash__ = object.__hash__  # identity hashing, as in SoleChannel
 
 
 PHASE_ORDER: tuple[GaitPhase, ...] = tuple(GaitPhase)

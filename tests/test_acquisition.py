@@ -8,6 +8,7 @@ from solesense.acquisition import (
     AdcCount,
     DividerConfig,
     count_to_pressure,
+    counts_from_pascals,
     counts_to_sample,
     counts_to_samples,
     decode_table,
@@ -299,3 +300,15 @@ class TestColumns:
             counts_to_samples(np.arange(6.0), counts, profile, CFG)
         with pytest.raises(ValueError, match="block"):
             counts_to_samples(np.arange(6.0), counts[:, :4], profile, CFG)
+
+    @pytest.mark.parametrize("name", builtin_profile_names())
+    def test_counts_from_pascals_matches_pressure_to_count(self, name):
+        profile = builtin_profile(name)
+        onset, last = profile.onset_pressure.pascals, profile.max_pressure_pa
+        rng = np.random.default_rng(5)
+        pascals = rng.uniform(0.0, 1.2 * last, (10_000, 5))
+        pascals[0] = [0.0, onset, np.nextafter(onset, 0.0), last, 1.2 * last]
+        codes = counts_from_pascals(pascals, profile, CFG)
+        assert codes.shape == pascals.shape
+        want = [pressure_to_count(Pressure(p), profile, CFG).value for p in pascals.ravel().tolist()]
+        assert codes.ravel().tolist() == want

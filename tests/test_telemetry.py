@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from solesense import acquisition, telemetry
 from solesense.acquisition import DividerConfig, counts_to_sample
 from solesense.analysis import Analyzer
 from solesense.sensor import measured_profile
@@ -26,9 +27,35 @@ from solesense.telemetry import (
     encode,
     frames_from_samples,
 )
+from solesense.units import PressureSample
 
 PROFILE = measured_profile()
 DIVIDER = DividerConfig()
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of acquisition.<name>, also where telemetry imported it."""
+    calls = []
+    original = getattr(acquisition, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (acquisition, telemetry):
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def _count_frames_built(monkeypatch):
+    built = []
+    post_init = TelemetryFrame.__post_init__
+    monkeypatch.setattr(TelemetryFrame, "__post_init__", lambda self: built.append(1) or post_init(self))
+    return built
+
+
+def _session(n):
+    return list(synthesize(GaitParams(body_mass_kg=70, cycles=-(-n // 100), sample_rate_hz=100)))[:n]
 
 
 def _random_frame(rng):
@@ -196,6 +223,28 @@ class TestDeframer:
             got.extend(deframer.feed(wire[i : i + 7]))
         assert got == frames
 
+    @pytest.mark.parametrize("chunk", [1, 7, FRAME_LENGTH, 4096])
+    def test_scan_returns_the_raw_fields(self, chunk):
+        rng = random.Random(chunk)
+        frames = [_random_frame(rng) for _ in range(200)]
+        wire = bytearray()
+        for i, frame in enumerate(frames):
+            encoded = bytearray(encode(frame))
+            if i % 9 == 4:
+                encoded[rng.randrange(3, FRAME_LENGTH)] ^= 0x40  # bad CRC
+            wire += encoded + b"S"
+        want = [
+            (MAGIC, 1, f.device_id, f.sequence, f.timestamp_ms & 0xFFFFFFFF, f.timestamp_ms >> 32, *f.counts)
+            for i, f in enumerate(frames)
+            if i % 9 != 4
+        ]
+        deframer = Deframer()
+        got = []
+        for i in range(0, len(wire), chunk):
+            got.extend(deframer.scan(bytes(wire[i : i + chunk])))
+        assert got == want
+        assert (deframer.frames, deframer.bad_crc, deframer.bad_version) == (len(want), len(frames) - len(want), 0)
+
 
 class _MemoryTransport:
     def __init__(self):
@@ -283,6 +332,82 @@ class TestEmitter:
         Emitter(lambda: transport, PROFILE, DIVIDER, device_id=4).run(samples)
         frames = frames_from_samples(samples, PROFILE, DIVIDER, device_id=4)
         assert bytes(transport.buffer) == b"".join(encode(f) for f in frames)
+
+    @pytest.mark.parametrize(
+        "case, framed",
+        [("device id 256", 0), ("timestamp -0.002 s", 300), ("timestamp 2.9e11 s", 300), ("17-bit codes", 0)],
+    )
+    def test_unframeable_samples_raise_value_error(self, case, framed):
+        # each is out of a frame field's range: the frames before it still go
+        # out, and it raises ValueError, never struct.error
+        samples, device_id, divider = _session(400), 1, DIVIDER
+        if case == "device id 256":
+            device_id = 256
+        elif case == "17-bit codes":
+            divider = DividerConfig(adc_bits=17)
+        else:
+            bad = float(case.split()[1])
+            samples[300] = PressureSample(bad, samples[300].channels)
+        transport = _MemoryTransport()
+        emitter = Emitter(lambda: transport, PROFILE, divider, device_id=device_id)
+        with pytest.raises(ValueError):
+            emitter.run(samples)
+        assert emitter.sent == framed
+        assert len(transport.buffer) == framed * FRAME_LENGTH
+        got = []
+        with pytest.raises(ValueError):
+            for frame in frames_from_samples(samples, PROFILE, divider, device_id=device_id):
+                got.append(frame)
+        assert bytes(transport.buffer) == b"".join(encode(f) for f in got)
+
+    def test_link_failure_past_the_first_block(self):
+        transports = []
+
+        class _FlakyOnce(_MemoryTransport):
+            def sendall(self, data):
+                if len(transports) == 1 and len(self.buffer) >= 300 * FRAME_LENGTH:
+                    raise ConnectionResetError("link dropped")
+                super().sendall(data)
+
+        def connect():
+            transports.append(_FlakyOnce())
+            return transports[-1]
+
+        emitter = Emitter(connect, PROFILE, DIVIDER, sleep=lambda s: None)
+        samples = _session(400)
+        assert emitter.run(samples) == 400
+        assert len(transports) == 2 and len(transports[0].buffer) == 300 * FRAME_LENGTH
+        wire = b"".join(bytes(t.buffer) for t in transports)
+        assert wire == b"".join(encode(f) for f in frames_from_samples(samples, PROFILE, DIVIDER))
+        assert emitter.retries == 1
+
+    def test_paced_run_sends_each_frame_before_the_next_pull(self):
+        log = []
+
+        def pulled(samples):
+            for k, sample in enumerate(samples):
+                log.append(("pull", k))
+                yield sample
+
+        class _Logging(_MemoryTransport):
+            def sendall(self, data):
+                log.append(("send", Deframer().feed(data)[0].sequence))
+                super().sendall(data)
+
+        transport = _Logging()
+        emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=lambda s: None)
+        assert emitter.run(pulled(_session(300))) == 300
+        assert log == [event for k in range(300) for event in (("pull", k), ("send", k))]
+
+    def test_unpaced_run_builds_no_frame_and_no_per_sample_counts(self, monkeypatch):
+        samples = _session(1000)
+        want = b"".join(encode(f) for f in frames_from_samples(samples, PROFILE, DIVIDER))
+        to_counts = _count_calls(monkeypatch, "sample_to_counts")
+        built = _count_frames_built(monkeypatch)
+        transport = _MemoryTransport()
+        assert Emitter(lambda: transport, PROFILE, DIVIDER).run(samples) == 1000
+        assert (len(to_counts), len(built)) == (0, 0)
+        assert bytes(transport.buffer) == want
 
     def test_frames_from_samples_pure(self):
         samples = self._samples(10)
@@ -457,6 +582,25 @@ class TestCollector:
         stats = collector.stats[1]
         assert stats.stale_timestamps == colliding
         assert stats.frames == len(sunk) == len(samples) - colliding
+
+    def test_receive_path_builds_no_frame_and_no_per_sample_decode(self, monkeypatch):
+        params = GaitParams(body_mass_kg=70, cycles=10, sample_rate_hz=100)
+        frames = list(frames_from_samples(synthesize(params), PROFILE, DIVIDER))
+        assert len(frames) == 1000
+        want = [counts_to_sample(f.timestamp_ms / 1000.0, f.counts, PROFILE, DIVIDER) for f in frames]
+        wire = b"".join(encode(f) for f in frames)
+        sink = _ListSink()
+        collector = self._start(sink)
+        decoded = _count_calls(monkeypatch, "counts_to_sample")
+        built = _count_frames_built(monkeypatch)
+        conn = socket.create_connection(collector.address, timeout=5)
+        conn.sendall(wire)
+        conn.close()
+        assert collector.connection_closed.wait(timeout=5.0)
+        collector.stop()
+        assert (len(decoded), len(built)) == (0, 0)
+        assert sink.samples[1] == want
+        assert collector.stats[1].frames == 1000
 
     def test_stop_is_prompt_and_leaves_no_thread(self):
         before = set(threading.enumerate())
