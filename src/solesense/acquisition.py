@@ -210,7 +210,7 @@ def counts_to_sample(
     if len(counts) != len(CHANNEL_ORDER):
         raise ValueError(f"expected {len(CHANNEL_ORDER)} counts, got {len(counts)}")
     table = decode_table(profile, cfg)
-    return PressureSample(
+    return PressureSample._of(
         timestamp, {channel: _decoded(table, raw) for channel, raw in zip(CHANNEL_ORDER, counts)}
     )
 
@@ -236,7 +236,7 @@ def counts_to_samples(
     for start in range(0, len(counts), _BLOCK_ROWS):  # bounds the Python copies of the block
         block = slice(start, start + _BLOCK_ROWS)
         samples.extend(
-            PressureSample(t, dict(zip(CHANNEL_ORDER, map(table.__getitem__, row))))
+            PressureSample._of(t, dict(zip(CHANNEL_ORDER, map(table.__getitem__, row))))
             for t, row in zip(timestamps[block].tolist(), counts[block].tolist())
         )
     return samples

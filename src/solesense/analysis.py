@@ -19,7 +19,9 @@ block reduces regions, takes peaks and runs the Schmitt trigger on whole
 columns, then runs the one scalar phase machine only on the rows where the
 phase can move: a contact change, the rows it takes to settle, and the row a
 heel-only contact outlasts the loading dwell. analyze() folds its samples as
-one block.
+one block. update() steps the phase machine only off its rest set: the
+(contact, phase) pairs at which classify_phase keeps the phase, outside
+initial contact, whose heel-only dwell runs on the clock.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,11 +79,11 @@ class AnalyzerConfig:
         if self.reduction not in ("max", "mean"):
             raise ValueError(f"reduction must be 'max' or 'mean', got {self.reduction!r}")
 
-    @property
+    @cached_property
     def on_threshold_pa(self) -> float:
         return self.contact_pressure_pa * (1.0 + self.threshold_band)
 
-    @property
+    @cached_property
     def off_threshold_pa(self) -> float:
         return self.contact_pressure_pa * (1.0 - self.threshold_band)
 
@@ -97,9 +99,11 @@ class ContactState:
         return self.heel_on or self.midfoot_on or self.forefoot_on
 
 
-# each region's channels as indices into a canonical-order row
-_REGION_INDICES = tuple(
-    tuple(CHANNEL_ORDER.index(c) for c in REGION_CHANNELS[region]) for region in FootRegion
+_REGIONS = tuple(FootRegion)
+# each region's channels as a slice of a canonical-order row (the sole layout keeps them contiguous)
+_REGION_SLICES = tuple(
+    slice(CHANNEL_ORDER.index(REGION_CHANNELS[r][0]), CHANNEL_ORDER.index(REGION_CHANNELS[r][-1]) + 1)
+    for r in _REGIONS
 )
 
 
@@ -114,7 +118,7 @@ def _reduce_region(values: Sequence, reduction: str, maximum=max):
 
 def _region_pressures(row: Sequence[float], config: AnalyzerConfig) -> list[float]:
     """Forefoot, midfoot and heel pressure of one canonical-order row."""
-    return [_reduce_region([row[k] for k in indices], config.reduction) for indices in _REGION_INDICES]
+    return [_reduce_region(row[s], config.reduction) for s in _REGION_SLICES]
 
 
 # contact states by code 4 * heel + 2 * midfoot + forefoot; bit weights follow FootRegion
@@ -127,15 +131,15 @@ def _contact_code(state: ContactState) -> int:
     return 4 * state.heel_on + 2 * state.midfoot_on + state.forefoot_on
 
 
-def _schmitt(pressures: Sequence[float], config: AnalyzerConfig, previous: ContactState) -> ContactState:
-    """Contact from forefoot, midfoot and heel pressures: on at or above the
-    on-threshold, off at or below the off-threshold, else as it was."""
-    was = _contact_code(previous)
+def _schmitt(pressures: Sequence[float], config: AnalyzerConfig, was: int) -> int:
+    """Contact code from forefoot, midfoot and heel pressures and the code
+    before: on at or above the on-threshold, off at or below the
+    off-threshold, else as it was."""
     code = 0
     for weight, pressure in zip(_WEIGHTS, pressures):
         if pressure >= config.on_threshold_pa or (pressure > config.off_threshold_pa and was & weight):
             code += weight
-    return _CONTACTS[code]
+    return code
 
 
 def contact_state(
@@ -145,7 +149,7 @@ def contact_state(
 ) -> ContactState:
     """Schmitt-triggered regional contact; between thresholds the previous
     state holds."""
-    return _schmitt(_region_pressures(sample.as_row(), config), config, previous)
+    return _CONTACTS[_schmitt(_region_pressures(sample.as_row(), config), config, _contact_code(previous))]
 
 
 def _schmitt_column(pressure: np.ndarray, config: AnalyzerConfig, was_on: bool) -> np.ndarray:
@@ -161,7 +165,7 @@ def classify_phase(state: ContactState, previous: GaitPhase) -> GaitPhase:
     """Memoryless contact-combination -> phase map.
 
     The time-based initial-contact/loading-response split lives in the
-    analyzer (see Analyzer._dwell); here heel-only keeps whichever of the two
+    analyzer (see Analyzer._step); here heel-only keeps whichever of the two
     the stream is already in.
     """
     h, m, f = state.heel_on, state.midfoot_on, state.forefoot_on
@@ -187,6 +191,16 @@ def classify_phase(state: ContactState, previous: GaitPhase) -> GaitPhase:
             GaitPhase.TERMINAL_STANCE,
         ) else GaitPhase.MID_STANCE
     return GaitPhase.PRE_SWING  # forefoot only
+
+
+# (contact code, phase) pairs at which the phase machine cannot move. Initial
+# contact is left out: its heel-only contact matures on the clock (Analyzer._step).
+_AT_REST = frozenset(
+    (code, phase)
+    for code, contact in enumerate(_CONTACTS)
+    for phase in GaitPhase
+    if phase != GaitPhase.INITIAL_CONTACT and classify_phase(contact, phase) == phase
+)
 
 
 class GaitEventKind(Enum):
@@ -276,9 +290,14 @@ class Analyzer:
         t = sample.timestamp
         self._accept(t)
         pressures = _region_pressures(sample.as_row(), self.config)
-        for region, pressure in zip(FootRegion, pressures):
-            self._peaks[region] = max(self._peaks[region], pressure)
-        self._contact = _schmitt(pressures, self.config, self._contact)
+        peaks = self._peaks
+        for region, pressure in zip(_REGIONS, pressures):
+            if pressure > peaks[region]:
+                peaks[region] = pressure
+        code = _schmitt(pressures, self.config, _contact_code(self._contact))
+        self._contact = _CONTACTS[code]
+        if (code, self._phase) in _AT_REST:
+            return []
         event = self._step(t, self._contact)
         return [] if event is None else [event]
 
@@ -312,8 +331,8 @@ class Analyzer:
 
         previous = _contact_code(self._contact)
         codes = np.zeros(n, dtype=int)  # 4 * heel + 2 * midfoot + forefoot, as _CONTACTS
-        for weight, region, indices in zip(_WEIGHTS, FootRegion, _REGION_INDICES):
-            pressure = _reduce_region([pascals[:, k] for k in indices], self.config.reduction, np.maximum)
+        for weight, region, columns in zip(_WEIGHTS, _REGIONS, _REGION_SLICES):
+            pressure = _reduce_region(pascals[:, columns].T, self.config.reduction, np.maximum)
             self._peaks[region] = max(self._peaks[region], float(pressure.max()))
             codes += weight * _schmitt_column(pressure, self.config, bool(previous & weight))
 

@@ -233,9 +233,11 @@ def cmd_collect(args) -> int:
                     divider=divider,
                 )
             )
+            if args.analyze:
+                analyzers[device_id] = Analyzer()
         log.samples.append(sample)
         if args.analyze:
-            log.events.extend(analyzers.setdefault(device_id, Analyzer()).update(sample))
+            log.events.extend(analyzers[device_id].update(sample))
         if args.live:
             now = time.monotonic()
             if now - last_render[0] >= 0.1:

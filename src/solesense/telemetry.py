@@ -469,7 +469,7 @@ class Collector:
                     stats.decode_errors += 1
                     continue
                 pressures = dict(zip(CHANNEL_ORDER, map(table.__getitem__, counts)))
-                sample = PressureSample(timestamp_ms / 1000.0, pressures)
+                sample = PressureSample._of(timestamp_ms / 1000.0, pressures)
                 stats.frames += 1
                 self._sink(device_id, sample)
         except Exception:

@@ -8,6 +8,7 @@ accident. Arithmetic across quantities only happens through named operations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -96,6 +97,8 @@ class SoleChannel(Enum):
 
 CHANNEL_ORDER: tuple[SoleChannel, ...] = tuple(SoleChannel)
 _CHANNEL_SET = frozenset(SoleChannel)
+_IN_CHANNEL_ORDER = operator.itemgetter(*CHANNEL_ORDER)
+_PASCALS = operator.attrgetter("pascals")
 
 
 class FootRegion(Enum):
@@ -170,12 +173,22 @@ class PressureSample:
             raise ValueError(f"sample must carry all five channels, missing {missing}")
         object.__setattr__(self, "channels", MappingProxyType(channels))
 
+    @classmethod
+    def _of(cls, timestamp: float, channels: dict[SoleChannel, Pressure]) -> "PressureSample":
+        """A sample wrapping ``channels`` unchecked and uncopied, for decoders: the
+        caller hands over a fresh dict that nothing else holds, keyed by every
+        channel in CHANNEL_ORDER order, of Pressures (validated when built)."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "timestamp", timestamp)
+        object.__setattr__(sample, "channels", MappingProxyType(channels))
+        return sample
+
     def value(self, channel: SoleChannel) -> float:
         return self.channels[channel].pascals
 
     def as_row(self) -> tuple[float, ...]:
         """Channel pressures in canonical order."""
-        return tuple(self.channels[c].pascals for c in CHANNEL_ORDER)
+        return tuple(map(_PASCALS, _IN_CHANNEL_ORDER(self.channels)))
 
     @classmethod
     def from_row(cls, timestamp: float, values: Iterable[float]) -> "PressureSample":

@@ -1,5 +1,7 @@
 import math
+import operator
 import pickle
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from solesense.cli import simulate_session
 from solesense.datasets import comparison_stimulus
 from solesense.sensor import bench_profile, fsr_reference_profile, measured_profile
 from solesense.synth import GaitParams, ground_truth, synthesize
-from solesense.units import GaitPhase, PressureSample, samples_to_columns
+from solesense.units import REGION_CHANNELS, GaitPhase, PressureSample, samples_to_columns
 
 CFG = AnalyzerConfig()
 
@@ -301,6 +303,81 @@ class TestUpdateBlock:
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(ValueError, match="pascals"):
             Analyzer().update_block(np.zeros(3), np.zeros((3, 4)))
+
+
+def _update_every_row(analyzer, sample):
+    """update() with no at-rest skip: the phase machine (classify_phase plus
+    the loading dwell, Analyzer._step) runs on every row, and the peaks come
+    from the sample's channels by name."""
+    analyzer._accept(sample.timestamp)
+    for region, channels in REGION_CHANNELS.items():
+        values = [sample.value(c) for c in channels]
+        pressure = max(values) if analyzer.config.reduction == "max" else reduce(operator.add, values) / len(values)
+        analyzer._peaks[region] = max(analyzer._peaks[region], pressure)
+    analyzer._contact = contact_state(sample, analyzer.config, analyzer._contact)
+    event = analyzer._step(sample.timestamp, analyzer._contact)
+    return [] if event is None else [event]
+
+
+class TestUpdateAtRest:
+    """update() skips the phase machine where it cannot move, and nothing else."""
+
+    @pytest.mark.parametrize("reduction", ["max", "mean"])
+    def test_equals_stepping_every_row(self, reduction):
+        config = AnalyzerConfig(reduction=reduction)
+        for samples in TestUpdateBlock._sessions():
+            fast, reference = Analyzer(config=config), Analyzer(config=config)
+            events = [event for sample in samples for event in fast.update(sample)]
+            want = [event for sample in samples for event in _update_every_row(reference, sample)]
+            assert events and events == want
+            assert fast.report() == reference.report()
+            assert fast == reference
+
+    @pytest.mark.parametrize("heel_rows, matures", [(5, True), (4, False)])
+    def test_heel_only_dwell_edge(self, heel_rows, matures):
+        # binary-exact times: the fifth heel-only row is exactly the 0.5 s dwell after the first
+        config = AnalyzerConfig(loading_dwell_s=0.5)
+        contacts = [{}] + [{"heel": 500_000.0}] * heel_rows + [{}] * 3
+        rows = [_sample(0.125 * k, **c) for k, c in enumerate(contacts)]
+        fast, reference = Analyzer(config=config), Analyzer(config=config)
+        events = [event for sample in rows for event in fast.update(sample)]
+        want = [event for sample in rows for event in _update_every_row(reference, sample)]
+        assert events == want and fast == reference
+        assert ((0.625, GaitPhase.LOADING_RESPONSE) in [(e.timestamp, e.phase) for e in events]) == matures
+        by_block = Analyzer(config=config)
+        assert by_block.update_block(*samples_to_columns(rows)) == events and by_block == fast
+
+    def test_interleaved_with_blocks_equals_rows(self):
+        for samples in TestUpdateBlock._sessions():
+            by_row = Analyzer()
+            row_events = [event for sample in samples for event in by_row.update(sample)]
+            times, pascals = samples_to_columns(samples)
+            mixed = Analyzer()
+            events = []
+            for start in range(0, len(samples), 50):
+                stop = start + 50
+                if start // 50 % 2:
+                    events += mixed.update_block(times[start:stop], pascals[start:stop])
+                else:
+                    events += [event for sample in samples[start:stop] for event in mixed.update(sample)]
+            assert events == row_events
+            assert mixed == by_row
+
+    def test_phase_machine_runs_on_few_rows(self, monkeypatch):
+        # a session like the benchmark's: 60 cycles at 100 Hz, decoded from the wire codes
+        params = GaitParams(
+            body_mass_kg=70, cadence_spm=120, stance_fraction=0.6, sample_rate_hz=100,
+            cycles=60, noise_sigma_pa=2_000.0, seed=1,
+        )
+        samples = simulate_session(params, measured_profile()).samples
+        stepped = []
+        step = Analyzer._step
+        monkeypatch.setattr(Analyzer, "_step", lambda self, t, contact: stepped.append(t) or step(self, t, contact))
+        analyzer = Analyzer()
+        for sample in samples:
+            analyzer.update(sample)
+        assert len(samples) == 6_000 and analyzer.report().cycles == 59
+        assert len(stepped) < 1_000
 
 
 def _reference_figures(events):

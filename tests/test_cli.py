@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from solesense import store
-from solesense.analysis import analyze
+from solesense.analysis import Analyzer, analyze
 from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text
 from solesense.datasets import BENCH_TIME_LOG, MEASURED_CALIBRATION
 from solesense.plots import count_series
@@ -234,6 +234,23 @@ class TestStreamCollect:
 
         _, offline = analyze(collected.samples)
         assert report_path.read_text() == report_json_text(offline)
+
+    def test_collect_analyze_builds_one_analyzer_per_device(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = Analyzer.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Analyzer, "__init__", counted)
+        out = tmp_path / "c.csv"
+        thread, results, addr = _start_collect(["-o", str(out), "--analyze", "--once"], capsys)
+        assert main(["stream", "--simulate", "--cycles", "3", "--seed", "5", "--addr", addr]) == 0
+        thread.join(timeout=30)
+        assert results["rc"] == 0
+        assert len(store.read_csv(out).samples) == 300
+        assert len(built) == 1
 
     def test_stream_live_simulation(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

@@ -27,7 +27,7 @@ from solesense.telemetry import (
     encode,
     frames_from_samples,
 )
-from solesense.units import PressureSample
+from solesense.units import CHANNEL_ORDER, PressureSample
 
 PROFILE = measured_profile()
 DIVIDER = DividerConfig()
@@ -588,18 +588,29 @@ class TestCollector:
         frames = list(frames_from_samples(synthesize(params), PROFILE, DIVIDER))
         assert len(frames) == 1000
         want = [counts_to_sample(f.timestamp_ms / 1000.0, f.counts, PROFILE, DIVIDER) for f in frames]
+        # the public constructor, handed the channels in reverse order
+        table = acquisition.decode_table(PROFILE, DIVIDER)
+        reversed_channels = [{c: table[k] for c, k in reversed(list(zip(CHANNEL_ORDER, f.counts)))} for f in frames]
+        public = [PressureSample(f.timestamp_ms / 1000.0, ch) for f, ch in zip(frames, reversed_channels)]
         wire = b"".join(encode(f) for f in frames)
         sink = _ListSink()
         collector = self._start(sink)
         decoded = _count_calls(monkeypatch, "counts_to_sample")
         built = _count_frames_built(monkeypatch)
+        checked = []  # each sample is built once, unchecked
+        post_init = PressureSample.__post_init__
+        monkeypatch.setattr(PressureSample, "__post_init__", lambda self: checked.append(1) or post_init(self))
         conn = socket.create_connection(collector.address, timeout=5)
         conn.sendall(wire)
         conn.close()
         assert collector.connection_closed.wait(timeout=5.0)
         collector.stop()
-        assert (len(decoded), len(built)) == (0, 0)
-        assert sink.samples[1] == want
+        assert (len(decoded), len(built), len(checked)) == (0, 0, 0)
+        assert sink.samples[1] == want == public
+        for sample in sink.samples[1]:
+            assert list(sample.channels) == list(CHANNEL_ORDER)
+            with pytest.raises(TypeError):
+                sample.channels[CHANNEL_ORDER[0]] = table[0]
         assert collector.stats[1].frames == 1000
 
     def test_stop_is_prompt_and_leaves_no_thread(self):

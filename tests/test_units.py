@@ -1,9 +1,13 @@
 import copy
 import math
 import pickle
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 
+from solesense.acquisition import DividerConfig, counts_to_sample, counts_to_samples, decode_table
+from solesense.sensor import measured_profile
 from solesense.units import (
     CHANNEL_ORDER,
     DEFAULT_GEOMETRY,
@@ -144,6 +148,9 @@ class TestDomainTypes:
         assert sample.value(SoleChannel.HEEL) == 5.0
         with pytest.raises(ValueError, match="missing"):
             PressureSample(0.0, {SoleChannel.HEEL: Pressure(1.0)})
+        four = {c: Pressure(1.0) for c in CHANNEL_ORDER if c is not SoleChannel.MIDFOOT_LATERAL}
+        with pytest.raises(ValueError, match=r"missing \['midfoot_lateral'\]"):
+            PressureSample(0.0, four)
         with pytest.raises(ValueError):
             PressureSample.from_row(0.0, [1.0, 2.0])
 
@@ -157,6 +164,29 @@ class TestDomainTypes:
         extra = dict(sample.channels, heel=Pressure(1.0))  # a str key is no channel
         with pytest.raises(ValueError, match=r"missing \[\]"):
             PressureSample(0.0, extra)
+
+    def test_decoded_samples_equal_the_public_constructors(self, monkeypatch):
+        profile, divider = measured_profile(), DividerConfig()
+        table = decode_table(profile, divider)
+        counts = np.array([[4095, 3000, 3500, 3950, 100], [0, 1, 2, 3, 4], [3920, 3093, 3094, 3500, 2000]])
+        times = np.array([0.0, 0.01, 0.02])
+        inits = []
+        post_init = PressureSample.__post_init__
+        monkeypatch.setattr(PressureSample, "__post_init__", lambda self: inits.append(1) or post_init(self))
+        decoded = counts_to_samples(times, counts, profile, divider)
+        stamps, rows = times.tolist(), counts.tolist()
+        decoded += [counts_to_sample(t, tuple(row), profile, divider) for t, row in zip(stamps, rows)]
+        assert inits == []  # decoding builds each sample once, unchecked
+        for sample, t, row in zip(decoded, stamps * 2, rows * 2):
+            # the public constructor, handed the channels in reverse order
+            public = PressureSample(t, {c: table[k] for c, k in reversed(list(zip(CHANNEL_ORDER, row)))})
+            assert sample == public
+            assert isinstance(sample.channels, MappingProxyType)
+            assert list(sample.channels) == list(CHANNEL_ORDER)
+            assert sample.as_row() == public.as_row() == tuple(table[code].pascals for code in row)
+            with pytest.raises(TypeError):
+                sample.channels[SoleChannel.HEEL] = Pressure(2.0)
+        assert len(inits) == len(decoded)  # the public constructor still checks each one
 
     def test_channel_keyed_dicts_and_sets(self):
         by_channel = {c: c.value for c in CHANNEL_ORDER}
