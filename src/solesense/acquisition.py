@@ -14,8 +14,9 @@ does not set the ADC reference.
 Each step has a per-sample form and an array form (``divider_out_ohms``,
 ``quantize_volts``, ``counts_from_pascals``, ``counts_to_samples``). The
 divider and the floor quantizer use only exactly-rounded operations, and the
-static curve is one ``np.interp`` followed by ``math.exp`` per element, so
-both forms agree bit for bit; decoding indexes ``decode_table`` in both.
+static curve is ``sensor.static_ohms``, so both forms agree bit for bit;
+decoding indexes ``decode_table`` in both, and one builder makes a sample of
+in-table codes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sensor import CalibrationProfile, invert_static_ohms, static_resistance
+from .sensor import CalibrationProfile, invert_static_ohms, static_ohms, static_resistance
 from .units import CHANNEL_ORDER, Pressure, PressureSample, Resistance, Voltage
 
 _BLOCK_ROWS = 256
@@ -175,13 +176,17 @@ def count_to_pressure(
     return _decoded(decode_table(profile, cfg), count.value)
 
 
+def _decoded_sample(table: tuple[Pressure, ...], timestamp: float, codes) -> PressureSample:
+    """The sample of five codes in canonical order, each already checked to be
+    in ``table``."""
+    return PressureSample._of(timestamp, dict(zip(CHANNEL_ORDER, map(table.__getitem__, codes))))
+
+
 def sample_to_counts(
     sample: PressureSample, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
 ) -> tuple[int, ...]:
     """Raw codes for all five channels, in canonical order."""
-    return tuple(
-        pressure_to_count(sample.channels[c], profile, cfg).value for c in CHANNEL_ORDER
-    )
+    return tuple(counts_from_pascals([sample.as_row()], profile, cfg)[0].tolist())
 
 
 def counts_from_pascals(
@@ -189,15 +194,10 @@ def counts_from_pascals(
 ) -> np.ndarray:
     """sample_to_counts on an (n, 5) block of bare pascals: (n, 5) integer codes.
 
-    The static curve is one np.interp into ln R, then math.exp per element
-    (np.exp may differ from it in the last ulp), inf below onset, then
-    divider_out_ohms and quantize_volts: every code equals pressure_to_count's.
+    static_ohms, divider_out_ohms, then quantize_volts: every code equals
+    pressure_to_count's.
     """
-    pascals = np.asarray(pascals, dtype=float)
-    log_ohms = np.interp(pascals, profile._pressures, profile._log_resistances)
-    ohms = np.array(list(map(math.exp, log_ohms.ravel().tolist()))).reshape(pascals.shape)
-    ohms[pascals < profile.onset_pressure.pascals] = math.inf
-    return quantize_volts(divider_out_ohms(ohms, cfg), cfg)
+    return quantize_volts(divider_out_ohms(static_ohms(profile, pascals), cfg), cfg)
 
 
 def counts_to_sample(
@@ -210,9 +210,10 @@ def counts_to_sample(
     if len(counts) != len(CHANNEL_ORDER):
         raise ValueError(f"expected {len(CHANNEL_ORDER)} counts, got {len(counts)}")
     table = decode_table(profile, cfg)
-    return PressureSample._of(
-        timestamp, {channel: _decoded(table, raw) for channel, raw in zip(CHANNEL_ORDER, counts)}
-    )
+    if not 0 <= min(counts) <= max(counts) < len(table):
+        for raw in counts:
+            _decoded(table, raw)  # raises for the first code outside the table
+    return _decoded_sample(table, timestamp, counts)
 
 
 def counts_to_samples(
@@ -236,7 +237,6 @@ def counts_to_samples(
     for start in range(0, len(counts), _BLOCK_ROWS):  # bounds the Python copies of the block
         block = slice(start, start + _BLOCK_ROWS)
         samples.extend(
-            PressureSample._of(t, dict(zip(CHANNEL_ORDER, map(table.__getitem__, row))))
-            for t, row in zip(timestamps[block].tolist(), counts[block].tolist())
+            _decoded_sample(table, t, row) for t, row in zip(timestamps[block].tolist(), counts[block].tolist())
         )
     return samples

@@ -16,12 +16,11 @@ Analyzer.update folds one PressureSample; Analyzer.update_block folds a block
 of numpy columns (timestamps and (n, 5) pascals) and returns exactly the
 events, and leaves exactly the state, that update() would row by row. The
 block reduces regions, takes peaks and runs the Schmitt trigger on whole
-columns, then runs the one scalar phase machine only on the rows where the
-phase can move: a contact change, the rows it takes to settle, and the row a
-heel-only contact outlasts the loading dwell. analyze() folds its samples as
-one block. update() steps the phase machine only off its rest set: the
-(contact, phase) pairs at which classify_phase keeps the phase, outside
-initial contact, whose heel-only dwell runs on the clock.
+columns. Both folds step the one scalar phase machine on the same rows: those
+off the rest set, the (contact, phase) pairs at which classify_phase keeps the
+phase, outside initial contact, whose heel-only dwell runs on the clock. At
+rest, the block jumps to its next contact change. analyze() folds its samples
+as one block.
 """
 
 from __future__ import annotations
@@ -124,7 +123,6 @@ def _region_pressures(row: Sequence[float], config: AnalyzerConfig) -> list[floa
 # contact states by code 4 * heel + 2 * midfoot + forefoot; bit weights follow FootRegion
 _CONTACTS = tuple(ContactState(bool(c & 4), bool(c & 2), bool(c & 1)) for c in range(8))
 _WEIGHTS = (1, 2, 4)
-_HEEL_ONLY = 4
 
 
 def _contact_code(state: ContactState) -> int:
@@ -336,26 +334,21 @@ class Analyzer:
             self._peaks[region] = max(self._peaks[region], float(pressure.max()))
             codes += weight * _schmitt_column(pressure, self.config, bool(previous & weight))
 
-        # step the phase machine only where the phase can move; on every other
-        # row it sits at the fixed point of the row's contact
+        # step the phase machine as update() does, off _AT_REST; at rest it
+        # cannot move before the contact changes
         changes = np.flatnonzero(np.diff(codes, prepend=previous)).tolist()
         codes = codes.tolist()
         events: list[GaitEvent] = []
         i = k = 0
         while i < n:
-            event = self._step(stamps[i], _CONTACTS[codes[i]])
-            if event is not None:  # the phase moved, and may move again next row
-                events.append(event)
-                i += 1
+            if (codes[i], self._phase) in _AT_REST:
+                k = bisect_right(changes, i, k)
+                i = changes[k] if k < len(changes) else n
                 continue
-            k = bisect_right(changes, i, k)
-            next_row = changes[k] if k < len(changes) else n
-            if self._phase == GaitPhase.INITIAL_CONTACT and codes[i] == _HEEL_ONLY:
-                # the first later row whose heel-only contact outlasts the dwell
-                late = times[i + 1 : next_row] - self._phase_since >= self.config.loading_dwell_s
-                if late.any():
-                    next_row = i + 1 + int(np.argmax(late))
-            i = next_row
+            event = self._step(stamps[i], _CONTACTS[codes[i]])
+            if event is not None:
+                events.append(event)
+            i += 1
         self._contact = _CONTACTS[codes[-1]]
         return events
 

@@ -35,7 +35,7 @@ from .sensor import (
     fit_profile,
     read_calibration_csv,
     run_channel,
-    static_resistance,
+    static_ohms,
 )
 from .store import SessionFormatError, SessionLog, default_header
 from .synth import DEFAULT_LOAD_SCALE, GaitParams, synthesize_columns
@@ -103,7 +103,6 @@ def simulate_session(
     params: GaitParams,
     profile: CalibrationProfile,
     divider: DividerConfig = DividerConfig(),
-    dynamics: DynamicsConfig | None = None,
     device_id: int = 1,
     epoch: str = store.DEFAULT_EPOCH,
 ) -> SessionLog:
@@ -114,8 +113,6 @@ def simulate_session(
     The chain runs on columns and equals synthesize -> step -> divider_out ->
     quantize -> counts_to_sample sample by sample, bit for bit.
     """
-    if dynamics is None:
-        dynamics = DynamicsConfig(sample_period=1.0 / params.sample_rate_hz)
     header = SessionHeader(
         device_id=device_id,
         epoch=epoch,
@@ -126,7 +123,7 @@ def simulate_session(
     times, pascals = synthesize_columns(params)
     ohms = np.empty_like(pascals)
     for k in range(len(CHANNEL_ORDER)):
-        _, ohms[:, k] = run_channel(SensorState.at_rest(0.0), pascals[:, k], times, profile, dynamics)
+        _, ohms[:, k] = run_channel(SensorState.at_rest(0.0), pascals[:, k], times, profile, DynamicsConfig())
     counts = quantize_volts(divider_out_ohms(ohms, divider), divider)
     return SessionLog(header=header, samples=counts_to_samples(times, counts, profile, divider))
 
@@ -310,40 +307,25 @@ def _flush_collected(args, logs: dict[int, SessionLog], analyzers: dict[int, Ana
 def _session_plots(args, times, pascals, profile: CalibrationProfile) -> None:
     os.makedirs(args.plots, exist_ok=True)
     times = times.tolist()
-    columns = pascals.T.tolist()
-    pressure_series = [(channel.value, times, column) for channel, column in zip(CHANNEL_ORDER, columns)]
-    plots.write_chart(
-        os.path.join(args.plots, "time_vs_pressure.svg"),
-        os.path.join(args.plots, "time_vs_pressure.csv"),
-        pressure_series,
-        title="Pressure over time",
-        x_label="time [s]",
-        y_label="pressure [Pa]",
-        x_column="t_s",
-    )
-    resistance_series = []
-    for channel, column in zip(CHANNEL_ORDER, columns):
-        values = []
-        for value in column:
-            r = static_resistance(profile, Pressure(value))
-            values.append(None if r.is_open else r.ohms)
-        resistance_series.append((channel.value, times, values))
-    plots.write_chart(
-        os.path.join(args.plots, "time_vs_resistance.svg"),
-        os.path.join(args.plots, "time_vs_resistance.csv"),
-        resistance_series,
-        title="Resistance over time",
-        x_label="time [s]",
-        y_label="resistance [ohm]",
-        x_column="t_s",
-    )
+    # an open sensor's inf ohms plots as a gap
+    for name, title, y_label, values in (
+        ("time_vs_pressure", "Pressure over time", "pressure [Pa]", pascals),
+        ("time_vs_resistance", "Resistance over time", "resistance [ohm]", static_ohms(profile, pascals)),
+    ):
+        plots.write_chart(
+            os.path.join(args.plots, f"{name}.svg"),
+            [(channel.value, times, column) for channel, column in zip(CHANNEL_ORDER, values.T.tolist())],
+            title=title,
+            x_label="time [s]",
+            y_label=y_label,
+            x_column="t_s",
+        )
     _response_curve_plot(args, [(p.pressure_pa, p.resistance_ohm) for p in profile.points])
 
 
 def _response_curve_plot(args, pairs: list[tuple[float, float]]) -> None:
     plots.write_chart(
         os.path.join(args.plots, "pressure_response_curve.svg"),
-        os.path.join(args.plots, "pressure_response_curve.csv"),
         [("resistance_ohm", [p for p, _r in pairs], [r for _p, r in pairs])],
         title="Pressure response curve",
         x_label="pressure [Pa]",
@@ -357,7 +339,6 @@ def _legacy_plots(args, records) -> None:
     times = [r.time_s for r in records]
     plots.write_chart(
         os.path.join(args.plots, "time_vs_pressure.svg"),
-        os.path.join(args.plots, "time_vs_pressure.csv"),
         [("pressure_pa", times, [r.pressure_pa for r in records])],
         title="Pressure over time",
         x_label="time [s]",
@@ -366,7 +347,6 @@ def _legacy_plots(args, records) -> None:
     )
     plots.write_chart(
         os.path.join(args.plots, "time_vs_resistance.svg"),
-        os.path.join(args.plots, "time_vs_resistance.csv"),
         [("resistance_ohm", times, [r.resistance_ohm for r in records])],
         title="Resistance over time",
         x_label="time [s]",
@@ -479,7 +459,6 @@ def cmd_compare(args) -> int:
     if args.svg:
         plots.write_chart(
             args.svg,
-            args.svg.rsplit(".", 1)[0] + ".csv",
             [
                 ("sensor_kohm", list(table.times_s), [r[0] / 1000.0 for r in table.resistances_ohm]),
                 ("fsr_kohm", list(table.times_s), [r[1] / 1000.0 for r in table.resistances_ohm]),

@@ -8,6 +8,7 @@ CSV twin carrying the exact plotted data.
 from __future__ import annotations
 
 import math
+import os
 from typing import Sequence
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -147,20 +148,23 @@ def line_chart_svg(
 
 def write_chart(
     svg_path,
-    csv_path,
     series: Sequence[tuple[str, Sequence[float], Sequence[float | None]]],
     title: str = "",
     x_label: str = "",
     y_label: str = "",
     x_column: str = "x",
 ) -> None:
-    """Write the SVG and its CSV data twin (one x column, one column per series)."""
+    """Write the SVG and its CSV data twin (one x column, one column per series).
+
+    The twin sits beside the SVG under the same name with a ``.csv`` suffix in
+    place of the SVG's own (``a/chart.svg`` -> ``a/chart.csv``).
+    """
     with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(line_chart_svg(series, title=title, x_label=x_label, y_label=y_label))
 
     columns = [x_column] + [name for name, _xs, _ys in series]
     xs = series[0][1] if series else []
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.splitext(svg_path)[0] + ".csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for i, x in enumerate(xs):
             row = [repr(float(x))]

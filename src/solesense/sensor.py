@@ -20,7 +20,7 @@ static curve.
 samples through the same float helpers and gives the same values bit for
 bit. The play and lag recurrences are scalar loops on plain floats, using
 ``math.exp``/``math.log`` (``np.exp`` may differ from them in the last ulp);
-only the static curve runs as one ``np.interp`` over the column.
+only the static curve runs on the whole column, as ``static_ohms``.
 """
 
 from __future__ import annotations
@@ -149,6 +149,22 @@ def _static_ohms(profile: CalibrationProfile, pascals: float) -> float:
     return math.exp(float(np.interp(pascals, profile._pressures, profile._log_resistances)))
 
 
+def static_ohms(profile: CalibrationProfile, pascals) -> np.ndarray:
+    """_static_ohms on an array of bare pascals, of any shape.
+
+    inf below onset; elsewhere one np.interp into ln R, which evaluates each
+    point as the scalar call does, then math.exp per element (np.exp may
+    differ from it in the last ulp): every element equals _static_ohms bit for
+    bit.
+    """
+    pascals = np.asarray(pascals, dtype=float)
+    ohms = np.full(pascals.shape, math.inf)
+    closed = ~(pascals < profile.onset_pressure.pascals)
+    log_ohms = np.interp(pascals[closed], profile._pressures, profile._log_resistances).tolist()
+    ohms[closed] = np.fromiter(map(math.exp, log_ohms), float, len(log_ohms))
+    return ohms
+
+
 def invert_static(profile: CalibrationProfile, resistance: Resistance) -> Pressure:
     """Pressure producing a given steady-state resistance; see invert_static_ohms."""
     return Pressure(float(invert_static_ohms(profile, resistance.ohms)))
@@ -271,8 +287,7 @@ def run_channel(
     Returns the effective pascals and the lagged ohms after each sample, equal
     bit for bit to what step() gives sample by sample: the play and lag
     recurrences run on plain floats through step()'s own helpers, and the
-    static curve is one np.interp over the column, which evaluates each point
-    as the scalar call does.
+    static curve is static_ohms over the column.
     """
     applied = np.asarray(applied_pa, dtype=float)
     times = np.asarray(timestamps, dtype=float)
@@ -291,12 +306,9 @@ def run_channel(
         effective.append(pascals)
     effective = np.array(effective)
 
-    log_targets = np.interp(effective, profile._pressures, profile._log_resistances)
-    opens = effective < profile.onset_pressure.pascals
     lagged = []
     ohms, last = state.lagged_resistance.ohms, state.last_timestamp
-    for t, log_target, is_open in zip(times.tolist(), log_targets.tolist(), opens.tolist()):
-        target = math.inf if is_open else math.exp(log_target)
+    for t, target in zip(times.tolist(), static_ohms(profile, effective).tolist()):
         ohms = _lagged_ohms(ohms, target, t - last, dynamics)
         last = t
         lagged.append(ohms)

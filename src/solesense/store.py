@@ -9,6 +9,9 @@ Two formats carry the same sample sequence:
 * JSON Lines for the full typed log -- first line a header object, then one
   object per sample, event, and (optionally) the final report.
 
+Writers pick the format by extension (``.jsonl``, else CSV); readers by
+content, so a file keeps reading whatever it is named.
+
 The report object's field names are fixed: ``cycles``, ``cadence_spm``,
 ``stance_fraction_mean``, ``stance_fraction_std``, ``peak_pressure_pa``
 (keyed ``forefoot``/``midfoot``/``heel``), ``phase_mean_durations_s`` (keyed
@@ -319,9 +322,17 @@ def read_jsonl(path) -> SessionLog:
     return SessionLog(header=header, samples=samples, events=events, report=report)
 
 
+def _is_jsonl(path) -> bool:
+    """Whether a session file is JSON Lines: its first non-blank line starts
+    with ``{``. Anything else, an empty file included, reads as CSV."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = next((line for line in fh if line.strip()), "")
+    return first.lstrip().startswith("{")
+
+
 def read_session(path) -> SessionLog:
-    """Read a session in either format, chosen by file extension."""
-    if str(path).endswith(".jsonl"):
+    """Read a session in either format, told apart by the file's content."""
+    if _is_jsonl(path):
         return read_jsonl(path)
     return read_csv(path)
 
@@ -330,11 +341,12 @@ def read_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
     """Read a session as (header, timestamps, (n, 5) pascals in canonical
     channel order), without building a PressureSample per row.
 
-    CSV parses in one array pass. A file that pass cannot take whole is read
-    again by read_csv, which either returns the same rows or raises the
+    The format is told apart by content, as in read_session. CSV parses in
+    one array pass. A file that pass cannot take whole is read again by
+    read_csv, which either returns the same rows or raises the
     SessionFormatError naming the offending line. JSONL keeps its line parser.
     """
-    if str(path).endswith(".jsonl"):
+    if _is_jsonl(path):
         log = read_jsonl(path)
     else:
         try:

@@ -43,9 +43,9 @@ from datetime import datetime
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .acquisition import DividerConfig, counts_from_pascals, decode_table
+from .acquisition import DividerConfig, _decoded_sample, counts_from_pascals, decode_table
 from .sensor import CalibrationProfile
-from .units import CHANNEL_ORDER, PressureSample, samples_to_columns
+from .units import PressureSample, samples_to_columns
 
 MAGIC = b"SL"
 PROTOCOL_VERSION = 1
@@ -57,6 +57,9 @@ ADDR_ENV_VAR = "SOLESENSE_ADDR"
 # samples an unpaced emitter converts at a time: bounds its read-ahead and the
 # Python copies of one block
 _BLOCK_ROWS = 256
+# an emitter's reconnect backoff: doubles from the base up to the cap
+_BACKOFF_BASE_S = 0.1
+_BACKOFF_CAP_S = 5.0
 
 def crc16_ccitt_false(data: bytes) -> int:
     """CRC-16/CCITT-FALSE, which is binascii's CRC-CCITT started at 0xFFFF."""
@@ -274,7 +277,8 @@ class Emitter:
     """Device-side sender: one frame per sample over a (re)connecting transport.
 
     ``connect`` returns anything with sendall()/close(). On transport failure
-    the emitter reconnects with exponential backoff (base 100 ms, cap 5 s) and
+    the emitter reconnects with a fixed exponential backoff, from 100 ms
+    doubling up to 5 s between attempts, each wait passed to ``sleep``, and
     retries the failed frame, so sequence numbering continues across
     reconnects. Delivery is at-least-once: a send that died mid-flight is
     retried, and any frames the transport had buffered but never delivered
@@ -293,8 +297,6 @@ class Emitter:
         divider: DividerConfig = DividerConfig(),
         device_id: int = 1,
         pace: bool = False,
-        backoff_base_s: float = 0.1,
-        backoff_cap_s: float = 5.0,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._connect = connect
@@ -302,21 +304,19 @@ class Emitter:
         self._divider = divider
         self._device_id = device_id
         self._pace = pace
-        self._backoff_base = backoff_base_s
-        self._backoff_cap = backoff_cap_s
         self._sleep = sleep
         self._conn = None
         self.sent = 0
         self.retries = 0
 
     def _ensure_connected(self) -> None:
-        backoff = self._backoff_base
+        backoff = _BACKOFF_BASE_S
         while self._conn is None:
             try:
                 self._conn = self._connect()
             except OSError:
                 self._sleep(backoff)
-                backoff = min(backoff * 2.0, self._backoff_cap)
+                backoff = min(backoff * 2.0, _BACKOFF_CAP_S)
 
     def _paced(self, samples: Iterable[PressureSample]) -> Iterator[PressureSample]:
         """Yield each sample after sleeping the timestamp delta since the last."""
@@ -468,10 +468,8 @@ class Collector:
                 if max(counts) >= len(table):  # CRC-valid but out of the table: never fatal
                     stats.decode_errors += 1
                     continue
-                pressures = dict(zip(CHANNEL_ORDER, map(table.__getitem__, counts)))
-                sample = PressureSample._of(timestamp_ms / 1000.0, pressures)
                 stats.frames += 1
-                self._sink(device_id, sample)
+                self._sink(device_id, _decoded_sample(table, timestamp_ms / 1000.0, counts))
         except Exception:
             traceback.print_exc()  # a failing sink ends its own connection, not the loop
             self._close(selector, key)

@@ -379,6 +379,26 @@ class TestUpdateAtRest:
         assert len(samples) == 6_000 and analyzer.report().cycles == 59
         assert len(stepped) < 1_000
 
+    def test_blocks_step_the_rows_update_steps(self, monkeypatch):
+        # the benchmark-like session again: update_block shares update()'s
+        # rest set, so both run the phase machine on the same 438 rows
+        params = GaitParams(
+            body_mass_kg=70, cadence_spm=120, stance_fraction=0.6, sample_rate_hz=100,
+            cycles=60, noise_sigma_pa=2_000.0, seed=1,
+        )
+        samples = simulate_session(params, measured_profile()).samples
+        stepped = []
+        step = Analyzer._step
+        monkeypatch.setattr(Analyzer, "_step", lambda self, t, contact: stepped.append(t) or step(self, t, contact))
+        by_row = Analyzer()
+        for sample in samples:
+            by_row.update(sample)
+        row_steps, stepped[:] = stepped[:], []
+        by_block = Analyzer()
+        by_block.update_block(*samples_to_columns(samples))
+        assert stepped == row_steps and len(row_steps) == 438
+        assert by_block == by_row
+
 
 def _reference_figures(events):
     """Cycles, cadence and stance mean/std, paired over the whole event list.

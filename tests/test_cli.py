@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from solesense import store
+from solesense import sensor, store
 from solesense.analysis import Analyzer, analyze
 from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text
 from solesense.datasets import BENCH_TIME_LOG, MEASURED_CALIBRATION
@@ -133,6 +133,45 @@ class TestAnalyze:
             ET.fromstring(svg)  # well-formed XML
             assert (plots_dir / f"{name}.csv").exists()
         assert count_series((plots_dir / "time_vs_pressure.svg").read_text()) == 5
+
+    def test_session_resistance_plot_is_the_static_curve(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        main(["simulate", "--cycles", "4", "--seed", "2", "--noise", "2000", "-o", str(src)])
+        plots_dir = tmp_path / "plots"
+        assert main(["analyze", str(src), "--plots", str(plots_dir), "--json", str(tmp_path / "r.json")]) == 0
+        profile = measured_profile()
+        want = ["t_s,forefoot,midfoot_medial,midfoot_central,midfoot_lateral,heel"]
+        for sample in store.read_csv(src).samples:
+            cells = [repr(sample.timestamp)]
+            for pascals in sample.as_row():
+                r = static_resistance(profile, Pressure(pascals))
+                cells.append("" if r.is_open else repr(r.ohms))  # an open sensor is a gap
+            want.append(",".join(cells))
+        assert (plots_dir / "time_vs_resistance.csv").read_text().splitlines() == want
+        cells = [cell for row in want[1:] for cell in row.split(",")[1:]]
+        assert "" in cells and any(cells)  # both open and pressed sensors are checked
+
+    def test_session_plots_evaluate_no_scalar_static_curve(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "s.csv"
+        main(["simulate", "--cycles", "60", "--seed", "1", "--noise", "2000", "-o", str(src)])
+        calls = []
+        scalar = sensor._static_ohms  # what static_resistance evaluates
+        monkeypatch.setattr(sensor, "_static_ohms", lambda profile, pascals: calls.append(1) or scalar(profile, pascals))
+        plots_dir = tmp_path / "plots"
+        assert main(["analyze", str(src), "--plots", str(plots_dir), "--json", str(tmp_path / "r.json")]) == 0
+        assert len((plots_dir / "time_vs_resistance.csv").read_text().splitlines()) == 6_001
+        assert len(calls) == 0
+
+    def test_session_format_is_read_from_content_not_name(self, tmp_path, capsys):
+        jsonl = tmp_path / "s.jsonl"
+        main(["simulate", "--cycles", "5", "--seed", "3", "--noise", "2000", "-o", str(jsonl)])
+        misnamed = tmp_path / "s_as.csv"
+        misnamed.write_bytes(jsonl.read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", str(jsonl)]) == 0
+        want = capsys.readouterr().out
+        assert main(["analyze", str(misnamed)]) == 0
+        assert capsys.readouterr().out == want
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3

@@ -46,7 +46,7 @@ class TestSvg:
     def test_csv_twin_carries_exact_data(self, tmp_path):
         svg = tmp_path / "c.svg"
         csv = tmp_path / "c.csv"
-        write_chart(svg, csv, [("y", [0.5, 1.5], [10.0, None])], x_column="t")
+        write_chart(svg, [("y", [0.5, 1.5], [10.0, None])], x_column="t")
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,y"
         assert lines[1] == "0.5,10.0"

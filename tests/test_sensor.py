@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from solesense.datasets import MEASURED_CALIBRATION
@@ -15,6 +16,7 @@ from solesense.sensor import (
     fsr_reference_profile,
     measured_profile,
     read_calibration_csv,
+    static_ohms,
     static_resistance,
     step,
     write_calibration_csv,
@@ -93,6 +95,17 @@ class TestStaticCurve:
             r_lo = static_resistance(profile, Pressure(lo))
             r_hi = static_resistance(profile, Pressure(hi))
             assert r_lo.ohms >= r_hi.ohms or r_lo.is_open
+
+    @pytest.mark.parametrize("profile", [measured_profile(), datasheet_profile(), fsr_reference_profile()], ids=lambda p: p.name)
+    def test_array_curve_equals_the_scalar_one(self, profile):
+        onset = profile.onset_pressure.pascals
+        edges = [0.0, onset, math.nextafter(onset, 0.0), profile.min_pressure_pa, profile.max_pressure_pa, 2e6]
+        rng = random.Random(7)
+        pascals = np.array(edges * 5 + [rng.uniform(0.0, 1e6) for _ in range(70)]).reshape(20, 5)
+        got = static_ohms(profile, pascals)
+        assert got.shape == (20, 5)
+        assert got.tolist() == [[static_resistance(profile, Pressure(p)).ohms for p in row] for row in pascals.tolist()]
+        assert static_ohms(profile, np.empty((0, 5))).shape == (0, 5)
 
 
 class TestDynamics:

@@ -15,6 +15,7 @@ from solesense.store import (
     sample_csv_line,
     read_jsonl,
     read_legacy_csv,
+    read_session,
     sniff_kind,
     write_csv,
     write_jsonl,
@@ -179,6 +180,36 @@ class TestJsonl:
         assert [(s.timestamp, s.as_row()) for s in a] == [(s.timestamp, s.as_row()) for s in b]
         _assert_columns_equal_rows(tmp_path / "s.csv", read_csv)
         _assert_columns_equal_rows(tmp_path / "s.jsonl", read_jsonl)
+
+
+class TestFormatByContent:
+    """Readers tell CSV from JSONL by content; only writers go by extension."""
+
+    def test_misnamed_files_read_as_what_they_hold(self, tmp_path):
+        log = _session(cycles=2, noise=1_000.0)
+        write_csv(log, tmp_path / "csv_as.jsonl")
+        write_jsonl(log, tmp_path / "jsonl_as.csv")
+        for path, reader in ((tmp_path / "csv_as.jsonl", read_csv), (tmp_path / "jsonl_as.csv", read_jsonl)):
+            back = read_session(path)
+            assert back.header == log.header
+            assert [(s.timestamp, s.as_row()) for s in back.samples] == [(s.timestamp, s.as_row()) for s in log.samples]
+            _assert_columns_equal_rows(path, reader)
+
+    def test_blank_lines_before_the_first_record(self, tmp_path):
+        log = _session(cycles=1)
+        write_jsonl(log, tmp_path / "s.jsonl")
+        path = tmp_path / "s.csv"
+        path.write_text("\n  \n" + (tmp_path / "s.jsonl").read_text())
+        assert read_session(path).header == log.header
+        _assert_columns_equal_rows(path, read_jsonl)
+
+    @pytest.mark.parametrize("name", ["empty.jsonl", "empty.csv"])
+    def test_empty_file_keeps_the_csv_error(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("")
+        for reader in (read_session, read_columns):
+            with pytest.raises(SessionFormatError, match="missing column header line"):
+                reader(path)
 
 
 class TestLegacy:
