@@ -26,7 +26,6 @@ as one block.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,12 +61,12 @@ class AnalyzerConfig:
 
     The Schmitt band is +/- ``threshold_band`` around ``contact_pressure_pa``
     (on at 110% of base, off at 90% with the defaults). The base contact
-    pressure is a rig choice, not a device figure.
+    pressure is a rig choice, not a device figure: a patient bearing partial
+    weight needs a lower one. A region's pressure is the max of its channels.
     """
 
     contact_pressure_pa: float = 20_000.0
     threshold_band: float = 0.10
-    reduction: str = "max"  # or "mean" over a region's channels
     loading_dwell_s: float = 0.030
 
     def __post_init__(self) -> None:
@@ -75,8 +74,6 @@ class AnalyzerConfig:
             raise ValueError("contact pressure must be > 0")
         if not 0.0 < self.threshold_band < 1.0:
             raise ValueError("threshold band must be in (0, 1)")
-        if self.reduction not in ("max", "mean"):
-            raise ValueError(f"reduction must be 'max' or 'mean', got {self.reduction!r}")
 
     @cached_property
     def on_threshold_pa(self) -> float:
@@ -106,18 +103,10 @@ _REGION_SLICES = tuple(
 )
 
 
-def _reduce_region(values: Sequence, reduction: str, maximum=max):
-    """A region's pressure from its channels' values, floats or equal-length
-    columns alike: their max, or their mean summed left to right (so a column
-    and its rows add in the same order on every Python)."""
-    if reduction == "max":
-        return reduce(maximum, values)
-    return reduce(operator.add, values) / len(values)
-
-
-def _region_pressures(row: Sequence[float], config: AnalyzerConfig) -> list[float]:
-    """Forefoot, midfoot and heel pressure of one canonical-order row."""
-    return [_reduce_region(row[s], config.reduction) for s in _REGION_SLICES]
+def _region_pressures(row: Sequence[float]) -> list[float]:
+    """Forefoot, midfoot and heel pressure of one canonical-order row: the max
+    of each region's channels."""
+    return [max(row[s]) for s in _REGION_SLICES]
 
 
 # contact states by code 4 * heel + 2 * midfoot + forefoot; bit weights follow FootRegion
@@ -147,7 +136,7 @@ def contact_state(
 ) -> ContactState:
     """Schmitt-triggered regional contact; between thresholds the previous
     state holds."""
-    return _CONTACTS[_schmitt(_region_pressures(sample.as_row(), config), config, _contact_code(previous))]
+    return _CONTACTS[_schmitt(_region_pressures(sample.as_row()), config, _contact_code(previous))]
 
 
 def _schmitt_column(pressure: np.ndarray, config: AnalyzerConfig, was_on: bool) -> np.ndarray:
@@ -287,7 +276,7 @@ class Analyzer:
         """Fold in one sample; returns any events it produced."""
         t = sample.timestamp
         self._accept(t)
-        pressures = _region_pressures(sample.as_row(), self.config)
+        pressures = _region_pressures(sample.as_row())
         peaks = self._peaks
         for region, pressure in zip(_REGIONS, pressures):
             if pressure > peaks[region]:
@@ -330,7 +319,8 @@ class Analyzer:
         previous = _contact_code(self._contact)
         codes = np.zeros(n, dtype=int)  # 4 * heel + 2 * midfoot + forefoot, as _CONTACTS
         for weight, region, columns in zip(_WEIGHTS, _REGIONS, _REGION_SLICES):
-            pressure = _reduce_region(pascals[:, columns].T, self.config.reduction, np.maximum)
+            # a one-channel region takes its column as it is, with no numpy call
+            pressure = reduce(np.maximum, pascals[:, columns].T)
             self._peaks[region] = max(self._peaks[region], float(pressure.max()))
             codes += weight * _schmitt_column(pressure, self.config, bool(previous & weight))
 
@@ -458,21 +448,22 @@ class ComparisonTable:
         return [row[idx] for row in self.resistances_ohm]
 
 
+# a comparison bench's dynamics: the defaults without play
+_BENCH_DYNAMICS = DynamicsConfig(hysteresis_halfwidth=1e-9)
+
+
 def compare_sensors(
     times_s: Sequence[float],
     stimuli_pa: Sequence[Sequence[float]] | Sequence[float],
     profiles: Sequence[CalibrationProfile],
-    dynamics: DynamicsConfig | None = None,
 ) -> ComparisonTable:
     """Run pressure stimuli through the dynamic sensor model per profile.
 
     ``stimuli_pa`` is either one series (driven into every profile) or one
-    series per profile (each device pressed on its own schedule). The default
-    dynamics disable the play operator: a comparison bench presses the bare
-    device, and the logged levels are settled values.
+    series per profile (each device pressed on its own schedule). The
+    dynamics are the defaults with the play operator disabled: a comparison
+    bench presses the bare device, and the logged levels are settled values.
     """
-    if dynamics is None:
-        dynamics = DynamicsConfig(hysteresis_halfwidth=1e-9)
     if stimuli_pa and isinstance(stimuli_pa[0], (list, tuple)):
         stimuli = [list(s) for s in stimuli_pa]
     else:
@@ -486,7 +477,7 @@ def compare_sensors(
     columns: list[list[float]] = []
     for profile, series in zip(profiles, stimuli):
         state = SensorState.settled(Pressure(series[0]), profile, timestamp=times_s[0])
-        _, ohms = run_channel(state, series[1:], times_s[1:], profile, dynamics)
+        _, ohms = run_channel(state, series[1:], times_s[1:], profile, _BENCH_DYNAMICS)
         columns.append([state.lagged_resistance.ohms] + ohms.tolist())
 
     rows = tuple(tuple(col[i] for col in columns) for i in range(len(times_s)))

@@ -14,13 +14,14 @@ import os
 import socket
 import sys
 import time
+from collections import defaultdict
 from datetime import datetime
 
 import numpy as np
 
 from . import plots, store
 from .acquisition import DividerConfig, counts_to_samples, divider_out_ohms, quantize_volts
-from .analysis import Analyzer, GaitReport, compare_sensors
+from .analysis import Analyzer, GaitEvent, GaitReport, compare_sensors
 from .datasets import comparison_stimulus
 from .sensor import (
     CalibrationError,
@@ -214,27 +215,16 @@ def cmd_collect(args) -> int:
     profile = _load_profile(args.profile)
     divider = DividerConfig()
 
-    logs: dict[int, SessionLog] = {}
-    analyzers: dict[int, Analyzer] = {}
+    # per device; the collector calls the sink from one thread only
+    samples: dict[int, list[PressureSample]] = defaultdict(list)
+    analyzers: dict[int, Analyzer] = defaultdict(Analyzer)
+    events: dict[int, list[GaitEvent]] = defaultdict(list)
     last_render = [0.0]
 
     def sink(device_id: int, sample: PressureSample) -> None:
-        log = logs.get(device_id)
-        if log is None:  # the collector calls the sink from one thread only
-            log = logs[device_id] = SessionLog(
-                header=SessionHeader(
-                    device_id=device_id,
-                    epoch=args.epoch,
-                    profile_name=profile.name,
-                    sample_rate_hz=0.0,
-                    divider=divider,
-                )
-            )
-            if args.analyze:
-                analyzers[device_id] = Analyzer()
-        log.samples.append(sample)
+        samples[device_id].append(sample)
         if args.analyze:
-            log.events.extend(analyzers[device_id].update(sample))
+            events[device_id].extend(analyzers[device_id].update(sample))
         if args.live:
             now = time.monotonic()
             if now - last_render[0] >= 0.1:
@@ -258,7 +248,7 @@ def cmd_collect(args) -> int:
         pass
     finally:
         collector.stop()
-        _flush_collected(args, logs, analyzers)
+        _flush_collected(args, profile.name, divider, samples, analyzers, events)
     return EXIT_OK
 
 
@@ -270,32 +260,40 @@ def _infer_rate(samples: list[PressureSample]) -> float:
     return round(1.0 / median, 6) if median > 0 else 0.0
 
 
-def _flush_collected(args, logs: dict[int, SessionLog], analyzers: dict[int, Analyzer]) -> None:
-    if not logs:  # still produce a valid, header-only session file
+def _device_path(path: str, device_id: int) -> str:
+    """``path`` with ``-dev<id>`` before its file name's extension:
+    ``run.d/s.csv`` -> ``run.d/s-dev2.csv``, ``s`` -> ``s-dev2``."""
+    root, ext = os.path.splitext(path)
+    return f"{root}-dev{device_id}{ext}"
+
+
+def _flush_collected(
+    args,
+    profile_name: str,
+    divider: DividerConfig,
+    samples: dict[int, list[PressureSample]],
+    analyzers: dict[int, Analyzer],
+    events: dict[int, list[GaitEvent]],
+) -> None:
+    """Write each device's session, and its report with --analyze --report;
+    with more than one device, each file takes its device's _device_path."""
+    if not samples:  # still produce a valid, header-only session file
         empty = SessionLog(header=default_header(epoch=args.epoch, profile_name=args.profile))
         store.write_session(empty, args.output)
         print(f"wrote 0 samples to {args.output}")
         return
-    multi = len(logs) > 1
-    for device_id, log in sorted(logs.items()):
-        log.header = SessionHeader(
-            device_id=device_id,
-            epoch=args.epoch,
-            profile_name=log.header.profile_name,
-            sample_rate_hz=_infer_rate(log.samples),
-            divider=log.header.divider,
-        )
-        path = args.output
-        if multi:
-            base, dot, ext = args.output.rpartition(".")
-            path = f"{base}-dev{device_id}{dot}{ext}" if dot else f"{args.output}-dev{device_id}"
+    multi = len(samples) > 1
+    for device_id, kept in sorted(samples.items()):
+        header = SessionHeader(device_id, args.epoch, profile_name, _infer_rate(kept), divider)
+        log = SessionLog(header, kept, events.get(device_id, []))
+        path = _device_path(args.output, device_id) if multi else args.output
         analyzer = analyzers.get(device_id)
         if analyzer is not None:
             log.report = analyzer.report()
         store.write_session(log, path)
         print(f"wrote {len(log.samples)} samples to {path}")
         if analyzer is not None and args.report:
-            report_path = args.report if not multi else f"{args.report}.dev{device_id}"
+            report_path = _device_path(args.report, device_id) if multi else args.report
             with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(report_json_text(log.report))
             print(f"wrote report to {report_path}")
@@ -304,23 +302,23 @@ def _flush_collected(args, logs: dict[int, SessionLog], analyzers: dict[int, Ana
 # --- analyze ------------------------------------------------------------------
 
 
-def _session_plots(args, times, pascals, profile: CalibrationProfile) -> None:
+def _recording_plots(args, times: list[float], pressures, resistances) -> None:
+    """The time-vs-pressure and time-vs-resistance charts of a recording;
+    ``pressures`` and ``resistances`` are (name, values) series over ``times``.
+    An inf or None resistance (an open sensor) plots as a gap."""
     os.makedirs(args.plots, exist_ok=True)
-    times = times.tolist()
-    # an open sensor's inf ohms plots as a gap
-    for name, title, y_label, values in (
-        ("time_vs_pressure", "Pressure over time", "pressure [Pa]", pascals),
-        ("time_vs_resistance", "Resistance over time", "resistance [ohm]", static_ohms(profile, pascals)),
+    for name, title, y_label, series in (
+        ("time_vs_pressure", "Pressure over time", "pressure [Pa]", pressures),
+        ("time_vs_resistance", "Resistance over time", "resistance [ohm]", resistances),
     ):
         plots.write_chart(
             os.path.join(args.plots, f"{name}.svg"),
-            [(channel.value, times, column) for channel, column in zip(CHANNEL_ORDER, values.T.tolist())],
+            [(label, times, values) for label, values in series],
             title=title,
             x_label="time [s]",
             y_label=y_label,
             x_column="t_s",
         )
-    _response_curve_plot(args, [(p.pressure_pa, p.resistance_ohm) for p in profile.points])
 
 
 def _response_curve_plot(args, pairs: list[tuple[float, float]]) -> None:
@@ -332,28 +330,6 @@ def _response_curve_plot(args, pairs: list[tuple[float, float]]) -> None:
         y_label="resistance [ohm]",
         x_column="pressure_pa",
     )
-
-
-def _legacy_plots(args, records) -> None:
-    os.makedirs(args.plots, exist_ok=True)
-    times = [r.time_s for r in records]
-    plots.write_chart(
-        os.path.join(args.plots, "time_vs_pressure.svg"),
-        [("pressure_pa", times, [r.pressure_pa for r in records])],
-        title="Pressure over time",
-        x_label="time [s]",
-        y_label="pressure [Pa]",
-        x_column="t_s",
-    )
-    plots.write_chart(
-        os.path.join(args.plots, "time_vs_resistance.svg"),
-        [("resistance_ohm", times, [r.resistance_ohm for r in records])],
-        title="Resistance over time",
-        x_label="time [s]",
-        y_label="resistance [ohm]",
-        x_column="t_s",
-    )
-    _response_curve_plot(args, [(r.pressure_pa, r.resistance_ohm) for r in records])
 
 
 def cmd_analyze(args) -> int:
@@ -370,13 +346,26 @@ def cmd_analyze(args) -> int:
         else:
             sys.stdout.write(text)
         if args.plots:
-            _session_plots(args, times, pascals, profile)
+            names = [channel.value for channel in CHANNEL_ORDER]
+            _recording_plots(
+                args,
+                times.tolist(),
+                zip(names, pascals.T.tolist()),
+                zip(names, static_ohms(profile, pascals).T.tolist()),
+            )
+            _response_curve_plot(args, [(p.pressure_pa, p.resistance_ohm) for p in profile.points])
     elif kind == "legacy":
         records = store.read_legacy_csv(args.input)
         summary = {"kind": "legacy", "records": len(records)}
         sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         if args.plots:
-            _legacy_plots(args, records)
+            _recording_plots(
+                args,
+                [r.time_s for r in records],
+                [("pressure_pa", [r.pressure_pa for r in records])],
+                [("resistance_ohm", [r.resistance_ohm for r in records])],
+            )
+            _response_curve_plot(args, [(r.pressure_pa, r.resistance_ohm) for r in records])
     else:  # calibration pairs
         points = read_calibration_csv(args.input)
         summary = {"kind": "calibration", "points": len(points)}

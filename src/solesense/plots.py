@@ -13,6 +13,8 @@ from typing import Sequence
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 800
+_HEIGHT = 480
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 28.0
@@ -52,10 +54,8 @@ def line_chart_svg(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 800,
-    height: int = 480,
 ) -> str:
-    """Render named (xs, ys) series as an SVG document string.
+    """Render named (xs, ys) series as an 800 x 480 SVG document string.
 
     A ``None`` y value breaks the polyline (used for open-circuit gaps).
     """
@@ -71,8 +71,8 @@ def line_chart_svg(
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -81,10 +81,10 @@ def line_chart_svg(
         return _MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" font-size="14" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" font-size="14" '
         f'font-family="sans-serif">{title}</text>',
     ]
     # axes
@@ -107,7 +107,7 @@ def line_chart_svg(
             f'font-size="10" font-family="sans-serif">{_fmt(tick)}</text>'
         )
     parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
         f'font-size="12" font-family="sans-serif">{x_label}</text>'
     )
     parts.append(

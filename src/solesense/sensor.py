@@ -413,17 +413,15 @@ def _sweep_hysteresis_fraction(profile: CalibrationProfile, dynamics: DynamicsCo
     return width / (p_hi - p_lo)
 
 
-def characterize(
-    profile: CalibrationProfile, dynamics: DynamicsConfig | None = None
-) -> SensorCharacterization:
-    """Measure datasheet figures from the model itself.
+def characterize(profile: CalibrationProfile) -> SensorCharacterization:
+    """Measure datasheet figures from the model itself, under the profile's
+    dynamics (DynamicsConfig.for_profile).
 
     Sensitivity is reported in both conventions (ohm/Pa and Pa/ohm) over
     [onset, max]; response/recovery are 10-90% times of simulated steps;
     hysteresis is the loop width of a simulated triangular sweep.
     """
-    if dynamics is None:
-        dynamics = DynamicsConfig.for_profile(profile)
+    dynamics = DynamicsConfig.for_profile(profile)
     p_min = profile.onset_pressure.pascals
     p_max = profile.max_pressure_pa
     r_min = static_resistance(profile, Pressure(p_min))

@@ -46,16 +46,9 @@ import numpy as np
 from .acquisition import DividerConfig
 from .analysis import GaitEvent, GaitEventKind, GaitReport
 from .telemetry import SessionHeader
-from .units import GaitPhase, PressureSample, Resistance, Voltage, samples_to_columns
+from .units import CHANNEL_ORDER, GaitPhase, PressureSample, Resistance, Voltage, samples_to_columns
 
-SAMPLE_COLUMNS = (
-    "t_s",
-    "forefoot_pa",
-    "midfoot_medial_pa",
-    "midfoot_central_pa",
-    "midfoot_lateral_pa",
-    "heel_pa",
-)
+SAMPLE_COLUMNS = ("t_s",) + tuple(f"{c.value}_pa" for c in CHANNEL_ORDER)
 LEGACY_COLUMNS = ("time_s", "pressure_pa", "resistance_ohm")
 
 DEFAULT_EPOCH = "1970-01-01T00:00:00Z"
@@ -73,14 +66,9 @@ class SessionLog:
     report: GaitReport | None = None
 
 
-def default_header(
-    device_id: int = 1,
-    epoch: str = DEFAULT_EPOCH,
-    profile_name: str = "measured",
-    sample_rate_hz: float = 100.0,
-    divider: DividerConfig = DividerConfig(),
-) -> SessionHeader:
-    return SessionHeader(device_id, epoch, profile_name, sample_rate_hz, divider)
+def default_header(epoch: str = DEFAULT_EPOCH, profile_name: str = "measured") -> SessionHeader:
+    """Device 1 at 100 Hz behind the default divider."""
+    return SessionHeader(1, epoch, profile_name, 100.0)
 
 
 # --- CSV ---------------------------------------------------------------------

@@ -96,7 +96,6 @@ class TelemetryFrame:
     sequence: int
     timestamp_ms: int
     counts: tuple[int, int, int, int, int]
-    version: int = PROTOCOL_VERSION
 
     def __post_init__(self) -> None:
         if not 0 <= self.device_id <= 0xFF:
@@ -114,16 +113,17 @@ _BODY = struct.Struct("<2sBBIIH5H")
 _CRC = struct.Struct("<H")
 
 
-def _pack(version: int, device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
-    """The 26 wire bytes of one frame whose fields are already in range."""
+def _pack(device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
+    """The 26 wire bytes of one frame. A field out of its range raises
+    struct.error (the timestamp's high 16 bits catch one below 0 or past u48)."""
     body = _BODY.pack(
-        MAGIC, version, device_id, sequence, timestamp_ms & 0xFFFFFFFF, timestamp_ms >> 32, *counts
+        MAGIC, PROTOCOL_VERSION, device_id, sequence, timestamp_ms & 0xFFFFFFFF, timestamp_ms >> 32, *counts
     )
     return body + _CRC.pack(crc16_ccitt_false(body))
 
 
 def encode(frame: TelemetryFrame) -> bytes:
-    return _pack(frame.version, frame.device_id, frame.sequence, frame.timestamp_ms, frame.counts)
+    return _pack(frame.device_id, frame.sequence, frame.timestamp_ms, frame.counts)
 
 
 def decode(data: bytes, offset: int = 0) -> TelemetryFrame:
@@ -230,9 +230,7 @@ def frames_from_samples(
 
     Reads ahead up to 256 samples, which it converts as one block.
     """
-    for sequence, timestamp_ms, counts in _framed(
-        samples, profile, divider, device_id, start_sequence, _BLOCK_ROWS
-    ):
+    for sequence, timestamp_ms, counts in _framed(samples, profile, divider, start_sequence, _BLOCK_ROWS):
         yield TelemetryFrame(device_id, sequence, timestamp_ms, tuple(counts))
 
 
@@ -240,37 +238,25 @@ def _framed(
     samples: Iterable[PressureSample],
     profile: CalibrationProfile,
     divider: DividerConfig,
-    device_id: int,
-    start_sequence: int,
+    sequence: int,
     rows: int,
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """(sequence, timestamp ms, counts) of each sample, pulling ``rows``
-    samples at a time and converting them with one counts_from_pascals call.
+    """(sequence, timestamp ms, counts) of each sample, numbered from
+    ``sequence``, pulling ``rows`` samples at a time and converting them with
+    one counts_from_pascals call.
 
-    Each block is checked once against TelemetryFrame's ranges. In a block
-    that fails, every row goes through TelemetryFrame, so the rows before the
-    first bad one are still yielded and that one raises its ValueError.
+    Nothing here checks field ranges: each caller already does, once per
+    frame. frames_from_samples builds a TelemetryFrame of every row, and
+    Emitter.run packs every row with ``_BODY``, whose fields reject the same
+    values.
     """
     samples = iter(samples)
-    sequence = start_sequence
     while block := list(islice(samples, rows)):
         times, pascals = samples_to_columns(block)
         stamps = [round(t * 1000.0) for t in times.tolist()]
         codes = counts_from_pascals(pascals, profile, divider)
-        end = sequence + len(block)
-        in_range = (
-            0 <= device_id <= 0xFF
-            and 0 <= sequence
-            and end - 1 <= 0xFFFFFFFF
-            and 0 <= min(stamps)
-            and max(stamps) <= TIMESTAMP_MAX_MS
-            and codes.max() <= 0xFFFF
-        )
-        for row in zip(range(sequence, end), stamps, codes.tolist()):
-            if not in_range:
-                TelemetryFrame(device_id, *row)
-            yield row
-        sequence = end
+        yield from zip(range(sequence, sequence + len(block)), stamps, codes.tolist())
+        sequence += len(block)
 
 
 class Emitter:
@@ -287,7 +273,9 @@ class Emitter:
     Unpaced, it reads ahead up to 256 samples and converts them as one block;
     paced, it pulls one sample at a time, so a frame never waits for a later
     sample. Either way each frame is packed straight to bytes and sent with
-    its own sendall().
+    its own sendall(). A sample no frame can carry (a device id, sequence,
+    timestamp or count out of its field's range) raises TelemetryFrame's
+    ValueError after the frames before it have gone out.
     """
 
     def __init__(
@@ -332,10 +320,12 @@ class Emitter:
         rows = _BLOCK_ROWS
         if self._pace:
             samples, rows = self._paced(samples), 1
-        for sequence, timestamp_ms, counts in _framed(
-            samples, self._profile, self._divider, self._device_id, self.sent, rows
-        ):
-            payload = _pack(PROTOCOL_VERSION, self._device_id, sequence, timestamp_ms, counts)
+        for sequence, timestamp_ms, counts in _framed(samples, self._profile, self._divider, self.sent, rows):
+            try:
+                payload = _pack(self._device_id, sequence, timestamp_ms, counts)
+            except struct.error:
+                TelemetryFrame(self._device_id, sequence, timestamp_ms, tuple(counts))  # raises its ValueError
+                raise
             while True:
                 self._ensure_connected()
                 try:

@@ -1,7 +1,5 @@
 import math
-import operator
 import pickle
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -66,11 +64,6 @@ class TestContactState:
     def test_midfoot_uses_max_reduction(self):
         sample = PressureSample.from_row(0.0, [0.0, 0.0, 30_000.0, 0.0, 0.0])
         assert contact_state(sample).midfoot_on
-
-    def test_mean_reduction_option(self):
-        cfg = AnalyzerConfig(reduction="mean")
-        sample = PressureSample.from_row(0.0, [0.0, 0.0, 30_000.0, 0.0, 0.0])
-        assert not contact_state(sample, cfg).midfoot_on  # mean is 10 kPa
 
 
 class TestClassifyPhase:
@@ -260,15 +253,14 @@ class TestUpdateBlock:
             yield list(synthesize(params))
             yield simulate_session(params, measured_profile()).samples  # decoded, heel-only stances
 
-    @pytest.mark.parametrize("reduction", ["max", "mean"])
-    @pytest.mark.parametrize("size", [1, 7, 157, None])
-    def test_blocks_equal_rows(self, reduction, size):
-        config = AnalyzerConfig(reduction=reduction)
+    # each id also names the region reduction, max
+    @pytest.mark.parametrize("size", [1, 7, 157, None], ids=lambda size: f"{size}-max")
+    def test_blocks_equal_rows(self, size):
         for samples in self._sessions():
-            by_row = Analyzer(config=config)
+            by_row = Analyzer()
             row_events = [event for sample in samples for event in by_row.update(sample)]
             times, pascals = samples_to_columns(samples)
-            by_block = Analyzer(config=config)
+            by_block = Analyzer()
             block_events = []
             step = size or len(samples)
             for start in range(0, len(samples), step):
@@ -305,14 +297,13 @@ class TestUpdateBlock:
             Analyzer().update_block(np.zeros(3), np.zeros((3, 4)))
 
 
-def _update_every_row(analyzer, sample):
+def _update_every_row(analyzer, sample, reduce_region=max):
     """update() with no at-rest skip: the phase machine (classify_phase plus
     the loading dwell, Analyzer._step) runs on every row, and the peaks come
     from the sample's channels by name."""
     analyzer._accept(sample.timestamp)
     for region, channels in REGION_CHANNELS.items():
-        values = [sample.value(c) for c in channels]
-        pressure = max(values) if analyzer.config.reduction == "max" else reduce(operator.add, values) / len(values)
+        pressure = reduce_region(sample.value(c) for c in channels)
         analyzer._peaks[region] = max(analyzer._peaks[region], pressure)
     analyzer._contact = contact_state(sample, analyzer.config, analyzer._contact)
     event = analyzer._step(sample.timestamp, analyzer._contact)
@@ -322,13 +313,12 @@ def _update_every_row(analyzer, sample):
 class TestUpdateAtRest:
     """update() skips the phase machine where it cannot move, and nothing else."""
 
-    @pytest.mark.parametrize("reduction", ["max", "mean"])
-    def test_equals_stepping_every_row(self, reduction):
-        config = AnalyzerConfig(reduction=reduction)
+    @pytest.mark.parametrize("reduce_region", [pytest.param(max, id="max")])
+    def test_equals_stepping_every_row(self, reduce_region):
         for samples in TestUpdateBlock._sessions():
-            fast, reference = Analyzer(config=config), Analyzer(config=config)
+            fast, reference = Analyzer(), Analyzer()
             events = [event for sample in samples for event in fast.update(sample)]
-            want = [event for sample in samples for event in _update_every_row(reference, sample)]
+            want = [event for sample in samples for event in _update_every_row(reference, sample, reduce_region)]
             assert events and events == want
             assert fast.report() == reference.report()
             assert fast == reference

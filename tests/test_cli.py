@@ -8,11 +8,13 @@ import pytest
 
 from solesense import sensor, store
 from solesense.analysis import Analyzer, analyze
-from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text
+from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text, simulate_session
 from solesense.datasets import BENCH_TIME_LOG, MEASURED_CALIBRATION
 from solesense.plots import count_series
 from solesense.sensor import measured_profile, static_resistance
 from solesense.store import LegacyRecord, write_legacy_csv
+from solesense.synth import GaitParams
+from solesense.telemetry import encode, frames_from_samples
 from solesense.units import Pressure, PressureSample
 
 EXPECTED_SENSOR_KOHM = [3342.9] * 5 + [29.16212] * 5 + [3342.9] * 4
@@ -290,6 +292,35 @@ class TestStreamCollect:
         assert results["rc"] == 0
         assert len(store.read_csv(out).samples) == 300
         assert len(built) == 1
+
+    def test_two_devices_name_files_past_a_dotted_directory(self, tmp_path, capsys):
+        # each device's file takes -dev<id> before its own extension, never a directory's
+        run = tmp_path / "run.d"
+        run.mkdir()
+        thread, results, addr = _start_collect(
+            ["-o", str(run / "session"), "--analyze", "--report", str(run / "r.json"), "--once"], capsys
+        )
+        profile = measured_profile()
+        sessions = {
+            d: simulate_session(GaitParams(body_mass_kg=mass, cycles=2), profile).samples
+            for d, mass in ((1, 60.0), (2, 80.0))
+        }
+        wire = b"".join(
+            encode(frame)
+            for d, samples in sessions.items()
+            for frame in frames_from_samples(samples, profile, device_id=d)
+        )
+        host, port = addr.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as conn:
+            conn.sendall(wire)
+        thread.join(timeout=30)
+        assert results["rc"] == 0
+        assert sorted(p.name for p in run.iterdir()) == ["r-dev1.json", "r-dev2.json", "session-dev1", "session-dev2"]
+        for d, samples in sessions.items():
+            collected = store.read_session(run / f"session-dev{d}")
+            assert (collected.header.device_id, collected.header.sample_rate_hz) == (d, 100.0)
+            assert [(s.timestamp, s.as_row()) for s in collected.samples] == [(s.timestamp, s.as_row()) for s in samples]
+            assert (run / f"r-dev{d}.json").read_text() == report_json_text(analyze(samples)[1])
 
     def test_stream_live_simulation(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
