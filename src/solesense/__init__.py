@@ -19,7 +19,6 @@ from .acquisition import (
 )
 from .analysis import (
     Analyzer,
-    AnalyzerConfig,
     ContactState,
     GaitEvent,
     GaitEventKind,
@@ -27,7 +26,6 @@ from .analysis import (
     analyze,
     classify_phase,
     compare_sensors,
-    contact_state,
 )
 from .sensor import (
     CalibrationError,
@@ -40,12 +38,11 @@ from .sensor import (
     datasheet_profile,
     fit_profile,
     fsr_reference_profile,
-    invert_static,
     measured_profile,
     static_resistance,
     step,
 )
-from .synth import GaitParams, PhaseTimeline, default_timeline, ground_truth, synthesize
+from .synth import GaitParams, ground_truth, synthesize
 from .telemetry import (
     Collector,
     Deframer,

@@ -54,10 +54,6 @@ class DividerConfig:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def full_scale_count(self) -> int:
-        return (1 << self.adc_bits) - 1
-
 
 @dataclass(frozen=True, order=True)
 class AdcCount:
@@ -182,17 +178,11 @@ def _decoded_sample(table: tuple[Pressure, ...], timestamp: float, codes) -> Pre
     return PressureSample._of(timestamp, dict(zip(CHANNEL_ORDER, map(table.__getitem__, codes))))
 
 
-def sample_to_counts(
-    sample: PressureSample, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
-) -> tuple[int, ...]:
-    """Raw codes for all five channels, in canonical order."""
-    return tuple(counts_from_pascals([sample.as_row()], profile, cfg)[0].tolist())
-
-
 def counts_from_pascals(
     pascals: np.ndarray, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
 ) -> np.ndarray:
-    """sample_to_counts on an (n, 5) block of bare pascals: (n, 5) integer codes.
+    """pressure_to_count on an (n, 5) block of bare pascals, channels in
+    canonical order: (n, 5) integer codes.
 
     static_ohms, divider_out_ohms, then quantize_volts: every code equals
     pressure_to_count's.

@@ -1,9 +1,12 @@
 """Gait-phase detection and gait-quality metrics from 5-channel pressure.
 
-Contact decisions use a Schmitt trigger per foot region (on-threshold above
-off-threshold) so threshold dithering never toggles state. Phases follow from
+Contact decisions use a Schmitt trigger per foot region at fixed thresholds,
+on at 22 kPa and off at 18 kPa (+/-10% around a 20 kPa contact pressure), so
+threshold dithering never toggles state. Phases follow from
 regional contact combinations through a small state machine honoring the
-cyclic phase order; illegal transitions are counted, never raised.
+cyclic phase order; illegal transitions are counted, never raised. A
+heel-only initial contact turns into loading response after a fixed 30 ms
+dwell.
 
 Classification uses contact logic only -- never pressure magnitudes -- so no
 assumed load levels become load-bearing.
@@ -29,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,33 +58,12 @@ _NEXT_PHASE = {
 }
 
 
-@dataclass(frozen=True)
-class AnalyzerConfig:
-    """Contact thresholds and timing knobs.
-
-    The Schmitt band is +/- ``threshold_band`` around ``contact_pressure_pa``
-    (on at 110% of base, off at 90% with the defaults). The base contact
-    pressure is a rig choice, not a device figure: a patient bearing partial
-    weight needs a lower one. A region's pressure is the max of its channels.
-    """
-
-    contact_pressure_pa: float = 20_000.0
-    threshold_band: float = 0.10
-    loading_dwell_s: float = 0.030
-
-    def __post_init__(self) -> None:
-        if self.contact_pressure_pa <= 0:
-            raise ValueError("contact pressure must be > 0")
-        if not 0.0 < self.threshold_band < 1.0:
-            raise ValueError("threshold band must be in (0, 1)")
-
-    @cached_property
-    def on_threshold_pa(self) -> float:
-        return self.contact_pressure_pa * (1.0 + self.threshold_band)
-
-    @cached_property
-    def off_threshold_pa(self) -> float:
-        return self.contact_pressure_pa * (1.0 - self.threshold_band)
+# Schmitt thresholds on a region's pressure, the max of its channels: +/-10%
+# around a 20 kPa contact pressure
+_ON_PA = 22_000.0
+_OFF_PA = 18_000.0
+# how long a heel-only initial contact lasts before it is loading response
+_LOADING_DWELL_S = 0.030
 
 
 @dataclass(frozen=True)
@@ -89,10 +71,6 @@ class ContactState:
     heel_on: bool = False
     midfoot_on: bool = False
     forefoot_on: bool = False
-
-    @property
-    def any_on(self) -> bool:
-        return self.heel_on or self.midfoot_on or self.forefoot_on
 
 
 _REGIONS = tuple(FootRegion)
@@ -114,36 +92,22 @@ _CONTACTS = tuple(ContactState(bool(c & 4), bool(c & 2), bool(c & 1)) for c in r
 _WEIGHTS = (1, 2, 4)
 
 
-def _contact_code(state: ContactState) -> int:
-    return 4 * state.heel_on + 2 * state.midfoot_on + state.forefoot_on
-
-
-def _schmitt(pressures: Sequence[float], config: AnalyzerConfig, was: int) -> int:
+def _schmitt(pressures: Sequence[float], was: int) -> int:
     """Contact code from forefoot, midfoot and heel pressures and the code
     before: on at or above the on-threshold, off at or below the
     off-threshold, else as it was."""
     code = 0
     for weight, pressure in zip(_WEIGHTS, pressures):
-        if pressure >= config.on_threshold_pa or (pressure > config.off_threshold_pa and was & weight):
+        if pressure >= _ON_PA or (pressure > _OFF_PA and was & weight):
             code += weight
     return code
 
 
-def contact_state(
-    sample: PressureSample,
-    config: AnalyzerConfig = AnalyzerConfig(),
-    previous: ContactState = ContactState(),
-) -> ContactState:
-    """Schmitt-triggered regional contact; between thresholds the previous
-    state holds."""
-    return _CONTACTS[_schmitt(_region_pressures(sample.as_row()), config, _contact_code(previous))]
-
-
-def _schmitt_column(pressure: np.ndarray, config: AnalyzerConfig, was_on: bool) -> np.ndarray:
+def _schmitt_column(pressure: np.ndarray, was_on: bool) -> np.ndarray:
     """_schmitt on a column: each row takes the decision of the last row at
     or before it outside the band, or ``was_on`` if there is none."""
-    on = pressure >= config.on_threshold_pa
-    decisive = np.where(on | (pressure <= config.off_threshold_pa), np.arange(1, len(on) + 1), 0)
+    on = pressure >= _ON_PA
+    decisive = np.where(on | (pressure <= _OFF_PA), np.arange(1, len(on) + 1), 0)
     np.maximum.accumulate(decisive, out=decisive)
     return np.concatenate(([was_on], on))[decisive]
 
@@ -248,11 +212,11 @@ class Analyzer:
 
     State and report() are O(1) in session length, and events come only from
     update() and update_block(); feeding a stream in chunks, by row or by
-    block, is equivalent to feeding the concatenation.
+    block, is equivalent to feeding the concatenation. Contact thresholds and
+    the loading dwell are fixed (see the module docstring).
     """
 
-    config: AnalyzerConfig = field(default_factory=AnalyzerConfig)
-    _contact: ContactState = field(default_factory=ContactState)
+    _contact: int = 0  # contact code of the last row, as _schmitt returns it
     _phase: GaitPhase = GaitPhase.SWING
     _phase_since: float | None = None
     _last_timestamp: float | None = None
@@ -281,11 +245,10 @@ class Analyzer:
         for region, pressure in zip(_REGIONS, pressures):
             if pressure > peaks[region]:
                 peaks[region] = pressure
-        code = _schmitt(pressures, self.config, _contact_code(self._contact))
-        self._contact = _CONTACTS[code]
+        code = self._contact = _schmitt(pressures, self._contact)
         if (code, self._phase) in _AT_REST:
             return []
-        event = self._step(t, self._contact)
+        event = self._step(t, _CONTACTS[code])
         return [] if event is None else [event]
 
     def update_block(self, times, pascals) -> list[GaitEvent]:
@@ -316,13 +279,13 @@ class Analyzer:
         self._last_timestamp = stamps[-1]
         self._sample_index += n
 
-        previous = _contact_code(self._contact)
+        previous = self._contact
         codes = np.zeros(n, dtype=int)  # 4 * heel + 2 * midfoot + forefoot, as _CONTACTS
         for weight, region, columns in zip(_WEIGHTS, _REGIONS, _REGION_SLICES):
             # a one-channel region takes its column as it is, with no numpy call
             pressure = reduce(np.maximum, pascals[:, columns].T)
             self._peaks[region] = max(self._peaks[region], float(pressure.max()))
-            codes += weight * _schmitt_column(pressure, self.config, bool(previous & weight))
+            codes += weight * _schmitt_column(pressure, bool(previous & weight))
 
         # step the phase machine as update() does, off _AT_REST; at rest it
         # cannot move before the contact changes
@@ -339,7 +302,7 @@ class Analyzer:
             if event is not None:
                 events.append(event)
             i += 1
-        self._contact = _CONTACTS[codes[-1]]
+        self._contact = codes[-1]
         return events
 
     def _accept(self, t: float) -> None:
@@ -364,7 +327,7 @@ class Analyzer:
             new_phase == GaitPhase.INITIAL_CONTACT
             and self._phase == GaitPhase.INITIAL_CONTACT
             and self._phase_since is not None
-            and t - self._phase_since >= self.config.loading_dwell_s
+            and t - self._phase_since >= _LOADING_DWELL_S
         ):
             new_phase = GaitPhase.LOADING_RESPONSE
 
@@ -422,12 +385,10 @@ class Analyzer:
         )
 
 
-def analyze(
-    samples: Iterable[PressureSample], config: AnalyzerConfig = AnalyzerConfig()
-) -> tuple[list[GaitEvent], GaitReport]:
+def analyze(samples: Iterable[PressureSample]) -> tuple[list[GaitEvent], GaitReport]:
     """Fold a whole stream as one block; identical to feeding an Analyzer
     sample by sample."""
-    analyzer = Analyzer(config=config)
+    analyzer = Analyzer()
     events = analyzer.update_block(*samples_to_columns(samples))
     return events, analyzer.report()
 
@@ -442,10 +403,6 @@ class ComparisonTable:
     times_s: tuple[float, ...]
     names: tuple[str, ...]
     resistances_ohm: tuple[tuple[float, ...], ...]  # one row per time step
-
-    def column(self, name: str) -> list[float]:
-        idx = self.names.index(name)
-        return [row[idx] for row in self.resistances_ohm]
 
 
 # a comparison bench's dynamics: the defaults without play

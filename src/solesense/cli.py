@@ -62,9 +62,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
+    """``host:port`` (from --addr or the environment) as a socket address; a
+    port that is not an integer in 0-65535 is a usage error."""
     host, sep, port = text.rpartition(":")
     if not sep:
         return text or "127.0.0.1", DEFAULT_PORT
+    if not (port.isdecimal() and int(port) <= 65535):
+        raise _UsageError(f"address {text!r}: the port must be an integer in 0-65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -278,7 +282,7 @@ def _flush_collected(
     """Write each device's session, and its report with --analyze --report;
     with more than one device, each file takes its device's _device_path."""
     if not samples:  # still produce a valid, header-only session file
-        empty = SessionLog(header=default_header(epoch=args.epoch, profile_name=args.profile))
+        empty = SessionLog(header=default_header(epoch=args.epoch, profile_name=profile_name))
         store.write_session(empty, args.output)
         print(f"wrote 0 samples to {args.output}")
         return

@@ -1,13 +1,9 @@
 """Built-in measurement data captured from the fabricated sensor's bench runs.
 
-Three datasets ship with the package:
+Two datasets ship with the package:
 
 * ``MEASURED_CALIBRATION`` -- the pressure/resistance sweep recorded while
   loading one fabricated sensor (raw rows, duplicates included as logged).
-* ``BENCH_TIME_LOG`` -- a time-stamped press/release bench recording of one
-  sensor (pressure and resistance vs seconds). The two columns were logged by
-  separate instruments and do not track each other exactly; the log replays
-  as a demo signal and is not calibration data.
 * the side-by-side comparison setup: per-device press schedules plus the
   resistance levels of the fabricated sensor and of a commercial force
   sensing resistor (FSR) ran next to it.
@@ -37,25 +33,6 @@ DATASHEET_RANGE: tuple[tuple[float, float], ...] = (
 # Sensor turn-on pressure: below this the device reads as an open circuit.
 DATASHEET_ONSET_PA = 200_000.0
 DATASHEET_MAX_PA = 750_000.0
-
-# (time_s, pressure_pa, resistance_ohm) bench recording.
-BENCH_TIME_LOG: tuple[tuple[float, float, float], ...] = (
-    (0.0, 428589.8, 3342900.0),
-    (1.0, 428589.8, 3342900.0),
-    (2.0, 428589.8, 3342900.0),
-    (3.0, 428589.8, 3342900.0),
-    (4.0, 428589.8, 3342900.0),
-    (5.0, 434370.1, 29162.12),
-    (6.0, 469052.1, 29162.12),
-    (7.0, 469052.1, 29162.12),
-    (8.0, 469052.1, 29162.12),
-    (9.0, 469052.1, 29162.12),
-    (10.0, 480612.8, 3342900.0),
-    (11.0, 509514.4, 3342900.0),
-    (12.0, 532635.8, 3342900.0),
-    (13.0, 549976.8, 3342900.0),
-    (14.0, 648242.5, 8387.898),
-)
 
 # Comparison bench: stimulus levels (Pa) shared by both press schedules.
 COMPARISON_IDLE_PA = 428589.8

@@ -172,11 +172,3 @@ def write_chart(
                 y = sys[i] if i < len(sys) else None
                 row.append("" if y is None or not math.isfinite(y) else repr(float(y)))
             fh.write(",".join(row) + "\n")
-
-
-def count_series(svg_text: str) -> int:
-    """Number of distinct data series in a chart produced by line_chart_svg."""
-    names = set()
-    for chunk in svg_text.split('data-name="')[1:]:
-        names.add(chunk.split('"', 1)[0])
-    return len(names)

@@ -165,11 +165,6 @@ def static_ohms(profile: CalibrationProfile, pascals) -> np.ndarray:
     return ohms
 
 
-def invert_static(profile: CalibrationProfile, resistance: Resistance) -> Pressure:
-    """Pressure producing a given steady-state resistance; see invert_static_ohms."""
-    return Pressure(float(invert_static_ohms(profile, resistance.ohms)))
-
-
 def invert_static_ohms(profile: CalibrationProfile, ohms):
     """Closed-form inverse of the static curve on bare ohms, a float or an array.
 
@@ -199,14 +194,14 @@ class DynamicsConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @classmethod
-    def for_profile(cls, profile: CalibrationProfile, **overrides) -> "DynamicsConfig":
+    def for_profile(cls, profile: CalibrationProfile) -> "DynamicsConfig":
         """Defaults with the play half-width scaled to the profile's sweepable
         span (the flat clamp below the first point carries no hysteresis)."""
         low = max(profile.onset_pressure.pascals, profile.min_pressure_pa)
         span = profile.max_pressure_pa - low
         if span <= 0:
             span = profile.max_pressure_pa - profile.min_pressure_pa
-        return cls(hysteresis_halfwidth=0.03 * span, **overrides)
+        return cls(hysteresis_halfwidth=0.03 * span)
 
 
 @dataclass(frozen=True)
@@ -532,10 +527,3 @@ def read_calibration_csv(path) -> list[CalibrationPoint]:
             except (IndexError, ValueError) as exc:
                 raise CalibrationError(f"{path}:{lineno}: bad calibration row {row!r}: {exc}") from exc
     return points
-
-
-def write_calibration_csv(path, points: list[CalibrationPoint]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CALIBRATION_HEADER) + "\n")
-        for point in points:
-            fh.write(f"{point.pressure_pa!r},{point.resistance_ohm!r}\n")

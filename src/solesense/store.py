@@ -30,7 +30,7 @@ whole goes back through read_csv, so the columns always equal read_csv's
 samples and a malformed file raises the same ``path:line`` error.
 
 A third, single-channel legacy layout (``time_s,pressure_pa,resistance_ohm``)
-replays old bench recordings.
+is read only, to replay old bench recordings.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -387,15 +387,6 @@ def read_legacy_csv(path) -> list[LegacyRecord]:
     if not saw_header:
         raise SessionFormatError(f"{path}: missing column header line")
     return records
-
-
-def write_legacy_csv(path, records: Iterable[LegacyRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(LEGACY_COLUMNS) + "\n")
-        for record in records:
-            fh.write(
-                f"{record.time_s!r},{record.pressure_pa!r},{record.resistance_ohm!r}\n"
-            )
 
 
 def sniff_kind(path) -> str:

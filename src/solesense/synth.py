@@ -9,8 +9,7 @@ One cycle is one stride of one foot (two steps), so at a cadence of
 ``c`` steps per minute the cycle lasts ``120 / c`` seconds.
 
 The signal is built on columns: ``synthesize_columns`` returns the whole
-stream as arrays, and ``synthesize`` and ``channel_shares`` read from the
-same envelope kernel.
+stream as arrays, and ``synthesize`` reads from the same envelope kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .units import (
     Pressure,
     PressureSample,
     SensorGeometry,
-    SoleChannel,
 )
 
 # Stance sub-phase boundaries as fractions of the cycle at the default 60%
@@ -103,36 +101,6 @@ class GaitParams:
         return round(self.cycles * self.cycle_duration_s * self.sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class PhaseInterval:
-    phase: GaitPhase
-    start_fraction: float
-    end_fraction: float
-
-
-@dataclass(frozen=True)
-class PhaseTimeline:
-    """Contiguous phase intervals covering [0, 1) of the cycle."""
-
-    intervals: tuple[PhaseInterval, ...]
-
-
-def default_timeline(stance_fraction: float = 0.6) -> PhaseTimeline:
-    """Phase boundaries with the stance sub-phases stretched to the given
-    stance fraction; swing always spans [stance_fraction, 1)."""
-    if not 0.0 < stance_fraction < 1.0:
-        raise ValueError(f"stance_fraction must be in (0, 1), got {stance_fraction!r}")
-    scale = stance_fraction / _BASE_STANCE
-    bounds = [b * scale for b in _BASE_BOUNDS] + [stance_fraction, 1.0]
-    phases = list(GaitPhase)
-    return PhaseTimeline(
-        tuple(
-            PhaseInterval(phase, start, end)
-            for phase, start, end in zip(phases, bounds, bounds[1:])
-        )
-    )
-
-
 def _cos(x: np.ndarray) -> np.ndarray:
     # libm's cos, as in scalar code: numpy's SIMD loops may differ from it in
     # the last ulp on some hosts (np.exp does on AVX-512)
@@ -173,19 +141,6 @@ def _envelopes(u: np.ndarray, stance_fraction: float) -> np.ndarray:
     shares[:, 2] = mid
     shares[:, 3] = mid
     return shares
-
-
-def channel_shares(cycle_fraction: float, stance_fraction: float = 0.6) -> dict[SoleChannel, float]:
-    """Per-channel envelope value (as a share of base pressure) at a point in
-    the cycle; all zero throughout swing."""
-    shares = _envelopes(np.array([cycle_fraction]), stance_fraction)[0]
-    return dict(zip(CHANNEL_ORDER, shares.tolist()))
-
-
-def peak_fractions(stance_fraction: float = 0.6) -> tuple[float, float]:
-    """Cycle fractions of the heel-strike and push-off load peaks."""
-    scale = stance_fraction / _BASE_STANCE
-    return _HEEL_PEAK * scale, _FORE_PEAK * scale
 
 
 def synthesize_columns(params: GaitParams) -> tuple[np.ndarray, np.ndarray]:
@@ -234,18 +189,17 @@ class PhaseRecord:
 
 
 def ground_truth(params: GaitParams) -> list[PhaseRecord]:
-    """Exact phase intervals implied by the timeline; the analyzer's oracle."""
-    timeline = default_timeline(params.stance_fraction)
+    """Exact phase intervals of every cycle, in phase order; the analyzer's oracle.
+
+    The stance sub-phases take their clinical splits stretched to the stance
+    fraction, and swing spans the rest of the cycle, so the intervals of one
+    cycle cover it without gaps.
+    """
+    scale = params.stance_fraction / _BASE_STANCE
+    bounds = [b * scale for b in _BASE_BOUNDS] + [params.stance_fraction, 1.0]
     period = params.cycle_duration_s
-    records = []
-    for k in range(params.cycles):
-        for interval in timeline.intervals:
-            records.append(
-                PhaseRecord(
-                    k,
-                    interval.phase,
-                    (k + interval.start_fraction) * period,
-                    (k + interval.end_fraction) * period,
-                )
-            )
-    return records
+    return [
+        PhaseRecord(k, phase, (k + start) * period, (k + end) * period)
+        for k in range(params.cycles)
+        for phase, start, end in zip(GaitPhase, bounds, bounds[1:])
+    ]

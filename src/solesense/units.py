@@ -135,9 +135,6 @@ class GaitPhase(Enum):
     __hash__ = object.__hash__  # identity hashing, as in SoleChannel
 
 
-PHASE_ORDER: tuple[GaitPhase, ...] = tuple(GaitPhase)
-
-
 @dataclass(frozen=True)
 class SensorGeometry:
     """Active sensing face of one sensor. Defaults match the fabricated device."""

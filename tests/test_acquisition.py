@@ -20,7 +20,6 @@ from solesense.acquisition import (
     pressure_to_count,
     quantize,
     quantize_volts,
-    sample_to_counts,
 )
 from solesense.sensor import (
     CalibrationPoint,
@@ -28,13 +27,14 @@ from solesense.sensor import (
     builtin_profile_names,
     datasheet_profile,
     fit_profile,
-    invert_static,
+    invert_static_ohms,
     measured_profile,
     static_resistance,
 )
 from solesense.units import Pressure, PressureSample, Resistance, Voltage
 
 CFG = DividerConfig()
+FULL_SCALE = (1 << CFG.adc_bits) - 1  # the top code
 
 
 class TestDivider:
@@ -130,7 +130,7 @@ class TestPressureChain:
     def test_no_touch_reads_full_scale(self):
         profile = datasheet_profile()
         count = pressure_to_count(Pressure(0.0), profile, CFG)
-        assert count.value == CFG.full_scale_count
+        assert count.value == FULL_SCALE
         assert count_to_pressure(count, profile, CFG).pascals == 0.0
 
     def test_roundtrip_within_one_step_equivalent(self):
@@ -142,7 +142,7 @@ class TestPressureChain:
             back = count_to_pressure(code, profile, CFG).pascals
             lo = count_to_pressure(AdcCount(max(code.value - 1, 0)), profile, CFG).pascals
             hi = count_to_pressure(
-                AdcCount(min(code.value + 1, CFG.full_scale_count)), profile, CFG
+                AdcCount(min(code.value + 1, FULL_SCALE)), profile, CFG
             ).pascals
             bound = max(abs(hi - lo), abs(hi - back), abs(lo - back), 1e-6)
             assert abs(back - p) <= bound
@@ -150,11 +150,11 @@ class TestPressureChain:
     def test_sample_helpers_roundtrip(self):
         profile = measured_profile()
         sample = PressureSample.from_row(1.25, [0.0, 450_000.0, 500_000.0, 600_000.0, 700_000.0])
-        counts = sample_to_counts(sample, profile, CFG)
+        counts = tuple(counts_from_pascals([sample.as_row()], profile, CFG)[0].tolist())
         assert len(counts) == 5
         decoded = counts_to_sample(1.25, counts, profile, CFG)
         # decode(encode(decode(encode(x)))) is a fixed point of the chain
-        counts2 = sample_to_counts(decoded, profile, CFG)
+        counts2 = tuple(counts_from_pascals([decoded.as_row()], profile, CFG)[0].tolist())
         assert counts == counts2
         assert counts_to_sample(1.25, counts2, profile, CFG).as_row() == decoded.as_row()
 
@@ -206,7 +206,7 @@ class TestDecodeTable:
     def test_flat_stretch_reads_its_lower_pressure(self):
         profile = _flat_profile()
         assert static_resistance(profile, Pressure(250e3)).ohms == FLAT_OHMS
-        assert invert_static(profile, Resistance(FLAT_OHMS)).pascals == 200e3
+        assert float(invert_static_ohms(profile, FLAT_OHMS)) == 200e3
         assert _bisect_pressure(profile, FLAT_OHMS) == pytest.approx(200e3, rel=1e-12)
 
     def test_invert_static_end_clamps(self):
@@ -214,20 +214,20 @@ class TestDecodeTable:
         idle = profile.idle_resistance_ohm
         last = profile.points[-1].resistance_ohm
         for ohms in (math.inf, 2.0 * idle, idle):
-            assert invert_static(profile, Resistance(ohms)).pascals == profile.min_pressure_pa
+            assert float(invert_static_ohms(profile, ohms)) == profile.min_pressure_pa
         for ohms in (last, 0.5 * last):
-            assert invert_static(profile, Resistance(ohms)).pascals == profile.max_pressure_pa
+            assert float(invert_static_ohms(profile, ohms)) == profile.max_pressure_pa
         # a flat last stretch still clamps to the last pressure
         rows = [(100e3, 80e3), (200e3, FLAT_OHMS), (300e3, FLAT_OHMS)]
         flat_end = fit_profile("flat-end", [CalibrationPoint(p, r) for p, r in rows], Pressure(50e3))
-        assert invert_static(flat_end, Resistance(FLAT_OHMS)).pascals == 300e3
+        assert float(invert_static_ohms(flat_end, FLAT_OHMS)) == 300e3
 
     def test_built_once_per_divider_and_shared(self):
         profile = measured_profile()
         table = decode_table(profile, CFG)
         assert decode_table(profile, DividerConfig()) is table
         assert decode_table(profile, DividerConfig(adc_bits=10)) is not table
-        assert table[CFG.full_scale_count] is table[CFG.full_scale_count - 1]  # both idle
+        assert table[FULL_SCALE] is table[FULL_SCALE - 1]  # both idle
         assert count_to_pressure(AdcCount(1234), profile, CFG) is table[1234]
 
     def test_builtin_profiles_are_shared_and_factories_fresh(self):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from solesense.analysis import (
+    _CONTACTS,
     Analyzer,
-    AnalyzerConfig,
     ContactState,
     GaitEventKind,
+    _region_pressures,
+    _schmitt,
     analyze,
     classify_phase,
     compare_sensors,
-    contact_state,
 )
 from solesense.cli import simulate_session
 from solesense.datasets import comparison_stimulus
@@ -20,50 +21,55 @@ from solesense.sensor import bench_profile, fsr_reference_profile, measured_prof
 from solesense.synth import GaitParams, ground_truth, synthesize
 from solesense.units import REGION_CHANNELS, GaitPhase, PressureSample, samples_to_columns
 
-CFG = AnalyzerConfig()
+HEEL_ON = 4  # the heel's bit in a contact code, 4 * heel + 2 * midfoot + forefoot
 
 
 def _sample(t, fore=0.0, mid=0.0, heel=0.0):
     return PressureSample.from_row(t, [fore, mid, mid, mid, heel])
 
 
+def _contact(sample, was=0):
+    """The analyzer's Schmitt-triggered contact code of one sample after the
+    code ``was``: between thresholds each region keeps its state."""
+    return _schmitt(_region_pressures(sample.as_row()), was)
+
+
 class TestContactState:
     def test_all_zero_is_off(self):
-        state = contact_state(_sample(0.0))
-        assert not state.any_on
+        assert _contact(_sample(0.0)) == 0
 
     def test_heel_only(self):
-        state = contact_state(_sample(0.0, heel=549_000.0))
+        state = _CONTACTS[_contact(_sample(0.0, heel=549_000.0))]
         assert state.heel_on and not state.midfoot_on and not state.forefoot_on
 
     def test_dither_inside_band_never_toggles(self):
         # 19-21 kPa sits inside the 18..22 kPa Schmitt band around 20 kPa
-        state = ContactState()
+        code = 0
         for i in range(50):
-            state = contact_state(_sample(i, heel=19_000.0 if i % 2 else 21_000.0), CFG, state)
-            assert not state.heel_on
-        state = ContactState(heel_on=True)
+            code = _contact(_sample(i, heel=19_000.0 if i % 2 else 21_000.0), code)
+            assert code == 0
+        code = HEEL_ON
         for i in range(50):
-            state = contact_state(_sample(i, heel=19_000.0 if i % 2 else 21_000.0), CFG, state)
-            assert state.heel_on
+            code = _contact(_sample(i, heel=19_000.0 if i % 2 else 21_000.0), code)
+            assert code == HEEL_ON
 
     def test_monotone_ramp_single_transition_each_way(self):
-        state = ContactState()
+        code = 0
         transitions = 0
         for k in range(101):
-            new = contact_state(_sample(k, heel=k * 500.0), CFG, state)
-            transitions += new.heel_on != state.heel_on
-            state = new
-        assert transitions == 1 and state.heel_on
+            new = _contact(_sample(k, heel=k * 500.0), code)
+            transitions += new != code
+            code = new
+        assert transitions == 1 and code == HEEL_ON
         for k in range(101):
-            new = contact_state(_sample(200 + k, heel=(100 - k) * 500.0), CFG, state)
-            transitions += new.heel_on != state.heel_on
-            state = new
-        assert transitions == 2 and not state.heel_on
+            new = _contact(_sample(200 + k, heel=(100 - k) * 500.0), code)
+            transitions += new != code
+            code = new
+        assert transitions == 2 and code == 0
 
     def test_midfoot_uses_max_reduction(self):
         sample = PressureSample.from_row(0.0, [0.0, 0.0, 30_000.0, 0.0, 0.0])
-        assert contact_state(sample).midfoot_on
+        assert _CONTACTS[_contact(sample)].midfoot_on
 
 
 class TestClassifyPhase:
@@ -299,14 +305,16 @@ class TestUpdateBlock:
 
 def _update_every_row(analyzer, sample, reduce_region=max):
     """update() with no at-rest skip: the phase machine (classify_phase plus
-    the loading dwell, Analyzer._step) runs on every row, and the peaks come
-    from the sample's channels by name."""
+    the loading dwell, Analyzer._step) runs on every row, and the peaks and
+    the contact pressures come from the sample's channels by name."""
     analyzer._accept(sample.timestamp)
+    pressures = []  # forefoot, midfoot, heel, as _schmitt takes them
     for region, channels in REGION_CHANNELS.items():
         pressure = reduce_region(sample.value(c) for c in channels)
         analyzer._peaks[region] = max(analyzer._peaks[region], pressure)
-    analyzer._contact = contact_state(sample, analyzer.config, analyzer._contact)
-    event = analyzer._step(sample.timestamp, analyzer._contact)
+        pressures.append(pressure)
+    analyzer._contact = _schmitt(pressures, analyzer._contact)
+    event = analyzer._step(sample.timestamp, _CONTACTS[analyzer._contact])
     return [] if event is None else [event]
 
 
@@ -325,16 +333,16 @@ class TestUpdateAtRest:
 
     @pytest.mark.parametrize("heel_rows, matures", [(5, True), (4, False)])
     def test_heel_only_dwell_edge(self, heel_rows, matures):
-        # binary-exact times: the fifth heel-only row is exactly the 0.5 s dwell after the first
-        config = AnalyzerConfig(loading_dwell_s=0.5)
+        # the first heel-only row at 0 s, so the fifth, at 4 * 0.0075 == 0.03 s
+        # (a power-of-two multiple rounds exactly), is exactly the 30 ms dwell after it
         contacts = [{}] + [{"heel": 500_000.0}] * heel_rows + [{}] * 3
-        rows = [_sample(0.125 * k, **c) for k, c in enumerate(contacts)]
-        fast, reference = Analyzer(config=config), Analyzer(config=config)
+        rows = [_sample(0.0075 * (k - 1), **c) for k, c in enumerate(contacts)]
+        fast, reference = Analyzer(), Analyzer()
         events = [event for sample in rows for event in fast.update(sample)]
         want = [event for sample in rows for event in _update_every_row(reference, sample)]
         assert events == want and fast == reference
-        assert ((0.625, GaitPhase.LOADING_RESPONSE) in [(e.timestamp, e.phase) for e in events]) == matures
-        by_block = Analyzer(config=config)
+        assert ((0.03, GaitPhase.LOADING_RESPONSE) in [(e.timestamp, e.phase) for e in events]) == matures
+        by_block = Analyzer()
         assert by_block.update_block(*samples_to_columns(rows)) == events and by_block == fast
 
     def test_interleaved_with_blocks_equals_rows(self):
@@ -426,8 +434,8 @@ class TestCompareSensors:
         table = compare_sensors(
             times, [sensor_stim, fsr_stim], [bench_profile(), fsr_reference_profile()]
         )
-        sensor = table.column("bench")
-        fsr = table.column("fsr")
+        assert table.names == ("bench", "fsr")
+        sensor, fsr = zip(*table.resistances_ohm)
         for got, want in zip(sensor, self.EXPECTED_SENSOR_KOHM):
             assert got / 1000.0 == pytest.approx(want, rel=1e-6)
         for got, want in zip(fsr, self.EXPECTED_FSR_KOHM):

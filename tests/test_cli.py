@@ -1,21 +1,26 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from solesense import sensor, store
 from solesense.analysis import Analyzer, analyze
 from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text, simulate_session
-from solesense.datasets import BENCH_TIME_LOG, MEASURED_CALIBRATION
-from solesense.plots import count_series
+from solesense.datasets import MEASURED_CALIBRATION
 from solesense.sensor import measured_profile, static_resistance
-from solesense.store import LegacyRecord, write_legacy_csv
+from solesense.store import LegacyRecord
 from solesense.synth import GaitParams
 from solesense.telemetry import encode, frames_from_samples
 from solesense.units import Pressure, PressureSample
+
+from helpers import BENCH_TIME_LOG, count_series, write_legacy_csv
 
 EXPECTED_SENSOR_KOHM = [3342.9] * 5 + [29.16212] * 5 + [3342.9] * 4
 EXPECTED_FSR_KOHM = [3342.9] * 4 + [123.81111] * 3 + [3342.9] * 4 + [2051.325] * 3
@@ -360,13 +365,17 @@ class TestStreamCollect:
 
     def test_collect_nothing_writes_valid_empty_session(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
+        profile_path = tmp_path / "p.json"
+        profile_path.write_text(json.dumps(profile_to_json_dict(sensor.bench_profile())))
 
-        thread, _results, addr = _start_collect(["-o", str(out), "--once"], capsys)
+        thread, _results, addr = _start_collect(["-o", str(out), "--once", "--profile", str(profile_path)], capsys)
         host, port = addr.rsplit(":", 1)
         conn = socket.create_connection((host, int(port)), timeout=5)
         conn.close()
         thread.join(timeout=30)
-        assert store.read_csv(out).samples == []
+        log = store.read_csv(out)
+        assert log.samples == []
+        assert log.header.profile_name == "bench"  # the loaded profile's name, as with samples
 
 
 class TestAddrDefaults:
@@ -384,3 +393,21 @@ class TestAddrDefaults:
 
         args = build_parser().parse_args(["stream", "-i", "x.csv"])
         assert args.addr == "127.0.0.1:7332"
+
+    @pytest.mark.parametrize("addr", ["127.0.0.1:70000", "127.0.0.1:-1", "127.0.0.1:abc"])
+    def test_bad_port_is_usage_error(self, tmp_path, capsys, monkeypatch, addr):
+        out = tmp_path / "x.csv"
+        assert main(["collect", "--once", "--addr", addr, "-o", str(out)]) == 1
+        monkeypatch.setenv("SOLESENSE_ADDR", addr)
+        assert main(["collect", "--once", "-o", str(out)]) == 1
+        assert capsys.readouterr().err.count("0-65535") == 2
+        assert not out.exists()
+
+    def test_stream_with_a_bad_port_fails_at_once(self, tmp_path):
+        # in a subprocess with a timeout, so a stream that retries forever fails instead of hanging
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "solesense.cli", "stream", "--simulate", "--cycles", "1", "--addr", "127.0.0.1:70000"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == 1 and "0-65535" in result.stderr

@@ -5,6 +5,7 @@ columns; each must give exactly what the per-sample public functions give
 when called one sample at a time, which is how the chain used to run.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -112,7 +113,7 @@ def test_run_channel_equals_step_by_step(name):
         ]
     )
     times = np.cumsum(rng.choice([0.0, 0.001, 0.01, 0.05], applied.size))
-    dynamics = DynamicsConfig.for_profile(profile, sample_period=0.01)
+    dynamics = dataclasses.replace(DynamicsConfig.for_profile(profile), sample_period=0.01)
     for start in (SensorState.at_rest(0.0), SensorState.settled(Pressure(0.5 * top), profile)):
         got = run_channel(start, applied, times, profile, dynamics)
         want = _stepwise(start, applied, times, profile, dynamics)

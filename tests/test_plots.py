@@ -1,6 +1,8 @@
 import xml.etree.ElementTree as ET
 
-from solesense.plots import count_series, line_chart_svg, pressure_color, write_chart
+from solesense.plots import line_chart_svg, pressure_color, write_chart
+
+from helpers import count_series
 
 
 class TestColorRamp:

@@ -19,9 +19,10 @@ from solesense.sensor import (
     static_ohms,
     static_resistance,
     step,
-    write_calibration_csv,
 )
 from solesense.units import Pressure
+
+from helpers import write_calibration_csv
 
 
 def _points(rows):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from solesense.analysis import analyze
-from solesense.datasets import BENCH_TIME_LOG
 from solesense.store import (
     BLOCK_LINES,
     LegacyRecord,
@@ -19,9 +18,10 @@ from solesense.store import (
     sniff_kind,
     write_csv,
     write_jsonl,
-    write_legacy_csv,
 )
 from solesense.synth import GaitParams, synthesize
+
+from helpers import BENCH_TIME_LOG, write_legacy_csv
 
 
 def _assert_columns_equal_rows(path, reader):

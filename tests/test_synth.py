@@ -3,45 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from solesense.synth import (
-    GaitParams,
-    channel_shares,
-    default_timeline,
-    ground_truth,
-    peak_fractions,
-    synthesize,
-    synthesize_columns,
-)
-from solesense.units import CHANNEL_ORDER, GaitPhase, SoleChannel
+from solesense.synth import GaitParams, _envelopes, ground_truth, synthesize, synthesize_columns
+from solesense.units import GaitPhase, SoleChannel
 
 
 class TestTimeline:
+    """The phase boundaries of ground_truth, on one-second cycles where times
+    equal cycle fractions."""
+
     def test_default_boundaries(self):
-        timeline = default_timeline(0.6)
-        by_phase = {iv.phase: (iv.start_fraction, iv.end_fraction) for iv in timeline.intervals}
+        records = ground_truth(GaitParams(body_mass_kg=70, cadence_spm=120, stance_fraction=0.6, cycles=1))
+        by_phase = {r.phase: (r.start_s, r.end_s) for r in records}
         assert by_phase[GaitPhase.SWING] == (0.6, 1.0)
         assert by_phase[GaitPhase.MID_STANCE] == pytest.approx((0.12, 0.31))
         assert by_phase[GaitPhase.INITIAL_CONTACT][0] == 0.0
 
     def test_boundaries_scale_with_stance(self):
-        timeline = default_timeline(0.5)
-        ic = timeline.intervals[0]
+        records = ground_truth(GaitParams(body_mass_kg=70, cadence_spm=120, stance_fraction=0.5, cycles=1))
+        ic = records[0]
         assert ic.phase == GaitPhase.INITIAL_CONTACT
-        assert ic.end_fraction == pytest.approx(0.02 * 0.5 / 0.6, rel=1e-12)
-        assert timeline.intervals[-1].start_fraction == 0.5
+        assert ic.end_s == pytest.approx(0.02 * 0.5 / 0.6, rel=1e-12)
+        assert records[-1].start_s == 0.5
 
     def test_contiguous_cover(self):
-        timeline = default_timeline(0.55)
-        assert timeline.intervals[0].start_fraction == 0.0
-        assert timeline.intervals[-1].end_fraction == 1.0
-        for a, b in zip(timeline.intervals, timeline.intervals[1:]):
-            assert a.end_fraction == b.start_fraction
+        params = GaitParams(body_mass_kg=70, cadence_spm=96, stance_fraction=0.55, cycles=3)
+        records = ground_truth(params)
+        assert records[0].start_s == 0.0
+        assert records[-1].end_s == 3 * params.cycle_duration_s
+        for a, b in zip(records, records[1:]):
+            assert a.end_s == b.start_s
 
     def test_invalid_stance(self):
-        with pytest.raises(ValueError):
-            default_timeline(0.0)
-        with pytest.raises(ValueError):
-            default_timeline(1.2)
+        # GaitParams rejects it, so ground_truth never sees one
+        for stance in (0.0, 1.2):
+            with pytest.raises(ValueError, match="stance_fraction"):
+                GaitParams(body_mass_kg=70, stance_fraction=stance)
 
 
 class TestSynthesize:
@@ -68,11 +64,10 @@ class TestSynthesize:
         assert peak <= 750_000.0
 
     def test_share_sums_at_load_peaks(self):
-        heel_peak_u, fore_peak_u = peak_fractions(0.6)
-        at_heel = channel_shares(heel_peak_u, 0.6)
-        at_fore = channel_shares(fore_peak_u, 0.6)
-        assert sum(at_heel.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(at_fore.values()) == pytest.approx(1.1, abs=1e-9)
+        # at 60% stance the heel-strike load peaks at 7% of the cycle, push-off at 55%
+        at_heel, at_fore = _envelopes(np.array([0.07, 0.55]), 0.6).tolist()
+        assert sum(at_heel) == pytest.approx(1.0, abs=1e-9)
+        assert sum(at_fore) == pytest.approx(1.1, abs=1e-9)
 
     def test_phase_exclusivity(self):
         params = GaitParams(body_mass_kg=70, cycles=2)
@@ -115,8 +110,8 @@ class TestSynthesize:
         assert times.tolist() == want_t
         assert pascals.tolist() == want_p
         assert [(s.timestamp, list(s.as_row())) for s in synthesize(params)] == list(zip(want_t, want_p))
-        for u in np.linspace(0.0, 1.0, 41).tolist():
-            assert channel_shares(u, stance) == dict(zip(CHANNEL_ORDER, _scalar_shares(u, stance)))
+        u = np.linspace(0.0, 1.0, 41)
+        assert _envelopes(u, stance).tolist() == [_scalar_shares(x, stance) for x in u.tolist()]
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -142,15 +137,18 @@ class TestGroundTruth:
 
     def test_boundaries_match_timeline(self):
         params = GaitParams(body_mass_kg=70, cadence_spm=96, stance_fraction=0.55, cycles=3)
-        timeline = default_timeline(0.55)
+        # the clinical stance splits at 60% stance, stretched to 55%; swing to the cycle's end
+        fractions = [b * 0.55 / 0.6 for b in (0.0, 0.02, 0.12, 0.31, 0.50)] + [0.55, 1.0]
+        intervals = list(zip(GaitPhase, fractions, fractions[1:]))
         period = params.cycle_duration_s
         records = ground_truth(params)
+        assert len(records) == 18
         for k in range(3):
-            for interval, record in zip(timeline.intervals, records[6 * k : 6 * k + 6]):
+            for (phase, start, end), record in zip(intervals, records[6 * k : 6 * k + 6]):
                 assert record.cycle_index == k
-                assert record.phase == interval.phase
-                assert record.start_s == pytest.approx((k + interval.start_fraction) * period, abs=1e-9)
-                assert record.end_s == pytest.approx((k + interval.end_fraction) * period, abs=1e-9)
+                assert record.phase == phase
+                assert record.start_s == pytest.approx((k + start) * period, abs=1e-9)
+                assert record.end_s == pytest.approx((k + end) * period, abs=1e-9)
 
 
 def _scalar_shares(u, stance):

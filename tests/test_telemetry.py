@@ -402,11 +402,11 @@ class TestEmitter:
     def test_unpaced_run_builds_no_frame_and_no_per_sample_counts(self, monkeypatch):
         samples = _session(1000)
         want = b"".join(encode(f) for f in frames_from_samples(samples, PROFILE, DIVIDER))
-        to_counts = _count_calls(monkeypatch, "sample_to_counts")
+        to_counts = _count_calls(monkeypatch, "counts_from_pascals")
         built = _count_frames_built(monkeypatch)
         transport = _MemoryTransport()
         assert Emitter(lambda: transport, PROFILE, DIVIDER).run(samples) == 1000
-        assert (len(to_counts), len(built)) == (0, 0)
+        assert (len(to_counts), len(built)) == (4, 0)  # one conversion per block of up to 256
         assert bytes(transport.buffer) == want
 
     def test_frames_from_samples_pure(self):
