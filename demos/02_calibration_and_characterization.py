@@ -6,7 +6,13 @@ pressure). characterize() then measures datasheet-style figures from the
 model itself: range, both sensitivity conventions, step timing, hysteresis.
 """
 
-from solesense.sensor import characterize, datasheet_profile, measured_profile, static_resistance
+from solesense.sensor import (
+    NOMINAL_SENSITIVITY_PA_PER_OHM,
+    characterize,
+    datasheet_profile,
+    measured_profile,
+    static_resistance,
+)
 from solesense.units import Pressure
 
 profile = measured_profile()
@@ -32,5 +38,5 @@ print(f"  response time (10-90%): {figures.response_time_s * 1000:.1f} ms")
 print(f"  recovery time (10-90%): {figures.recovery_time_s * 1000:.1f} ms")
 print(f"  hysteresis loop width: {figures.hysteresis_fraction * 100:.2f} % of span")
 print(f"  nominal sensitivity match: {figures.matches_nominal_sensitivity}"
-      f" (nominal {figures.nominal_sensitivity_pa_per_ohm} Pa/ohm is not reproducible"
+      f" (nominal {NOMINAL_SENSITIVITY_PA_PER_OHM} Pa/ohm is not reproducible"
       " from the end points; trust the computed value)")

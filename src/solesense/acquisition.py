@@ -14,9 +14,10 @@ does not set the ADC reference.
 Each step has a per-sample form and an array form (``divider_out_ohms``,
 ``quantize_volts``, ``counts_from_pascals``, ``counts_to_samples``). The
 divider and the floor quantizer use only exactly-rounded operations, and the
-static curve is ``sensor.static_ohms``, so both forms agree bit for bit;
-decoding indexes ``decode_table`` in both, and one builder makes a sample of
-in-table codes.
+static curve is ``sensor.static_ohms``, so both forms agree bit for bit.
+Decoding indexes ``decode_table``, a tuple of bare pascals per (profile,
+divider), in both; one builder makes the float-row sample of in-table codes,
+and ``count_to_pressure`` wraps its entry in a Pressure at the API boundary.
 """
 
 from __future__ import annotations
@@ -133,14 +134,13 @@ def pressure_to_count(
     return quantize(divider_out(static_resistance(profile, pressure), cfg), cfg)
 
 
-def decode_table(
-    profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
-) -> tuple[Pressure, ...]:
-    """Pressure of every code the divider reads: dequantize, invert_divider and
-    invert_static_ohms on all codes at once, 0 Pa at or above idle resistance.
+def decode_table(profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()) -> tuple[float, ...]:
+    """Pascals of every code the divider reads, as bare floats: dequantize,
+    invert_divider and invert_static_ohms on all codes at once, 0 Pa at or
+    above idle resistance.
 
-    Built once per divider and kept on the profile; equal values share one
-    Pressure. Codes above the rail (only when v_ref > v_in) end the table.
+    Built once per divider and kept on the profile. Codes above the rail (only
+    when v_ref > v_in) end the table.
     """
     table = profile._decode_tables.get(cfg)
     if table is None:
@@ -150,13 +150,12 @@ def decode_table(
         with np.errstate(divide="ignore"):  # the rail itself is an open circuit
             ohms = cfg.r1.ohms * volts / (cfg.v_in.volts - volts)
         idle = ohms >= profile.idle_resistance_ohm
-        pascals = np.where(idle, 0.0, invert_static_ohms(profile, ohms)).tolist()
-        shared = {p: Pressure(p) for p in set(pascals)}
-        table = profile._decode_tables[cfg] = tuple(shared[p] for p in pascals)
+        pascals = np.where(idle, 0.0, invert_static_ohms(profile, ohms))
+        table = profile._decode_tables[cfg] = tuple(pascals.tolist())
     return table
 
 
-def _decoded(table: tuple[Pressure, ...], code: int) -> Pressure:
+def _decoded(table: tuple[float, ...], code: int) -> float:
     if 0 <= code < len(table):
         return table[code]
     raise ValueError(f"count {code} is outside the {len(table)} codes this divider reads")
@@ -169,13 +168,13 @@ def count_to_pressure(
 
     Codes at or above the profile's idle resistance read 0 Pa (no contact).
     """
-    return _decoded(decode_table(profile, cfg), count.value)
+    return Pressure(_decoded(decode_table(profile, cfg), count.value))
 
 
-def _decoded_sample(table: tuple[Pressure, ...], timestamp: float, codes) -> PressureSample:
+def _decoded_sample(table: tuple[float, ...], timestamp: float, codes) -> PressureSample:
     """The sample of five codes in canonical order, each already checked to be
-    in ``table``."""
-    return PressureSample._of(timestamp, dict(zip(CHANNEL_ORDER, map(table.__getitem__, codes))))
+    in ``table``: one float row, with no Pressure built."""
+    return PressureSample._of(timestamp, tuple(map(table.__getitem__, codes)))
 
 
 def counts_from_pascals(

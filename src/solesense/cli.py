@@ -21,9 +21,10 @@ import numpy as np
 
 from . import plots, store
 from .acquisition import DividerConfig, counts_to_samples, divider_out_ohms, quantize_volts
-from .analysis import Analyzer, GaitEvent, GaitReport, compare_sensors
+from .analysis import _OFF_PA, _ON_PA, Analyzer, GaitEvent, GaitReport, compare_sensors
 from .datasets import comparison_stimulus
 from .sensor import (
+    NOMINAL_SENSITIVITY_PA_PER_OHM,
     CalibrationError,
     CalibrationPoint,
     CalibrationProfile,
@@ -404,12 +405,13 @@ def cmd_calibrate(args) -> int:
     if not figures.matches_nominal_sensitivity:
         print(
             f"note: computed Pa/ohm differs from the nominal"
-            f" {figures.nominal_sensitivity_pa_per_ohm:g} Pa/ohm figure; trust the computed value"
+            f" {NOMINAL_SENSITIVITY_PA_PER_OHM:g} Pa/ohm figure; trust the computed value"
         )
     print(f"response time: {figures.response_time_s * 1000.0:.1f} ms (10-90%)")
     print(f"recovery time: {figures.recovery_time_s * 1000.0:.1f} ms (10-90%)")
     print(f"hysteresis: {figures.hysteresis_fraction * 100.0:.2f} % of full scale")
-    print(f"threshold band: +/- {figures.threshold_band_fraction * 100.0:.0f} %")
+    # the analyzer's Schmitt band around its contact pressure
+    print(f"threshold band: +/- {(_ON_PA - _OFF_PA) / (_ON_PA + _OFF_PA) * 100.0:.0f} %")
     return EXIT_OK
 
 

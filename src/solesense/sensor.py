@@ -323,8 +323,6 @@ class SensorCharacterization:
     response_time_s: float
     recovery_time_s: float
     hysteresis_fraction: float
-    threshold_band_fraction: float = 0.10
-    nominal_sensitivity_pa_per_ohm: float = NOMINAL_SENSITIVITY_PA_PER_OHM
 
     @property
     def matches_nominal_sensitivity(self) -> bool:
@@ -333,7 +331,7 @@ class SensorCharacterization:
         It does not for the shipped calibration data; the computed value is
         the one to trust.
         """
-        nominal = self.nominal_sensitivity_pa_per_ohm
+        nominal = NOMINAL_SENSITIVITY_PA_PER_OHM
         return math.isfinite(self.sensitivity_pa_per_ohm) and (
             abs(self.sensitivity_pa_per_ohm - nominal) <= 0.5 * nominal
         )

@@ -24,8 +24,9 @@ Both ends work a block at a time. An unpaced emitter reads ahead up to 256
 samples and converts them in one ``counts_from_pascals`` call; a paced one
 pulls and sends one sample at a time. The collector scans each received chunk
 for raw frame fields (``Deframer.scan``) and decodes them against one decode
-table; ``Deframer.feed`` wraps the same scan in TelemetryFrames for callers
-that want them.
+table of bare pascals, so each kept frame becomes one float-row
+PressureSample with no Pressure, dict or mapping built; ``Deframer.feed``
+wraps the same scan in TelemetryFrames for callers that want them.
 """
 
 from __future__ import annotations
@@ -359,12 +360,15 @@ class Collector:
     """TCP server ingesting frames from any number of devices.
 
     One thread runs a selector loop over the listener, every connection and a
-    socket pair that ``stop()`` writes to. Per connection, in arrival order, it
-    counts gaps, counts and drops duplicates and frames whose millisecond
-    timestamp is not after the device's last kept one (above 1 kHz they
-    collide), and counts and skips decode errors.
+    socket pair that ``stop()`` writes to. In arrival order it counts gaps,
+    counts and drops duplicates, drops frames whose millisecond timestamp is
+    not after the device's last kept one (above 1 kHz they collide, and a
+    reconnect resends), and counts and skips decode errors. Sequence state is
+    per connection; the timestamp guard is per device, across connections, so
+    the sink sees each device's times strictly increasing.
     Each received chunk is scanned once (``Deframer.scan``, no TelemetryFrame)
-    and its kept frames are decoded through one ``decode_table`` lookup.
+    and its kept frames are decoded through one ``decode_table`` lookup, into
+    float-row samples.
     ``sink(device_id, PressureSample)`` runs on that thread, once per kept
     frame: it needs no lock, but a slow sink delays every connection; one that
     raises ends only its own.
@@ -386,6 +390,7 @@ class Collector:
         self._server: socket.socket | None = None
         self._thread: threading.Thread | None = None
         self.stats: dict[int, DeviceStats] = defaultdict(DeviceStats)
+        self._last_ms: dict[int, int] = {}  # per device: the last kept timestamp
         self.connections_closed = 0
         self.connection_closed = threading.Event()
 
@@ -423,7 +428,6 @@ class Collector:
                         except OSError:  # the client left first, or no descriptor is free yet
                             continue
                         # per connection: its deframer and, per device, the next sequence
-                        # and the last kept timestamp
                         selector.register(conn, selectors.EVENT_READ, (Deframer(), {}))
             finally:
                 for key in list(selector.get_map().values()):
@@ -440,21 +444,22 @@ class Collector:
         if not chunk:
             self._close(selector, key)
             return
+        last_ms = self._last_ms
         try:
             table = decode_table(self._profile, self._divider)
             for _magic, _version, device_id, sequence, ts_low, ts_high, *counts in deframer.scan(chunk):
                 stats = self.stats[device_id]
                 timestamp_ms = ts_low | ts_high << 32
-                want, last_ms = expected.get(device_id) or (sequence, -1)
+                want = expected.get(device_id, sequence)
                 if sequence < want:  # an at-least-once resend
                     stats.duplicates += 1
                     continue
                 stats.gaps += sequence - want
-                if timestamp_ms <= last_ms:  # the sink needs strictly increasing times
-                    expected[device_id] = sequence + 1, last_ms
+                expected[device_id] = sequence + 1
+                if timestamp_ms <= last_ms.get(device_id, -1):  # the sink needs strictly increasing times
                     stats.stale_timestamps += 1
                     continue
-                expected[device_id] = sequence + 1, timestamp_ms
+                last_ms[device_id] = timestamp_ms
                 if max(counts) >= len(table):  # CRC-valid but out of the table: never fatal
                     stats.decode_errors += 1
                     continue

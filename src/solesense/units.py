@@ -3,13 +3,16 @@
 Every quantity the rest of the package passes around is wrapped in a small
 frozen dataclass so that pascals, newtons, ohms and volts cannot be mixed by
 accident. Arithmetic across quantities only happens through named operations.
+A PressureSample is the exception inside: it holds a float row (a timestamp
+and five pascals in canonical channel order), and a decoded one builds its
+typed Pressures only when a caller reads ``channels``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -98,6 +101,7 @@ class SoleChannel(Enum):
 CHANNEL_ORDER: tuple[SoleChannel, ...] = tuple(SoleChannel)
 _CHANNEL_SET = frozenset(SoleChannel)
 _IN_CHANNEL_ORDER = operator.itemgetter(*CHANNEL_ORDER)
+_CHANNEL_INDEX = {c: i for i, c in enumerate(CHANNEL_ORDER)}
 _PASCALS = operator.attrgetter("pascals")
 
 
@@ -156,43 +160,88 @@ class SensorGeometry:
 DEFAULT_GEOMETRY = SensorGeometry()
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__  # PressureSample's own __setattr__ refuses
+
+
 class PressureSample:
-    """One timestamped reading of all five channels, in pascals."""
+    """One timestamped reading of all five channels, in pascals.
 
-    timestamp: float
-    channels: Mapping[SoleChannel, Pressure]
+    A sample is a float row: it holds its timestamp and the five pressures in
+    canonical channel order. ``channels``, the read-only mapping of Pressures
+    in canonical order, is kept from the public constructor, or else built on
+    its first access and kept. Like the frozen dataclass it replaces, a sample
+    is immutable, compares by value and cannot be hashed.
+    """
 
-    def __post_init__(self) -> None:
-        channels = dict(self.channels)
-        if channels.keys() != _CHANNEL_SET:
-            missing = sorted(c.value for c in _CHANNEL_SET - channels.keys())
+    # no __getattr__ for the lazy mapping: defining one keeps CPython from
+    # specializing every attribute read of a sample, made per received frame
+    __slots__ = ("timestamp", "_row", "_channels")
+
+    def __init__(self, timestamp: float, channels: Mapping[SoleChannel, Pressure]) -> None:
+        try:
+            pressures = _IN_CHANNEL_ORDER(channels)
+        except KeyError:
+            pressures = None
+        if pressures is None or len(channels) != len(CHANNEL_ORDER):
+            missing = sorted(c.value for c in _CHANNEL_SET.difference(channels))
             raise ValueError(f"sample must carry all five channels, missing {missing}")
-        object.__setattr__(self, "channels", MappingProxyType(channels))
+        _set(self, "timestamp", timestamp)
+        _set(self, "_row", tuple(map(_PASCALS, pressures)))
+        _set(self, "_channels", MappingProxyType(dict(zip(CHANNEL_ORDER, pressures))))
 
     @classmethod
-    def _of(cls, timestamp: float, channels: dict[SoleChannel, Pressure]) -> "PressureSample":
-        """A sample wrapping ``channels`` unchecked and uncopied, for decoders: the
-        caller hands over a fresh dict that nothing else holds, keyed by every
-        channel in CHANNEL_ORDER order, of Pressures (validated when built)."""
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "timestamp", timestamp)
-        object.__setattr__(sample, "channels", MappingProxyType(channels))
+    def _of(cls, timestamp: float, row: tuple[float, ...]) -> "PressureSample":
+        """A sample holding ``row`` unchecked and uncopied, for decoders: five
+        finite, non-negative floats in canonical order."""
+        sample = _new(cls)
+        _set(sample, "timestamp", timestamp)
+        _set(sample, "_row", row)
         return sample
 
+    @property
+    def channels(self) -> Mapping[SoleChannel, Pressure]:
+        try:
+            return self._channels
+        except AttributeError:  # a decoded or from_row sample, read for the first time
+            channels = MappingProxyType(dict(zip(CHANNEL_ORDER, map(Pressure, self._row))))
+            _set(self, "_channels", channels)
+            return channels
+
     def value(self, channel: SoleChannel) -> float:
-        return self.channels[channel].pascals
+        return self._row[_CHANNEL_INDEX[channel]]
 
     def as_row(self) -> tuple[float, ...]:
         """Channel pressures in canonical order."""
-        return tuple(map(_PASCALS, _IN_CHANNEL_ORDER(self.channels)))
+        return self._row
 
     @classmethod
     def from_row(cls, timestamp: float, values: Iterable[float]) -> "PressureSample":
-        vals = tuple(float(v) for v in values)
-        if len(vals) != len(CHANNEL_ORDER):
-            raise ValueError(f"expected {len(CHANNEL_ORDER)} channel values, got {len(vals)}")
-        return cls(float(timestamp), {c: Pressure(v) for c, v in zip(CHANNEL_ORDER, vals)})
+        row = tuple(float(v) for v in values)
+        if len(row) != len(CHANNEL_ORDER):
+            raise ValueError(f"expected {len(CHANNEL_ORDER)} channel values, got {len(row)}")
+        for value in row:
+            _require_finite_nonnegative("pressure", value)
+        return cls._of(float(timestamp), row)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.timestamp, self._row) == (other.timestamp, other._row)
+
+    __hash__ = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self._of, (self.timestamp, self._row)
+
+    def __repr__(self) -> str:
+        return f"PressureSample(timestamp={self.timestamp!r}, channels={self.channels!r})"
 
 
 def samples_to_columns(samples: Iterable[PressureSample]) -> tuple[np.ndarray, np.ndarray]:

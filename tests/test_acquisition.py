@@ -194,7 +194,7 @@ class TestDecodeTable:
     @pytest.mark.parametrize("name", [*builtin_profile_names(), "flat"])
     def test_matches_bisection_on_every_code(self, name):
         profile = _flat_profile() if name == "flat" else builtin_profile(name)
-        got = [p.pascals for p in decode_table(profile, CFG)]
+        got = decode_table(profile, CFG)
         want = [_reference_decode(code, profile) for code in range(1 << CFG.adc_bits)]
         assert len(got) == len(want)
         far = [k for k, (g, w) in enumerate(zip(got, want)) if not math.isclose(g, w, rel_tol=1e-12)]
@@ -227,8 +227,9 @@ class TestDecodeTable:
         table = decode_table(profile, CFG)
         assert decode_table(profile, DividerConfig()) is table
         assert decode_table(profile, DividerConfig(adc_bits=10)) is not table
-        assert table[FULL_SCALE] is table[FULL_SCALE - 1]  # both idle
-        assert count_to_pressure(AdcCount(1234), profile, CFG) is table[1234]
+        assert table[FULL_SCALE] == table[FULL_SCALE - 1] == 0.0  # both idle
+        assert all(type(p) is float for p in table)  # bare pascals; no Pressure is built
+        assert count_to_pressure(AdcCount(1234), profile, CFG) == Pressure(table[1234])
 
     def test_builtin_profiles_are_shared_and_factories_fresh(self):
         for name in builtin_profile_names():

@@ -93,9 +93,10 @@ class TestAnalyze:
         src = tmp_path / "s.csv"
         main(["simulate", "--cycles", "5", "--seed", "3", "--noise", "2000", "-o", str(src)])
         expected = report_json_text(analyze(store.read_csv(src).samples)[1])
-        built = []
-        post_init = PressureSample.__post_init__
-        monkeypatch.setattr(PressureSample, "__post_init__", lambda self: built.append(1) or post_init(self))
+        built = []  # by the public constructor, or by from_row and the decoders
+        init, of = PressureSample.__init__, PressureSample._of
+        monkeypatch.setattr(PressureSample, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        monkeypatch.setattr(PressureSample, "_of", classmethod(lambda cls, *args: built.append(1) or of(*args)))
         out = tmp_path / "r.json"
         assert main(["analyze", str(src), "--json", str(out)]) == 0
         assert len(built) == 0
@@ -207,6 +208,8 @@ class TestCalibrate:
         out = capsys.readouterr().out
         assert "range: 150000 ohm @ 200000 Pa ... 200 ohm @ 750000 Pa" in out
         assert "ohm/Pa" in out and "Pa/ohm" in out
+        assert "note: computed Pa/ohm differs from the nominal 0.02 Pa/ohm figure" in out
+        assert out.endswith("threshold band: +/- 10 %\n")  # the analyzer's Schmitt band
 
     def test_single_point_is_data_error(self, tmp_path, capsys):
         cal = tmp_path / "one.csv"

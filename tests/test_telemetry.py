@@ -27,7 +27,7 @@ from solesense.telemetry import (
     encode,
     frames_from_samples,
 )
-from solesense.units import CHANNEL_ORDER, PressureSample
+from solesense.units import CHANNEL_ORDER, Pressure, PressureSample
 
 PROFILE = measured_profile()
 DIVIDER = DividerConfig()
@@ -556,6 +556,31 @@ class TestCollector:
         stats = collector.stats[frames[0].device_id]
         assert (stats.frames, stats.duplicates, stats.gaps, stats.decode_errors) == (10, 1, 0, 0)
 
+    def test_resend_on_a_new_connection_reaches_the_sink_once(self, capsys):
+        # the emitter retries a frame that died mid-flight on its next connection
+        analyzer = Analyzer()
+        sunk = []
+
+        def sink(device_id, sample):
+            analyzer.update(sample)
+            sunk.append(sample)
+
+        collector = self._start(sink)
+        params = GaitParams(body_mass_kg=70, cycles=1, sample_rate_hz=100)
+        frames = list(frames_from_samples(synthesize(params), PROFILE, DIVIDER))[:10]
+        for part in (frames[:5], frames[4:]):
+            collector.connection_closed.clear()
+            conn = socket.create_connection(collector.address, timeout=5)
+            conn.sendall(b"".join(encode(f) for f in part))
+            conn.close()
+            assert collector.connection_closed.wait(timeout=5.0)
+        collector.stop()
+        assert "Traceback" not in capsys.readouterr().err
+        assert sunk == [counts_to_sample(f.timestamp_ms / 1000.0, f.counts, PROFILE, DIVIDER) for f in frames]
+        stats = collector.stats[frames[0].device_id]
+        assert (stats.frames, stats.stale_timestamps, stats.decode_errors) == (10, 1, 0)
+        assert collector.connections_closed == 2
+
     def test_colliding_millisecond_timestamps_are_dropped_and_counted(self, capsys):
         # above 1 kHz, round(t * 1000) repeats: the analyzer must never see it
         params = GaitParams(body_mass_kg=70, cycles=1, sample_rate_hz=2000)
@@ -590,7 +615,9 @@ class TestCollector:
         want = [counts_to_sample(f.timestamp_ms / 1000.0, f.counts, PROFILE, DIVIDER) for f in frames]
         # the public constructor, handed the channels in reverse order
         table = acquisition.decode_table(PROFILE, DIVIDER)
-        reversed_channels = [{c: table[k] for c, k in reversed(list(zip(CHANNEL_ORDER, f.counts)))} for f in frames]
+        reversed_channels = [
+            {c: Pressure(table[k]) for c, k in reversed(list(zip(CHANNEL_ORDER, f.counts)))} for f in frames
+        ]
         public = [PressureSample(f.timestamp_ms / 1000.0, ch) for f, ch in zip(frames, reversed_channels)]
         wire = b"".join(encode(f) for f in frames)
         sink = _ListSink()
@@ -598,19 +625,22 @@ class TestCollector:
         decoded = _count_calls(monkeypatch, "counts_to_sample")
         built = _count_frames_built(monkeypatch)
         checked = []  # each sample is built once, unchecked
-        post_init = PressureSample.__post_init__
-        monkeypatch.setattr(PressureSample, "__post_init__", lambda self: checked.append(1) or post_init(self))
+        init = PressureSample.__init__
+        monkeypatch.setattr(PressureSample, "__init__", lambda self, *args: checked.append(1) or init(self, *args))
+        pressures = []  # a sample is a float row: no Pressure is built
+        post_init = Pressure.__post_init__
+        monkeypatch.setattr(Pressure, "__post_init__", lambda self: pressures.append(1) or post_init(self))
         conn = socket.create_connection(collector.address, timeout=5)
         conn.sendall(wire)
         conn.close()
         assert collector.connection_closed.wait(timeout=5.0)
         collector.stop()
-        assert (len(decoded), len(built), len(checked)) == (0, 0, 0)
+        assert (len(decoded), len(built), len(checked), len(pressures)) == (0, 0, 0, 0)
         assert sink.samples[1] == want == public
         for sample in sink.samples[1]:
             assert list(sample.channels) == list(CHANNEL_ORDER)
             with pytest.raises(TypeError):
-                sample.channels[CHANNEL_ORDER[0]] = table[0]
+                sample.channels[CHANNEL_ORDER[0]] = Pressure(table[0])
         assert collector.stats[1].frames == 1000
 
     def test_stop_is_prompt_and_leaves_no_thread(self):

@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 
 import numpy as np
@@ -171,22 +173,50 @@ class TestDomainTypes:
         counts = np.array([[4095, 3000, 3500, 3950, 100], [0, 1, 2, 3, 4], [3920, 3093, 3094, 3500, 2000]])
         times = np.array([0.0, 0.01, 0.02])
         inits = []
-        post_init = PressureSample.__post_init__
-        monkeypatch.setattr(PressureSample, "__post_init__", lambda self: inits.append(1) or post_init(self))
+        init = PressureSample.__init__
+        monkeypatch.setattr(PressureSample, "__init__", lambda self, *args: inits.append(1) or init(self, *args))
         decoded = counts_to_samples(times, counts, profile, divider)
         stamps, rows = times.tolist(), counts.tolist()
         decoded += [counts_to_sample(t, tuple(row), profile, divider) for t, row in zip(stamps, rows)]
         assert inits == []  # decoding builds each sample once, unchecked
         for sample, t, row in zip(decoded, stamps * 2, rows * 2):
-            # the public constructor, handed the channels in reverse order
-            public = PressureSample(t, {c: table[k] for c, k in reversed(list(zip(CHANNEL_ORDER, row)))})
-            assert sample == public
-            assert isinstance(sample.channels, MappingProxyType)
-            assert list(sample.channels) == list(CHANNEL_ORDER)
-            assert sample.as_row() == public.as_row() == tuple(table[code].pascals for code in row)
-            with pytest.raises(TypeError):
-                sample.channels[SoleChannel.HEEL] = Pressure(2.0)
+            pascals = tuple(table[code] for code in row)
+            # the public constructor, handed the channels in reverse order, and from_row
+            public = PressureSample(t, {c: Pressure(p) for c, p in reversed(list(zip(CHANNEL_ORDER, pascals)))})
+            for route in (sample, public, PressureSample.from_row(t, pascals)):
+                assert route == sample and route == public
+                assert route != PressureSample.from_row(t, (*pascals[:4], pascals[4] + 1.0))
+                assert route != PressureSample.from_row(t + 1.0, pascals)
+                assert route.as_row() == pascals
+                assert [route.value(c) for c in CHANNEL_ORDER] == list(pascals)
+                channels = route.channels
+                assert isinstance(channels, MappingProxyType)
+                assert list(channels) == list(CHANNEL_ORDER)
+                assert [channels[c] for c in CHANNEL_ORDER] == [Pressure(p) for p in pascals]
+                assert route.channels is channels  # built once, then kept
+                with pytest.raises(TypeError):
+                    channels[SoleChannel.HEEL] = Pressure(2.0)
+                for name in ("timestamp", "channels", "_row"):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(route, name, None)
+                with pytest.raises(TypeError):
+                    hash(route)
+                assert pickle.loads(pickle.dumps(route)) == route
+                assert route.as_row() == pascals and route.timestamp == t
         assert len(inits) == len(decoded)  # the public constructor still checks each one
+
+    def test_held_decoded_samples_are_small(self):
+        profile, divider = measured_profile(), DividerConfig()
+        codes = np.random.default_rng(7).integers(0, len(decode_table(profile, divider)), size=(10_000, 5))
+        times = np.arange(len(codes)) / 100.0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = counts_to_samples(times, codes, profile, divider)
+            per_sample = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+        finally:
+            tracemalloc.stop()
+        assert per_sample < 250  # a float row; the Pressure mapping took 385 B
 
     def test_channel_keyed_dicts_and_sets(self):
         by_channel = {c: c.value for c in CHANNEL_ORDER}
