@@ -16,14 +16,18 @@ Each step has a per-sample form and an array form (``divider_out_ohms``,
 divider and the floor quantizer use only exactly-rounded operations, and the
 static curve is ``sensor.static_ohms``, so both forms agree bit for bit.
 Decoding indexes ``decode_table``, a tuple of bare pascals per (profile,
-divider), in both; one builder makes the float-row sample of in-table codes,
-and ``count_to_pressure`` wraps its entry in a Pressure at the API boundary.
+divider). Next to it the profile keeps an object-dtype array of the same float
+objects, which a block of codes indexes in one call (``counts_to_samples``, and
+the collector's array route): every decoded row shares the table's floats, so
+decoding allocates no float and a held sample stays one small tuple.
+``count_to_pressure`` wraps a table entry in a Pressure at the API boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -79,8 +83,9 @@ def divider_out_ohms(ohms: np.ndarray, cfg: DividerConfig = DividerConfig()) -> 
     equals the scalar result bit for bit.
     """
     v_in = cfg.v_in.volts
-    with np.errstate(invalid="ignore"):  # inf / inf where the sensor is open
-        return np.where(np.isinf(ohms), v_in, v_in * ohms / (cfg.r1.ohms + ohms))
+    volts = np.empty(ohms.shape)
+    volts.fill(v_in)  # an open sensor: inf / inf is never computed
+    return np.divide(v_in * ohms, cfg.r1.ohms + ohms, out=volts, where=~np.isinf(ohms))
 
 
 def invert_divider(v_out: Voltage, cfg: DividerConfig = DividerConfig()) -> Resistance:
@@ -116,7 +121,7 @@ def quantize(v: Voltage, cfg: DividerConfig = DividerConfig()) -> AdcCount:
 def quantize_volts(volts: np.ndarray, cfg: DividerConfig = DividerConfig()) -> np.ndarray:
     """quantize on an array of bare volts: integer codes, equal to the scalar ones."""
     codes = 1 << cfg.adc_bits
-    return np.clip(np.floor(volts / cfg.v_ref.volts * codes), 0, codes - 1).astype(np.int64)
+    return np.minimum(np.maximum(np.floor(volts / cfg.v_ref.volts * codes), 0), codes - 1).astype(np.int64)
 
 
 def dequantize(count: AdcCount, cfg: DividerConfig = DividerConfig()) -> Voltage:
@@ -142,17 +147,22 @@ def decode_table(profile: CalibrationProfile, cfg: DividerConfig = DividerConfig
     Built once per divider and kept on the profile. Codes above the rail (only
     when v_ref > v_in) end the table.
     """
-    table = profile._decode_tables.get(cfg)
-    if table is None:
+    return _decode_tables(profile, cfg)[0]
+
+
+def _decode_tables(profile: CalibrationProfile, cfg: DividerConfig) -> tuple[tuple[float, ...], np.ndarray]:
+    """decode_table, and an object-dtype array holding the same float objects."""
+    tables = profile._decode_tables.get(cfg)
+    if tables is None:
         codes = 1 << cfg.adc_bits
         volts = (np.arange(codes) + 0.5) * cfg.v_ref.volts / codes
         volts = volts[volts <= cfg.v_in.volts]
         with np.errstate(divide="ignore"):  # the rail itself is an open circuit
             ohms = cfg.r1.ohms * volts / (cfg.v_in.volts - volts)
         idle = ohms >= profile.idle_resistance_ohm
-        pascals = np.where(idle, 0.0, invert_static_ohms(profile, ohms))
-        table = profile._decode_tables[cfg] = tuple(pascals.tolist())
-    return table
+        table = tuple(np.where(idle, 0.0, invert_static_ohms(profile, ohms)).tolist())
+        tables = profile._decode_tables[cfg] = (table, np.array(table, dtype=object))
+    return tables
 
 
 def _decoded(table: tuple[float, ...], code: int) -> float:
@@ -175,6 +185,13 @@ def _decoded_sample(table: tuple[float, ...], timestamp: float, codes) -> Pressu
     """The sample of five codes in canonical order, each already checked to be
     in ``table``: one float row, with no Pressure built."""
     return PressureSample._of(timestamp, tuple(map(table.__getitem__, codes)))
+
+
+def _decoded_samples(objects: np.ndarray, timestamps: list[float], codes: np.ndarray) -> Iterator[PressureSample]:
+    """_decoded_sample of each row of an (n, 5) block of codes, all already
+    checked to be in the table, lazily: ``objects`` (from _decode_tables) is
+    indexed once, and each row is a tuple of the table's own floats."""
+    return map(PressureSample._of, timestamps, zip(*objects[codes].T.tolist()))
 
 
 def counts_from_pascals(
@@ -218,14 +235,12 @@ def counts_to_samples(
     """
     if counts.ndim != 2 or counts.shape[1] != len(CHANNEL_ORDER):
         raise ValueError(f"expected an (n, {len(CHANNEL_ORDER)}) block of counts, got shape {counts.shape}")
-    table = decode_table(profile, cfg)
+    table, objects = _decode_tables(profile, cfg)
     outside = (counts < 0) | (counts >= len(table))
     if outside.any():
         _decoded(table, int(counts[outside][0]))
     samples = []
     for start in range(0, len(counts), _BLOCK_ROWS):  # bounds the Python copies of the block
         block = slice(start, start + _BLOCK_ROWS)
-        samples.extend(
-            _decoded_sample(table, t, row) for t, row in zip(timestamps[block].tolist(), counts[block].tolist())
-        )
+        samples.extend(_decoded_samples(objects, timestamps[block].tolist(), counts[block]))
     return samples

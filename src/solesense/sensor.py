@@ -158,7 +158,8 @@ def static_ohms(profile: CalibrationProfile, pascals) -> np.ndarray:
     bit.
     """
     pascals = np.asarray(pascals, dtype=float)
-    ohms = np.full(pascals.shape, math.inf)
+    ohms = np.empty(pascals.shape)
+    ohms.fill(math.inf)
     closed = ~(pascals < profile.onset_pressure.pascals)
     log_ohms = np.interp(pascals[closed], profile._pressures, profile._log_resistances).tolist()
     ohms[closed] = np.fromiter(map(math.exp, log_ohms), float, len(log_ohms))

@@ -1,16 +1,36 @@
-"""Fixture writers, fixture data and a chart reader that only the tests use.
+"""Fixture writers, fixture data, a chart reader and a reference receive
+path that only the tests use.
 
 The package reads legacy bench recordings and calibration files but never
 writes them, and never reads its charts back; these helpers make the files
-and the counts the tests check.
+and the counts the tests check. ReferenceReceiver is the collector's receive
+path one frame at a time, which the chunked receive path must match, and
+receive() hands a Collector chosen chunks without a socket.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import selectors
+import traceback
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
+from solesense.acquisition import _decoded_sample
 from solesense.sensor import CALIBRATION_HEADER, CalibrationPoint
 from solesense.store import LEGACY_COLUMNS, LegacyRecord
+from solesense.telemetry import (
+    _BODY,
+    _CRC,
+    CRC_SPAN,
+    FRAME_LENGTH,
+    MAGIC,
+    PROTOCOL_VERSION,
+    Collector,
+    Deframer,
+    DeviceStats,
+    crc16_ccitt_false,
+)
 
 # (time_s, pressure_pa, resistance_ohm) bench recording of one fabricated
 # sensor, pressed and released. The two columns were logged by separate
@@ -57,3 +77,134 @@ def count_series(svg_text: str) -> int:
     for chunk in svg_text.split('data-name="')[1:]:
         names.add(chunk.split('"', 1)[0])
     return len(names)
+
+
+@dataclass
+class ReferenceDeframer:
+    """Deframer.scan one offset at a time, returning each valid frame's
+    ``_BODY`` fields."""
+
+    frames: int = 0
+    bad_crc: int = 0
+    bad_version: int = 0
+    skipped_bytes: int = 0
+    _buffer: bytearray = field(default_factory=bytearray)
+
+    @property
+    def error_count(self) -> int:
+        return self.bad_crc + self.bad_version
+
+    def scan(self, data: bytes) -> list[tuple]:
+        buffer = self._buffer
+        buffer.extend(data)
+        fields: list[tuple] = []
+        pos = 0
+        last = len(buffer) - FRAME_LENGTH  # the last offset a whole frame starts at
+        while pos <= last:
+            body = _BODY.unpack_from(buffer, pos)
+            if body[0] != MAGIC:
+                # jump to the next magic, stopping where less than a frame is left
+                found = buffer.find(MAGIC, pos, last + 2)
+                skip_to = last + 1 if found < 0 else found
+                self.skipped_bytes += skip_to - pos
+                pos = skip_to
+            elif body[1] != PROTOCOL_VERSION:
+                pos += 1
+                self.bad_version += 1
+            elif crc16_ccitt_false(buffer[pos : pos + CRC_SPAN]) != _CRC.unpack_from(buffer, pos + CRC_SPAN)[0]:
+                pos += 1
+                self.bad_crc += 1
+            else:
+                fields.append(body)
+                self.frames += 1
+                pos += FRAME_LENGTH
+        del buffer[:pos]
+        return fields
+
+
+class ReferenceReceiver:
+    """Collector._read and Collector._close, one frame at a time, on
+    connections held as (ReferenceDeframer, next sequence per device)."""
+
+    def __init__(self, sink: Callable, table: tuple[float, ...]):
+        self._sink = sink
+        self._table = table
+        self.stats: dict[int, DeviceStats] = defaultdict(DeviceStats)
+        self._last_ms: dict[int, int] = {}
+        self.connections_closed = 0
+
+    @staticmethod
+    def connection() -> tuple[ReferenceDeframer, dict[int, int]]:
+        return ReferenceDeframer(), {}
+
+    def read(self, connection, chunk: bytes) -> bool:
+        """Take one received chunk; False when the connection was closed."""
+        deframer, expected = connection
+        if not chunk:
+            self.close(connection)
+            return False
+        last_ms = self._last_ms
+        try:
+            table = self._table
+            for _magic, _version, device_id, sequence, ts_low, ts_high, *counts in deframer.scan(chunk):
+                stats = self.stats[device_id]
+                timestamp_ms = ts_low | ts_high << 32
+                want = expected.get(device_id, sequence)
+                if sequence < want:  # an at-least-once resend
+                    stats.duplicates += 1
+                    continue
+                stats.gaps += sequence - want
+                expected[device_id] = sequence + 1
+                if timestamp_ms <= last_ms.get(device_id, -1):  # the sink needs strictly increasing times
+                    stats.stale_timestamps += 1
+                    continue
+                last_ms[device_id] = timestamp_ms
+                if max(counts) >= len(table):  # CRC-valid but out of the table: never fatal
+                    stats.decode_errors += 1
+                    continue
+                stats.frames += 1
+                self._sink(device_id, _decoded_sample(table, timestamp_ms / 1000.0, counts))
+        except Exception:
+            traceback.print_exc()  # a failing sink ends its own connection, not the loop
+            self.close(connection)
+            return False
+        return True
+
+    def close(self, connection) -> None:
+        # its deframer's errors land on its first device, or device 0 if it had none
+        deframer, expected = connection
+        if deframer.error_count:
+            self.stats[next(iter(expected), 0)].decode_errors += deframer.error_count
+        self.connections_closed += 1
+
+
+class _Received:
+    """A connection as Collector._read sees it: recv() hands out the given
+    chunks, then b"" for the end of the stream."""
+
+    def __init__(self, chunks: Iterable[bytes]):
+        self._chunks = iter(chunks)
+        self.closed = False
+
+    def recv(self, size: int) -> bytes:
+        chunk = next(self._chunks, b"")
+        assert len(chunk) <= size
+        return chunk
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class _Selector:
+    def unregister(self, fileobj) -> None:
+        pass
+
+
+def receive(collector: Collector, chunks: Iterable[bytes]) -> tuple[Deframer, dict[int, int]]:
+    """Run ``chunks`` through collector's receive path as one connection, up
+    to its close; returns the connection's deframer and next sequences."""
+    received = _Received(chunks)
+    key = selectors.SelectorKey(received, 0, selectors.EVENT_READ, (Deframer(), {}))
+    while not received.closed:
+        collector._read(_Selector(), key)
+    return key.data

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 import socket
 import threading
 import time
 
 import pytest
+from helpers import ReferenceReceiver, receive
 
 from solesense import acquisition, telemetry
 from solesense.acquisition import DividerConfig, counts_to_sample
@@ -233,17 +235,13 @@ class TestDeframer:
             if i % 9 == 4:
                 encoded[rng.randrange(3, FRAME_LENGTH)] ^= 0x40  # bad CRC
             wire += encoded + b"S"
-        want = [
-            (MAGIC, 1, f.device_id, f.sequence, f.timestamp_ms & 0xFFFFFFFF, f.timestamp_ms >> 32, *f.counts)
-            for i, f in enumerate(frames)
-            if i % 9 != 4
-        ]
+        kept = [f for i, f in enumerate(frames) if i % 9 != 4]
         deframer = Deframer()
-        got = []
+        got = bytearray()
         for i in range(0, len(wire), chunk):
-            got.extend(deframer.scan(bytes(wire[i : i + chunk])))
-        assert got == want
-        assert (deframer.frames, deframer.bad_crc, deframer.bad_version) == (len(want), len(frames) - len(want), 0)
+            got += deframer.scan(bytes(wire[i : i + chunk]))  # the valid frames, packed back to back
+        assert bytes(got) == b"".join(encode(f) for f in kept)
+        assert (deframer.frames, deframer.bad_crc, deframer.bad_version) == (len(kept), len(frames) - len(kept), 0)
 
 
 class _MemoryTransport:
@@ -693,3 +691,118 @@ class TestCollector:
         assert calls == {3: 1, 4: 20}
         assert collector.connections_closed == 2
         assert "RuntimeError: sink failed" in capsys.readouterr().err
+
+
+def _receive_schedule(rng):
+    """A seeded session of 1-3 connections, each a list of received chunks,
+    with every fault the receive path handles; and the sink call to raise on."""
+    fault = rng.choice([0.0, 0.01, 0.05, 0.2])  # share of frames with a ledger fault
+    damage = rng.choice([0.0, 0.0, 0.01, 0.05])  # share of frames damaged on the wire
+    # chunk sizes in frames: few, around the array crossing, or a full recv
+    spans = rng.choice([(1, 3), (20, 30), (10, 160), (1, 160)])
+    devices = [rng.randrange(256) for _ in range(rng.choice([1, 2]))]
+    state = {d: [rng.choice([0, rng.randrange(1 << 31)]), rng.choice([0, rng.randrange(1 << 47)])] for d in devices}
+    sent = {d: [] for d in devices}
+    connections = []
+    for _ in range(rng.randint(1, 3)):
+        wire = bytearray()
+        for _ in range(rng.choice([0, rng.randint(1, 250)])):
+            d = rng.choice(devices)
+            seq, ms = state[d]
+            counts = [rng.randrange(4096) for _ in range(5)]
+            kinds = ["gap", "resend", "replay", "stray", "same_ms", "back_ms", "bad_code"]
+            kind = "next" if rng.random() >= fault else rng.choice(kinds)
+            if kind == "resend" and sent[d]:
+                frames = [rng.choice(sent[d][-8:])]
+            elif kind == "replay":  # the last frames again, in order
+                frames = sent[d][-rng.randint(1, 40) :]
+            elif kind == "stray":  # an old sequence number with a later timestamp
+                frames = [TelemetryFrame(d, max(0, seq - rng.randint(1, 5)), ms + rng.randint(1, 40), tuple(counts))]
+            else:
+                seq += rng.randint(2, 6) if kind == "gap" else 1
+                ms = {"same_ms": ms, "back_ms": max(0, ms - rng.randint(1, 50))}.get(kind, ms + rng.randint(1, 20))
+                if kind == "bad_code":
+                    counts[rng.randrange(5)] = rng.choice([4096, rng.randrange(4096, 1 << 16)])
+                frames = [TelemetryFrame(d, seq, ms, tuple(counts))]
+                state[d] = [seq, ms]
+                sent[d].extend(frames)
+            for frame in frames:
+                encoded = bytearray(encode(frame))
+                if rng.random() < damage:
+                    harm = rng.choice(["junk", "crc", "version", "cut", "foreign"])
+                    if harm == "junk":
+                        encoded[:0] = bytes(rng.choice(b"SL\x01\x00\xff") for _ in range(rng.randint(1, 30)))
+                    elif harm == "crc":
+                        encoded[rng.randrange(3, FRAME_LENGTH)] ^= 1 << rng.randrange(8)
+                    elif harm == "version":
+                        encoded[2] = rng.choice([0, 2, 255])
+                    elif harm == "cut":
+                        del encoded[rng.randrange(1, FRAME_LENGTH) :]
+                    else:  # another protocol's magic or version, under a valid CRC
+                        encoded[rng.choice([0, 2])] ^= 0x04
+                        encoded[CRC_SPAN:] = crc16_ccitt_false(bytes(encoded[:CRC_SPAN])).to_bytes(2, "little")
+                wire += encoded
+        chunks, start = [], 0
+        while start < len(wire):
+            stop = min(start + rng.randint(*spans) * FRAME_LENGTH + rng.randrange(-25, 26), start + 4096)
+            stop = max(stop, start + 1)
+            chunks.append(bytes(wire[start:stop]))
+            start = stop
+        connections.append(chunks)
+    total = sum(map(len, sum(connections, []))) // FRAME_LENGTH
+    raise_at = rng.randrange(total) if total and rng.random() < 0.3 else None
+    return connections, raise_at
+
+
+class TestReceiveEquivalence:
+    def test_chunked_receive_equals_one_frame_at_a_time(self, monkeypatch):
+        table = acquisition.decode_table(PROFILE, DIVIDER)
+        routes = {"block": 0, "frames": 0, "valid": 0, "invalid": 0}
+        for name, route in (("_ingest_block", "block"), ("_ingest_frames", "frames")):
+            original = getattr(Collector, name)
+
+            def counted(self, *args, _original=original, _route=route):
+                routes[_route] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Collector, name, counted)
+        all_valid = telemetry._all_valid
+
+        def checked(frames):
+            valid = all_valid(frames)
+            routes["valid" if valid else "invalid"] += 1
+            return valid
+
+        monkeypatch.setattr(telemetry, "_all_valid", checked)
+
+        for seed in range(200):
+            connections, raise_at = _receive_schedule(random.Random(seed))
+
+            def sink_into(sunk):
+                def sink(device_id, sample):
+                    if len(sunk) == raise_at:
+                        sunk.append("raised")
+                        raise RuntimeError("sink failed")
+                    sunk.append((device_id, sample))
+
+                return sink
+
+            want, got = [], []
+            reference = ReferenceReceiver(sink_into(want), table)
+            collector = Collector(sink_into(got), PROFILE, DIVIDER)
+            for chunks in connections:
+                ref_conn = reference.connection()
+                for chunk in chunks + [b""]:
+                    if not reference.read(ref_conn, chunk):
+                        break
+                (ref_deframer, ref_expected), (deframer, expected) = ref_conn, receive(collector, chunks)
+                assert list(expected.items()) == list(ref_expected.items()), f"seed {seed}"
+                counters = ("frames", "bad_crc", "bad_version", "skipped_bytes")
+                got_counters = [getattr(deframer, c) for c in counters]
+                assert got_counters == [getattr(ref_deframer, c) for c in counters], f"seed {seed}"
+            assert got == want, f"seed {seed}"
+            stats = {d: dataclasses.astuple(s) for d, s in collector.stats.items()}
+            assert stats == {d: dataclasses.astuple(s) for d, s in reference.stats.items()}, f"seed {seed}"
+            assert list(collector._last_ms.items()) == list(reference._last_ms.items()), f"seed {seed}"
+            assert collector.connections_closed == reference.connections_closed
+        assert min(routes.values()) > 0, routes  # both receive routes, both scan checks

@@ -7,9 +7,11 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
+from helpers import receive
 
 from solesense.acquisition import DividerConfig, counts_to_sample, counts_to_samples, decode_table
 from solesense.sensor import measured_profile
+from solesense.telemetry import Collector, TelemetryFrame, encode
 from solesense.units import (
     CHANNEL_ORDER,
     DEFAULT_GEOMETRY,
@@ -217,6 +219,26 @@ class TestDomainTypes:
         finally:
             tracemalloc.stop()
         assert per_sample < 250  # a float row; the Pressure mapping took 385 B
+
+    def test_held_samples_from_the_collector_share_the_table_and_are_small(self):
+        profile, divider = measured_profile(), DividerConfig()
+        table = decode_table(profile, divider)
+        codes = np.random.default_rng(8).integers(0, len(table), size=(10_000, 5)).tolist()
+        wire = b"".join(encode(TelemetryFrame(1, i, 10 * i, tuple(row))) for i, row in enumerate(codes))
+        chunks = [wire[i : i + 4096] for i in range(0, len(wire), 4096)]  # full recv's: the array route
+        held = []
+        collector = Collector(lambda device_id, sample: held.append(sample), profile, divider)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            receive(collector, chunks)
+            per_sample = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == len(codes)
+        # each row holds the table's own floats: decoding allocated none
+        assert all(x is table[k] for sample, row in zip(held, codes) for x, k in zip(sample.as_row(), row))
+        assert per_sample < 250  # building fresh floats would add 120 B
 
     def test_channel_keyed_dicts_and_sets(self):
         by_channel = {c: c.value for c in CHANNEL_ORDER}
