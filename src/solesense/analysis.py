@@ -15,15 +15,17 @@ The online Analyzer folds each gait cycle into running figures when the next
 heel strike closes it and keeps no events (update() returns them), so its
 state and its report are O(1) in session length.
 
-Analyzer.update folds one PressureSample; Analyzer.update_block folds a block
-of numpy columns (timestamps and (n, 5) pascals) and returns exactly the
-events, and leaves exactly the state, that update() would row by row. The
-block reduces regions, takes peaks and runs the Schmitt trigger on whole
-columns. Both folds step the one scalar phase machine on the same rows: those
-off the rest set, the (contact, phase) pairs at which classify_phase keeps the
-phase, outside initial contact, whose heel-only dwell runs on the clock. At
-rest, the block jumps to its next contact change. analyze() folds its samples
-as one block.
+Analyzer.update folds one PressureSample in one flat kernel on its float
+row: one chained compare admits the timestamp, the row unpacks into five
+floats whose region maxima update the peaks, and each region's Schmitt
+decision is inlined. Analyzer.update_block folds a block of numpy columns
+(timestamps and (n, 5) pascals) and returns exactly the events, and leaves
+exactly the state, that update() would row by row. The block reduces regions,
+takes peaks and runs the Schmitt trigger on whole columns. Both folds step the
+one scalar phase machine on the same rows: those off the rest set, the
+(contact, phase) pairs at which classify_phase keeps the phase, outside
+initial contact, whose heel-only dwell runs on the clock. At rest, the block
+jumps to its next contact change. analyze() folds its samples as one block.
 """
 
 from __future__ import annotations
@@ -80,11 +82,10 @@ _REGION_SLICES = tuple(
     for r in _REGIONS
 )
 
-
-def _region_pressures(row: Sequence[float]) -> list[float]:
-    """Forefoot, midfoot and heel pressure of one canonical-order row: the max
-    of each region's channels."""
-    return [max(row[s]) for s in _REGION_SLICES]
+_FOREFOOT, _MIDFOOT, _HEEL = _REGIONS
+# Analyzer.update unpacks a row as the forefoot, the three midfoot channels and the heel
+if _REGION_SLICES != (slice(0, 1), slice(1, 4), slice(4, 5)):
+    raise ImportError(f"Analyzer.update cannot unpack rows of region slices {_REGION_SLICES}")
 
 
 # contact states by code 4 * heel + 2 * midfoot + forefoot; bit weights follow FootRegion
@@ -92,20 +93,11 @@ _CONTACTS = tuple(ContactState(bool(c & 4), bool(c & 2), bool(c & 1)) for c in r
 _WEIGHTS = (1, 2, 4)
 
 
-def _schmitt(pressures: Sequence[float], was: int) -> int:
-    """Contact code from forefoot, midfoot and heel pressures and the code
-    before: on at or above the on-threshold, off at or below the
-    off-threshold, else as it was."""
-    code = 0
-    for weight, pressure in zip(_WEIGHTS, pressures):
-        if pressure >= _ON_PA or (pressure > _OFF_PA and was & weight):
-            code += weight
-    return code
-
-
 def _schmitt_column(pressure: np.ndarray, was_on: bool) -> np.ndarray:
-    """_schmitt on a column: each row takes the decision of the last row at
-    or before it outside the band, or ``was_on`` if there is none."""
+    """One region's Schmitt trigger on a column: a row at or above the
+    on-threshold is on, one at or below the off-threshold is off, and a row
+    inside the band takes the decision of the last row at or before it outside
+    the band, or ``was_on`` if there is none."""
     on = pressure >= _ON_PA
     decisive = np.where(on | (pressure <= _OFF_PA), np.arange(1, len(on) + 1), 0)
     np.maximum.accumulate(decisive, out=decisive)
@@ -152,6 +144,8 @@ _AT_REST = frozenset(
     for phase in GaitPhase
     if phase != GaitPhase.INITIAL_CONTACT and classify_phase(contact, phase) == phase
 )
+# _AT_REST by phase: the contact codes at which that phase cannot move
+_REST_CODES = {phase: frozenset(code for code, p in _AT_REST if p == phase) for phase in GaitPhase}
 
 
 class GaitEventKind(Enum):
@@ -216,7 +210,7 @@ class Analyzer:
     the loading dwell are fixed (see the module docstring).
     """
 
-    _contact: int = 0  # contact code of the last row, as _schmitt returns it
+    _contact: int = 0  # contact code of the last row, as _CONTACTS indexes it
     _phase: GaitPhase = GaitPhase.SWING
     _phase_since: float | None = None
     _last_timestamp: float | None = None
@@ -239,14 +233,33 @@ class Analyzer:
     def update(self, sample: PressureSample) -> list[GaitEvent]:
         """Fold in one sample; returns any events it produced."""
         t = sample.timestamp
-        self._accept(t)
-        pressures = _region_pressures(sample.as_row())
+        last = self._last_timestamp
+        if last is not None and last < t < math.inf:
+            self._last_timestamp = t
+            self._sample_index += 1
+        else:  # the first sample, or a bad timestamp: raises before any state changes
+            self._accept(t)
+        fore, medial, central, lateral, heel = sample._row
+        mid = max(medial, central, lateral)
         peaks = self._peaks
-        for region, pressure in zip(_REGIONS, pressures):
-            if pressure > peaks[region]:
-                peaks[region] = pressure
-        code = self._contact = _schmitt(pressures, self._contact)
-        if (code, self._phase) in _AT_REST:
+        if fore > peaks[_FOREFOOT]:
+            peaks[_FOREFOOT] = fore
+        if mid > peaks[_MIDFOOT]:
+            peaks[_MIDFOOT] = mid
+        if heel > peaks[_HEEL]:
+            peaks[_HEEL] = heel
+        # each region's Schmitt trigger: on at or above the on-threshold, off
+        # at or below the off-threshold, else as it was; bit weights as _CONTACTS
+        was = self._contact
+        code = 0
+        if fore >= _ON_PA or (fore > _OFF_PA and was & 1):
+            code = 1
+        if mid >= _ON_PA or (mid > _OFF_PA and was & 2):
+            code += 2
+        if heel >= _ON_PA or (heel > _OFF_PA and was & 4):
+            code += 4
+        self._contact = code
+        if code in _REST_CODES[self._phase]:
             return []
         event = self._step(t, _CONTACTS[code])
         return [] if event is None else [event]

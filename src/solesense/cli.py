@@ -216,6 +216,8 @@ def _render_live(sample: PressureSample, width: int = 28) -> str:
 
 def cmd_collect(args) -> int:
     _validate_epoch_flag("collect", args.epoch)
+    if args.report is not None and not args.analyze:
+        raise _UsageError("collect: --report needs --analyze")
     host, port = _parse_addr(args.addr)
     profile = _load_profile(args.profile)
     divider = DividerConfig()
@@ -282,10 +284,12 @@ def _flush_collected(
 ) -> None:
     """Write each device's session, and its report with --analyze --report;
     with more than one device, each file takes its device's _device_path."""
-    if not samples:  # still produce a valid, header-only session file
+    if not samples:  # still produce a valid, header-only session file, and an empty report
         empty = SessionLog(header=default_header(epoch=args.epoch, profile_name=profile_name))
         store.write_session(empty, args.output)
         print(f"wrote 0 samples to {args.output}")
+        if args.report:
+            _write_report(args.report, Analyzer().report())
         return
     multi = len(samples) > 1
     for device_id, kept in sorted(samples.items()):
@@ -298,10 +302,13 @@ def _flush_collected(
         store.write_session(log, path)
         print(f"wrote {len(log.samples)} samples to {path}")
         if analyzer is not None and args.report:
-            report_path = _device_path(args.report, device_id) if multi else args.report
-            with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(report_json_text(log.report))
-            print(f"wrote report to {report_path}")
+            _write_report(_device_path(args.report, device_id) if multi else args.report, log.report)
+
+
+def _write_report(path: str, report: GaitReport) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(report_json_text(report))
+    print(f"wrote report to {path}")
 
 
 # --- analyze ------------------------------------------------------------------

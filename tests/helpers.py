@@ -1,11 +1,13 @@
-"""Fixture writers, fixture data, a chart reader and a reference receive
-path that only the tests use.
+"""Fixture writers, fixture data, a chart reader and reference receive and
+fold paths that only the tests use.
 
 The package reads legacy bench recordings and calibration files but never
 writes them, and never reads its charts back; these helpers make the files
 and the counts the tests check. ReferenceReceiver is the collector's receive
 path one frame at a time, which the chunked receive path must match, and
-receive() hands a Collector chosen chunks without a socket.
+receive() hands a Collector chosen chunks without a socket. reference_update
+is Analyzer.update written on the region reduction and the Schmitt trigger as
+functions, which the flat kernel must match.
 """
 
 from __future__ import annotations
@@ -14,9 +16,20 @@ import selectors
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from solesense.acquisition import _decoded_sample
+from solesense.analysis import (
+    _AT_REST,
+    _CONTACTS,
+    _OFF_PA,
+    _ON_PA,
+    _REGION_SLICES,
+    _REGIONS,
+    _WEIGHTS,
+    Analyzer,
+    GaitEvent,
+)
 from solesense.sensor import CALIBRATION_HEADER, CalibrationPoint
 from solesense.store import LEGACY_COLUMNS, LegacyRecord
 from solesense.telemetry import (
@@ -77,6 +90,40 @@ def count_series(svg_text: str) -> int:
     for chunk in svg_text.split('data-name="')[1:]:
         names.add(chunk.split('"', 1)[0])
     return len(names)
+
+
+def _region_pressures(row: Sequence[float]) -> list[float]:
+    """Forefoot, midfoot and heel pressure of one canonical-order row: the max
+    of each region's channels."""
+    return [max(row[s]) for s in _REGION_SLICES]
+
+
+def _schmitt(pressures: Sequence[float], was: int) -> int:
+    """Contact code from forefoot, midfoot and heel pressures and the code
+    before: on at or above the on-threshold, off at or below the
+    off-threshold, else as it was."""
+    code = 0
+    for weight, pressure in zip(_WEIGHTS, pressures):
+        if pressure >= _ON_PA or (pressure > _OFF_PA and was & weight):
+            code += weight
+    return code
+
+
+def reference_update(analyzer: Analyzer, sample) -> list[GaitEvent]:
+    """Analyzer.update on _region_pressures and _schmitt: fold in one sample;
+    returns any events it produced."""
+    t = sample.timestamp
+    analyzer._accept(t)
+    pressures = _region_pressures(sample.as_row())
+    peaks = analyzer._peaks
+    for region, pressure in zip(_REGIONS, pressures):
+        if pressure > peaks[region]:
+            peaks[region] = pressure
+    code = analyzer._contact = _schmitt(pressures, analyzer._contact)
+    if (code, analyzer._phase) in _AT_REST:
+        return []
+    event = analyzer._step(t, _CONTACTS[code])
+    return [] if event is None else [event]
 
 
 @dataclass

@@ -1,16 +1,20 @@
+import copy
+import json
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
+from helpers import _region_pressures, _schmitt, receive, reference_update
 
+from solesense.acquisition import DividerConfig
 from solesense.analysis import (
     _CONTACTS,
+    _LOADING_DWELL_S,
     Analyzer,
     ContactState,
     GaitEventKind,
-    _region_pressures,
-    _schmitt,
     analyze,
     classify_phase,
     compare_sensors,
@@ -19,7 +23,8 @@ from solesense.cli import simulate_session
 from solesense.datasets import comparison_stimulus
 from solesense.sensor import bench_profile, fsr_reference_profile, measured_profile
 from solesense.synth import GaitParams, ground_truth, synthesize
-from solesense.units import REGION_CHANNELS, GaitPhase, PressureSample, samples_to_columns
+from solesense.telemetry import Collector, encode, frames_from_samples
+from solesense.units import CHANNEL_ORDER, REGION_CHANNELS, GaitPhase, Pressure, PressureSample, samples_to_columns
 
 HEEL_ON = 4  # the heel's bit in a contact code, 4 * heel + 2 * midfoot + forefoot
 
@@ -303,14 +308,14 @@ class TestUpdateBlock:
             Analyzer().update_block(np.zeros(3), np.zeros((3, 4)))
 
 
-def _update_every_row(analyzer, sample, reduce_region=max):
+def _update_every_row(analyzer, sample):
     """update() with no at-rest skip: the phase machine (classify_phase plus
     the loading dwell, Analyzer._step) runs on every row, and the peaks and
     the contact pressures come from the sample's channels by name."""
     analyzer._accept(sample.timestamp)
     pressures = []  # forefoot, midfoot, heel, as _schmitt takes them
     for region, channels in REGION_CHANNELS.items():
-        pressure = reduce_region(sample.value(c) for c in channels)
+        pressure = max(sample.value(c) for c in channels)
         analyzer._peaks[region] = max(analyzer._peaks[region], pressure)
         pressures.append(pressure)
     analyzer._contact = _schmitt(pressures, analyzer._contact)
@@ -321,12 +326,11 @@ def _update_every_row(analyzer, sample, reduce_region=max):
 class TestUpdateAtRest:
     """update() skips the phase machine where it cannot move, and nothing else."""
 
-    @pytest.mark.parametrize("reduce_region", [pytest.param(max, id="max")])
-    def test_equals_stepping_every_row(self, reduce_region):
+    def test_equals_stepping_every_row(self):
         for samples in TestUpdateBlock._sessions():
             fast, reference = Analyzer(), Analyzer()
             events = [event for sample in samples for event in fast.update(sample)]
-            want = [event for sample in samples for event in _update_every_row(reference, sample, reduce_region)]
+            want = [event for sample in samples for event in _update_every_row(reference, sample)]
             assert events and events == want
             assert fast.report() == reference.report()
             assert fast == reference
@@ -396,6 +400,142 @@ class TestUpdateAtRest:
         by_block.update_block(*samples_to_columns(samples))
         assert stepped == row_steps and len(row_steps) == 438
         assert by_block == by_row
+
+
+# the Schmitt thresholds, 22 and 18 kPa, and the float on each side of each
+_EDGES = tuple(math.nextafter(edge, to) for edge in (22_000.0, 18_000.0) for to in (-math.inf, edge, math.inf))
+# contact codes (4 * heel + 2 * midfoot + forefoot) of one gait cycle, from heel strike to swing
+_GAIT_CODES = (4, 6, 7, 3, 1, 0)
+
+
+def _region_value(rng, on):
+    """A region pressure for a row that should read ``on``: often a threshold
+    edge or inside the band, where the contact before decides."""
+    pick = rng.random()
+    if pick < 0.3:
+        return rng.choice(_EDGES)
+    if pick < 0.45:
+        return rng.uniform(18_000.0, 22_000.0)
+    if on:
+        return rng.choice((500_000.0, rng.uniform(22_000.0, 700_000.0)))
+    return rng.choice((0.0, -0.0, rng.uniform(0.0, 18_000.0)))
+
+
+def _midfoot_channels(rng, value):
+    """Three midfoot channels whose max is ``value``, often tied with another
+    channel, and with 0.0 and -0.0 mixed when the value is zero."""
+    if value == 0.0:
+        return [rng.choice((0.0, -0.0)) for _ in range(3)]
+    others = [rng.choice((value, value, rng.uniform(0.0, value), 0.0, -0.0)) for _ in range(2)]
+    channels = [value, *others]
+    rng.shuffle(channels)
+    return channels
+
+
+def _dwell_edge(rng, since):
+    """The last timestamp short of the loading dwell after ``since``, or the
+    first at it, as Analyzer._step subtracts them."""
+    t = since + _LOADING_DWELL_S
+    while t - since >= _LOADING_DWELL_S:
+        t = math.nextafter(t, -math.inf)
+    return math.nextafter(t, math.inf) if rng.random() < 0.5 else t
+
+
+def _kernel_stream(rng):
+    """A seeded stream of canonical-order rows: gait-ordered contact segments
+    with a random one at times, values at and around the Schmitt edges, ties
+    and signed zeros, and a row at the dwell edge of every heel strike."""
+    t = rng.choice((0.0, -0.0, -1.0, rng.uniform(-5.0, 5.0)))
+    dt = rng.choice((0.0075, 0.01, 0.004, rng.uniform(0.001, 0.02)))
+    rows, k, code = [], 0, 0
+    for _ in range(rng.randint(10, 40)):
+        was, k = code, k + 1
+        code = rng.randrange(8) if rng.random() < 0.15 else _GAIT_CODES[k % len(_GAIT_CODES)]
+        edge = None
+        for i in range(rng.randint(1, 10)):
+            fore, mid, heel = (_region_value(rng, bool(code & bit)) for bit in (1, 2, 4))
+            if i == 0 and code == 4 and was != 4:  # a decisive heel strike: initial contact from t
+                fore, mid, heel, edge = 0.0, 0.0, 500_000.0, _dwell_edge(rng, t)
+            rows.append((t, [fore, *_midfoot_channels(rng, mid), heel]))
+            t += dt
+            if edge is not None and rows[-1][0] < edge <= t:
+                t = edge
+    return rows
+
+
+def _decoded(rows):
+    """``rows`` forward through the ADC chain, onto the wire and decoded by
+    the collector, which drops rows in a millisecond already taken."""
+    profile = measured_profile()
+    start = rows[0][0]
+    samples = [PressureSample.from_row(t - start, row) for t, row in rows]
+    wire = b"".join(encode(frame) for frame in frames_from_samples(samples, profile, DividerConfig()))
+    decoded = []
+    collector = Collector(lambda _device, sample: decoded.append(sample), profile)
+    receive(collector, [wire[i : i + 4096] for i in range(0, len(wire), 4096)])
+    return decoded
+
+
+class TestUpdateKernel:
+    """update() gives the events, state, errors and report of reference_update."""
+
+    def test_equals_the_reference_on_seeded_streams(self, monkeypatch):
+        # both run the phase machine on the same rows: the rest set is the same
+        steps = []
+        step = Analyzer._step
+        monkeypatch.setattr(Analyzer, "_step", lambda self, t, contact: steps.append(t) or step(self, t, contact))
+        rested = stepped = matured = 0
+        IC = GaitPhase.INITIAL_CONTACT
+        for seed in range(240):
+            rng = random.Random(seed)
+            rows = _kernel_stream(rng)
+            source = seed % 3
+            if source == 0:
+                samples = [PressureSample.from_row(t, row) for t, row in rows]
+            elif source == 1:
+                samples = [PressureSample(t, dict(zip(CHANNEL_ORDER, map(Pressure, row)))) for t, row in rows]
+            else:
+                samples = _decoded(rows)
+            kernel, reference = Analyzer(), Analyzer()
+            for sample in samples:
+                phase = kernel._phase
+                events = kernel.update(sample)
+                kernel_steps = len(steps)
+                assert events == reference_update(reference, sample), f"seed {seed}"
+                assert kernel == reference and len(steps) == 2 * kernel_steps, f"seed {seed}"
+                steps.clear()
+                rested, stepped = rested + (not kernel_steps), stepped + kernel_steps
+                # a heel-only initial contact that outlasted the dwell
+                matured += (phase, kernel._contact, kernel._phase) == (IC, HEEL_ON, GaitPhase.LOADING_RESPONSE)
+            assert kernel.report() == reference.report(), f"seed {seed}"
+            assert json.dumps(kernel.report().to_json_dict()) == json.dumps(reference.report().to_json_dict())
+        assert min(rested, stepped, matured) > 0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "equal", "backward"])
+    def test_bad_timestamp_raises_the_same_and_changes_nothing(self, bad):
+        samples = [PressureSample.from_row(t, row) for t, row in _kernel_stream(random.Random(1))[:40]]
+        for before in (0, 1, 20):  # a bad first sample, then one after one and after 20 good ones
+            kernel, reference = Analyzer(), Analyzer()
+            for sample in samples[:before]:
+                kernel.update(sample)
+                reference_update(reference, sample)
+            last = samples[before - 1].timestamp if before else samples[0].timestamp - 1.0
+            t = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "equal": last, "backward": last - 0.5}[bad]
+            if before == 0 and bad in ("equal", "backward"):
+                # nothing comes before a first sample: its finite timestamp is in order
+                kernel.update_block([last], [samples[0].as_row()])
+                reference.update_block([last], [samples[0].as_row()])
+            unchanged = copy.deepcopy(kernel)
+            sample = PressureSample.from_row(t, samples[before].as_row())
+            with pytest.raises(ValueError) as got:
+                kernel.update(sample)
+            with pytest.raises(ValueError) as want:
+                reference_update(reference, sample)
+            assert str(got.value) == str(want.value)
+            assert kernel == unchanged and reference == unchanged
+            for sample in samples[before:]:  # the rejected sample left nothing behind
+                assert kernel.update(sample) == reference_update(reference, sample)
+            assert kernel == reference
 
 
 def _reference_figures(events):

@@ -380,6 +380,30 @@ class TestStreamCollect:
         assert log.samples == []
         assert log.header.profile_name == "bench"  # the loaded profile's name, as with samples
 
+    def test_collect_nothing_with_a_report_writes_the_empty_report(self, tmp_path, capsys):
+        out, report_path = tmp_path / "empty.csv", tmp_path / "r.json"
+        thread, results, addr = _start_collect(
+            ["-o", str(out), "--analyze", "--report", str(report_path), "--once"], capsys
+        )
+        host, port = addr.rsplit(":", 1)
+        socket.create_connection((host, int(port)), timeout=5).close()
+        thread.join(timeout=30)
+        assert results["rc"] == 0
+        assert store.read_csv(out).samples == []
+        assert report_path.read_text() == report_json_text(Analyzer().report())
+        assert json.loads(report_path.read_text())["cycles"] == 0
+
+    def test_report_without_analyze_is_usage_error(self, tmp_path):
+        # in a subprocess with a timeout, so a collect that starts listening fails instead of hanging
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        argv = ["collect", "--once", "--addr", "127.0.0.1:0", "-o", "s.csv", "--report", "r.json"]
+        result = subprocess.run(
+            [sys.executable, "-m", "solesense.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == 1 and "--report needs --analyze" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAddrDefaults:
     def test_env_var_supplies_default(self, monkeypatch):
