@@ -286,10 +286,12 @@ def _flush_collected(
     with more than one device, each file takes its device's _device_path."""
     if not samples:  # still produce a valid, header-only session file, and an empty report
         empty = SessionLog(header=default_header(epoch=args.epoch, profile_name=profile_name))
+        if args.analyze:
+            empty.report = Analyzer().report()
         store.write_session(empty, args.output)
         print(f"wrote 0 samples to {args.output}")
         if args.report:
-            _write_report(args.report, Analyzer().report())
+            _write_report(args.report, empty.report)
         return
     multi = len(samples) > 1
     for device_id, kept in sorted(samples.items()):

@@ -21,22 +21,26 @@ error, so junk between frames never costs an intact frame. One collector thread
 serves every device and runs the sink, so a slow sink delays every connection.
 
 Both ends work a block at a time. An unpaced emitter reads ahead up to 256
-samples and converts them in one ``counts_from_pascals`` call; a paced one
-pulls and sends one sample at a time. The collector works on each received
-chunk whole. ``Deframer.scan`` returns its valid frames as packed bytes: a
-chunk of at least _ARRAY_FRAMES whole frames is checked in a few numpy calls
-and, when it is a clean aligned run, returned as one slice. Such a chunk then
-goes through the sequence and timestamp ledger and the decode as arrays
-(``_ledger``), its codes indexing an object-dtype copy of the decode table, so
-each kept frame becomes one float-row PressureSample of the table's own floats.
-A smaller chunk (a paced link sends one frame per recv) takes the same steps
-one frame at a time, which costs less below the crossing. ``Deframer.feed``
-wraps the scan in TelemetryFrames for callers that want them.
+samples, converts them in one ``counts_from_pascals`` call, packs them as
+``_WIRE`` records and sends them with one sendall; a paced one pulls, packs and
+sends one sample at a time. A sendall that fails is retried whole on the next
+connection, so a reconnect can repeat up to a whole block of frames, which the
+collector drops as stale timestamps. The collector reads up to _RECV_BYTES at a
+time and works on each received chunk whole. ``Deframer.scan`` returns its
+valid frames as packed bytes: a chunk of at least _ARRAY_FRAMES whole frames is
+checked in a few numpy calls and, when it is a clean aligned run, returned as
+one slice. Such a chunk then goes through the sequence and timestamp ledger and
+the decode as arrays (``_ledger``), its codes indexing an object-dtype copy of
+the decode table, so each kept frame becomes one float-row PressureSample of
+the table's own floats. A smaller chunk (a paced link sends one frame per recv)
+takes the same steps one frame at a time, which costs less below the crossing.
+``Deframer.feed`` wraps the scan in TelemetryFrames for callers that want them.
 """
 
 from __future__ import annotations
 
 import binascii
+import math
 import selectors
 import socket
 import struct
@@ -46,7 +50,7 @@ import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -68,9 +72,12 @@ CRC_SPAN = 24  # bytes covered by the CRC
 TIMESTAMP_MAX_MS = (1 << 48) - 1
 DEFAULT_PORT = 7332
 ADDR_ENV_VAR = "SOLESENSE_ADDR"
-# samples an unpaced emitter converts at a time: bounds its read-ahead and the
-# Python copies of one block
+# samples an unpaced emitter converts and sends at a time: bounds its
+# read-ahead and the Python copies of one block
 _BLOCK_ROWS = 256
+# bytes the collector asks of one recv: a whole unpaced block (6,656 bytes) and
+# any backlog go through one scan and one ledger pass
+_RECV_BYTES = 1 << 16
 # an emitter's reconnect backoff: doubles from the base up to the cap
 _BACKOFF_BASE_S = 0.1
 _BACKOFF_CAP_S = 5.0
@@ -134,7 +141,7 @@ _WIRE = np.dtype([
 # whole frames a chunk needs before it is checked and decoded as arrays: the
 # array route's numpy calls cost about 40 us per chunk, and it overtook the
 # per-frame loop between 20 and 24 frames (a paced link delivers one frame per
-# recv, a bulk one up to 157)
+# recv, a bulk one a block of 256 or more)
 _ARRAY_FRAMES = 24
 
 
@@ -159,14 +166,18 @@ _CRC_ROWS = np.arange(CRC_SPAN) * 256
 _HEAD = np.frombuffer(MAGIC + bytes([PROTOCOL_VERSION]), np.uint8)
 
 
+def _crcs(rows: np.ndarray) -> np.ndarray:
+    """The CRC of each row of an (n, FRAME_LENGTH) uint8 array of frames."""
+    return np.bitwise_xor.reduce(_CRC_BYTES[rows[:, :CRC_SPAN] + _CRC_ROWS], axis=1)
+
+
 def _all_valid(frames: bytes) -> bool:
     """Whether ``frames``, whole frames back to back, all pass decode()'s
     magic, version and CRC checks."""
     rows = np.frombuffer(frames, np.uint8).reshape(-1, FRAME_LENGTH)
     if not (rows[:, : len(_HEAD)] == _HEAD).all():
         return False
-    crcs = np.bitwise_xor.reduce(_CRC_BYTES[rows[:, :CRC_SPAN] + _CRC_ROWS], axis=1)
-    return bool((crcs == np.frombuffer(frames, _WIRE)["crc"]).all())
+    return bool((_crcs(rows) == np.frombuffer(frames, _WIRE)["crc"]).all())
 
 
 def _pack(device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
@@ -176,6 +187,41 @@ def _pack(device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
         MAGIC, PROTOCOL_VERSION, device_id, sequence, timestamp_ms & 0xFFFFFFFF, timestamp_ms >> 32, *counts
     )
     return body + _CRC.pack(crc16_ccitt_false(body))
+
+
+def _pack_rows(device_id: int, sequence: int, stamps: list[int], codes: np.ndarray) -> bytes:
+    """The wire bytes of one frame per row of ``stamps`` (ms) and ``codes``
+    (n, 5), numbered from ``sequence``, up to the first row no frame can carry:
+    a device id, sequence, timestamp or count out of its field's range.
+
+    One row is packed by _pack, whose struct fields reject those values, in
+    about 1 us against about 20 on arrays. More rows are packed as _WIRE
+    records, with the CRC from _CRC_BYTES; each range is checked explicitly
+    first, because numpy assignment into a u1, u2 or u4 field wraps silently.
+    """
+    if len(stamps) == 1:
+        try:
+            return _pack(device_id, sequence, stamps[0], codes[0].tolist())
+        except struct.error:
+            return b""
+    fits = ((codes >= 0) & (codes <= 0xFFFF)).all(axis=1)
+    fits[max(0, (1 << 32) - sequence) :] = False  # sequence numbers past u32
+    if not 0 <= min(stamps) <= max(stamps) <= TIMESTAMP_MAX_MS:
+        fits &= np.array([0 <= ms <= TIMESTAMP_MAX_MS for ms in stamps])
+    n = len(stamps) if fits.all() else int(fits.argmin())
+    if not 0 <= device_id <= 0xFF or n == 0:
+        return b""
+    wire = np.empty(n, _WIRE)
+    wire["magic"] = MAGIC
+    wire["version"] = PROTOCOL_VERSION
+    wire["device"] = device_id
+    wire["sequence"] = np.arange(sequence, sequence + n)
+    ms = np.array(stamps[:n], np.int64)
+    wire["ms_low"] = ms & 0xFFFFFFFF
+    wire["ms_high"] = ms >> 32
+    wire["counts"] = codes[:n]
+    wire["crc"] = _crcs(wire.view(np.uint8).reshape(n, FRAME_LENGTH))
+    return wire.tobytes()
 
 
 def encode(frame: TelemetryFrame) -> bytes:
@@ -298,8 +344,9 @@ def frames_from_samples(
 
     Reads ahead up to 256 samples, which it converts as one block.
     """
-    for sequence, timestamp_ms, counts in _framed(samples, profile, divider, start_sequence, _BLOCK_ROWS):
-        yield TelemetryFrame(device_id, sequence, timestamp_ms, tuple(counts))
+    for sequence, stamps, codes in _framed(samples, profile, divider, start_sequence, _BLOCK_ROWS):
+        for row_sequence, timestamp_ms, counts in zip(count(sequence), stamps, codes.tolist()):
+            yield TelemetryFrame(device_id, row_sequence, timestamp_ms, tuple(counts))
 
 
 def _framed(
@@ -308,40 +355,51 @@ def _framed(
     divider: DividerConfig,
     sequence: int,
     rows: int,
-) -> Iterator[tuple[int, int, list[int]]]:
-    """(sequence, timestamp ms, counts) of each sample, numbered from
-    ``sequence``, pulling ``rows`` samples at a time and converting them with
+) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """(first sequence, timestamps in ms, (n, 5) codes) of each block of up to
+    ``rows`` samples, numbered from ``sequence``; each block is converted with
     one counts_from_pascals call.
 
-    Nothing here checks field ranges: each caller already does, once per
-    frame. frames_from_samples builds a TelemetryFrame of every row, and
-    Emitter.run packs every row with ``_BODY``, whose fields reject the same
-    values.
+    A timestamp that is not finite ends its block: the rows before it come as
+    a shorter block, then ValueError is raised. No other range is checked
+    here: frames_from_samples builds a TelemetryFrame of every row, and
+    Emitter.run packs with _pack_rows, which stops at the first row no frame
+    can carry.
     """
     samples = iter(samples)
     while block := list(islice(samples, rows)):
-        stamps = [round(sample.timestamp * 1000.0) for sample in block]
         codes = counts_from_pascals(np.array([sample.as_row() for sample in block]), profile, divider)
-        yield from zip(range(sequence, sequence + len(block)), stamps, codes.tolist())
+        try:
+            stamps = [round(sample.timestamp * 1000.0) for sample in block]
+        except (ValueError, OverflowError):  # round() of a NaN or an infinity
+            times = [sample.timestamp * 1000.0 for sample in block]
+            bad = next(k for k, ms in enumerate(times) if not math.isfinite(ms))
+            if bad:
+                yield sequence, [round(ms) for ms in times[:bad]], codes[:bad]
+            raise ValueError(f"timestamp_ms out of range: {times[bad]!r}") from None
+        yield sequence, stamps, codes
         sequence += len(block)
 
 
 class Emitter:
     """Device-side sender: one frame per sample over a (re)connecting transport.
 
-    ``connect`` returns anything with sendall()/close(). On transport failure
-    the emitter reconnects with a fixed exponential backoff, from 100 ms
-    doubling up to 5 s between attempts, each wait passed to ``sleep``, and
-    retries the failed frame, so sequence numbering continues across
-    reconnects. Delivery is at-least-once: a send that died mid-flight is
-    retried, and any frames the transport had buffered but never delivered
-    show up at the receiver as sequence gaps.
+    ``connect`` returns anything with sendall()/close(). Unpaced, it reads
+    ahead up to 256 samples, converts and packs them as one block and sends
+    the block with one sendall(); paced, it pulls, packs and sends one sample
+    at a time, so a frame never waits for a later sample.
 
-    Unpaced, it reads ahead up to 256 samples and converts them as one block;
-    paced, it pulls one sample at a time, so a frame never waits for a later
-    sample. Either way each frame is packed straight to bytes and sent with
-    its own sendall(). A sample no frame can carry (a device id, sequence,
-    timestamp or count out of its field's range) raises TelemetryFrame's
+    On transport failure the emitter reconnects with a fixed exponential
+    backoff, from 100 ms doubling up to 5 s between attempts, each wait passed
+    to ``sleep``, and resends the whole failed block, so sequence numbering
+    continues across reconnects. Delivery is at-least-once: the part of a
+    block that got through before the failure arrives again on the next
+    connection, so a reconnect can repeat up to 256 frames, and any frames
+    the transport had buffered but never delivered show up at the receiver as
+    sequence gaps.
+
+    A sample no frame can carry (a device id, sequence or count out of its
+    field's range, or a timestamp out of range or not finite) raises
     ValueError after the frames before it have gone out.
     """
 
@@ -374,10 +432,11 @@ class Emitter:
                 backoff = min(backoff * 2.0, _BACKOFF_CAP_S)
 
     def _paced(self, samples: Iterable[PressureSample]) -> Iterator[PressureSample]:
-        """Yield each sample after sleeping the timestamp delta since the last."""
+        """Yield each sample after sleeping the timestamp delta since the last;
+        an infinite timestamp is yielded at once, for run() to reject."""
         previous_t = None
         for sample in samples:
-            if previous_t is not None and sample.timestamp > previous_t:
+            if previous_t is not None and previous_t < sample.timestamp < math.inf:
                 self._sleep(sample.timestamp - previous_t)
             previous_t = sample.timestamp
             yield sample
@@ -387,21 +446,22 @@ class Emitter:
         rows = _BLOCK_ROWS
         if self._pace:
             samples, rows = self._paced(samples), 1
-        for sequence, timestamp_ms, counts in _framed(samples, self._profile, self._divider, self.sent, rows):
-            try:
-                payload = _pack(self._device_id, sequence, timestamp_ms, counts)
-            except struct.error:
-                TelemetryFrame(self._device_id, sequence, timestamp_ms, tuple(counts))  # raises its ValueError
-                raise
-            while True:
-                self._ensure_connected()
-                try:
-                    self._conn.sendall(payload)
-                    self.sent += 1
-                    break
-                except OSError:
-                    self.close()
-                    self.retries += 1
+        for sequence, stamps, codes in _framed(samples, self._profile, self._divider, self.sent, rows):
+            payload = _pack_rows(self._device_id, sequence, stamps, codes)
+            packed = len(payload) // FRAME_LENGTH
+            if packed:
+                while True:
+                    self._ensure_connected()
+                    try:
+                        self._conn.sendall(payload)
+                        break
+                    except OSError:
+                        self.close()
+                        self.retries += 1
+                self.sent += packed
+            if packed < len(stamps):  # the row _pack_rows stopped at: TelemetryFrame names its bad field
+                TelemetryFrame(self._device_id, sequence + packed, stamps[packed], tuple(codes[packed].tolist()))
+                raise AssertionError(f"_pack_rows stopped at frameable row {sequence + packed}")
         return self.sent
 
     def close(self) -> None:
@@ -541,7 +601,7 @@ class Collector:
     def _read(self, selector: selectors.BaseSelector, key: selectors.SelectorKey) -> None:
         deframer, expected = key.data
         try:
-            chunk = key.fileobj.recv(4096)  # readable: returns at once, b"" at end of stream
+            chunk = key.fileobj.recv(_RECV_BYTES)  # readable: returns at once, b"" at end of stream
         except OSError:
             chunk = b""
         if not chunk:

@@ -264,8 +264,7 @@ class TestUpdateBlock:
             yield list(synthesize(params))
             yield simulate_session(params, measured_profile()).samples  # decoded, heel-only stances
 
-    # each id also names the region reduction, max
-    @pytest.mark.parametrize("size", [1, 7, 157, None], ids=lambda size: f"{size}-max")
+    @pytest.mark.parametrize("size", [1, 7, 157, None])
     def test_blocks_equal_rows(self, size):
         for samples in self._sessions():
             by_row = Analyzer()

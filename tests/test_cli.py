@@ -381,7 +381,7 @@ class TestStreamCollect:
         assert log.header.profile_name == "bench"  # the loaded profile's name, as with samples
 
     def test_collect_nothing_with_a_report_writes_the_empty_report(self, tmp_path, capsys):
-        out, report_path = tmp_path / "empty.csv", tmp_path / "r.json"
+        out, report_path = tmp_path / "empty.jsonl", tmp_path / "r.json"
         thread, results, addr = _start_collect(
             ["-o", str(out), "--analyze", "--report", str(report_path), "--once"], capsys
         )
@@ -389,9 +389,11 @@ class TestStreamCollect:
         socket.create_connection((host, int(port)), timeout=5).close()
         thread.join(timeout=30)
         assert results["rc"] == 0
-        assert store.read_csv(out).samples == []
         assert report_path.read_text() == report_json_text(Analyzer().report())
         assert json.loads(report_path.read_text())["cycles"] == 0
+        # the session file carries the same report, as an analyzed session with samples does
+        log = store.read_session(out)
+        assert log.samples == [] and log.report == Analyzer().report()
 
     def test_report_without_analyze_is_usage_error(self, tmp_path):
         # in a subprocess with a timeout, so a collect that starts listening fails instead of hanging

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import random
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 from helpers import ReferenceReceiver, receive
 
@@ -247,10 +249,12 @@ class TestDeframer:
 class _MemoryTransport:
     def __init__(self):
         self.buffer = bytearray()
+        self.sends = 0
         self.closed = False
 
     def sendall(self, data):
         self.buffer.extend(data)
+        self.sends += 1
 
     def close(self):
         self.closed = True
@@ -293,13 +297,17 @@ class TestEmitter:
 
         sleeps = []
         emitter = Emitter(connect, PROFILE, DIVIDER, sleep=sleeps.append)
-        emitter.run(self._samples(100))
+        samples = self._samples(100)
+        # two runs, so frame 50 starts a block: a block is sent whole or not at all
+        assert emitter.run(samples[:50]) == 50
+        assert emitter.run(samples[50:]) == 100
         frames = []
         for transport in transports:
             frames.extend(Deframer().feed(bytes(transport.buffer)))
-        # frame 50 failed on the first link and was retried on the second:
-        # numbering continues with no gap
+        # the block from frame 50 failed on the first link and was retried on
+        # the second: numbering continues with no gap
         assert [f.sequence for f in frames] == list(range(100))
+        assert len(transports) == 2 and len(transports[0].buffer) == 50 * FRAME_LENGTH
         assert emitter.retries == 1
 
     def test_connect_backoff_doubles_to_cap(self):
@@ -333,37 +341,51 @@ class TestEmitter:
 
     @pytest.mark.parametrize(
         "case, framed",
-        [("device id 256", 0), ("timestamp -0.002 s", 300), ("timestamp 2.9e11 s", 300), ("17-bit codes", 0)],
+        [
+            ("device id 256", 0),
+            ("timestamp -0.002 s", 300),
+            ("timestamp 2.9e11 s", 300),
+            ("timestamp nan s", 300),
+            ("timestamp inf s", 300),
+            ("sequence past u32", 300),
+            ("17-bit codes", 0),
+        ],
     )
     def test_unframeable_samples_raise_value_error(self, case, framed):
         # each is out of a frame field's range: the frames before it still go
-        # out, and it raises ValueError, never struct.error
-        samples, device_id, divider = _session(400), 1, DIVIDER
+        # out, and it raises ValueError, never struct.error or OverflowError,
+        # whether it sits mid-block (unpaced) or in a block of its own (paced)
+        samples, device_id, divider, start = _session(400), 1, DIVIDER, 0
         if case == "device id 256":
             device_id = 256
         elif case == "17-bit codes":
             divider = DividerConfig(adc_bits=17)
+        elif case == "sequence past u32":
+            start = (1 << 32) - 300
         else:
             bad = float(case.split()[1])
             samples[300] = PressureSample(bad, samples[300].channels)
-        transport = _MemoryTransport()
-        emitter = Emitter(lambda: transport, PROFILE, divider, device_id=device_id)
-        with pytest.raises(ValueError):
-            emitter.run(samples)
-        assert emitter.sent == framed
-        assert len(transport.buffer) == framed * FRAME_LENGTH
         got = []
         with pytest.raises(ValueError):
-            for frame in frames_from_samples(samples, PROFILE, divider, device_id=device_id):
+            for frame in frames_from_samples(samples, PROFILE, divider, device_id=device_id, start_sequence=start):
                 got.append(frame)
-        assert bytes(transport.buffer) == b"".join(encode(f) for f in got)
+        assert len(got) == framed
+        for pace in (False, True):
+            transport, sleeps = _MemoryTransport(), []
+            emitter = Emitter(lambda: transport, PROFILE, divider, device_id=device_id, pace=pace, sleep=sleeps.append)
+            emitter.sent = start
+            with pytest.raises(ValueError):
+                emitter.run(samples)
+            assert emitter.sent - start == framed
+            assert bytes(transport.buffer) == b"".join(encode(f) for f in got)
+            assert all(math.isfinite(s) for s in sleeps)
 
     def test_link_failure_past_the_first_block(self):
         transports = []
 
         class _FlakyOnce(_MemoryTransport):
             def sendall(self, data):
-                if len(transports) == 1 and len(self.buffer) >= 300 * FRAME_LENGTH:
+                if len(transports) == 1 and len(self.buffer) >= 256 * FRAME_LENGTH:
                     raise ConnectionResetError("link dropped")
                 super().sendall(data)
 
@@ -374,7 +396,8 @@ class TestEmitter:
         emitter = Emitter(connect, PROFILE, DIVIDER, sleep=lambda s: None)
         samples = _session(400)
         assert emitter.run(samples) == 400
-        assert len(transports) == 2 and len(transports[0].buffer) == 300 * FRAME_LENGTH
+        # the second block failed on the first link and went whole on the second
+        assert len(transports) == 2 and len(transports[0].buffer) == 256 * FRAME_LENGTH
         wire = b"".join(bytes(t.buffer) for t in transports)
         assert wire == b"".join(encode(f) for f in frames_from_samples(samples, PROFILE, DIVIDER))
         assert emitter.retries == 1
@@ -404,8 +427,60 @@ class TestEmitter:
         built = _count_frames_built(monkeypatch)
         transport = _MemoryTransport()
         assert Emitter(lambda: transport, PROFILE, DIVIDER).run(samples) == 1000
-        assert (len(to_counts), len(built)) == (4, 0)  # one conversion per block of up to 256
+        # one conversion and one sendall per block of up to 256
+        assert (len(to_counts), len(built), transport.sends) == (4, 0, 4)
         assert bytes(transport.buffer) == want
+
+    @pytest.mark.parametrize("rows", [2, 24, 256])
+    def test_array_packing_equals_pack(self, rows):
+        # seeded rows with every field's edges: a block numbered from 0, or
+        # ending on sequence 0xFFFFFFFF; ms on both sides of the u32 split
+        rng = random.Random(rows)
+        top = (1 << 32) - rows  # the first sequence of a block ending on 0xFFFFFFFF
+        for _ in range(20):
+            device = rng.choice([0, 255, rng.randrange(256)])
+            sequence = rng.choice([0, top, rng.randrange(top)])
+            ms_edges = [0, (1 << 32) - 1, 1 << 32, (1 << 48) - 1]
+            stamps = [rng.choice(ms_edges + [rng.randrange(1 << 48)]) for _ in range(rows)]
+            codes = np.array([[rng.choice([0, 0xFFFF, rng.randrange(1 << 16)]) for _ in range(5)] for _ in range(rows)])
+            want = b"".join(
+                telemetry._pack(device, sequence + k, ms, row)
+                for k, (ms, row) in enumerate(zip(stamps, codes.tolist()))
+            )
+            assert telemetry._pack_rows(device, sequence, stamps, codes) == want
+        last = telemetry._pack_rows(255, top, [(1 << 48) - 1] * rows, np.full((rows, 5), 0xFFFF))
+        assert last[-FRAME_LENGTH:] == telemetry._pack(255, 0xFFFFFFFF, (1 << 48) - 1, [0xFFFF] * 5)
+
+    def test_torn_block_send_reaches_the_sink_once(self):
+        # the first link takes one block, then part of the next (100 frames
+        # and part of the 101st) before it fails: the whole block is resent
+        transports = []
+
+        class _Torn(_MemoryTransport):
+            def sendall(self, data):
+                if len(transports) == 1 and self.sends == 1:
+                    self.buffer.extend(data[: 100 * FRAME_LENGTH + 10])
+                    raise ConnectionResetError("link dropped mid-block")
+                super().sendall(data)
+
+        def connect():
+            transports.append(_Torn())
+            return transports[-1]
+
+        samples = _session(600)
+        emitter = Emitter(connect, PROFILE, DIVIDER, sleep=lambda s: None)
+        assert emitter.run(samples) == 600 and emitter.retries == 1
+        sunk = []
+        collector = Collector(lambda device_id, sample: sunk.append(sample), PROFILE, DIVIDER)
+        for transport in transports:
+            wire = bytes(transport.buffer)
+            receive(collector, [wire[i : i + 6656] for i in range(0, len(wire), 6656)])
+        frames = list(frames_from_samples(samples, PROFILE, DIVIDER))
+        assert sunk == [counts_to_sample(f.timestamp_ms / 1000.0, f.counts, PROFILE, DIVIDER) for f in frames]
+        stats = collector.stats[1]
+        # sequence state is per connection: the repeats are stale timestamps
+        assert (stats.frames, stats.stale_timestamps, stats.duplicates, stats.gaps) == (600, 100, 0, 0)
+        assert stats.decode_errors == 0
 
     def test_frames_from_samples_pure(self):
         samples = self._samples(10)
@@ -698,8 +773,9 @@ def _receive_schedule(rng):
     with every fault the receive path handles; and the sink call to raise on."""
     fault = rng.choice([0.0, 0.01, 0.05, 0.2])  # share of frames with a ledger fault
     damage = rng.choice([0.0, 0.0, 0.01, 0.05])  # share of frames damaged on the wire
-    # chunk sizes in frames: few, around the array crossing, or a full recv
-    spans = rng.choice([(1, 3), (20, 30), (10, 160), (1, 160)])
+    # chunk sizes in frames: few, around the array crossing, or up to a block
+    # or more, as a bulk link's recv takes them
+    spans = rng.choice([(1, 3), (20, 30), (10, 160), (1, 160), (200, 600)])
     devices = [rng.randrange(256) for _ in range(rng.choice([1, 2]))]
     state = {d: [rng.choice([0, rng.randrange(1 << 31)]), rng.choice([0, rng.randrange(1 << 47)])] for d in devices}
     sent = {d: [] for d in devices}
@@ -744,7 +820,8 @@ def _receive_schedule(rng):
                 wire += encoded
         chunks, start = [], 0
         while start < len(wire):
-            stop = min(start + rng.randint(*spans) * FRAME_LENGTH + rng.randrange(-25, 26), start + 4096)
+            stop = start + rng.randint(*spans) * FRAME_LENGTH + rng.randrange(-25, 26)
+            stop = min(stop, start + telemetry._RECV_BYTES)
             stop = max(stop, start + 1)
             chunks.append(bytes(wire[start:stop]))
             start = stop
