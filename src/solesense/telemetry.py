@@ -21,9 +21,9 @@ error, so junk between frames never costs an intact frame. One collector thread
 serves every device and runs the sink, so a slow sink delays every connection.
 
 Both ends work a block at a time. An unpaced emitter reads ahead up to 256
-samples, converts them in one ``counts_from_pascals`` call, packs them as
-``_WIRE`` records and sends them with one sendall; a paced one pulls, packs and
-sends one sample at a time. A sendall that fails is retried whole on the next
+samples, converts them in one ``counts_from_pascals`` call, packs each frame
+and sends the block with one sendall; a paced one pulls, packs and sends one
+sample at a time. A sendall that fails is retried whole on the next
 connection, so a reconnect can repeat up to a whole block of frames, which the
 collector drops as stale timestamps. The collector reads up to _RECV_BYTES at a
 time and works on each received chunk whole. ``Deframer.scan`` returns its
@@ -166,18 +166,14 @@ _CRC_ROWS = np.arange(CRC_SPAN) * 256
 _HEAD = np.frombuffer(MAGIC + bytes([PROTOCOL_VERSION]), np.uint8)
 
 
-def _crcs(rows: np.ndarray) -> np.ndarray:
-    """The CRC of each row of an (n, FRAME_LENGTH) uint8 array of frames."""
-    return np.bitwise_xor.reduce(_CRC_BYTES[rows[:, :CRC_SPAN] + _CRC_ROWS], axis=1)
-
-
 def _all_valid(frames: bytes) -> bool:
     """Whether ``frames``, whole frames back to back, all pass decode()'s
     magic, version and CRC checks."""
     rows = np.frombuffer(frames, np.uint8).reshape(-1, FRAME_LENGTH)
     if not (rows[:, : len(_HEAD)] == _HEAD).all():
         return False
-    return bool((_crcs(rows) == np.frombuffer(frames, _WIRE)["crc"]).all())
+    crcs = np.bitwise_xor.reduce(_CRC_BYTES[rows[:, :CRC_SPAN] + _CRC_ROWS], axis=1)
+    return bool((crcs == np.frombuffer(frames, _WIRE)["crc"]).all())
 
 
 def _pack(device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
@@ -187,41 +183,6 @@ def _pack(device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
         MAGIC, PROTOCOL_VERSION, device_id, sequence, timestamp_ms & 0xFFFFFFFF, timestamp_ms >> 32, *counts
     )
     return body + _CRC.pack(crc16_ccitt_false(body))
-
-
-def _pack_rows(device_id: int, sequence: int, stamps: list[int], codes: np.ndarray) -> bytes:
-    """The wire bytes of one frame per row of ``stamps`` (ms) and ``codes``
-    (n, 5), numbered from ``sequence``, up to the first row no frame can carry:
-    a device id, sequence, timestamp or count out of its field's range.
-
-    One row is packed by _pack, whose struct fields reject those values, in
-    about 1 us against about 20 on arrays. More rows are packed as _WIRE
-    records, with the CRC from _CRC_BYTES; each range is checked explicitly
-    first, because numpy assignment into a u1, u2 or u4 field wraps silently.
-    """
-    if len(stamps) == 1:
-        try:
-            return _pack(device_id, sequence, stamps[0], codes[0].tolist())
-        except struct.error:
-            return b""
-    fits = ((codes >= 0) & (codes <= 0xFFFF)).all(axis=1)
-    fits[max(0, (1 << 32) - sequence) :] = False  # sequence numbers past u32
-    if not 0 <= min(stamps) <= max(stamps) <= TIMESTAMP_MAX_MS:
-        fits &= np.array([0 <= ms <= TIMESTAMP_MAX_MS for ms in stamps])
-    n = len(stamps) if fits.all() else int(fits.argmin())
-    if not 0 <= device_id <= 0xFF or n == 0:
-        return b""
-    wire = np.empty(n, _WIRE)
-    wire["magic"] = MAGIC
-    wire["version"] = PROTOCOL_VERSION
-    wire["device"] = device_id
-    wire["sequence"] = np.arange(sequence, sequence + n)
-    ms = np.array(stamps[:n], np.int64)
-    wire["ms_low"] = ms & 0xFFFFFFFF
-    wire["ms_high"] = ms >> 32
-    wire["counts"] = codes[:n]
-    wire["crc"] = _crcs(wire.view(np.uint8).reshape(n, FRAME_LENGTH))
-    return wire.tobytes()
 
 
 def encode(frame: TelemetryFrame) -> bytes:
@@ -363,8 +324,8 @@ def _framed(
     A timestamp that is not finite ends its block: the rows before it come as
     a shorter block, then ValueError is raised. No other range is checked
     here: frames_from_samples builds a TelemetryFrame of every row, and
-    Emitter.run packs with _pack_rows, which stops at the first row no frame
-    can carry.
+    Emitter.run packs every row with _pack, whose fields reject the same
+    values.
     """
     samples = iter(samples)
     while block := list(islice(samples, rows)):
@@ -433,10 +394,12 @@ class Emitter:
 
     def _paced(self, samples: Iterable[PressureSample]) -> Iterator[PressureSample]:
         """Yield each sample after sleeping the timestamp delta since the last;
-        an infinite timestamp is yielded at once, for run() to reject."""
+        a timestamp no frame can carry (past u48 ms, or not finite) is yielded
+        at once, for run() to reject."""
         previous_t = None
         for sample in samples:
-            if previous_t is not None and previous_t < sample.timestamp < math.inf:
+            frameable = sample.timestamp * 1000.0 <= TIMESTAMP_MAX_MS  # False for NaN and inf too
+            if previous_t is not None and previous_t < sample.timestamp and frameable:
                 self._sleep(sample.timestamp - previous_t)
             previous_t = sample.timestamp
             yield sample
@@ -447,22 +410,32 @@ class Emitter:
         if self._pace:
             samples, rows = self._paced(samples), 1
         for sequence, stamps, codes in _framed(samples, self._profile, self._divider, self.sent, rows):
-            payload = _pack_rows(self._device_id, sequence, stamps, codes)
-            packed = len(payload) // FRAME_LENGTH
-            if packed:
-                while True:
-                    self._ensure_connected()
-                    try:
-                        self._conn.sendall(payload)
-                        break
-                    except OSError:
-                        self.close()
-                        self.retries += 1
-                self.sent += packed
-            if packed < len(stamps):  # the row _pack_rows stopped at: TelemetryFrame names its bad field
-                TelemetryFrame(self._device_id, sequence + packed, stamps[packed], tuple(codes[packed].tolist()))
-                raise AssertionError(f"_pack_rows stopped at frameable row {sequence + packed}")
+            frames = []
+            for row in zip(count(sequence), stamps, codes.tolist()):
+                try:
+                    frames.append(_pack(self._device_id, *row))
+                except struct.error:
+                    self._send(frames)
+                    TelemetryFrame(self._device_id, row[0], row[1], tuple(row[2]))  # raises its ValueError
+                    raise
+            self._send(frames)
         return self.sent
+
+    def _send(self, frames: list[bytes]) -> None:
+        """Send ``frames`` with one sendall, resent whole on a new connection
+        until it goes through."""
+        if not frames:
+            return
+        payload = b"".join(frames)
+        while True:
+            self._ensure_connected()
+            try:
+                self._conn.sendall(payload)
+                break
+            except OSError:
+                self.close()
+                self.retries += 1
+        self.sent += len(frames)
 
     def close(self) -> None:
         if self._conn is not None:

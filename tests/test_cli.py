@@ -381,19 +381,22 @@ class TestStreamCollect:
         assert log.header.profile_name == "bench"  # the loaded profile's name, as with samples
 
     def test_collect_nothing_with_a_report_writes_the_empty_report(self, tmp_path, capsys):
-        out, report_path = tmp_path / "empty.jsonl", tmp_path / "r.json"
-        thread, results, addr = _start_collect(
-            ["-o", str(out), "--analyze", "--report", str(report_path), "--once"], capsys
-        )
-        host, port = addr.rsplit(":", 1)
-        socket.create_connection((host, int(port)), timeout=5).close()
-        thread.join(timeout=30)
-        assert results["rc"] == 0
-        assert report_path.read_text() == report_json_text(Analyzer().report())
-        assert json.loads(report_path.read_text())["cycles"] == 0
-        # the session file carries the same report, as an analyzed session with samples does
-        log = store.read_session(out)
-        assert log.samples == [] and log.report == Analyzer().report()
+        for name in ("empty.csv", "empty.jsonl"):
+            out, report_path = tmp_path / name, tmp_path / f"{name}.report.json"
+            thread, results, addr = _start_collect(
+                ["-o", str(out), "--analyze", "--report", str(report_path), "--once"], capsys
+            )
+            host, port = addr.rsplit(":", 1)
+            socket.create_connection((host, int(port)), timeout=5).close()
+            thread.join(timeout=30)
+            assert results["rc"] == 0
+            assert report_path.read_text() == report_json_text(Analyzer().report())
+            assert json.loads(report_path.read_text())["cycles"] == 0
+            if out.suffix == ".csv":
+                assert store.read_csv(out).samples == []
+            else:  # the session file carries the same report, as an analyzed session with samples does
+                log = store.read_session(out)
+                assert log.samples == [] and log.report == Analyzer().report()
 
     def test_report_without_analyze_is_usage_error(self, tmp_path):
         # in a subprocess with a timeout, so a collect that starts listening fails instead of hanging

@@ -1,11 +1,9 @@
 import dataclasses
-import math
 import random
 import socket
 import threading
 import time
 
-import numpy as np
 import pytest
 from helpers import ReferenceReceiver, receive
 
@@ -18,6 +16,7 @@ from solesense.telemetry import (
     CRC_SPAN,
     FRAME_LENGTH,
     MAGIC,
+    TIMESTAMP_MAX_MS,
     BadCrc,
     BadMagic,
     BadVersion,
@@ -378,7 +377,8 @@ class TestEmitter:
                 emitter.run(samples)
             assert emitter.sent - start == framed
             assert bytes(transport.buffer) == b"".join(encode(f) for f in got)
-            assert all(math.isfinite(s) for s in sleeps)
+            # a paced emitter never sleeps towards a timestamp no frame can carry
+            assert all(0 < s <= TIMESTAMP_MAX_MS / 1000.0 for s in sleeps)
 
     def test_link_failure_past_the_first_block(self):
         transports = []
@@ -430,26 +430,6 @@ class TestEmitter:
         # one conversion and one sendall per block of up to 256
         assert (len(to_counts), len(built), transport.sends) == (4, 0, 4)
         assert bytes(transport.buffer) == want
-
-    @pytest.mark.parametrize("rows", [2, 24, 256])
-    def test_array_packing_equals_pack(self, rows):
-        # seeded rows with every field's edges: a block numbered from 0, or
-        # ending on sequence 0xFFFFFFFF; ms on both sides of the u32 split
-        rng = random.Random(rows)
-        top = (1 << 32) - rows  # the first sequence of a block ending on 0xFFFFFFFF
-        for _ in range(20):
-            device = rng.choice([0, 255, rng.randrange(256)])
-            sequence = rng.choice([0, top, rng.randrange(top)])
-            ms_edges = [0, (1 << 32) - 1, 1 << 32, (1 << 48) - 1]
-            stamps = [rng.choice(ms_edges + [rng.randrange(1 << 48)]) for _ in range(rows)]
-            codes = np.array([[rng.choice([0, 0xFFFF, rng.randrange(1 << 16)]) for _ in range(5)] for _ in range(rows)])
-            want = b"".join(
-                telemetry._pack(device, sequence + k, ms, row)
-                for k, (ms, row) in enumerate(zip(stamps, codes.tolist()))
-            )
-            assert telemetry._pack_rows(device, sequence, stamps, codes) == want
-        last = telemetry._pack_rows(255, top, [(1 << 48) - 1] * rows, np.full((rows, 5), 0xFFFF))
-        assert last[-FRAME_LENGTH:] == telemetry._pack(255, 0xFFFFFFFF, (1 << 48) - 1, [0xFFFF] * 5)
 
     def test_torn_block_send_reaches_the_sink_once(self):
         # the first link takes one block, then part of the next (100 frames
