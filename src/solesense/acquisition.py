@@ -12,7 +12,7 @@ wearable itself runs from a 3.7 V lithium cell, which powers the board but
 does not set the ADC reference.
 
 Each step has a per-sample form and an array form (``divider_out_ohms``,
-``quantize_volts``, ``counts_from_pascals``, ``counts_to_samples``). The
+``quantize_volts``, ``counts_from_pascals``, ``counts_to_pascals``). The
 divider and the floor quantizer use only exactly-rounded operations, and the
 static curve is ``sensor.static_ohms``, so both forms agree bit for bit.
 Decoding indexes ``decode_table``, a tuple of bare pascals per (profile,
@@ -222,23 +222,33 @@ def counts_to_sample(
     return _decoded_sample(table, timestamp, counts)
 
 
-def counts_to_samples(
-    timestamps: np.ndarray,
-    counts: np.ndarray,
-    profile: CalibrationProfile,
-    cfg: DividerConfig = DividerConfig(),
-) -> list[PressureSample]:
-    """counts_to_sample on an (n, 5) block of codes, one row per timestamp.
-
-    A code outside the table raises counts_to_sample's ValueError for the
-    first such code in sample order.
-    """
+def _checked_objects(counts: np.ndarray, profile: CalibrationProfile, cfg: DividerConfig) -> np.ndarray:
+    """The object-dtype decode table, after counts_to_sample's range check on an (n, 5) block."""
     if counts.ndim != 2 or counts.shape[1] != len(CHANNEL_ORDER):
         raise ValueError(f"expected an (n, {len(CHANNEL_ORDER)}) block of counts, got shape {counts.shape}")
     table, objects = _decode_tables(profile, cfg)
     outside = (counts < 0) | (counts >= len(table))
     if outside.any():
         _decoded(table, int(counts[outside][0]))
+    return objects
+
+
+def counts_to_pascals(
+    counts: np.ndarray, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
+) -> np.ndarray:
+    """counts_to_samples' pascals as an (n, 5) float array, with no sample built."""
+    return _checked_objects(counts, profile, cfg)[counts].astype(float)
+
+
+def counts_to_samples(
+    timestamps: np.ndarray,
+    counts: np.ndarray,
+    profile: CalibrationProfile,
+    cfg: DividerConfig = DividerConfig(),
+) -> list[PressureSample]:
+    """counts_to_sample on an (n, 5) block of codes, one row per timestamp; a
+    code outside the table raises its ValueError for the first in sample order."""
+    objects = _checked_objects(counts, profile, cfg)
     samples = []
     for start in range(0, len(counts), _BLOCK_ROWS):  # bounds the Python copies of the block
         block = slice(start, start + _BLOCK_ROWS)

@@ -20,7 +20,7 @@ from datetime import datetime
 import numpy as np
 
 from . import plots, store
-from .acquisition import DividerConfig, counts_to_samples, divider_out_ohms, quantize_volts
+from .acquisition import DividerConfig, counts_to_pascals, counts_to_samples, divider_out_ohms, quantize_volts
 from .analysis import _OFF_PA, _ON_PA, Analyzer, GaitEvent, GaitReport, compare_sensors
 from .datasets import comparison_stimulus
 from .sensor import (
@@ -94,8 +94,11 @@ def profile_to_json_dict(profile: CalibrationProfile) -> dict:
 def profile_from_json_file(path) -> CalibrationProfile:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    points = [CalibrationPoint(p, r) for p, r in data["points"]]
-    return fit_profile(data["name"], points, Pressure(data["onset_pressure_pa"]))
+    try:
+        points = [CalibrationPoint(p, r) for p, r in data["points"]]
+        return fit_profile(data["name"], points, Pressure(data["onset_pressure_pa"]))
+    except (KeyError, TypeError) as exc:  # a field missing, or of the wrong JSON type
+        raise CalibrationError(f"{path}: not a calibration profile: {exc.__class__.__name__}: {exc}") from exc
 
 
 def report_json_text(report: GaitReport) -> str:
@@ -103,6 +106,15 @@ def report_json_text(report: GaitReport) -> str:
 
 
 # --- simulate ---------------------------------------------------------------
+
+
+def _simulated_counts(params: GaitParams, profile: CalibrationProfile, divider: DividerConfig):
+    """Synthetic gait -> sensor dynamics -> divider -> ADC on columns: timestamps and (n, 5) codes."""
+    times, pascals = synthesize_columns(params)
+    ohms = np.empty_like(pascals)
+    for k in range(len(CHANNEL_ORDER)):
+        _, ohms[:, k] = run_channel(SensorState.at_rest(0.0), pascals[:, k], times, profile, DynamicsConfig())
+    return times, quantize_volts(divider_out_ohms(ohms, divider), divider)
 
 
 def simulate_session(
@@ -119,18 +131,8 @@ def simulate_session(
     The chain runs on columns and equals synthesize -> step -> divider_out ->
     quantize -> counts_to_sample sample by sample, bit for bit.
     """
-    header = SessionHeader(
-        device_id=device_id,
-        epoch=epoch,
-        profile_name=profile.name,
-        sample_rate_hz=params.sample_rate_hz,
-        divider=divider,
-    )
-    times, pascals = synthesize_columns(params)
-    ohms = np.empty_like(pascals)
-    for k in range(len(CHANNEL_ORDER)):
-        _, ohms[:, k] = run_channel(SensorState.at_rest(0.0), pascals[:, k], times, profile, DynamicsConfig())
-    counts = quantize_volts(divider_out_ohms(ohms, divider), divider)
+    header = SessionHeader(device_id, epoch, profile.name, params.sample_rate_hz, divider)
+    times, counts = _simulated_counts(params, profile, divider)
     return SessionLog(header=header, samples=counts_to_samples(times, counts, profile, divider))
 
 
@@ -162,9 +164,11 @@ def cmd_simulate(args) -> int:
     _validate_epoch_flag("simulate", args.epoch)
     params = _gait_params(args, "simulate")
     profile = _load_profile(args.profile)
-    log = simulate_session(params, profile, device_id=args.device_id, epoch=args.epoch)
-    store.write_session(log, args.output)
-    print(f"wrote {len(log.samples)} samples to {args.output}")
+    divider = DividerConfig()
+    header = SessionHeader(args.device_id, args.epoch, profile.name, params.sample_rate_hz, divider)
+    times, counts = _simulated_counts(params, profile, divider)
+    store.write_columns(header, times, counts_to_pascals(counts, profile, divider), args.output)
+    print(f"wrote {len(times)} samples to {args.output}")
     return EXIT_OK
 
 

@@ -9,8 +9,9 @@ Two formats carry the same sample sequence:
 * JSON Lines for the full typed log -- first line a header object, then one
   object per sample, event, and (optionally) the final report.
 
-Writers pick the format by extension (``.jsonl``, else CSV); readers by
-content, so a file keeps reading whatever it is named.
+One writer takes a log's rows (write_session) or columns (write_columns) and
+has one sample-line builder per format. Writing goes by extension (``.jsonl``,
+else CSV), reading by content, so a file reads whatever it is named.
 
 The report object's field names are fixed: ``cycles``, ``cadence_spm``,
 ``stance_fraction_mean``, ``stance_fraction_std``, ``peak_pressure_pa``
@@ -39,7 +40,6 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -105,28 +105,6 @@ def _parse_header_block(pairs: dict[str, str], path, line: int) -> SessionHeader
         )
     except (KeyError, ValueError) as exc:
         raise SessionFormatError(f"{path}:{line}: bad header block: {exc}") from exc
-
-
-BLOCK_LINES = 256
-
-
-def _write_blocks(fh, lines: Iterator[str]) -> None:
-    """Write newline-terminated lines BLOCK_LINES at a time, flushing each block."""
-    while block := list(islice(lines, BLOCK_LINES)):
-        fh.write("".join(block))
-        fh.flush()
-
-
-def sample_csv_line(sample: PressureSample) -> str:
-    return ",".join([repr(sample.timestamp)] + [repr(v) for v in sample.as_row()])
-
-
-def write_csv(log: SessionLog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in _header_lines(log.header):
-            fh.write(line + "\n")
-        fh.write(",".join(SAMPLE_COLUMNS) + "\n")
-        _write_blocks(fh, (sample_csv_line(sample) + "\n" for sample in log.samples))
 
 
 def _add_header_pair(pairs: dict[str, str], line: str) -> None:
@@ -234,17 +212,6 @@ def _header_from_json(obj: dict) -> SessionHeader:
     )
 
 
-def _sample_to_json(sample: PressureSample) -> dict:
-    body: dict = {"type": "sample", "t_s": sample.timestamp}
-    for column, value in zip(SAMPLE_COLUMNS[1:], sample.as_row()):
-        body[column] = value
-    return body
-
-
-def _sample_from_json(obj: dict) -> PressureSample:
-    return PressureSample.from_row(obj["t_s"], (obj[c] for c in SAMPLE_COLUMNS[1:]))
-
-
 def _event_to_json(event: GaitEvent) -> dict:
     body = {
         "type": "event",
@@ -270,16 +237,6 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def write_jsonl(log: SessionLog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_line(_header_to_json(log.header)))
-        _write_blocks(fh, (_json_line(_sample_to_json(sample)) for sample in log.samples))
-        for event in log.events:
-            fh.write(_json_line(_event_to_json(event)))
-        if log.report is not None:
-            fh.write(_json_line({"type": "report", **log.report.to_json_dict()}))
-
-
 def read_jsonl(path) -> SessionLog:
     header: SessionHeader | None = None
     samples: list[PressureSample] = []
@@ -296,14 +253,14 @@ def read_jsonl(path) -> SessionLog:
                 if kind == "header":
                     header = _header_from_json(obj)
                 elif kind == "sample":
-                    samples.append(_sample_from_json(obj))
+                    samples.append(PressureSample.from_row(obj["t_s"], (obj[c] for c in SAMPLE_COLUMNS[1:])))
                 elif kind == "event":
                     events.append(_event_from_json(obj))
                 elif kind == "report":
                     report = GaitReport.from_json_dict(obj)
                 else:
                     raise ValueError(f"unknown record type {kind!r}")
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:  # the last two: a mistyped value
                 raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
     if header is None:
         raise SessionFormatError(f"{path}: missing header line")
@@ -344,11 +301,38 @@ def read_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
     return (log.header, *samples_to_columns(log.samples))
 
 
-def write_session(log: SessionLog, path) -> None:
-    if str(path).endswith(".jsonl"):
-        write_jsonl(log, path)
+BLOCK_LINES = 256
+
+
+def _write(path, header: SessionHeader, rows, events=(), report: GaitReport | None = None) -> None:
+    """Write a session of ``(timestamp, five pascals)`` rows, BLOCK_LINES lines
+    at a time, flushing each block; events and the report go to JSONL only."""
+    jsonl = str(path).endswith(".jsonl")
+    if jsonl:
+        head = _json_line(_header_to_json(header))
+        lines = (_json_line(dict(zip(SAMPLE_COLUMNS, (t, *row)), type="sample")) for t, row in rows)
     else:
-        write_csv(log, path)
+        head = "\n".join([*_header_lines(header), ",".join(SAMPLE_COLUMNS), ""])
+        lines = (",".join(map(repr, (t, *row))) + "\n" for t, row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        while block := list(islice(lines, BLOCK_LINES)):
+            fh.write("".join(block))
+            fh.flush()
+        if jsonl:
+            fh.writelines(_json_line(_event_to_json(event)) for event in events)
+            if report is not None:
+                fh.write(_json_line({"type": "report", **report.to_json_dict()}))
+
+
+def write_session(log: SessionLog, path) -> None:
+    """Write a log, in the format its path's extension names."""
+    _write(path, log.header, ((s.timestamp, s.as_row()) for s in log.samples), log.events, log.report)
+
+
+def write_columns(header: SessionHeader, times: np.ndarray, pascals: np.ndarray, path) -> None:
+    """Write the columns read_columns returns, as write_session writes the same rows."""
+    _write(path, header, zip(times.tolist(), pascals.tolist()))
 
 
 # --- legacy single-channel bench recordings ----------------------------------

@@ -393,14 +393,15 @@ class Emitter:
                 backoff = min(backoff * 2.0, _BACKOFF_CAP_S)
 
     def _paced(self, samples: Iterable[PressureSample]) -> Iterator[PressureSample]:
-        """Yield each sample after sleeping the timestamp delta since the last;
-        a timestamp no frame can carry (past u48 ms, or not finite) is yielded
-        at once, for run() to reject."""
+        """Yield each sample after sleeping the timestamp delta since the last,
+        at most half threading.TIMEOUT_MAX (time.sleep fails once its deadline
+        passes TIMEOUT_MAX); a timestamp no frame can carry (past u48 ms, or
+        not finite) is yielded at once, for run() to reject."""
         previous_t = None
         for sample in samples:
             frameable = sample.timestamp * 1000.0 <= TIMESTAMP_MAX_MS  # False for NaN and inf too
             if previous_t is not None and previous_t < sample.timestamp and frameable:
-                self._sleep(sample.timestamp - previous_t)
+                self._sleep(min(sample.timestamp - previous_t, threading.TIMEOUT_MAX / 2))
             previous_t = sample.timestamp
             yield sample
 

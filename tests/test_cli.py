@@ -8,13 +8,14 @@ import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from solesense import sensor, store
+from solesense import cli, sensor, store
 from solesense.analysis import Analyzer, analyze
 from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text, simulate_session
 from solesense.datasets import MEASURED_CALIBRATION
-from solesense.sensor import measured_profile, static_resistance
+from solesense.sensor import builtin_profile, builtin_profile_names, measured_profile, static_resistance
 from solesense.store import LegacyRecord
 from solesense.synth import GaitParams
 from solesense.telemetry import encode, frames_from_samples
@@ -74,6 +75,35 @@ class TestSimulate:
         out = tmp_path / "s.jsonl"
         assert main(["simulate", "--cycles", "2", "-o", str(out)]) == 0
         assert len(store.read_jsonl(out).samples) == 200
+
+    @pytest.mark.parametrize("name", builtin_profile_names())
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_simulate_writes_the_session_simulate_session_gives(self, tmp_path, name, ext):
+        # simulate writes its chain's columns; simulate_session's samples,
+        # written by write_session, must give the same bytes
+        out, want = tmp_path / f"s.{ext}", tmp_path / f"want.{ext}"
+        for cycles in (3, 0):
+            argv = ["simulate", "--profile", name, "--cycles", str(cycles), "--seed", "5", "--noise", "2000"]
+            assert main(argv + ["-o", str(out)]) == 0
+            params = GaitParams(body_mass_kg=70.0, cycles=cycles, seed=5, noise_sigma_pa=2000.0)
+            store.write_session(simulate_session(params, builtin_profile(name)), want)
+            assert out.read_bytes() == want.read_bytes()
+
+    def test_simulate_builds_no_sample(self, tmp_path, monkeypatch):
+        built = []  # by the public constructor, or by from_row and the decoders
+        init, of = PressureSample.__init__, PressureSample._of
+        monkeypatch.setattr(PressureSample, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        monkeypatch.setattr(PressureSample, "_of", classmethod(lambda cls, *args: built.append(1) or of(*args)))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--cycles", "5", "--seed", "3", "--noise", "2000", "-o", str(out)]) == 0
+        assert len(built) == 0
+        assert len(store.read_csv(out).samples) == 500
+
+    def test_out_of_table_code_raises_the_decode_error(self, monkeypatch, capsys, tmp_path):
+        # simulate decodes through counts_to_samples' range check
+        monkeypatch.setattr(cli, "quantize_volts", lambda volts, divider: np.full(volts.shape, 1 << 12))
+        assert main(["simulate", "--cycles", "1", "-o", str(tmp_path / "s.csv")]) == 2
+        assert "count 4096 is outside the 4096 codes" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -184,6 +214,16 @@ class TestAnalyze:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3
 
+    def test_malformed_jsonl_session_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        main(["simulate", "--cycles", "1", "-o", str(path)])
+        lines = path.read_text().splitlines()
+        lines[5] = "[1, 2]"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 2
+        assert f"{path}:6: " in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_fit_reproduces_points(self, tmp_path, capsys):
@@ -195,6 +235,19 @@ class TestCalibrate:
         profile = profile_from_json_file(out)
         for p, r in MEASURED_CALIBRATION:
             assert static_resistance(profile, Pressure(p)).ohms == pytest.approx(r, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"name": "x"}, {"name": "x", "onset_pressure_pa": 1.0, "points": 5}, [1, 2]],
+        ids=["no points", "points not a list", "not an object"],
+    )
+    def test_malformed_profile_file_is_data_error(self, tmp_path, capsys, body):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(sensor.CalibrationError, match="p.json"):
+            profile_from_json_file(path)
+        assert main(["simulate", "--profile", str(path), "-o", str(tmp_path / "s.csv")]) == 2
+        assert "p.json" in capsys.readouterr().err
 
     def test_profile_file_with_fit_r2_still_loads(self, tmp_path):
         path = tmp_path / "old.json"

@@ -5,19 +5,19 @@ import pytest
 from solesense.analysis import analyze
 from solesense.store import (
     BLOCK_LINES,
+    SAMPLE_COLUMNS,
     LegacyRecord,
     SessionFormatError,
     SessionLog,
     default_header,
     read_columns,
     read_csv,
-    sample_csv_line,
     read_jsonl,
     read_legacy_csv,
     read_session,
     sniff_kind,
-    write_csv,
-    write_jsonl,
+    write_columns,
+    write_session,
 )
 from solesense.synth import GaitParams, synthesize
 
@@ -41,11 +41,16 @@ def _session(cycles=2, noise=0.0, with_analysis=False):
     return log
 
 
+def _written(path, log):
+    write_session(log, path)
+    return path
+
+
 class TestCsv:
     def test_roundtrip_identity(self, tmp_path):
         log = _session(cycles=10, noise=3_000.0)
         path = tmp_path / "session.csv"
-        write_csv(log, path)
+        write_session(log, path)
         back = read_csv(path)
         assert back.header == log.header
         assert len(back.samples) == len(log.samples) == 1000
@@ -55,7 +60,7 @@ class TestCsv:
 
     def test_empty_log_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(SessionLog(header=default_header()), path)
+        write_session(SessionLog(header=default_header()), path)
         lines = path.read_text().splitlines()
         assert lines[-1].startswith("t_s,")
         assert all(line.startswith("#") for line in lines[:-1])
@@ -72,7 +77,7 @@ class TestCsv:
     def test_bad_value_reports_line(self, tmp_path):
         log = _session(cycles=1)
         path = tmp_path / "session.csv"
-        write_csv(log, path)
+        write_session(log, path)
         text = path.read_text().splitlines()
         text[10] = text[10].replace(",", ",junk", 1)
         path.write_text("\n".join(text) + "\n")
@@ -86,7 +91,7 @@ class TestCsv:
     )
     def test_rows_the_array_pass_rejects_are_named_by_line(self, tmp_path, line, message):
         path = tmp_path / "session.csv"
-        write_csv(_session(cycles=1), path)
+        write_session(_session(cycles=1), path)
         text = path.read_text().splitlines()
         text[20] = line
         path.write_text("\n".join(text) + "\n")
@@ -98,7 +103,7 @@ class TestCsv:
         # a header line among the samples, a blank line, a digit separator the
         # array pass rejects
         path = tmp_path / "session.csv"
-        write_csv(_session(cycles=1), path)
+        write_session(_session(cycles=1), path)
         text = path.read_text().splitlines()
         text.insert(20, edit)
         path.write_text("\n".join(text) + "\n")
@@ -110,7 +115,7 @@ class TestCsv:
         log = _session(cycles=1)
         log.samples = log.samples[:10]
         path = tmp_path / "grow.csv"
-        write_csv(log, path)
+        write_session(log, path)
         lines = path.read_text().splitlines(keepends=True)
         partial = tmp_path / "partial.csv"
         for upto in range(10, len(lines) + 1):
@@ -122,10 +127,10 @@ class TestCsv:
     def test_blocks_write_the_lines_one_by_one_would(self, tmp_path):
         log = _session(cycles=6, noise=1_000.0)
         assert len(log.samples) > 2 * BLOCK_LINES
-        write_csv(log, tmp_path / "s.csv")
-        body = "".join(sample_csv_line(s) + "\n" for s in log.samples)
+        write_session(log, tmp_path / "s.csv")
+        body = "".join(",".join(map(repr, (s.timestamp, *s.as_row()))) + "\n" for s in log.samples)
         assert (tmp_path / "s.csv").read_text().endswith("heel_pa\n" + body)
-        write_jsonl(log, tmp_path / "s.jsonl")
+        write_session(log, tmp_path / "s.jsonl")
         columns = ("forefoot_pa", "midfoot_medial_pa", "midfoot_central_pa", "midfoot_lateral_pa", "heel_pa")
         body = "".join(
             json.dumps({"type": "sample", "t_s": s.timestamp, **dict(zip(columns, s.as_row()))}, sort_keys=True) + "\n"
@@ -139,7 +144,7 @@ class TestJsonl:
     def test_roundtrip_with_events_and_report(self, tmp_path):
         log = _session(cycles=5, with_analysis=True)
         path = tmp_path / "session.jsonl"
-        write_jsonl(log, path)
+        write_session(log, path)
         back = read_jsonl(path)
         assert back.header == log.header
         assert back.events == log.events
@@ -150,7 +155,7 @@ class TestJsonl:
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_jsonl(SessionLog(header=default_header()), path)
+        write_session(SessionLog(header=default_header()), path)
         back = read_jsonl(path)
         assert back.samples == [] and back.events == [] and back.report is None
         _assert_columns_equal_rows(path, read_jsonl)
@@ -164,7 +169,7 @@ class TestJsonl:
     def test_malformed_line_reports_number(self, tmp_path):
         log = _session(cycles=1)
         path = tmp_path / "bad.jsonl"
-        write_jsonl(log, path)
+        write_session(log, path)
         lines = path.read_text().splitlines()
         lines[3] = lines[3][:-1]  # chop the closing brace
         path.write_text("\n".join(lines) + "\n")
@@ -173,13 +178,52 @@ class TestJsonl:
 
     def test_csv_and_jsonl_carry_identical_samples(self, tmp_path):
         log = _session(cycles=3, noise=1_000.0)
-        write_csv(log, tmp_path / "s.csv")
-        write_jsonl(log, tmp_path / "s.jsonl")
+        write_session(log, tmp_path / "s.csv")
+        write_session(log, tmp_path / "s.jsonl")
         a = read_csv(tmp_path / "s.csv").samples
         b = read_jsonl(tmp_path / "s.jsonl").samples
         assert [(s.timestamp, s.as_row()) for s in a] == [(s.timestamp, s.as_row()) for s in b]
         _assert_columns_equal_rows(tmp_path / "s.csv", read_csv)
         _assert_columns_equal_rows(tmp_path / "s.jsonl", read_jsonl)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (json.dumps({"type": "sample", "t_s": None, **{c: 1.0 for c in SAMPLE_COLUMNS[1:]}}), "NoneType"),
+            ("[1, 2]", "list indices"),
+            ('{"type": "header", "device_id": 1, "epoch": "e", "profile": "p", "sample_rate_hz": 1, "divider": 5}', "int"),
+        ],
+        ids=["null timestamp", "not an object", "divider not an object"],
+    )
+    def test_record_of_the_wrong_type_reports_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        write_session(_session(cycles=1), path)
+        lines = path.read_text().splitlines()
+        lines[3] = line
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=f":4: .*{message}"):
+                reader(path)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("name", ["s.csv", "s.jsonl"])
+    def test_write_columns_reads_back(self, tmp_path, name):
+        log = _session(cycles=3, noise=1_000.0)
+        header, times, pascals = read_columns(_written(tmp_path / f"log-{name}", log))
+        path = tmp_path / name
+        write_columns(header, times, pascals, path)
+        back = read_columns(path)
+        assert back[0] == header
+        assert back[1].tolist() == times.tolist() and back[2].tolist() == pascals.tolist()
+        # the same rows give the same file, from a log or from columns
+        assert path.read_bytes() == (tmp_path / f"log-{name}").read_bytes()
+
+    def test_csv_has_no_place_for_events_or_the_report(self, tmp_path):
+        log = _session(cycles=3, with_analysis=True)
+        assert log.events and log.report is not None
+        text = _written(tmp_path / "s.csv", log).read_text()
+        assert "{" not in text and text.count("\n") == len(log.samples) + 9
 
 
 class TestFormatByContent:
@@ -187,8 +231,10 @@ class TestFormatByContent:
 
     def test_misnamed_files_read_as_what_they_hold(self, tmp_path):
         log = _session(cycles=2, noise=1_000.0)
-        write_csv(log, tmp_path / "csv_as.jsonl")
-        write_jsonl(log, tmp_path / "jsonl_as.csv")
+        write_session(log, tmp_path / "csv.csv")
+        write_session(log, tmp_path / "jsonl.jsonl")
+        (tmp_path / "csv.csv").rename(tmp_path / "csv_as.jsonl")
+        (tmp_path / "jsonl.jsonl").rename(tmp_path / "jsonl_as.csv")
         for path, reader in ((tmp_path / "csv_as.jsonl", read_csv), (tmp_path / "jsonl_as.csv", read_jsonl)):
             back = read_session(path)
             assert back.header == log.header
@@ -197,7 +243,7 @@ class TestFormatByContent:
 
     def test_blank_lines_before_the_first_record(self, tmp_path):
         log = _session(cycles=1)
-        write_jsonl(log, tmp_path / "s.jsonl")
+        write_session(log, tmp_path / "s.jsonl")
         path = tmp_path / "s.csv"
         path.write_text("\n  \n" + (tmp_path / "s.jsonl").read_text())
         assert read_session(path).header == log.header
@@ -231,8 +277,8 @@ class TestLegacy:
 
 class TestSniff:
     def test_kinds(self, tmp_path):
-        write_csv(_session(cycles=1), tmp_path / "a.csv")
-        write_jsonl(_session(cycles=1), tmp_path / "a.jsonl")
+        write_session(_session(cycles=1), tmp_path / "a.csv")
+        write_session(_session(cycles=1), tmp_path / "a.jsonl")
         write_legacy_csv(tmp_path / "legacy.csv", [LegacyRecord(0.0, 1.0, 2.0)])
         (tmp_path / "cal.csv").write_text("pressure_pa,resistance_ohm\n1,2\n")
         assert sniff_kind(tmp_path / "a.csv") == "session"

@@ -1,6 +1,9 @@
 import dataclasses
+import errno
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -419,6 +422,34 @@ class TestEmitter:
         emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=lambda s: None)
         assert emitter.run(pulled(_session(300))) == 300
         assert log == [event for k in range(300) for event in (("pull", k), ("send", k))]
+
+    def test_paced_wait_past_the_sleep_limit_sends_both_frames(self):
+        # the real time.sleep refuses such a wait at once, without sleeping
+        with pytest.raises(OverflowError):
+            time.sleep(2 * threading.TIMEOUT_MAX)
+        waits = []
+
+        def sleep(seconds):  # time.sleep's limits, without the wait
+            if seconds > threading.TIMEOUT_MAX:
+                raise OverflowError("timestamp out of range for platform time_t")
+            if seconds + time.monotonic() >= threading.TIMEOUT_MAX:
+                raise OSError(errno.EINVAL, "Invalid argument")
+            waits.append(seconds)
+
+        samples = [PressureSample.from_row(t, [0.0] * 5) for t in (0.0, 2e10)]
+        transport = _MemoryTransport()
+        assert Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=sleep).run(samples) == 2
+        assert [f.timestamp_ms for f in Deframer().feed(bytes(transport.buffer))] == [0, 2 * 10**13]
+        assert len(waits) == 1
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or sys.version_info < (3, 11), reason="time.sleep on clock_nanosleep"
+    )
+    def test_real_sleep_fails_once_its_deadline_passes_the_limit(self):
+        # the OSError the stub above raises: a wait of TIMEOUT_MAX itself fails at once
+        code = "import threading, time; time.sleep(threading.TIMEOUT_MAX)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+        assert run.returncode == 1 and "OSError" in run.stderr
 
     def test_unpaced_run_builds_no_frame_and_no_per_sample_counts(self, monkeypatch):
         samples = _session(1000)
