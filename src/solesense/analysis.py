@@ -434,6 +434,8 @@ def compare_sensors(
     dynamics are the defaults with the play operator disabled: a comparison
     bench presses the bare device, and the logged levels are settled values.
     """
+    if len(times_s) == 0:
+        raise ValueError("empty time base: a comparison needs at least one stimulus row")
     if stimuli_pa and isinstance(stimuli_pa[0], (list, tuple)):
         stimuli = [list(s) for s in stimuli_pa]
     else:

@@ -35,7 +35,6 @@ from .sensor import (
     builtin_profile_names,
     characterize,
     fit_profile,
-    read_calibration_csv,
     run_channel,
     static_ohms,
 )
@@ -71,6 +70,13 @@ def _parse_addr(text: str) -> tuple[str, int]:
     if not (port.isdecimal() and int(port) <= 65535):
         raise _UsageError(f"address {text!r}: the port must be an integer in 0-65535")
     return host or "127.0.0.1", int(port)
+
+
+def _device_id(text: str) -> int:
+    """--device-id as the frame's device byte: an integer in 0-255."""
+    if not (text.isdecimal() and int(text) <= 255):
+        raise argparse.ArgumentTypeError(f"must be an integer in 0-255, got {text!r}")
+    return int(text)
 
 
 def _default_addr() -> str:
@@ -384,13 +390,15 @@ def cmd_analyze(args) -> int:
                 [("resistance_ohm", [r.resistance_ohm for r in records])],
             )
             _response_curve_plot(args, [(r.pressure_pa, r.resistance_ohm) for r in records])
-    else:  # calibration pairs
-        points = read_calibration_csv(args.input)
+    elif kind == "calibration":
+        points = store.read_calibration_csv(args.input)
         summary = {"kind": "calibration", "points": len(points)}
         sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         if args.plots:
             os.makedirs(args.plots, exist_ok=True)
             _response_curve_plot(args, [(p.pressure_pa, p.resistance_ohm) for p in points])
+    else:
+        raise SessionFormatError(f"{args.input}: a stimulus file is read by compare --stimulus, not analyze")
     return EXIT_OK
 
 
@@ -398,7 +406,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    points = read_calibration_csv(args.input)
+    points = store.read_calibration_csv(args.input)
     profile = fit_profile(args.name, points, Pressure(args.onset))
     figures = characterize(profile)
     if args.output:
@@ -431,28 +439,11 @@ def cmd_calibrate(args) -> int:
 # --- compare --------------------------------------------------------------------
 
 
-def _read_stimulus_csv(path) -> tuple[list[float], list[list[float]] | list[float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise SessionFormatError(f"{path}: empty stimulus file")
-    header = tuple(lines[0].split(","))
-    rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
-    times = [r[0] for r in rows]
-    if header == ("time_s", "sensor_pa", "fsr_pa"):
-        return times, [[r[1] for r in rows], [r[2] for r in rows]]
-    if header == ("time_s", "pressure_pa"):
-        return times, [r[1] for r in rows]
-    raise SessionFormatError(
-        f"{path}: expected 'time_s,sensor_pa,fsr_pa' or 'time_s,pressure_pa', got {header!r}"
-    )
-
-
 def cmd_compare(args) -> int:
     sensor_profile = _load_profile(args.sensor_profile)
     fsr_profile = _load_profile(args.fsr_profile)
     if args.stimulus:
-        times, stimuli = _read_stimulus_csv(args.stimulus)
+        times, stimuli = store.read_stimulus_csv(args.stimulus)
     else:
         times, sensor_stim, fsr_stim = comparison_stimulus()
         stimuli = [sensor_stim, fsr_stim]
@@ -499,7 +490,7 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", parents=[gait], help="synthesize a gait session through the full sensor chain")
     sim.add_argument("--profile", default="measured", help=f"one of {builtin_profile_names()} or a profile JSON path")
-    sim.add_argument("--device-id", type=int, default=1)
+    sim.add_argument("--device-id", type=_device_id, default=1)
     sim.add_argument("--epoch", default=store.DEFAULT_EPOCH)
     sim.add_argument("-o", "--output", required=True)
     sim.set_defaults(func=cmd_simulate)
@@ -508,7 +499,7 @@ def build_parser() -> _Parser:
     stream.add_argument("--input", "-i", default=None, help="session file to replay")
     stream.add_argument("--simulate", action="store_true", help="stream a live simulation instead of a file")
     stream.add_argument("--addr", default=_default_addr(), help="collector host:port")
-    stream.add_argument("--device-id", type=int, default=None)
+    stream.add_argument("--device-id", type=_device_id, default=None)
     stream.add_argument("--pace", action="store_true", help="pace frames by sample timestamps")
     stream.add_argument("--profile", default=None, help="override the session's profile")
     stream.set_defaults(func=cmd_stream)
@@ -553,13 +544,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except (SessionFormatError, CalibrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:  # stdout's reader left; a ConnectionError, so caught first
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except (ConnectionError, socket.gaierror, socket.timeout) as exc:
         print(f"network error: {exc}", file=sys.stderr)
         return EXIT_NETWORK

@@ -25,7 +25,6 @@ only the static curve runs on the whole column, as ``static_ohms``.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -500,29 +499,3 @@ def builtin_profile(name: str) -> CalibrationProfile:
 
 def builtin_profile_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTIN_PROFILES))
-
-
-# --- calibration file format -----------------------------------------------
-
-CALIBRATION_HEADER = ("pressure_pa", "resistance_ohm")
-
-
-def read_calibration_csv(path) -> list[CalibrationPoint]:
-    """Read `pressure_pa,resistance_ohm` rows; open circuit is not
-    representable here (the profile's onset pressure covers it)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(CALIBRATION_HEADER):
-            raise CalibrationError(
-                f"{path}: expected header {','.join(CALIBRATION_HEADER)!r}, got {header!r}"
-            )
-        points = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                points.append(CalibrationPoint(float(row[0]), float(row[1])))
-            except (IndexError, ValueError) as exc:
-                raise CalibrationError(f"{path}:{lineno}: bad calibration row {row!r}: {exc}") from exc
-    return points

@@ -30,8 +30,18 @@ analyze``: a CSV body is parsed in one array pass and validated at once
 whole goes back through read_csv, so the columns always equal read_csv's
 samples and a malformed file raises the same ``path:line`` error.
 
-A third, single-channel legacy layout (``time_s,pressure_pa,resistance_ohm``)
-is read only, to replay old bench recordings.
+One line reader, _read_table, reads every CSV table, with one grammar:
+``#`` lines hold ``key: value`` pairs, on either side of the column line
+(only the session header uses them); empty lines are skipped, and so are
+lines of spaces before the column line; the first other line is the column
+line, whose cells, spaces stripped, must name the table's layout; every
+later line holds one float per column. Anything else raises an error naming
+``path:line``. The four tables are the session CSV above and three
+read-only ones: legacy single-channel bench recordings
+(``time_s,pressure_pa,resistance_ohm``), calibration sweeps
+(``pressure_pa,resistance_ohm``) and comparison stimuli
+(``time_s,sensor_pa,fsr_pa`` or ``time_s,pressure_pa``). sniff_kind, and
+the test for JSON Lines, find a file's first line as the readers do.
 """
 
 from __future__ import annotations
@@ -39,17 +49,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from pathlib import Path
 
 import numpy as np
 
 from .acquisition import DividerConfig
 from .analysis import GaitEvent, GaitEventKind, GaitReport
+from .sensor import CalibrationError, CalibrationPoint
 from .telemetry import SessionHeader
 from .units import CHANNEL_ORDER, GaitPhase, PressureSample, Resistance, Voltage, samples_to_columns
 
 SAMPLE_COLUMNS = ("t_s",) + tuple(f"{c.value}_pa" for c in CHANNEL_ORDER)
 LEGACY_COLUMNS = ("time_s", "pressure_pa", "resistance_ohm")
+CALIBRATION_HEADER = ("pressure_pa", "resistance_ohm")
+STIMULUS_LAYOUTS = (("time_s", "sensor_pa", "fsr_pa"), ("time_s", "pressure_pa"))
 
 DEFAULT_EPOCH = "1970-01-01T00:00:00Z"
 
@@ -112,57 +124,69 @@ def _add_header_pair(pairs: dict[str, str], line: str) -> None:
     pairs[key.strip()] = value.strip()
 
 
-def _read_column_line(fh, path) -> tuple[dict[str, str], int, int]:
-    """Read through the column header line, parsing the ``#`` lines before it.
-
-    Returns the key/value pairs, the number of the last ``#`` line and the
-    number of the column line.
-    """
-    pairs: dict[str, str] = {}
-    header_line = 0
+def _first_line(fh, pairs: dict[str, str]) -> tuple[int, int, str]:
+    """Read through a file's first line that is neither blank nor ``#``: a
+    table's column line, or a JSONL file's first record. Returns the number of
+    the last ``#`` line before it (0 if none), its own number and its text,
+    stripped ("" at the end of the file); the ``#`` lines go into ``pairs``."""
+    pairs_line = lineno = 0
     for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
-        line = raw.rstrip("\n")
-        if line.startswith("#"):
-            _add_header_pair(pairs, line)
-            header_line = lineno
-        elif line:
-            if tuple(line.split(",")) != SAMPLE_COLUMNS:
-                raise SessionFormatError(
-                    f"{path}:{lineno}: expected columns {','.join(SAMPLE_COLUMNS)!r}, got {line!r}"
-                )
-            return pairs, header_line, lineno
-    raise SessionFormatError(f"{path}: missing column header line")
+        if raw.startswith("#"):
+            _add_header_pair(pairs, raw)
+            pairs_line = lineno
+        elif raw.strip():
+            return pairs_line, lineno, raw.strip()
+    return pairs_line, lineno, ""
+
+
+def _read_column_line(fh, path, layouts=(SAMPLE_COLUMNS,), error=SessionFormatError):
+    """Read through a table's column line, which must name one of ``layouts``
+    with its cells' spaces stripped. Returns the ``#`` pairs before it, the
+    number of the last of them, the column line's number and its layout."""
+    pairs: dict[str, str] = {}
+    pairs_line, lineno, line = _first_line(fh, pairs)
+    if not line:
+        raise error(f"{path}:{lineno + 1}: missing column header line")
+    columns = tuple(cell.strip() for cell in line.split(","))
+    if columns not in layouts:
+        expected = " or ".join(repr(",".join(layout)) for layout in layouts)
+        raise error(f"{path}:{lineno}: expected header {expected}, got {line!r}")
+    return pairs, pairs_line, lineno, columns
+
+
+def _read_table(path, layouts, record, error=SessionFormatError):
+    """Read a CSV table (see the module docstring): ``record(*floats)`` builds
+    each row. Returns the layout, the rows, the ``#`` pairs and the number of
+    the last ``#`` line; a break raises ``error("path:line: ...")``."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        pairs, pairs_line, columns_line, columns = _read_column_line(fh, path, layouts, error)
+        for lineno, raw in enumerate(fh, start=columns_line + 1):
+            line = raw.rstrip("\n")
+            if line.startswith("#"):
+                _add_header_pair(pairs, line)
+                pairs_line = lineno
+            elif line:
+                fields = line.split(",")
+                if len(fields) != len(columns):
+                    raise error(f"{path}:{lineno}: expected {len(columns)} fields, got {len(fields)}")
+                try:
+                    rows.append(record(*map(float, fields)))
+                except ValueError as exc:
+                    raise error(f"{path}:{lineno}: {exc}") from exc
+    return columns, rows, pairs, pairs_line
 
 
 def read_csv(path) -> SessionLog:
-    samples: list[PressureSample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        pairs, header_line, columns_line = _read_column_line(fh, path)
-        for lineno, raw in enumerate(fh, start=columns_line + 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                _add_header_pair(pairs, line)
-                header_line = lineno
-                continue
-            parts = line.split(",")
-            if len(parts) != len(SAMPLE_COLUMNS):
-                raise SessionFormatError(
-                    f"{path}:{lineno}: expected {len(SAMPLE_COLUMNS)} fields, got {len(parts)}"
-                )
-            try:
-                samples.append(PressureSample.from_row(float(parts[0]), map(float, parts[1:])))
-            except ValueError as exc:
-                raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
-    return SessionLog(header=_parse_header_block(pairs, path, header_line), samples=samples)
+    _, samples, pairs, line = _read_table(path, (SAMPLE_COLUMNS,), lambda t, *row: PressureSample.from_row(t, row))
+    return SessionLog(header=_parse_header_block(pairs, path, line), samples=samples)
 
 
 def _read_csv_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
     """read_csv in one array pass; raises ValueError on anything read_csv
     might read differently or reject."""
     with open(path, "r", encoding="utf-8") as fh:
-        pairs, header_line, _ = _read_column_line(fh, path)
+        pairs, header_line, *_ = _read_column_line(fh, path)
         rows = np.empty((0, len(SAMPLE_COLUMNS)))
         for first in iter(fh.readline, ""):
             if first != "\n":  # loadtxt warns on a body of blank lines
@@ -268,11 +292,10 @@ def read_jsonl(path) -> SessionLog:
 
 
 def _is_jsonl(path) -> bool:
-    """Whether a session file is JSON Lines: its first non-blank line starts
-    with ``{``. Anything else, an empty file included, reads as CSV."""
+    """Whether a session file is JSON Lines: its first line (see _first_line)
+    starts with ``{``. Anything else, an empty file included, reads as CSV."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = next((line for line in fh if line.strip()), "")
-    return first.lstrip().startswith("{")
+        return _first_line(fh, {})[2].startswith("{")
 
 
 def read_session(path) -> SessionLog:
@@ -335,7 +358,7 @@ def write_columns(header: SessionHeader, times: np.ndarray, pascals: np.ndarray,
     _write(path, header, zip(times.tolist(), pascals.tolist()))
 
 
-# --- legacy single-channel bench recordings ----------------------------------
+# --- the other tables: legacy bench recordings, calibration sweeps, stimuli ----
 
 
 @dataclass(frozen=True)
@@ -347,50 +370,32 @@ class LegacyRecord:
 
 def read_legacy_csv(path) -> list[LegacyRecord]:
     """Read the single-channel ``time_s,pressure_pa,resistance_ohm`` layout."""
-    records: list[LegacyRecord] = []
-    saw_header = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if not saw_header:
-                if tuple(line.split(",")) != LEGACY_COLUMNS:
-                    raise SessionFormatError(
-                        f"{path}:{lineno}: expected columns {','.join(LEGACY_COLUMNS)!r}, got {line!r}"
-                    )
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise SessionFormatError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                records.append(LegacyRecord(float(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not saw_header:
-        raise SessionFormatError(f"{path}: missing column header line")
-    return records
+    return _read_table(path, (LEGACY_COLUMNS,), LegacyRecord)[1]
+
+
+def read_calibration_csv(path) -> list[CalibrationPoint]:
+    """Read ``pressure_pa,resistance_ohm`` rows; open circuit is not
+    representable here (the profile's onset pressure covers it)."""
+    return _read_table(path, (CALIBRATION_HEADER,), CalibrationPoint, CalibrationError)[1]
+
+
+def read_stimulus_csv(path) -> tuple[list[float], list[list[float]] | list[float]]:
+    """Read a comparison stimulus: its times, and one pressure series per
+    device (``time_s,sensor_pa,fsr_pa``) or one for both (``time_s,pressure_pa``)."""
+    columns, rows, _, _ = _read_table(path, STIMULUS_LAYOUTS, lambda *row: row)
+    times, *series = ([row[k] for row in rows] for k in range(len(columns)))
+    return times, series if len(series) > 1 else series[0]
+
+
+_KINDS = {SAMPLE_COLUMNS: "session", LEGACY_COLUMNS: "legacy", CALIBRATION_HEADER: "calibration"}
+_KINDS.update(dict.fromkeys(STIMULUS_LAYOUTS, "stimulus"))
 
 
 def sniff_kind(path) -> str:
-    """Classify a file as 'session', 'session_jsonl', 'legacy' or 'calibration'."""
-    text = Path(path).open("r", encoding="utf-8")
-    with text as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("{"):
-                return "session_jsonl"
-            if line.startswith("#"):
-                continue
-            columns = tuple(line.split(","))
-            if columns == SAMPLE_COLUMNS:
-                return "session"
-            if columns == LEGACY_COLUMNS:
-                return "legacy"
-            if columns == ("pressure_pa", "resistance_ohm"):
-                return "calibration"
-            break
-    raise SessionFormatError(f"{path}: unrecognized file layout")
+    """Classify a file as 'session_jsonl', or by the layout its column line
+    names, read as the readers read it: 'session', 'legacy', 'calibration' or
+    'stimulus'."""
+    if _is_jsonl(path):
+        return "session_jsonl"
+    with open(path, "r", encoding="utf-8") as fh:
+        return _KINDS[_read_column_line(fh, path, _KINDS)[3]]

@@ -288,6 +288,13 @@ class SessionHeader:
     divider: DividerConfig = DividerConfig()
 
     def __post_init__(self) -> None:
+        if not (type(self.device_id) is int and 0 <= self.device_id <= 255):
+            raise ValueError(f"device_id must be an integer in 0-255, got {self.device_id!r}")
+        if not isinstance(self.profile_name, str):
+            raise ValueError(f"profile_name must be a string, got {self.profile_name!r}")
+        rate = self.sample_rate_hz
+        if not (isinstance(rate, (int, float)) and not isinstance(rate, bool) and math.isfinite(rate) and rate >= 0):
+            raise ValueError(f"sample_rate_hz must be a finite number >= 0, got {rate!r}")
         try:
             datetime.fromisoformat(self.epoch.replace("Z", "+00:00"))
         except ValueError:

@@ -30,8 +30,8 @@ from solesense.analysis import (
     Analyzer,
     GaitEvent,
 )
-from solesense.sensor import CALIBRATION_HEADER, CalibrationPoint
-from solesense.store import LEGACY_COLUMNS, LegacyRecord
+from solesense.sensor import CalibrationPoint
+from solesense.store import CALIBRATION_HEADER, LEGACY_COLUMNS, LegacyRecord
 from solesense.telemetry import (
     _BODY,
     _CRC,

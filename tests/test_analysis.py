@@ -594,3 +594,8 @@ class TestCompareSensors:
             compare_sensors([0.0, 1.0], [[1.0, 2.0]], [bench_profile(), fsr_reference_profile()])
         with pytest.raises(ValueError, match="time base"):
             compare_sensors([0.0, 1.0], [[1.0], [2.0]], [bench_profile(), fsr_reference_profile()])
+
+    @pytest.mark.parametrize("stimuli", [[[], []], []], ids=["series per profile", "one series"])
+    def test_empty_time_base_is_rejected(self, stimuli):
+        with pytest.raises(ValueError, match="empty time base"):
+            compare_sensors([], stimuli, [bench_profile(), fsr_reference_profile()])

@@ -68,6 +68,15 @@ class TestSimulate:
         assert rc == 1
         assert "stance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("device_id", ["256", "300", "-1", "x"])
+    def test_device_id_outside_the_frame_byte_is_usage_error(self, tmp_path, capsys, device_id):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--cycles", "1", "--device-id", device_id, "-o", str(out)]) == 1
+        assert "0-255" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["simulate", "--cycles", "1", "--device-id", "255", "-o", str(out)]) == 0
+        assert store.read_session(out).header.device_id == 255
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["simulate", "--bogus", "-o", str(tmp_path / "x.csv")]) == 1
 
@@ -214,6 +223,34 @@ class TestAnalyze:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.csv")]) == 3
 
+    @pytest.mark.parametrize(
+        "head", ["# bench 3\npressure_pa,resistance_ohm", " pressure_pa , resistance_ohm"], ids=["note", "spaces"]
+    )
+    def test_calibration_file_reads_as_calibrate_reads_it(self, tmp_path, capsys, head):
+        cal = tmp_path / "cal.csv"
+        _write_measured_csv(cal)
+        cal.write_text(cal.read_text().replace("pressure_pa,resistance_ohm", head))
+        assert main(["calibrate", str(cal)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(cal)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"kind": "calibration", "points": 9}
+
+    def test_stimulus_file_is_data_error(self, tmp_path, capsys):
+        stim = tmp_path / "stim.csv"
+        stim.write_text("time_s,pressure_pa\n0.0,1.0\n")
+        assert main(["analyze", str(stim)]) == 2
+        assert "compare --stimulus" in capsys.readouterr().err
+
+    def test_mistyped_profile_in_the_header_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "s.jsonl"
+        main(["simulate", "--cycles", "1", "-o", str(path)])
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "profile": [1]})
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 2
+        assert f"{path}:1: " in capsys.readouterr().err
+
     def test_malformed_jsonl_session_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "s.jsonl"
         main(["simulate", "--cycles", "1", "-o", str(path)])
@@ -278,6 +315,33 @@ class TestCalibrate:
         assert "100000" in err and "200000" in err  # names the offending pair
 
 
+    def test_row_with_an_extra_field_is_data_error(self, tmp_path, capsys):
+        cal = tmp_path / "cal.csv"
+        cal.write_text("pressure_pa,resistance_ohm\n200000.0,150000.0,1\n750000.0,200.0\n")
+        assert main(["calibrate", str(cal)]) == 2
+        assert f"{cal}:2: expected 2 fields, got 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_io_error(self, tmp_path, unbuffered):
+        cal = tmp_path / "cal.csv"
+        _write_measured_csv(cal)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # stdout's reader is gone before the first write
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "solesense.cli", "calibrate", str(cal)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=30,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 3, result.stderr
+        assert "Error" not in result.stderr
+
+
 class TestCompare:
     def test_builtin_stimulus_reproduces_bench_table(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
@@ -303,6 +367,23 @@ class TestCompare:
             _t, s, f = map(float, row.split(","))
             assert s == pytest.approx(3342.9, rel=1e-9)
             assert f == pytest.approx(3342.9, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0\n", ":3: expected 3 fields, got 2"),
+            ("time_s,pressure_pa\n0.0,1.0\n1.0,heavy\n", ":3: could not convert"),
+            ("time_s,sensor_pa,fsr_pa\n", "empty time base"),
+        ],
+        ids=["short row", "bad value", "header only"],
+    )
+    def test_broken_stimulus_is_data_error(self, tmp_path, capsys, body, message):
+        stim = tmp_path / "stim.csv"
+        stim.write_text(body)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--stimulus", str(stim), "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_profile_is_data_error(self, tmp_path, capsys):
         rc = main(["compare", "--sensor-profile", "nope", "-o", str(tmp_path / "x.csv")])
@@ -461,6 +542,29 @@ class TestStreamCollect:
         )
         assert result.returncode == 1 and "--report needs --analyze" in result.stderr
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("case", ["flag", "header"])
+    def test_bad_device_id_fails_before_connecting(self, tmp_path, case):
+        # in a subprocess with a timeout, so a stream that retries forever fails instead of hanging
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        session = tmp_path / "s.jsonl"
+        main(["simulate", "--cycles", "1", "-o", str(session)])
+        if case == "flag":
+            argv, code, message = ["--simulate", "--device-id", "300"], 1, "0-255"
+        else:
+            lines = session.read_text().splitlines()
+            lines[0] = json.dumps({**json.loads(lines[0]), "device_id": None})
+            session.write_text("\n".join(lines) + "\n")
+            argv, code, message = ["-i", str(session)], 2, f"{session}:1: "
+        with socket.socket() as closed:  # a free port that nothing listens on
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "solesense.cli", "stream", *argv, "--addr", f"127.0.0.1:{port}"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == code and message in result.stderr, result.stderr
 
 
 class TestAddrDefaults:

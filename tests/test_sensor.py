@@ -15,11 +15,11 @@ from solesense.sensor import (
     fit_profile,
     fsr_reference_profile,
     measured_profile,
-    read_calibration_csv,
     static_ohms,
     static_resistance,
     step,
 )
+from solesense.store import read_calibration_csv
 from solesense.units import Pressure
 
 from helpers import write_calibration_csv

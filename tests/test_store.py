@@ -1,25 +1,34 @@
 import json
+import math
+import re
 
 import pytest
 
 from solesense.analysis import analyze
+from solesense.sensor import CalibrationError
 from solesense.store import (
     BLOCK_LINES,
+    CALIBRATION_HEADER,
+    LEGACY_COLUMNS,
     SAMPLE_COLUMNS,
+    STIMULUS_LAYOUTS,
     LegacyRecord,
     SessionFormatError,
     SessionLog,
     default_header,
     read_columns,
     read_csv,
+    read_calibration_csv,
     read_jsonl,
     read_legacy_csv,
     read_session,
+    read_stimulus_csv,
     sniff_kind,
     write_columns,
     write_session,
 )
 from solesense.synth import GaitParams, synthesize
+from solesense.telemetry import SessionHeader
 
 from helpers import BENCH_TIME_LOG, write_legacy_csv
 
@@ -288,3 +297,170 @@ class TestSniff:
         (tmp_path / "junk.txt").write_text("hello\n")
         with pytest.raises(SessionFormatError):
             sniff_kind(tmp_path / "junk.txt")
+
+
+# each CSV table: its reader, the error that reader raises, its column line,
+# a valid row and the kind sniff_kind gives it
+TABLES = {
+    "session": (read_csv, SessionFormatError, SAMPLE_COLUMNS, "0.5,1.0,2.0,3.0,4.0,5.0"),
+    "legacy": (read_legacy_csv, SessionFormatError, LEGACY_COLUMNS, "0.5,428589.8,3342900.0"),
+    "calibration": (read_calibration_csv, CalibrationError, CALIBRATION_HEADER, "200000.0,150000.0"),
+    "stimulus": (read_stimulus_csv, SessionFormatError, STIMULUS_LAYOUTS[0], "0.5,1.0,2.0"),
+}
+
+
+class TestTables:
+    """One grammar for every CSV table, and sniff_kind finds the layout the readers find."""
+
+    @pytest.fixture(params=sorted(TABLES))
+    def table(self, request, tmp_path):
+        reader, error, columns, row = TABLES[request.param]
+        plain = tmp_path / "plain.csv"
+        plain.write_text("\n".join([",".join(columns), row, row]) + "\n")
+        return request.param, reader, error, columns, row, reader(plain)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            lambda head, row: ["# note: bench 3", head, row, row],
+            lambda head, row: [head, row, "# note: bench 3", row],
+            lambda head, row: [" " + head.replace(",", " , ") + " ", row, row],
+            lambda head, row: [head, row, "", row],
+            lambda head, row: ["", "  ", head, row, row],
+        ],
+        ids=["note before the header", "note after the header", "spaced header cells", "empty line", "blank lines first"],
+    )
+    def test_valid_variants_read_as_the_plain_table(self, tmp_path, table, lines):
+        kind, reader, _error, columns, row, plain = table
+        path = tmp_path / "variant.csv"
+        path.write_text("\n".join(lines(",".join(columns), row)) + "\n")
+        assert reader(path) == plain
+        assert sniff_kind(path) == kind
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda row: "   ",
+            lambda row: row.rsplit(",", 1)[0],
+            lambda row: row + ",1.0",
+            lambda row: "x," + row.split(",", 1)[1],
+        ],
+        ids=["line of spaces", "short row", "long row", "bad float"],
+    )
+    def test_a_broken_row_names_its_line(self, tmp_path, table, bad):
+        _kind, reader, error, columns, row, _plain = table
+        path = tmp_path / "broken.csv"
+        path.write_text("\n".join([",".join(columns), row, bad(row), row]) + "\n")
+        with pytest.raises(error, match=re.escape(f"{path}:3: ")):
+            reader(path)
+
+    def test_a_wrong_header_names_its_line(self, tmp_path, table):
+        _kind, reader, error, _columns, row, _plain = table
+        path = tmp_path / "wrong.csv"
+        path.write_text(f"# note\n\nwho,what\n{row}\n")
+        with pytest.raises(error, match=re.escape(f"{path}:3: expected header")):
+            reader(path)
+
+    def test_an_empty_table_names_where_its_header_is_missing(self, tmp_path, table):
+        _kind, reader, error, *_ = table
+        path = tmp_path / "empty.csv"
+        path.write_text("# note\n\n")
+        with pytest.raises(error, match=re.escape(f"{path}:3: missing column header line")):
+            reader(path)
+
+
+class TestTableRegressions:
+    """Files the separate CSV readers took differently from each other."""
+
+    def test_calibration_note_before_the_header(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text("# bench 3\npressure_pa,resistance_ohm\n200000.0,150000.0\n")
+        assert sniff_kind(path) == "calibration"
+        assert [(p.pressure_pa, p.resistance_ohm) for p in read_calibration_csv(path)] == [(200000.0, 150000.0)]
+
+    def test_spaced_calibration_header_is_sniffed(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text(" pressure_pa , resistance_ohm\n200000.0,150000.0\n")
+        assert sniff_kind(path) == "calibration"
+        assert len(read_calibration_csv(path)) == 1
+
+    def test_calibration_row_with_three_fields_is_rejected(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text("pressure_pa,resistance_ohm\n200000.0,150000.0,7\n")
+        with pytest.raises(CalibrationError, match=re.escape(f"{path}:2: expected 2 fields, got 3")):
+            read_calibration_csv(path)
+
+    def test_short_stimulus_row_names_its_line(self, tmp_path):
+        path = tmp_path / "stim.csv"
+        path.write_text("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0\n")
+        with pytest.raises(SessionFormatError, match=re.escape(f"{path}:3: expected 3 fields, got 2")):
+            read_stimulus_csv(path)
+
+    def test_bad_stimulus_value_names_its_line(self, tmp_path):
+        path = tmp_path / "stim.csv"
+        path.write_text("time_s,pressure_pa\n0.0,1.0\n1.0,heavy\n")
+        with pytest.raises(SessionFormatError, match=re.escape(f"{path}:3: ")):
+            read_stimulus_csv(path)
+
+    def test_stimulus_layouts(self, tmp_path):
+        path = tmp_path / "stim.csv"
+        path.write_text("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,3.0,4.0\n")
+        assert read_stimulus_csv(path) == ([0.0, 1.0], [[1.0, 3.0], [2.0, 4.0]])
+        path.write_text("time_s,pressure_pa\n0.0,1.0\n1.0,3.0\n")
+        assert read_stimulus_csv(path) == ([0.0, 1.0], [1.0, 3.0])
+
+
+class TestHeaderFieldTypes:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("device_id", None),
+            ("device_id", 300),
+            ("device_id", -1),
+            ("device_id", True),
+            ("device_id", 1.0),
+            ("profile", [1]),
+            ("sample_rate_hz", "x"),
+            ("sample_rate_hz", -1.0),
+            ("sample_rate_hz", None),
+        ],
+    )
+    def test_mistyped_jsonl_header_names_its_line(self, tmp_path, field, value):
+        path = tmp_path / "s.jsonl"
+        write_session(_session(cycles=1), path)
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: ")):
+                reader(path)
+
+    @pytest.mark.parametrize("line", ["# device_id: 300", "# device_id: -1", "# sample_rate_hz: nan", "# sample_rate_hz: inf"])
+    def test_out_of_range_csv_header_names_its_line(self, tmp_path, line):
+        path = tmp_path / "s.csv"
+        write_session(_session(cycles=1), path)
+        lines = path.read_text().splitlines()
+        key = line.split(":")[0]
+        lines = [line if text.startswith(key + ":") else text for text in lines]
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_csv, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=re.escape(f"{path}:8: bad header block")):
+                reader(path)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"device_id": 256},
+            {"device_id": False},
+            {"profile_name": None},
+            {"sample_rate_hz": math.inf},
+            {"sample_rate_hz": "100"},
+            {"sample_rate_hz": True},
+        ],
+    )
+    def test_session_header_checks_its_fields(self, changes):
+        fields = {"device_id": 1, "epoch": "1970-01-01T00:00:00Z", "profile_name": "measured", "sample_rate_hz": 100.0}
+        SessionHeader(**fields)
+        with pytest.raises(ValueError, match=next(iter(changes))):
+            SessionHeader(**{**fields, **changes})
+        SessionHeader(**{**fields, "device_id": 255, "sample_rate_hz": 0})
