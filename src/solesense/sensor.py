@@ -16,11 +16,12 @@ after one second larger than the replication tolerance of the bench
 comparison data, and log space is the natural companion of the log-linear
 static curve.
 
-``step`` advances one sample; ``run_channel`` advances a whole column of
-samples through the same float helpers and gives the same values bit for
-bit. The play and lag recurrences are scalar loops on plain floats, using
-``math.exp``/``math.log`` (``np.exp`` may differ from them in the last ulp);
-only the static curve runs on the whole column, as ``static_ohms``.
+``step`` advances one sample and is the reference; ``run_channel`` advances
+a whole column of samples and gives the same values bit for bit. Its play
+operator is a prefix scan over the column, and its static curve is
+``static_ohms``. The lag runs through ``step``'s own ``_lagged_ohms`` on plain
+floats (``math.exp``/``math.log``; ``np.exp`` may differ from them in the
+last ulp), and only on the samples whose target is a closed circuit.
 """
 
 from __future__ import annotations
@@ -280,9 +281,18 @@ def run_channel(
     """step() over a whole column of samples of one sensor, from ``state``.
 
     Returns the effective pascals and the lagged ohms after each sample, equal
-    bit for bit to what step() gives sample by sample: the play and lag
-    recurrences run on plain floats through step()'s own helpers, and the
-    static curve is static_ohms over the column.
+    bit for bit to what step() gives sample by sample.
+
+    The play operator is _play_scan. It is exact because min and max only
+    choose among floats that already exist: every bound is some a +/- h, and
+    none of those is -0.0 (a >= 0, h > 0), so numpy's min and max only tie on
+    equal bits. The start state may be -0.0, so its final clamp compares
+    explicitly, as play_update's builtins do.
+
+    The static curve is static_ohms over the column. An open-circuit target is
+    its own lagged value, and the first closed sample after one adopts its
+    target; so the lag recurrence, step()'s own _lagged_ohms, runs only over
+    the closed samples, restarting from inf after each open stretch.
     """
     applied = np.asarray(applied_pa, dtype=float)
     times = np.asarray(timestamps, dtype=float)
@@ -290,24 +300,50 @@ def run_channel(
         raise ValueError(f"need one applied pressure per timestamp, got {applied.shape} and {times.shape}")
     if not np.all(np.isfinite(applied) & (applied >= 0.0)):
         raise ValueError("applied pressures must be finite and >= 0")
-    if np.any(np.diff(times, prepend=state.last_timestamp) < 0):
+    steps = np.diff(times, prepend=state.last_timestamp)
+    if np.any(steps < 0):
         raise ValueError(f"time went backwards in the column starting at {state.last_timestamp}")
 
-    halfwidth = dynamics.hysteresis_halfwidth
-    effective = []
-    pascals = state.effective_pressure.pascals
-    for p in applied.tolist():
-        pascals = play_update(pascals, p, halfwidth)
-        effective.append(pascals)
-    effective = np.array(effective)
+    effective = _play_scan(state.effective_pressure.pascals, applied, dynamics.hysteresis_halfwidth)
+    targets = static_ohms(profile, effective)
 
-    lagged = []
-    ohms, last = state.lagged_resistance.ohms, state.last_timestamp
-    for t, target in zip(times.tolist(), static_ohms(profile, effective).tolist()):
-        ohms = _lagged_ohms(ohms, target, t - last, dynamics)
-        last = t
-        lagged.append(ohms)
-    return effective, np.array(lagged)
+    lagged = targets.copy()
+    closed = np.flatnonzero(targets < math.inf)
+    values = []
+    ohms, after = state.lagged_resistance.ohms, -1
+    for k, target, dt in zip(closed.tolist(), targets[closed].tolist(), steps[closed].tolist()):
+        if k != after + 1:
+            ohms = math.inf
+        ohms = _lagged_ohms(ohms, target, dt, dynamics)
+        values.append(ohms)
+        after = k
+    lagged[closed] = values
+    return effective, lagged
+
+
+def _play_scan(start_pa: float, applied: np.ndarray, halfwidth_pa: float) -> np.ndarray:
+    """play_update over a column from ``start_pa``, as a prefix scan.
+
+    Each step clamps the state to [a - h, a + h], and a chain of clamps is a
+    clamp: [L1, U1] then [L2, U2] is [clamp(L1, L2, U2), clamp(U1, L2, U2)].
+    A Hillis-Steele scan builds every prefix's bounds in ceil(log2 n) rounds,
+    and the state after sample k is the start clamped to prefix k's bounds.
+    """
+    lower = applied - halfwidth_pa
+    upper = applied + halfwidth_pa
+    stride = 1
+    while stride < applied.size:
+        first_lower, first_upper = lower[:-stride], upper[:-stride]
+        then_lower, then_upper = lower[stride:], upper[stride:]
+        lower[stride:], upper[stride:] = (
+            np.minimum(np.maximum(first_lower, then_lower), then_upper),
+            np.minimum(np.maximum(first_upper, then_lower), then_upper),
+        )
+        stride *= 2
+    # max(x, L) and min(x, U) as play_update's builtins pick them: x unless
+    # the bound is strictly beyond it, so a -0.0 start stays -0.0
+    clamped = np.where(lower > start_pa, lower, start_pa)
+    return np.where(upper < clamped, upper, clamped)
 
 
 @dataclass(frozen=True)

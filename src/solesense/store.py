@@ -9,9 +9,12 @@ Two formats carry the same sample sequence:
 * JSON Lines for the full typed log -- first line a header object, then one
   object per sample, event, and (optionally) the final report.
 
-One writer takes a log's rows (write_session) or columns (write_columns) and
-has one sample-line builder per format. Writing goes by extension (``.jsonl``,
-else CSV), reading by content, so a file reads whatever it is named.
+One writer takes blocks of columns, timestamps and (n, 5) pascals:
+write_columns cuts its own, write_session turns its log's samples into them.
+It has one sample-line builder per format; the CSV one calls repr once per
+distinct bit pattern in a block's pressures, which repeat, and looks the
+strings up. Writing goes by extension (``.jsonl``, else CSV), reading by
+content, so a file reads whatever it is named.
 
 The report object's field names are fixed: ``cycles``, ``cadence_spm``,
 ``stance_fraction_mean``, ``stance_fraction_std``, ``peak_pressure_pa``
@@ -47,8 +50,9 @@ the test for JSON Lines, find a file's first line as the readers do.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -56,7 +60,7 @@ from .acquisition import DividerConfig
 from .analysis import GaitEvent, GaitEventKind, GaitReport
 from .sensor import CalibrationError, CalibrationPoint
 from .telemetry import SessionHeader
-from .units import CHANNEL_ORDER, GaitPhase, PressureSample, Resistance, Voltage, samples_to_columns
+from .units import CHANNEL_ORDER, GaitPhase, Pressure, PressureSample, Resistance, Voltage, samples_to_columns
 
 SAMPLE_COLUMNS = ("t_s",) + tuple(f"{c.value}_pa" for c in CHANNEL_ORDER)
 LEGACY_COLUMNS = ("time_s", "pressure_pa", "resistance_ohm")
@@ -327,20 +331,39 @@ def read_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
 BLOCK_LINES = 256
 
 
-def _write(path, header: SessionHeader, rows, events=(), report: GaitReport | None = None) -> None:
-    """Write a session of ``(timestamp, five pascals)`` rows, BLOCK_LINES lines
-    at a time, flushing each block; events and the report go to JSONL only."""
+def _csv_block(times: np.ndarray, pascals: np.ndarray) -> str:
+    """The CSV lines of a block of rows. The pressures repeat (256 rows of a
+    simulated session hold about 60 distinct ones in 1,280), so repr runs
+    once per distinct value, told apart by bit pattern so that -0.0 is not
+    0.0, and the cells look its strings up. A dict finds the distinct values,
+    not np.unique: its first call maps about 0.6 MiB of sort code into the
+    process."""
+    bits = pascals.view(np.int64).ravel().tolist()
+    distinct = list(dict.fromkeys(bits))
+    text = dict(zip(distinct, map(repr, np.array(distinct, dtype=np.int64).view(float).tolist())))
+    cells = map(text.__getitem__, bits)
+    rows = map(",".join, zip(*[cells] * pascals.shape[1]))  # one row's cells at a time
+    return "".join([f"{t!r},{row}\n" for t, row in zip(times.tolist(), rows)])
+
+
+def _jsonl_block(times: np.ndarray, pascals: np.ndarray) -> str:
+    """The JSON Lines sample records of a block of rows."""
+    rows = zip(times.tolist(), pascals.tolist())
+    return "".join([_json_line(dict(zip(SAMPLE_COLUMNS, (t, *row)), type="sample")) for t, row in rows])
+
+
+def _write(path, header: SessionHeader, blocks, events=(), report: GaitReport | None = None) -> None:
+    """Write a session from blocks of columns, each ``(timestamps, (n, 5)
+    pascals)``, flushing each block; events and the report go to JSONL only."""
     jsonl = str(path).endswith(".jsonl")
     if jsonl:
-        head = _json_line(_header_to_json(header))
-        lines = (_json_line(dict(zip(SAMPLE_COLUMNS, (t, *row)), type="sample")) for t, row in rows)
+        head, lines = _json_line(_header_to_json(header)), _jsonl_block
     else:
-        head = "\n".join([*_header_lines(header), ",".join(SAMPLE_COLUMNS), ""])
-        lines = (",".join(map(repr, (t, *row))) + "\n" for t, row in rows)
+        head, lines = "\n".join([*_header_lines(header), ",".join(SAMPLE_COLUMNS), ""]), _csv_block
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
-        while block := list(islice(lines, BLOCK_LINES)):
-            fh.write("".join(block))
+        for times, pascals in blocks:
+            fh.write(lines(np.asarray(times, dtype=float), np.ascontiguousarray(pascals, dtype=float)))
             fh.flush()
         if jsonl:
             fh.writelines(_json_line(_event_to_json(event)) for event in events)
@@ -348,14 +371,20 @@ def _write(path, header: SessionHeader, rows, events=(), report: GaitReport | No
                 fh.write(_json_line({"type": "report", **report.to_json_dict()}))
 
 
+def _blocks(n: int):
+    """Slices cutting n rows into blocks of BLOCK_LINES."""
+    return (slice(k, k + BLOCK_LINES) for k in range(0, n, BLOCK_LINES))
+
+
 def write_session(log: SessionLog, path) -> None:
     """Write a log, in the format its path's extension names."""
-    _write(path, log.header, ((s.timestamp, s.as_row()) for s in log.samples), log.events, log.report)
+    samples = log.samples
+    _write(path, log.header, (samples_to_columns(samples[b]) for b in _blocks(len(samples))), log.events, log.report)
 
 
 def write_columns(header: SessionHeader, times: np.ndarray, pascals: np.ndarray, path) -> None:
     """Write the columns read_columns returns, as write_session writes the same rows."""
-    _write(path, header, zip(times.tolist(), pascals.tolist()))
+    _write(path, header, ((times[b], pascals[b]) for b in _blocks(len(times))))
 
 
 # --- the other tables: legacy bench recordings, calibration sweeps, stimuli ----
@@ -379,10 +408,20 @@ def read_calibration_csv(path) -> list[CalibrationPoint]:
     return _read_table(path, (CALIBRATION_HEADER,), CalibrationPoint, CalibrationError)[1]
 
 
+def _stimulus_row(t: float, *pascals: float) -> tuple[float, ...]:
+    """A stimulus row, checked as the sensor model reads it: a finite time and
+    pressures finite and >= 0."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    for p in pascals:
+        Pressure(p)
+    return (t, *pascals)
+
+
 def read_stimulus_csv(path) -> tuple[list[float], list[list[float]] | list[float]]:
     """Read a comparison stimulus: its times, and one pressure series per
     device (``time_s,sensor_pa,fsr_pa``) or one for both (``time_s,pressure_pa``)."""
-    columns, rows, _, _ = _read_table(path, STIMULUS_LAYOUTS, lambda *row: row)
+    columns, rows, _, _ = _read_table(path, STIMULUS_LAYOUTS, _stimulus_row)
     times, *series = ([row[k] for row in rows] for k in range(len(columns)))
     return times, series if len(series) > 1 else series[0]
 

@@ -296,6 +296,8 @@ class SessionHeader:
         if not (isinstance(rate, (int, float)) and not isinstance(rate, bool) and math.isfinite(rate) and rate >= 0):
             raise ValueError(f"sample_rate_hz must be a finite number >= 0, got {rate!r}")
         try:
+            if not isinstance(self.epoch, str):
+                raise ValueError
             datetime.fromisoformat(self.epoch.replace("Z", "+00:00"))
         except ValueError:
             raise ValueError(f"epoch must be an RFC 3339 timestamp, got {self.epoch!r}") from None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import socket
@@ -374,8 +375,11 @@ class TestCompare:
             ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0\n", ":3: expected 3 fields, got 2"),
             ("time_s,pressure_pa\n0.0,1.0\n1.0,heavy\n", ":3: could not convert"),
             ("time_s,sensor_pa,fsr_pa\n", "empty time base"),
+            ("time_s,pressure_pa\n0.0,1.0\n1.0,nan\n", "stim.csv:3: pressure must be finite, got nan"),
+            ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0,-5\n", "stim.csv:3: pressure must be >= 0, got -5.0"),
+            ("time_s,pressure_pa\n0.0,1.0\ninf,1.0\n", "stim.csv:3: time must be finite, got inf"),
         ],
-        ids=["short row", "bad value", "header only"],
+        ids=["short row", "bad value", "header only", "nan pressure", "negative pressure", "infinite time"],
     )
     def test_broken_stimulus_is_data_error(self, tmp_path, capsys, body, message):
         stim = tmp_path / "stim.csv"
@@ -389,6 +393,47 @@ class TestCompare:
         rc = main(["compare", "--sensor-profile", "nope", "-o", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "unknown profile" in capsys.readouterr().err
+
+
+# sha256 of ``simulate --noise 2000 --seed 1 --profile P -o s.EXT``, and of
+# the session and report ``collect --analyze --report --once`` writes from
+# ``stream --simulate --noise 2000 --seed 4``: a faster chain or writer must
+# keep these bytes
+GOLDEN_SIMULATE = {
+    ("bench", "csv"): "6280e17ef3f67eda7f190bb9494a12b6a033b3500c5e6f009cf0947088ec8d8d",
+    ("bench", "jsonl"): "6d457679eba0700f720af35d576c74487d6ac3b480360a376181f09828c3be91",
+    ("datasheet", "csv"): "acfdd818c9c260a4f76ad8511a9b48d208aa51a7211d02f2a310c0afa3c8e093",
+    ("datasheet", "jsonl"): "c64cad9cfd82a83a1de623e15a0267b1efef30981f406d0a12ee1deae6895960",
+    ("fsr", "csv"): "d78ff016267880773f5afac06704a47c98219a5f7beab6a74a3fbd79966cd4ec",
+    ("fsr", "jsonl"): "aad0e777af37067e82f8455676113db17100e6696ef1a94447341de1aa8d1785",
+    ("measured", "csv"): "5acb032c9d9e2099e9ae3d0ae50d9622f9a7dfa08a68ee7f9f68f368e45e2c85",
+    ("measured", "jsonl"): "f5ace1cc0c9fe19de00b0a4e0bd35bbf15d93e89edc77cf3003514a63204ec12",
+}
+GOLDEN_COLLECTED_SESSION = "42d28740b0c084000228c77f27b9e74a39548d30ca7bc71c5fb4f8f5f1d9bd18"
+GOLDEN_COLLECTED_REPORT = "1d9951b456dc0203d63731493ed1650f88597e79d69b110d3f400a3511973ba6"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name, ext", sorted(GOLDEN_SIMULATE))
+    def test_simulate_writes_the_pinned_bytes(self, tmp_path, capsys, name, ext):
+        out = tmp_path / f"s.{ext}"
+        assert main(["simulate", "--noise", "2000", "--seed", "1", "--profile", name, "-o", str(out)]) == 0
+        assert _sha256(out) == GOLDEN_SIMULATE[name, ext]
+
+    def test_collect_writes_the_pinned_session_and_report(self, tmp_path, capsys):
+        session, report = tmp_path / "c.jsonl", tmp_path / "r.json"
+        thread, results, addr = _start_collect(
+            ["-o", str(session), "--analyze", "--report", str(report), "--once"], capsys
+        )
+        assert main(["stream", "--simulate", "--noise", "2000", "--seed", "4", "--addr", addr]) == 0
+        thread.join(timeout=30)
+        assert results["rc"] == 0
+        assert _sha256(session) == GOLDEN_COLLECTED_SESSION
+        assert _sha256(report) == GOLDEN_COLLECTED_REPORT
 
 
 class TestStreamCollect:

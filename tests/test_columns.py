@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from solesense import sensor
+from solesense import analysis, sensor
 from solesense.acquisition import DividerConfig, counts_to_sample, divider_out, quantize
 from solesense.analysis import compare_sensors
 from solesense.cli import simulate_session
@@ -27,7 +27,7 @@ from solesense.sensor import (
     step,
 )
 from solesense.synth import GaitParams, synthesize
-from solesense.units import CHANNEL_ORDER, Pressure, Voltage
+from solesense.units import CHANNEL_ORDER, Pressure, Resistance, Voltage
 
 GRID = list(
     itertools.product(
@@ -115,10 +115,75 @@ def test_run_channel_equals_step_by_step(name):
     times = np.cumsum(rng.choice([0.0, 0.001, 0.01, 0.05], applied.size))
     dynamics = dataclasses.replace(DynamicsConfig.for_profile(profile), sample_period=0.01)
     for start in (SensorState.at_rest(0.0), SensorState.settled(Pressure(0.5 * top), profile)):
-        got = run_channel(start, applied, times, profile, dynamics)
-        want = _stepwise(start, applied, times, profile, dynamics)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        _assert_same_bits(run_channel(start, applied, times, profile, dynamics),
+                          _stepwise(start, applied, times, profile, dynamics))
+
+
+def _assert_same_bits(got, want):
+    """Effective and lagged columns equal bit for bit: -0.0 is not 0.0 here."""
+    assert got[0].tobytes() == np.asarray(want[0], dtype=float).tobytes()
+    assert got[1].tobytes() == np.asarray(want[1], dtype=float).tobytes()
+
+
+def _edge_columns():
+    """(id, profile, dynamics, start state, applied pascals, timestamps) around
+    the play scan's strides, signed zeros, dead-band edges, repeated times and
+    open-circuit stretches."""
+    measured = builtin_profile("measured")
+    onset = measured.onset_pressure.pascals
+    top = measured.max_pressure_pa
+    dynamics = DynamicsConfig.for_profile(measured)
+    rng = np.random.default_rng(18)
+    at_rest = SensorState.at_rest(0.0)
+    cases = []
+    for n in sorted({0, 1, 2} | {m + d for m in (4, 8, 16, 32, 64, 128) for d in (-1, 0, 1)}):
+        times = np.cumsum(rng.choice([0.0, 0.001, 0.01], n))
+        jumps = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.2 * top, n))
+        cases.append((f"length {n}, jumps", measured, dynamics, at_rest, jumps, times))
+        # steps a tenth of the dead band wide: the state hangs on samples far back
+        walk = 0.7 * top + np.cumsum(rng.normal(0.0, 0.1 * dynamics.hysteresis_halfwidth, n))
+        cases.append((f"length {n}, slow walk", measured, dynamics, at_rest, walk, times))
+
+    # halfwidth 0.5 keeps a +/- h exact: applied values land on the dead
+    # band's edges of the state before them, and h - h = +0.0 meets a -0.0 state
+    exact = dataclasses.replace(dynamics, hysteresis_halfwidth=0.5)
+    edges = np.array([0.5, 0.0, 0.5, 1.0, 1.5, 1.0, 0.5, 0.0, -0.0, 0.5])
+    edge_times = np.arange(1, edges.size + 1) * 0.01
+    for start_pa in (-0.0, 0.0, 0.5):
+        state = SensorState(Pressure(start_pa), Resistance.open_circuit(), 0.0)
+        cases.append((f"dead-band edges from {start_pa!r}", measured, exact, state, edges, edge_times))
+    cases.append(("-0.0 applied", measured, dynamics, at_rest, np.full(9, -0.0), np.arange(9) * 0.01))
+    cases.append(("-0.0 start, -0.0 applied", measured, dynamics,
+                  SensorState(Pressure(-0.0), Resistance.open_circuit(), 0.0), np.full(9, -0.0), np.arange(9) * 0.01))
+
+    pressed = np.full(12, 0.9 * top)
+    cases.append(("equal timestamps", measured, dynamics, SensorState.settled(Pressure(0.5 * top), measured),
+                  pressed, np.array([0.0] * 4 + [0.01] * 4 + [0.02] * 4)))
+    closed = rng.uniform(onset + 0.1 * (top - onset), top, 30)
+    open_at = {"start": slice(0, 5), "middle": slice(12, 18), "end": slice(25, 30)}
+    for where, cut in open_at.items():
+        applied = closed.copy()
+        applied[cut] = 0.5 * onset
+        times = np.arange(1, 31) * 0.01
+        for label, state in (("at rest", at_rest), ("settled", SensorState.settled(Pressure(0.6 * top), measured))):
+            cases.append((f"open at the {where}, from {label}", measured, dynamics, state, applied, times))
+
+    bench = builtin_profile("bench")
+    series = rng.uniform(0.0, bench.max_pressure_pa, 40)
+    state = SensorState.settled(Pressure(series[0]), bench, timestamp=0.0)
+    cases.append(("bench dynamics, settled start", bench, analysis._BENCH_DYNAMICS, state,
+                  series[1:], np.cumsum(rng.choice([0.0, 0.5, 1.0], 39))))
+    return cases
+
+
+EDGE_COLUMNS = _edge_columns()
+
+
+@pytest.mark.parametrize("case", EDGE_COLUMNS, ids=[case[0] for case in EDGE_COLUMNS])
+def test_run_channel_equals_step_by_step_on_edge_columns(case):
+    _, profile, dynamics, state, applied, times = case
+    _assert_same_bits(run_channel(state, applied, times, profile, dynamics),
+                      _stepwise(state, applied, times, profile, dynamics))
 
 
 def test_run_channel_rejects_what_step_rejects():

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from solesense.analysis import analyze
@@ -147,6 +148,31 @@ class TestCsv:
         )
         text = (tmp_path / "s.jsonl").read_text()
         assert text.endswith(body) and text.count("\n") == 1 + len(log.samples)
+
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_each_value_is_written_as_repr_gives_it(self, tmp_path, ext):
+        # signed zeros are distinct bit patterns, and one value may sit in the
+        # time column and a pressure column of the same row
+        tricky = 0.1 + 0.2
+        times = np.array([tricky, 1.0, 2.0])
+        pascals = np.array(
+            [[0.0, -0.0, tricky, 0.3, 5e-324], [-0.0, 0.0, 0.3, tricky, 1e300], [tricky, tricky, -0.0, -0.0, 0.0]]
+        )
+        path = tmp_path / f"s.{ext}"
+        write_columns(default_header(), times, pascals, path)
+        rows = list(zip(times.tolist(), pascals.tolist()))
+        if ext == "csv":
+            body = "".join(",".join(map(repr, (t, *row))) + "\n" for t, row in rows)
+        else:
+            body = "".join(
+                json.dumps({"type": "sample", **dict(zip(SAMPLE_COLUMNS, (t, *row)))}, sort_keys=True) + "\n"
+                for t, row in rows
+            )
+        assert path.read_text().endswith(body)
+        again = tmp_path / f"again.{ext}"
+        write_session(read_session(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestJsonl:
@@ -402,6 +428,25 @@ class TestTableRegressions:
         with pytest.raises(SessionFormatError, match=re.escape(f"{path}:3: ")):
             read_stimulus_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("time_s,pressure_pa\n0.0,1.0\n1.0,nan\n", "pressure must be finite, got nan"),
+            ("time_s,pressure_pa\n0.0,1.0\n1.0,-5\n", "pressure must be >= 0, got -5.0"),
+            ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0,inf\n", "pressure must be finite, got inf"),
+            ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,-0.5,1.0\n", "pressure must be >= 0, got -0.5"),
+            ("time_s,pressure_pa\n0.0,1.0\nnan,1.0\n", "time must be finite, got nan"),
+            ("time_s,pressure_pa\n0.0,1.0\n-inf,1.0\n", "time must be finite, got -inf"),
+        ],
+        ids=["nan pressure", "negative pressure", "infinite fsr pressure", "negative sensor pressure", "nan time",
+             "infinite time"],
+    )
+    def test_stimulus_value_the_model_cannot_take_names_its_line(self, tmp_path, body, message):
+        path = tmp_path / "stim.csv"
+        path.write_text(body)
+        with pytest.raises(SessionFormatError, match=re.escape(f"{path}:3: {message}")):
+            read_stimulus_csv(path)
+
     def test_stimulus_layouts(self, tmp_path):
         path = tmp_path / "stim.csv"
         path.write_text("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,3.0,4.0\n")
@@ -423,6 +468,7 @@ class TestHeaderFieldTypes:
             ("sample_rate_hz", "x"),
             ("sample_rate_hz", -1.0),
             ("sample_rate_hz", None),
+            ("epoch", 5),
         ],
     )
     def test_mistyped_jsonl_header_names_its_line(self, tmp_path, field, value):
@@ -456,6 +502,10 @@ class TestHeaderFieldTypes:
             {"sample_rate_hz": math.inf},
             {"sample_rate_hz": "100"},
             {"sample_rate_hz": True},
+            {"epoch": 5},
+            {"epoch": None},
+            {"epoch": b"1970-01-01T00:00:00Z"},
+            {"epoch": "yesterday"},
         ],
     )
     def test_session_header_checks_its_fields(self, changes):
