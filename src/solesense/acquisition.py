@@ -18,7 +18,7 @@ static curve is ``sensor.static_ohms``, so both forms agree bit for bit.
 Decoding indexes ``decode_table``, a tuple of bare pascals per (profile,
 divider). Next to it the profile keeps an object-dtype array of the same float
 objects, which a block of codes indexes in one call (``counts_to_samples``, and
-the collector's array route): every decoded row shares the table's floats, so
+the collector's clean runs): every decoded row shares the table's floats, so
 decoding allocates no float and a held sample stays one small tuple.
 ``count_to_pressure`` wraps a table entry in a Pressure at the API boundary.
 """

@@ -136,16 +136,16 @@ def classify_phase(state: ContactState, previous: GaitPhase) -> GaitPhase:
     return GaitPhase.PRE_SWING  # forefoot only
 
 
-# (contact code, phase) pairs at which the phase machine cannot move. Initial
-# contact is left out: its heel-only contact matures on the clock (Analyzer._step).
-_AT_REST = frozenset(
-    (code, phase)
-    for code, contact in enumerate(_CONTACTS)
+# by phase, the contact codes at which the phase machine cannot move. Initial
+# contact has none: its heel-only contact matures on the clock (Analyzer._step).
+_REST_CODES = {
+    phase: frozenset(
+        code
+        for code, contact in enumerate(_CONTACTS)
+        if phase != GaitPhase.INITIAL_CONTACT and classify_phase(contact, phase) == phase
+    )
     for phase in GaitPhase
-    if phase != GaitPhase.INITIAL_CONTACT and classify_phase(contact, phase) == phase
-)
-# _AT_REST by phase: the contact codes at which that phase cannot move
-_REST_CODES = {phase: frozenset(code for code, p in _AT_REST if p == phase) for phase in GaitPhase}
+}
 
 
 class GaitEventKind(Enum):
@@ -300,14 +300,14 @@ class Analyzer:
             self._peaks[region] = max(self._peaks[region], float(pressure.max()))
             codes += weight * _schmitt_column(pressure, bool(previous & weight))
 
-        # step the phase machine as update() does, off _AT_REST; at rest it
+        # step the phase machine as update() does, off _REST_CODES; at rest it
         # cannot move before the contact changes
         changes = np.flatnonzero(np.diff(codes, prepend=previous)).tolist()
         codes = codes.tolist()
         events: list[GaitEvent] = []
         i = k = 0
         while i < n:
-            if (codes[i], self._phase) in _AT_REST:
+            if codes[i] in _REST_CODES[self._phase]:
                 k = bisect_right(changes, i, k)
                 i = changes[k] if k < len(changes) else n
                 continue

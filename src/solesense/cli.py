@@ -360,7 +360,8 @@ def cmd_analyze(args) -> int:
     kind = store.sniff_kind(args.input)
     if kind in ("session", "session_jsonl"):
         header, times, pascals = store.read_columns(args.input)
-        profile = _load_profile(args.profile or header.profile_name)
+        if args.plots:  # only the plots read the profile, so a custom one's name needs no lookup without them
+            profile = _load_profile(args.profile or header.profile_name)
         analyzer = Analyzer()
         analyzer.update_block(times, pascals)
         text = report_json_text(analyzer.report())

@@ -408,20 +408,31 @@ def read_calibration_csv(path) -> list[CalibrationPoint]:
     return _read_table(path, (CALIBRATION_HEADER,), CalibrationPoint, CalibrationError)[1]
 
 
-def _stimulus_row(t: float, *pascals: float) -> tuple[float, ...]:
-    """A stimulus row, checked as the sensor model reads it: a finite time and
-    pressures finite and >= 0."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    for p in pascals:
-        Pressure(p)
-    return (t, *pascals)
+def _stimulus_rows():
+    """A stimulus row builder that checks each row as the sensor model reads
+    it: a finite time, not below the row before's, and pressures finite and
+    >= 0."""
+    last = -math.inf
+
+    def row(t: float, *pascals: float) -> tuple[float, ...]:
+        nonlocal last
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t!r}")
+        if t < last:
+            raise ValueError(f"time went backwards, from {last!r} to {t!r}")
+        for p in pascals:
+            Pressure(p)
+        last = t
+        return (t, *pascals)
+
+    return row
 
 
 def read_stimulus_csv(path) -> tuple[list[float], list[list[float]] | list[float]]:
     """Read a comparison stimulus: its times, and one pressure series per
-    device (``time_s,sensor_pa,fsr_pa``) or one for both (``time_s,pressure_pa``)."""
-    columns, rows, _, _ = _read_table(path, STIMULUS_LAYOUTS, _stimulus_row)
+    device (``time_s,sensor_pa,fsr_pa``) or one for both (``time_s,pressure_pa``).
+    Times may repeat but never fall."""
+    columns, rows, _, _ = _read_table(path, STIMULUS_LAYOUTS, _stimulus_rows())
     times, *series = ([row[k] for row in rows] for k in range(len(columns)))
     return times, series if len(series) > 1 else series[0]
 

@@ -29,11 +29,11 @@ collector drops as stale timestamps. The collector reads up to _RECV_BYTES at a
 time and works on each received chunk whole. ``Deframer.scan`` returns its
 valid frames as packed bytes: a chunk of at least _ARRAY_FRAMES whole frames is
 checked in a few numpy calls and, when it is a clean aligned run, returned as
-one slice. Such a chunk then goes through the sequence and timestamp ledger and
-the decode as arrays (``_ledger``), its codes indexing an object-dtype copy of
-the decode table, so each kept frame becomes one float-row PressureSample of
-the table's own floats. A smaller chunk (a paced link sends one frame per recv)
-takes the same steps one frame at a time, which costs less below the crossing.
+one slice. One per-frame loop holds the sequence and timestamp ledger. A clean
+run of at least _ARRAY_FRAMES frames, which the loop would keep whole (what a
+healthy link sends), moves the ledger in one step instead, and its codes index
+an object-dtype copy of the decode table, each frame becoming one float-row
+PressureSample of the table's own floats. Any other chunk goes through the loop.
 ``Deframer.feed`` wraps the scan in TelemetryFrames for callers that want them.
 """
 
@@ -138,10 +138,10 @@ _WIRE = np.dtype([
     ("magic", "S2"), ("version", "u1"), ("device", "u1"), ("sequence", "<u4"),
     ("ms_low", "<u4"), ("ms_high", "<u2"), ("counts", "<u2", (5,)), ("crc", "<u2"),
 ])
-# whole frames a chunk needs before it is checked and decoded as arrays: the
-# array route's numpy calls cost about 40 us per chunk, and it overtook the
-# per-frame loop between 20 and 24 frames (a paced link delivers one frame per
-# recv, a bulk one a block of 256 or more)
+# whole frames a chunk needs before it is checked as arrays, in the deframer and
+# as a clean run: the checks' numpy calls cost tens of microseconds per chunk,
+# which the per-frame loop beats on fewer frames (a paced link delivers one
+# frame per recv, a bulk one a block of 256 or more)
 _ARRAY_FRAMES = 24
 
 
@@ -456,43 +456,6 @@ class Emitter:
             self._conn = None
 
 
-# a frame's fate in the array ledger: the DeviceStats counter it adds to
-_KEPT, _DUPLICATE, _STALE, _UNDECODABLE = range(4)
-
-
-def _ledger(wire: np.ndarray, codes: int, expected: dict[int, int], last_ms: dict[int, int]):
-    """Collector._ingest_frames' ledger over a chunk of frames on arrays,
-    without changing any state: each frame's fate, its timestamp in ms, and
-    per device (in order of first arrival) the fate counts, the gaps, and the
-    next sequence and last kept ms after the chunk.
-
-    Per device, the sequence a frame is checked against is the largest of the
-    one expected before the chunk and each earlier frame's sequence plus one;
-    and a frame's timestamp is stale when it is at or below the largest of the
-    last kept one and each earlier new frame's (a stale one never raises it).
-    """
-    devices = wire["device"]
-    sequences = wire["sequence"].astype(np.int64)
-    ms = wire["ms_low"] | wire["ms_high"].astype(np.int64) << 32
-    fate = np.where(wire["counts"].max(axis=1) >= codes, _UNDECODABLE, _KEPT)
-    if (devices == devices[0]).all():
-        by_device = [(int(devices[0]), slice(None))]
-    else:
-        ids, firsts = np.unique(devices, return_index=True)
-        by_device = [(d, np.flatnonzero(devices == d)) for d in ids[np.argsort(firsts)].tolist()]
-    totals = []
-    for device, at in by_device:
-        seq, new_ms = sequences[at], ms[at]
-        want = np.maximum.accumulate(np.concatenate(([expected.get(device, seq[0]) - 1], seq))) + 1
-        duplicate = seq < want[:-1]
-        kept_ms = np.maximum.accumulate(np.concatenate(([last_ms.get(device, -1)], np.where(duplicate, -1, new_ms))))
-        stale = new_ms <= kept_ms[:-1]
-        fate[at] = device_fate = np.where(duplicate, _DUPLICATE, np.where(stale, _STALE, fate[at]))
-        gaps = int(np.where(duplicate, 0, seq - want[:-1]).sum())
-        totals.append((device, np.bincount(device_fate, minlength=4).tolist(), gaps, int(want[-1]), int(kept_ms[-1])))
-    return fate, ms, totals
-
-
 @dataclass
 class DeviceStats:
     frames: int = 0
@@ -513,8 +476,8 @@ class Collector:
     per connection; the timestamp guard is per device, across connections, so
     the sink sees each device's times strictly increasing.
     Each received chunk is scanned once (``Deframer.scan``, no TelemetryFrame).
-    A chunk of at least _ARRAY_FRAMES frames is counted and decoded as arrays,
-    a smaller one frame by frame; both give the same samples and counters.
+    One loop holds the ledger; a clean run of at least _ARRAY_FRAMES frames
+    takes a shortcut with the same samples and counters (``_clean_run``).
     ``sink(device_id, PressureSample)`` runs on that thread, once per kept
     frame and in arrival order: it needs no lock, but a slow sink delays every
     connection; one that raises ends only its own, with the counters taking
@@ -592,16 +555,40 @@ class Collector:
             return
         try:
             frames = deframer.scan(chunk)
-            if len(frames) < _ARRAY_FRAMES * FRAME_LENGTH:
+            run = self._clean_run(expected, frames)
+            if run is None:
                 self._ingest_frames(expected, frames)
             else:
-                self._ingest_block(expected, frames)
+                self._ingest_run(expected, *run)
         except Exception:
             traceback.print_exc()  # a failing sink ends its own connection, not the loop
             self._close(selector, key)
 
+    def _clean_run(self, expected: dict[int, int], frames: bytes):
+        """``(device, wire, ms)`` when ``frames`` is a clean run, else None: at
+        least _ARRAY_FRAMES frames from one device, their sequences counting up
+        by one from the connection's next one or later, their ms timestamps
+        rising strictly from after the device's last kept one, and every code
+        in the table. The ledger would keep every frame of it."""
+        if len(frames) < _ARRAY_FRAMES * FRAME_LENGTH:
+            return None
+        wire = np.frombuffer(frames, _WIRE)
+        device = int(wire["device"][0])
+        sequences = wire["sequence"].astype(np.int64)
+        ms = wire["ms_low"] | wire["ms_high"].astype(np.int64) << 32
+        clean = (
+            (wire["device"] == device).all()
+            and sequences[0] >= expected.get(device, 0)
+            and (np.diff(sequences) == 1).all()
+            and ms[0] > self._last_ms.get(device, -1)
+            and (np.diff(ms) > 0).all()
+            and wire["counts"].max() < len(self._table)
+        )
+        return (device, wire, ms) if clean else None
+
     def _ingest_frames(self, expected: dict[int, int], frames: bytes) -> None:
-        """The ledger and decode of a few frames, one frame at a time."""
+        """The sequence and timestamp ledger and the decode, one frame at a
+        time: the one place the ledger's rules are written."""
         last_ms = self._last_ms
         table = self._table
         for _magic, _version, device_id, sequence, ts_low, ts_high, *counts, _crc in _FRAME.iter_unpack(frames):
@@ -623,32 +610,25 @@ class Collector:
             stats.frames += 1
             self._sink(device_id, _decoded_sample(table, timestamp_ms / 1000.0, counts))
 
-    def _ingest_block(self, expected: dict[int, int], frames: bytes) -> None:
-        """_ingest_frames on arrays (``_ledger``), with the same outcome. If
-        the sink raises, the counters and ledger take in the frames up to the
-        one it raised on, as one frame at a time would."""
-        wire = np.frombuffer(frames, _WIRE)
-        codes = len(self._table)
-        fate, ms, totals = _ledger(wire, codes, expected, self._last_ms)
-        kept = np.flatnonzero(fate == _KEPT)
-        samples = _decoded_samples(self._objects, (ms[kept] / 1000.0).tolist(), wire["counts"][kept])
+    def _ingest_run(self, expected: dict[int, int], device: int, wire: np.ndarray, ms: np.ndarray) -> None:
+        """_ingest_frames on a clean run, which keeps every frame: only the
+        first can add gaps, and the run is decoded with one index of the
+        table. If the sink raises, the ledger takes in the frames up to the
+        one it raised on, as _ingest_frames would."""
+        first = int(wire["sequence"][0])
+        samples = _decoded_samples(self._objects, (ms / 1000.0).tolist(), wire["counts"])
         sink = self._sink
+        sunk = 0
         try:
-            for end, device_id, sample in zip((kept + 1).tolist(), wire["device"][kept].tolist(), samples):
-                sink(device_id, sample)
-        except Exception:
-            totals = _ledger(wire[:end], codes, expected, self._last_ms)[2]
-            raise
+            for sunk, sample in enumerate(samples, 1):
+                sink(device, sample)
         finally:
-            for device, (sunk, duplicates, stale, undecodable), gaps, next_sequence, last_ms in totals:
+            if sunk:
                 stats = self.stats[device]
+                stats.gaps += first - expected.get(device, first)
                 stats.frames += sunk
-                stats.duplicates += duplicates
-                stats.stale_timestamps += stale
-                stats.decode_errors += undecodable
-                stats.gaps += gaps
-                expected[device] = next_sequence
-                self._last_ms[device] = last_ms
+                expected[device] = first + sunk
+                self._last_ms[device] = int(ms[sunk - 1])
 
     def _close(self, selector: selectors.BaseSelector, key: selectors.SelectorKey) -> None:
         selector.unregister(key.fileobj)

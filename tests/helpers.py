@@ -20,12 +20,12 @@ from typing import Callable, Iterable, Sequence
 
 from solesense.acquisition import _decoded_sample
 from solesense.analysis import (
-    _AT_REST,
     _CONTACTS,
     _OFF_PA,
     _ON_PA,
     _REGION_SLICES,
     _REGIONS,
+    _REST_CODES,
     _WEIGHTS,
     Analyzer,
     GaitEvent,
@@ -120,7 +120,7 @@ def reference_update(analyzer: Analyzer, sample) -> list[GaitEvent]:
         if pressure > peaks[region]:
             peaks[region] = pressure
     code = analyzer._contact = _schmitt(pressures, analyzer._contact)
-    if (code, analyzer._phase) in _AT_REST:
+    if code in _REST_CODES[analyzer._phase]:
         return []
     event = analyzer._step(t, _CONTACTS[code])
     return [] if event is None else [event]

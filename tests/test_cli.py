@@ -142,6 +142,24 @@ class TestAnalyze:
         assert len(built) == 0
         assert out.read_text() == expected
 
+    def test_session_of_a_custom_profile_analyzes_without_plots(self, tmp_path, capsys):
+        # the session names a profile no built-in has: the report needs none,
+        # the plots read it
+        cal, profile, src = tmp_path / "cal.csv", tmp_path / "p.json", tmp_path / "s.csv"
+        _write_measured_csv(cal)
+        assert main(["calibrate", str(cal), "--name", "custom", "-o", str(profile)]) == 0
+        assert main(["simulate", "--profile", str(profile), "--cycles", "5", "-o", str(src)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert main(["analyze", str(src), "--json", str(out)]) == 0
+        assert out.read_text() == report_json_text(analyze(store.read_csv(src).samples)[1])
+        plots_dir = tmp_path / "plots"
+        assert main(["analyze", str(src), "--json", str(out), "--plots", str(plots_dir)]) == 2
+        assert "unknown profile 'custom'" in capsys.readouterr().err
+        assert not plots_dir.exists()
+        assert main(["analyze", str(src), "--json", str(out), "--plots", str(plots_dir), "--profile", str(profile)]) == 0
+        assert (plots_dir / "pressure_response_curve.svg").exists()
+
     def test_legacy_plot_data_matches_rows(self, tmp_path, capsys):
         legacy = tmp_path / "bench.csv"
         write_legacy_csv(legacy, [LegacyRecord(t, p, r) for t, p, r in BENCH_TIME_LOG])
@@ -378,8 +396,10 @@ class TestCompare:
             ("time_s,pressure_pa\n0.0,1.0\n1.0,nan\n", "stim.csv:3: pressure must be finite, got nan"),
             ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0,-5\n", "stim.csv:3: pressure must be >= 0, got -5.0"),
             ("time_s,pressure_pa\n0.0,1.0\ninf,1.0\n", "stim.csv:3: time must be finite, got inf"),
+            ("time_s,pressure_pa\n0.0,1.0\n2.0,1.0\n1.0,1.0\n", "stim.csv:4: time went backwards, from 2.0 to 1.0"),
         ],
-        ids=["short row", "bad value", "header only", "nan pressure", "negative pressure", "infinite time"],
+        ids=["short row", "bad value", "header only", "nan pressure", "negative pressure", "infinite time",
+             "time backwards"],
     )
     def test_broken_stimulus_is_data_error(self, tmp_path, capsys, body, message):
         stim = tmp_path / "stim.csv"

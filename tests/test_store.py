@@ -437,9 +437,10 @@ class TestTableRegressions:
             ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,-0.5,1.0\n", "pressure must be >= 0, got -0.5"),
             ("time_s,pressure_pa\n0.0,1.0\nnan,1.0\n", "time must be finite, got nan"),
             ("time_s,pressure_pa\n0.0,1.0\n-inf,1.0\n", "time must be finite, got -inf"),
+            ("time_s,pressure_pa\n2.0,1.0\n1.0,1.0\n", "time went backwards, from 2.0 to 1.0"),
         ],
         ids=["nan pressure", "negative pressure", "infinite fsr pressure", "negative sensor pressure", "nan time",
-             "infinite time"],
+             "infinite time", "time backwards"],
     )
     def test_stimulus_value_the_model_cannot_take_names_its_line(self, tmp_path, body, message):
         path = tmp_path / "stim.csv"
@@ -453,6 +454,8 @@ class TestTableRegressions:
         assert read_stimulus_csv(path) == ([0.0, 1.0], [[1.0, 3.0], [2.0, 4.0]])
         path.write_text("time_s,pressure_pa\n0.0,1.0\n1.0,3.0\n")
         assert read_stimulus_csv(path) == ([0.0, 1.0], [1.0, 3.0])
+        path.write_text("time_s,pressure_pa\n0.0,1.0\n0.0,3.0\n")  # a time may repeat
+        assert read_stimulus_csv(path) == ([0.0, 0.0], [1.0, 3.0])
 
 
 class TestHeaderFieldTypes:

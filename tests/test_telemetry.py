@@ -842,55 +842,143 @@ def _receive_schedule(rng):
     return connections, raise_at
 
 
+def _receives_as_reference(connections, raise_at=None, context=""):
+    """Run each connection's chunks through a Collector's receive path and
+    through ReferenceReceiver, with a sink that raises on call ``raise_at``,
+    and assert that both agree on everything; returns the collector and the
+    sink calls."""
+    table = acquisition.decode_table(PROFILE, DIVIDER)
+
+    def sink_into(sunk):
+        def sink(device_id, sample):
+            if len(sunk) == raise_at:
+                sunk.append("raised")
+                raise RuntimeError("sink failed")
+            sunk.append((device_id, sample))
+
+        return sink
+
+    want, got = [], []
+    reference = ReferenceReceiver(sink_into(want), table)
+    collector = Collector(sink_into(got), PROFILE, DIVIDER)
+    for chunks in connections:
+        ref_conn = reference.connection()
+        for chunk in chunks + [b""]:
+            if not reference.read(ref_conn, chunk):
+                break
+        (ref_deframer, ref_expected), (deframer, expected) = ref_conn, receive(collector, chunks)
+        assert list(expected.items()) == list(ref_expected.items()), context
+        counters = ("frames", "bad_crc", "bad_version", "skipped_bytes")
+        got_counters = [getattr(deframer, c) for c in counters]
+        assert got_counters == [getattr(ref_deframer, c) for c in counters], context
+    assert got == want, context
+    stats = {d: dataclasses.astuple(s) for d, s in collector.stats.items()}
+    assert stats == {d: dataclasses.astuple(s) for d, s in reference.stats.items()}, context
+    assert list(collector._last_ms.items()) == list(reference._last_ms.items()), context
+    assert collector.connections_closed == reference.connections_closed
+    return collector, got
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The frames of each chunk the receive path handed to the clean-run
+    shortcut ("run") and to the per-frame loop ("loop")."""
+    taken = {"run": [], "loop": []}
+    ingest_run, ingest_frames = Collector._ingest_run, Collector._ingest_frames
+
+    def run(self, expected, device, wire, ms):
+        taken["run"].append(len(wire))
+        return ingest_run(self, expected, device, wire, ms)
+
+    def loop(self, expected, frames):
+        taken["loop"].append(len(frames) // FRAME_LENGTH)
+        return ingest_frames(self, expected, frames)
+
+    monkeypatch.setattr(Collector, "_ingest_run", run)
+    monkeypatch.setattr(Collector, "_ingest_frames", loop)
+    return taken
+
+
+_IN_TABLE = (4095, 4000, 3950, 3500, 3000)
+
+
+def _wire(frames) -> bytes:
+    return b"".join(encode(TelemetryFrame(*frame)) for frame in frames)
+
+
+def _run(first, n, device=1):
+    """(device, sequence, ms, codes) of n frames of a clean run from sequence
+    ``first``, 10 ms apart."""
+    return [(device, seq, 10 * seq, _IN_TABLE) for seq in range(first, first + n)]
+
+
+# one flaw that keeps a run from being clean, on the kth frame of a run that
+# follows another: each maps (k, frame) to the frame sent
+_FLAWS = {
+    "other device": lambda k, d, seq, ms, codes: (2 if k == 12 else d, seq, ms, codes),
+    "gap inside": lambda k, d, seq, ms, codes: (d, seq + (k >= 12), ms, codes),
+    "below expected": lambda k, d, seq, ms, codes: (d, seq - 10, ms, codes),  # renumbered, timed on
+    "stale first": lambda k, d, seq, ms, codes: (d, seq, ms - 10, codes),  # from the last kept ms
+    "equal ms": lambda k, d, seq, ms, codes: (d, seq, ms - 10 * (k == 12), codes),
+    "code out of table": lambda k, d, seq, ms, codes: (d, seq, ms, (4095, 1 << 15, 4095, 4095, 4095) if k == 12 else codes),
+}
+
+
 class TestReceiveEquivalence:
-    def test_chunked_receive_equals_one_frame_at_a_time(self, monkeypatch):
-        table = acquisition.decode_table(PROFILE, DIVIDER)
-        routes = {"block": 0, "frames": 0, "valid": 0, "invalid": 0}
-        for name, route in (("_ingest_block", "block"), ("_ingest_frames", "frames")):
-            original = getattr(Collector, name)
-
-            def counted(self, *args, _original=original, _route=route):
-                routes[_route] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(Collector, name, counted)
+    def test_chunked_receive_equals_one_frame_at_a_time(self, monkeypatch, routes):
+        checks = {"valid": 0, "invalid": 0}
         all_valid = telemetry._all_valid
 
         def checked(frames):
             valid = all_valid(frames)
-            routes["valid" if valid else "invalid"] += 1
+            checks["valid" if valid else "invalid"] += 1
             return valid
 
         monkeypatch.setattr(telemetry, "_all_valid", checked)
 
         for seed in range(200):
             connections, raise_at = _receive_schedule(random.Random(seed))
+            _receives_as_reference(connections, raise_at, f"seed {seed}")
+        assert routes["run"], routes  # the clean-run shortcut ran
+        assert min(routes["loop"]) < telemetry._ARRAY_FRAMES <= max(routes["loop"])  # the loop on both sizes
+        assert min(checks.values()) > 0, checks  # both scan checks
 
-            def sink_into(sunk):
-                def sink(device_id, sample):
-                    if len(sunk) == raise_at:
-                        sunk.append("raised")
-                        raise RuntimeError("sink failed")
-                    sunk.append((device_id, sample))
+    def test_reconnect_resending_a_block_takes_the_loop(self, routes):
+        # 300 frames, then a new connection resends the last 256 with their
+        # stale timestamps before going on
+        sent = _run(0, 350)
+        collector, sunk = _receives_as_reference([[_wire(sent[:300])], [_wire(sent[44:300]), _wire(sent[300:])]])
+        assert routes == {"run": [300, 50], "loop": [256]}
+        stats = collector.stats[1]
+        assert (stats.frames, stats.stale_timestamps, stats.duplicates, stats.gaps) == (350, 256, 0, 0)
+        assert len(sunk) == 350
 
-                return sink
+    def test_two_devices_in_one_chunk_take_the_loop(self, routes):
+        # numbered and timed as one run, so only the device tells them apart
+        frames = [(1 + seq % 2, seq, ms, codes) for _d, seq, ms, codes in _run(0, 30)]
+        collector, sunk = _receives_as_reference([[_wire(frames)]])
+        assert routes == {"run": [], "loop": [30]}
+        assert [(s.frames, s.gaps) for s in collector.stats.values()] == [(15, 14), (15, 14)]
+        assert [d for d, _sample in sunk] == [1 + k % 2 for k in range(30)]
 
-            want, got = [], []
-            reference = ReferenceReceiver(sink_into(want), table)
-            collector = Collector(sink_into(got), PROFILE, DIVIDER)
-            for chunks in connections:
-                ref_conn = reference.connection()
-                for chunk in chunks + [b""]:
-                    if not reference.read(ref_conn, chunk):
-                        break
-                (ref_deframer, ref_expected), (deframer, expected) = ref_conn, receive(collector, chunks)
-                assert list(expected.items()) == list(ref_expected.items()), f"seed {seed}"
-                counters = ("frames", "bad_crc", "bad_version", "skipped_bytes")
-                got_counters = [getattr(deframer, c) for c in counters]
-                assert got_counters == [getattr(ref_deframer, c) for c in counters], f"seed {seed}"
-            assert got == want, f"seed {seed}"
-            stats = {d: dataclasses.astuple(s) for d, s in collector.stats.items()}
-            assert stats == {d: dataclasses.astuple(s) for d, s in reference.stats.items()}, f"seed {seed}"
-            assert list(collector._last_ms.items()) == list(reference._last_ms.items()), f"seed {seed}"
-            assert collector.connections_closed == reference.connections_closed
-        assert min(routes.values()) > 0, routes  # both receive routes, both scan checks
+    def test_gap_before_a_clean_run_is_counted(self, routes):
+        collector, sunk = _receives_as_reference([[_wire(_run(0, 30)), _wire(_run(40, 40))]])
+        assert routes == {"run": [30, 40], "loop": []}
+        stats = collector.stats[1]
+        assert (stats.frames, stats.gaps) == (70, 10)
+        assert collector._last_ms[1] == 790
+
+    def test_sink_raising_in_a_clean_run_counts_up_to_that_frame(self, routes, capsys):
+        collector, sunk = _receives_as_reference([[_wire(_run(5, 100)), _wire(_run(105, 30))]], raise_at=37)
+        assert routes == {"run": [100], "loop": []}  # the connection ends with the raise
+        assert "RuntimeError: sink failed" in capsys.readouterr().err
+        assert len(sunk) == 38 and sunk[-1] == "raised"
+        stats = collector.stats[1]
+        assert (stats.frames, stats.gaps) == (38, 0)
+        assert collector._last_ms[1] == 10 * (5 + 37)
+
+    @pytest.mark.parametrize("flaw", _FLAWS)
+    def test_a_run_with_one_flaw_takes_the_loop(self, routes, flaw):
+        flawed = [_FLAWS[flaw](k, *frame) for k, frame in enumerate(_run(30, 30))]
+        _receives_as_reference([[_wire(_run(0, 30)), _wire(flawed)]], context=flaw)
+        assert routes == {"run": [30], "loop": [30]}
