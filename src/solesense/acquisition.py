@@ -16,11 +16,14 @@ Each step has a per-sample form and an array form (``divider_out_ohms``,
 divider and the floor quantizer use only exactly-rounded operations, and the
 static curve is ``sensor.static_ohms``, so both forms agree bit for bit.
 Decoding indexes ``decode_table``, a tuple of bare pascals per (profile,
-divider). Next to it the profile keeps an object-dtype array of the same float
-objects, which a block of codes indexes in one call (``counts_to_samples``, and
-the collector's clean runs): every decoded row shares the table's floats, so
-decoding allocates no float and a held sample stays one small tuple.
-``count_to_pressure`` wraps a table entry in a Pressure at the API boundary.
+divider). Next to it the profile keeps two arrays of the same values. An
+object-dtype array holds the same float objects, which a block of codes indexes
+in one call (``counts_to_samples``, and the collector's clean runs): every
+decoded row shares the table's floats, so decoding allocates no float and a
+held sample stays one small tuple. A float64 view of the table gives
+``counts_to_pascals`` its (n, 5) pascals in one index, with no Python float in
+between. ``count_to_pressure`` wraps a table entry in a Pressure at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -150,8 +153,11 @@ def decode_table(profile: CalibrationProfile, cfg: DividerConfig = DividerConfig
     return _decode_tables(profile, cfg)[0]
 
 
-def _decode_tables(profile: CalibrationProfile, cfg: DividerConfig) -> tuple[tuple[float, ...], np.ndarray]:
-    """decode_table, and an object-dtype array holding the same float objects."""
+def _decode_tables(
+    profile: CalibrationProfile, cfg: DividerConfig
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """decode_table, an object-dtype array holding the same float objects, and
+    a float64 array of the same values."""
     tables = profile._decode_tables.get(cfg)
     if tables is None:
         codes = 1 << cfg.adc_bits
@@ -161,7 +167,7 @@ def _decode_tables(profile: CalibrationProfile, cfg: DividerConfig) -> tuple[tup
             ohms = cfg.r1.ohms * volts / (cfg.v_in.volts - volts)
         idle = ohms >= profile.idle_resistance_ohm
         table = tuple(np.where(idle, 0.0, invert_static_ohms(profile, ohms)).tolist())
-        tables = profile._decode_tables[cfg] = (table, np.array(table, dtype=object))
+        tables = profile._decode_tables[cfg] = (table, np.array(table, dtype=object), np.array(table))
     return tables
 
 
@@ -222,22 +228,26 @@ def counts_to_sample(
     return _decoded_sample(table, timestamp, counts)
 
 
-def _checked_objects(counts: np.ndarray, profile: CalibrationProfile, cfg: DividerConfig) -> np.ndarray:
-    """The object-dtype decode table, after counts_to_sample's range check on an (n, 5) block."""
+def _checked_tables(
+    counts: np.ndarray, profile: CalibrationProfile, cfg: DividerConfig
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """_decode_tables, after counts_to_sample's range check on an (n, 5) block."""
     if counts.ndim != 2 or counts.shape[1] != len(CHANNEL_ORDER):
         raise ValueError(f"expected an (n, {len(CHANNEL_ORDER)}) block of counts, got shape {counts.shape}")
-    table, objects = _decode_tables(profile, cfg)
+    tables = _decode_tables(profile, cfg)
+    table = tables[0]
     outside = (counts < 0) | (counts >= len(table))
     if outside.any():
         _decoded(table, int(counts[outside][0]))
-    return objects
+    return tables
 
 
 def counts_to_pascals(
     counts: np.ndarray, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
 ) -> np.ndarray:
-    """counts_to_samples' pascals as an (n, 5) float array, with no sample built."""
-    return _checked_objects(counts, profile, cfg)[counts].astype(float)
+    """counts_to_samples' pascals as an (n, 5) float array, with no sample
+    built: the float64 decode table indexed once."""
+    return _checked_tables(counts, profile, cfg)[2][counts]
 
 
 def counts_to_samples(
@@ -248,7 +258,7 @@ def counts_to_samples(
 ) -> list[PressureSample]:
     """counts_to_sample on an (n, 5) block of codes, one row per timestamp; a
     code outside the table raises its ValueError for the first in sample order."""
-    objects = _checked_objects(counts, profile, cfg)
+    objects = _checked_tables(counts, profile, cfg)[1]
     samples = []
     for start in range(0, len(counts), _BLOCK_ROWS):  # bounds the Python copies of the block
         block = slice(start, start + _BLOCK_ROWS)

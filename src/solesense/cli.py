@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import socket
 import sys
 import time
 from collections import defaultdict
 from datetime import datetime
-
-import numpy as np
 
 from . import plots, store
 from .acquisition import DividerConfig, counts_to_pascals, counts_to_samples, divider_out_ohms, quantize_volts
@@ -117,9 +116,7 @@ def report_json_text(report: GaitReport) -> str:
 def _simulated_counts(params: GaitParams, profile: CalibrationProfile, divider: DividerConfig):
     """Synthetic gait -> sensor dynamics -> divider -> ADC on columns: timestamps and (n, 5) codes."""
     times, pascals = synthesize_columns(params)
-    ohms = np.empty_like(pascals)
-    for k in range(len(CHANNEL_ORDER)):
-        _, ohms[:, k] = run_channel(SensorState.at_rest(0.0), pascals[:, k], times, profile, DynamicsConfig())
+    _, ohms = run_channel(SensorState.at_rest(0.0), pascals, times, profile, DynamicsConfig())
     return times, quantize_volts(divider_out_ohms(ohms, divider), divider)
 
 
@@ -407,6 +404,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if not (math.isfinite(args.onset) and args.onset >= 0):
+        raise _UsageError(f"calibrate: --onset must be finite and >= 0, got {args.onset!r}")
     points = store.read_calibration_csv(args.input)
     profile = fit_profile(args.name, points, Pressure(args.onset))
     figures = characterize(profile)

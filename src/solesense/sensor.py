@@ -17,11 +17,13 @@ comparison data, and log space is the natural companion of the log-linear
 static curve.
 
 ``step`` advances one sample and is the reference; ``run_channel`` advances
-a whole column of samples and gives the same values bit for bit. Its play
-operator is a prefix scan over the column, and its static curve is
-``static_ohms``. The lag runs through ``step``'s own ``_lagged_ohms`` on plain
-floats (``math.exp``/``math.log``; ``np.exp`` may differ from them in the
-last ulp), and only on the samples whose target is a closed circuit.
+a whole column of samples, or a block of columns sampled at the same times
+(the insole's five sensors), and gives the same values bit for bit. Its play
+operator is a prefix scan down the block, and its static curve is
+``static_ohms`` on the whole block. The lag runs column by column through
+``step``'s own ``_lagged_ohms`` on plain floats (``math.exp``/``math.log``;
+``np.exp`` may differ from them in the last ulp), and only on the samples
+whose target is a closed circuit.
 """
 
 from __future__ import annotations
@@ -278,10 +280,14 @@ def run_channel(
     profile: CalibrationProfile,
     dynamics: DynamicsConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """step() over a whole column of samples of one sensor, from ``state``.
+    """step() over a whole column of samples, or a block of columns, from ``state``.
 
-    Returns the effective pascals and the lagged ohms after each sample, equal
-    bit for bit to what step() gives sample by sample.
+    ``applied_pa`` is one column (n,) or a block of k columns (n, k), one row
+    per timestamp; every column starts from ``state``. Returns the effective
+    pascals and the lagged ohms after each sample, in the shape of
+    ``applied_pa``, each column equal bit for bit to what step() gives sample
+    by sample. The checks, the play scan and the static curve run once on the
+    whole block; only the lag runs column by column.
 
     The play operator is _play_scan. It is exact because min and max only
     choose among floats that already exist: every bound is some a +/- h, and
@@ -289,14 +295,14 @@ def run_channel(
     equal bits. The start state may be -0.0, so its final clamp compares
     explicitly, as play_update's builtins do.
 
-    The static curve is static_ohms over the column. An open-circuit target is
+    The static curve is static_ohms over the block. An open-circuit target is
     its own lagged value, and the first closed sample after one adopts its
     target; so the lag recurrence, step()'s own _lagged_ohms, runs only over
     the closed samples, restarting from inf after each open stretch.
     """
     applied = np.asarray(applied_pa, dtype=float)
     times = np.asarray(timestamps, dtype=float)
-    if applied.shape != times.shape or applied.ndim != 1:
+    if times.ndim != 1 or applied.ndim not in (1, 2) or len(applied) != len(times):
         raise ValueError(f"need one applied pressure per timestamp, got {applied.shape} and {times.shape}")
     if not np.all(np.isfinite(applied) & (applied >= 0.0)):
         raise ValueError("applied pressures must be finite and >= 0")
@@ -304,25 +310,27 @@ def run_channel(
     if np.any(steps < 0):
         raise ValueError(f"time went backwards in the column starting at {state.last_timestamp}")
 
-    effective = _play_scan(state.effective_pressure.pascals, applied, dynamics.hysteresis_halfwidth)
+    block = applied if applied.ndim == 2 else applied[:, np.newaxis]
+    effective = _play_scan(state.effective_pressure.pascals, block, dynamics.hysteresis_halfwidth)
     targets = static_ohms(profile, effective)
 
     lagged = targets.copy()
-    closed = np.flatnonzero(targets < math.inf)
-    values = []
-    ohms, after = state.lagged_resistance.ohms, -1
-    for k, target, dt in zip(closed.tolist(), targets[closed].tolist(), steps[closed].tolist()):
-        if k != after + 1:
-            ohms = math.inf
-        ohms = _lagged_ohms(ohms, target, dt, dynamics)
-        values.append(ohms)
-        after = k
-    lagged[closed] = values
-    return effective, lagged
+    for column_targets, column_lagged in zip(targets.T, lagged.T):
+        closed = np.flatnonzero(column_targets < math.inf)
+        values = []
+        ohms, after = state.lagged_resistance.ohms, -1
+        for k, target, dt in zip(closed.tolist(), column_targets[closed].tolist(), steps[closed].tolist()):
+            if k != after + 1:
+                ohms = math.inf
+            ohms = _lagged_ohms(ohms, target, dt, dynamics)
+            values.append(ohms)
+            after = k
+        column_lagged[closed] = values
+    return effective.reshape(applied.shape), lagged.reshape(applied.shape)
 
 
 def _play_scan(start_pa: float, applied: np.ndarray, halfwidth_pa: float) -> np.ndarray:
-    """play_update over a column from ``start_pa``, as a prefix scan.
+    """play_update down each column of ``applied`` from ``start_pa``, as a prefix scan.
 
     Each step clamps the state to [a - h, a + h], and a chain of clamps is a
     clamp: [L1, U1] then [L2, U2] is [clamp(L1, L2, U2), clamp(U1, L2, U2)].
@@ -332,7 +340,7 @@ def _play_scan(start_pa: float, applied: np.ndarray, halfwidth_pa: float) -> np.
     lower = applied - halfwidth_pa
     upper = applied + halfwidth_pa
     stride = 1
-    while stride < applied.size:
+    while stride < len(applied):
         first_lower, first_upper = lower[:-stride], upper[:-stride]
         then_lower, then_upper = lower[stride:], upper[stride:]
         lower[stride:], upper[stride:] = (

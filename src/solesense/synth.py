@@ -78,14 +78,16 @@ class GaitParams:
             raise ValueError(f"body mass must be >= 0, got {self.body_mass_kg!r}")
         if not 0.0 < self.stance_fraction < 1.0:
             raise ValueError(f"stance_fraction must be in (0, 1), got {self.stance_fraction!r}")
-        if self.cadence_spm <= 0:
-            raise ValueError(f"cadence must be > 0, got {self.cadence_spm!r}")
-        if self.sample_rate_hz < 20.0:
-            raise ValueError(f"sample rate must be >= 20 Hz, got {self.sample_rate_hz!r}")
+        if not (math.isfinite(self.cadence_spm) and self.cadence_spm > 0):
+            raise ValueError(f"cadence must be finite and > 0, got {self.cadence_spm!r}")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz >= 20.0):
+            raise ValueError(f"sample rate must be finite and >= 20 Hz, got {self.sample_rate_hz!r}")
         if self.cycles < 0:
             raise ValueError(f"cycles must be >= 0, got {self.cycles!r}")
-        if self.noise_sigma_pa < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma_pa!r}")
+        if not (math.isfinite(self.noise_sigma_pa) and self.noise_sigma_pa >= 0):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma_pa!r}")
+        if not (math.isfinite(self.load_scale) and self.load_scale >= 0):
+            raise ValueError(f"load scale must be finite and >= 0, got {self.load_scale!r}")
 
     @property
     def cycle_duration_s(self) -> float:

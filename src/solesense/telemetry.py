@@ -493,7 +493,7 @@ class Collector:
         port: int = DEFAULT_PORT,
     ):
         self._sink = sink
-        self._table, self._objects = _decode_tables(profile, divider)
+        self._table, self._objects, _ = _decode_tables(profile, divider)
         self._host = host
         self._port = port
         self._server: socket.socket | None = None

@@ -50,6 +50,18 @@ def _start_collect(argv, capsys):
     raise AssertionError("collect never started listening")
 
 
+# gait flags that GaitParams must refuse, with the words its error names them by
+BAD_GAIT_FLAGS = [
+    ("--noise", "nan", "noise sigma"),
+    ("--noise", "inf", "noise sigma"),
+    ("--cadence", "inf", "cadence"),
+    ("--cadence", "nan", "cadence"),
+    ("--load-scale", "nan", "load scale"),
+    ("--load-scale", "-1", "load scale"),
+    ("--rate", "inf", "sample rate"),
+]
+
+
 class TestSimulate:
     def test_deterministic_reruns_are_byte_identical(self, tmp_path):
         args = ["simulate", "--mass", "70", "--cycles", "5", "--seed", "7"]
@@ -68,6 +80,14 @@ class TestSimulate:
         rc = main(["simulate", "--stance", "1.2", "-o", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "stance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, words", BAD_GAIT_FLAGS)
+    def test_non_finite_or_negative_gait_flag_is_usage_error(self, tmp_path, capsys, flag, value, words):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--cycles", "1", flag, value, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: ") and words in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("device_id", ["256", "300", "-1", "x"])
     def test_device_id_outside_the_frame_byte_is_usage_error(self, tmp_path, capsys, device_id):
@@ -320,6 +340,18 @@ class TestCalibrate:
         assert "note: computed Pa/ohm differs from the nominal 0.02 Pa/ohm figure" in out
         assert out.endswith("threshold band: +/- 10 %\n")  # the analyzer's Schmitt band
 
+    @pytest.mark.parametrize("onset", ["nan", "inf", "-inf", "-1"])
+    def test_onset_that_is_no_pressure_is_usage_error(self, tmp_path, capsys, onset):
+        cal = tmp_path / "cal.csv"
+        _write_measured_csv(cal)
+        out = tmp_path / "p.json"
+        assert main(["calibrate", str(cal), f"--onset={onset}", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("calibrate: --onset must be finite and >= 0"), err
+        assert not out.exists()
+        assert main(["calibrate", str(cal), "--onset", "0", "-o", str(out)]) == 0
+        assert profile_from_json_file(out).onset_pressure == Pressure(0.0)
+
     def test_single_point_is_data_error(self, tmp_path, capsys):
         cal = tmp_path / "one.csv"
         cal.write_text("pressure_pa,resistance_ohm\n200000.0,150000.0\n")
@@ -559,6 +591,16 @@ class TestStreamCollect:
     def test_stream_requires_exactly_one_source(self, tmp_path):
         assert main(["stream"]) == 1
         assert main(["stream", "-i", "x.csv", "--simulate"]) == 1
+
+    @pytest.mark.parametrize("flag, value, words", BAD_GAIT_FLAGS)
+    def test_stream_refuses_a_bad_gait_flag_before_simulating(self, capsys, monkeypatch, flag, value, words):
+        def simulate_session(*args):
+            raise AssertionError("stream simulated a session from a bad gait flag")
+
+        monkeypatch.setattr(cli, "simulate_session", simulate_session)
+        assert main(["stream", "--simulate", flag, value, "--addr", "127.0.0.1:9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stream: ") and words in err, err
 
     def test_bad_epoch_is_usage_error(self, tmp_path, capsys):
         rc = main(["simulate", "--epoch", "yesterday", "-o", str(tmp_path / "x.csv")])

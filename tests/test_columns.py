@@ -3,6 +3,8 @@
 ``simulate_session``, ``compare_sensors`` and ``characterize`` run on numpy
 columns; each must give exactly what the per-sample public functions give
 when called one sample at a time, which is how the chain used to run.
+``run_channel`` on an (n, k) block must equal k one-column runs, and the
+float64 decode table the tuple table.
 """
 
 import dataclasses
@@ -12,8 +14,17 @@ import math
 import numpy as np
 import pytest
 
-from solesense import analysis, sensor
-from solesense.acquisition import DividerConfig, counts_to_sample, divider_out, quantize
+from solesense import analysis, cli, sensor
+from solesense.acquisition import (
+    DividerConfig,
+    _decode_tables,
+    counts_to_pascals,
+    counts_to_sample,
+    counts_to_samples,
+    decode_table,
+    divider_out,
+    quantize,
+)
 from solesense.analysis import compare_sensors
 from solesense.cli import simulate_session
 from solesense.datasets import comparison_stimulus
@@ -26,7 +37,7 @@ from solesense.sensor import (
     run_channel,
     step,
 )
-from solesense.synth import GaitParams, synthesize
+from solesense.synth import GaitParams, synthesize, synthesize_columns
 from solesense.units import CHANNEL_ORDER, Pressure, Resistance, Voltage
 
 GRID = list(
@@ -198,6 +209,118 @@ def test_run_channel_rejects_what_step_rejects():
         run_channel(state, [1.0, -1.0], [1.5, 1.6], profile, dynamics)
     with pytest.raises(ValueError, match="one applied pressure per timestamp"):
         run_channel(state, [1.0, 2.0], [1.5], profile, dynamics)
+
+
+def _assert_block_equals_columns(state, applied, times, profile, dynamics):
+    """run_channel on an (n, k) block equals k one-column runs, bit for bit."""
+    effective, ohms = run_channel(state, applied, times, profile, dynamics)
+    assert effective.shape == ohms.shape == applied.shape
+    for k in range(applied.shape[1]):
+        _assert_same_bits((effective[:, k], ohms[:, k]),
+                          run_channel(state, applied[:, k], times, profile, dynamics))
+
+
+@pytest.mark.parametrize("name", builtin_profile_names())
+def test_run_channel_on_a_block_equals_one_column_runs(name):
+    profile = builtin_profile(name)
+    dynamics = DynamicsConfig.for_profile(profile)
+    for rate, stance, noise, seed in GRID:
+        params = GaitParams(body_mass_kg=70.0, stance_fraction=stance, sample_rate_hz=rate, cycles=1,
+                            noise_sigma_pa=noise, seed=seed)
+        times, pascals = synthesize_columns(params)
+        for state in (SensorState.at_rest(0.0), SensorState.settled(Pressure(0.5 * profile.max_pressure_pa), profile)):
+            _assert_block_equals_columns(state, pascals, times, profile, dynamics)
+
+
+def _edge_blocks():
+    """(id, profile, dynamics, start state, (n, k) applied pascals, timestamps)."""
+    measured = builtin_profile("measured")
+    onset = measured.onset_pressure.pascals
+    top = measured.max_pressure_pa
+    dynamics = DynamicsConfig.for_profile(measured)
+    rng = np.random.default_rng(20)
+    settled = SensorState.settled(Pressure(0.5 * top), measured)
+    cases = []
+    for n in sorted({0, 1, 2, 3} | {m + d for m in (4, 8, 16, 32, 64, 128) for d in (-1, 0, 1)}):
+        times = np.cumsum(rng.choice([0.0, 0.001, 0.01], n))
+        jumps = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.2 * top, n))
+        walk = 0.7 * top + np.cumsum(rng.normal(0.0, 0.1 * dynamics.hysteresis_halfwidth, n))
+        # one column open throughout beside one loaded throughout
+        block = np.column_stack([jumps, np.zeros(n), walk, np.full(n, 0.9 * top), np.full(n, 0.5 * onset)])
+        for label, state in (("at rest", SensorState.at_rest(0.0)), ("settled", settled)):
+            cases.append((f"length {n}, from {label}", measured, dynamics, state, block, times))
+    cases.append(("one column", measured, dynamics, settled, block[:, :1], times))
+
+    exact = dataclasses.replace(dynamics, hysteresis_halfwidth=0.5)
+    edges = np.array([0.5, 0.0, 0.5, 1.0, 1.5, 1.0, 0.5, 0.0, -0.0, 0.5])
+    signed = np.column_stack([edges, np.full(10, -0.0), np.zeros(10), edges[::-1]])
+    for start_pa in (-0.0, 0.0, 0.5):
+        state = SensorState(Pressure(start_pa), Resistance.open_circuit(), 0.0)
+        cases.append((f"signed zeros from {start_pa!r}", measured, exact, state, signed, np.arange(1, 11) * 0.01))
+    pressed = np.column_stack([np.full(12, 0.9 * top), np.full(12, 0.3 * top), np.zeros(12)])
+    cases.append(("equal timestamps", measured, dynamics, settled, pressed,
+                  np.array([0.0] * 4 + [0.01] * 4 + [0.02] * 4)))
+    return cases
+
+
+EDGE_BLOCKS = _edge_blocks()
+
+
+@pytest.mark.parametrize("case", EDGE_BLOCKS, ids=[case[0] for case in EDGE_BLOCKS])
+def test_run_channel_on_edge_blocks_equals_one_column_runs(case):
+    _, profile, dynamics, state, applied, times = case
+    _assert_block_equals_columns(state, applied, times, profile, dynamics)
+
+
+def test_run_channel_rejects_a_bad_block_as_it_rejects_a_bad_column():
+    profile = builtin_profile("measured")
+    dynamics = DynamicsConfig()
+    state = SensorState.at_rest(1.0)
+    times = np.array([1.5, 1.6, 1.7])
+    good = np.full((3, 5), 3e5)
+    for bad in (math.nan, -1.0, math.inf):
+        block = good.copy()
+        block[1, 3] = bad
+        with pytest.raises(ValueError, match=r"applied pressures must be finite and >= 0"):
+            run_channel(state, block, times, profile, dynamics)
+    for shape in ((2, 5), (4, 5), (3, 5, 1), (3, 1, 5)):
+        with pytest.raises(ValueError, match="one applied pressure per timestamp"):
+            run_channel(state, np.full(shape, 3e5), times, profile, dynamics)
+    with pytest.raises(ValueError, match="one applied pressure per timestamp"):
+        run_channel(state, good, np.tile(times, (5, 1)).T, profile, dynamics)
+    with pytest.raises(ValueError, match="backwards"):
+        run_channel(state, good, [1.5, 1.2, 1.7], profile, dynamics)
+    with pytest.raises(ValueError, match="backwards"):
+        run_channel(state, good, times - 1.0, profile, dynamics)
+
+
+def test_simulated_counts_run_the_sensors_as_one_block(monkeypatch):
+    calls = []
+
+    def counted(state, applied, times, profile, dynamics):
+        calls.append(np.shape(applied))
+        return run_channel(state, applied, times, profile, dynamics)
+
+    monkeypatch.setattr(cli, "run_channel", counted)
+    params = GaitParams(body_mass_kg=70.0, cycles=2, noise_sigma_pa=2000.0, seed=4)
+    times, counts = cli._simulated_counts(params, builtin_profile("measured"), DividerConfig())
+    assert calls == [(len(times), len(CHANNEL_ORDER))]
+    assert counts.shape == (len(times), len(CHANNEL_ORDER))
+
+
+@pytest.mark.parametrize("name", builtin_profile_names())
+@pytest.mark.parametrize("divider", [DividerConfig(), DividerConfig(adc_bits=8), DividerConfig(v_ref=Voltage(3.6))],
+                         ids=["12 bit", "8 bit", "reference above the rail"])
+def test_float_view_equals_the_decode_table(name, divider):
+    profile = builtin_profile(name)
+    table, objects, floats = _decode_tables(profile, divider)
+    assert table is decode_table(profile, divider)
+    assert _decode_tables(profile, divider)[2] is floats  # built once
+    assert floats.dtype == np.float64 and floats.shape == (len(table),)
+    assert [x.hex() for x in floats.tolist()] == [x.hex() for x in table]
+    counts = np.random.default_rng(6).integers(0, len(table), (400, 5))
+    rows = [sample.as_row() for sample in counts_to_samples(np.arange(400.0), counts, profile, divider)]
+    assert counts_to_pascals(counts, profile, divider).tobytes() == np.array(rows).tobytes()
 
 
 def test_compare_sensors_equals_per_step_reference():

@@ -123,6 +123,24 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             GaitParams(body_mass_kg=70, cadence_spm=0)
 
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [
+            ("cadence_spm", math.nan, "cadence"),
+            ("cadence_spm", math.inf, "cadence"),
+            ("sample_rate_hz", math.nan, "sample rate"),
+            ("sample_rate_hz", math.inf, "sample rate"),
+            ("noise_sigma_pa", math.nan, "noise sigma"),
+            ("noise_sigma_pa", math.inf, "noise sigma"),
+            ("load_scale", math.nan, "load scale"),
+            ("load_scale", math.inf, "load scale"),
+            ("load_scale", -1.0, "load scale"),
+        ],
+    )
+    def test_non_finite_or_negative_gait_values_are_rejected(self, field, value, words):
+        with pytest.raises(ValueError, match=words):
+            GaitParams(body_mass_kg=70, **{field: value})
+
 
 class TestGroundTruth:
     def test_record_count(self):
