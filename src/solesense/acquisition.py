@@ -17,13 +17,12 @@ divider and the floor quantizer use only exactly-rounded operations, and the
 static curve is ``sensor.static_ohms``, so both forms agree bit for bit.
 Decoding indexes ``decode_table``, a tuple of bare pascals per (profile,
 divider). Next to it the profile keeps two arrays of the same values. An
-object-dtype array holds the same float objects, which a block of codes indexes
-in one call (``counts_to_samples``, and the collector's clean runs): every
-decoded row shares the table's floats, so decoding allocates no float and a
-held sample stays one small tuple. A float64 view of the table gives
-``counts_to_pascals`` its (n, 5) pascals in one index, with no Python float in
-between. ``count_to_pressure`` wraps a table entry in a Pressure at the API
-boundary.
+object-dtype array holds the same float objects, which the collector's clean
+runs index in one call: every decoded row shares the table's floats, so
+decoding allocates no float and a held sample stays one small tuple. A
+float64 view of the table gives ``counts_to_pascals`` its (n, 5) pascals in
+one index, with no Python float in between. ``count_to_pressure`` wraps a
+table entry in a Pressure at the API boundary.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ import numpy as np
 
 from .sensor import CalibrationProfile, invert_static_ohms, static_ohms, static_resistance
 from .units import CHANNEL_ORDER, Pressure, PressureSample, Resistance, Voltage
-
-_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -245,22 +242,8 @@ def _checked_tables(
 def counts_to_pascals(
     counts: np.ndarray, profile: CalibrationProfile, cfg: DividerConfig = DividerConfig()
 ) -> np.ndarray:
-    """counts_to_samples' pascals as an (n, 5) float array, with no sample
-    built: the float64 decode table indexed once."""
+    """counts_to_sample on an (n, 5) block of codes, as an (n, 5) float
+    array of pascals with no sample built: the float64 decode table indexed
+    once. A code outside the table raises its ValueError for the first in
+    sample order."""
     return _checked_tables(counts, profile, cfg)[2][counts]
-
-
-def counts_to_samples(
-    timestamps: np.ndarray,
-    counts: np.ndarray,
-    profile: CalibrationProfile,
-    cfg: DividerConfig = DividerConfig(),
-) -> list[PressureSample]:
-    """counts_to_sample on an (n, 5) block of codes, one row per timestamp; a
-    code outside the table raises its ValueError for the first in sample order."""
-    objects = _checked_tables(counts, profile, cfg)[1]
-    samples = []
-    for start in range(0, len(counts), _BLOCK_ROWS):  # bounds the Python copies of the block
-        block = slice(start, start + _BLOCK_ROWS)
-        samples.extend(_decoded_samples(objects, timestamps[block].tolist(), counts[block]))
-    return samples

@@ -19,7 +19,7 @@ from collections import defaultdict
 from datetime import datetime
 
 from . import plots, store
-from .acquisition import DividerConfig, counts_to_pascals, counts_to_samples, divider_out_ohms, quantize_volts
+from .acquisition import DividerConfig, counts_from_pascals, counts_to_pascals, divider_out_ohms, quantize_volts
 from .analysis import _OFF_PA, _ON_PA, Analyzer, GaitEvent, GaitReport, compare_sensors
 from .datasets import comparison_stimulus
 from .sensor import (
@@ -83,7 +83,9 @@ def _default_addr() -> str:
 
 
 def _load_profile(spec: str) -> CalibrationProfile:
-    if spec.endswith(".json") and os.path.exists(spec):
+    """A profile JSON file when ``spec`` ends in .json (a missing one is an
+    I/O error naming it), else the built-in profile of that name."""
+    if spec.endswith(".json"):
         return profile_from_json_file(spec)
     return builtin_profile(spec)
 
@@ -118,25 +120,6 @@ def _simulated_counts(params: GaitParams, profile: CalibrationProfile, divider: 
     times, pascals = synthesize_columns(params)
     _, ohms = run_channel(SensorState.at_rest(0.0), pascals, times, profile, DynamicsConfig())
     return times, quantize_volts(divider_out_ohms(ohms, divider), divider)
-
-
-def simulate_session(
-    params: GaitParams,
-    profile: CalibrationProfile,
-    divider: DividerConfig = DividerConfig(),
-    device_id: int = 1,
-    epoch: str = store.DEFAULT_EPOCH,
-) -> SessionLog:
-    """Full chain: synthetic gait -> sensor dynamics -> ADC round trip.
-
-    The stored pressures are what a collector would decode from the wire, not
-    the synthetic ground truth: hysteresis, lag and quantization are all in.
-    The chain runs on columns and equals synthesize -> step -> divider_out ->
-    quantize -> counts_to_sample sample by sample, bit for bit.
-    """
-    header = SessionHeader(device_id, epoch, profile.name, params.sample_rate_hz, divider)
-    times, counts = _simulated_counts(params, profile, divider)
-    return SessionLog(header=header, samples=counts_to_samples(times, counts, profile, divider))
 
 
 def _validate_epoch_flag(command: str, epoch: str) -> None:
@@ -181,30 +164,27 @@ def cmd_simulate(args) -> int:
 def cmd_stream(args) -> int:
     if bool(args.input) == bool(args.simulate):
         raise _UsageError("stream: exactly one of --input or --simulate is required")
-    if args.simulate:
+    if args.simulate:  # the ADC's own codes, as the device sends them
         params = _gait_params(args, "stream")
         profile = _load_profile(args.profile or "measured")
-        log = simulate_session(params, profile)
+        divider, device_id = DividerConfig(), 1
+        times, counts = _simulated_counts(params, profile, divider)
     else:
-        log = store.read_session(args.input)
-        profile = _load_profile(args.profile or log.header.profile_name)
+        header, times, pascals = store.read_columns(args.input)
+        profile = _load_profile(args.profile or header.profile_name)
+        divider, device_id = header.divider, header.device_id
+        counts = counts_from_pascals(pascals, profile, divider)
     host, port = _parse_addr(args.addr)
-
-    def connect():
-        return socket.create_connection((host, port), timeout=10.0)
-
+    if args.device_id is not None:
+        device_id = args.device_id
     emitter = Emitter(
-        connect,
-        profile=profile,
-        divider=log.header.divider,
-        device_id=args.device_id if args.device_id is not None else log.header.device_id,
-        pace=args.pace,
+        lambda: socket.create_connection((host, port), timeout=10.0), profile, divider, device_id, pace=args.pace
     )
     try:
-        sent = emitter.run(log.samples)
+        sent = emitter.send_counts(times, counts)
     finally:
         emitter.close()
-    print(f"sent {sent} frames to {host}:{port}")
+    print(f"sent {sent} frames to {host}:{port}, {emitter.retries} retries")
     return EXIT_OK
 
 

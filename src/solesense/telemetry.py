@@ -20,20 +20,22 @@ stays possible. The collector resynchronizes on the next magic after any decode
 error, so junk between frames never costs an intact frame. One collector thread
 serves every device and runs the sink, so a slow sink delays every connection.
 
-Both ends work a block at a time. An unpaced emitter reads ahead up to 256
-samples, converts them in one ``counts_from_pascals`` call, packs each frame
-and sends the block with one sendall; a paced one pulls, packs and sends one
-sample at a time. A sendall that fails is retried whole on the next
-connection, so a reconnect can repeat up to a whole block of frames, which the
-collector drops as stale timestamps. The collector reads up to _RECV_BYTES at a
-time and works on each received chunk whole. ``Deframer.scan`` returns its
-valid frames as packed bytes: a chunk of at least _ARRAY_FRAMES whole frames is
-checked in a few numpy calls and, when it is a clean aligned run, returned as
-one slice. One per-frame loop holds the sequence and timestamp ledger. A clean
-run of at least _ARRAY_FRAMES frames, which the loop would keep whole (what a
-healthy link sends), moves the ledger in one step instead, and its codes index
-an object-dtype copy of the decode table, each frame becoming one float-row
-PressureSample of the table's own floats. Any other chunk goes through the loop.
+Both ends work a block at a time. The emitter frames columns of ADC codes
+(``Emitter.send_counts``): it checks every frame field once on the arrays and
+packs up to 256 frames at a time, sent with one sendall unpaced, or one by one
+paced. ``Emitter.run`` converts samples to codes, up to 256 at a time in one
+``counts_from_pascals`` call, and hands them to it. A sendall that fails is
+retried whole on the next connection, so a reconnect can repeat up to a whole
+block of frames, which the collector drops as stale timestamps. The collector
+reads up to _RECV_BYTES at a time and works on each received chunk whole.
+``Deframer.scan`` returns its valid frames as packed bytes: a chunk of at
+least _ARRAY_FRAMES whole frames is checked in a few numpy calls and, when it
+is a clean aligned run, returned as one slice. One per-frame loop holds the
+sequence and timestamp ledger. A clean run of at least _ARRAY_FRAMES frames,
+which the loop would keep whole (what a healthy link sends), moves the ledger
+in one step instead, and its codes index an object-dtype copy of the decode
+table, each frame becoming one float-row PressureSample of the table's own
+floats. Any other chunk goes through the loop.
 ``Deframer.feed`` wraps the scan in TelemetryFrames for callers that want them.
 """
 
@@ -63,7 +65,7 @@ from .acquisition import (
     counts_from_pascals,
 )
 from .sensor import CalibrationProfile
-from .units import PressureSample
+from .units import CHANNEL_ORDER, PressureSample, samples_to_columns
 
 MAGIC = b"SL"
 PROTOCOL_VERSION = 1
@@ -72,8 +74,8 @@ CRC_SPAN = 24  # bytes covered by the CRC
 TIMESTAMP_MAX_MS = (1 << 48) - 1
 DEFAULT_PORT = 7332
 ADDR_ENV_VAR = "SOLESENSE_ADDR"
-# samples an unpaced emitter converts and sends at a time: bounds its
-# read-ahead and the Python copies of one block
+# rows the emitter packs and, unpaced, sends at a time, and samples it converts
+# at a time: bounds its read-ahead and the Python copies of one block
 _BLOCK_ROWS = 256
 # bytes the collector asks of one recv: a whole unpaced block (6,656 bytes) and
 # any backlog go through one scan and one ledger pass
@@ -312,52 +314,69 @@ def frames_from_samples(
 ) -> Iterator[TelemetryFrame]:
     """Pure sample -> frame conversion; sequence increments by one per sample.
 
-    Reads ahead up to 256 samples, which it converts as one block.
+    Reads ahead up to 256 samples, which it converts and checks as one block,
+    as Emitter.run does: a sample no frame can carry raises ValueError after
+    the frames before it.
     """
-    for sequence, stamps, codes in _framed(samples, profile, divider, start_sequence, _BLOCK_ROWS):
-        for row_sequence, timestamp_ms, counts in zip(count(sequence), stamps, codes.tolist()):
-            yield TelemetryFrame(device_id, row_sequence, timestamp_ms, tuple(counts))
+    for times, counts in _code_blocks(samples, profile, divider, _BLOCK_ROWS):
+        _times, stamps, counts, error = _frame_fields(device_id, start_sequence, times, counts)
+        for row in zip(count(start_sequence), stamps.tolist(), map(tuple, counts.tolist())):
+            yield TelemetryFrame(device_id, *row)
+        if error is not None:
+            raise error
+        start_sequence += len(stamps)
 
 
-def _framed(
-    samples: Iterable[PressureSample],
-    profile: CalibrationProfile,
-    divider: DividerConfig,
-    sequence: int,
-    rows: int,
-) -> Iterator[tuple[int, list[int], np.ndarray]]:
-    """(first sequence, timestamps in ms, (n, 5) codes) of each block of up to
-    ``rows`` samples, numbered from ``sequence``; each block is converted with
-    one counts_from_pascals call.
-
-    A timestamp that is not finite ends its block: the rows before it come as
-    a shorter block, then ValueError is raised. No other range is checked
-    here: frames_from_samples builds a TelemetryFrame of every row, and
-    Emitter.run packs every row with _pack, whose fields reject the same
-    values.
-    """
+def _code_blocks(
+    samples: Iterable[PressureSample], profile: CalibrationProfile, divider: DividerConfig, rows: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Timestamps and (n, 5) codes of each block of up to ``rows`` samples,
+    each block converted with one counts_from_pascals call."""
     samples = iter(samples)
     while block := list(islice(samples, rows)):
-        codes = counts_from_pascals(np.array([sample.as_row() for sample in block]), profile, divider)
-        try:
-            stamps = [round(sample.timestamp * 1000.0) for sample in block]
-        except (ValueError, OverflowError):  # round() of a NaN or an infinity
-            times = [sample.timestamp * 1000.0 for sample in block]
-            bad = next(k for k, ms in enumerate(times) if not math.isfinite(ms))
-            if bad:
-                yield sequence, [round(ms) for ms in times[:bad]], codes[:bad]
-            raise ValueError(f"timestamp_ms out of range: {times[bad]!r}") from None
-        yield sequence, stamps, codes
-        sequence += len(block)
+        times, pascals = samples_to_columns(block)
+        yield times, counts_from_pascals(pascals, profile, divider)
+
+
+def _frame_fields(device_id: int, sequence: int, times, counts) -> tuple[np.ndarray, ...]:
+    """Every frame field of the rows numbered from ``sequence``, checked once
+    on the arrays: the rows' times in seconds and in ms (int64) and their
+    codes, up to the first row that no frame can carry, and that row's
+    ValueError, or None. A time in ms is rounded as round() rounds, half to
+    even; NaN and infinity fit no frame."""
+    times, counts = np.asarray(times, dtype=float), np.asarray(counts)
+    n, width = len(times), len(CHANNEL_ORDER)
+    if times.ndim != 1 or counts.shape != (n, width) or counts.dtype.kind not in "iu":
+        shapes = f"{times.shape}, {counts.shape} {counts.dtype}"
+        raise ValueError(f"expected n times and (n, {width}) integer counts, got {shapes}")
+    ms = times * 1000.0
+    stamps = np.rint(ms)
+    # NaN fails both comparisons, and a negative code has bits past 15 too
+    fits = (stamps >= 0) & (stamps <= float(TIMESTAMP_MAX_MS)) & ~(counts >> 16).any(axis=1)
+    fit = min(
+        n if fits.all() else int(fits.argmin()),
+        n if 0 <= device_id <= 0xFF else 0,
+        min(n, max(0, (1 << 32) - sequence)) if sequence >= 0 else 0,
+    )
+    error = None
+    if fit < n:
+        error = ValueError(
+            f"no frame can carry row {fit}: device_id {device_id!r}, sequence {sequence + fit},"
+            f" timestamp_ms {ms[fit].item()!r}, counts {counts[fit].tolist()}"
+        )
+    return times[:fit], stamps[:fit].astype(np.int64), counts[:fit], error
 
 
 class Emitter:
-    """Device-side sender: one frame per sample over a (re)connecting transport.
+    """Device-side sender: one frame per row of ADC codes over a
+    (re)connecting transport.
 
-    ``connect`` returns anything with sendall()/close(). Unpaced, it reads
-    ahead up to 256 samples, converts and packs them as one block and sends
-    the block with one sendall(); paced, it pulls, packs and sends one sample
-    at a time, so a frame never waits for a later sample.
+    ``send_counts(times, counts)`` is the one framing path; unpaced, it sends
+    up to 256 frames with one sendall(), and paced, each frame on its own
+    after sleeping the timestamp delta since the row sent before it, in this
+    call or an earlier one. ``run(samples)`` hands it samples converted to
+    codes, one at a time when paced so that a frame never waits for a later
+    sample.
 
     On transport failure the emitter reconnects with a fixed exponential
     backoff, from 100 ms doubling up to 5 s between attempts, each wait passed
@@ -368,7 +387,7 @@ class Emitter:
     the transport had buffered but never delivered show up at the receiver as
     sequence gaps.
 
-    A sample no frame can carry (a device id, sequence or count out of its
+    A row no frame can carry (a device id, sequence or count out of its
     field's range, or a timestamp out of range or not finite) raises
     ValueError after the frames before it have gone out.
     """
@@ -389,6 +408,7 @@ class Emitter:
         self._pace = pace
         self._sleep = sleep
         self._conn = None
+        self._last_t = math.inf  # paced: the time of the last row sent, none yet
         self.sent = 0
         self.retries = 0
 
@@ -401,41 +421,42 @@ class Emitter:
                 self._sleep(backoff)
                 backoff = min(backoff * 2.0, _BACKOFF_CAP_S)
 
-    def _paced(self, samples: Iterable[PressureSample]) -> Iterator[PressureSample]:
-        """Yield each sample after sleeping the timestamp delta since the last,
-        at most half threading.TIMEOUT_MAX (time.sleep fails once its deadline
-        passes TIMEOUT_MAX); a timestamp no frame can carry (past u48 ms, or
-        not finite) is yielded at once, for run() to reject."""
-        previous_t = None
-        for sample in samples:
-            frameable = sample.timestamp * 1000.0 <= TIMESTAMP_MAX_MS  # False for NaN and inf too
-            if previous_t is not None and previous_t < sample.timestamp and frameable:
-                self._sleep(min(sample.timestamp - previous_t, threading.TIMEOUT_MAX / 2))
-            previous_t = sample.timestamp
-            yield sample
+    def send_counts(self, times, counts) -> int:
+        """Send one frame per row of ``counts``, (n, 5) ADC codes in canonical
+        channel order stamped with ``times`` in seconds, numbered on from
+        earlier calls; returns the frames delivered so far.
+
+        A paced wait is at most half threading.TIMEOUT_MAX (time.sleep fails
+        once its deadline passes TIMEOUT_MAX), and none is made toward a row
+        that no frame can carry.
+        """
+        times, stamps, counts, error = _frame_fields(self._device_id, self.sent, times, counts)
+        for start in range(0, len(stamps), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = zip(count(self.sent), stamps[block].tolist(), counts[block].tolist())
+            frames = [_pack(self._device_id, *row) for row in rows]
+            if not self._pace:
+                self._send(frames)
+                continue
+            for t, frame in zip(times[block].tolist(), frames):
+                if self._last_t < t:
+                    self._sleep(min(t - self._last_t, threading.TIMEOUT_MAX / 2))
+                self._last_t = t
+                self._send([frame])
+        if error is not None:
+            raise error
+        return self.sent
 
     def run(self, samples: Iterable[PressureSample]) -> int:
-        """Send every sample, numbered on from earlier runs; returns the frames delivered so far."""
-        rows = _BLOCK_ROWS
-        if self._pace:
-            samples, rows = self._paced(samples), 1
-        for sequence, stamps, codes in _framed(samples, self._profile, self._divider, self.sent, rows):
-            frames = []
-            for row in zip(count(sequence), stamps, codes.tolist()):
-                try:
-                    frames.append(_pack(self._device_id, *row))
-                except struct.error:
-                    self._send(frames)
-                    TelemetryFrame(self._device_id, row[0], row[1], tuple(row[2]))  # raises its ValueError
-                    raise
-            self._send(frames)
+        """send_counts of every sample, converted to codes up to 256 at a
+        time, or one at a time when paced; returns the frames delivered so far."""
+        for times, counts in _code_blocks(samples, self._profile, self._divider, 1 if self._pace else _BLOCK_ROWS):
+            self.send_counts(times, counts)
         return self.sent
 
     def _send(self, frames: list[bytes]) -> None:
         """Send ``frames`` with one sendall, resent whole on a new connection
         until it goes through."""
-        if not frames:
-            return
         payload = b"".join(frames)
         while True:
             self._ensure_connected()

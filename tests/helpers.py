@@ -1,5 +1,5 @@
-"""Fixture writers, fixture data, a chart reader and reference receive and
-fold paths that only the tests use.
+"""Fixture writers, fixture data, a chart reader and reference receive,
+decode and fold paths that only the tests use.
 
 The package reads legacy bench recordings and calibration files but never
 writes them, and never reads its charts back; these helpers make the files
@@ -7,7 +7,9 @@ and the counts the tests check. ReferenceReceiver is the collector's receive
 path one frame at a time, which the chunked receive path must match, and
 receive() hands a Collector chosen chunks without a socket. reference_update
 is Analyzer.update written on the region reduction and the Schmitt trigger as
-functions, which the flat kernel must match.
+functions, which the flat kernel must match. counts_to_samples decodes a block
+of codes to samples through the package's block decoder, and simulate_session
+gives simulate's chain as a SessionLog of those samples.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from solesense.acquisition import _decoded_sample
+import numpy as np
+
+from solesense import store
+from solesense.acquisition import DividerConfig, _checked_tables, _decoded_sample, _decoded_samples
 from solesense.analysis import (
     _CONTACTS,
     _OFF_PA,
@@ -30,8 +35,10 @@ from solesense.analysis import (
     Analyzer,
     GaitEvent,
 )
-from solesense.sensor import CalibrationPoint
-from solesense.store import CALIBRATION_HEADER, LEGACY_COLUMNS, LegacyRecord
+from solesense.cli import _simulated_counts
+from solesense.sensor import CalibrationPoint, CalibrationProfile
+from solesense.store import CALIBRATION_HEADER, LEGACY_COLUMNS, LegacyRecord, SessionLog
+from solesense.synth import GaitParams
 from solesense.telemetry import (
     _BODY,
     _CRC,
@@ -42,8 +49,10 @@ from solesense.telemetry import (
     Collector,
     Deframer,
     DeviceStats,
+    SessionHeader,
     crc16_ccitt_false,
 )
+from solesense.units import PressureSample
 
 # (time_s, pressure_pa, resistance_ohm) bench recording of one fabricated
 # sensor, pressed and released. The two columns were logged by separate
@@ -255,3 +264,41 @@ def receive(collector: Collector, chunks: Iterable[bytes]) -> tuple[Deframer, di
     while not received.closed:
         collector._read(_Selector(), key)
     return key.data
+
+
+_BLOCK_ROWS = 256
+
+
+def counts_to_samples(
+    timestamps: np.ndarray,
+    counts: np.ndarray,
+    profile: CalibrationProfile,
+    cfg: DividerConfig = DividerConfig(),
+) -> list[PressureSample]:
+    """counts_to_sample on an (n, 5) block of codes, one row per timestamp; a
+    code outside the table raises its ValueError for the first in sample order."""
+    objects = _checked_tables(counts, profile, cfg)[1]
+    samples = []
+    for start in range(0, len(counts), _BLOCK_ROWS):  # bounds the Python copies of the block
+        block = slice(start, start + _BLOCK_ROWS)
+        samples.extend(_decoded_samples(objects, timestamps[block].tolist(), counts[block]))
+    return samples
+
+
+def simulate_session(
+    params: GaitParams,
+    profile: CalibrationProfile,
+    divider: DividerConfig = DividerConfig(),
+    device_id: int = 1,
+    epoch: str = store.DEFAULT_EPOCH,
+) -> SessionLog:
+    """Full chain: synthetic gait -> sensor dynamics -> ADC round trip.
+
+    The stored pressures are what a collector would decode from the wire, not
+    the synthetic ground truth: hysteresis, lag and quantization are all in.
+    The chain runs on columns and equals synthesize -> step -> divider_out ->
+    quantize -> counts_to_sample sample by sample, bit for bit.
+    """
+    header = SessionHeader(device_id, epoch, profile.name, params.sample_rate_hz, divider)
+    times, counts = _simulated_counts(params, profile, divider)
+    return SessionLog(header=header, samples=counts_to_samples(times, counts, profile, divider))

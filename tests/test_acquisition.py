@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from helpers import counts_to_samples
 
 from solesense.acquisition import (
     AdcCount,
@@ -10,7 +11,6 @@ from solesense.acquisition import (
     count_to_pressure,
     counts_from_pascals,
     counts_to_sample,
-    counts_to_samples,
     decode_table,
     dequantize,
     divider_current,

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from helpers import _region_pressures, _schmitt, receive, reference_update
+from helpers import _region_pressures, _schmitt, receive, reference_update, simulate_session
 
 from solesense.acquisition import DividerConfig
 from solesense.analysis import (
@@ -19,7 +19,6 @@ from solesense.analysis import (
     classify_phase,
     compare_sensors,
 )
-from solesense.cli import simulate_session
 from solesense.datasets import comparison_stimulus
 from solesense.sensor import bench_profile, fsr_reference_profile, measured_profile
 from solesense.synth import GaitParams, ground_truth, synthesize

@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 from solesense import cli, sensor, store
+from solesense.acquisition import DividerConfig, counts_from_pascals
 from solesense.analysis import Analyzer, analyze
-from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text, simulate_session
+from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text
 from solesense.datasets import MEASURED_CALIBRATION
 from solesense.sensor import builtin_profile, builtin_profile_names, measured_profile, static_resistance
 from solesense.store import LegacyRecord
 from solesense.synth import GaitParams
-from solesense.telemetry import encode, frames_from_samples
+from solesense.telemetry import Deframer, SessionHeader, _pack, encode, frames_from_samples
 from solesense.units import Pressure, PressureSample
 
-from helpers import BENCH_TIME_LOG, count_series, write_legacy_csv
+from helpers import BENCH_TIME_LOG, count_series, simulate_session, write_legacy_csv
 
 EXPECTED_SENSOR_KOHM = [3342.9] * 5 + [29.16212] * 5 + [3342.9] * 4
 EXPECTED_FSR_KOHM = [3342.9] * 4 + [123.81111] * 3 + [3342.9] * 4 + [2051.325] * 3
@@ -130,7 +131,7 @@ class TestSimulate:
         assert len(store.read_csv(out).samples) == 500
 
     def test_out_of_table_code_raises_the_decode_error(self, monkeypatch, capsys, tmp_path):
-        # simulate decodes through counts_to_samples' range check
+        # simulate decodes through counts_to_pascals' range check
         monkeypatch.setattr(cli, "quantize_volts", lambda volts, divider: np.full(volts.shape, 1 << 12))
         assert main(["simulate", "--cycles", "1", "-o", str(tmp_path / "s.csv")]) == 2
         assert "count 4096 is outside the 4096 codes" in capsys.readouterr().err
@@ -324,6 +325,24 @@ class TestCalibrate:
             profile_from_json_file(path)
         assert main(["simulate", "--profile", str(path), "-o", str(tmp_path / "s.csv")]) == 2
         assert "p.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "-o", "s.csv"],
+            ["stream", "--simulate", "--addr", "127.0.0.1:9"],
+            ["collect", "--once", "--addr", "127.0.0.1:0", "-o", "c.csv"],
+        ],
+        ids=["simulate", "stream --simulate", "collect"],
+    )
+    def test_missing_profile_file_is_io_error(self, tmp_path, capsys, monkeypatch, argv):
+        # a .json path is no built-in name: a missing one is an I/O error that
+        # names it, before anything is written, sent or bound
+        monkeypatch.chdir(tmp_path)
+        missing = str(tmp_path / "missing.json")
+        assert main([*argv, "--profile", missing]) == 3
+        assert missing in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_profile_file_with_fit_r2_still_loads(self, tmp_path):
         path = tmp_path / "old.json"
@@ -594,10 +613,10 @@ class TestStreamCollect:
 
     @pytest.mark.parametrize("flag, value, words", BAD_GAIT_FLAGS)
     def test_stream_refuses_a_bad_gait_flag_before_simulating(self, capsys, monkeypatch, flag, value, words):
-        def simulate_session(*args):
+        def simulated_counts(*args):
             raise AssertionError("stream simulated a session from a bad gait flag")
 
-        monkeypatch.setattr(cli, "simulate_session", simulate_session)
+        monkeypatch.setattr(cli, "_simulated_counts", simulated_counts)
         assert main(["stream", "--simulate", flag, value, "--addr", "127.0.0.1:9"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("stream: ") and words in err, err
@@ -672,6 +691,85 @@ class TestStreamCollect:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
         )
         assert result.returncode == code and message in result.stderr, result.stderr
+
+
+class _Links:
+    """socket.create_connection for stream, and the connection it returns: an
+    in-memory transport whose first ``failures`` sendalls raise."""
+
+    def __init__(self):
+        self.connections = 0
+        self.failures = 0
+        self.wire = bytearray()
+
+    def create_connection(self, address, timeout=None):
+        self.connections += 1
+        return self
+
+    def sendall(self, payload):
+        if self.failures:
+            self.failures -= 1
+            raise ConnectionResetError("link dropped")
+        self.wire += payload
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def links(monkeypatch):
+    links = _Links()
+    monkeypatch.setattr(cli.socket, "create_connection", links.create_connection)
+    return links
+
+
+def _packed(device_id, times, codes) -> bytes:
+    """The frames of rows of ADC codes, numbered from 0."""
+    rows = enumerate(zip(times.tolist(), codes.tolist()))
+    return b"".join(_pack(device_id, k, round(t * 1000.0), c) for k, (t, c) in rows)
+
+
+class TestStreamWire:
+    @pytest.mark.parametrize("name", builtin_profile_names())
+    def test_simulated_stream_sends_the_adc_codes(self, links, capsys, name):
+        # the device twin sends what its ADC reads: re-encoding the decoded
+        # pressures would change 75 of measured's 5,000 codes
+        argv = ["stream", "--simulate", "--noise", "2000", "--seed", "1", "--profile", name, "--addr", "127.0.0.1:9"]
+        assert main(argv) == 0
+        params = GaitParams(body_mass_kg=70.0, noise_sigma_pa=2000.0, seed=1)
+        times, codes = cli._simulated_counts(params, builtin_profile(name), DividerConfig())
+        assert bytes(links.wire) == _packed(1, times, codes)
+
+    def test_stream_reports_retries(self, links, capsys):
+        links.failures = 1
+        assert main(["stream", "--simulate", "--cycles", "3", "--addr", "127.0.0.1:9"]) == 0
+        assert capsys.readouterr().out == "sent 300 frames to 127.0.0.1:9, 1 retries\n"
+        assert links.connections == 2
+        assert [frame.sequence for frame in Deframer().feed(bytes(links.wire))] == list(range(300))
+
+    def test_jsonl_session_sends_its_csv_twins_wire(self, tmp_path, links, capsys):
+        wires = []
+        for ext in ("csv", "jsonl"):
+            path = tmp_path / f"s.{ext}"
+            assert main(["simulate", "--cycles", "3", "--seed", "2", "--noise", "2000", "-o", str(path)]) == 0
+            links.wire.clear()
+            assert main(["stream", "-i", str(path), "--addr", "127.0.0.1:9"]) == 0
+            wires.append(bytes(links.wire))
+        _header, times, pascals = store.read_columns(tmp_path / "s.csv")
+        assert wires[0] == wires[1] == _packed(1, times, counts_from_pascals(pascals, measured_profile()))
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_session_header_sets_the_divider_and_device(self, tmp_path, links, capsys, ext):
+        source = tmp_path / "s.csv"
+        assert main(["simulate", "--cycles", "2", "-o", str(source)]) == 0
+        _header, times, pascals = store.read_columns(source)
+        divider = DividerConfig(adc_bits=10)
+        session = tmp_path / f"s10.{ext}"
+        store.write_columns(SessionHeader(7, store.DEFAULT_EPOCH, "measured", 100.0, divider), times, pascals, session)
+        assert main(["stream", "-i", str(session), "--addr", "127.0.0.1:9"]) == 0
+        codes = counts_from_pascals(pascals, measured_profile(), divider)
+        assert codes.max() == (1 << 10) - 1  # an idle sensor reads the 10-bit full scale
+        assert bytes(links.wire) == _packed(7, times, codes)
 
 
 class TestAddrDefaults:

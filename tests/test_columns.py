@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import counts_to_samples, simulate_session
 
 from solesense import analysis, cli, sensor
 from solesense.acquisition import (
@@ -20,13 +21,11 @@ from solesense.acquisition import (
     _decode_tables,
     counts_to_pascals,
     counts_to_sample,
-    counts_to_samples,
     decode_table,
     divider_out,
     quantize,
 )
 from solesense.analysis import compare_sensors
-from solesense.cli import simulate_session
 from solesense.datasets import comparison_stimulus
 from solesense.sensor import (
     DynamicsConfig,

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from helpers import ReferenceReceiver, receive
 
@@ -492,6 +493,46 @@ class TestEmitter:
         # sequence state is per connection: the repeats are stale timestamps
         assert (stats.frames, stats.stale_timestamps, stats.duplicates, stats.gaps) == (600, 100, 0, 0)
         assert stats.decode_errors == 0
+
+    def test_send_counts_frames_the_codes_it_is_given(self):
+        transport = _MemoryTransport()
+        emitter = Emitter(lambda: transport, PROFILE, DIVIDER, device_id=3)
+        emitter.run(self._samples(2))
+        times, codes = np.array([0.0204, 0.0305, 0.0315]), np.arange(15).reshape(3, 5) + 4090
+        assert emitter.send_counts(times, codes) == 5
+        frames = Deframer().feed(bytes(transport.buffer))[2:]
+        # numbered on from the run, the ms rounded half to even as round() rounds
+        assert frames == [
+            TelemetryFrame(3, 2, 20, (4090, 4091, 4092, 4093, 4094)),
+            TelemetryFrame(3, 3, 30, (4095, 4096, 4097, 4098, 4099)),
+            TelemetryFrame(3, 4, 32, (4100, 4101, 4102, 4103, 4104)),
+        ]
+        assert transport.sends == 2
+
+    @pytest.mark.parametrize(
+        "times, codes",
+        [
+            (np.zeros(3), np.zeros((3, 4), int)),
+            (np.zeros(3), np.zeros((2, 5), int)),
+            (np.zeros(3), np.zeros((3, 5))),
+            (np.zeros((3, 1)), np.zeros((3, 5), int)),
+        ],
+    )
+    def test_send_counts_refuses_a_block_that_is_not_n_by_5_integers(self, times, codes):
+        transport = _MemoryTransport()
+        emitter = Emitter(lambda: transport, PROFILE, DIVIDER)
+        with pytest.raises(ValueError, match="integer counts"):
+            emitter.send_counts(times, codes)
+        assert emitter.sent == 0 and transport.sends == 0
+
+    def test_paced_waits_carry_across_calls(self):
+        transport, sleeps = _MemoryTransport(), []
+        emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=sleeps.append)
+        codes = np.full((2, 5), 4095)
+        emitter.send_counts(np.array([0.0, 0.01]), codes)
+        emitter.send_counts(np.array([0.03, 0.04]), codes)
+        assert sleeps == pytest.approx([0.01, 0.02, 0.01])
+        assert transport.sends == 4
 
     def test_frames_from_samples_pure(self):
         samples = self._samples(10)

@@ -7,9 +7,9 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from helpers import receive
+from helpers import counts_to_samples, receive
 
-from solesense.acquisition import DividerConfig, counts_to_sample, counts_to_samples, decode_table
+from solesense.acquisition import DividerConfig, counts_to_sample, decode_table
 from solesense.sensor import measured_profile
 from solesense.telemetry import Collector, TelemetryFrame, encode
 from solesense.units import (
