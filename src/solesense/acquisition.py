@@ -49,8 +49,8 @@ class DividerConfig:
             raise ValueError(f"v_in must be > 0, got {self.v_in.volts!r}")
         if self.r1.is_open:
             raise ValueError("r1 must be finite")
-        if not 1 <= self.adc_bits <= 24:
-            raise ValueError(f"adc_bits must be in [1, 24], got {self.adc_bits!r}")
+        if not (type(self.adc_bits) is int and 1 <= self.adc_bits <= 24):
+            raise ValueError(f"adc_bits must be an integer in [1, 24], got {self.adc_bits!r}")
         if self.v_ref is None:
             object.__setattr__(self, "v_ref", self.v_in)
         # hashed once: decode_table looks the divider up on every decoded sample

@@ -9,6 +9,11 @@ Two formats carry the same sample sequence:
 * JSON Lines for the full typed log -- first line a header object, then one
   object per sample, event, and (optionally) the final report.
 
+The session header is described once, in one table of its eight fields
+(_HEADER_FIELDS, four of the session, then four of the divider) that both
+writers and both readers go through; SessionHeader and DividerConfig check
+the values, and a divider field left out takes DividerConfig's default.
+
 One writer takes blocks of columns, timestamps and (n, 5) pascals:
 write_columns cuts its own, write_session turns its log's samples into them.
 It has one sample-line builder per format; the CSV one calls repr once per
@@ -87,39 +92,47 @@ def default_header(epoch: str = DEFAULT_EPOCH, profile_name: str = "measured") -
     return SessionHeader(1, epoch, profile_name, 100.0)
 
 
-# --- CSV ---------------------------------------------------------------------
+# --- the session header ------------------------------------------------------
+
+# The header's fields in file order, each with the converter that reads its
+# CSV text: four of the session, then four of the divider.
+_HEADER_FIELDS = {"device_id": int, "epoch": str, "profile": str, "sample_rate_hz": float,
+                  "v_in": float, "r1_ohm": float, "adc_bits": int, "v_ref": float}
+_SESSION_FIELDS = tuple(_HEADER_FIELDS)[:4]
+# What a CSV header reads for a session field it leaves out.
+_CSV_DEFAULTS = {"device_id": 1, "epoch": DEFAULT_EPOCH, "profile": "measured", "sample_rate_hz": 0.0}
 
 
-def _header_lines(header: SessionHeader) -> list[str]:
+def _header_fields(header: SessionHeader) -> dict:
+    """A header's fields, keyed and ordered as _HEADER_FIELDS."""
     d = header.divider
-    return [
-        f"# device_id: {header.device_id}",
-        f"# epoch: {header.epoch}",
-        f"# profile: {header.profile_name}",
-        f"# sample_rate_hz: {header.sample_rate_hz!r}",
-        f"# v_in: {d.v_in.volts!r}",
-        f"# r1_ohm: {d.r1.ohms!r}",
-        f"# adc_bits: {d.adc_bits}",
-        f"# v_ref: {d.v_ref.volts!r}",
-    ]
+    values = (header.device_id, header.epoch, header.profile_name, header.sample_rate_hz,
+              d.v_in.volts, d.r1.ohms, d.adc_bits, d.v_ref.volts)
+    return dict(zip(_HEADER_FIELDS, values))
+
+
+def _header_from_fields(fields: dict) -> SessionHeader:
+    """The header of ``fields``, keyed as _HEADER_FIELDS: each session field
+    must be there (KeyError), and a divider field left out takes
+    DividerConfig's own default."""
+    default = DividerConfig()
+    divider = DividerConfig(
+        Voltage(fields["v_in"]) if "v_in" in fields else default.v_in,
+        Resistance(fields["r1_ohm"]) if "r1_ohm" in fields else default.r1,
+        fields.get("adc_bits", default.adc_bits),
+        Voltage(fields["v_ref"]) if "v_ref" in fields else None,
+    )
+    return SessionHeader(*(fields[name] for name in _SESSION_FIELDS), divider)
+
+
+# --- CSV ---------------------------------------------------------------------
 
 
 def _parse_header_block(pairs: dict[str, str], path, line: int) -> SessionHeader:
     try:
-        divider = DividerConfig(
-            v_in=Voltage(float(pairs.get("v_in", "3.3"))),
-            r1=Resistance(float(pairs.get("r1_ohm", "150000.0"))),
-            adc_bits=int(pairs.get("adc_bits", "12")),
-            v_ref=Voltage(float(pairs["v_ref"])) if "v_ref" in pairs else None,
-        )
-        return SessionHeader(
-            device_id=int(pairs.get("device_id", "1")),
-            epoch=pairs.get("epoch", DEFAULT_EPOCH),
-            profile_name=pairs.get("profile", "measured"),
-            sample_rate_hz=float(pairs.get("sample_rate_hz", "0")),
-            divider=divider,
-        )
-    except (KeyError, ValueError) as exc:
+        given = {name: convert(pairs[name]) for name, convert in _HEADER_FIELDS.items() if name in pairs}
+        return _header_from_fields({**_CSV_DEFAULTS, **given})
+    except ValueError as exc:
         raise SessionFormatError(f"{path}:{line}: bad header block: {exc}") from exc
 
 
@@ -207,39 +220,6 @@ def _read_csv_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
 # --- JSONL -------------------------------------------------------------------
 
 
-def _header_to_json(header: SessionHeader) -> dict:
-    d = header.divider
-    return {
-        "type": "header",
-        "device_id": header.device_id,
-        "epoch": header.epoch,
-        "profile": header.profile_name,
-        "sample_rate_hz": header.sample_rate_hz,
-        "divider": {
-            "v_in": d.v_in.volts,
-            "r1_ohm": d.r1.ohms,
-            "adc_bits": d.adc_bits,
-            "v_ref": d.v_ref.volts,
-        },
-    }
-
-
-def _header_from_json(obj: dict) -> SessionHeader:
-    d = obj.get("divider", {})
-    return SessionHeader(
-        device_id=obj["device_id"],
-        epoch=obj["epoch"],
-        profile_name=obj["profile"],
-        sample_rate_hz=obj["sample_rate_hz"],
-        divider=DividerConfig(
-            v_in=Voltage(d.get("v_in", 3.3)),
-            r1=Resistance(d.get("r1_ohm", 150000.0)),
-            adc_bits=d.get("adc_bits", 12),
-            v_ref=Voltage(d["v_ref"]) if "v_ref" in d else None,
-        ),
-    )
-
-
 def _event_to_json(event: GaitEvent) -> dict:
     body = {
         "type": "event",
@@ -279,7 +259,9 @@ def read_jsonl(path) -> SessionLog:
                 obj = json.loads(line)
                 kind = obj["type"]
                 if kind == "header":
-                    header = _header_from_json(obj)
+                    # the divider's keys, then the session's, which must all be there
+                    fields = {**obj.get("divider", {}), **{name: obj[name] for name in _SESSION_FIELDS}}
+                    header = _header_from_fields(fields)
                 elif kind == "sample":
                     samples.append(PressureSample.from_row(obj["t_s"], (obj[c] for c in SAMPLE_COLUMNS[1:])))
                 elif kind == "event":
@@ -356,10 +338,13 @@ def _write(path, header: SessionHeader, blocks, events=(), report: GaitReport | 
     """Write a session from blocks of columns, each ``(timestamps, (n, 5)
     pascals)``, flushing each block; events and the report go to JSONL only."""
     jsonl = str(path).endswith(".jsonl")
+    fields = _header_fields(header)
     if jsonl:
-        head, lines = _json_line(_header_to_json(header)), _jsonl_block
-    else:
-        head, lines = "\n".join([*_header_lines(header), ",".join(SAMPLE_COLUMNS), ""]), _csv_block
+        session = {name: fields.pop(name) for name in _SESSION_FIELDS}
+        head, lines = _json_line({"type": "header", **session, "divider": fields}), _jsonl_block
+    else:  # str(float) is repr(float), the shortest round-trip form
+        head = "".join([f"# {name}: {value}\n" for name, value in fields.items()]) + ",".join(SAMPLE_COLUMNS) + "\n"
+        lines = _csv_block
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
         for times, pascals in blocks:

@@ -381,7 +381,8 @@ class Emitter:
     On transport failure the emitter reconnects with a fixed exponential
     backoff, from 100 ms doubling up to 5 s between attempts, each wait passed
     to ``sleep``, and resends the whole failed block, so sequence numbering
-    continues across reconnects. Delivery is at-least-once: the part of a
+    continues across reconnects. ``retries`` counts every failed attempt, a
+    refused connect or a failed sendall. Delivery is at-least-once: the part of a
     block that got through before the failure arrives again on the next
     connection, so a reconnect can repeat up to 256 frames, and any frames
     the transport had buffered but never delivered show up at the receiver as
@@ -418,6 +419,7 @@ class Emitter:
             try:
                 self._conn = self._connect()
             except OSError:
+                self.retries += 1
                 self._sleep(backoff)
                 backoff = min(backoff * 2.0, _BACKOFF_CAP_S)
 

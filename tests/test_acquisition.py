@@ -112,6 +112,9 @@ class TestAdc:
             DividerConfig(adc_bits=0)
         with pytest.raises(ValueError):
             DividerConfig(adc_bits=32)
+        for bits in (12.5, 12.0, True):  # a float shifts no bits; True would read as a 1-bit ADC
+            with pytest.raises(ValueError, match="adc_bits must be an integer"):
+                DividerConfig(adc_bits=bits)
         with pytest.raises(ValueError):
             DividerConfig(r1=Resistance.open_circuit())
 

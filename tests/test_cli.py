@@ -695,15 +695,20 @@ class TestStreamCollect:
 
 class _Links:
     """socket.create_connection for stream, and the connection it returns: an
-    in-memory transport whose first ``failures`` sendalls raise."""
+    in-memory transport whose first ``refusals`` connects and first
+    ``failures`` sendalls raise."""
 
     def __init__(self):
         self.connections = 0
+        self.refusals = 0
         self.failures = 0
         self.wire = bytearray()
 
     def create_connection(self, address, timeout=None):
         self.connections += 1
+        if self.refusals:
+            self.refusals -= 1
+            raise ConnectionRefusedError("nothing listens")
         return self
 
     def sendall(self, payload):
@@ -746,6 +751,27 @@ class TestStreamWire:
         assert capsys.readouterr().out == "sent 300 frames to 127.0.0.1:9, 1 retries\n"
         assert links.connections == 2
         assert [frame.sequence for frame in Deframer().feed(bytes(links.wire))] == list(range(300))
+
+    def test_stream_counts_refused_connects_as_retries(self, links, capsys):
+        links.refusals = 2  # the emitter backs off 0.1 s, then 0.2 s
+        assert main(["stream", "--simulate", "--cycles", "3", "--addr", "127.0.0.1:9"]) == 0
+        assert capsys.readouterr().out == "sent 300 frames to 127.0.0.1:9, 2 retries\n"
+        assert links.connections == 3
+        assert [frame.sequence for frame in Deframer().feed(bytes(links.wire))] == list(range(300))
+
+    @pytest.mark.parametrize("bits", [12.5, True])
+    def test_a_header_adc_bits_that_is_no_integer_is_a_data_error(self, tmp_path, links, capsys, bits):
+        # 12.5 shifts no bits, and True would read as a 1-bit ADC
+        session = tmp_path / "s.jsonl"
+        assert main(["simulate", "--cycles", "1", "-o", str(session)]) == 0
+        lines = session.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["divider"]["adc_bits"] = bits
+        session.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert main(["stream", "-i", str(session), "--addr", "127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert f"{session}:1: " in err and "adc_bits" in err and "Traceback" not in err
+        assert links.connections == 0
 
     def test_jsonl_session_sends_its_csv_twins_wire(self, tmp_path, links, capsys):
         wires = []

@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from solesense.acquisition import DividerConfig
 from solesense.analysis import analyze
 from solesense.sensor import CalibrationError
 from solesense.store import (
     BLOCK_LINES,
     CALIBRATION_HEADER,
+    DEFAULT_EPOCH,
     LEGACY_COLUMNS,
     SAMPLE_COLUMNS,
     STIMULUS_LAYOUTS,
@@ -30,6 +32,7 @@ from solesense.store import (
 )
 from solesense.synth import GaitParams, synthesize
 from solesense.telemetry import SessionHeader
+from solesense.units import Resistance, Voltage
 
 from helpers import BENCH_TIME_LOG, write_legacy_csv
 
@@ -458,6 +461,81 @@ class TestTableRegressions:
         assert read_stimulus_csv(path) == ([0.0, 0.0], [1.0, 3.0])
 
 
+def _with_jsonl_header(tmp_path, change):
+    """A one-cycle JSONL session whose header object went through ``change``."""
+    path = tmp_path / "s.jsonl"
+    write_session(_session(cycles=1), path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    change(header)
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    return path
+
+
+def _header_read_by_all(path):
+    """The header every reader of a session reads from ``path``, checked equal."""
+    header = read_session(path).header
+    assert read_columns(path)[0] == header
+    return header
+
+
+class TestHeaderFields:
+    """The fields each format's header holds, and what one that leaves a field out reads."""
+
+    HEADER = SessionHeader(
+        7, "2024-05-01T10:00:00Z", "bench", 250.0, DividerConfig(Voltage(5.0), Resistance(47000.0), 10, Voltage(4.096))
+    )
+
+    def test_a_header_round_trips_csv_jsonl_csv(self, tmp_path):
+        first, middle, last = tmp_path / "a.csv", tmp_path / "b.jsonl", tmp_path / "c.csv"
+        write_columns(self.HEADER, np.array([0.0, 0.004]), np.full((2, 5), 1000.0), first)
+        for source, target in ((first, middle), (middle, last)):
+            write_columns(*read_columns(source), target)
+        assert first.read_text().startswith(
+            "# device_id: 7\n# epoch: 2024-05-01T10:00:00Z\n# profile: bench\n# sample_rate_hz: 250.0\n"
+            "# v_in: 5.0\n# r1_ohm: 47000.0\n# adc_bits: 10\n# v_ref: 4.096\nt_s,"
+        )
+        assert json.loads(middle.read_text().splitlines()[0]) == {
+            "type": "header", "device_id": 7, "epoch": "2024-05-01T10:00:00Z", "profile": "bench",
+            "sample_rate_hz": 250.0, "divider": {"v_in": 5.0, "r1_ohm": 47000.0, "adc_bits": 10, "v_ref": 4.096},
+        }
+        for path in (first, middle, last):
+            header = _header_read_by_all(path)
+            d = header.divider
+            assert (header.device_id, header.epoch, header.profile_name, header.sample_rate_hz) == (
+                7, "2024-05-01T10:00:00Z", "bench", 250.0
+            )
+            assert (d.v_in.volts, d.r1.ohms, d.adc_bits, d.v_ref.volts) == (5.0, 47000.0, 10, 4.096)
+        assert last.read_bytes() == first.read_bytes()
+
+    def test_csv_without_a_header_block_reads_the_defaults(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(",".join(SAMPLE_COLUMNS) + "\n0.0,1.0,2.0,3.0,4.0,5.0\n")
+        header = _header_read_by_all(path)
+        assert header == SessionHeader(1, DEFAULT_EPOCH, "measured", 0.0, DividerConfig())
+        assert read_csv(path).header == header and type(header.sample_rate_hz) is float
+
+    def test_csv_divider_fields_left_out_read_the_default_divider(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# v_in: 5.0\n# adc_bits: 10\n" + ",".join(SAMPLE_COLUMNS) + "\n")
+        assert _header_read_by_all(path).divider == DividerConfig(v_in=Voltage(5.0), adc_bits=10)  # v_ref follows v_in
+
+    def test_jsonl_without_a_divider_reads_the_default_divider(self, tmp_path):
+        path = _with_jsonl_header(tmp_path, lambda header: header.pop("divider"))
+        assert _header_read_by_all(path) == default_header()
+
+    def test_jsonl_divider_may_leave_out_any_key(self, tmp_path):
+        path = _with_jsonl_header(tmp_path, lambda header: header.update(divider={"r1_ohm": 47000.0}))
+        assert _header_read_by_all(path).divider == DividerConfig(r1=Resistance(47000.0))
+
+    @pytest.mark.parametrize("field", ["device_id", "epoch", "profile", "sample_rate_hz"])
+    def test_jsonl_header_must_hold_each_session_field(self, tmp_path, field):
+        path = _with_jsonl_header(tmp_path, lambda header: header.pop(field))
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: '{field}'")):
+                reader(path)
+
+
 class TestHeaderFieldTypes:
     @pytest.mark.parametrize(
         "field, value",
@@ -482,6 +560,13 @@ class TestHeaderFieldTypes:
         path.write_text("\n".join(lines) + "\n")
         for reader in (read_jsonl, read_session, read_columns):
             with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: ")):
+                reader(path)
+
+    @pytest.mark.parametrize("bits", [12.5, True])
+    def test_jsonl_adc_bits_must_be_an_integer(self, tmp_path, bits):
+        path = _with_jsonl_header(tmp_path, lambda header: header["divider"].update(adc_bits=bits))
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: adc_bits must be an integer")):
                 reader(path)
 
     @pytest.mark.parametrize("line", ["# device_id: 300", "# device_id: -1", "# sample_rate_hz: nan", "# sample_rate_hz: inf"])

@@ -327,6 +327,7 @@ class TestEmitter:
         emitter = Emitter(connect, PROFILE, DIVIDER, sleep=sleeps.append)
         emitter.run(self._samples(1))
         assert sleeps == [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0]
+        assert emitter.retries == 8  # a refused connect is a failed attempt too
 
     def test_pace_sleeps_by_timestamp_deltas(self):
         transport = _MemoryTransport()
