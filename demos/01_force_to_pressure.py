@@ -1,14 +1,16 @@
 """Force/pressure mechanics of one sensor face.
 
 A mass resting on the 15 x 15 mm sensor face converts to force under
-standard gravity and to pressure over the face area. This is the
-calibration arithmetic used everywhere else in the package.
+standard gravity and to pressure over the face area. Every sensor has this
+one face: its side and area are the constants ``units.SENSOR_SIDE_M`` and
+``units.SENSOR_AREA_M2``. This is the calibration arithmetic used
+everywhere else in the package.
 """
 
-from solesense.units import DEFAULT_GEOMETRY, force_from_mass, mass_table, pressure_from_force
+from solesense.units import SENSOR_AREA_M2, SENSOR_SIDE_M, force_from_mass, mass_table, pressure_from_force
 
-print("sensor face:", DEFAULT_GEOMETRY.side_length_m * 1000, "mm square,")
-print("area:", DEFAULT_GEOMETRY.area_m2, "m^2\n")
+print("sensor face:", SENSOR_SIDE_M * 1000, "mm square,")
+print("area:", SENSOR_AREA_M2, "m^2\n")
 
 print(f"{'mass [kg]':>10} {'force [N]':>10} {'pressure [Pa]':>14} {'pressure [kPa]':>15}")
 for mass, (force, pressure) in zip(range(1, 11), mass_table(range(1, 11))):

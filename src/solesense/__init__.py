@@ -61,7 +61,6 @@ from .units import (
     Pressure,
     PressureSample,
     Resistance,
-    SensorGeometry,
     SoleChannel,
     Voltage,
     force_from_mass,

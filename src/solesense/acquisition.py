@@ -53,6 +53,8 @@ class DividerConfig:
             raise ValueError(f"adc_bits must be an integer in [1, 24], got {self.adc_bits!r}")
         if self.v_ref is None:
             object.__setattr__(self, "v_ref", self.v_in)
+        elif self.v_ref.volts <= 0:  # the ADC divides by its reference
+            raise ValueError(f"v_ref must be > 0, got {self.v_ref.volts!r}")
         # hashed once: decode_table looks the divider up on every decoded sample
         object.__setattr__(self, "_hash", hash((self.v_in, self.r1, self.adc_bits, self.v_ref)))
 

@@ -16,7 +16,6 @@ import socket
 import sys
 import time
 from collections import defaultdict
-from datetime import datetime
 
 from . import plots, store
 from .acquisition import DividerConfig, counts_from_pascals, counts_to_pascals, divider_out_ohms, quantize_volts
@@ -37,7 +36,7 @@ from .sensor import (
     run_channel,
     static_ohms,
 )
-from .store import SessionFormatError, SessionLog, default_header
+from .store import SessionFormatError, SessionLog
 from .synth import DEFAULT_LOAD_SCALE, GaitParams, synthesize_columns
 from .telemetry import ADDR_ENV_VAR, DEFAULT_PORT, Collector, Emitter, SessionHeader
 from .units import CHANNEL_ORDER, PressureSample
@@ -123,8 +122,9 @@ def _simulated_counts(params: GaitParams, profile: CalibrationProfile, divider: 
 
 
 def _validate_epoch_flag(command: str, epoch: str) -> None:
+    """--epoch by SessionHeader's own rule, as a usage error."""
     try:
-        datetime.fromisoformat(epoch.replace("Z", "+00:00"))
+        SessionHeader(1, epoch, "", 0.0)
     except ValueError:
         raise _UsageError(f"{command}: --epoch must be an RFC 3339 timestamp, got {epoch!r}") from None
 
@@ -269,28 +269,21 @@ def _flush_collected(
     analyzers: dict[int, Analyzer],
     events: dict[int, list[GaitEvent]],
 ) -> None:
-    """Write each device's session, and its report with --analyze --report;
-    with more than one device, each file takes its device's _device_path."""
-    if not samples:  # still produce a valid, header-only session file, and an empty report
-        empty = SessionLog(header=default_header(epoch=args.epoch, profile_name=profile_name))
-        if args.analyze:
-            empty.report = Analyzer().report()
-        store.write_session(empty, args.output)
-        print(f"wrote 0 samples to {args.output}")
-        if args.report:
-            _write_report(args.report, empty.report)
-        return
-    multi = len(samples) > 1
-    for device_id, kept in sorted(samples.items()):
+    """Write each device's session, and its report with --analyze --report.
+    A session that received nothing is device 1 with no samples, so it
+    records rate 0 as any session of fewer than two samples does. With more
+    than one device, each file takes its device's _device_path."""
+    received = samples or {1: []}
+    multi = len(received) > 1
+    for device_id, kept in sorted(received.items()):
         header = SessionHeader(device_id, args.epoch, profile_name, _infer_rate(kept), divider)
         log = SessionLog(header, kept, events.get(device_id, []))
         path = _device_path(args.output, device_id) if multi else args.output
-        analyzer = analyzers.get(device_id)
-        if analyzer is not None:
-            log.report = analyzer.report()
+        if args.analyze:
+            log.report = analyzers[device_id].report()
         store.write_session(log, path)
         print(f"wrote {len(log.samples)} samples to {path}")
-        if analyzer is not None and args.report:
+        if args.report:  # --report comes only with --analyze
             _write_report(_device_path(args.report, device_id) if multi else args.report, log.report)
 
 

@@ -87,11 +87,6 @@ class SessionLog:
     report: GaitReport | None = None
 
 
-def default_header(epoch: str = DEFAULT_EPOCH, profile_name: str = "measured") -> SessionHeader:
-    """Device 1 at 100 Hz behind the default divider."""
-    return SessionHeader(1, epoch, profile_name, 100.0)
-
-
 # --- the session header ------------------------------------------------------
 
 # The header's fields in file order, each with the converter that reads its

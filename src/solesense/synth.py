@@ -22,12 +22,11 @@ import numpy as np
 
 from .units import (
     CHANNEL_ORDER,
-    DEFAULT_GEOMETRY,
     GRAVITY_M_S2,
+    SENSOR_AREA_M2,
     GaitPhase,
     Pressure,
     PressureSample,
-    SensorGeometry,
 )
 
 # Stance sub-phase boundaries as fractions of the cycle at the default 60%
@@ -71,7 +70,6 @@ class GaitParams:
     noise_sigma_pa: float = 0.0
     seed: int = 0
     load_scale: float = DEFAULT_LOAD_SCALE
-    geometry: SensorGeometry = DEFAULT_GEOMETRY
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.body_mass_kg) and self.body_mass_kg >= 0):
@@ -96,7 +94,7 @@ class GaitParams:
     @property
     def base_pressure_pa(self) -> float:
         """Body weight over one sensor face, scaled by the per-sensor share."""
-        return self.body_mass_kg * GRAVITY_M_S2 / self.geometry.area_m2 * self.load_scale
+        return self.body_mass_kg * GRAVITY_M_S2 / SENSOR_AREA_M2 * self.load_scale
 
     @property
     def sample_count(self) -> int:

@@ -139,25 +139,9 @@ class GaitPhase(Enum):
     __hash__ = object.__hash__  # identity hashing, as in SoleChannel
 
 
-@dataclass(frozen=True)
-class SensorGeometry:
-    """Active sensing face of one sensor. Defaults match the fabricated device."""
-
-    side_length_m: float = 0.015
-    thickness_m: float = 0.00125
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.side_length_m) and self.side_length_m > 0):
-            raise ValueError(f"side length must be > 0, got {self.side_length_m!r}")
-        if not (math.isfinite(self.thickness_m) and self.thickness_m > 0):
-            raise ValueError(f"thickness must be > 0, got {self.thickness_m!r}")
-
-    @property
-    def area_m2(self) -> float:
-        return self.side_length_m * self.side_length_m
-
-
-DEFAULT_GEOMETRY = SensorGeometry()
+# The active sensing face of each sensor of the fabricated device: 15 x 15 mm.
+SENSOR_SIDE_M = 0.015
+SENSOR_AREA_M2 = SENSOR_SIDE_M * SENSOR_SIDE_M
 
 
 _new = object.__new__
@@ -260,23 +244,18 @@ def force_from_mass(mass_kg: float) -> Force:
     return Force(mass_kg * GRAVITY_M_S2)
 
 
-def pressure_from_force(force: Force, geometry: SensorGeometry = DEFAULT_GEOMETRY) -> Pressure:
+def pressure_from_force(force: Force) -> Pressure:
     """Pressure exerted by a force applied evenly over the sensor face."""
-    area = geometry.area_m2
-    if area <= 0:
-        raise ValueError("geometry area must be > 0")
-    return Pressure(force.newtons / area)
+    return Pressure(force.newtons / SENSOR_AREA_M2)
 
 
-def mass_table(
-    masses_kg: Iterable[float], geometry: SensorGeometry = DEFAULT_GEOMETRY
-) -> list[tuple[Force, Pressure]]:
+def mass_table(masses_kg: Iterable[float]) -> list[tuple[Force, Pressure]]:
     """Element-wise mass -> (force, pressure) conversion, preserving order."""
     rows = []
     for index, mass in enumerate(masses_kg):
         try:
             force = force_from_mass(mass)
-            rows.append((force, pressure_from_force(force, geometry)))
+            rows.append((force, pressure_from_force(force)))
         except ValueError as exc:
             raise ValueError(f"mass at index {index}: {exc}") from exc
     return rows

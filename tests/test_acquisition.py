@@ -117,6 +117,8 @@ class TestAdc:
                 DividerConfig(adc_bits=bits)
         with pytest.raises(ValueError):
             DividerConfig(r1=Resistance.open_circuit())
+        with pytest.raises(ValueError, match="v_ref must be > 0"):  # the ADC divides by its reference
+            DividerConfig(v_ref=Voltage(0.0))
 
 
 class TestPressureChain:

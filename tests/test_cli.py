@@ -658,6 +658,63 @@ class TestStreamCollect:
                 log = store.read_session(out)
                 assert log.samples == [] and log.report == Analyzer().report()
 
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_empty_and_one_sample_sessions_record_rate_zero(self, tmp_path, capsys, ext):
+        # no rate can be measured from fewer than two samples, none included
+        one = simulate_session(GaitParams(body_mass_kg=70.0, cycles=1), measured_profile()).samples[:1]
+        headers = []
+        for name, wire in (("empty", b""), ("one", encode(next(frames_from_samples(one, measured_profile()))))):
+            out = tmp_path / f"{name}.{ext}"
+            thread, results, addr = _start_collect(["-o", str(out), "--once"], capsys)
+            host, port = addr.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as conn:
+                conn.sendall(wire)
+            thread.join(timeout=30)
+            assert results["rc"] == 0
+            log = store.read_session(out)
+            assert len(log.samples) == (name == "one")
+            headers.append(log.header)
+            if ext == "csv":
+                assert "# sample_rate_hz: 0.0\n" in out.read_text()
+        assert headers == [SessionHeader(1, store.DEFAULT_EPOCH, "measured", 0.0)] * 2
+
+    @pytest.mark.parametrize(
+        "epoch, accepted",
+        [
+            ("2024-05-01T10:00:00Z", True),
+            ("2024-05-01T10:00:00+02:00", True),
+            ("2024-13-01T10:00:00Z", False),
+            ("", False),
+        ],
+    )
+    def test_simulate_and_collect_take_the_epochs_a_session_header_takes(
+        self, tmp_path, capsys, monkeypatch, epoch, accepted
+    ):
+        try:
+            SessionHeader(1, epoch, "measured", 0.0)
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted
+        simulated, collected = tmp_path / "s.csv", tmp_path / "c.csv"
+        rc = main(["simulate", "--cycles", "1", "--epoch", epoch, "-o", str(simulated)])
+        if accepted:
+            assert rc == 0 and store.read_csv(simulated).header.epoch == epoch
+            thread, results, addr = _start_collect(["--epoch", epoch, "-o", str(collected), "--once"], capsys)
+            host, port = addr.rsplit(":", 1)
+            socket.create_connection((host, int(port)), timeout=5).close()
+            thread.join(timeout=30)
+            assert results["rc"] == 0 and store.read_csv(collected).header.epoch == epoch
+        else:
+            def collector(*args, **kwargs):
+                raise AssertionError("collect listened with a bad --epoch")
+
+            monkeypatch.setattr(cli, "Collector", collector)
+            assert main(["collect", "--once", "--epoch", epoch, "-o", str(collected)]) == 1
+            message = f"--epoch must be an RFC 3339 timestamp, got {epoch!r}"
+            assert capsys.readouterr().err.splitlines() == [f"simulate: {message}", f"collect: {message}"]
+            assert not simulated.exists() and not collected.exists()
+
     def test_report_without_analyze_is_usage_error(self, tmp_path):
         # in a subprocess with a timeout, so a collect that starts listening fails instead of hanging
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -772,6 +829,31 @@ class TestStreamWire:
         err = capsys.readouterr().err
         assert f"{session}:1: " in err and "adc_bits" in err and "Traceback" not in err
         assert links.connections == 0
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_a_header_v_ref_of_zero_is_a_data_error(self, tmp_path, links, capsys, ext):
+        # at a 0 V reference every row would frame as the idle full-scale code
+        session = tmp_path / f"s.{ext}"
+        assert main(["simulate", "--cycles", "1", "-o", str(session)]) == 0
+        if ext == "csv":
+            session.write_text(session.read_text().replace("# v_ref: 3.3\n", "# v_ref: 0.0\n"))
+        else:
+            lines = session.read_text().splitlines()
+            header = json.loads(lines[0])
+            header["divider"]["v_ref"] = 0
+            session.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        assert main(["stream", "-i", str(session), "--addr", "127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert f"{session}:" in err and "v_ref must be > 0" in err and "Traceback" not in err
+        assert links.connections == 0 and links.wire == b""
+
+    def test_an_empty_session_sends_nothing(self, tmp_path, links, capsys):
+        session = tmp_path / "s.csv"
+        assert main(["simulate", "--cycles", "0", "-o", str(session)]) == 0
+        capsys.readouterr()
+        assert main(["stream", "-i", str(session), "--addr", "127.0.0.1:9"]) == 0
+        assert capsys.readouterr().out == "sent 0 frames to 127.0.0.1:9, 0 retries\n"
+        assert links.connections == 0 and links.wire == b""
 
     def test_jsonl_session_sends_its_csv_twins_wire(self, tmp_path, links, capsys):
         wires = []

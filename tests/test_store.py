@@ -18,7 +18,6 @@ from solesense.store import (
     LegacyRecord,
     SessionFormatError,
     SessionLog,
-    default_header,
     read_columns,
     read_csv,
     read_calibration_csv,
@@ -48,7 +47,7 @@ def _assert_columns_equal_rows(path, reader):
 
 def _session(cycles=2, noise=0.0, with_analysis=False):
     params = GaitParams(body_mass_kg=70, cycles=cycles, noise_sigma_pa=noise, seed=13)
-    log = SessionLog(header=default_header(), samples=list(synthesize(params)))
+    log = SessionLog(header=SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0), samples=list(synthesize(params)))
     if with_analysis:
         log.events, log.report = analyze(log.samples)
     return log
@@ -73,7 +72,7 @@ class TestCsv:
 
     def test_empty_log_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_session(SessionLog(header=default_header()), path)
+        write_session(SessionLog(header=SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0)), path)
         lines = path.read_text().splitlines()
         assert lines[-1].startswith("t_s,")
         assert all(line.startswith("#") for line in lines[:-1])
@@ -163,7 +162,7 @@ class TestCsv:
             [[0.0, -0.0, tricky, 0.3, 5e-324], [-0.0, 0.0, 0.3, tricky, 1e300], [tricky, tricky, -0.0, -0.0, 0.0]]
         )
         path = tmp_path / f"s.{ext}"
-        write_columns(default_header(), times, pascals, path)
+        write_columns(SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0), times, pascals, path)
         rows = list(zip(times.tolist(), pascals.tolist()))
         if ext == "csv":
             body = "".join(",".join(map(repr, (t, *row))) + "\n" for t, row in rows)
@@ -193,7 +192,7 @@ class TestJsonl:
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        write_session(SessionLog(header=default_header()), path)
+        write_session(SessionLog(header=SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0)), path)
         back = read_jsonl(path)
         assert back.samples == [] and back.events == [] and back.report is None
         _assert_columns_equal_rows(path, read_jsonl)
@@ -522,7 +521,7 @@ class TestHeaderFields:
 
     def test_jsonl_without_a_divider_reads_the_default_divider(self, tmp_path):
         path = _with_jsonl_header(tmp_path, lambda header: header.pop("divider"))
-        assert _header_read_by_all(path) == default_header()
+        assert _header_read_by_all(path) == SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0)
 
     def test_jsonl_divider_may_leave_out_any_key(self, tmp_path):
         path = _with_jsonl_header(tmp_path, lambda header: header.update(divider={"r1_ohm": 47000.0}))
@@ -569,7 +568,15 @@ class TestHeaderFieldTypes:
             with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: adc_bits must be an integer")):
                 reader(path)
 
-    @pytest.mark.parametrize("line", ["# device_id: 300", "# device_id: -1", "# sample_rate_hz: nan", "# sample_rate_hz: inf"])
+    def test_jsonl_v_ref_must_be_above_zero(self, tmp_path):
+        path = _with_jsonl_header(tmp_path, lambda header: header["divider"].update(v_ref=0))
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: v_ref must be > 0")):
+                reader(path)
+
+    @pytest.mark.parametrize(
+        "line", ["# device_id: 300", "# device_id: -1", "# sample_rate_hz: nan", "# sample_rate_hz: inf", "# v_ref: 0.0"]
+    )
     def test_out_of_range_csv_header_names_its_line(self, tmp_path, line):
         path = tmp_path / "s.csv"
         write_session(_session(cycles=1), path)

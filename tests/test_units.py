@@ -14,14 +14,14 @@ from solesense.sensor import measured_profile
 from solesense.telemetry import Collector, TelemetryFrame, encode
 from solesense.units import (
     CHANNEL_ORDER,
-    DEFAULT_GEOMETRY,
     REGION_CHANNELS,
+    SENSOR_AREA_M2,
+    SENSOR_SIDE_M,
     FootRegion,
     Force,
     Pressure,
     PressureSample,
     Resistance,
-    SensorGeometry,
     SoleChannel,
     Voltage,
     force_from_mass,
@@ -82,8 +82,8 @@ class TestConversions:
 
     def test_area_derivation(self):
         # the conversion table implies the default sensor face
-        assert 9.81 / 43_600.0 == pytest.approx(DEFAULT_GEOMETRY.area_m2, rel=1e-12)
-        assert DEFAULT_GEOMETRY.area_m2 == pytest.approx(2.25e-4, rel=1e-15)
+        assert 9.81 / 43_600.0 == pytest.approx(SENSOR_AREA_M2, rel=1e-12)
+        assert SENSOR_AREA_M2 == pytest.approx(2.25e-4, rel=1e-15)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -92,8 +92,6 @@ class TestConversions:
             force_from_mass(math.nan)
         with pytest.raises(ValueError, match="index 2"):
             mass_table([1.0, 2.0, -3.0])
-        with pytest.raises(ValueError):
-            pressure_from_force(Force(1.0), SensorGeometry(side_length_m=1.0, thickness_m=-1))
 
 
 class TestDomainTypes:
@@ -141,10 +139,8 @@ class TestDomainTypes:
         assert REGION_CHANNELS[FootRegion.FOREFOOT] == (SoleChannel.FOREFOOT,)
 
     def test_geometry(self):
-        g = SensorGeometry()
-        assert g.side_length_m == 0.015
-        assert g.thickness_m == 0.00125
-        assert g.area_m2 == g.side_length_m**2
+        assert SENSOR_SIDE_M == 0.015
+        assert SENSOR_AREA_M2 == SENSOR_SIDE_M**2
 
     def test_pressure_sample(self):
         sample = PressureSample.from_row(0.5, [1.0, 2.0, 3.0, 4.0, 5.0])
