@@ -4,6 +4,10 @@ Every command is deterministic given its flags and input files: output
 timestamps come from the inputs or the --epoch flag, never the wall clock
 (live collection excepted). Exit codes are a stable scripting contract:
 0 success, 1 usage, 2 data/validation, 3 I/O, 4 network.
+
+Each call builds the parser of the one command it names, so a usage error
+names that command; only an argv that names none is parsed by the parser of
+every command.
 """
 
 from __future__ import annotations
@@ -447,77 +451,101 @@ def cmd_compare(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+def _gait_flags(p: _Parser) -> None:
+    """The gait flags of simulate and stream --simulate."""
+    p.add_argument("--mass", type=float, default=70.0, help="body mass [kg]")
+    p.add_argument("--cadence", type=float, default=120.0, help="steps per minute")
+    p.add_argument("--stance", type=float, default=0.6, help="stance fraction of the cycle")
+    p.add_argument("--cycles", type=int, default=10)
+    p.add_argument("--rate", type=float, default=100.0, help="sample rate [Hz]")
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
+    p.add_argument("--noise", type=float, default=0.0, help="pressure noise sigma [Pa]")
+    p.add_argument("--load-scale", type=float, default=DEFAULT_LOAD_SCALE, help="body-weight share per sensor")
+
+
+def _simulate_flags(p: _Parser) -> None:
+    _gait_flags(p)
+    p.add_argument("--profile", default="measured", help=f"one of {builtin_profile_names()} or a profile JSON path")
+    p.add_argument("--device-id", type=_device_id, default=1)
+    p.add_argument("--epoch", default=store.DEFAULT_EPOCH)
+    p.add_argument("-o", "--output", required=True)
+
+
+def _stream_flags(p: _Parser) -> None:
+    _gait_flags(p)
+    p.add_argument("--input", "-i", default=None, help="session file to replay")
+    p.add_argument("--simulate", action="store_true", help="stream a live simulation instead of a file")
+    p.add_argument("--addr", default=_default_addr(), help="collector host:port")
+    p.add_argument("--device-id", type=_device_id, default=None)
+    p.add_argument("--pace", action="store_true", help="pace frames by sample timestamps")
+    p.add_argument("--profile", default=None, help="override the session's profile")
+
+
+def _collect_flags(p: _Parser) -> None:
+    p.add_argument("--addr", default=_default_addr(), help="listen host:port (:0 for ephemeral)")
+    p.add_argument("-o", "--output", required=True, help="session file to write on shutdown")
+    p.add_argument("--analyze", action="store_true", help="attach the online gait analyzer")
+    p.add_argument("--report", default=None, help="report JSON path (with --analyze)")
+    p.add_argument("--live", action="store_true", help="render a terminal meter view")
+    p.add_argument("--once", action="store_true", help="stop after the first connection closes")
+    p.add_argument("--profile", default="measured")
+    p.add_argument("--epoch", default=store.DEFAULT_EPOCH)
+
+
+def _analyze_flags(p: _Parser) -> None:
+    p.add_argument("input")
+    p.add_argument("--json", default=None, help="write the report JSON here instead of stdout")
+    p.add_argument("--plots", default=None, help="directory for SVG plots + CSV data twins")
+    p.add_argument("--profile", default=None)
+
+
+def _calibrate_flags(p: _Parser) -> None:
+    p.add_argument("input", help="CSV with pressure_pa,resistance_ohm")
+    p.add_argument("--name", default="custom")
+    p.add_argument("--onset", type=float, default=200_000.0, help="open-circuit onset pressure [Pa]")
+    p.add_argument("-o", "--output", default=None, help="profile JSON path")
+
+
+def _compare_flags(p: _Parser) -> None:
+    p.add_argument("--stimulus", default=None, help="stimulus CSV; default: built-in bench schedule")
+    p.add_argument("-o", "--output", required=True, help="comparison table CSV")
+    p.add_argument("--svg", default=None, help="overlay chart path")
+    p.add_argument("--sensor-profile", default="bench")
+    p.add_argument("--fsr-profile", default="fsr")
+
+
+# name -> (help line, flag function, handler), in the order of the usage line
+_COMMANDS = {
+    "simulate": ("synthesize a gait session through the full sensor chain", _simulate_flags, cmd_simulate),
+    "stream": ("replay a session file or a live simulation to a collector", _stream_flags, cmd_stream),
+    "collect": ("run the telemetry collector server", _collect_flags, cmd_collect),
+    "analyze": ("report gait metrics / render plots from a file", _analyze_flags, cmd_analyze),
+    "calibrate": ("fit a calibration CSV and characterize the model", _calibrate_flags, cmd_calibrate),
+    "compare": ("side-by-side fabricated sensor vs FSR run", _compare_flags, cmd_compare),
+}
+
+
 def build_parser() -> _Parser:
+    """The parser of every command; main parses with it only an argv that names none."""
     parser = _Parser(prog="solesense", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gait = _Parser(add_help=False)  # the gait flags of simulate and stream --simulate
-    gait.add_argument("--mass", type=float, default=70.0, help="body mass [kg]")
-    gait.add_argument("--cadence", type=float, default=120.0, help="steps per minute")
-    gait.add_argument("--stance", type=float, default=0.6, help="stance fraction of the cycle")
-    gait.add_argument("--cycles", type=int, default=10)
-    gait.add_argument("--rate", type=float, default=100.0, help="sample rate [Hz]")
-    gait.add_argument("--seed", type=int, default=0, help="noise seed")
-    gait.add_argument("--noise", type=float, default=0.0, help="pressure noise sigma [Pa]")
-    gait.add_argument("--load-scale", type=float, default=DEFAULT_LOAD_SCALE, help="body-weight share per sensor")
-
-    sim = sub.add_parser("simulate", parents=[gait], help="synthesize a gait session through the full sensor chain")
-    sim.add_argument("--profile", default="measured", help=f"one of {builtin_profile_names()} or a profile JSON path")
-    sim.add_argument("--device-id", type=_device_id, default=1)
-    sim.add_argument("--epoch", default=store.DEFAULT_EPOCH)
-    sim.add_argument("-o", "--output", required=True)
-    sim.set_defaults(func=cmd_simulate)
-
-    stream = sub.add_parser("stream", parents=[gait], help="replay a session file or a live simulation to a collector")
-    stream.add_argument("--input", "-i", default=None, help="session file to replay")
-    stream.add_argument("--simulate", action="store_true", help="stream a live simulation instead of a file")
-    stream.add_argument("--addr", default=_default_addr(), help="collector host:port")
-    stream.add_argument("--device-id", type=_device_id, default=None)
-    stream.add_argument("--pace", action="store_true", help="pace frames by sample timestamps")
-    stream.add_argument("--profile", default=None, help="override the session's profile")
-    stream.set_defaults(func=cmd_stream)
-
-    collect = sub.add_parser("collect", help="run the telemetry collector server")
-    collect.add_argument("--addr", default=_default_addr(), help="listen host:port (:0 for ephemeral)")
-    collect.add_argument("-o", "--output", required=True, help="session file to write on shutdown")
-    collect.add_argument("--analyze", action="store_true", help="attach the online gait analyzer")
-    collect.add_argument("--report", default=None, help="report JSON path (with --analyze)")
-    collect.add_argument("--live", action="store_true", help="render a terminal meter view")
-    collect.add_argument("--once", action="store_true", help="stop after the first connection closes")
-    collect.add_argument("--profile", default="measured")
-    collect.add_argument("--epoch", default=store.DEFAULT_EPOCH)
-    collect.set_defaults(func=cmd_collect)
-
-    analyze_p = sub.add_parser("analyze", help="report gait metrics / render plots from a file")
-    analyze_p.add_argument("input")
-    analyze_p.add_argument("--json", default=None, help="write the report JSON here instead of stdout")
-    analyze_p.add_argument("--plots", default=None, help="directory for SVG plots + CSV data twins")
-    analyze_p.add_argument("--profile", default=None)
-    analyze_p.set_defaults(func=cmd_analyze)
-
-    cal = sub.add_parser("calibrate", help="fit a calibration CSV and characterize the model")
-    cal.add_argument("input", help="CSV with pressure_pa,resistance_ohm")
-    cal.add_argument("--name", default="custom")
-    cal.add_argument("--onset", type=float, default=200_000.0, help="open-circuit onset pressure [Pa]")
-    cal.add_argument("-o", "--output", default=None, help="profile JSON path")
-    cal.set_defaults(func=cmd_calibrate)
-
-    cmp_p = sub.add_parser("compare", help="side-by-side fabricated sensor vs FSR run")
-    cmp_p.add_argument("--stimulus", default=None, help="stimulus CSV; default: built-in bench schedule")
-    cmp_p.add_argument("-o", "--output", required=True, help="comparison table CSV")
-    cmp_p.add_argument("--svg", default=None, help="overlay chart path")
-    cmp_p.add_argument("--sensor-profile", default="bench")
-    cmp_p.add_argument("--fsr-profile", default="fsr")
-    cmp_p.set_defaults(func=cmd_compare)
-
+    for name, (help_line, flags, _handler) in _COMMANDS.items():
+        flags(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
+        if argv and argv[0] in _COMMANDS:  # build only the named command's parser
+            _help, flags, handler = _COMMANDS[argv[0]]
+            parser = _Parser(prog=f"solesense {argv[0]}")
+            flags(parser)
+            args = parser.parse_args(argv[1:])
+        else:  # no command, -h, an unknown name or --: the full parser's help and errors
+            args = build_parser().parse_args(argv)
+            _help, _flags, handler = _COMMANDS[args.command]
+        code = handler(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except _UsageError as exc:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import binascii
 import math
+import re
 import selectors
 import socket
 import struct
@@ -279,12 +280,29 @@ class Deframer:
         ]
 
 
+# RFC 3339 date-time: date, "T", time with an optional fraction, then "Z" or an offset
+_RFC3339 = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)(?:\.\d+)?(?:Z|[+-](\d\d):(\d\d))", re.ASCII)
+
+
+def _is_rfc3339(text) -> bool:
+    """Whether ``text`` is an RFC 3339 date-time whose every field is in its range."""
+    match = _RFC3339.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return False
+    *stamp, offset_h, offset_m = (int(part or 0) for part in match.groups())
+    try:
+        datetime(*stamp)  # month 13, day 31 of April, hour 24, ...
+    except ValueError:
+        return False
+    return offset_h <= 23 and offset_m <= 59
+
+
 @dataclass(frozen=True)
 class SessionHeader:
     """Session metadata; written to files, never transmitted on the wire."""
 
     device_id: int
-    epoch: str  # RFC 3339 / ISO-8601 UTC wall-clock of sample time zero
+    epoch: str  # RFC 3339 date-time (Z or a UTC offset) of sample time zero
     profile_name: str
     sample_rate_hz: float
     divider: DividerConfig = DividerConfig()
@@ -297,12 +315,8 @@ class SessionHeader:
         rate = self.sample_rate_hz
         if not (isinstance(rate, (int, float)) and not isinstance(rate, bool) and math.isfinite(rate) and rate >= 0):
             raise ValueError(f"sample_rate_hz must be a finite number >= 0, got {rate!r}")
-        try:
-            if not isinstance(self.epoch, str):
-                raise ValueError
-            datetime.fromisoformat(self.epoch.replace("Z", "+00:00"))
-        except ValueError:
-            raise ValueError(f"epoch must be an RFC 3339 timestamp, got {self.epoch!r}") from None
+        if not _is_rfc3339(self.epoch):
+            raise ValueError(f"epoch must be an RFC 3339 timestamp, got {self.epoch!r}")
 
 
 def frames_from_samples(

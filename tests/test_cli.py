@@ -99,8 +99,9 @@ class TestSimulate:
         assert main(["simulate", "--cycles", "1", "--device-id", "255", "-o", str(out)]) == 0
         assert store.read_session(out).header.device_id == 255
 
-    def test_unknown_flag_is_usage_error(self, tmp_path):
+    def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--bogus", "-o", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "solesense simulate: unrecognized arguments: --bogus\n"
 
     def test_jsonl_output(self, tmp_path):
         out = tmp_path / "s.jsonl"
@@ -685,6 +686,12 @@ class TestStreamCollect:
             ("2024-05-01T10:00:00+02:00", True),
             ("2024-13-01T10:00:00Z", False),
             ("", False),
+            # ISO 8601 forms that are no RFC 3339 date-time
+            ("2024-05-01", False),
+            ("2024-05-01 10:00", False),
+            ("20240501T100000", False),
+            ("2024-W18-3", False),
+            ("2024-05-01T10:00:00", False),
         ],
     )
     def test_simulate_and_collect_take_the_epochs_a_session_header_takes(
@@ -913,3 +920,59 @@ class TestAddrDefaults:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
         )
         assert result.returncode == 1 and "0-65535" in result.stderr
+
+
+COMMAND_NAMES = ["simulate", "stream", "collect", "analyze", "calibrate", "compare"]
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_command_help_is_the_full_parsers(self, capsys, name):
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args([name, "-h"])
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as one:
+            main([name, "-h"])
+        assert one.value.code == full.value.code == 0
+        assert capsys.readouterr() == want
+        assert want.out.startswith(f"usage: solesense {name} [-h]")
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith("usage: solesense [-h]")
+        assert "{" + ",".join(COMMAND_NAMES) + "}" in out
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [([], "required: command"), (["bogus"], "invalid choice: 'bogus'"), (["--"], "required: command")],
+    )
+    def test_no_command_is_a_usage_error_of_the_full_parser(self, capsys, argv, words):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solesense: ") and words in err and err.count("\n") == 1, err
+
+    def test_a_usage_error_names_its_command(self, capsys):
+        assert main(["analyze", "a.csv", "b.csv"]) == 1
+        assert capsys.readouterr().err == "solesense analyze: unrecognized arguments: b.csv\n"
+
+    @pytest.mark.parametrize("name", ["simulate", "analyze"])
+    def test_a_call_builds_no_other_commands_flags(self, tmp_path, capsys, monkeypatch, name):
+        session, report = tmp_path / "s.csv", tmp_path / "r.json"
+        assert main(["simulate", "--cycles", "2", "-o", str(session)]) == 0
+
+        def refuse(*args):
+            raise AssertionError(f"{name} built a parser it does not parse with")
+
+        for other, (help_line, _flags, handler) in cli._COMMANDS.items():
+            if other != name:
+                monkeypatch.setitem(cli._COMMANDS, other, (help_line, refuse, handler))
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        if name == "analyze":
+            monkeypatch.setattr(cli, "_gait_flags", refuse)
+            assert main(["analyze", str(session), "--json", str(report)]) == 0
+            assert json.loads(report.read_text())["cycles"] >= 1
+        else:
+            assert main(["simulate", "--cycles", "2", "-o", str(session)]) == 0
+            assert len(store.read_csv(session).samples) == 200

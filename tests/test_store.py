@@ -549,6 +549,7 @@ class TestHeaderFieldTypes:
             ("sample_rate_hz", -1.0),
             ("sample_rate_hz", None),
             ("epoch", 5),
+            ("epoch", "2024-05-01T10:00:00"),
         ],
     )
     def test_mistyped_jsonl_header_names_its_line(self, tmp_path, field, value):
@@ -575,7 +576,15 @@ class TestHeaderFieldTypes:
                 reader(path)
 
     @pytest.mark.parametrize(
-        "line", ["# device_id: 300", "# device_id: -1", "# sample_rate_hz: nan", "# sample_rate_hz: inf", "# v_ref: 0.0"]
+        "line",
+        [
+            "# device_id: 300",
+            "# device_id: -1",
+            "# sample_rate_hz: nan",
+            "# sample_rate_hz: inf",
+            "# v_ref: 0.0",
+            "# epoch: 2024-05-01",
+        ],
     )
     def test_out_of_range_csv_header_names_its_line(self, tmp_path, line):
         path = tmp_path / "s.csv"
@@ -601,6 +610,16 @@ class TestHeaderFieldTypes:
             {"epoch": None},
             {"epoch": b"1970-01-01T00:00:00Z"},
             {"epoch": "yesterday"},
+            {"epoch": "2024-05-01t10:00:00Z"},  # the separator is "T"
+            {"epoch": "2024-05-01 10:00:00Z"},
+            {"epoch": "2024-05-01T10:00Z"},  # seconds are not optional
+            {"epoch": "2024-05-01T10:00:00.Z"},
+            {"epoch": "2024-05-01T10:00:00z"},
+            {"epoch": "2024-05-01T10:00:00+0200"},
+            {"epoch": "2024-05-01T10:00:00+05:60"},
+            {"epoch": "2024-05-01T10:00:00+24:00"},
+            {"epoch": "2024-04-31T10:00:00Z"},
+            {"epoch": "2024-05-01T24:00:00Z"},
         ],
     )
     def test_session_header_checks_its_fields(self, changes):
@@ -609,3 +628,9 @@ class TestHeaderFieldTypes:
         with pytest.raises(ValueError, match=next(iter(changes))):
             SessionHeader(**{**fields, **changes})
         SessionHeader(**{**fields, "device_id": 255, "sample_rate_hz": 0})
+
+    @pytest.mark.parametrize(
+        "epoch", ["2024-05-01T10:00:00.5Z", "2024-05-01T10:00:00.123456789-05:30", "2024-05-01T23:59:59+23:59"]
+    )
+    def test_session_header_takes_a_fraction_of_any_length_and_any_offset(self, epoch):
+        assert SessionHeader(1, epoch, "measured", 100.0).epoch == epoch
