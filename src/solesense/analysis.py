@@ -66,6 +66,8 @@ _ON_PA = 22_000.0
 _OFF_PA = 18_000.0
 # how long a heel-only initial contact lasts before it is loading response
 _LOADING_DWELL_S = 0.030
+# Analyzer.update's bound on a timestamp: a global read, not math's attribute
+_INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -234,13 +236,15 @@ class Analyzer:
         """Fold in one sample; returns any events it produced."""
         t = sample.timestamp
         last = self._last_timestamp
-        if last is not None and last < t < math.inf:
+        if last is not None and last < t < _INFINITY:
             self._last_timestamp = t
             self._sample_index += 1
         else:  # the first sample, or a bad timestamp: raises before any state changes
             self._accept(t)
         fore, medial, central, lateral, heel = sample._row
-        mid = max(medial, central, lateral)
+        mid = medial if medial > central else central
+        if lateral > mid:
+            mid = lateral
         peaks = self._peaks
         if fore > peaks[_FOREFOOT]:
             peaks[_FOREFOOT] = fore

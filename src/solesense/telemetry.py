@@ -22,12 +22,15 @@ serves every device and runs the sink, so a slow sink delays every connection.
 
 Both ends work a block at a time. The emitter frames columns of ADC codes
 (``Emitter.send_counts``): it checks every frame field once on the arrays and
-packs up to 256 frames at a time, sent with one sendall unpaced, or one by one
-paced. ``Emitter.run`` converts samples to codes, up to 256 at a time in one
-``counts_from_pascals`` call, and hands them to it. A sendall that fails is
-retried whole on the next connection, so a reconnect can repeat up to a whole
-block of frames, which the collector drops as stale timestamps. The collector
-reads up to _RECV_BYTES at a time and works on each received chunk whole.
+frames up to 256 rows at a time as one _WIRE record array with every CRC
+computed at once (``_pack_block``; ``_pack`` is the scalar form behind
+encode()). Unpaced, a block's bytes go with one sendall; paced, each frame's
+26 bytes go on an absolute schedule. ``Emitter.run`` converts samples to
+codes, up to 256 at a time in one ``counts_from_pascals`` call, and hands them
+to it. A sendall that fails is retried whole on the next connection, so a
+reconnect can repeat up to a whole block of frames, which the collector drops
+as stale timestamps. The collector reads up to _RECV_BYTES at a time and works
+on each received chunk whole.
 ``Deframer.scan`` returns its valid frames as packed bytes: a chunk of at
 least _ARRAY_FRAMES whole frames is checked in a few numpy calls and, when it
 is a clean aligned run, returned as one slice. One per-frame loop holds the
@@ -169,14 +172,18 @@ _CRC_ROWS = np.arange(CRC_SPAN) * 256
 _HEAD = np.frombuffer(MAGIC + bytes([PROTOCOL_VERSION]), np.uint8)
 
 
+def _crcs(rows: np.ndarray) -> np.ndarray:
+    """The CRC of each row of ``rows``, whole frames as (n, FRAME_LENGTH) bytes."""
+    return np.bitwise_xor.reduce(_CRC_BYTES[rows[:, :CRC_SPAN] + _CRC_ROWS], axis=1)
+
+
 def _all_valid(frames: bytes) -> bool:
     """Whether ``frames``, whole frames back to back, all pass decode()'s
     magic, version and CRC checks."""
     rows = np.frombuffer(frames, np.uint8).reshape(-1, FRAME_LENGTH)
     if not (rows[:, : len(_HEAD)] == _HEAD).all():
         return False
-    crcs = np.bitwise_xor.reduce(_CRC_BYTES[rows[:, :CRC_SPAN] + _CRC_ROWS], axis=1)
-    return bool((crcs == np.frombuffer(frames, _WIRE)["crc"]).all())
+    return bool((_crcs(rows) == np.frombuffer(frames, _WIRE)["crc"]).all())
 
 
 def _pack(device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
@@ -186,6 +193,23 @@ def _pack(device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
         MAGIC, PROTOCOL_VERSION, device_id, sequence, timestamp_ms & 0xFFFFFFFF, timestamp_ms >> 32, *counts
     )
     return body + _CRC.pack(crc16_ccitt_false(body))
+
+
+def _pack_block(device_id: int, sequence: int, stamps: np.ndarray, counts: np.ndarray) -> bytes:
+    """_pack of each row, numbered from ``sequence``, back to back: the ms
+    ``stamps`` (int64) and (n, 5) ``counts`` filled into one _WIRE record
+    array, whose CRCs are computed at once. The fields must fit, as
+    _frame_fields checks them: nothing here wraps or raises."""
+    wire = np.empty(len(stamps), _WIRE)
+    wire["magic"] = MAGIC
+    wire["version"] = PROTOCOL_VERSION
+    wire["device"] = device_id
+    wire["sequence"] = np.arange(sequence, sequence + len(stamps))
+    wire["ms_low"] = stamps & 0xFFFFFFFF
+    wire["ms_high"] = stamps >> 32
+    wire["counts"] = counts
+    wire["crc"] = _crcs(wire.view(np.uint8).reshape(-1, FRAME_LENGTH))
+    return wire.tobytes()
 
 
 def encode(frame: TelemetryFrame) -> bytes:
@@ -385,12 +409,18 @@ class Emitter:
     """Device-side sender: one frame per row of ADC codes over a
     (re)connecting transport.
 
-    ``send_counts(times, counts)`` is the one framing path; unpaced, it sends
-    up to 256 frames with one sendall(), and paced, each frame on its own
-    after sleeping the timestamp delta since the row sent before it, in this
-    call or an earlier one. ``run(samples)`` hands it samples converted to
-    codes, one at a time when paced so that a frame never waits for a later
-    sample.
+    ``send_counts(times, counts)`` is the one framing path: it frames up to
+    256 rows at a time with ``_pack_block``. Unpaced, it sends each block's
+    bytes with one sendall(). Paced, it sends each frame on its own when it
+    falls due: at the time.monotonic() of the first paced row, in this call
+    or an earlier one, plus the row's timestamp less that row's, so sleep
+    overshoot and send cost never add up. ``run(samples)`` hands it samples
+    converted to codes, one at a time when paced so that a frame never waits
+    for a later sample.
+
+    A reconnect's backoff does not move the paced schedule: the rows that
+    fell due while it waited go out at once, in a burst, and the rows after
+    them on time.
 
     On transport failure the emitter reconnects with a fixed exponential
     backoff, from 100 ms doubling up to 5 s between attempts, each wait passed
@@ -423,7 +453,7 @@ class Emitter:
         self._pace = pace
         self._sleep = sleep
         self._conn = None
-        self._last_t = math.inf  # paced: the time of the last row sent, none yet
+        self._anchor = None  # paced: the monotonic time and the timestamp of the first row sent
         self.sent = 0
         self.retries = 0
 
@@ -449,31 +479,36 @@ class Emitter:
         times, stamps, counts, error = _frame_fields(self._device_id, self.sent, times, counts)
         for start in range(0, len(stamps), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            rows = zip(count(self.sent), stamps[block].tolist(), counts[block].tolist())
-            frames = [_pack(self._device_id, *row) for row in rows]
+            payload = _pack_block(self._device_id, self.sent, stamps[block], counts[block])
             if not self._pace:
-                self._send(frames)
+                self._send(payload)
                 continue
-            for t, frame in zip(times[block].tolist(), frames):
-                if self._last_t < t:
-                    self._sleep(min(t - self._last_t, threading.TIMEOUT_MAX / 2))
-                self._last_t = t
-                self._send([frame])
+            for offset, t in zip(range(0, len(payload), FRAME_LENGTH), times[block].tolist()):
+                now = time.monotonic()
+                if self._anchor is None:
+                    self._anchor = (now, t)
+                anchor, first = self._anchor
+                wait = anchor + (t - first) - now
+                if wait > 0:
+                    self._sleep(min(wait, threading.TIMEOUT_MAX / 2))
+                self._send(payload[offset : offset + FRAME_LENGTH])
         if error is not None:
             raise error
         return self.sent
 
     def run(self, samples: Iterable[PressureSample]) -> int:
         """send_counts of every sample, converted to codes up to 256 at a
-        time, or one at a time when paced; returns the frames delivered so far."""
+        time, or one at a time when paced; returns the frames delivered so far.
+        It connects first, so that the receiver accepts the connection while
+        the first block is converted and framed."""
+        self._ensure_connected()
         for times, counts in _code_blocks(samples, self._profile, self._divider, 1 if self._pace else _BLOCK_ROWS):
             self.send_counts(times, counts)
         return self.sent
 
-    def _send(self, frames: list[bytes]) -> None:
-        """Send ``frames`` with one sendall, resent whole on a new connection
-        until it goes through."""
-        payload = b"".join(frames)
+    def _send(self, payload: bytes) -> None:
+        """Send ``payload``, whole frames, with one sendall, resent whole on a
+        new connection until it goes through."""
         while True:
             self._ensure_connected()
             try:
@@ -482,7 +517,7 @@ class Emitter:
             except OSError:
                 self.close()
                 self.retries += 1
-        self.sent += len(frames)
+        self.sent += len(payload) // FRAME_LENGTH
 
     def close(self) -> None:
         if self._conn is not None:

@@ -10,6 +10,7 @@ typed Pressures only when a caller reads ``channels``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
@@ -228,12 +229,16 @@ class PressureSample:
         return f"PressureSample(timestamp={self.timestamp!r}, channels={self.channels!r})"
 
 
+_TIMESTAMP = operator.attrgetter("timestamp")
+_ROW = operator.attrgetter("_row")
+
+
 def samples_to_columns(samples: Iterable[PressureSample]) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and (n, 5) canonical-order pressures in pascals."""
     samples = list(samples)
     n, width = len(samples), len(CHANNEL_ORDER)
-    times = np.fromiter((s.timestamp for s in samples), dtype=float, count=n)
-    values = (v for s in samples for v in s.as_row())
+    times = np.fromiter(map(_TIMESTAMP, samples), dtype=float, count=n)
+    values = itertools.chain.from_iterable(map(_ROW, samples))
     return times, np.fromiter(values, dtype=float, count=n * width).reshape(n, width)
 
 

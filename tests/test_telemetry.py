@@ -253,14 +253,29 @@ class _MemoryTransport:
     def __init__(self):
         self.buffer = bytearray()
         self.sends = 0
+        self.sent_at = []  # time.monotonic() at each sendall
         self.closed = False
 
     def sendall(self, data):
         self.buffer.extend(data)
         self.sends += 1
+        self.sent_at.append(time.monotonic())
 
     def close(self):
         self.closed = True
+
+
+class _Clock:
+    """The emitter's monotonic clock, driven by the test: sleep() records the
+    wait asked for and advances the clock by it plus ``overshoot``."""
+
+    def __init__(self, monkeypatch, overshoot=0.0):
+        self.now, self.overshoot, self.sleeps = 1000.0, overshoot, []
+        monkeypatch.setattr(telemetry.time, "monotonic", lambda: self.now)
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds + self.overshoot
 
 
 class TestEmitter:
@@ -329,12 +344,11 @@ class TestEmitter:
         assert sleeps == [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0]
         assert emitter.retries == 8  # a refused connect is a failed attempt too
 
-    def test_pace_sleeps_by_timestamp_deltas(self):
-        transport = _MemoryTransport()
-        sleeps = []
-        emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=sleeps.append)
+    def test_pace_sleeps_by_timestamp_deltas(self, monkeypatch):
+        clock = _Clock(monkeypatch)
+        emitter = Emitter(_MemoryTransport, PROFILE, DIVIDER, pace=True, sleep=clock.sleep)
         emitter.run(self._samples(5))
-        assert sleeps == pytest.approx([0.01, 0.01, 0.01, 0.01])
+        assert clock.sleeps == pytest.approx([0.01, 0.01, 0.01, 0.01])
 
     def test_wire_is_frames_from_samples_encoded(self):
         samples = self._samples(50)
@@ -526,14 +540,52 @@ class TestEmitter:
             emitter.send_counts(times, codes)
         assert emitter.sent == 0 and transport.sends == 0
 
-    def test_paced_waits_carry_across_calls(self):
-        transport, sleeps = _MemoryTransport(), []
-        emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=sleeps.append)
+    def test_paced_waits_carry_across_calls(self, monkeypatch):
+        clock, transport = _Clock(monkeypatch), _MemoryTransport()
+        emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=clock.sleep)
         codes = np.full((2, 5), 4095)
         emitter.send_counts(np.array([0.0, 0.01]), codes)
         emitter.send_counts(np.array([0.03, 0.04]), codes)
-        assert sleeps == pytest.approx([0.01, 0.02, 0.01])
+        assert clock.sleeps == pytest.approx([0.01, 0.02, 0.01])
         assert transport.sends == 4
+
+    def test_paced_rows_leave_on_an_absolute_schedule(self, monkeypatch):
+        # every sleep overshoots by 1 ms: sleeping each row's delta from the
+        # row before would let row k leave about k ms late
+        clock, transport = _Clock(monkeypatch, overshoot=0.001), _MemoryTransport()
+        emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=clock.sleep)
+        times = np.arange(300) * 0.01
+        emitter.send_counts(times[:100], np.full((100, 5), 7))
+        emitter.send_counts(times[100:], np.full((200, 5), 7))  # the schedule carries across calls
+        late = np.array(transport.sent_at) - (transport.sent_at[0] + times)
+        assert late.min() >= 0.0 and late.max() <= 0.001 + 1e-9
+
+    def test_paced_rows_due_during_a_reconnect_leave_in_a_burst(self, monkeypatch):
+        # the link drops at row 50 and two connects are refused (backoff 0.1
+        # + 0.2 s): rows due meanwhile go at once, and the schedule holds
+        clock, transports, refused = _Clock(monkeypatch), [], []
+
+        class _FlakyOnce(_MemoryTransport):
+            def sendall(self, data):
+                if len(transports) == 1 and self.sends == 50:
+                    raise ConnectionResetError("link dropped")
+                super().sendall(data)
+
+        def connect():
+            if len(transports) == 1 and len(refused) < 2:
+                refused.append(1)
+                raise ConnectionRefusedError
+            transports.append(_FlakyOnce())
+            return transports[-1]
+
+        emitter = Emitter(connect, PROFILE, DIVIDER, pace=True, sleep=clock.sleep)
+        times = np.arange(100) * 0.01
+        assert emitter.send_counts(times, np.full((100, 5), 7)) == 100
+        sent_at = np.array(transports[0].sent_at + transports[1].sent_at)
+        late = sent_at - (sent_at[0] + times)
+        assert clock.sleeps[50:52] == pytest.approx([0.1, 0.2])  # the backoff, then no wait until row 81
+        assert late[50] == pytest.approx(0.3) and late[80] == pytest.approx(0.0, abs=1e-9)
+        assert (np.diff(sent_at[50:80]) == 0).all() and np.abs(late[80:]).max() < 1e-9
 
     def test_frames_from_samples_pure(self):
         samples = self._samples(10)
@@ -541,6 +593,67 @@ class TestEmitter:
         assert [f.sequence for f in frames] == list(range(10))
         assert all(f.device_id == 9 for f in frames)
         assert frames[3].timestamp_ms == round(samples[3].timestamp * 1000)
+
+
+def _pack_rows(device_id, sequence, stamps, counts):
+    """The scalar framer, row by row."""
+    return b"".join(telemetry._pack(device_id, sequence + k, s, c) for k, (s, c) in enumerate(zip(stamps, counts)))
+
+
+class TestBlockFramer:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256])
+    def test_equals_the_scalar_framer_row_by_row(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            device_id, sequence = int(rng.integers(256)), int(rng.integers((1 << 32) - n + 1))
+            stamps, counts = rng.integers(1 << 48, size=n), rng.integers(1 << 16, size=(n, 5))
+            want = _pack_rows(device_id, sequence, stamps.tolist(), counts.tolist())
+            assert telemetry._pack_block(device_id, sequence, stamps, counts) == want
+
+    @pytest.mark.parametrize("device_id", [0, 255])
+    def test_edge_rows(self, device_id):
+        stamps = np.array([0, TIMESTAMP_MAX_MS, 0, TIMESTAMP_MAX_MS])
+        counts = np.array([[0] * 5, [65535] * 5, [0, 65535, 0, 65535, 0], [65535, 0, 65535, 0, 65535]])
+        sequence = (1 << 32) - 4  # the block ends at sequence 2**32 - 1
+        want = _pack_rows(device_id, sequence, stamps.tolist(), counts.tolist())
+        assert telemetry._pack_block(device_id, sequence, stamps, counts) == want
+        assert decode(want, 3 * FRAME_LENGTH).sequence == (1 << 32) - 1
+
+    def test_paced_and_unpaced_send_the_same_bytes(self):
+        times, codes = np.arange(600) * 0.004, np.random.default_rng(6).integers(4096, size=(600, 5))
+        wires = []
+        for pace in (False, True):
+            transport = _MemoryTransport()
+            emitter = Emitter(lambda: transport, PROFILE, DIVIDER, device_id=5, pace=pace, sleep=lambda s: None)
+            assert emitter.send_counts(times, codes) == 600
+            assert transport.sends == (3 if not pace else 600)
+            wires.append(bytes(transport.buffer))
+        assert wires[0] == wires[1] == _pack_rows(5, 0, np.rint(times * 1000).astype(int).tolist(), codes.tolist())
+
+    def test_a_block_failed_mid_send_is_resent_whole(self):
+        transports = []
+
+        class _Recording(_MemoryTransport):
+            def __init__(self):
+                super().__init__()
+                self.payloads = []
+
+            def sendall(self, data):
+                self.payloads.append(bytes(data))
+                if len(transports) == 1 and len(self.payloads) == 2:
+                    raise ConnectionResetError("link dropped mid-block")
+                super().sendall(data)
+
+        def connect():
+            transports.append(_Recording())
+            return transports[-1]
+
+        times, codes = np.arange(600) * 0.01, np.random.default_rng(7).integers(4096, size=(600, 5))
+        emitter = Emitter(connect, PROFILE, DIVIDER, sleep=lambda s: None)
+        assert emitter.send_counts(times, codes) == 600 and emitter.retries == 1
+        block = _pack_rows(1, 256, np.rint(times[256:512] * 1000).astype(int).tolist(), codes[256:512].tolist())
+        assert transports[0].payloads[1] == transports[1].payloads[0] == block
+        assert [len(p) for p in transports[1].payloads] == [256 * FRAME_LENGTH, 88 * FRAME_LENGTH]
 
 
 class _ListSink:
