@@ -21,6 +21,8 @@ import sys
 import time
 from collections import defaultdict
 
+import numpy as np
+
 from . import plots, store
 from .acquisition import DividerConfig, counts_from_pascals, counts_to_pascals, divider_out_ohms, quantize_volts
 from .analysis import _OFF_PA, _ON_PA, Analyzer, GaitEvent, GaitReport, compare_sensors
@@ -40,7 +42,7 @@ from .sensor import (
     run_channel,
     static_ohms,
 )
-from .store import SessionFormatError, SessionLog
+from .store import SessionFormatError
 from .synth import DEFAULT_LOAD_SCALE, GaitParams, synthesize_columns
 from .telemetry import ADDR_ENV_VAR, DEFAULT_PORT, Collector, Emitter, SessionHeader
 from .units import CHANNEL_ORDER, PressureSample
@@ -214,13 +216,15 @@ def cmd_collect(args) -> int:
     divider = DividerConfig()
 
     # per device; the collector calls the sink from one thread only
-    samples: dict[int, list[PressureSample]] = defaultdict(list)
+    columns: dict[int, tuple[list[float], list[float]]] = defaultdict(lambda: ([], []))  # times, pascals
     analyzers: dict[int, Analyzer] = defaultdict(Analyzer)
     events: dict[int, list[GaitEvent]] = defaultdict(list)
     last_render = [0.0]
 
     def sink(device_id: int, sample: PressureSample) -> None:
-        samples[device_id].append(sample)
+        times, pascals = columns[device_id]
+        times.append(sample.timestamp)
+        pascals.extend(sample.as_row())
         if args.analyze:
             events[device_id].extend(analyzers[device_id].update(sample))
         if args.live:
@@ -231,7 +235,10 @@ def cmd_collect(args) -> int:
                 print(_render_live(sample))
 
     collector = Collector(sink, profile=profile, divider=divider, host=host, port=port)
-    collector.start()
+    try:
+        collector.start()
+    except OSError as exc:  # an address it cannot listen on, taken or unresolvable, is a network error
+        raise ConnectionError(*exc.args) from exc
     bound_host, bound_port = collector.address
     print(f"listening on {bound_host}:{bound_port}", flush=True)
 
@@ -246,15 +253,15 @@ def cmd_collect(args) -> int:
         pass
     finally:
         collector.stop()
-        _flush_collected(args, profile.name, divider, samples, analyzers, events)
+        _flush_collected(args, profile.name, divider, columns, analyzers, events)
     return EXIT_OK
 
 
-def _infer_rate(samples: list[PressureSample]) -> float:
-    if len(samples) < 2:
+def _infer_rate(times: np.ndarray) -> float:
+    if len(times) < 2:
         return 0.0
-    deltas = sorted(b.timestamp - a.timestamp for a, b in zip(samples, samples[1:]))
-    median = deltas[len(deltas) // 2]
+    deltas = sorted(np.diff(times).tolist())
+    median = deltas[len(deltas) // 2]  # of an even number, the upper one
     return round(1.0 / median, 6) if median > 0 else 0.0
 
 
@@ -269,7 +276,7 @@ def _flush_collected(
     args,
     profile_name: str,
     divider: DividerConfig,
-    samples: dict[int, list[PressureSample]],
+    columns: dict[int, tuple[list[float], list[float]]],
     analyzers: dict[int, Analyzer],
     events: dict[int, list[GaitEvent]],
 ) -> None:
@@ -277,18 +284,17 @@ def _flush_collected(
     A session that received nothing is device 1 with no samples, so it
     records rate 0 as any session of fewer than two samples does. With more
     than one device, each file takes its device's _device_path."""
-    received = samples or {1: []}
+    received = sorted(columns) or [1]
     multi = len(received) > 1
-    for device_id, kept in sorted(received.items()):
-        header = SessionHeader(device_id, args.epoch, profile_name, _infer_rate(kept), divider)
-        log = SessionLog(header, kept, events.get(device_id, []))
+    for device_id in received:
+        times, pascals = map(np.array, columns[device_id])
+        header = SessionHeader(device_id, args.epoch, profile_name, _infer_rate(times), divider)
         path = _device_path(args.output, device_id) if multi else args.output
-        if args.analyze:
-            log.report = analyzers[device_id].report()
-        store.write_session(log, path)
-        print(f"wrote {len(log.samples)} samples to {path}")
+        report = analyzers[device_id].report() if args.analyze else None
+        store.write_columns(header, times, pascals.reshape(-1, len(CHANNEL_ORDER)), path, events[device_id], report)
+        print(f"wrote {len(times)} samples to {path}")
         if args.report:  # --report comes only with --analyze
-            _write_report(_device_path(args.report, device_id) if multi else args.report, log.report)
+            _write_report(_device_path(args.report, device_id) if multi else args.report, report)
 
 
 def _write_report(path: str, report: GaitReport) -> None:

@@ -14,12 +14,12 @@ The session header is described once, in one table of its eight fields
 writers and both readers go through; SessionHeader and DividerConfig check
 the values, and a divider field left out takes DividerConfig's default.
 
-One writer takes blocks of columns, timestamps and (n, 5) pascals:
-write_columns cuts its own, write_session turns its log's samples into them.
-It has one sample-line builder per format; the CSV one calls repr once per
-distinct bit pattern in a block's pressures, which repeat, and looks the
-strings up. Writing goes by extension (``.jsonl``, else CSV), reading by
-content, so a file reads whatever it is named.
+One writer, write_columns, takes timestamps and (n, 5) pascals, refuses any
+that no reader takes back and writes them in blocks; write_session turns its
+log's samples into such columns. It has one sample-line builder per format;
+the CSV one calls repr once per distinct bit pattern in a block's pressures,
+which repeat, and looks the strings up. Writing goes by extension (``.jsonl``,
+else CSV), reading by content, so a file reads whatever it is named.
 
 The report object's field names are fixed: ``cycles``, ``cadence_spm``,
 ``stance_fraction_mean``, ``stance_fraction_std``, ``peak_pressure_pa``
@@ -329,9 +329,17 @@ def _jsonl_block(times: np.ndarray, pascals: np.ndarray) -> str:
     return "".join([_json_line(dict(zip(SAMPLE_COLUMNS, (t, *row)), type="sample")) for t, row in rows])
 
 
-def _write(path, header: SessionHeader, blocks, events=(), report: GaitReport | None = None) -> None:
-    """Write a session from blocks of columns, each ``(timestamps, (n, 5)
-    pascals)``, flushing each block; events and the report go to JSONL only."""
+def write_columns(header: SessionHeader, times, pascals, path, events=(), report: GaitReport | None = None) -> None:
+    """Write a session's columns in the format its path's extension names,
+    BLOCK_LINES rows at a time, each block flushed; events and the report go
+    to JSONL only. Columns no reader takes raise ValueError before the file
+    is opened."""
+    times = np.asarray(times, dtype=float)
+    pascals = np.ascontiguousarray(pascals, dtype=float)
+    if times.ndim != 1 or pascals.shape != (len(times), len(CHANNEL_ORDER)):
+        raise ValueError(f"expected (n,) timestamps and (n, 5) pascals, got {times.shape} and {pascals.shape}")
+    if not (np.isfinite(pascals).all() and (pascals >= 0).all()):
+        raise ValueError("pressure must be finite and >= 0")
     jsonl = str(path).endswith(".jsonl")
     fields = _header_fields(header)
     if jsonl:
@@ -342,8 +350,8 @@ def _write(path, header: SessionHeader, blocks, events=(), report: GaitReport | 
         lines = _csv_block
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
-        for times, pascals in blocks:
-            fh.write(lines(np.asarray(times, dtype=float), np.ascontiguousarray(pascals, dtype=float)))
+        for k in range(0, len(times), BLOCK_LINES):
+            fh.write(lines(times[k : k + BLOCK_LINES], pascals[k : k + BLOCK_LINES]))
             fh.flush()
         if jsonl:
             fh.writelines(_json_line(_event_to_json(event)) for event in events)
@@ -351,20 +359,9 @@ def _write(path, header: SessionHeader, blocks, events=(), report: GaitReport | 
                 fh.write(_json_line({"type": "report", **report.to_json_dict()}))
 
 
-def _blocks(n: int):
-    """Slices cutting n rows into blocks of BLOCK_LINES."""
-    return (slice(k, k + BLOCK_LINES) for k in range(0, n, BLOCK_LINES))
-
-
 def write_session(log: SessionLog, path) -> None:
     """Write a log, in the format its path's extension names."""
-    samples = log.samples
-    _write(path, log.header, (samples_to_columns(samples[b]) for b in _blocks(len(samples))), log.events, log.report)
-
-
-def write_columns(header: SessionHeader, times: np.ndarray, pascals: np.ndarray, path) -> None:
-    """Write the columns read_columns returns, as write_session writes the same rows."""
-    _write(path, header, ((times[b], pascals[b]) for b in _blocks(len(times))))
+    write_columns(log.header, *samples_to_columns(log.samples), path, log.events, log.report)
 
 
 # --- the other tables: legacy bench recordings, calibration sweeps, stimuli ----

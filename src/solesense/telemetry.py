@@ -582,10 +582,8 @@ class Collector:
         return self._server.getsockname()[:2]
 
     def start(self) -> None:
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((self._host, self._port))
-        server.listen()
+        # SO_REUSEADDR on POSIX; an address it cannot bind leaves no socket open
+        server = socket.create_server((self._host, self._port))
         server.setblocking(False)
         self._server = server
         self._wake_read, self._wake_write = socket.socketpair()

@@ -679,6 +679,36 @@ class TestStreamCollect:
                 assert "# sample_rate_hz: 0.0\n" in out.read_text()
         assert headers == [SessionHeader(1, store.DEFAULT_EPOCH, "measured", 0.0)] * 2
 
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_rate_is_that_of_the_upper_median_interval(self, tmp_path, capsys, ext):
+        # intervals of 10 ms and 20 ms: of an even number, the upper median
+        out = tmp_path / f"s.{ext}"
+        thread, results, addr = _start_collect(["-o", str(out), "--once"], capsys)
+        host, port = addr.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as conn:
+            conn.sendall(b"".join(_pack(1, k, ms, [0] * 5) for k, ms in enumerate((0, 10, 30))))
+        thread.join(timeout=30)
+        assert results["rc"] == 0
+        log = store.read_session(out)
+        assert [s.timestamp for s in log.samples] == [0.0, 0.01, 0.03]
+        assert log.header.sample_rate_hz == 50.0
+
+    def test_infer_rate_is_a_python_float(self):
+        for times, want in (([0.0, 0.01, 0.03], 50.0), ([0.0, 0.01], 100.0), ([0.5], 0.0), ([], 0.0)):
+            rate = cli._infer_rate(np.array(times))
+            assert rate == want and type(rate) is float
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "::1"], ids=["port taken", "not an IPv4 host"])
+    def test_an_address_collect_cannot_listen_on_is_a_network_error(self, tmp_path, capsys, host):
+        out = tmp_path / "c.csv"
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            argv = ["collect", "--addr", f"{host}:{taken.getsockname()[1]}", "--once", "-o", str(out)]
+            assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("network error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "epoch, accepted",
         [

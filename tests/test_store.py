@@ -256,6 +256,26 @@ class TestColumns:
         # the same rows give the same file, from a log or from columns
         assert path.read_bytes() == (tmp_path / f"log-{name}").read_bytes()
 
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "times, pascals, message",
+        [
+            (np.zeros(3), np.zeros((5, 5)), r"\(n,\) timestamps and \(n, 5\) pascals"),
+            (np.zeros(3), np.zeros((3, 4)), r"\(n,\) timestamps and \(n, 5\) pascals"),
+            (np.zeros((3, 1)), np.zeros((3, 5)), r"\(n,\) timestamps and \(n, 5\) pascals"),
+            (np.zeros(3), np.array([[0.0] * 5, [0.0, 0.0, -1.0, 0.0, 0.0], [0.0] * 5]), "finite and >= 0"),
+            (np.zeros(3), np.array([[0.0] * 5, [0.0] * 5, [math.nan] * 5]), "finite and >= 0"),
+            (np.zeros(3), np.array([[math.inf] * 5, [0.0] * 5, [0.0] * 5]), "finite and >= 0"),
+        ],
+        ids=["more rows than times", "four channels", "times not 1-d", "negative", "nan", "inf"],
+    )
+    def test_columns_no_reader_takes_are_refused_before_the_file_opens(self, tmp_path, ext, times, pascals, message):
+        path = tmp_path / f"s.{ext}"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match=message):
+            write_columns(SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0), times, pascals, path)
+        assert path.read_text() == "kept\n"
+
     def test_csv_has_no_place_for_events_or_the_report(self, tmp_path):
         log = _session(cycles=3, with_analysis=True)
         assert log.events and log.report is not None

@@ -672,6 +672,18 @@ class TestCollector:
         collector.start()
         return collector
 
+    @pytest.mark.parametrize("host", ["127.0.0.1", "::1"], ids=["port taken", "not an IPv4 host"])
+    def test_an_address_it_cannot_listen_on_leaves_no_socket_open(self, host):
+        # a leaked socket warns when it is collected, which fails the test
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            collector = Collector(lambda device_id, sample: None, PROFILE, DIVIDER, host, taken.getsockname()[1])
+            with pytest.raises(OSError):
+                collector.start()
+        with pytest.raises(RuntimeError, match="not started"):
+            collector.address
+
     def test_two_devices_stream_concurrently(self):
         sink = _ListSink()
         collector = self._start(sink)
