@@ -13,6 +13,7 @@ every command.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -213,6 +214,9 @@ def cmd_collect(args) -> int:
         raise _UsageError("collect: --report needs --analyze")
     host, port = _parse_addr(args.addr)
     profile = _load_profile(args.profile)
+    for path in (args.output, args.report):
+        if path is not None:
+            _check_writable(path)
     divider = DividerConfig()
 
     # per device; the collector calls the sink from one thread only
@@ -255,6 +259,16 @@ def cmd_collect(args) -> int:
         collector.stop()
         _flush_collected(args, profile.name, divider, columns, analyzers, events)
     return EXIT_OK
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening ``path`` for writing would for a missing
+    directory or a directory path, before collect listens for a session that
+    it could not write."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _infer_rate(times: np.ndarray) -> float:
@@ -337,11 +351,12 @@ def _response_curve_plot(args, pairs: list[tuple[float, float]]) -> None:
 
 
 def cmd_analyze(args) -> int:
+    profile = _load_profile(args.profile) if args.profile else None  # checked even where no plot reads it
     kind = store.sniff_kind(args.input)
     if kind in ("session", "session_jsonl"):
         header, times, pascals = store.read_columns(args.input)
-        if args.plots:  # only the plots read the profile, so a custom one's name needs no lookup without them
-            profile = _load_profile(args.profile or header.profile_name)
+        if args.plots and profile is None:  # only the plots read the header's profile: look its name up for them
+            profile = _load_profile(header.profile_name)
         analyzer = Analyzer()
         analyzer.update_block(times, pascals)
         text = report_json_text(analyzer.report())

@@ -44,9 +44,10 @@ RESPONSE_TIME_S = 0.120
 RECOVERY_TIME_S = 0.100
 _LN9 = math.log(9.0)
 
-# Half-width of the pressure play operator: 3% of the datasheet pressure
-# span, so a full loading/unloading loop is 6% of full scale wide.
-DEFAULT_HYSTERESIS_HALFWIDTH_PA = 0.03 * (datasets.DATASHEET_MAX_PA - datasets.DATASHEET_ONSET_PA)
+# Half-width of the pressure play operator: 3% of the working range (by
+# default the datasheet's), so a full loading/unloading loop is 6% of it wide.
+_PLAY_SHARE = 0.03
+DEFAULT_HYSTERESIS_HALFWIDTH_PA = _PLAY_SHARE * (datasets.DATASHEET_MAX_PA - datasets.DATASHEET_ONSET_PA)
 
 # Nominal sensitivity printed on the sensor's datasheet. It does not follow
 # from the calibrated end points (which give ~3.67 Pa/ohm); characterize()
@@ -106,6 +107,10 @@ class CalibrationProfile:
         """Largest finite resistance the curve can produce."""
         return self.points[0].resistance_ohm
 
+    @property
+    def _working_range(self) -> tuple[float, float]:  # the flat clamp below the first point carries no hysteresis
+        return max(self.onset_pressure.pascals, self.min_pressure_pa), self.max_pressure_pa
+
 
 def fit_profile(
     name: str, points: list[CalibrationPoint], onset_pressure: Pressure
@@ -113,9 +118,9 @@ def fit_profile(
     """Fit a profile to measured points.
 
     Sorts by pressure, averages the resistances of duplicate pressures, and
-    interpolates ln(resistance) piecewise-linearly in pressure. Data whose
-    averaged resistance increases anywhere with pressure is rejected: the
-    device is negative-piezoresistive by construction.
+    interpolates ln(resistance) piecewise-linearly in pressure. Rejected: a
+    resistance that rises with pressure (the device is negative-piezoresistive),
+    and an onset at or above the last pressure (an empty working range).
     """
     by_pressure: dict[float, list[float]] = {}
     for point in points:
@@ -133,6 +138,9 @@ def fit_profile(
                 f"{a.resistance_ohm} ohm @ {a.pressure_pa} Pa -> "
                 f"{b.resistance_ohm} ohm @ {b.pressure_pa} Pa"
             )
+    onset, last = onset_pressure.pascals, merged[-1].pressure_pa
+    if onset >= last:
+        raise CalibrationError(f"onset {onset} Pa is not below the last calibration pressure, {last} Pa")
     return CalibrationProfile(name=name, points=tuple(merged), onset_pressure=onset_pressure)
 
 
@@ -198,13 +206,9 @@ class DynamicsConfig:
 
     @classmethod
     def for_profile(cls, profile: CalibrationProfile) -> "DynamicsConfig":
-        """Defaults with the play half-width scaled to the profile's sweepable
-        span (the flat clamp below the first point carries no hysteresis)."""
-        low = max(profile.onset_pressure.pascals, profile.min_pressure_pa)
-        span = profile.max_pressure_pa - low
-        if span <= 0:
-            span = profile.max_pressure_pa - profile.min_pressure_pa
-        return cls(hysteresis_halfwidth=0.03 * span)
+        """Defaults with the play half-width _PLAY_SHARE of the profile's working range."""
+        low, high = profile._working_range
+        return cls(hysteresis_halfwidth=_PLAY_SHARE * (high - low))
 
 
 @dataclass(frozen=True)
@@ -428,8 +432,7 @@ def _sweep_hysteresis_fraction(profile: CalibrationProfile, dynamics: DynamicsCo
     rate-dependent effect and not part of the loop width.
     """
     quasi_static = replace(dynamics, tau_load=1e-12, tau_recover=1e-12)
-    p_lo = max(profile.onset_pressure.pascals, profile.min_pressure_pa)
-    p_hi = profile.max_pressure_pa
+    p_lo, p_hi = profile._working_range
     h = dynamics.hysteresis_halfwidth
     n = 2000
 
@@ -455,20 +458,16 @@ def characterize(profile: CalibrationProfile) -> SensorCharacterization:
     dynamics (DynamicsConfig.for_profile).
 
     Sensitivity is reported in both conventions (ohm/Pa and Pa/ohm) over
-    [onset, max]; response/recovery are 10-90% times of simulated steps;
-    hysteresis is the loop width of a simulated triangular sweep.
+    [onset, last point], which fit_profile keeps non-empty; response and
+    recovery are 10-90% step times; hysteresis is a triangular sweep's loop width.
     """
     dynamics = DynamicsConfig.for_profile(profile)
-    p_min = profile.onset_pressure.pascals
-    p_max = profile.max_pressure_pa
-    r_min = static_resistance(profile, Pressure(p_min))
-    if r_min.is_open:  # onset exactly at the open boundary
-        r_min = Resistance(profile.idle_resistance_ohm)
-    r_max = static_resistance(profile, Pressure(p_max))
+    p_min, p_max = profile.onset_pressure.pascals, profile.max_pressure_pa
+    r_min, r_max = _static_ohms(profile, p_min), _static_ohms(profile, p_max)
 
     delta_p = p_max - p_min
-    delta_r = r_min.ohms - r_max.ohms
-    ohm_per_pa = delta_r / delta_p if delta_p > 0 else 0.0
+    delta_r = r_min - r_max
+    ohm_per_pa = delta_r / delta_p
     pa_per_ohm = delta_p / delta_r if delta_r > 0 else math.inf
 
     response = _transition_time(profile, dynamics, p_min, p_max)
@@ -478,8 +477,8 @@ def characterize(profile: CalibrationProfile) -> SensorCharacterization:
     return SensorCharacterization(
         pressure_min_pa=p_min,
         pressure_max_pa=p_max,
-        resistance_at_min_ohm=r_min.ohms,
-        resistance_at_max_ohm=r_max.ohms,
+        resistance_at_min_ohm=r_min,
+        resistance_at_max_ohm=r_max,
         sensitivity_ohm_per_pa=ohm_per_pa,
         sensitivity_pa_per_ohm=pa_per_ohm,
         response_time_s=response,

@@ -15,11 +15,12 @@ writers and both readers go through; SessionHeader and DividerConfig check
 the values, and a divider field left out takes DividerConfig's default.
 
 One writer, write_columns, takes timestamps and (n, 5) pascals, refuses any
-that no reader takes back and writes them in blocks; write_session turns its
-log's samples into such columns. It has one sample-line builder per format;
-the CSV one calls repr once per distinct bit pattern in a block's pressures,
-which repeat, and looks the strings up. Writing goes by extension (``.jsonl``,
-else CSV), reading by content, so a file reads whatever it is named.
+that no reader takes back (_check_columns, the array reader's check too) and
+writes them in blocks; write_session turns its log's samples into such
+columns. It has one sample-line builder per format; the CSV one calls repr
+once per distinct bit pattern in a block's pressures, which repeat, and looks
+the strings up. Writing goes by extension (``.jsonl``, else CSV), reading by
+content, so a file reads whatever it is named.
 
 The report object's field names are fixed: ``cycles``, ``cadence_spm``,
 ``stance_fraction_mean``, ``stance_fraction_std``, ``peak_pressure_pa``
@@ -34,9 +35,10 @@ a growing file never sees a torn one.
 read_columns() reads a session as numpy columns (timestamps and (n, 5)
 pascals) for consumers that fold whole blocks, such as ``solesense
 analyze``: a CSV body is parsed in one array pass and validated at once
-(six fields, every pressure finite and >= 0). A file that pass cannot take
-whole goes back through read_csv, so the columns always equal read_csv's
-samples and a malformed file raises the same ``path:line`` error.
+(six fields, every timestamp finite, every pressure finite and >= 0). A file
+that pass cannot take whole goes back through read_csv, so the columns always
+equal read_csv's samples and a malformed file raises the same ``path:line``
+error. Both line readers refuse a non-finite timestamp at its line.
 
 One line reader, _read_table, reads every CSV table, with one grammar:
 ``#`` lines hold ``key: value`` pairs, on either side of the column line
@@ -189,8 +191,27 @@ def _read_table(path, layouts, record, error=SessionFormatError):
     return columns, rows, pairs, pairs_line
 
 
+def _session_sample(t, *row) -> PressureSample:
+    """PressureSample.from_row for a session file, whose timestamps must also be finite."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"timestamp must be finite, got {t!r}")
+    return PressureSample.from_row(t, row)
+
+
+def _check_columns(times: np.ndarray, pascals: np.ndarray) -> None:
+    """Raise ValueError unless a reader takes the columns back: (n,) finite
+    timestamps and (n, 5) pressures, each finite and >= 0."""
+    if times.ndim != 1 or pascals.shape != (len(times), len(CHANNEL_ORDER)):
+        raise ValueError(f"expected (n,) timestamps and (n, 5) pascals, got {times.shape} and {pascals.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("timestamp must be finite")
+    if not (np.isfinite(pascals).all() and (pascals >= 0).all()):
+        raise ValueError("pressure must be finite and >= 0")
+
+
 def read_csv(path) -> SessionLog:
-    _, samples, pairs, line = _read_table(path, (SAMPLE_COLUMNS,), lambda t, *row: PressureSample.from_row(t, row))
+    _, samples, pairs, line = _read_table(path, (SAMPLE_COLUMNS,), _session_sample)
     return SessionLog(header=_parse_header_block(pairs, path, line), samples=samples)
 
 
@@ -204,12 +225,9 @@ def _read_csv_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
             if first != "\n":  # loadtxt warns on a body of blank lines
                 rows = np.loadtxt(chain([first], fh), delimiter=",", comments=None, ndmin=2)
                 break
-    if rows.shape[1] != len(SAMPLE_COLUMNS):
-        raise ValueError(f"expected {len(SAMPLE_COLUMNS)} fields, got {rows.shape[1]}")
-    pascals = rows[:, 1:]
-    if not (np.isfinite(pascals).all() and (pascals >= 0).all()):
-        raise ValueError("pressure must be finite and >= 0")
-    return _parse_header_block(pairs, path, header_line), rows[:, 0], pascals
+    times, pascals = rows[:, 0], rows[:, 1:]
+    _check_columns(times, pascals)
+    return _parse_header_block(pairs, path, header_line), times, pascals
 
 
 # --- JSONL -------------------------------------------------------------------
@@ -258,7 +276,7 @@ def read_jsonl(path) -> SessionLog:
                     fields = {**obj.get("divider", {}), **{name: obj[name] for name in _SESSION_FIELDS}}
                     header = _header_from_fields(fields)
                 elif kind == "sample":
-                    samples.append(PressureSample.from_row(obj["t_s"], (obj[c] for c in SAMPLE_COLUMNS[1:])))
+                    samples.append(_session_sample(obj["t_s"], *(obj[c] for c in SAMPLE_COLUMNS[1:])))
                 elif kind == "event":
                     events.append(_event_from_json(obj))
                 elif kind == "report":
@@ -336,10 +354,7 @@ def write_columns(header: SessionHeader, times, pascals, path, events=(), report
     is opened."""
     times = np.asarray(times, dtype=float)
     pascals = np.ascontiguousarray(pascals, dtype=float)
-    if times.ndim != 1 or pascals.shape != (len(times), len(CHANNEL_ORDER)):
-        raise ValueError(f"expected (n,) timestamps and (n, 5) pascals, got {times.shape} and {pascals.shape}")
-    if not (np.isfinite(pascals).all() and (pascals >= 0).all()):
-        raise ValueError("pressure must be finite and >= 0")
+    _check_columns(times, pascals)
     jsonl = str(path).endswith(".jsonl")
     fields = _header_fields(header)
     if jsonl:

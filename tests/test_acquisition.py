@@ -318,3 +318,22 @@ class TestColumns:
         assert codes.shape == pascals.shape
         want = [pressure_to_count(Pressure(p), profile, CFG).value for p in pascals.ravel().tolist()]
         assert codes.ravel().tolist() == want
+
+
+class TestRefusedInputs:
+    def test_a_supply_of_no_volts_is_refused(self):
+        # Voltage itself refuses a negative value
+        with pytest.raises(ValueError, match="v_in must be > 0, got 0.0"):
+            DividerConfig(v_in=Voltage(0.0))
+
+    def test_a_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="ADC count must be >= 0, got -1"):
+            AdcCount(-1)
+
+    def test_a_count_past_the_top_code_does_not_dequantize(self):
+        with pytest.raises(ValueError, match="count 4096 out of range for 12-bit ADC"):
+            dequantize(AdcCount(FULL_SCALE + 1), CFG)
+
+    def test_four_counts_make_no_sample(self):
+        with pytest.raises(ValueError, match="expected 5 counts, got 4"):
+            counts_to_sample(0.0, (0, 0, 0, 0), measured_profile(), CFG)

@@ -1006,3 +1006,149 @@ class TestOneCommandParser:
         else:
             assert main(["simulate", "--cycles", "2", "-o", str(session)]) == 0
             assert len(store.read_csv(session).samples) == 200
+
+
+class TestEmptyWorkingRange:
+    """An onset at or above the last calibration pressure leaves a profile no
+    working range: every command refuses it as a data error."""
+
+    def test_calibrate_with_the_onset_at_the_last_point_is_a_data_error(self, tmp_path, capsys):
+        cal, out = tmp_path / "cal.csv", tmp_path / "p.json"
+        cal.write_text("pressure_pa,resistance_ohm\n200000.0,150000.0\n400000.0,20000.0\n750000.0,200.0\n")
+        assert main(["calibrate", str(cal), "--onset", "750000", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: onset 750000.0 Pa is not below the last calibration pressure, 750000.0 Pa\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_calibrate_with_the_default_onset_above_the_sweep_is_a_data_error(self, tmp_path, capsys):
+        cal = tmp_path / "low.csv"
+        cal.write_text("pressure_pa,resistance_ohm\n100000.0,150000.0\n150000.0,20000.0\n")
+        assert main(["calibrate", str(cal)]) == 2
+        assert capsys.readouterr().err == (
+            "error: onset 200000.0 Pa is not below the last calibration pressure, 150000.0 Pa\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--cycles", "2", "-o", "s.csv", "--profile"],
+            ["compare", "-o", "t.csv", "--sensor-profile"],
+            ["analyze", "s0.csv", "--profile"],
+        ],
+        ids=["simulate", "compare", "analyze"],
+    )
+    def test_a_profile_file_whose_onset_is_its_top_point_is_a_data_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--cycles", "1", "-o", "s0.csv"]) == 0
+        deg = tmp_path / "deg.json"
+        deg.write_text(json.dumps({**profile_to_json_dict(sensor.datasheet_profile()), "onset_pressure_pa": 750_000.0}))
+        capsys.readouterr()
+        assert main([*argv, str(deg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: onset 750000.0 Pa is not below the last calibration pressure, 750000.0 Pa\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deg.json", "s0.csv"]
+
+
+class TestAnalyzeProfileFlag:
+    """An explicit --profile is loaded with or without --plots, for any kind of file."""
+
+    @pytest.mark.parametrize("kind", ["session", "legacy"])
+    def test_an_unknown_profile_is_a_data_error(self, tmp_path, capsys, kind):
+        src = tmp_path / "in.csv"
+        if kind == "session":
+            assert main(["simulate", "--cycles", "2", "-o", str(src)]) == 0
+        else:
+            write_legacy_csv(src, [LegacyRecord(0.0, 200_000.0, 150_000.0)])
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert main(["analyze", str(src), "--json", str(out), "--profile", "bogus"]) == 2
+        assert "unknown profile 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_missing_profile_file_is_an_io_error(self, tmp_path, capsys):
+        src, missing = tmp_path / "s.csv", tmp_path / "missing.json"
+        assert main(["simulate", "--cycles", "2", "-o", str(src)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(src), "--profile", str(missing)]) == 3
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err and captured.out == ""
+
+    def test_a_session_with_a_non_finite_time_names_its_line(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        assert main(["simulate", "--cycles", "1", "-o", str(src)]) == 0
+        lines = src.read_text().splitlines()
+        lines[9] = ",".join(["nan", *lines[9].split(",")[1:]])
+        src.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}:10: timestamp must be finite, got nan\n"
+
+
+def _collect_refused(argv, capsys):
+    """Run ``collect --once`` in a daemon thread and return its exit code and
+    stderr, for a collect that must fail before it listens. One that listens
+    is released by a connection and fails the test instead of hanging it."""
+    results = {}
+    thread = threading.Thread(
+        target=lambda: results.update(rc=main(["collect", "--once", "--addr", "127.0.0.1:0", *argv])), daemon=True
+    )
+    thread.start()
+    out = err = ""
+    for _ in range(500):
+        thread.join(timeout=0.02)
+        captured = capsys.readouterr()
+        out, err = out + captured.out, err + captured.err
+        if "listening on" in out:
+            host, port = out.split("listening on ")[1].split()[0].rsplit(":", 1)
+            socket.create_connection((host, int(port)), timeout=5).close()
+            thread.join(timeout=30)
+            raise AssertionError("collect listened before it checked its output paths")
+        if not thread.is_alive():
+            return results["rc"], err
+    raise AssertionError("collect neither listened nor returned")
+
+
+class TestCollectOutputPaths:
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["-o", "{tmp}/nodir/c.csv"], "{tmp}/nodir/c.csv"),
+            (["-o", "{tmp}"], "{tmp}"),
+            (["-o", "{tmp}/c.csv", "--analyze", "--report", "{tmp}/nodir/r.json"], "{tmp}/nodir/r.json"),
+            (["-o", "{tmp}/c.jsonl", "--analyze", "--report", "{tmp}"], "{tmp}"),
+        ],
+        ids=["output directory missing", "output is a directory", "report directory missing", "report is a directory"],
+    )
+    def test_a_path_collect_cannot_write_is_an_io_error_before_it_listens(self, tmp_path, capsys, flags, named):
+        rc, err = _collect_refused([flag.format(tmp=tmp_path) for flag in flags], capsys)
+        assert rc == 3
+        assert err.startswith("i/o error: ") and repr(named.format(tmp=tmp_path)) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_without_analyze_is_a_usage_error_before_it_listens(self, tmp_path, capsys, monkeypatch):
+        def collector(*args, **kwargs):
+            raise AssertionError("collect listened with --report and no --analyze")
+
+        monkeypatch.setattr(cli, "Collector", collector)
+        argv = ["collect", "--once", "-o", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "collect: --report needs --analyze\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStreamDeviceFlag:
+    def test_the_device_id_flag_overrides_the_sessions(self, tmp_path, links, capsys):
+        session = tmp_path / "s.csv"
+        assert main(["simulate", "--cycles", "1", "-o", str(session)]) == 0
+        assert main(["stream", "-i", str(session), "--device-id", "7", "--addr", "127.0.0.1:9"]) == 0
+        header, times, pascals = store.read_columns(session)
+        assert header.device_id == 1
+        assert bytes(links.wire) == _packed(7, times, counts_from_pascals(pascals, measured_profile()))
+        assert {frame.device_id for frame in Deframer().feed(bytes(links.wire))} == {7}
+
+
+class TestParseAddr:
+    def test_a_host_without_a_port_takes_the_default_port(self):
+        assert cli._parse_addr("somehost") == ("somehost", cli.DEFAULT_PORT)
+        assert cli._parse_addr("") == ("127.0.0.1", cli.DEFAULT_PORT)

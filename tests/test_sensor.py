@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from solesense.datasets import MEASURED_CALIBRATION
+from solesense.datasets import DATASHEET_RANGE, MEASURED_CALIBRATION
 from solesense.sensor import (
     CalibrationError,
     CalibrationPoint,
@@ -266,3 +266,42 @@ class TestCalibrationCsv:
         path.write_text("pressure_pa,resistance_ohm\n100000,oops\n")
         with pytest.raises(CalibrationError, match=":2"):
             read_calibration_csv(path)
+
+
+class TestWorkingRange:
+    """A profile's working range runs from max(onset, first point) to the last
+    point; fit_profile refuses a profile whose range is empty."""
+
+    @pytest.mark.parametrize(
+        "rows, onset, last",
+        [
+            ([(200_000.0, 150_000.0), (750_000.0, 200.0)], 750_000.0, 750_000.0),
+            ([(200_000.0, 150_000.0), (750_000.0, 200.0)], 900_000.0, 750_000.0),
+            ([(100_000.0, 150_000.0), (150_000.0, 20_000.0), (150_000.0, 10_000.0)], 200_000.0, 150_000.0),
+        ],
+        ids=["onset at the last point", "onset above it", "above the last merged point"],
+    )
+    def test_an_onset_at_or_above_the_last_pressure_is_rejected(self, rows, onset, last):
+        message = f"onset {onset!r} Pa is not below the last calibration pressure, {last!r} Pa"
+        with pytest.raises(CalibrationError, match=message):
+            fit_profile("empty", _points(rows), Pressure(onset))
+
+    def test_an_onset_below_the_last_pressure_fits(self):
+        last = datasheet_profile().max_pressure_pa
+        profile = fit_profile("narrow", _points(DATASHEET_RANGE), Pressure(math.nextafter(last, 0.0)))
+        assert profile.onset_pressure.pascals < profile.max_pressure_pa
+
+    def test_the_datasheet_play_is_the_default_bit_for_bit(self):
+        assert DynamicsConfig.for_profile(datasheet_profile()) == DynamicsConfig()
+
+    @pytest.mark.parametrize(
+        "onset, low",
+        [(0.0, 200_000.0), (200_000.0, 200_000.0), (400_000.0, 400_000.0)],
+        ids=["onset below the first point", "onset at it", "onset above it"],
+    )
+    def test_the_play_scales_with_the_working_range(self, onset, low):
+        profile = fit_profile("p", _points(DATASHEET_RANGE), Pressure(onset))
+        assert DynamicsConfig.for_profile(profile).hysteresis_halfwidth == 0.03 * (750_000.0 - low)
+        figures = characterize(profile)
+        assert figures.pressure_min_pa == onset and figures.pressure_max_pa == 750_000.0
+        assert math.isfinite(figures.sensitivity_ohm_per_pa) and figures.sensitivity_ohm_per_pa > 0

@@ -654,3 +654,75 @@ class TestHeaderFieldTypes:
     )
     def test_session_header_takes_a_fraction_of_any_length_and_any_offset(self, epoch):
         assert SessionHeader(1, epoch, "measured", 100.0).epoch == epoch
+
+
+class TestFiniteTimestamps:
+    """A session's timestamps are finite: both line readers refuse another at
+    its line, the array reader hands such a file to them, and the writer
+    refuses one before it opens the file."""
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_a_csv_row_with_a_non_finite_time_names_its_line(self, tmp_path, time):
+        path = tmp_path / "s.csv"
+        write_session(_session(cycles=1), path)
+        text = path.read_text().splitlines()
+        text[20] = ",".join([time, *text[20].split(",")[1:]])
+        path.write_text("\n".join(text) + "\n")
+        for reader in (read_csv, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=f":21: timestamp must be finite, got {time}"):
+                reader(path)
+
+    @pytest.mark.parametrize("time", ["NaN", "Infinity", "-Infinity"])
+    def test_a_jsonl_sample_with_a_non_finite_time_names_its_line(self, tmp_path, time):
+        path = tmp_path / "s.jsonl"
+        write_session(_session(cycles=1), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(f'"t_s": {json.loads(lines[3])["t_s"]!r}', f'"t_s": {time}')
+        assert time in lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=":4: timestamp must be finite"):
+                reader(path)
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_the_writer_refuses_a_non_finite_time_before_the_file_opens(self, tmp_path, ext, time):
+        path = tmp_path / f"s.{ext}"
+        path.write_text("kept\n")
+        times = np.array([0.0, time, 0.02])
+        with pytest.raises(ValueError, match="timestamp must be finite"):
+            write_columns(SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0), times, np.zeros((3, 5)), path)
+        assert path.read_text() == "kept\n"
+
+
+class TestUnreadSessionErrors:
+    def test_a_csv_of_five_field_rows_names_its_first_line(self, tmp_path):
+        # every row short alike, so the array pass reads them all and the column check refuses them
+        path = tmp_path / "s.csv"
+        write_session(_session(cycles=1), path)
+        text = path.read_text().splitlines()
+        body = 9  # the eight header lines and the column line
+        text[body:] = [line.rsplit(",", 1)[0] for line in text[body:]]
+        path.write_text("\n".join(text) + "\n")
+        for reader in (read_csv, read_columns):
+            with pytest.raises(SessionFormatError, match=f":{body + 1}: expected 6 fields, got 5"):
+                reader(path)
+
+    def test_a_jsonl_record_of_unknown_type_names_its_line(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_session(_session(cycles=1), path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({"type": "note", "text": "mid-session"})
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=":3: unknown record type 'note'"):
+                reader(path)
+
+    def test_a_jsonl_file_of_no_header_line_is_refused(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_session(_session(cycles=1, with_analysis=True), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if '"header"' not in line) + "\n")
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=f"^{re.escape(str(path))}: missing header line$"):
+                reader(path)
