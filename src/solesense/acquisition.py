@@ -17,19 +17,19 @@ divider and the floor quantizer use only exactly-rounded operations, and the
 static curve is ``sensor.static_ohms``, so both forms agree bit for bit.
 Decoding indexes ``decode_table``, a tuple of bare pascals per (profile,
 divider). Next to it the profile keeps two arrays of the same values. An
-object-dtype array holds the same float objects, which the collector's clean
-runs index in one call: every decoded row shares the table's floats, so
-decoding allocates no float and a held sample stays one small tuple. A
-float64 view of the table gives ``counts_to_pascals`` its (n, 5) pascals in
-one index, with no Python float in between. ``count_to_pressure`` wraps a
-table entry in a Pressure at the API boundary.
+object-dtype array holds the same float objects: a block decoder
+(``_decoded_samples``, which the collector's clean runs use) indexes it once
+for a whole (n, 5) block of codes and gets the rows as tuples of the table's
+own floats, so decoding allocates no float and a held sample stays one small
+tuple. A float64 view of the table gives ``counts_to_pascals`` its (n, 5)
+pascals in one index, with no Python float in between. ``count_to_pressure``
+wraps a table entry in a Pressure at the API boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -192,11 +192,13 @@ def _decoded_sample(table: tuple[float, ...], timestamp: float, codes) -> Pressu
     return PressureSample._of(timestamp, tuple(map(table.__getitem__, codes)))
 
 
-def _decoded_samples(objects: np.ndarray, timestamps: list[float], codes: np.ndarray) -> Iterator[PressureSample]:
+def _decoded_samples(objects: np.ndarray, timestamps: list[float], codes: np.ndarray) -> list[PressureSample]:
     """_decoded_sample of each row of an (n, 5) block of codes, all already
-    checked to be in the table, lazily: ``objects`` (from _decode_tables) is
-    indexed once, and each row is a tuple of the table's own floats."""
-    return map(PressureSample._of, timestamps, zip(*objects[codes].T.tolist()))
+    checked to be in the table, as a list built whole: ``objects`` (from
+    _decode_tables) is indexed once, each row is a tuple of the table's own
+    floats, and PressureSample._of_rows makes the samples with no Python
+    call per row."""
+    return PressureSample._of_rows(timestamps, zip(*objects[codes].T.tolist()))
 
 
 def counts_from_pascals(

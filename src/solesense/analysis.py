@@ -25,7 +25,11 @@ takes peaks and runs the Schmitt trigger on whole columns. Both folds step the
 one scalar phase machine on the same rows: those off the rest set, the
 (contact, phase) pairs at which classify_phase keeps the phase, outside
 initial contact, whose heel-only dwell runs on the clock. At rest, the block
-jumps to its next contact change. analyze() folds its samples as one block.
+jumps to its next contact change. The phase machine is stepped from a table,
+the next phase by phase and contact code, built at import from classify_phase
+(as the rest set is), so a step calls no classifier and compares phases by
+identity; classify_phase and ContactState remain its specification. analyze()
+folds its samples as one block.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ from .units import (
     samples_to_columns,
 )
 
+# module globals for the phases Analyzer._step compares with: an Enum
+# attribute read goes through the metaclass, about ten times slower
+_SWING, _INITIAL_CONTACT, _LOADING_RESPONSE, _PRE_SWING = (
+    GaitPhase.SWING, GaitPhase.INITIAL_CONTACT, GaitPhase.LOADING_RESPONSE, GaitPhase.PRE_SWING
+)
 _NEXT_PHASE = {
     GaitPhase.SWING: GaitPhase.INITIAL_CONTACT,
     GaitPhase.INITIAL_CONTACT: GaitPhase.LOADING_RESPONSE,
@@ -138,15 +147,14 @@ def classify_phase(state: ContactState, previous: GaitPhase) -> GaitPhase:
     return GaitPhase.PRE_SWING  # forefoot only
 
 
+# by phase, classify_phase's next phase for each contact code: the phase
+# machine's table, which Analyzer._step reads
+_MOVES = {phase: tuple(classify_phase(contact, phase) for contact in _CONTACTS) for phase in GaitPhase}
 # by phase, the contact codes at which the phase machine cannot move. Initial
 # contact has none: its heel-only contact matures on the clock (Analyzer._step).
 _REST_CODES = {
-    phase: frozenset(
-        code
-        for code, contact in enumerate(_CONTACTS)
-        if phase != GaitPhase.INITIAL_CONTACT and classify_phase(contact, phase) == phase
-    )
-    for phase in GaitPhase
+    phase: frozenset(code for code, move in enumerate(moves) if move is phase and phase is not _INITIAL_CONTACT)
+    for phase, moves in _MOVES.items()
 }
 
 
@@ -265,7 +273,7 @@ class Analyzer:
         self._contact = code
         if code in _REST_CODES[self._phase]:
             return []
-        event = self._step(t, _CONTACTS[code])
+        event = self._step(t, code)
         return [] if event is None else [event]
 
     def update_block(self, times, pascals) -> list[GaitEvent]:
@@ -315,7 +323,7 @@ class Analyzer:
                 k = bisect_right(changes, i, k)
                 i = changes[k] if k < len(changes) else n
                 continue
-            event = self._step(stamps[i], _CONTACTS[codes[i]])
+            event = self._step(stamps[i], codes[i])
             if event is not None:
                 events.append(event)
             i += 1
@@ -333,29 +341,24 @@ class Analyzer:
         self._last_timestamp = t
         self._sample_index += 1
 
-    def _step(self, t: float, contact: ContactState) -> GaitEvent | None:
-        """Run the phase machine on one row of known contact; returns the
-        event of its transition, if the phase moved."""
-        new_phase = classify_phase(contact, self._phase)
+    def _step(self, t: float, code: int) -> GaitEvent | None:
+        """Run the phase machine on one row of known contact code; returns
+        the event of its transition, if the phase moved."""
+        phase, since = self._phase, self._phase_since
+        new_phase = _MOVES[phase][code]
+        if new_phase is phase:
+            # dwell: a heel-only initial contact matures into loading response
+            # even if the midfoot never distinctly activates
+            if phase is not _INITIAL_CONTACT or since is None or t - since < _LOADING_DWELL_S:
+                return None
+            new_phase = _LOADING_RESPONSE
 
-        # dwell: a heel-only initial contact matures into loading response
-        # even if the midfoot never distinctly activates
-        if (
-            new_phase == GaitPhase.INITIAL_CONTACT
-            and self._phase == GaitPhase.INITIAL_CONTACT
-            and self._phase_since is not None
-            and t - self._phase_since >= _LOADING_DWELL_S
-        ):
-            new_phase = GaitPhase.LOADING_RESPONSE
-
-        if new_phase == self._phase:
-            return None
-        if new_phase != _NEXT_PHASE[self._phase]:
+        if new_phase is not _NEXT_PHASE[phase]:
             self._violations += 1
-        if self._phase_since is not None:
-            self._phase_totals[self._phase] += t - self._phase_since
-            self._phase_counts[self._phase] += 1
-        if self._phase == GaitPhase.SWING and contact.heel_on:
+        if since is not None:
+            self._phase_totals[phase] += t - since
+            self._phase_counts[phase] += 1
+        if phase is _SWING and code & 4:  # the heel is on
             if self._last_strike is None:
                 self._first_strike = t
             elif self._toe_off is not None:  # fold in the cycle this strike closes
@@ -367,7 +370,7 @@ class Analyzer:
             self._cycle_index += 1
             self._last_strike, self._toe_off = t, None
             event = GaitEvent(GaitEventKind.HEEL_STRIKE, t, self._cycle_index)
-        elif self._phase == GaitPhase.PRE_SWING and new_phase == GaitPhase.SWING:
+        elif phase is _PRE_SWING and new_phase is _SWING:
             if self._toe_off is None:
                 self._toe_off = t
             event = GaitEvent(GaitEventKind.TOE_OFF, t, max(self._cycle_index, 0))

@@ -254,6 +254,10 @@ def _event_from_json(obj: dict) -> GaitEvent:
     )
 
 
+# what json.loads makes of a JSON number; bool, a subclass of int, is not one
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
@@ -276,14 +280,20 @@ def read_jsonl(path) -> SessionLog:
                     fields = {**obj.get("divider", {}), **{name: obj[name] for name in _SESSION_FIELDS}}
                     header = _header_from_fields(fields)
                 elif kind == "sample":
-                    samples.append(_session_sample(obj["t_s"], *(obj[c] for c in SAMPLE_COLUMNS[1:])))
+                    values = [obj[c] for c in SAMPLE_COLUMNS]
+                    for name, value in zip(SAMPLE_COLUMNS, values):
+                        if type(value) not in _JSON_NUMBERS:  # a string, a bool, null, ...
+                            raise TypeError(f"{name} must be a JSON number, got {type(value).__name__} {value!r}")
+                    samples.append(_session_sample(*values))
                 elif kind == "event":
                     events.append(_event_from_json(obj))
                 elif kind == "report":
                     report = GaitReport.from_json_dict(obj)
                 else:
                     raise ValueError(f"unknown record type {kind!r}")
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:  # the last two: a mistyped value
+            # TypeError and AttributeError: a mistyped value; OverflowError: an
+            # integer too large for a float
+            except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
                 raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
     if header is None:
         raise SessionFormatError(f"{path}: missing header line")

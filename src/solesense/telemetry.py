@@ -36,9 +36,10 @@ least _ARRAY_FRAMES whole frames is checked in a few numpy calls and, when it
 is a clean aligned run, returned as one slice. One per-frame loop holds the
 sequence and timestamp ledger. A clean run of at least _ARRAY_FRAMES frames,
 which the loop would keep whole (what a healthy link sends), moves the ledger
-in one step instead, and its codes index an object-dtype copy of the decode
-table, each frame becoming one float-row PressureSample of the table's own
-floats. Any other chunk goes through the loop.
+in one step instead. Its codes index an object-dtype copy of the decode table
+once, PressureSample._of_rows makes the run's samples, each a float row of the
+table's own floats, and the sink is mapped over them in C: no Python call is
+made per frame but the sink's own. Any other chunk goes through the loop.
 ``Deframer.feed`` wraps the scan in TelemetryFrames for callers that want them.
 """
 
@@ -53,10 +54,11 @@ import struct
 import threading
 import time
 import traceback
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import count, islice
+from itertools import count, islice, repeat
+from operator import length_hint
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -549,7 +551,9 @@ class Collector:
     the sink sees each device's times strictly increasing.
     Each received chunk is scanned once (``Deframer.scan``, no TelemetryFrame).
     One loop holds the ledger; a clean run of at least _ARRAY_FRAMES frames
-    takes a shortcut with the same samples and counters (``_clean_run``).
+    takes a shortcut with the same samples and counters (``_clean_run``): it
+    is decoded into a list of samples at once, and the sink is mapped over
+    that list with no Python loop (``_ingest_run``).
     ``sink(device_id, PressureSample)`` runs on that thread, once per kept
     frame and in arrival order: it needs no lock, but a slow sink delays every
     connection; one that raises ends only its own, with the counters taking
@@ -683,16 +687,17 @@ class Collector:
     def _ingest_run(self, expected: dict[int, int], device: int, wire: np.ndarray, ms: np.ndarray) -> None:
         """_ingest_frames on a clean run, which keeps every frame: only the
         first can add gaps, and the run is decoded with one index of the
-        table. If the sink raises, the ledger takes in the frames up to the
-        one it raised on, as _ingest_frames would."""
+        table into a list of samples that the sink is mapped over, with no
+        Python loop. If the sink raises, the ledger takes in the frames up to
+        the one it raised on, as _ingest_frames would: those the list
+        iterator has handed out."""
         first = int(wire["sequence"][0])
         samples = _decoded_samples(self._objects, (ms / 1000.0).tolist(), wire["counts"])
-        sink = self._sink
-        sunk = 0
+        rest = iter(samples)
         try:
-            for sunk, sample in enumerate(samples, 1):
-                sink(device, sample)
+            deque(map(self._sink, repeat(device), rest), maxlen=0)  # the sink loop, in C
         finally:
+            sunk = len(samples) - length_hint(rest)  # the frame the sink raised on included
             if sunk:
                 stats = self.stats[device]
                 stats.gaps += first - expected.get(device, first)

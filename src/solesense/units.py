@@ -5,7 +5,9 @@ frozen dataclass so that pascals, newtons, ohms and volts cannot be mixed by
 accident. Arithmetic across quantities only happens through named operations.
 A PressureSample is the exception inside: it holds a float row (a timestamp
 and five pascals in canonical channel order), and a decoded one builds its
-typed Pressures only when a caller reads ``channels``.
+typed Pressures only when a caller reads ``channels``. A decoder builds a
+whole block of samples at once (``PressureSample._of_rows``), with no Python
+call per sample.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -184,6 +187,16 @@ class PressureSample:
         _set(sample, "_row", row)
         return sample
 
+    @classmethod
+    def _of_rows(cls, timestamps: list[float], rows: Iterable[tuple[float, ...]]) -> list["PressureSample"]:
+        """_of of each timestamp and row, in order, for block decoders: one
+        pass makes the samples and one fills each slot, each a map drained in
+        C, so no Python call is made per sample."""
+        samples = list(map(_new, itertools.repeat(cls, len(timestamps))))
+        deque(map(_SET_TIMESTAMP, samples, timestamps), maxlen=0)
+        deque(map(_SET_ROW, samples, rows), maxlen=0)
+        return samples
+
     @property
     def channels(self) -> Mapping[SoleChannel, Pressure]:
         try:
@@ -229,6 +242,9 @@ class PressureSample:
         return f"PressureSample(timestamp={self.timestamp!r}, channels={self.channels!r})"
 
 
+# the slots' own setters, which PressureSample's __setattr__ does not reach
+_SET_TIMESTAMP = PressureSample.timestamp.__set__
+_SET_ROW = PressureSample._row.__set__
 _TIMESTAMP = operator.attrgetter("timestamp")
 _ROW = operator.attrgetter("_row")
 

@@ -25,7 +25,6 @@ import numpy as np
 from solesense import store
 from solesense.acquisition import DividerConfig, _checked_tables, _decoded_sample, _decoded_samples
 from solesense.analysis import (
-    _CONTACTS,
     _OFF_PA,
     _ON_PA,
     _REGION_SLICES,
@@ -131,7 +130,7 @@ def reference_update(analyzer: Analyzer, sample) -> list[GaitEvent]:
     code = analyzer._contact = _schmitt(pressures, analyzer._contact)
     if code in _REST_CODES[analyzer._phase]:
         return []
-    event = analyzer._step(t, _CONTACTS[code])
+    event = analyzer._step(t, code)
     return [] if event is None else [event]
 
 

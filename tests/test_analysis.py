@@ -97,6 +97,27 @@ class TestClassifyPhase:
         state = ContactState(midfoot_on=True, forefoot_on=True)
         assert classify_phase(state, GaitPhase.MID_STANCE) == GaitPhase.TERMINAL_STANCE
 
+    @pytest.mark.parametrize("phase", list(GaitPhase), ids=lambda phase: phase.value)
+    def test_table_step_moves_as_classify_phase(self, phase):
+        # every contact code, with the phase entered 0, 0.5, 1 and 2 dwells ago
+        for code, contact in enumerate(_CONTACTS):
+            for dwells in (0.0, 0.5, 1.0, 2.0):
+                analyzer = Analyzer(_phase=phase, _phase_since=1.0)
+                event = analyzer._step(1.0 + dwells * _LOADING_DWELL_S, code)
+                want = classify_phase(contact, phase)
+                if want is phase is GaitPhase.INITIAL_CONTACT and dwells >= 1.0:
+                    want = GaitPhase.LOADING_RESPONSE
+                assert analyzer._phase is want, (code, dwells)
+                if want is phase:
+                    assert event is None and analyzer == Analyzer(_phase=phase, _phase_since=1.0)
+                    continue
+                if phase is GaitPhase.SWING and contact.heel_on:
+                    assert event.kind is GaitEventKind.HEEL_STRIKE
+                elif phase is GaitPhase.PRE_SWING and want is GaitPhase.SWING:
+                    assert event.kind is GaitEventKind.TOE_OFF
+                else:
+                    assert (event.kind, event.phase) == (GaitEventKind.PHASE_TRANSITION, want)
+
 
 class TestAnalyze:
     def test_oracle_equivalence_zero_noise(self):
@@ -317,7 +338,7 @@ def _update_every_row(analyzer, sample):
         analyzer._peaks[region] = max(analyzer._peaks[region], pressure)
         pressures.append(pressure)
     analyzer._contact = _schmitt(pressures, analyzer._contact)
-    event = analyzer._step(sample.timestamp, _CONTACTS[analyzer._contact])
+    event = analyzer._step(sample.timestamp, analyzer._contact)
     return [] if event is None else [event]
 
 

@@ -302,6 +302,20 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert f"{path}:6: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value", [("t_s", "0.0"), ("heel_pa", "0.0"), ("forefoot_pa", True)],
+        ids=["string timestamp", "string pressure", "true pressure"],
+    )
+    def test_sample_value_that_is_no_json_number_is_data_error(self, tmp_path, capsys, field, value):
+        path = tmp_path / "s.jsonl"
+        main(["simulate", "--cycles", "1", "-o", str(path)])
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 2
+        assert f"{path}:2: {field} must be a JSON number" in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_fit_reproduces_points(self, tmp_path, capsys):

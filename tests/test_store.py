@@ -243,6 +243,48 @@ class TestJsonl:
                 reader(path)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_s", "0.0"), ("heel_pa", "0.0"), ("forefoot_pa", True), ("midfoot_central_pa", False)],
+        ids=["string timestamp", "string pressure", "true pressure", "false pressure"],
+    )
+    def test_sample_value_that_is_no_json_number_reports_line(self, tmp_path, field, value):
+        path = tmp_path / "bad.jsonl"
+        write_session(_session(cycles=1), path)
+        lines = path.read_text().splitlines()
+        sample = json.loads(lines[3])
+        assert sample["type"] == "sample"
+        lines[3] = json.dumps({**sample, field: value})
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=f":4: {field} must be a JSON number, got {type(value).__name__}"):
+                reader(path)
+
+    @pytest.mark.parametrize("line", [3, 0], ids=["sample pressure", "header rate"])
+    def test_integer_too_large_for_a_float_reports_line(self, tmp_path, line):
+        path = tmp_path / "big.jsonl"
+        write_session(_session(cycles=1), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[line])
+        record["heel_pa" if line else "sample_rate_hz"] = "big"
+        lines[line] = json.dumps(record).replace('"big"', "1" + "0" * 400)  # an integer JSON reads exactly
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=f":{line + 1}: .*too large"):
+                reader(path)
+
+    def test_integer_sample_values_read_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        write_session(_session(cycles=1), path)
+        lines = path.read_text().splitlines()
+        sample = json.loads(lines[3])
+        lines[3] = json.dumps({**sample, "t_s": 0, "heel_pa": 25000})
+        path.write_text("\n".join(lines) + "\n")
+        back = read_jsonl(path).samples[2]
+        assert back.timestamp == 0.0 and type(back.timestamp) is float
+        assert back.as_row()[-1] == 25000.0 and type(back.as_row()[-1]) is float
+
+
 class TestColumns:
     @pytest.mark.parametrize("name", ["s.csv", "s.jsonl"])
     def test_write_columns_reads_back(self, tmp_path, name):

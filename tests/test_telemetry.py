@@ -1144,6 +1144,16 @@ class TestReceiveEquivalence:
         assert (stats.frames, stats.gaps) == (38, 0)
         assert collector._last_ms[1] == 10 * (5 + 37)
 
+    @pytest.mark.parametrize("raise_at", [0, 99], ids=["first frame", "last frame"])
+    def test_sink_raising_at_either_end_of_a_clean_run(self, routes, capsys, raise_at):
+        collector, sunk = _receives_as_reference([[_wire(_run(5, 100)), _wire(_run(105, 30))]], raise_at=raise_at)
+        assert routes == {"run": [100], "loop": []}
+        assert "RuntimeError: sink failed" in capsys.readouterr().err
+        assert len(sunk) == raise_at + 1 and sunk[-1] == "raised"
+        stats = collector.stats[1]
+        assert (stats.frames, stats.gaps) == (raise_at + 1, 0)
+        assert collector._last_ms[1] == 10 * (5 + raise_at)
+
     @pytest.mark.parametrize("flaw", _FLAWS)
     def test_a_run_with_one_flaw_takes_the_loop(self, routes, flaw):
         flawed = [_FLAWS[flaw](k, *frame) for k, frame in enumerate(_run(30, 30))]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from helpers import counts_to_samples, receive
 
-from solesense.acquisition import DividerConfig, counts_to_sample, decode_table
+from solesense.acquisition import DividerConfig, _decode_tables, _decoded_samples, counts_to_sample, decode_table
 from solesense.sensor import measured_profile
 from solesense.telemetry import Collector, TelemetryFrame, encode
 from solesense.units import (
@@ -202,6 +202,25 @@ class TestDomainTypes:
                 assert pickle.loads(pickle.dumps(route)) == route
                 assert route.as_row() == pascals and route.timestamp == t
         assert len(inits) == len(decoded)  # the public constructor still checks each one
+
+    def test_block_built_samples_equal_one_at_a_time(self):
+        rows = [(0.0, 1.5, 2.0, 3.0, 4.0), (-0.0, 0.0, 0.0, 0.0, -0.0), (5e5, 0.0, 7.25, 0.0, 1e-300)]
+        times = [0.0, 0.01, 1e9]
+        built = PressureSample._of_rows(times, iter(rows))
+        assert [type(s) for s in built] == [PressureSample] * 3
+        for sample, t, row in zip(built, times, rows):
+            one = PressureSample._of(t, row)
+            assert sample == one and sample.timestamp == t and sample.as_row() is row
+            # a -0.0 pressure is held as given, sign and all
+            assert [math.copysign(1.0, p) for p in sample.as_row()] == [math.copysign(1.0, p) for p in row]
+            assert repr(sample) == repr(one)
+            for name in ("timestamp", "_row"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(sample, name, None)
+            assert pickle.loads(pickle.dumps(sample)) == sample
+        assert PressureSample._of_rows([], iter(())) == []
+        objects = _decode_tables(measured_profile(), DividerConfig())[1]
+        assert _decoded_samples(objects, [], np.empty((0, 5), np.uint16)) == []
 
     def test_held_decoded_samples_are_small(self):
         profile, divider = measured_profile(), DividerConfig()
