@@ -164,12 +164,21 @@ class GaitEventKind(Enum):
     PHASE_TRANSITION = "phase_transition"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaitEvent:
+    """A frozen dataclass whose __init__ stores its four fields with one
+    instance-dict assignment: the generated frozen __init__ makes one
+    object.__setattr__ call per field, and the analyzer builds an event per
+    phase change."""
+
     kind: GaitEventKind
     timestamp: float
     cycle_index: int
     phase: GaitPhase | None = None
+
+    def __init__(self, kind: GaitEventKind, timestamp: float, cycle_index: int, phase: GaitPhase | None = None):
+        fields = {"kind": kind, "timestamp": timestamp, "cycle_index": cycle_index, "phase": phase}
+        object.__setattr__(self, "__dict__", fields)
 
 
 @dataclass(frozen=True)
@@ -194,20 +203,6 @@ class GaitReport:
             },
             "sequence_violations": self.sequence_violations,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GaitReport":
-        return cls(
-            cycles=data["cycles"],
-            cadence_spm=data["cadence_spm"],
-            stance_fraction_mean=data["stance_fraction_mean"],
-            stance_fraction_std=data["stance_fraction_std"],
-            peak_pressure_pa={FootRegion(k): v for k, v in data["peak_pressure_pa"].items()},
-            phase_mean_durations_s={
-                GaitPhase(k): v for k, v in data["phase_mean_durations_s"].items()
-            },
-            sequence_violations=data["sequence_violations"],
-        )
 
 
 @dataclass
@@ -300,8 +295,7 @@ class Analyzer:
             bad = int(np.argmin(ok))
             self.update_block(times[:bad], pascals[:bad])
             self._accept(float(times[bad]))  # raises update()'s error for that row
-        stamps = times.tolist()
-        self._last_timestamp = stamps[-1]
+        self._last_timestamp = times.item(-1)
         self._sample_index += n
 
         previous = self._contact
@@ -323,7 +317,7 @@ class Analyzer:
                 k = bisect_right(changes, i, k)
                 i = changes[k] if k < len(changes) else n
                 continue
-            event = self._step(stamps[i], codes[i])
+            event = self._step(times.item(i), codes[i])  # a float of the rows stepped only, not of every row
             if event is not None:
                 events.append(event)
             i += 1

@@ -47,6 +47,12 @@ _LN9 = math.log(9.0)
 # Half-width of the pressure play operator: 3% of the working range (by
 # default the datasheet's), so a full loading/unloading loop is 6% of it wide.
 _PLAY_SHARE = 0.03
+# The narrowest working range fit_profile takes, as a share of its top
+# pressure: a range a few float steps wide makes a play half-width and step
+# responses below float resolution, and characterize() then reports 0 ms and
+# 0 %. From about 1e6 steps (1.2e-4 Pa at 750 kPa) up, its figures are those
+# of a wide range; 1e-9 of the top is 4.5e6 to 9e6 steps.
+_MIN_RANGE_SHARE = 1e-9
 DEFAULT_HYSTERESIS_HALFWIDTH_PA = _PLAY_SHARE * (datasets.DATASHEET_MAX_PA - datasets.DATASHEET_ONSET_PA)
 
 # Nominal sensitivity printed on the sensor's datasheet. It does not follow
@@ -120,7 +126,8 @@ def fit_profile(
     Sorts by pressure, averages the resistances of duplicate pressures, and
     interpolates ln(resistance) piecewise-linearly in pressure. Rejected: a
     resistance that rises with pressure (the device is negative-piezoresistive),
-    and an onset at or above the last pressure (an empty working range).
+    an onset at or above the last pressure (an empty working range), and a
+    working range narrower than _MIN_RANGE_SHARE of its top pressure.
     """
     by_pressure: dict[float, list[float]] = {}
     for point in points:
@@ -141,7 +148,13 @@ def fit_profile(
     onset, last = onset_pressure.pascals, merged[-1].pressure_pa
     if onset >= last:
         raise CalibrationError(f"onset {onset} Pa is not below the last calibration pressure, {last} Pa")
-    return CalibrationProfile(name=name, points=tuple(merged), onset_pressure=onset_pressure)
+    profile = CalibrationProfile(name=name, points=tuple(merged), onset_pressure=onset_pressure)
+    low, high = profile._working_range
+    if high - low < _MIN_RANGE_SHARE * high:
+        raise CalibrationError(
+            f"working range {low!r} Pa to {high!r} Pa is too narrow: under {_MIN_RANGE_SHARE:g} of its top pressure"
+        )
+    return profile
 
 
 def static_resistance(profile: CalibrationProfile, pressure: Pressure) -> Resistance:

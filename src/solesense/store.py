@@ -15,11 +15,13 @@ writers and both readers go through; SessionHeader and DividerConfig check
 the values, and a divider field left out takes DividerConfig's default.
 
 One writer, write_columns, takes timestamps and (n, 5) pascals, refuses any
-that no reader takes back (_check_columns, the array reader's check too) and
+that no reader takes back (_check_columns, the array readers' check too) and
 writes them in blocks; write_session turns its log's samples into such
-columns. It has one sample-line builder per format; the CSV one calls repr
-once per distinct bit pattern in a block's pressures, which repeat, and looks
-the strings up. Writing goes by extension (``.jsonl``, else CSV), reading by
+columns. It has one sample-line builder per format. Both call repr once per
+distinct bit pattern in a block (_cells), and look the strings up: the CSV
+one for the pressures, which repeat, and the JSONL one for every value,
+which it fills into one fixed line, the bytes json.dumps writes with its keys
+sorted. Writing goes by extension (``.jsonl``, else CSV), reading by
 content, so a file reads whatever it is named.
 
 The report object's field names are fixed: ``cycles``, ``cadence_spm``,
@@ -34,11 +36,16 @@ a growing file never sees a torn one.
 
 read_columns() reads a session as numpy columns (timestamps and (n, 5)
 pascals) for consumers that fold whole blocks, such as ``solesense
-analyze``: a CSV body is parsed in one array pass and validated at once
-(six fields, every timestamp finite, every pressure finite and >= 0). A file
-that pass cannot take whole goes back through read_csv, so the columns always
-equal read_csv's samples and a malformed file raises the same ``path:line``
-error. Both line readers refuse a non-finite timestamp at its line.
+analyze``, with no Python step per line. A CSV body is parsed in one array
+pass by numpy's C reader, given the path. A JSONL file is parsed BLOCK_LINES
+lines per json.loads, its samples' values typed and made columns a block at
+a time. Both are validated at once (six fields, JSON numbers in JSONL, every
+timestamp finite, every pressure finite and >= 0). A file the array pass
+cannot take whole goes back through its line reader, read_csv or
+read_jsonl, so the columns always equal the line reader's samples and a
+malformed file raises the same ``path:line`` error. Both line readers refuse
+a non-finite timestamp at its line. The JSONL readers type every field of
+every record by one rule set (_number, _integer, _number_map).
 
 One line reader, _read_table, reads every CSV table, with one grammar:
 ``#`` lines hold ``key: value`` pairs, on either side of the column line
@@ -58,8 +65,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -67,7 +78,16 @@ from .acquisition import DividerConfig
 from .analysis import GaitEvent, GaitEventKind, GaitReport
 from .sensor import CalibrationError, CalibrationPoint
 from .telemetry import SessionHeader
-from .units import CHANNEL_ORDER, GaitPhase, Pressure, PressureSample, Resistance, Voltage, samples_to_columns
+from .units import (
+    CHANNEL_ORDER,
+    FootRegion,
+    GaitPhase,
+    Pressure,
+    PressureSample,
+    Resistance,
+    Voltage,
+    samples_to_columns,
+)
 
 SAMPLE_COLUMNS = ("t_s",) + tuple(f"{c.value}_pa" for c in CHANNEL_ORDER)
 LEGACY_COLUMNS = ("time_s", "pressure_pa", "resistance_ohm")
@@ -75,6 +95,9 @@ CALIBRATION_HEADER = ("pressure_pa", "resistance_ohm")
 STIMULUS_LAYOUTS = (("time_s", "sensor_pa", "fsr_pa"), ("time_s", "pressure_pa"))
 
 DEFAULT_EPOCH = "1970-01-01T00:00:00Z"
+
+# the rows the writers write, and the lines the JSONL array pass parses, at a time
+BLOCK_LINES = 256
 
 
 class SessionFormatError(ValueError):
@@ -153,19 +176,25 @@ def _first_line(fh, pairs: dict[str, str]) -> tuple[int, int, str]:
     return pairs_line, lineno, ""
 
 
-def _read_column_line(fh, path, layouts=(SAMPLE_COLUMNS,), error=SessionFormatError):
-    """Read through a table's column line, which must name one of ``layouts``
-    with its cells' spaces stripped. Returns the ``#`` pairs before it, the
-    number of the last of them, the column line's number and its layout."""
-    pairs: dict[str, str] = {}
-    pairs_line, lineno, line = _first_line(fh, pairs)
+def _layout(path, lineno: int, line: str, layouts, error=SessionFormatError) -> tuple[str, ...]:
+    """The layout a column line (see _first_line) names: one of ``layouts``,
+    with its cells' spaces stripped."""
     if not line:
         raise error(f"{path}:{lineno + 1}: missing column header line")
     columns = tuple(cell.strip() for cell in line.split(","))
     if columns not in layouts:
         expected = " or ".join(repr(",".join(layout)) for layout in layouts)
         raise error(f"{path}:{lineno}: expected header {expected}, got {line!r}")
-    return pairs, pairs_line, lineno, columns
+    return columns
+
+
+def _read_column_line(fh, path, layouts=(SAMPLE_COLUMNS,), error=SessionFormatError):
+    """Read through a table's column line, which must name one of ``layouts``.
+    Returns the ``#`` pairs before it, the number of the last of them, the
+    column line's number and its layout."""
+    pairs: dict[str, str] = {}
+    pairs_line, lineno, line = _first_line(fh, pairs)
+    return pairs, pairs_line, lineno, _layout(path, lineno, line, layouts, error)
 
 
 def _read_table(path, layouts, record, error=SessionFormatError):
@@ -210,27 +239,54 @@ def _check_columns(times: np.ndarray, pascals: np.ndarray) -> None:
         raise ValueError("pressure must be finite and >= 0")
 
 
+def _checked_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The timestamps and pascals of (n, 6) sample rows, as _check_columns
+    takes them. Each is a contiguous copy: the checks, and a fold after them,
+    run several times faster over it than over a view of the rows."""
+    times, pascals = rows[:, 0].copy(), np.ascontiguousarray(rows[:, 1:])
+    _check_columns(times, pascals)
+    return times, pascals
+
+
 def read_csv(path) -> SessionLog:
     _, samples, pairs, line = _read_table(path, (SAMPLE_COLUMNS,), _session_sample)
     return SessionLog(header=_parse_header_block(pairs, path, line), samples=samples)
 
 
+# the suffixes by which numpy opens a path through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _read_csv_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
     """read_csv in one array pass; raises ValueError on anything read_csv
-    might read differently or reject."""
+    might read differently or reject.
+
+    loadtxt reads the body by path, skipping the lines through the column
+    line: given a str path and no comment character, its C reader pulls the
+    file in chunks, where a file object costs a Python call per line. numpy
+    opens a path by its suffix, so a file named as compressed (a suffix in
+    _COMPRESSED_SUFFIXES) is left to read_csv; the path is made absolute so
+    that numpy never takes it for a URL."""
     with open(path, "r", encoding="utf-8") as fh:
-        pairs, header_line, *_ = _read_column_line(fh, path)
+        pairs, header_line, columns_line, _ = _read_column_line(fh, path)
+        body = any(line != "\n" for line in fh)  # loadtxt warns on a body of blank lines
+    if not body:
         rows = np.empty((0, len(SAMPLE_COLUMNS)))
-        for first in iter(fh.readline, ""):
-            if first != "\n":  # loadtxt warns on a body of blank lines
-                rows = np.loadtxt(chain([first], fh), delimiter=",", comments=None, ndmin=2)
-                break
-    times, pascals = rows[:, 0], rows[:, 1:]
-    _check_columns(times, pascals)
-    return _parse_header_block(pairs, path, header_line), times, pascals
+    elif os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
+        raise ValueError(f"{path}: numpy would decompress a file of this name")
+    else:
+        rows = np.loadtxt(
+            os.path.abspath(path), delimiter=",", comments=None, ndmin=2, skiprows=columns_line, encoding="utf-8"
+        )
+    return _parse_header_block(pairs, path, header_line), *_checked_columns(rows)
 
 
 # --- JSONL -------------------------------------------------------------------
+
+# What a bad record raises, each named by its line: TypeError and
+# AttributeError for a mistyped value, OverflowError for an integer too large
+# for a float
+_BAD_RECORD = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _event_to_json(event: GaitEvent) -> dict:
@@ -245,59 +301,135 @@ def _event_to_json(event: GaitEvent) -> dict:
     return body
 
 
+# what json.loads makes of a JSON number; bool, a subclass of int, is not one
+_JSON_NUMBERS = frozenset((int, float))
+
+
+# The typing rules of every record's fields, each called as rule(name, value):
+# a number field takes a JSON number and reads it as a float, a count a JSON
+# integer, a map a JSON object of numbers keyed by an enum's values.
+def _json_typed(name: str, value, types, what: str):
+    if type(value) not in types:
+        raise TypeError(f"{name} must be a JSON {what}, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    return float(_json_typed(name, value, _JSON_NUMBERS, "number"))
+
+
+def _integer(name: str, value) -> int:
+    return _json_typed(name, value, (int,), "integer")
+
+
+def _number_map(keys, name: str, value) -> dict:
+    numbers = _json_typed(name, value, (dict,), "object")
+    return {keys(key): _number(f"{name}.{key}", number) for key, number in numbers.items()}
+
+
 def _event_from_json(obj: dict) -> GaitEvent:
     return GaitEvent(
-        kind=GaitEventKind(obj["kind"]),
-        timestamp=obj["t_s"],
-        cycle_index=obj["cycle_index"],
-        phase=GaitPhase(obj["phase"]) if "phase" in obj else None,
+        GaitEventKind(obj["kind"]),
+        _number("t_s", obj["t_s"]),
+        _integer("cycle_index", obj["cycle_index"]),
+        GaitPhase(obj["phase"]) if "phase" in obj else None,
     )
 
 
-# what json.loads makes of a JSON number; bool, a subclass of int, is not one
-_JSON_NUMBERS = frozenset((int, float))
+_REPORT_FIELDS = {
+    "cycles": _integer,
+    "cadence_spm": _number,
+    "stance_fraction_mean": _number,
+    "stance_fraction_std": _number,
+    "peak_pressure_pa": partial(_number_map, FootRegion),
+    "phase_mean_durations_s": partial(_number_map, GaitPhase),
+    "sequence_violations": _integer,
+}
+
+
+def _report_from_json(obj: dict) -> GaitReport:
+    return GaitReport(**{name: rule(name, obj[name]) for name, rule in _REPORT_FIELDS.items()})
 
 
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _read_record(obj: dict, log: SessionLog) -> None:
+    """Fold one JSON Lines record into ``log``; a bad one raises one of _BAD_RECORD."""
+    kind = obj["type"]
+    if kind == "header":
+        # the divider's keys, then the session's, which must all be there
+        fields = {**obj.get("divider", {}), **{name: obj[name] for name in _SESSION_FIELDS}}
+        log.header = _header_from_fields(fields)
+    elif kind == "sample":
+        values = [obj[name] for name in SAMPLE_COLUMNS]
+        log.samples.append(_session_sample(*map(_number, SAMPLE_COLUMNS, values)))
+    elif kind == "event":
+        log.events.append(_event_from_json(obj))
+    elif kind == "report":
+        log.report = _report_from_json(obj)
+    else:
+        raise ValueError(f"unknown record type {kind!r}")
+
+
 def read_jsonl(path) -> SessionLog:
-    header: SessionHeader | None = None
-    samples: list[PressureSample] = []
-    events: list[GaitEvent] = []
-    report: GaitReport | None = None
+    log = SessionLog(header=None)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                kind = obj["type"]
-                if kind == "header":
-                    # the divider's keys, then the session's, which must all be there
-                    fields = {**obj.get("divider", {}), **{name: obj[name] for name in _SESSION_FIELDS}}
-                    header = _header_from_fields(fields)
-                elif kind == "sample":
-                    values = [obj[c] for c in SAMPLE_COLUMNS]
-                    for name, value in zip(SAMPLE_COLUMNS, values):
-                        if type(value) not in _JSON_NUMBERS:  # a string, a bool, null, ...
-                            raise TypeError(f"{name} must be a JSON number, got {type(value).__name__} {value!r}")
-                    samples.append(_session_sample(*values))
-                elif kind == "event":
-                    events.append(_event_from_json(obj))
-                elif kind == "report":
-                    report = GaitReport.from_json_dict(obj)
-                else:
-                    raise ValueError(f"unknown record type {kind!r}")
-            # TypeError and AttributeError: a mistyped value; OverflowError: an
-            # integer too large for a float
-            except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-                raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
-    if header is None:
+            if line:
+                try:
+                    _read_record(json.loads(line), log)
+                except _BAD_RECORD as exc:
+                    raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
+    if log.header is None:
         raise SessionFormatError(f"{path}: missing header line")
-    return SessionLog(header=header, samples=samples, events=events, report=report)
+    return log
+
+
+_TYPE = itemgetter("type")
+_SAMPLE_VALUES = itemgetter(*SAMPLE_COLUMNS)
+
+
+def _read_jsonl_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
+    """read_jsonl's header and sample columns, one json.loads per BLOCK_LINES
+    lines, with a Python step per record only in a block that holds records
+    other than samples; raises one of _BAD_RECORD on anything read_jsonl
+    might read differently or reject.
+
+    A block's non-blank lines, stripped, are parsed as one JSON array of them
+    joined by commas. A block that holds a ``[``, or a line after its first
+    that starts with ``"``, is refused: then no joining comma can fall inside
+    a value (an array would take it, an object would need a key after it), so
+    the array has one record per line only if each line holds exactly one JSON
+    value, as read_jsonl requires. Records other than samples go through
+    _read_record; the samples' values are typed a block at a time, by the
+    same rule."""
+    log = SessionLog(header=None)
+    blocks = [np.empty((0, len(SAMPLE_COLUMNS)))]
+    with open(path, "r", encoding="utf-8") as fh:
+        for chunk in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
+            lines = list(filter(None, map(str.strip, chunk)))
+            text = ",\n".join(lines)
+            if "[" in text or '\n"' in text:
+                raise ValueError("a block whose lines the array pass cannot tell apart")
+            records = json.loads(f"[{text}]")
+            if len(records) != len(lines):
+                raise ValueError("a line that holds other than one JSON value")
+            kinds = list(map(_TYPE, records))
+            if kinds.count("sample") < len(records):
+                for obj, kind in zip(records, kinds):
+                    if kind != "sample":
+                        _read_record(obj, log)
+                records = [obj for obj, kind in zip(records, kinds) if kind == "sample"]
+            values = list(map(_SAMPLE_VALUES, records))
+            if not set(map(type, chain.from_iterable(values))) <= _JSON_NUMBERS:
+                raise TypeError("a sample value that is no JSON number")
+            blocks.append(np.array(values, dtype=float).reshape(-1, len(SAMPLE_COLUMNS)))
+    if log.header is None:
+        raise ValueError("missing header line")
+    return log.header, *_checked_columns(np.concatenate(blocks))
 
 
 def _is_jsonl(path) -> bool:
@@ -314,47 +446,62 @@ def read_session(path) -> SessionLog:
     return read_csv(path)
 
 
-def read_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
+def read_columns(path, kind: str | None = None) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
     """Read a session as (header, timestamps, (n, 5) pascals in canonical
     channel order), without building a PressureSample per row.
 
-    The format is told apart by content, as in read_session. CSV parses in
-    one array pass. A file that pass cannot take whole is read again by
-    read_csv, which either returns the same rows or raises the
-    SessionFormatError naming the offending line. JSONL keeps its line parser.
+    ``kind`` is sniff_kind's answer for the file, 'session' or
+    'session_jsonl', from a caller that has sniffed it; without it the format
+    is told apart by content, as in read_session. Either format is parsed in
+    array passes (_read_csv_columns, _read_jsonl_columns). A file those
+    cannot take whole is read again by its line reader, read_csv or
+    read_jsonl, which either returns the same rows or raises the
+    SessionFormatError naming the offending line.
     """
-    if _is_jsonl(path):
-        log = read_jsonl(path)
-    else:
-        try:
-            return _read_csv_columns(path)
-        except ValueError:
-            log = read_csv(path)
+    if kind is None:
+        kind = "session_jsonl" if _is_jsonl(path) else "session"
+    columns, lines = (_read_jsonl_columns, read_jsonl) if kind == "session_jsonl" else (_read_csv_columns, read_csv)
+    try:
+        return columns(path)
+    except _BAD_RECORD:
+        log = lines(path)
     return (log.header, *samples_to_columns(log.samples))
 
 
-BLOCK_LINES = 256
+def _cells(block: np.ndarray) -> Iterator[str]:
+    """repr of each value of a float block, row by row. The pressures repeat
+    (256 rows of a simulated session hold about 60 distinct ones in 1,280),
+    so repr runs once per distinct value, told apart by bit pattern so that
+    -0.0 is not 0.0, and the cells look its strings up. A dict finds the
+    distinct values, not np.unique: its first call maps about 0.6 MiB of sort
+    code into the process."""
+    bits = block.view(np.int64).ravel().tolist()
+    distinct = list(dict.fromkeys(bits))
+    text = dict(zip(distinct, map(repr, np.array(distinct, dtype=np.int64).view(float).tolist())))
+    return map(text.__getitem__, bits)
 
 
 def _csv_block(times: np.ndarray, pascals: np.ndarray) -> str:
-    """The CSV lines of a block of rows. The pressures repeat (256 rows of a
-    simulated session hold about 60 distinct ones in 1,280), so repr runs
-    once per distinct value, told apart by bit pattern so that -0.0 is not
-    0.0, and the cells look its strings up. A dict finds the distinct values,
-    not np.unique: its first call maps about 0.6 MiB of sort code into the
-    process."""
-    bits = pascals.view(np.int64).ravel().tolist()
-    distinct = list(dict.fromkeys(bits))
-    text = dict(zip(distinct, map(repr, np.array(distinct, dtype=np.int64).view(float).tolist())))
-    cells = map(text.__getitem__, bits)
+    """The CSV lines of a block of rows."""
+    cells = _cells(pascals)
     rows = map(",".join, zip(*[cells] * pascals.shape[1]))  # one row's cells at a time
     return "".join([f"{t!r},{row}\n" for t, row in zip(times.tolist(), rows)])
 
 
+# the order of SAMPLE_COLUMNS that _jsonl_block's line takes the values in: its keys', sorted
+_JSONL_ORDER = [SAMPLE_COLUMNS.index(name) for name in sorted(SAMPLE_COLUMNS)]
+
+
 def _jsonl_block(times: np.ndarray, pascals: np.ndarray) -> str:
-    """The JSON Lines sample records of a block of rows."""
-    rows = zip(times.tolist(), pascals.tolist())
-    return "".join([_json_line(dict(zip(SAMPLE_COLUMNS, (t, *row)), type="sample")) for t, row in rows])
+    """The JSON Lines sample records of a block of rows, as _json_line writes
+    them (keys sorted, and json.dumps of a finite float is its repr), from
+    one fixed line."""
+    cells = _cells(np.column_stack((times, pascals))[:, _JSONL_ORDER])
+    return "".join([
+        f'{{"forefoot_pa": {fore}, "heel_pa": {heel}, "midfoot_central_pa": {central}, '
+        f'"midfoot_lateral_pa": {lateral}, "midfoot_medial_pa": {medial}, "t_s": {t}, "type": "sample"}}\n'
+        for fore, heel, central, lateral, medial, t in zip(*[cells] * len(SAMPLE_COLUMNS))
+    ])
 
 
 def write_columns(header: SessionHeader, times, pascals, path, events=(), report: GaitReport | None = None) -> None:
@@ -447,7 +594,6 @@ def sniff_kind(path) -> str:
     """Classify a file as 'session_jsonl', or by the layout its column line
     names, read as the readers read it: 'session', 'legacy', 'calibration' or
     'stimulus'."""
-    if _is_jsonl(path):
-        return "session_jsonl"
     with open(path, "r", encoding="utf-8") as fh:
-        return _KINDS[_read_column_line(fh, path, _KINDS)[3]]
+        _, lineno, line = _first_line(fh, {})
+    return "session_jsonl" if line.startswith("{") else _KINDS[_layout(path, lineno, line, _KINDS)]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -14,6 +15,7 @@ from solesense.analysis import (
     _LOADING_DWELL_S,
     Analyzer,
     ContactState,
+    GaitEvent,
     GaitEventKind,
     analyze,
     classify_phase,
@@ -619,3 +621,32 @@ class TestCompareSensors:
     def test_empty_time_base_is_rejected(self, stimuli):
         with pytest.raises(ValueError, match="empty time base"):
             compare_sensors([], stimuli, [bench_profile(), fsr_reference_profile()])
+
+
+class TestGaitEvent:
+    """GaitEvent's own __init__ keeps it the frozen dataclass it was."""
+
+    def test_an_event_behaves_as_a_frozen_dataclass(self):
+        event = GaitEvent(GaitEventKind.PHASE_TRANSITION, 1.25, 3, GaitPhase.MID_STANCE)
+        same = GaitEvent(kind=GaitEventKind.PHASE_TRANSITION, timestamp=1.25, cycle_index=3, phase=GaitPhase.MID_STANCE)
+        assert event == same and hash(event) == hash(same)
+        assert event != GaitEvent(GaitEventKind.PHASE_TRANSITION, 1.25, 3)
+        assert event != (GaitEventKind.PHASE_TRANSITION, 1.25, 3, GaitPhase.MID_STANCE)
+        assert repr(event) == (
+            "GaitEvent(kind=<GaitEventKind.PHASE_TRANSITION: 'phase_transition'>, timestamp=1.25, cycle_index=3, "
+            "phase=<GaitPhase.MID_STANCE: 'mid_stance'>)"
+        )
+        assert [f.name for f in dataclasses.fields(event)] == ["kind", "timestamp", "cycle_index", "phase"]
+        assert dataclasses.replace(event, cycle_index=4) == GaitEvent(
+            GaitEventKind.PHASE_TRANSITION, 1.25, 4, GaitPhase.MID_STANCE
+        )
+        assert GaitEvent(GaitEventKind.TOE_OFF, 2.0, 0).phase is None
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(event, protocol))
+            assert back == event and hash(back) == hash(event)
+        assert copy.deepcopy(event) == event
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.timestamp = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.kind
+        assert event.timestamp == 1.25 and event.kind is GaitEventKind.PHASE_TRANSITION

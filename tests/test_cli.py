@@ -316,6 +316,50 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert f"{path}:2: {field} must be a JSON number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record, change, message",
+        [
+            ("event", {"t_s": "soon"}, "t_s must be a JSON number, got str 'soon'"),
+            ("event", {"cycle_index": "x"}, "cycle_index must be a JSON integer, got str 'x'"),
+            ("report", {"cycles": "many"}, "cycles must be a JSON integer, got str 'many'"),
+        ],
+        ids=["string event time", "string cycle index", "string cycle count"],
+    )
+    def test_event_or_report_field_of_the_wrong_type_is_data_error(self, tmp_path, capsys, record, change, message):
+        assert main(["simulate", "--cycles", "3", "-o", str(tmp_path / "s.csv")]) == 0
+        log = store.read_session(tmp_path / "s.csv")
+        log.events, log.report = analyze(log.samples)
+        path = tmp_path / "e.jsonl"
+        store.write_session(log, path)
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == record)
+        lines[k] = json.dumps({**json.loads(lines[k]), **change})
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{k + 1}: {message}\n"
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_plain_session_named_as_compressed_analyzes_as_csv(self, tmp_path, capsys, suffix):
+        source = tmp_path / "s.csv"
+        assert main(["simulate", "--cycles", "2", "-o", str(source)]) == 0
+        named = tmp_path / f"s{suffix}"
+        named.write_bytes(source.read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", str(source)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["analyze", str(named)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_the_session_header_is_read_once_after_the_sniff(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        assert main(["simulate", "--cycles", "1", "-o", str(path)]) == 0
+        passes = []
+        first_line = store._first_line
+        monkeypatch.setattr(store, "_first_line", lambda fh, pairs: passes.append(1) or first_line(fh, pairs))
+        assert main(["analyze", str(path)]) == 0
+        assert len(passes) == 2  # sniff_kind's, then the reader's
+
 
 class TestCalibrate:
     def test_fit_reproduces_points(self, tmp_path, capsys):
@@ -1033,6 +1077,17 @@ class TestEmptyWorkingRange:
         captured = capsys.readouterr()
         assert captured.err == "error: onset 750000.0 Pa is not below the last calibration pressure, 750000.0 Pa\n"
         assert captured.out == "" and not out.exists()
+
+    def test_calibrate_on_a_working_range_one_float_step_wide_is_a_data_error(self, tmp_path, capsys):
+        # it printed 0.0 ms response and recovery and 0.00 % hysteresis
+        cal = tmp_path / "cal.csv"
+        cal.write_text("pressure_pa,resistance_ohm\n200000.0,150000.0\n400000.0,20000.0\n750000.0,200.0\n")
+        assert main(["calibrate", str(cal), "--onset", "749999.9999999999"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: working range 749999.9999999999 Pa to 750000.0 Pa is too narrow: under 1e-09 of its top pressure\n"
+        )
+        assert captured.out == ""
 
     def test_calibrate_with_the_default_onset_above_the_sweep_is_a_data_error(self, tmp_path, capsys):
         cal = tmp_path / "low.csv"

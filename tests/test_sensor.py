@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -288,8 +289,25 @@ class TestWorkingRange:
 
     def test_an_onset_below_the_last_pressure_fits(self):
         last = datasheet_profile().max_pressure_pa
-        profile = fit_profile("narrow", _points(DATASHEET_RANGE), Pressure(math.nextafter(last, 0.0)))
+        profile = fit_profile("narrow", _points(DATASHEET_RANGE), Pressure(last * (1 - 1e-8)))
         assert profile.onset_pressure.pascals < profile.max_pressure_pa
+        figures = characterize(profile)
+        assert round(figures.response_time_s * 1e3, 1) == 120.0 and round(figures.hysteresis_fraction, 4) == 0.06
+
+    @pytest.mark.parametrize(
+        "rows, onset, low",
+        [
+            (DATASHEET_RANGE, math.nextafter(750_000.0, 0.0), math.nextafter(750_000.0, 0.0)),
+            (DATASHEET_RANGE, 750_000.0 - 1e-4, 750_000.0 - 1e-4),
+            ([(750_000.0 - 1e-6, 300.0), (750_000.0, 200.0)], 0.0, 750_000.0 - 1e-6),
+        ],
+        ids=["onset one float step below the last point", "onset 0.1 mPa below it", "points 1 uPa apart"],
+    )
+    def test_a_working_range_of_a_few_float_steps_is_rejected(self, rows, onset, low):
+        # characterize() on such a range printed 0.0 ms response and recovery and 0.00 % hysteresis
+        message = f"working range {low!r} Pa to 750000.0 Pa is too narrow"
+        with pytest.raises(CalibrationError, match=re.escape(message)):
+            fit_profile("narrow", _points(rows), Pressure(onset))
 
     def test_the_datasheet_play_is_the_default_bit_for_bit(self):
         assert DynamicsConfig.for_profile(datasheet_profile()) == DynamicsConfig()

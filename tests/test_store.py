@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from solesense import store
 from solesense.acquisition import DividerConfig
 from solesense.analysis import analyze
 from solesense.sensor import CalibrationError
@@ -43,6 +44,31 @@ def _assert_columns_equal_rows(path, reader):
     assert times.tolist() == [s.timestamp for s in log.samples]
     assert pascals.shape == (len(log.samples), 5)
     assert pascals.tolist() == [list(s.as_row()) for s in log.samples]
+
+
+def _assert_columns_as_read_csv(path):
+    """read_columns equals read_csv on ``path``, or raises its error."""
+    try:
+        read_csv(path)
+    except SessionFormatError as exc:
+        with pytest.raises(SessionFormatError) as info:
+            read_columns(path)
+        assert str(info.value) == str(exc)
+    else:
+        _assert_columns_equal_rows(path, read_csv)
+
+
+def _bits(values):
+    """The bit patterns of floats, so that -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _array_pass_only(monkeypatch):
+    """Make read_columns fail if it falls back to the JSONL line parser;
+    returns that parser."""
+    line_parser = store.read_jsonl
+    monkeypatch.setattr(store, "read_jsonl", lambda path: pytest.fail(f"{path} fell back to the line parser"))
+    return line_parser
 
 
 def _session(cycles=2, noise=0.0, with_analysis=False):
@@ -135,6 +161,34 @@ class TestCsv:
             read_csv(partial)  # must never raise
             _assert_columns_equal_rows(partial, read_csv)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\r"),
+            lambda text: text.replace("heel_pa\n", "heel_pa\n\n\n", 1),
+            lambda text: text.replace("heel_pa\n", "heel_pa\n   \n", 1),
+            lambda text: text.replace("\n0.5", "\n# note: mid-session\n0.5", 1),
+            lambda text: text.rstrip("\n"),
+            lambda text: text[: text.index("heel_pa\n") + 8] + "\n\n\n",
+        ],
+        ids=[
+            "crlf", "cr only", "blank lines before the first row", "spaces before the first row",
+            "a # line in the body", "no final newline", "a header and blank lines only",
+        ],
+    )
+    def test_the_array_pass_reads_as_read_csv(self, tmp_path, edit):
+        path = _written(tmp_path / "s.csv", _session(cycles=1))
+        path.write_bytes(edit(path.read_text()).encode())
+        _assert_columns_as_read_csv(path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_plain_session_named_as_compressed_reads_as_written(self, tmp_path, suffix):
+        # numpy would open a path of this name through a decompressor
+        log = _session(cycles=1)
+        path = _written(tmp_path / f"s{suffix}", log)
+        _assert_columns_equal_rows(path, read_csv)
+        assert read_columns(path)[1].tolist() == [s.timestamp for s in log.samples]
 
     def test_blocks_write_the_lines_one_by_one_would(self, tmp_path):
         log = _session(cycles=6, noise=1_000.0)
@@ -283,6 +337,117 @@ class TestJsonl:
         back = read_jsonl(path).samples[2]
         assert back.timestamp == 0.0 and type(back.timestamp) is float
         assert back.as_row()[-1] == 25000.0 and type(back.as_row()[-1]) is float
+
+    @pytest.mark.parametrize(
+        "samples", [0, 1, BLOCK_LINES - 2, BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, 2 * BLOCK_LINES + 3]
+    )
+    def test_the_array_pass_reads_what_the_line_parser_reads(self, tmp_path, monkeypatch, samples):
+        # events and blank lines among the samples, and on either side of a
+        # block boundary of the array pass
+        log = _session(cycles=6, noise=1_000.0, with_analysis=True)
+        log.samples = log.samples[:samples]
+        path = _written(tmp_path / "s.jsonl", log)
+        lines = path.read_text().splitlines()
+        event = lines[1 + samples]
+        for k in (BLOCK_LINES + 1, BLOCK_LINES, BLOCK_LINES - 1, 100, 1):
+            lines[k:k] = [event, ""] if k <= samples else []
+        path.write_text("\n".join(lines) + "\n")
+        line_parser = _array_pass_only(monkeypatch)
+        header, times, pascals = read_columns(path)
+        back = line_parser(path)
+        assert header == back.header
+        assert _bits(times) == _bits([s.timestamp for s in back.samples])
+        assert _bits(pascals) == _bits([s.as_row() for s in back.samples])
+        assert pascals.shape == (samples, 5)
+
+    def test_the_array_pass_takes_numbers_as_the_line_parser_does(self, tmp_path, monkeypatch):
+        path = _written(tmp_path / "s.jsonl", _session(cycles=1))
+        lines = path.read_text().splitlines()
+        changes = {
+            3: {"heel_pa": -0.0, "forefoot_pa": 0},
+            4: {"t_s": 1, "heel_pa": 25000},
+            5: {"midfoot_medial_pa": 2**53 + 1, "midfoot_central_pa": 2**63 + 1, "midfoot_lateral_pa": 10**30},
+            6: {"heel_pa": 1e-320, "forefoot_pa": 1.7976931348623157e308},
+        }
+        for k, change in changes.items():
+            lines[k] = json.dumps({**json.loads(lines[k]), **change})
+        path.write_text("\n".join(lines) + "\n")
+        line_parser = _array_pass_only(monkeypatch)
+        _, times, pascals = read_columns(path)
+        back = line_parser(path).samples
+        assert _bits(times) == _bits([s.timestamp for s in back])
+        assert _bits(pascals) == _bits([s.as_row() for s in back])
+        assert math.copysign(1.0, pascals[2, 4]) == -1.0
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ('1},{"a": 2', None),
+            ("{SAMPLE}, {SAMPLE}", None),
+            ('{SAMPLE}, {"type": "sample", "t_s": 0.5', '"forefoot_pa": 1.0, "midfoot_medial_pa": 1.0, '
+             '"midfoot_central_pa": 1.0, "midfoot_lateral_pa": 1.0, "heel_pa": 1.0}'),
+            ('{SAMPLE}, {"type": "sample", "t_s": 0.5, "forefoot_pa": 1.0, "midfoot_medial_pa": 1.0, '
+             '"midfoot_central_pa": 1.0, "midfoot_lateral_pa": 1.0, "heel_pa": 1.0, "notes": [{}', "{}]}"),
+        ],
+        ids=["a value's end and start", "two records", "two records, one split at a key", "two records, one split in an array"],
+    )
+    def test_lines_of_other_than_one_value_are_the_line_parser_error(self, tmp_path, first, second):
+        # joined by commas, the last two make as many records as lines
+        path = _written(tmp_path / "s.jsonl", _session(cycles=1))
+        lines = path.read_text().splitlines()
+        lines[3] = first.replace("{SAMPLE}", lines[3])
+        if second is not None:
+            lines[4] = second
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SessionFormatError) as expected:
+            read_jsonl(path)
+        assert str(expected.value).startswith(f"{path}:4: ")
+        for reader in (read_session, read_columns):
+            with pytest.raises(SessionFormatError) as info:
+                reader(path)
+            assert str(info.value) == str(expected.value)
+
+    def test_a_file_the_array_pass_declines_reads_by_line(self, tmp_path):
+        # a "[" in a string, which the array pass does not tell from an array
+        log = _session(cycles=1)
+        log.header = SessionHeader(1, DEFAULT_EPOCH, "[lab]", 100.0)
+        path = _written(tmp_path / "s.jsonl", log)
+        _assert_columns_equal_rows(path, read_jsonl)
+        assert read_columns(path)[0].profile_name == "[lab]"
+
+    @pytest.mark.parametrize(
+        "record, change, message",
+        [
+            ("event", {"t_s": "soon"}, "t_s must be a JSON number, got str 'soon'"),
+            ("event", {"t_s": False}, "t_s must be a JSON number, got bool False"),
+            ("event", {"cycle_index": "x"}, "cycle_index must be a JSON integer, got str 'x'"),
+            ("event", {"cycle_index": 1.0}, "cycle_index must be a JSON integer, got float 1.0"),
+            ("event", {"kind": "jump"}, "'jump' is not a valid GaitEventKind"),
+            ("event", {"phase": "flight"}, "'flight' is not a valid GaitPhase"),
+            ("report", {"cycles": "many"}, "cycles must be a JSON integer, got str 'many'"),
+            ("report", {"sequence_violations": True}, "sequence_violations must be a JSON integer, got bool True"),
+            ("report", {"cadence_spm": None}, "cadence_spm must be a JSON number, got NoneType None"),
+            ("report", {"peak_pressure_pa": {"toe": 1.0}}, "'toe' is not a valid FootRegion"),
+            ("report", {"peak_pressure_pa": {"heel": "1"}}, "peak_pressure_pa.heel must be a JSON number, got str '1'"),
+            ("report", {"phase_mean_durations_s": {"flight": 0.1}}, "'flight' is not a valid GaitPhase"),
+            ("report", {"phase_mean_durations_s": [0.1]}, "phase_mean_durations_s must be a JSON object, got list [0.1]"),
+        ],
+        ids=[
+            "string event time", "false event time", "string cycle index", "float cycle index", "unknown kind",
+            "unknown phase", "string cycles", "true violations", "null cadence", "unknown region",
+            "string peak", "unknown phase key", "durations not an object",
+        ],
+    )
+    def test_event_and_report_fields_must_have_their_types(self, tmp_path, record, change, message):
+        path = _written(tmp_path / "s.jsonl", _session(cycles=3, with_analysis=True))
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == record)
+        lines[k] = json.dumps({**json.loads(lines[k]), **change})
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_jsonl, read_session, read_columns):
+            with pytest.raises(SessionFormatError) as info:
+                reader(path)
+            assert str(info.value) == f"{path}:{k + 1}: {message}"
 
 
 class TestColumns:
