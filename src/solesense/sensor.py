@@ -20,10 +20,11 @@ static curve.
 a whole column of samples, or a block of columns sampled at the same times
 (the insole's five sensors), and gives the same values bit for bit. Its play
 operator is a prefix scan down the block, and its static curve is
-``static_ohms`` on the whole block. The lag runs column by column through
-``step``'s own ``_lagged_ohms`` on plain floats (``math.exp``/``math.log``;
-``np.exp`` may differ from them in the last ulp), and only on the samples
-whose target is a closed circuit.
+``static_ohms`` on the whole block. The lag runs column by column, inline,
+as ``step``'s own ``_lagged_ohms`` computes it: the same operations in the
+same order on plain floats (``math.exp``/``math.log``; ``np.exp`` may differ
+from them in the last ulp), and only on the samples whose target is a closed
+circuit; a column with none is skipped.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def run_channel(
     pascals and the lagged ohms after each sample, in the shape of
     ``applied_pa``, each column equal bit for bit to what step() gives sample
     by sample. The checks, the play scan and the static curve run once on the
-    whole block; only the lag runs column by column.
+    whole block; only the lag runs column by column, with no call per sample.
 
     The play operator is _play_scan. It is exact because min and max only
     choose among floats that already exist: every bound is some a +/- h, and
@@ -314,8 +315,9 @@ def run_channel(
 
     The static curve is static_ohms over the block. An open-circuit target is
     its own lagged value, and the first closed sample after one adopts its
-    target; so the lag recurrence, step()'s own _lagged_ohms, runs only over
-    the closed samples, restarting from inf after each open stretch.
+    target; so the lag recurrence runs only over the closed samples,
+    restarting after each open stretch or from an inf start. It is step()'s
+    _lagged_ohms written out in the loop, its operations in their order.
     """
     applied = np.asarray(applied_pa, dtype=float)
     times = np.asarray(timestamps, dtype=float)
@@ -332,14 +334,20 @@ def run_channel(
     targets = static_ohms(profile, effective)
 
     lagged = targets.copy()
+    exp, log, inf, tau_load, tau_recover = math.exp, math.log, math.inf, dynamics.tau_load, dynamics.tau_recover
     for column_targets, column_lagged in zip(targets.T, lagged.T):
-        closed = np.flatnonzero(column_targets < math.inf)
+        closed = np.flatnonzero(column_targets < inf)
+        if not len(closed):
+            continue
         values = []
         ohms, after = state.lagged_resistance.ohms, -1
         for k, target, dt in zip(closed.tolist(), column_targets[closed].tolist(), steps[closed].tolist()):
-            if k != after + 1:
-                ohms = math.inf
-            ohms = _lagged_ohms(ohms, target, dt, dynamics)
+            if k != after + 1 or ohms == inf:  # _lagged_ohms's restart
+                ohms = target
+            else:  # _lagged_ohms's approach, in its order of operations
+                log_target = log(target)
+                decay = exp(-dt / (tau_load if target < ohms else tau_recover))
+                ohms = exp(log_target + (log(ohms) - log_target) * decay)
             values.append(ohms)
             after = k
         column_lagged[closed] = values

@@ -86,6 +86,13 @@ class GaitParams:
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma_pa!r}")
         if not (math.isfinite(self.load_scale) and self.load_scale >= 0):
             raise ValueError(f"load scale must be finite and >= 0, got {self.load_scale!r}")
+        if not math.isfinite(self.base_pressure_pa):
+            raise ValueError(
+                f"body mass {self.body_mass_kg!r} kg at load scale {self.load_scale!r} "
+                "gives a base pressure that is not finite"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
     @property
     def cycle_duration_s(self) -> float:
@@ -104,7 +111,7 @@ class GaitParams:
 def _cos(x: np.ndarray) -> np.ndarray:
     # libm's cos, as in scalar code: numpy's SIMD loops may differ from it in
     # the last ulp on some hosts (np.exp does on AVX-512)
-    return np.array([math.cos(v) for v in x.tolist()])
+    return np.fromiter(map(math.cos, x.tolist()), dtype=float, count=len(x))
 
 
 def _half_cos_rise(u: np.ndarray, a: float, b: float) -> np.ndarray:

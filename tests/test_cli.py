@@ -60,6 +60,9 @@ BAD_GAIT_FLAGS = [
     ("--load-scale", "nan", "load scale"),
     ("--load-scale", "-1", "load scale"),
     ("--rate", "inf", "sample rate"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--mass", "1e308", "body mass 1e+308 kg"),
+    ("--load-scale", "1e308", "load scale 1e+308 gives a base pressure"),
 ]
 
 

@@ -209,11 +209,19 @@ class TestCsv:
     @pytest.mark.parametrize("ext", ["csv", "jsonl"])
     def test_each_value_is_written_as_repr_gives_it(self, tmp_path, ext):
         # signed zeros are distinct bit patterns, and one value may sit in the
-        # time column and a pressure column of the same row
+        # time column and a pressure column of the same row; a row of five
+        # +0.0 is the CSV writer's constant text, between rows that are not
         tricky = 0.1 + 0.2
-        times = np.array([tricky, 1.0, 2.0])
+        times = np.array([tricky, 1.0, 2.0, 3.0, 4.0, 5.0])
         pascals = np.array(
-            [[0.0, -0.0, tricky, 0.3, 5e-324], [-0.0, 0.0, 0.3, tricky, 1e300], [tricky, tricky, -0.0, -0.0, 0.0]]
+            [
+                [0.0, -0.0, tricky, 0.3, 5e-324],
+                [-0.0, 0.0, 0.3, tricky, 1e300],
+                [0.0, 0.0, 0.0, 0.0, 0.0],
+                [tricky, tricky, -0.0, -0.0, 0.0],
+                [-0.0, -0.0, -0.0, -0.0, -0.0],
+                [0.0, 0.0, 0.0, 7.5, 0.0],
+            ]
         )
         path = tmp_path / f"s.{ext}"
         write_columns(SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0), times, pascals, path)

@@ -135,11 +135,14 @@ class TestSynthesize:
             ("load_scale", math.nan, "load scale"),
             ("load_scale", math.inf, "load scale"),
             ("load_scale", -1.0, "load scale"),
+            ("load_scale", 1e308, "base pressure that is not finite"),
+            ("body_mass_kg", 1e308, "base pressure that is not finite"),
+            ("seed", -1, "seed must be >= 0"),
         ],
     )
     def test_non_finite_or_negative_gait_values_are_rejected(self, field, value, words):
         with pytest.raises(ValueError, match=words):
-            GaitParams(body_mass_kg=70, **{field: value})
+            GaitParams(**{"body_mass_kg": 70, field: value})
 
 
 class TestGroundTruth:
