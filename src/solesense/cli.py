@@ -354,7 +354,7 @@ def cmd_analyze(args) -> int:
     profile = _load_profile(args.profile) if args.profile else None  # checked even where no plot reads it
     kind = store.sniff_kind(args.input)
     if kind in ("session", "session_jsonl"):
-        header, times, pascals = store.read_columns(args.input, kind)
+        header, times, pascals = store.read_columns(args.input)
         if args.plots and profile is None:  # only the plots read the header's profile: look its name up for them
             profile = _load_profile(header.profile_name)
         analyzer = Analyzer()

@@ -39,18 +39,17 @@ exact. Samples are written in blocks of whole lines, each block written and
 flushed whole, so the file grows by whole records and a concurrent reader of
 a growing file never sees a torn one.
 
-read_columns() reads a session as numpy columns (timestamps and (n, 5)
-pascals) for consumers that fold whole blocks, such as ``solesense
-analyze``, with no Python step per line. A CSV body is parsed in one array
-pass by numpy's C reader, given the path. A JSONL file is parsed BLOCK_LINES
-lines per json.loads, its samples' values typed and made columns a block at
-a time. Both are validated at once (six fields, JSON numbers in JSONL, every
-timestamp finite, every pressure finite and >= 0). A file the array pass
-cannot take whole goes back through its line reader, read_csv or
-read_jsonl, so the columns always equal the line reader's samples and a
-malformed file raises the same ``path:line`` error. Both line readers refuse
-a non-finite timestamp at its line. The JSONL readers type every field of
-every record by one rule set (_number, _integer, _number_map).
+One reader, _read, opens a session file once, tells the format from its
+first line and parses it in that format's array pass, with no Python step
+per line: a CSV body by numpy's C reader, given the path; a JSONL file
+BLOCK_LINES lines per json.loads, its samples typed a block at a time. Both
+are validated at once (six fields, JSON numbers in JSONL, every timestamp
+finite, every pressure finite and >= 0). A file the array pass cannot take
+whole goes through the format's line path, which checks each row by
+_session_row, so the columns always equal the line path's rows and a
+malformed file raises the same ``path:line`` error. read_columns() returns
+the columns; read_session() wraps them in samples. The JSONL reader types
+every field of every record by one rule set (_number, _integer, _number_map).
 
 One line reader, _read_table, reads every CSV table, with one grammar:
 ``#`` lines hold ``key: value`` pairs, on either side of the column line
@@ -62,8 +61,8 @@ later line holds one float per column. Anything else raises an error naming
 read-only ones: legacy single-channel bench recordings
 (``time_s,pressure_pa,resistance_ohm``), calibration sweeps
 (``pressure_pa,resistance_ohm``) and comparison stimuli
-(``time_s,sensor_pa,fsr_pa`` or ``time_s,pressure_pa``). sniff_kind, and
-the test for JSON Lines, find a file's first line as the readers do.
+(``time_s,sensor_pa,fsr_pa`` or ``time_s,pressure_pa``). sniff_kind finds a
+file's first line, and tells JSON Lines from CSV, as _read does.
 """
 
 from __future__ import annotations
@@ -193,22 +192,14 @@ def _layout(path, lineno: int, line: str, layouts, error=SessionFormatError) -> 
     return columns
 
 
-def _read_column_line(fh, path, layouts=(SAMPLE_COLUMNS,), error=SessionFormatError):
-    """Read through a table's column line, which must name one of ``layouts``.
-    Returns the ``#`` pairs before it, the number of the last of them, the
-    column line's number and its layout."""
-    pairs: dict[str, str] = {}
-    pairs_line, lineno, line = _first_line(fh, pairs)
-    return pairs, pairs_line, lineno, _layout(path, lineno, line, layouts, error)
-
-
 def _read_table(path, layouts, record, error=SessionFormatError):
     """Read a CSV table (see the module docstring): ``record(*floats)`` builds
     each row. Returns the layout, the rows, the ``#`` pairs and the number of
     the last ``#`` line; a break raises ``error("path:line: ...")``."""
-    rows = []
+    rows, pairs = [], {}
     with open(path, "r", encoding="utf-8") as fh:
-        pairs, pairs_line, columns_line, columns = _read_column_line(fh, path, layouts, error)
+        pairs_line, columns_line, line = _first_line(fh, pairs)
+        columns = _layout(path, columns_line, line, layouts, error)
         for lineno, raw in enumerate(fh, start=columns_line + 1):
             line = raw.rstrip("\n")
             if line.startswith("#"):
@@ -225,12 +216,13 @@ def _read_table(path, layouts, record, error=SessionFormatError):
     return columns, rows, pairs, pairs_line
 
 
-def _session_sample(t, *row) -> PressureSample:
-    """PressureSample.from_row for a session file, whose timestamps must also be finite."""
-    t = float(t)
+def _session_row(t: float, *pascals: float) -> tuple[float, ...]:
+    """A session row, checked: a finite timestamp, pressures finite and >= 0."""
     if not math.isfinite(t):
         raise ValueError(f"timestamp must be finite, got {t!r}")
-    return PressureSample.from_row(t, row)
+    for p in pascals:
+        Pressure(p)
+    return (t, *pascals)
 
 
 def _check_columns(times: np.ndarray, pascals: np.ndarray) -> None:
@@ -253,29 +245,27 @@ def _checked_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return times, pascals
 
 
-def read_csv(path) -> SessionLog:
-    _, samples, pairs, line = _read_table(path, (SAMPLE_COLUMNS,), _session_sample)
-    return SessionLog(header=_parse_header_block(pairs, path, line), samples=samples)
-
+# What a bad record or row raises, which a line path names by its line and an
+# array pass takes as a refusal: TypeError and AttributeError for a mistyped
+# value, OverflowError for an integer too large for a float
+_BAD_RECORD = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 # the suffixes by which numpy opens a path through a decompressor
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _read_csv_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
-    """read_csv in one array pass; raises ValueError on anything read_csv
-    might read differently or reject.
+def _csv_array_pass(path, fh, pairs: dict[str, str], header_line: int, columns_line: int):
+    """A CSV session's log and columns, ``fh`` read through its column line;
+    raises one of _BAD_RECORD on anything the line path might read
+    differently or reject.
 
     loadtxt reads the body by path, skipping the lines through the column
     line: given a str path and no comment character, its C reader pulls the
     file in chunks, where a file object costs a Python call per line. numpy
     opens a path by its suffix, so a file named as compressed (a suffix in
-    _COMPRESSED_SUFFIXES) is left to read_csv; the path is made absolute so
-    that numpy never takes it for a URL."""
-    with open(path, "r", encoding="utf-8") as fh:
-        pairs, header_line, columns_line, _ = _read_column_line(fh, path)
-        body = any(line != "\n" for line in fh)  # loadtxt warns on a body of blank lines
-    if not body:
+    _COMPRESSED_SUFFIXES) is refused; the path is made absolute so that numpy
+    never takes it for a URL."""
+    if not any(line != "\n" for line in fh):  # loadtxt warns on a body of blank lines
         rows = np.empty((0, len(SAMPLE_COLUMNS)))
     elif os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
         raise ValueError(f"{path}: numpy would decompress a file of this name")
@@ -283,15 +273,10 @@ def _read_csv_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
         rows = np.loadtxt(
             os.path.abspath(path), delimiter=",", comments=None, ndmin=2, skiprows=columns_line, encoding="utf-8"
         )
-    return _parse_header_block(pairs, path, header_line), *_checked_columns(rows)
+    return SessionLog(_parse_header_block(pairs, path, header_line)), *_checked_columns(rows)
 
 
 # --- JSONL -------------------------------------------------------------------
-
-# What a bad record raises, each named by its line: TypeError and
-# AttributeError for a mistyped value, OverflowError for an integer too large
-# for a float
-_BAD_RECORD = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _event_to_json(event: GaitEvent) -> dict:
@@ -361,15 +346,15 @@ def _json_line(obj: dict) -> str:
 
 
 def _read_record(obj: dict, log: SessionLog) -> None:
-    """Fold one JSON Lines record into ``log``; a bad one raises one of _BAD_RECORD."""
+    """Fold one JSON Lines record other than a sample into ``log``; a bad one
+    raises one of _BAD_RECORD."""
     kind = obj["type"]
     if kind == "header":
         # the divider's keys, then the session's, which must all be there
         fields = {**obj.get("divider", {}), **{name: obj[name] for name in _SESSION_FIELDS}}
+        # adc_bits is left to DividerConfig, whose message says it must be an integer
+        fields.update({name: _number(name, fields[name]) for name in ("v_in", "r1_ohm", "v_ref") if name in fields})
         log.header = _header_from_fields(fields)
-    elif kind == "sample":
-        values = [obj[name] for name in SAMPLE_COLUMNS]
-        log.samples.append(_session_sample(*map(_number, SAMPLE_COLUMNS, values)))
     elif kind == "event":
         log.events.append(_event_from_json(obj))
     elif kind == "report":
@@ -378,29 +363,14 @@ def _read_record(obj: dict, log: SessionLog) -> None:
         raise ValueError(f"unknown record type {kind!r}")
 
 
-def read_jsonl(path) -> SessionLog:
-    log = SessionLog(header=None)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                try:
-                    _read_record(json.loads(line), log)
-                except _BAD_RECORD as exc:
-                    raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
-    if log.header is None:
-        raise SessionFormatError(f"{path}: missing header line")
-    return log
-
-
 _TYPE = itemgetter("type")
 _SAMPLE_VALUES = itemgetter(*SAMPLE_COLUMNS)
 
 
-def _read_jsonl_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
-    """read_jsonl's header and sample columns, one json.loads per BLOCK_LINES
+def _jsonl_array_pass(fh) -> tuple[SessionLog, np.ndarray, np.ndarray]:
+    """A JSON Lines session's log and columns, one json.loads per BLOCK_LINES
     lines, with a Python step per record only in a block that holds records
-    other than samples; raises one of _BAD_RECORD on anything read_jsonl
+    other than samples; raises one of _BAD_RECORD on anything the line path
     might read differently or reject.
 
     A block's non-blank lines, stripped, are parsed as one JSON array of them
@@ -408,69 +378,95 @@ def _read_jsonl_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
     that starts with ``"``, is refused: then no joining comma can fall inside
     a value (an array would take it, an object would need a key after it), so
     the array has one record per line only if each line holds exactly one JSON
-    value, as read_jsonl requires. Records other than samples go through
+    value, as the line path requires. Records other than samples go through
     _read_record; the samples' values are typed a block at a time, by the
-    same rule."""
+    same rule as _number's."""
     log = SessionLog(header=None)
     blocks = [np.empty((0, len(SAMPLE_COLUMNS)))]
-    with open(path, "r", encoding="utf-8") as fh:
-        for chunk in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
-            lines = list(filter(None, map(str.strip, chunk)))
-            text = ",\n".join(lines)
-            if "[" in text or '\n"' in text:
-                raise ValueError("a block whose lines the array pass cannot tell apart")
-            records = json.loads(f"[{text}]")
-            if len(records) != len(lines):
-                raise ValueError("a line that holds other than one JSON value")
-            kinds = list(map(_TYPE, records))
-            if kinds.count("sample") < len(records):
-                for obj, kind in zip(records, kinds):
-                    if kind != "sample":
-                        _read_record(obj, log)
-                records = [obj for obj, kind in zip(records, kinds) if kind == "sample"]
-            values = list(map(_SAMPLE_VALUES, records))
-            if not set(map(type, chain.from_iterable(values))) <= _JSON_NUMBERS:
-                raise TypeError("a sample value that is no JSON number")
-            blocks.append(np.array(values, dtype=float).reshape(-1, len(SAMPLE_COLUMNS)))
+    for chunk in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
+        lines = list(filter(None, map(str.strip, chunk)))
+        text = ",\n".join(lines)
+        if "[" in text or '\n"' in text:
+            raise ValueError("a block whose lines the array pass cannot tell apart")
+        records = json.loads(f"[{text}]")
+        if len(records) != len(lines):
+            raise ValueError("a line that holds other than one JSON value")
+        kinds = list(map(_TYPE, records))
+        if kinds.count("sample") < len(records):
+            for obj, kind in zip(records, kinds):
+                if kind != "sample":
+                    _read_record(obj, log)
+            records = [obj for obj, kind in zip(records, kinds) if kind == "sample"]
+        values = list(map(_SAMPLE_VALUES, records))
+        if not set(map(type, chain.from_iterable(values))) <= _JSON_NUMBERS:
+            raise TypeError("a sample value that is no JSON number")
+        blocks.append(np.array(values, dtype=float).reshape(-1, len(SAMPLE_COLUMNS)))
     if log.header is None:
         raise ValueError("missing header line")
-    return log.header, *_checked_columns(np.concatenate(blocks))
+    return log, *_checked_columns(np.concatenate(blocks))
 
 
-def _is_jsonl(path) -> bool:
-    """Whether a session file is JSON Lines: its first line (see _first_line)
-    starts with ``{``. Anything else, an empty file included, reads as CSV."""
+def _jsonl_lines(path, fh) -> tuple[SessionLog, list[tuple[float, ...]]]:
+    """The JSON Lines line path: the log and rows of the records in ``fh``,
+    one per non-blank line; a bad one raises the error naming its line."""
+    log, rows = SessionLog(header=None), []
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line:
+            try:
+                obj = json.loads(line)
+                if obj["type"] == "sample":
+                    rows.append(_session_row(*map(_number, SAMPLE_COLUMNS, _SAMPLE_VALUES(obj))))
+                else:
+                    _read_record(obj, log)
+            except _BAD_RECORD as exc:
+                raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
+    if log.header is None:
+        raise SessionFormatError(f"{path}: missing header line")
+    return log, rows
+
+
+# --- either format -------------------------------------------------------------
+
+
+def _read(path) -> tuple[SessionLog, np.ndarray, np.ndarray]:
+    """A session file's log (no samples) and sample columns: JSON Lines if
+    its first line (see _first_line) starts with ``{``, else CSV. A file the
+    format's array pass refuses goes through its line path, which gives the
+    same rows or raises the SessionFormatError naming the offending line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _first_line(fh, {})[2].startswith("{")
+        pairs: dict[str, str] = {}
+        header_line, columns_line, line = _first_line(fh, pairs)
+        if line.startswith("{"):
+            fh.seek(0)
+            try:
+                return _jsonl_array_pass(fh)
+            except _BAD_RECORD:
+                fh.seek(0)
+                log, rows = _jsonl_lines(path, fh)
+        else:
+            _layout(path, columns_line, line, (SAMPLE_COLUMNS,))
+            try:
+                return _csv_array_pass(path, fh, pairs, header_line, columns_line)
+            except _BAD_RECORD:  # the line path
+                _, rows, pairs, header_line = _read_table(path, (SAMPLE_COLUMNS,), _session_row)
+                log = SessionLog(_parse_header_block(pairs, path, header_line))
+    return log, *_checked_columns(np.reshape(rows, (-1, len(SAMPLE_COLUMNS))))
 
 
 def read_session(path) -> SessionLog:
-    """Read a session in either format, told apart by the file's content."""
-    if _is_jsonl(path):
-        return read_jsonl(path)
-    return read_csv(path)
+    """Read a session in either format, told apart by content: the columns
+    read_columns reads, as samples, and a JSONL file's events and report."""
+    log, times, pascals = _read(path)
+    log.samples = PressureSample._of_rows(times.tolist(), map(tuple, pascals.tolist()))
+    return log
 
 
-def read_columns(path, kind: str | None = None) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
-    """Read a session as (header, timestamps, (n, 5) pascals in canonical
-    channel order), without building a PressureSample per row.
-
-    ``kind`` is sniff_kind's answer for the file, 'session' or
-    'session_jsonl', from a caller that has sniffed it; without it the format
-    is told apart by content, as in read_session. Either format is parsed in
-    array passes (_read_csv_columns, _read_jsonl_columns). A file those
-    cannot take whole is read again by its line reader, read_csv or
-    read_jsonl, which either returns the same rows or raises the
-    SessionFormatError naming the offending line.
-    """
-    if kind is None:
-        kind = "session_jsonl" if _is_jsonl(path) else "session"
-    columns, lines = (_read_jsonl_columns, read_jsonl) if kind == "session_jsonl" else (_read_csv_columns, read_csv)
-    try:
-        return columns(path)
-    except _BAD_RECORD:
-        log = lines(path)
-    return (log.header, *samples_to_columns(log.samples))
+def read_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
+    """Read a session in either format as (header, timestamps, (n, 5) pascals
+    in canonical channel order), without building a PressureSample per row."""
+    log, times, pascals = _read(path)
+    return log.header, times, pascals
 
 
 def _cells(block: np.ndarray) -> Iterator[str]:
@@ -604,9 +600,9 @@ _KINDS.update(dict.fromkeys(STIMULUS_LAYOUTS, "stimulus"))
 
 
 def sniff_kind(path) -> str:
-    """Classify a file as 'session_jsonl', or by the layout its column line
-    names, read as the readers read it: 'session', 'legacy', 'calibration' or
-    'stimulus'."""
+    """Classify a file as 'session_jsonl' if its first line (see _first_line)
+    starts with ``{``, as _read tells it, or else by the layout its column line
+    names: 'session', 'legacy', 'calibration' or 'stimulus'."""
     with open(path, "r", encoding="utf-8") as fh:
         _, lineno, line = _first_line(fh, {})
     return "session_jsonl" if line.startswith("{") else _KINDS[_layout(path, lineno, line, _KINDS)]

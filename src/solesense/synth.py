@@ -86,10 +86,10 @@ class GaitParams:
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma_pa!r}")
         if not (math.isfinite(self.load_scale) and self.load_scale >= 0):
             raise ValueError(f"load scale must be finite and >= 0, got {self.load_scale!r}")
-        if not math.isfinite(self.base_pressure_pa):
+        if not math.isfinite(self.base_pressure_pa * max(HEEL_SHARE, FOREFOOT_SHARE, MIDFOOT_SHARE)):
             raise ValueError(
                 f"body mass {self.body_mass_kg!r} kg at load scale {self.load_scale!r} "
-                "gives a base pressure that is not finite"
+                "gives a base pressure that is not finite at its peak share"
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")

@@ -214,8 +214,8 @@ def test_criterion_8_end_to_end_conservation(tmp_path, capsys):
         thread.join(timeout=60)
         assert results.get("rc") == 0
 
-        source = store.read_csv(src)
-        collected = store.read_csv(out)
+        source = store.read_session(src)
+        collected = store.read_session(out)
         assert len(collected.samples) == len(source.samples) == 2000
         for a, b in zip(source.samples, collected.samples):
             assert a.timestamp == b.timestamp

@@ -63,6 +63,7 @@ BAD_GAIT_FLAGS = [
     ("--seed", "-1", "seed must be >= 0, got -1"),
     ("--mass", "1e308", "body mass 1e+308 kg"),
     ("--load-scale", "1e308", "load scale 1e+308 gives a base pressure"),
+    ("--load-scale", "5.6e301", "load scale 5.6e+301 gives a base pressure that is not finite at its peak share"),
 ]
 
 
@@ -77,7 +78,7 @@ class TestSimulate:
     def test_zero_cycles_writes_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         assert main(["simulate", "--cycles", "0", "-o", str(out)]) == 0
-        log = store.read_csv(out)
+        log = store.read_session(out)
         assert log.samples == []
 
     def test_bad_stance_is_usage_error(self, tmp_path, capsys):
@@ -109,7 +110,7 @@ class TestSimulate:
     def test_jsonl_output(self, tmp_path):
         out = tmp_path / "s.jsonl"
         assert main(["simulate", "--cycles", "2", "-o", str(out)]) == 0
-        assert len(store.read_jsonl(out).samples) == 200
+        assert len(store.read_session(out).samples) == 200
 
     @pytest.mark.parametrize("name", builtin_profile_names())
     @pytest.mark.parametrize("ext", ["csv", "jsonl"])
@@ -132,7 +133,7 @@ class TestSimulate:
         out = tmp_path / "s.csv"
         assert main(["simulate", "--cycles", "5", "--seed", "3", "--noise", "2000", "-o", str(out)]) == 0
         assert len(built) == 0
-        assert len(store.read_csv(out).samples) == 500
+        assert len(store.read_session(out).samples) == 500
 
     def test_out_of_table_code_raises_the_decode_error(self, monkeypatch, capsys, tmp_path):
         # simulate decodes through counts_to_pascals' range check
@@ -157,7 +158,7 @@ class TestAnalyze:
     def test_session_analysis_builds_no_per_row_samples(self, tmp_path, monkeypatch):
         src = tmp_path / "s.csv"
         main(["simulate", "--cycles", "5", "--seed", "3", "--noise", "2000", "-o", str(src)])
-        expected = report_json_text(analyze(store.read_csv(src).samples)[1])
+        expected = report_json_text(analyze(store.read_session(src).samples)[1])
         built = []  # by the public constructor, or by from_row and the decoders
         init, of = PressureSample.__init__, PressureSample._of
         monkeypatch.setattr(PressureSample, "__init__", lambda self, *args: built.append(1) or init(self, *args))
@@ -177,7 +178,7 @@ class TestAnalyze:
         capsys.readouterr()
         out = tmp_path / "r.json"
         assert main(["analyze", str(src), "--json", str(out)]) == 0
-        assert out.read_text() == report_json_text(analyze(store.read_csv(src).samples)[1])
+        assert out.read_text() == report_json_text(analyze(store.read_session(src).samples)[1])
         plots_dir = tmp_path / "plots"
         assert main(["analyze", str(src), "--json", str(out), "--plots", str(plots_dir)]) == 2
         assert "unknown profile 'custom'" in capsys.readouterr().err
@@ -232,7 +233,7 @@ class TestAnalyze:
         assert main(["analyze", str(src), "--plots", str(plots_dir), "--json", str(tmp_path / "r.json")]) == 0
         profile = measured_profile()
         want = ["t_s,forefoot,midfoot_medial,midfoot_central,midfoot_lateral,heel"]
-        for sample in store.read_csv(src).samples:
+        for sample in store.read_session(src).samples:
             cells = [repr(sample.timestamp)]
             for pascals in sample.as_row():
                 r = static_resistance(profile, Pressure(pascals))
@@ -583,8 +584,8 @@ class TestStreamCollect:
         thread.join(timeout=30)
         assert results["rc"] == 0
 
-        source = store.read_csv(src)
-        collected = store.read_csv(out)
+        source = store.read_session(src)
+        collected = store.read_session(out)
         assert len(collected.samples) == len(source.samples)
         for a, b in zip(source.samples, collected.samples):
             assert a.timestamp == b.timestamp
@@ -610,7 +611,7 @@ class TestStreamCollect:
         assert main(["stream", "--simulate", "--cycles", "3", "--seed", "5", "--addr", addr]) == 0
         thread.join(timeout=30)
         assert results["rc"] == 0
-        assert len(store.read_csv(out).samples) == 300
+        assert len(store.read_session(out).samples) == 300
         assert len(built) == 1
 
     def test_two_devices_name_files_past_a_dotted_directory(self, tmp_path, capsys):
@@ -650,7 +651,7 @@ class TestStreamCollect:
         rc = main(["stream", "--simulate", "--cycles", "3", "--seed", "5", "--addr", addr])
         assert rc == 0
         thread.join(timeout=30)
-        assert len(store.read_csv(out).samples) == 300
+        assert len(store.read_session(out).samples) == 300
 
     def test_simulated_stream_replays_simulate_with_online_events(self, tmp_path, capsys):
         flags = ["--cycles", "3", "--seed", "3", "--noise", "2000", "--load-scale", "0.15"]
@@ -663,7 +664,7 @@ class TestStreamCollect:
         assert results["rc"] == 0
 
         collected = store.read_session(out)
-        expected = store.read_csv(source).samples
+        expected = store.read_session(source).samples
         assert [(s.timestamp, s.as_row()) for s in collected.samples] == [(s.timestamp, s.as_row()) for s in expected]
         events, report = analyze(collected.samples)
         assert events and collected.events == events
@@ -698,7 +699,7 @@ class TestStreamCollect:
         conn = socket.create_connection((host, int(port)), timeout=5)
         conn.close()
         thread.join(timeout=30)
-        log = store.read_csv(out)
+        log = store.read_session(out)
         assert log.samples == []
         assert log.header.profile_name == "bench"  # the loaded profile's name, as with samples
 
@@ -715,7 +716,7 @@ class TestStreamCollect:
             assert report_path.read_text() == report_json_text(Analyzer().report())
             assert json.loads(report_path.read_text())["cycles"] == 0
             if out.suffix == ".csv":
-                assert store.read_csv(out).samples == []
+                assert store.read_session(out).samples == []
             else:  # the session file carries the same report, as an analyzed session with samples does
                 log = store.read_session(out)
                 assert log.samples == [] and log.report == Analyzer().report()
@@ -797,12 +798,12 @@ class TestStreamCollect:
         simulated, collected = tmp_path / "s.csv", tmp_path / "c.csv"
         rc = main(["simulate", "--cycles", "1", "--epoch", epoch, "-o", str(simulated)])
         if accepted:
-            assert rc == 0 and store.read_csv(simulated).header.epoch == epoch
+            assert rc == 0 and store.read_session(simulated).header.epoch == epoch
             thread, results, addr = _start_collect(["--epoch", epoch, "-o", str(collected), "--once"], capsys)
             host, port = addr.rsplit(":", 1)
             socket.create_connection((host, int(port)), timeout=5).close()
             thread.join(timeout=30)
-            assert results["rc"] == 0 and store.read_csv(collected).header.epoch == epoch
+            assert results["rc"] == 0 and store.read_session(collected).header.epoch == epoch
         else:
             def collector(*args, **kwargs):
                 raise AssertionError("collect listened with a bad --epoch")
@@ -1066,7 +1067,7 @@ class TestOneCommandParser:
             assert json.loads(report.read_text())["cycles"] >= 1
         else:
             assert main(["simulate", "--cycles", "2", "-o", str(session)]) == 0
-            assert len(store.read_csv(session).samples) == 200
+            assert len(store.read_session(session).samples) == 200
 
 
 class TestEmptyWorkingRange:

@@ -20,9 +20,7 @@ from solesense.store import (
     SessionFormatError,
     SessionLog,
     read_columns,
-    read_csv,
     read_calibration_csv,
-    read_jsonl,
     read_legacy_csv,
     read_session,
     read_stimulus_csv,
@@ -37,25 +35,18 @@ from solesense.units import Resistance, Voltage
 from helpers import BENCH_TIME_LOG, write_legacy_csv
 
 
-def _assert_columns_equal_rows(path, reader):
-    header, times, pascals = read_columns(path)
-    log = reader(path)
-    assert header == log.header
-    assert times.tolist() == [s.timestamp for s in log.samples]
-    assert pascals.shape == (len(log.samples), 5)
-    assert pascals.tolist() == [list(s.as_row()) for s in log.samples]
+def _refuse(*args):
+    raise ValueError("refused, so that the line path reads the file")
 
 
-def _assert_columns_as_read_csv(path):
-    """read_columns equals read_csv on ``path``, or raises its error."""
-    try:
-        read_csv(path)
-    except SessionFormatError as exc:
-        with pytest.raises(SessionFormatError) as info:
-            read_columns(path)
-        assert str(info.value) == str(exc)
-    else:
-        _assert_columns_equal_rows(path, read_csv)
+def _by_line(path) -> SessionLog:
+    """read_session on ``path`` with both array passes patched to refuse, so
+    that the file goes through its format's line path: the reference each
+    array pass must equal."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store, "_csv_array_pass", _refuse)
+        patch.setattr(store, "_jsonl_array_pass", _refuse)
+        return read_session(path)
 
 
 def _bits(values):
@@ -63,12 +54,33 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+def _assert_columns_equal_rows(path):
+    """read_columns equals the line path on ``path``, bit for bit."""
+    header, times, pascals = read_columns(path)
+    log = _by_line(path)
+    assert header == log.header
+    assert _bits(times) == _bits([s.timestamp for s in log.samples])
+    assert pascals.shape == (len(log.samples), 5)
+    assert _bits(pascals) == _bits([s.as_row() for s in log.samples])
+
+
+def _assert_columns_as_line_path(path):
+    """read_columns equals the line path on ``path``, or raises its error."""
+    try:
+        _by_line(path)
+    except SessionFormatError as exc:
+        with pytest.raises(SessionFormatError) as info:
+            read_columns(path)
+        assert str(info.value) == str(exc)
+    else:
+        _assert_columns_equal_rows(path)
+
+
 def _array_pass_only(monkeypatch):
-    """Make read_columns fail if it falls back to the JSONL line parser;
-    returns that parser."""
-    line_parser = store.read_jsonl
-    monkeypatch.setattr(store, "read_jsonl", lambda path: pytest.fail(f"{path} fell back to the line parser"))
-    return line_parser
+    """Make a read fail if it falls back to either line path (a session
+    CSV's is _read_table)."""
+    for name in ("_read_table", "_jsonl_lines"):
+        monkeypatch.setattr(store, name, lambda path, *args: pytest.fail(f"{path} fell back to the line path"))
 
 
 def _session(cycles=2, noise=0.0, with_analysis=False):
@@ -89,7 +101,7 @@ class TestCsv:
         log = _session(cycles=10, noise=3_000.0)
         path = tmp_path / "session.csv"
         write_session(log, path)
-        back = read_csv(path)
+        back = read_session(path)
         assert back.header == log.header
         assert len(back.samples) == len(log.samples) == 1000
         for a, b in zip(log.samples, back.samples):
@@ -102,13 +114,13 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[-1].startswith("t_s,")
         assert all(line.startswith("#") for line in lines[:-1])
-        assert read_csv(path).samples == []
-        _assert_columns_equal_rows(path, read_csv)
+        assert read_session(path).samples == []
+        _assert_columns_equal_rows(path)
 
     def test_schema_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# epoch: x\nt_s,nope\n")
-        for reader in (read_csv, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=":2"):
                 reader(path)
 
@@ -119,7 +131,7 @@ class TestCsv:
         text = path.read_text().splitlines()
         text[10] = text[10].replace(",", ",junk", 1)
         path.write_text("\n".join(text) + "\n")
-        for reader in (read_csv, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=":11"):
                 reader(path)
 
@@ -145,7 +157,7 @@ class TestCsv:
         text = path.read_text().splitlines()
         text.insert(20, edit)
         path.write_text("\n".join(text) + "\n")
-        _assert_columns_equal_rows(path, read_csv)
+        _assert_columns_equal_rows(path)
 
     def test_every_line_prefix_is_readable(self, tmp_path):
         # writes are line-atomic: a reader that catches the file mid-growth
@@ -158,8 +170,8 @@ class TestCsv:
         partial = tmp_path / "partial.csv"
         for upto in range(10, len(lines) + 1):
             partial.write_text("".join(lines[:upto]))
-            read_csv(partial)  # must never raise
-            _assert_columns_equal_rows(partial, read_csv)
+            read_session(partial)  # must never raise
+            _assert_columns_equal_rows(partial)
 
     @pytest.mark.parametrize(
         "edit",
@@ -177,17 +189,17 @@ class TestCsv:
             "a # line in the body", "no final newline", "a header and blank lines only",
         ],
     )
-    def test_the_array_pass_reads_as_read_csv(self, tmp_path, edit):
+    def test_the_array_pass_reads_as_the_line_path(self, tmp_path, edit):
         path = _written(tmp_path / "s.csv", _session(cycles=1))
         path.write_bytes(edit(path.read_text()).encode())
-        _assert_columns_as_read_csv(path)
+        _assert_columns_as_line_path(path)
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_a_plain_session_named_as_compressed_reads_as_written(self, tmp_path, suffix):
         # numpy would open a path of this name through a decompressor
         log = _session(cycles=1)
         path = _written(tmp_path / f"s{suffix}", log)
-        _assert_columns_equal_rows(path, read_csv)
+        _assert_columns_equal_rows(path)
         assert read_columns(path)[1].tolist() == [s.timestamp for s in log.samples]
 
     def test_blocks_write_the_lines_one_by_one_would(self, tmp_path):
@@ -244,7 +256,7 @@ class TestJsonl:
         log = _session(cycles=5, with_analysis=True)
         path = tmp_path / "session.jsonl"
         write_session(log, path)
-        back = read_jsonl(path)
+        back = read_session(path)
         assert back.header == log.header
         assert back.events == log.events
         assert back.report == log.report
@@ -255,15 +267,15 @@ class TestJsonl:
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         write_session(SessionLog(header=SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0)), path)
-        back = read_jsonl(path)
+        back = read_session(path)
         assert back.samples == [] and back.events == [] and back.report is None
-        _assert_columns_equal_rows(path, read_jsonl)
+        _assert_columns_equal_rows(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "sample", "t_s": 0.0}\n')
         with pytest.raises(SessionFormatError, match=":1"):
-            read_jsonl(path)
+            read_session(path)
 
     def test_malformed_line_reports_number(self, tmp_path):
         log = _session(cycles=1)
@@ -273,17 +285,17 @@ class TestJsonl:
         lines[3] = lines[3][:-1]  # chop the closing brace
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SessionFormatError, match=":4"):
-            read_jsonl(path)
+            read_session(path)
 
     def test_csv_and_jsonl_carry_identical_samples(self, tmp_path):
         log = _session(cycles=3, noise=1_000.0)
         write_session(log, tmp_path / "s.csv")
         write_session(log, tmp_path / "s.jsonl")
-        a = read_csv(tmp_path / "s.csv").samples
-        b = read_jsonl(tmp_path / "s.jsonl").samples
+        a = read_session(tmp_path / "s.csv").samples
+        b = read_session(tmp_path / "s.jsonl").samples
         assert [(s.timestamp, s.as_row()) for s in a] == [(s.timestamp, s.as_row()) for s in b]
-        _assert_columns_equal_rows(tmp_path / "s.csv", read_csv)
-        _assert_columns_equal_rows(tmp_path / "s.jsonl", read_jsonl)
+        _assert_columns_equal_rows(tmp_path / "s.csv")
+        _assert_columns_equal_rows(tmp_path / "s.jsonl")
 
     @pytest.mark.parametrize(
         "line, message",
@@ -300,7 +312,7 @@ class TestJsonl:
         lines = path.read_text().splitlines()
         lines[3] = line
         path.write_text("\n".join(lines) + "\n")
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=f":4: .*{message}"):
                 reader(path)
 
@@ -318,7 +330,7 @@ class TestJsonl:
         assert sample["type"] == "sample"
         lines[3] = json.dumps({**sample, field: value})
         path.write_text("\n".join(lines) + "\n")
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=f":4: {field} must be a JSON number, got {type(value).__name__}"):
                 reader(path)
 
@@ -331,7 +343,7 @@ class TestJsonl:
         record["heel_pa" if line else "sample_rate_hz"] = "big"
         lines[line] = json.dumps(record).replace('"big"', "1" + "0" * 400)  # an integer JSON reads exactly
         path.write_text("\n".join(lines) + "\n")
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=f":{line + 1}: .*too large"):
                 reader(path)
 
@@ -342,7 +354,7 @@ class TestJsonl:
         sample = json.loads(lines[3])
         lines[3] = json.dumps({**sample, "t_s": 0, "heel_pa": 25000})
         path.write_text("\n".join(lines) + "\n")
-        back = read_jsonl(path).samples[2]
+        back = read_session(path).samples[2]
         assert back.timestamp == 0.0 and type(back.timestamp) is float
         assert back.as_row()[-1] == 25000.0 and type(back.as_row()[-1]) is float
 
@@ -360,9 +372,9 @@ class TestJsonl:
         for k in (BLOCK_LINES + 1, BLOCK_LINES, BLOCK_LINES - 1, 100, 1):
             lines[k:k] = [event, ""] if k <= samples else []
         path.write_text("\n".join(lines) + "\n")
-        line_parser = _array_pass_only(monkeypatch)
+        back = _by_line(path)
+        _array_pass_only(monkeypatch)
         header, times, pascals = read_columns(path)
-        back = line_parser(path)
         assert header == back.header
         assert _bits(times) == _bits([s.timestamp for s in back.samples])
         assert _bits(pascals) == _bits([s.as_row() for s in back.samples])
@@ -380,9 +392,9 @@ class TestJsonl:
         for k, change in changes.items():
             lines[k] = json.dumps({**json.loads(lines[k]), **change})
         path.write_text("\n".join(lines) + "\n")
-        line_parser = _array_pass_only(monkeypatch)
+        back = _by_line(path).samples
+        _array_pass_only(monkeypatch)
         _, times, pascals = read_columns(path)
-        back = line_parser(path).samples
         assert _bits(times) == _bits([s.timestamp for s in back])
         assert _bits(pascals) == _bits([s.as_row() for s in back])
         assert math.copysign(1.0, pascals[2, 4]) == -1.0
@@ -408,7 +420,7 @@ class TestJsonl:
             lines[4] = second
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SessionFormatError) as expected:
-            read_jsonl(path)
+            _by_line(path)
         assert str(expected.value).startswith(f"{path}:4: ")
         for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError) as info:
@@ -420,7 +432,7 @@ class TestJsonl:
         log = _session(cycles=1)
         log.header = SessionHeader(1, DEFAULT_EPOCH, "[lab]", 100.0)
         path = _written(tmp_path / "s.jsonl", log)
-        _assert_columns_equal_rows(path, read_jsonl)
+        _assert_columns_equal_rows(path)
         assert read_columns(path)[0].profile_name == "[lab]"
 
     @pytest.mark.parametrize(
@@ -452,7 +464,7 @@ class TestJsonl:
         k = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == record)
         lines[k] = json.dumps({**json.loads(lines[k]), **change})
         path.write_text("\n".join(lines) + "\n")
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError) as info:
                 reader(path)
             assert str(info.value) == f"{path}:{k + 1}: {message}"
@@ -498,6 +510,40 @@ class TestColumns:
         assert "{" not in text and text.count("\n") == len(log.samples) + 9
 
 
+class TestOneReader:
+    """read_session and read_columns read a file by the same passes."""
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_the_samples_hold_the_columns_bit_for_bit(self, tmp_path, monkeypatch, ext):
+        times = np.array([0.0, 0.1 + 0.2, 5e-324])
+        pascals = np.array([[0.0, -0.0, 1e300, 0.3, 5e-324], [-0.0] * 5, [0.1 + 0.2, 0.0, 0.0, 7.5, 0.0]])
+        path = tmp_path / f"s.{ext}"
+        write_columns(SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0), times, pascals, path)
+        _array_pass_only(monkeypatch)
+        header, got_times, got_pascals = read_columns(path)
+        log = read_session(path)
+        assert log.header == header
+        assert _bits([s.timestamp for s in log.samples]) == _bits(got_times) == _bits(times)
+        assert _bits([s.as_row() for s in log.samples]) == _bits(got_pascals) == _bits(pascals)
+
+    @pytest.mark.parametrize("reader", [read_session, _by_line], ids=["array pass", "line path"])
+    def test_a_jsonl_session_keeps_its_events_and_report(self, tmp_path, reader):
+        log = _session(cycles=3, with_analysis=True)
+        assert log.events and log.report is not None
+        back = reader(_written(tmp_path / "s.jsonl", log))
+        assert back.events == log.events and back.report == log.report
+        assert back.samples == log.samples
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_the_first_line_is_read_once(self, tmp_path, monkeypatch, ext):
+        path = _written(tmp_path / f"s.{ext}", _session(cycles=1))
+        passes = []
+        first_line = store._first_line
+        monkeypatch.setattr(store, "_first_line", lambda fh, pairs: passes.append(1) or first_line(fh, pairs))
+        read_columns(path)
+        assert len(passes) == 1
+
+
 class TestFormatByContent:
     """Readers tell CSV from JSONL by content; only writers go by extension."""
 
@@ -507,11 +553,11 @@ class TestFormatByContent:
         write_session(log, tmp_path / "jsonl.jsonl")
         (tmp_path / "csv.csv").rename(tmp_path / "csv_as.jsonl")
         (tmp_path / "jsonl.jsonl").rename(tmp_path / "jsonl_as.csv")
-        for path, reader in ((tmp_path / "csv_as.jsonl", read_csv), (tmp_path / "jsonl_as.csv", read_jsonl)):
+        for path in (tmp_path / "csv_as.jsonl", tmp_path / "jsonl_as.csv"):
             back = read_session(path)
             assert back.header == log.header
             assert [(s.timestamp, s.as_row()) for s in back.samples] == [(s.timestamp, s.as_row()) for s in log.samples]
-            _assert_columns_equal_rows(path, reader)
+            _assert_columns_equal_rows(path)
 
     def test_blank_lines_before_the_first_record(self, tmp_path):
         log = _session(cycles=1)
@@ -519,7 +565,7 @@ class TestFormatByContent:
         path = tmp_path / "s.csv"
         path.write_text("\n  \n" + (tmp_path / "s.jsonl").read_text())
         assert read_session(path).header == log.header
-        _assert_columns_equal_rows(path, read_jsonl)
+        _assert_columns_equal_rows(path)
 
     @pytest.mark.parametrize("name", ["empty.jsonl", "empty.csv"])
     def test_empty_file_keeps_the_csv_error(self, tmp_path, name):
@@ -565,7 +611,7 @@ class TestSniff:
 # each CSV table: its reader, the error that reader raises, its column line,
 # a valid row and the kind sniff_kind gives it
 TABLES = {
-    "session": (read_csv, SessionFormatError, SAMPLE_COLUMNS, "0.5,1.0,2.0,3.0,4.0,5.0"),
+    "session": (read_session, SessionFormatError, SAMPLE_COLUMNS, "0.5,1.0,2.0,3.0,4.0,5.0"),
     "legacy": (read_legacy_csv, SessionFormatError, LEGACY_COLUMNS, "0.5,428589.8,3342900.0"),
     "calibration": (read_calibration_csv, CalibrationError, CALIBRATION_HEADER, "200000.0,150000.0"),
     "stimulus": (read_stimulus_csv, SessionFormatError, STIMULUS_LAYOUTS[0], "0.5,1.0,2.0"),
@@ -747,7 +793,7 @@ class TestHeaderFields:
         path.write_text(",".join(SAMPLE_COLUMNS) + "\n0.0,1.0,2.0,3.0,4.0,5.0\n")
         header = _header_read_by_all(path)
         assert header == SessionHeader(1, DEFAULT_EPOCH, "measured", 0.0, DividerConfig())
-        assert read_csv(path).header == header and type(header.sample_rate_hz) is float
+        assert read_session(path).header == header and type(header.sample_rate_hz) is float
 
     def test_csv_divider_fields_left_out_read_the_default_divider(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -765,7 +811,7 @@ class TestHeaderFields:
     @pytest.mark.parametrize("field", ["device_id", "epoch", "profile", "sample_rate_hz"])
     def test_jsonl_header_must_hold_each_session_field(self, tmp_path, field):
         path = _with_jsonl_header(tmp_path, lambda header: header.pop(field))
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: '{field}'")):
                 reader(path)
 
@@ -793,20 +839,29 @@ class TestHeaderFieldTypes:
         lines = path.read_text().splitlines()
         lines[0] = json.dumps({**json.loads(lines[0]), field: value})
         path.write_text("\n".join(lines) + "\n")
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: ")):
                 reader(path)
 
     @pytest.mark.parametrize("bits", [12.5, True])
     def test_jsonl_adc_bits_must_be_an_integer(self, tmp_path, bits):
         path = _with_jsonl_header(tmp_path, lambda header: header["divider"].update(adc_bits=bits))
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: adc_bits must be an integer")):
+                reader(path)
+
+    @pytest.mark.parametrize("value", [True, "3.3"])
+    @pytest.mark.parametrize("field", ["v_in", "r1_ohm", "v_ref"])
+    def test_jsonl_divider_numbers_must_be_json_numbers(self, tmp_path, field, value):
+        path = _with_jsonl_header(tmp_path, lambda header: header["divider"].update({field: value}))
+        message = f"{path}:1: {field} must be a JSON number, got {type(value).__name__} {value!r}"
+        for reader in (read_session, read_columns):
+            with pytest.raises(SessionFormatError, match=re.escape(message)):
                 reader(path)
 
     def test_jsonl_v_ref_must_be_above_zero(self, tmp_path):
         path = _with_jsonl_header(tmp_path, lambda header: header["divider"].update(v_ref=0))
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=re.escape(f"{path}:1: v_ref must be > 0")):
                 reader(path)
 
@@ -828,7 +883,7 @@ class TestHeaderFieldTypes:
         key = line.split(":")[0]
         lines = [line if text.startswith(key + ":") else text for text in lines]
         path.write_text("\n".join(lines) + "\n")
-        for reader in (read_csv, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=re.escape(f"{path}:8: bad header block")):
                 reader(path)
 
@@ -883,7 +938,7 @@ class TestFiniteTimestamps:
         text = path.read_text().splitlines()
         text[20] = ",".join([time, *text[20].split(",")[1:]])
         path.write_text("\n".join(text) + "\n")
-        for reader in (read_csv, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=f":21: timestamp must be finite, got {time}"):
                 reader(path)
 
@@ -895,7 +950,7 @@ class TestFiniteTimestamps:
         lines[3] = lines[3].replace(f'"t_s": {json.loads(lines[3])["t_s"]!r}', f'"t_s": {time}')
         assert time in lines[3]
         path.write_text("\n".join(lines) + "\n")
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=":4: timestamp must be finite"):
                 reader(path)
 
@@ -919,7 +974,7 @@ class TestUnreadSessionErrors:
         body = 9  # the eight header lines and the column line
         text[body:] = [line.rsplit(",", 1)[0] for line in text[body:]]
         path.write_text("\n".join(text) + "\n")
-        for reader in (read_csv, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=f":{body + 1}: expected 6 fields, got 5"):
                 reader(path)
 
@@ -929,7 +984,7 @@ class TestUnreadSessionErrors:
         lines = path.read_text().splitlines()
         lines[2] = json.dumps({"type": "note", "text": "mid-session"})
         path.write_text("\n".join(lines) + "\n")
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=":3: unknown record type 'note'"):
                 reader(path)
 
@@ -938,6 +993,6 @@ class TestUnreadSessionErrors:
         write_session(_session(cycles=1, with_analysis=True), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(line for line in lines if '"header"' not in line) + "\n")
-        for reader in (read_jsonl, read_session, read_columns):
+        for reader in (read_session, read_columns):
             with pytest.raises(SessionFormatError, match=f"^{re.escape(str(path))}: missing header line$"):
                 reader(path)

@@ -137,6 +137,7 @@ class TestSynthesize:
             ("load_scale", -1.0, "load scale"),
             ("load_scale", 1e308, "base pressure that is not finite"),
             ("body_mass_kg", 1e308, "base pressure that is not finite"),
+            ("load_scale", 5.6e301, "base pressure that is not finite at its peak share"),
             ("seed", -1, "seed must be >= 0"),
         ],
     )
