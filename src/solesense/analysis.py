@@ -59,14 +59,8 @@ from .units import (
 _SWING, _INITIAL_CONTACT, _LOADING_RESPONSE, _PRE_SWING = (
     GaitPhase.SWING, GaitPhase.INITIAL_CONTACT, GaitPhase.LOADING_RESPONSE, GaitPhase.PRE_SWING
 )
-_NEXT_PHASE = {
-    GaitPhase.SWING: GaitPhase.INITIAL_CONTACT,
-    GaitPhase.INITIAL_CONTACT: GaitPhase.LOADING_RESPONSE,
-    GaitPhase.LOADING_RESPONSE: GaitPhase.MID_STANCE,
-    GaitPhase.MID_STANCE: GaitPhase.TERMINAL_STANCE,
-    GaitPhase.TERMINAL_STANCE: GaitPhase.PRE_SWING,
-    GaitPhase.PRE_SWING: GaitPhase.SWING,
-}
+# GaitPhase declares the phases in cyclic order
+_NEXT_PHASE = dict(zip(GaitPhase, (*tuple(GaitPhase)[1:], GaitPhase.INITIAL_CONTACT)))
 
 
 # Schmitt thresholds on a region's pressure, the max of its channels: +/-10%

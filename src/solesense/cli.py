@@ -572,7 +572,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (SessionFormatError, CalibrationError, ValueError) as exc:
+    except (SessionFormatError, CalibrationError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BrokenPipeError:  # stdout's reader left; a ConnectionError, so caught first

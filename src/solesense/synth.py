@@ -170,6 +170,8 @@ def _columns(params: GaitParams, start: int, stop: int, rng) -> tuple[np.ndarray
     if params.noise_sigma_pa > 0:
         noisy = rng.normal(0.0, params.noise_sigma_pa, size=pascals.shape)
         noisy += pascals
+        if not np.isfinite(noisy).all():
+            raise ValueError(f"noise sigma {params.noise_sigma_pa!r} Pa overflows a noisy pressure to infinity")
         pascals = np.maximum(0.0, noisy, out=noisy)
     return times, pascals
 

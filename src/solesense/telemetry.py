@@ -222,12 +222,11 @@ def decode(data: bytes, offset: int = 0) -> TelemetryFrame:
     """Decode one frame starting at ``offset``; validates magic, version, CRC."""
     if len(data) - offset < FRAME_LENGTH:
         raise Truncated(f"need {FRAME_LENGTH} bytes, have {len(data) - offset}", offset)
-    magic, version, device_id, sequence, ts_low, ts_high, *counts = _BODY.unpack_from(data, offset)
+    magic, version, device_id, sequence, ts_low, ts_high, *counts, crc_wire = _FRAME.unpack_from(data, offset)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}", offset)
     if version != PROTOCOL_VERSION:
         raise BadVersion(f"unsupported version {version}", offset + 2)
-    (crc_wire,) = struct.unpack_from("<H", data, offset + CRC_SPAN)
     crc_calc = crc16_ccitt_false(data[offset : offset + CRC_SPAN])
     if crc_wire != crc_calc:
         raise BadCrc(f"crc mismatch: wire {crc_wire:#06x} != {crc_calc:#06x}", offset)

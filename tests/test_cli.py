@@ -66,6 +66,15 @@ BAD_GAIT_FLAGS = [
     ("--load-scale", "5.6e301", "load scale 5.6e+301 gives a base pressure that is not finite at its peak share"),
 ]
 
+# gait flags that GaitParams takes but the synthesizer cannot carry out: a
+# data error, with the line that starts its message
+OVERFLOWING_GAIT_FLAGS = [
+    ("--noise", "1e308", "error: noise sigma 1e+308 Pa overflows"),
+    # 711 PiB, beyond any 64-bit CPU's virtual address space (at most 57 bits,
+    # 128 PiB): refused at once, whatever the overcommit policy
+    ("--cycles", "1000000000000000", "error: Unable to allocate"),
+]
+
 
 class TestSimulate:
     def test_deterministic_reruns_are_byte_identical(self, tmp_path):
@@ -92,6 +101,14 @@ class TestSimulate:
         assert main(["simulate", "--cycles", "1", flag, value, "-o", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("simulate: ") and words in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, words", OVERFLOWING_GAIT_FLAGS)
+    def test_gait_flag_the_synthesizer_cannot_carry_out_is_data_error(self, tmp_path, capsys, flag, value, words):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--cycles", "1", flag, value, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(words) and err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("device_id", ["256", "300", "-1", "x"])
@@ -683,6 +700,18 @@ class TestStreamCollect:
         assert main(["stream", "--simulate", flag, value, "--addr", "127.0.0.1:9"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("stream: ") and words in err, err
+
+    @pytest.mark.parametrize("flag, value, words", OVERFLOWING_GAIT_FLAGS)
+    def test_stream_fails_on_a_gait_flag_the_synthesizer_cannot_carry_out_before_connecting(
+        self, capsys, monkeypatch, flag, value, words
+    ):
+        def create_connection(*args, **kwargs):
+            raise AssertionError("stream connected for a session it could not simulate")
+
+        monkeypatch.setattr(cli.socket, "create_connection", create_connection)
+        assert main(["stream", "--simulate", "--cycles", "1", flag, value, "--addr", "127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(words) and err.count("\n") == 1, err
 
     def test_bad_epoch_is_usage_error(self, tmp_path, capsys):
         rc = main(["simulate", "--epoch", "yesterday", "-o", str(tmp_path / "x.csv")])

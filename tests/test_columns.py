@@ -196,6 +196,21 @@ def test_run_channel_equals_step_by_step_on_edge_columns(case):
                       _stepwise(state, applied, times, profile, dynamics))
 
 
+def test_run_channel_runs_the_lag_of_step(monkeypatch):
+    """run_channel has no lag of its own: with _lagged_ohms swapped for one
+    that doubles the time step, it still equals step() sample by sample."""
+    cases = [(state, applied, times, profile, dynamics) for _, profile, dynamics, state, applied, times in EDGE_COLUMNS]
+    before = [run_channel(*case)[1].tobytes() for case in cases]
+    lag = sensor._lagged_ohms
+    monkeypatch.setattr(sensor, "_lagged_ohms", lambda previous, target, dt, dyn: lag(previous, target, 2.0 * dt, dyn))
+    changed = 0
+    for case, ohms in zip(cases, before):
+        got = run_channel(*case)
+        _assert_same_bits(got, _stepwise(*case))
+        changed += got[1].tobytes() != ohms
+    assert changed  # the swap reaches both paths
+
+
 def test_run_channel_rejects_what_step_rejects():
     profile = builtin_profile("measured")
     dynamics = DynamicsConfig()
