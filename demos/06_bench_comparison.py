@@ -9,14 +9,14 @@ from solesense.analysis import compare_sensors
 from solesense.datasets import comparison_stimulus
 from solesense.sensor import bench_profile, fsr_reference_profile
 
-times, sensor_stim, fsr_stim = comparison_stimulus()
-table = compare_sensors(times, [sensor_stim, fsr_stim], [bench_profile(), fsr_reference_profile()])
+times, stimuli = comparison_stimulus()
+table = compare_sensors(times, stimuli, [bench_profile(), fsr_reference_profile()])
 
 print(f"{'t [s]':>5} {'sensor stim [kPa]':>18} {'sensor [kohm]':>15}"
       f" {'fsr stim [kPa]':>15} {'fsr [kohm]':>12}")
-for t, s_p, f_p, row in zip(times, sensor_stim, fsr_stim, table.resistances_ohm):
-    print(f"{t:>5.0f} {s_p / 1000:>18.1f} {row[0] / 1000:>15.5f}"
-          f" {f_p / 1000:>15.1f} {row[1] / 1000:>12.5f}")
+for t, s_p, f_p, s_ohm, f_ohm in zip(times, *stimuli, *table.resistances_ohm):
+    print(f"{t:>5.0f} {s_p / 1000:>18.1f} {s_ohm / 1000:>15.5f}"
+          f" {f_p / 1000:>15.1f} {f_ohm / 1000:>12.5f}")
 
 print("\nboth columns settle to their logged levels within each one-second dwell;")
 print("the FSR's second, softer press lands on its intermediate resistance level.")

@@ -406,11 +406,10 @@ def analyze(samples: Iterable[PressureSample]) -> tuple[list[GaitEvent], GaitRep
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Time-aligned resistance responses of several sensor models."""
+    """Time-aligned resistance responses: one column of ohms per profile."""
 
     times_s: tuple[float, ...]
-    names: tuple[str, ...]
-    resistances_ohm: tuple[tuple[float, ...], ...]  # one row per time step
+    resistances_ohm: tuple[tuple[float, ...], ...]  # one column per profile
 
 
 # a comparison bench's dynamics: the defaults without play
@@ -419,37 +418,27 @@ _BENCH_DYNAMICS = DynamicsConfig(hysteresis_halfwidth=1e-9)
 
 def compare_sensors(
     times_s: Sequence[float],
-    stimuli_pa: Sequence[Sequence[float]] | Sequence[float],
+    stimuli_pa: Sequence[Sequence[float]],
     profiles: Sequence[CalibrationProfile],
 ) -> ComparisonTable:
     """Run pressure stimuli through the dynamic sensor model per profile.
 
-    ``stimuli_pa`` is either one series (driven into every profile) or one
-    series per profile (each device pressed on its own schedule). The
-    dynamics are the defaults with the play operator disabled: a comparison
-    bench presses the bare device, and the logged levels are settled values.
+    ``stimuli_pa`` holds one series per profile, lists or arrays alike (each
+    device pressed on its own schedule). The dynamics are the defaults with
+    the play operator disabled: a comparison bench presses the bare device,
+    and the logged levels are settled values.
     """
-    if len(times_s) == 0:
+    times = np.asarray(times_s, dtype=float).tolist()
+    if not times:
         raise ValueError("empty time base: a comparison needs at least one stimulus row")
-    if stimuli_pa and isinstance(stimuli_pa[0], (list, tuple)):
-        stimuli = [list(s) for s in stimuli_pa]
-    else:
-        stimuli = [list(stimuli_pa)] * len(profiles)
-    if len(stimuli) != len(profiles):
-        raise ValueError(f"{len(profiles)} profiles but {len(stimuli)} stimulus series")
-    for series in stimuli:
-        if len(series) != len(times_s):
-            raise ValueError("stimulus length does not match time base")
+    if len(stimuli_pa) != len(profiles):
+        raise ValueError(f"{len(profiles)} profiles but {len(stimuli_pa)} stimulus series")
+    if any(len(series) != len(times) for series in stimuli_pa):
+        raise ValueError("stimulus length does not match time base")
 
-    columns: list[list[float]] = []
-    for profile, series in zip(profiles, stimuli):
-        state = SensorState.settled(Pressure(series[0]), profile, timestamp=times_s[0])
-        _, ohms = run_channel(state, series[1:], times_s[1:], profile, _BENCH_DYNAMICS)
-        columns.append([state.lagged_resistance.ohms] + ohms.tolist())
-
-    rows = tuple(tuple(col[i] for col in columns) for i in range(len(times_s)))
-    return ComparisonTable(
-        times_s=tuple(times_s),
-        names=tuple(p.name for p in profiles),
-        resistances_ohm=rows,
-    )
+    columns = []
+    for profile, series in zip(profiles, stimuli_pa):
+        state = SensorState.settled(Pressure(float(series[0])), profile, timestamp=times[0])
+        _, ohms = run_channel(state, series[1:], times[1:], profile, _BENCH_DYNAMICS)
+        columns.append((state.lagged_resistance.ohms, *ohms.tolist()))
+    return ComparisonTable(times_s=tuple(times), resistances_ohm=tuple(columns))

@@ -331,7 +331,8 @@ def _recording_plots(args, times: list[float], pressures, resistances) -> None:
     ):
         plots.write_chart(
             os.path.join(args.plots, f"{name}.svg"),
-            [(label, times, values) for label, values in series],
+            times,
+            list(series),
             title=title,
             x_label="time [s]",
             y_label=y_label,
@@ -339,10 +340,12 @@ def _recording_plots(args, times: list[float], pressures, resistances) -> None:
         )
 
 
-def _response_curve_plot(args, pairs: list[tuple[float, float]]) -> None:
+def _response_curve_plot(args, points) -> None:
+    """The chart of ``points``' resistance_ohm over their pressure_pa."""
     plots.write_chart(
         os.path.join(args.plots, "pressure_response_curve.svg"),
-        [("resistance_ohm", [p for p, _r in pairs], [r for _p, r in pairs])],
+        [p.pressure_pa for p in points],
+        [("resistance_ohm", [p.resistance_ohm for p in points])],
         title="Pressure response curve",
         x_label="pressure [Pa]",
         y_label="resistance [ohm]",
@@ -373,7 +376,7 @@ def cmd_analyze(args) -> int:
                 zip(names, pascals.T.tolist()),
                 zip(names, static_ohms(profile, pascals).T.tolist()),
             )
-            _response_curve_plot(args, [(p.pressure_pa, p.resistance_ohm) for p in profile.points])
+            _response_curve_plot(args, profile.points)
     elif kind == "legacy":
         records = store.read_legacy_csv(args.input)
         summary = {"kind": "legacy", "records": len(records)}
@@ -385,14 +388,14 @@ def cmd_analyze(args) -> int:
                 [("pressure_pa", [r.pressure_pa for r in records])],
                 [("resistance_ohm", [r.resistance_ohm for r in records])],
             )
-            _response_curve_plot(args, [(r.pressure_pa, r.resistance_ohm) for r in records])
+            _response_curve_plot(args, records)
     elif kind == "calibration":
         points = store.read_calibration_csv(args.input)
         summary = {"kind": "calibration", "points": len(points)}
         sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         if args.plots:
             os.makedirs(args.plots, exist_ok=True)
-            _response_curve_plot(args, [(p.pressure_pa, p.resistance_ohm) for p in points])
+            _response_curve_plot(args, points)
     else:
         raise SessionFormatError(f"{args.input}: a stimulus file is read by compare --stimulus, not analyze")
     return EXIT_OK
@@ -440,26 +443,20 @@ def cmd_calibrate(args) -> int:
 def cmd_compare(args) -> int:
     sensor_profile = _load_profile(args.sensor_profile)
     fsr_profile = _load_profile(args.fsr_profile)
-    if args.stimulus:
-        times, stimuli = store.read_stimulus_csv(args.stimulus)
-    else:
-        times, sensor_stim, fsr_stim = comparison_stimulus()
-        stimuli = [sensor_stim, fsr_stim]
+    times, stimuli = store.read_stimulus_csv(args.stimulus) if args.stimulus else comparison_stimulus()
     table = compare_sensors(times, stimuli, [sensor_profile, fsr_profile])
+    sensor_kohm, fsr_kohm = ([ohms / 1000.0 for ohms in column] for column in table.resistances_ohm)
 
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time_s,sensor_kohm,fsr_kohm\n")
-        for t, row in zip(table.times_s, table.resistances_ohm):
-            fh.write(f"{t!r},{row[0] / 1000.0!r},{row[1] / 1000.0!r}\n")
+        fh.writelines(f"{t!r},{s!r},{f!r}\n" for t, s, f in zip(table.times_s, sensor_kohm, fsr_kohm))
     print(f"wrote comparison table to {args.output}")
 
     if args.svg:
         plots.write_chart(
             args.svg,
-            [
-                ("sensor_kohm", list(table.times_s), [r[0] / 1000.0 for r in table.resistances_ohm]),
-                ("fsr_kohm", list(table.times_s), [r[1] / 1000.0 for r in table.resistances_ohm]),
-            ],
+            table.times_s,
+            [("sensor_kohm", sensor_kohm), ("fsr_kohm", fsr_kohm)],
             title="Fabricated sensor vs commercial FSR",
             x_label="time [s]",
             y_label="resistance [kohm]",

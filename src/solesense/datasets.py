@@ -53,10 +53,10 @@ FSR_POINTS: tuple[tuple[float, float], ...] = (
 )
 
 
-def comparison_stimulus() -> tuple[list[float], list[float], list[float]]:
+def comparison_stimulus() -> tuple[list[float], list[list[float]]]:
     """Per-device press schedules of the built-in comparison bench run.
 
-    Returns (times_s, sensor_pressures_pa, fsr_pressures_pa), one row per
+    Returns (times_s, [sensor_pressures_pa, fsr_pressures_pa]), one row per
     second. Each device was pressed by hand on its own schedule: the
     fabricated sensor once (seconds 5-9), the FSR twice (hard at seconds 4-6,
     soft at seconds 11-13).
@@ -65,4 +65,4 @@ def comparison_stimulus() -> tuple[list[float], list[float], list[float]]:
     idle, press, soft = COMPARISON_IDLE_PA, COMPARISON_PRESS_PA, COMPARISON_SOFT_PRESS_PA
     sensor = [idle] * 5 + [press] * 5 + [idle] * 4
     fsr = [idle] * 4 + [press] * 3 + [idle] * 4 + [soft] * 3
-    return times, sensor, fsr
+    return times, [sensor, fsr]

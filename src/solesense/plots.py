@@ -36,8 +36,6 @@ def _finite(values) -> list[float]:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -50,20 +48,19 @@ def _fmt(value: float) -> str:
 
 
 def line_chart_svg(
-    series: Sequence[tuple[str, Sequence[float], Sequence[float | None]]],
+    xs: Sequence[float],
+    series: Sequence[tuple[str, Sequence[float | None]]],
     title: str = "",
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Render named (xs, ys) series as an 800 x 480 SVG document string.
+    """Render named (name, ys) series, one y per x of ``xs``, as an 800 x 480
+    SVG document string.
 
     A ``None`` y value breaks the polyline (used for open-circuit gaps).
     """
-    xs_all: list[float] = []
-    ys_all: list[float] = []
-    for _name, xs, ys in series:
-        xs_all.extend(_finite(xs))
-        ys_all.extend(_finite(ys))
+    xs_all = _finite(xs)
+    ys_all = [y for _name, ys in series for y in _finite(ys)]
     x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
     y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
     if x_hi == x_lo:
@@ -115,10 +112,10 @@ def line_chart_svg(
         f'font-family="sans-serif" transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
     )
 
-    for index, (name, xs, ys) in enumerate(series):
+    for index, (name, ys) in enumerate(series):
         color = _PALETTE[index % len(_PALETTE)]
         runs: list[list[str]] = [[]]
-        for x, y in zip(xs, ys):
+        for x, y in zip(xs, ys, strict=True):
             if y is None or not math.isfinite(y):
                 if runs[-1]:
                     runs.append([])
@@ -148,27 +145,24 @@ def line_chart_svg(
 
 def write_chart(
     svg_path,
-    series: Sequence[tuple[str, Sequence[float], Sequence[float | None]]],
+    xs: Sequence[float],
+    series: Sequence[tuple[str, Sequence[float | None]]],
     title: str = "",
     x_label: str = "",
     y_label: str = "",
     x_column: str = "x",
 ) -> None:
-    """Write the SVG and its CSV data twin (one x column, one column per series).
+    """Write the SVG of (name, ys) series over ``xs`` and its CSV data twin
+    (the x column, then one column per series).
 
     The twin sits beside the SVG under the same name with a ``.csv`` suffix in
     place of the SVG's own (``a/chart.svg`` -> ``a/chart.csv``).
     """
     with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(line_chart_svg(series, title=title, x_label=x_label, y_label=y_label))
+        fh.write(line_chart_svg(xs, series, title=title, x_label=x_label, y_label=y_label))
 
-    columns = [x_column] + [name for name, _xs, _ys in series]
-    xs = series[0][1] if series else []
     with open(os.path.splitext(svg_path)[0] + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i, x in enumerate(xs):
-            row = [repr(float(x))]
-            for _name, sxs, sys in series:
-                y = sys[i] if i < len(sys) else None
-                row.append("" if y is None or not math.isfinite(y) else repr(float(y)))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join([x_column, *(name for name, _ys in series)]) + "\n")
+        for x, *ys in zip(xs, *(ys for _name, ys in series), strict=True):
+            cells = ("" if y is None or not math.isfinite(y) else repr(float(y)) for y in ys)
+            fh.write(",".join([repr(float(x)), *cells]) + "\n")

@@ -586,13 +586,16 @@ def _stimulus_rows():
     return row
 
 
-def read_stimulus_csv(path) -> tuple[list[float], list[list[float]] | list[float]]:
-    """Read a comparison stimulus: its times, and one pressure series per
-    device (``time_s,sensor_pa,fsr_pa``) or one for both (``time_s,pressure_pa``).
-    Times may repeat but never fall."""
-    columns, rows, _, _ = _read_table(path, STIMULUS_LAYOUTS, _stimulus_rows())
-    times, *series = ([row[k] for row in rows] for k in range(len(columns)))
-    return times, series if len(series) > 1 else series[0]
+def read_stimulus_csv(path) -> tuple[list[float], list[list[float]]]:
+    """Read a comparison stimulus: its times and [sensor_series, fsr_series],
+    each device's own (``time_s,sensor_pa,fsr_pa``) or one column for both
+    (``time_s,pressure_pa``). Times may repeat but never fall; no rows at all
+    is an error that names the file."""
+    _, rows, _, _ = _read_table(path, STIMULUS_LAYOUTS, _stimulus_rows())
+    if not rows:
+        raise SessionFormatError(f"{path}: empty time base: a comparison needs at least one stimulus row")
+    times, *series = map(list, zip(*rows))
+    return times, series if len(series) == 2 else series * 2
 
 
 _KINDS = {SAMPLE_COLUMNS: "session", LEGACY_COLUMNS: "legacy", CALIBRATION_HEADER: "calibration"}

@@ -82,6 +82,15 @@ class GaitParams:
             raise ValueError(f"sample rate must be finite and >= 20 Hz, got {self.sample_rate_hz!r}")
         if self.cycles < 0:
             raise ValueError(f"cycles must be >= 0, got {self.cycles!r}")
+        try:
+            count = self.cycles * self.cycle_duration_s * self.sample_rate_hz
+        except OverflowError:  # cycles past the float range
+            count = math.inf
+        if not count <= np.iinfo(np.intp).max:
+            raise ValueError(
+                f"{self.cycles!r} cycles at cadence {self.cadence_spm!r} and rate {self.sample_rate_hz!r} Hz "
+                f"give {count:.3g} samples, not a count numpy can index (at most {np.iinfo(np.intp).max})"
+            )
         if not (math.isfinite(self.noise_sigma_pa) and self.noise_sigma_pa >= 0):
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma_pa!r}")
         if not (math.isfinite(self.load_scale) and self.load_scale >= 0):

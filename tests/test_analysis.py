@@ -591,12 +591,9 @@ class TestCompareSensors:
     EXPECTED_FSR_KOHM = [3342.9] * 4 + [123.81111] * 3 + [3342.9] * 4 + [2051.325] * 3
 
     def test_bench_replication(self):
-        times, sensor_stim, fsr_stim = comparison_stimulus()
-        table = compare_sensors(
-            times, [sensor_stim, fsr_stim], [bench_profile(), fsr_reference_profile()]
-        )
-        assert table.names == ("bench", "fsr")
-        sensor, fsr = zip(*table.resistances_ohm)
+        times, stimuli = comparison_stimulus()
+        table = compare_sensors(times, stimuli, [bench_profile(), fsr_reference_profile()])
+        sensor, fsr = table.resistances_ohm
         for got, want in zip(sensor, self.EXPECTED_SENSOR_KOHM):
             assert got / 1000.0 == pytest.approx(want, rel=1e-6)
         for got, want in zip(fsr, self.EXPECTED_FSR_KOHM):
@@ -605,11 +602,23 @@ class TestCompareSensors:
     def test_zero_stimulus_idles(self):
         times = [float(t) for t in range(10)]
         table = compare_sensors(
-            times, [0.0] * 10, [bench_profile(), fsr_reference_profile()]
+            times, [[0.0] * 10] * 2, [bench_profile(), fsr_reference_profile()]
         )
-        for row in table.resistances_ohm:
-            assert row[0] == pytest.approx(3_342_900.0, rel=1e-9)
-            assert row[1] == pytest.approx(3_342_900.0, rel=1e-9)
+        for sensor, fsr in zip(*table.resistances_ohm):
+            assert sensor == pytest.approx(3_342_900.0, rel=1e-9)
+            assert fsr == pytest.approx(3_342_900.0, rel=1e-9)
+
+    def test_numpy_series_give_the_table_lists_give(self):
+        times, stimuli = comparison_stimulus()
+        profiles = [bench_profile(), fsr_reference_profile()]
+        want = compare_sensors(times, stimuli, profiles)
+        for got in (
+            compare_sensors(times, [np.array(series) for series in stimuli], profiles),
+            compare_sensors(np.array(times), np.array(stimuli), profiles),  # one (2, n) array
+        ):
+            assert got == want
+            assert all(type(t) is float for t in got.times_s)
+            assert all(type(ohms) is float for column in got.resistances_ohm for ohms in column)
 
     def test_stimulus_shape_validation(self):
         with pytest.raises(ValueError, match="stimulus"):

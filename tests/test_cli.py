@@ -64,6 +64,14 @@ BAD_GAIT_FLAGS = [
     ("--mass", "1e308", "body mass 1e+308 kg"),
     ("--load-scale", "1e308", "load scale 1e+308 gives a base pressure"),
     ("--load-scale", "5.6e301", "load scale 5.6e+301 gives a base pressure that is not finite at its peak share"),
+    # a sample count past numpy's index limit, or past the float range
+    ("--cadence", "1e-300", "cadence 1e-300 and rate 100.0 Hz give"),
+    ("--cadence", "1e-308", "cadence 1e-308 and rate 100.0 Hz give inf samples"),
+    ("--rate", "1e308", "cadence 120.0 and rate 1e+308 Hz give"),
+    pytest.param(
+        "--cycles", str(10**400), f"{10**400} cycles at cadence 120.0 and rate 100.0 Hz give inf samples",
+        id="--cycles-10**400-samples",
+    ),
 ]
 
 # gait flags that GaitParams takes but the synthesizer cannot carry out: a
@@ -523,7 +531,7 @@ class TestCompare:
         [
             ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0\n", ":3: expected 3 fields, got 2"),
             ("time_s,pressure_pa\n0.0,1.0\n1.0,heavy\n", ":3: could not convert"),
-            ("time_s,sensor_pa,fsr_pa\n", "empty time base"),
+            ("time_s,sensor_pa,fsr_pa\n", "stim.csv: empty time base"),
             ("time_s,pressure_pa\n0.0,1.0\n1.0,nan\n", "stim.csv:3: pressure must be finite, got nan"),
             ("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0,-5\n", "stim.csv:3: pressure must be >= 0, got -5.0"),
             ("time_s,pressure_pa\n0.0,1.0\ninf,1.0\n", "stim.csv:3: time must be finite, got inf"),
@@ -563,6 +571,45 @@ GOLDEN_SIMULATE = {
 GOLDEN_COLLECTED_SESSION = "42d28740b0c084000228c77f27b9e74a39548d30ca7bc71c5fb4f8f5f1d9bd18"
 GOLDEN_COLLECTED_REPORT = "1d9951b456dc0203d63731493ed1650f88597e79d69b110d3f400a3511973ba6"
 
+# a one-column stimulus, and a six-row session written by hand (not by
+# simulate, so that a change to the synthesizer cannot move the plots' digests)
+GOLDEN_STIMULUS = "time_s,pressure_pa\n0.0,0.0\n0.5,300000.0\n1.0,500000.0\n1.5,500000.0\n2.0,0.0\n2.5,0.0\n"
+GOLDEN_SESSION = (
+    "# device_id: 1\n# epoch: 1970-01-01T00:00:00Z\n# profile: measured\n# sample_rate_hz: 10.0\n"
+    "# v_in: 3.3\n# r1_ohm: 150000.0\n# adc_bits: 12\n# v_ref: 3.3\n"
+    "t_s,forefoot_pa,midfoot_medial_pa,midfoot_central_pa,midfoot_lateral_pa,heel_pa\n"
+    "0.0,0.0,0.0,0.0,0.0,0.0\n"
+    "0.1,0.0,0.0,0.0,0.0,450000.0\n"
+    "0.2,0.0,430000.0,440000.0,0.0,620000.0\n"
+    "0.3,480000.0,500000.0,0.0,0.0,300000.0\n"
+    "0.4,700000.0,0.0,0.0,0.0,0.0\n"
+    "0.5,0.0,0.0,0.0,0.0,0.0\n"
+)
+# sha256 of each file ``compare -o cmp.csv --svg chart.svg`` writes, on the
+# built-in bench and on GOLDEN_STIMULUS, and of each file ``analyze --plots``
+# writes for GOLDEN_SESSION: a change to the comparison or the charts must keep
+# these bytes
+GOLDEN_COMPARE = {
+    "bench": {
+        "cmp.csv": "1df6e3af30aeaf492db95547378a1aa6d95218674cb4fbe9094e6c1f47fea6bd",
+        "chart.svg": "13df83740a1e25a93345aec4450d30f28a68fa1f3326671dc683a2fa3fcaf2cb",
+        "chart.csv": "1df6e3af30aeaf492db95547378a1aa6d95218674cb4fbe9094e6c1f47fea6bd",
+    },
+    "stimulus": {
+        "cmp.csv": "ce44891600eddb4474f82b507ffd4afe50b067c3ecbd5acdea36cc13573dcb01",
+        "chart.svg": "733b29df199fe76da8b1c338ceda8137eddf4bad206e96f2a81ae68aed2f4c59",
+        "chart.csv": "ce44891600eddb4474f82b507ffd4afe50b067c3ecbd5acdea36cc13573dcb01",
+    },
+}
+GOLDEN_PLOTS = {
+    "time_vs_pressure.svg": "d9ae5b1bf2b16115e563e80be0fac11a0c74144dbdf2082dd90d2637ffe50db0",
+    "time_vs_pressure.csv": "dc0bda5af6b3d75d5da3f02ed4f519d3a87e91f44b288e550565d0f266490708",
+    "time_vs_resistance.svg": "4f0a6af5485239e198926528068ea3c888ba72afe205daa064ead4a467f1c418",
+    "time_vs_resistance.csv": "3ee9c1599a28a183a0b355036571a4f8999e4e9056f6736552eaa74b7c81dba9",
+    "pressure_response_curve.svg": "a84de2df536dfc3bd704407040a07a6310737e45659925380329acd60e385d35",
+    "pressure_response_curve.csv": "75213421f54e1e65aab04591c2d792f1dd7c4827284d297ed176b55009d345c8",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -585,6 +632,22 @@ class TestGoldenOutput:
         assert results["rc"] == 0
         assert _sha256(session) == GOLDEN_COLLECTED_SESSION
         assert _sha256(report) == GOLDEN_COLLECTED_REPORT
+
+    @pytest.mark.parametrize("source", sorted(GOLDEN_COMPARE))
+    def test_compare_writes_the_pinned_table_and_chart(self, tmp_path, capsys, source):
+        stimulus = []
+        if source == "stimulus":
+            (tmp_path / "stim.csv").write_text(GOLDEN_STIMULUS)
+            stimulus = ["--stimulus", str(tmp_path / "stim.csv")]
+        assert main(["compare", *stimulus, "-o", str(tmp_path / "cmp.csv"), "--svg", str(tmp_path / "chart.svg")]) == 0
+        assert {name: _sha256(tmp_path / name) for name in GOLDEN_COMPARE[source]} == GOLDEN_COMPARE[source]
+
+    def test_analyze_writes_the_pinned_plots(self, tmp_path, capsys):
+        session = tmp_path / "s.csv"
+        session.write_text(GOLDEN_SESSION)
+        assert main(["analyze", str(session), "--plots", str(tmp_path / "plots")]) == 0
+        assert sorted(os.listdir(tmp_path / "plots")) == sorted(GOLDEN_PLOTS)
+        assert {name: _sha256(tmp_path / "plots" / name) for name in GOLDEN_PLOTS} == GOLDEN_PLOTS
 
 
 class TestStreamCollect:

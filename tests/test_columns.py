@@ -338,17 +338,17 @@ def test_float_view_equals_the_decode_table(name, divider):
 
 
 def test_compare_sensors_equals_per_step_reference():
-    times, sensor_stim, fsr_stim = comparison_stimulus()
+    times, stimuli = comparison_stimulus()
     profiles = [builtin_profile("bench"), builtin_profile("fsr")]
     dynamics = DynamicsConfig(hysteresis_halfwidth=1e-9)
-    table = compare_sensors(times, [sensor_stim, fsr_stim], profiles)
-    for k, (profile, series) in enumerate(zip(profiles, (sensor_stim, fsr_stim))):
+    table = compare_sensors(times, stimuli, profiles)
+    for k, (profile, series) in enumerate(zip(profiles, stimuli)):
         state = SensorState.settled(Pressure(series[0]), profile, timestamp=times[0])
         want = [state.lagged_resistance.ohms]
         for t, p in zip(times[1:], series[1:]):
             state, resistance = step(state, Pressure(p), t, profile, dynamics)
             want.append(resistance.ohms)
-        assert [row[k] for row in table.resistances_ohm] == want
+        assert list(table.resistances_ohm[k]) == want
 
 
 @pytest.mark.parametrize("name", builtin_profile_names())

@@ -736,9 +736,9 @@ class TestTableRegressions:
         path.write_text("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,3.0,4.0\n")
         assert read_stimulus_csv(path) == ([0.0, 1.0], [[1.0, 3.0], [2.0, 4.0]])
         path.write_text("time_s,pressure_pa\n0.0,1.0\n1.0,3.0\n")
-        assert read_stimulus_csv(path) == ([0.0, 1.0], [1.0, 3.0])
+        assert read_stimulus_csv(path) == ([0.0, 1.0], [[1.0, 3.0], [1.0, 3.0]])  # one column presses both
         path.write_text("time_s,pressure_pa\n0.0,1.0\n0.0,3.0\n")  # a time may repeat
-        assert read_stimulus_csv(path) == ([0.0, 0.0], [1.0, 3.0])
+        assert read_stimulus_csv(path) == ([0.0, 0.0], [[1.0, 3.0], [1.0, 3.0]])
 
 
 def _with_jsonl_header(tmp_path, change):

@@ -139,6 +139,10 @@ class TestSynthesize:
             ("body_mass_kg", 1e308, "base pressure that is not finite"),
             ("load_scale", 5.6e301, "base pressure that is not finite at its peak share"),
             ("seed", -1, "seed must be >= 0"),
+            ("cadence_spm", 1e-300, "10 cycles at cadence 1e-300 and rate 100.0 Hz give 1.2e"),
+            ("cadence_spm", 1e-308, "give inf samples, not a count numpy can index"),
+            ("sample_rate_hz", 1e308, "give inf samples, not a count numpy can index"),
+            pytest.param("cycles", 10**400, "give inf samples, not a count numpy can index", id="cycles-10**400"),
         ],
     )
     def test_non_finite_or_negative_gait_values_are_rejected(self, field, value, words):
