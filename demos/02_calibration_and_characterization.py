@@ -8,14 +8,13 @@ model itself: range, both sensitivity conventions, step timing, hysteresis.
 
 from solesense.sensor import (
     NOMINAL_SENSITIVITY_PA_PER_OHM,
+    builtin_profile,
     characterize,
-    datasheet_profile,
-    measured_profile,
     static_resistance,
 )
 from solesense.units import Pressure
 
-profile = measured_profile()
+profile = builtin_profile("measured")
 print(f"profile {profile.name!r}: {len(profile.points)} points,"
       f" onset {profile.onset_pressure.pascals / 1000:.0f} kPa\n")
 
@@ -29,7 +28,7 @@ print("\nbelow onset the sensor is an open circuit:")
 print(f"  100 kPa -> {static_resistance(profile, Pressure(100_000.0))}")
 
 print("\ndatasheet-style characterization of the two-point 'datasheet' profile:")
-figures = characterize(datasheet_profile())
+figures = characterize(builtin_profile("datasheet"))
 print(f"  range: {figures.resistance_at_min_ohm:,.0f} ohm @ {figures.pressure_min_pa / 1000:.0f} kPa"
       f" ... {figures.resistance_at_max_ohm:,.0f} ohm @ {figures.pressure_max_pa / 1000:.0f} kPa")
 print(f"  sensitivity: {figures.sensitivity_ohm_per_pa:.4f} ohm/Pa"

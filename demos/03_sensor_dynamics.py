@@ -8,10 +8,10 @@ branches differ by a fixed pressure width.
 
 import math
 
-from solesense.sensor import DynamicsConfig, SensorState, datasheet_profile, static_resistance, step
+from solesense.sensor import DynamicsConfig, SensorState, builtin_profile, static_resistance, step
 from solesense.units import Pressure
 
-profile = datasheet_profile()
+profile = builtin_profile("datasheet")
 dynamics = DynamicsConfig()
 print(f"tau_load = {dynamics.tau_load * 1000:.2f} ms, tau_recover = {dynamics.tau_recover * 1000:.2f} ms,"
       f" play half-width = {dynamics.hysteresis_halfwidth / 1000:.1f} kPa\n")

@@ -17,7 +17,7 @@ from solesense.acquisition import (
     pressure_to_count,
     quantize,
 )
-from solesense.sensor import measured_profile
+from solesense.sensor import builtin_profile
 from solesense.units import Pressure, Resistance
 
 cfg = DividerConfig()
@@ -38,7 +38,7 @@ code = AdcCount(2048)
 print(f"  dequantize(2048) = {dequantize(code, cfg).volts:.6f} V (mid-rise code center)")
 
 print("\nfull chain pressure -> code -> pressure on the measured profile:")
-profile = measured_profile()
+profile = builtin_profile("measured")
 for pressure in (0.0, 450_000.0, 550_000.0, 700_000.0):
     code = pressure_to_count(Pressure(pressure), profile, cfg)
     back = count_to_pressure(code, profile, cfg)

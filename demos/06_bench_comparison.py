@@ -7,10 +7,10 @@ sensor model with each device's own calibration profile.
 
 from solesense.analysis import compare_sensors
 from solesense.datasets import comparison_stimulus
-from solesense.sensor import bench_profile, fsr_reference_profile
+from solesense.sensor import builtin_profile
 
 times, stimuli = comparison_stimulus()
-table = compare_sensors(times, stimuli, [bench_profile(), fsr_reference_profile()])
+table = compare_sensors(times, stimuli, [builtin_profile("bench"), builtin_profile("fsr")])
 
 print(f"{'t [s]':>5} {'sensor stim [kPa]':>18} {'sensor [kohm]':>15}"
       f" {'fsr stim [kPa]':>15} {'fsr [kohm]':>12}")

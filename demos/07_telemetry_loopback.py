@@ -10,11 +10,11 @@ import socket
 
 from solesense.acquisition import DividerConfig
 from solesense.analysis import Analyzer
-from solesense.sensor import measured_profile
+from solesense.sensor import builtin_profile
 from solesense.synth import GaitParams, synthesize
 from solesense.telemetry import Collector, Emitter, TelemetryFrame, encode
 
-profile = measured_profile()
+profile = builtin_profile("measured")
 divider = DividerConfig()
 
 frame = TelemetryFrame(device_id=1, sequence=0, timestamp_ms=0, counts=(4095, 4095, 4095, 4095, 4095))

@@ -35,10 +35,7 @@ from .sensor import (
     SensorState,
     builtin_profile,
     characterize,
-    datasheet_profile,
     fit_profile,
-    fsr_reference_profile,
-    measured_profile,
     static_resistance,
     step,
 )

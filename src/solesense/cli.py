@@ -445,18 +445,17 @@ def cmd_compare(args) -> int:
     fsr_profile = _load_profile(args.fsr_profile)
     times, stimuli = store.read_stimulus_csv(args.stimulus) if args.stimulus else comparison_stimulus()
     table = compare_sensors(times, stimuli, [sensor_profile, fsr_profile])
-    sensor_kohm, fsr_kohm = ([ohms / 1000.0 for ohms in column] for column in table.resistances_ohm)
+    names = ("sensor_kohm", "fsr_kohm")
+    series = [(name, [ohms / 1000.0 for ohms in column]) for name, column in zip(names, table.resistances_ohm)]
 
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time_s,sensor_kohm,fsr_kohm\n")
-        fh.writelines(f"{t!r},{s!r},{f!r}\n" for t, s, f in zip(table.times_s, sensor_kohm, fsr_kohm))
+    plots.write_table(args.output, table.times_s, series, x_column="time_s")
     print(f"wrote comparison table to {args.output}")
 
     if args.svg:
         plots.write_chart(
             args.svg,
             table.times_s,
-            [("sensor_kohm", sensor_kohm), ("fsr_kohm", fsr_kohm)],
+            series,
             title="Fabricated sensor vs commercial FSR",
             x_label="time [s]",
             y_label="resistance [kohm]",

@@ -143,6 +143,18 @@ def line_chart_svg(
     return "\n".join(parts) + "\n"
 
 
+def write_table(
+    path, xs: Sequence[float], series: Sequence[tuple[str, Sequence[float | None]]], x_column: str = "x"
+) -> None:
+    """Write (name, ys) series over ``xs`` as a CSV table: the x column, then
+    one column per series; a y that is None or not finite is an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join([x_column, *(name for name, _ys in series)]) + "\n")
+        for x, *ys in zip(xs, *(ys for _name, ys in series), strict=True):
+            cells = ("" if y is None or not math.isfinite(y) else repr(float(y)) for y in ys)
+            fh.write(",".join([repr(float(x)), *cells]) + "\n")
+
+
 def write_chart(
     svg_path,
     xs: Sequence[float],
@@ -152,17 +164,12 @@ def write_chart(
     y_label: str = "",
     x_column: str = "x",
 ) -> None:
-    """Write the SVG of (name, ys) series over ``xs`` and its CSV data twin
-    (the x column, then one column per series).
+    """Write the SVG of (name, ys) series over ``xs`` and its CSV data twin,
+    the write_table of the same series.
 
     The twin sits beside the SVG under the same name with a ``.csv`` suffix in
     place of the SVG's own (``a/chart.svg`` -> ``a/chart.csv``).
     """
     with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(line_chart_svg(xs, series, title=title, x_label=x_label, y_label=y_label))
-
-    with open(os.path.splitext(svg_path)[0] + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([x_column, *(name for name, _ys in series)]) + "\n")
-        for x, *ys in zip(xs, *(ys for _name, ys in series), strict=True):
-            cells = ("" if y is None or not math.isfinite(y) else repr(float(y)) for y in ys)
-            fh.write(",".join([repr(float(x)), *cells]) + "\n")
+    write_table(os.path.splitext(svg_path)[0] + ".csv", xs, series, x_column)

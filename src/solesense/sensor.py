@@ -501,55 +501,35 @@ def characterize(profile: CalibrationProfile) -> SensorCharacterization:
 
 # --- built-in profiles -----------------------------------------------------
 #
+# name -> (calibration rows, onset pressure in Pa), each fitted by fit_profile:
+#   measured  -- the lab calibration sweep of the fabricated sensor;
+#   datasheet -- the two-point datasheet resistance range;
+#   bench     -- the fabricated sensor as measured on the comparison bench;
+#   fsr       -- the commercial force-sensing resistor used as its baseline.
 # "measured" and "datasheet" describe the same physical device but are
 # mutually inconsistent (the lab sweep starts near 3.3 Mohm at 429 kPa, the
 # datasheet says 150 kohm at 200 kPa); both ship, unmerged, under separate
 # names. "bench" and "fsr" reproduce the side-by-side comparison rig and use
 # onset 0 so an unloaded stimulus reads the idle resistance the rig logged.
 
-
-def measured_profile() -> CalibrationProfile:
-    """Profile fitted to the lab calibration sweep of the fabricated sensor."""
-    points = [CalibrationPoint(p, r) for p, r in datasets.MEASURED_CALIBRATION]
-    return fit_profile("measured", points, Pressure(datasets.DATASHEET_ONSET_PA))
-
-
-def datasheet_profile() -> CalibrationProfile:
-    """Two-point profile spanning the datasheet resistance range."""
-    points = [CalibrationPoint(p, r) for p, r in datasets.DATASHEET_RANGE]
-    return fit_profile("datasheet", points, Pressure(datasets.DATASHEET_ONSET_PA))
-
-
-def bench_profile() -> CalibrationProfile:
-    """Fabricated sensor as measured on the comparison bench."""
-    points = [CalibrationPoint(p, r) for p, r in datasets.COMPARISON_SENSOR_POINTS]
-    return fit_profile("bench", points, Pressure(0.0))
-
-
-def fsr_reference_profile() -> CalibrationProfile:
-    """Commercial force-sensing resistor used as the comparison baseline."""
-    points = [CalibrationPoint(p, r) for p, r in datasets.FSR_POINTS]
-    return fit_profile("fsr", points, Pressure(0.0))
-
-
 _BUILTIN_PROFILES = {
-    "measured": measured_profile,
-    "datasheet": datasheet_profile,
-    "bench": bench_profile,
-    "fsr": fsr_reference_profile,
+    "measured": (datasets.MEASURED_CALIBRATION, datasets.DATASHEET_ONSET_PA),
+    "datasheet": (datasets.DATASHEET_RANGE, datasets.DATASHEET_ONSET_PA),
+    "bench": (datasets.COMPARISON_SENSOR_POINTS, 0.0),
+    "fsr": (datasets.FSR_POINTS, 0.0),
 }
 
 
 @functools.cache
 def builtin_profile(name: str) -> CalibrationProfile:
     """The built-in profile ``name``: one shared instance per name, so its
-    decode tables are built once per process. The factories it calls return
-    fresh profiles."""
+    decode tables are built once per process."""
     try:
-        return _BUILTIN_PROFILES[name]()
+        rows, onset_pa = _BUILTIN_PROFILES[name]
     except KeyError:
         known = ", ".join(sorted(_BUILTIN_PROFILES))
         raise CalibrationError(f"unknown profile {name!r} (built-ins: {known})") from None
+    return fit_profile(name, [CalibrationPoint(p, r) for p, r in rows], Pressure(onset_pa))
 
 
 def builtin_profile_names() -> tuple[str, ...]:

@@ -475,9 +475,12 @@ class Emitter:
 
         A paced wait is at most half threading.TIMEOUT_MAX (time.sleep fails
         once its deadline passes TIMEOUT_MAX), and none is made toward a row
-        that no frame can carry.
+        that no frame can carry. It connects before the first block, so that
+        even a call with no rows opens a connection, which a receiver waiting
+        for one to close can see end.
         """
         times, stamps, counts, error = _frame_fields(self._device_id, self.sent, times, counts)
+        self._ensure_connected()
         for start in range(0, len(stamps), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             payload = _pack_block(self._device_id, self.sent, stamps[block], counts[block])

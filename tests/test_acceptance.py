@@ -16,10 +16,9 @@ from solesense.cli import main, report_json_text
 from solesense.datasets import MEASURED_CALIBRATION
 from solesense.sensor import (
     CalibrationPoint,
+    builtin_profile,
     characterize,
-    datasheet_profile,
     fit_profile,
-    measured_profile,
     static_resistance,
 )
 from solesense.synth import GaitParams, ground_truth, synthesize
@@ -75,7 +74,7 @@ def test_criterion_2_divider_roundtrip():
 
 def test_criterion_3_calibration_fidelity():
     with criterion(3, "fitted measured profile reproduces all calibration points to 1e-9"):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         for pressure, resistance in MEASURED_CALIBRATION:
             got = static_resistance(profile, Pressure(pressure)).ohms
             assert abs(got - resistance) / resistance <= 1e-9
@@ -88,7 +87,7 @@ def test_criterion_3_calibration_fidelity():
 
 def test_criterion_4_characterization_properties():
     with criterion(4, "step timing 120/100 +/- 5 ms, hysteresis <= 6%, current < 1 mA"):
-        figures = characterize(datasheet_profile())
+        figures = characterize(builtin_profile("datasheet"))
         assert abs(figures.response_time_s - 0.120) <= 0.005
         assert abs(figures.recovery_time_s - 0.100) <= 0.005
         assert figures.hysteresis_fraction <= 0.06 + 1e-9

@@ -25,10 +25,8 @@ from solesense.sensor import (
     CalibrationPoint,
     builtin_profile,
     builtin_profile_names,
-    datasheet_profile,
     fit_profile,
     invert_static_ohms,
-    measured_profile,
     static_resistance,
 )
 from solesense.units import Pressure, PressureSample, Resistance, Voltage
@@ -123,23 +121,23 @@ class TestAdc:
 
 class TestPressureChain:
     def test_counts_monotone_in_pressure(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         pressures = [200_000.0 + k * 5_000.0 for k in range(111)]
         counts = [pressure_to_count(Pressure(p), profile, CFG).value for p in pressures]
         # resistance falls with pressure, so on this topology counts fall too
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_datasheet_full_load_code(self):
-        assert pressure_to_count(Pressure(750_000.0), datasheet_profile(), CFG).value == 5
+        assert pressure_to_count(Pressure(750_000.0), builtin_profile("datasheet"), CFG).value == 5
 
     def test_no_touch_reads_full_scale(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         count = pressure_to_count(Pressure(0.0), profile, CFG)
         assert count.value == FULL_SCALE
         assert count_to_pressure(count, profile, CFG).pascals == 0.0
 
     def test_roundtrip_within_one_step_equivalent(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         rng = random.Random(99)
         for _ in range(1000):
             p = rng.uniform(profile.onset_pressure.pascals, profile.max_pressure_pa)
@@ -153,7 +151,7 @@ class TestPressureChain:
             assert abs(back - p) <= bound
 
     def test_sample_helpers_roundtrip(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         sample = PressureSample.from_row(1.25, [0.0, 450_000.0, 500_000.0, 600_000.0, 700_000.0])
         counts = tuple(counts_from_pascals([sample.as_row()], profile, CFG)[0].tolist())
         assert len(counts) == 5
@@ -215,7 +213,7 @@ class TestDecodeTable:
         assert _bisect_pressure(profile, FLAT_OHMS) == pytest.approx(200e3, rel=1e-12)
 
     def test_invert_static_end_clamps(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         idle = profile.idle_resistance_ohm
         last = profile.points[-1].resistance_ohm
         for ohms in (math.inf, 2.0 * idle, idle):
@@ -228,7 +226,7 @@ class TestDecodeTable:
         assert float(invert_static_ohms(flat_end, FLAT_OHMS)) == 300e3
 
     def test_built_once_per_divider_and_shared(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         table = decode_table(profile, CFG)
         assert decode_table(profile, DividerConfig()) is table
         assert decode_table(profile, DividerConfig(adc_bits=10)) is not table
@@ -236,15 +234,13 @@ class TestDecodeTable:
         assert all(type(p) is float for p in table)  # bare pascals; no Pressure is built
         assert count_to_pressure(AdcCount(1234), profile, CFG) == Pressure(table[1234])
 
-    def test_builtin_profiles_are_shared_and_factories_fresh(self):
+    def test_builtin_profiles_are_shared(self):
         for name in builtin_profile_names():
             profile = builtin_profile(name)
             assert builtin_profile(name) is profile
-        assert measured_profile() is not measured_profile()
-        assert measured_profile() is not builtin_profile("measured")
 
     def test_equal_dividers_hash_alike_and_share_one_table(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         a = DividerConfig(v_in=Voltage(3.3), r1=Resistance(150_000.0), adc_bits=12)
         b = DividerConfig(v_ref=Voltage(3.3))
         assert a == b and a is not b
@@ -255,7 +251,7 @@ class TestDecodeTable:
         assert decode_table(profile, other) is not decode_table(profile, a)
 
     def test_codes_the_divider_cannot_read_raise_value_error(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         with pytest.raises(ValueError):
             count_to_pressure(AdcCount(1 << CFG.adc_bits), profile, CFG)
         for bad in (1 << CFG.adc_bits, 0xFFFF, -1):
@@ -286,7 +282,7 @@ class TestColumns:
             assert quantize(Voltage(v), cfg).value == code
 
     def test_counts_to_samples_matches_counts_to_sample(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         rng = np.random.default_rng(4)
         counts = rng.integers(0, 1 << CFG.adc_bits, (300, 5))
         times = np.arange(300) / 100.0
@@ -295,7 +291,7 @@ class TestColumns:
         assert got == want
 
     def test_counts_to_samples_names_the_first_bad_code(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         counts = np.full((6, 5), 4095)
         counts[3, 4] = 5000
         counts[5, 0] = -1
@@ -336,4 +332,4 @@ class TestRefusedInputs:
 
     def test_four_counts_make_no_sample(self):
         with pytest.raises(ValueError, match="expected 5 counts, got 4"):
-            counts_to_sample(0.0, (0, 0, 0, 0), measured_profile(), CFG)
+            counts_to_sample(0.0, (0, 0, 0, 0), builtin_profile("measured"), CFG)

@@ -22,7 +22,7 @@ from solesense.analysis import (
     compare_sensors,
 )
 from solesense.datasets import comparison_stimulus
-from solesense.sensor import bench_profile, fsr_reference_profile, measured_profile
+from solesense.sensor import builtin_profile
 from solesense.synth import GaitParams, ground_truth, synthesize
 from solesense.telemetry import Collector, encode, frames_from_samples
 from solesense.units import CHANNEL_ORDER, REGION_CHANNELS, GaitPhase, Pressure, PressureSample, samples_to_columns
@@ -254,7 +254,7 @@ class TestAnalyze:
         sessions = [list(synthesize(params)) for params in grid]
         for seed in (1, 2):  # decoded through the sensor and ADC chain
             params = GaitParams(body_mass_kg=70, cycles=8, noise_sigma_pa=2_000.0, seed=seed)
-            sessions.append(simulate_session(params, measured_profile()).samples)
+            sessions.append(simulate_session(params, builtin_profile("measured")).samples)
         for samples in sessions:
             events, report = analyze(samples)
             cycles, cadence, mean, std = _reference_figures(events)
@@ -284,7 +284,7 @@ class TestUpdateBlock:
         for noise in (0.0, 3_000.0, 15_000.0):
             params = GaitParams(body_mass_kg=70, cycles=6, noise_sigma_pa=noise, seed=5)
             yield list(synthesize(params))
-            yield simulate_session(params, measured_profile()).samples  # decoded, heel-only stances
+            yield simulate_session(params, builtin_profile("measured")).samples  # decoded, heel-only stances
 
     @pytest.mark.parametrize("size", [1, 7, 157, None])
     def test_blocks_equal_rows(self, size):
@@ -392,7 +392,7 @@ class TestUpdateAtRest:
             body_mass_kg=70, cadence_spm=120, stance_fraction=0.6, sample_rate_hz=100,
             cycles=60, noise_sigma_pa=2_000.0, seed=1,
         )
-        samples = simulate_session(params, measured_profile()).samples
+        samples = simulate_session(params, builtin_profile("measured")).samples
         stepped = []
         step = Analyzer._step
         monkeypatch.setattr(Analyzer, "_step", lambda self, t, contact: stepped.append(t) or step(self, t, contact))
@@ -409,7 +409,7 @@ class TestUpdateAtRest:
             body_mass_kg=70, cadence_spm=120, stance_fraction=0.6, sample_rate_hz=100,
             cycles=60, noise_sigma_pa=2_000.0, seed=1,
         )
-        samples = simulate_session(params, measured_profile()).samples
+        samples = simulate_session(params, builtin_profile("measured")).samples
         stepped = []
         step = Analyzer._step
         monkeypatch.setattr(Analyzer, "_step", lambda self, t, contact: stepped.append(t) or step(self, t, contact))
@@ -487,7 +487,7 @@ def _kernel_stream(rng):
 def _decoded(rows):
     """``rows`` forward through the ADC chain, onto the wire and decoded by
     the collector, which drops rows in a millisecond already taken."""
-    profile = measured_profile()
+    profile = builtin_profile("measured")
     start = rows[0][0]
     samples = [PressureSample.from_row(t - start, row) for t, row in rows]
     wire = b"".join(encode(frame) for frame in frames_from_samples(samples, profile, DividerConfig()))
@@ -592,7 +592,7 @@ class TestCompareSensors:
 
     def test_bench_replication(self):
         times, stimuli = comparison_stimulus()
-        table = compare_sensors(times, stimuli, [bench_profile(), fsr_reference_profile()])
+        table = compare_sensors(times, stimuli, [builtin_profile("bench"), builtin_profile("fsr")])
         sensor, fsr = table.resistances_ohm
         for got, want in zip(sensor, self.EXPECTED_SENSOR_KOHM):
             assert got / 1000.0 == pytest.approx(want, rel=1e-6)
@@ -602,7 +602,7 @@ class TestCompareSensors:
     def test_zero_stimulus_idles(self):
         times = [float(t) for t in range(10)]
         table = compare_sensors(
-            times, [[0.0] * 10] * 2, [bench_profile(), fsr_reference_profile()]
+            times, [[0.0] * 10] * 2, [builtin_profile("bench"), builtin_profile("fsr")]
         )
         for sensor, fsr in zip(*table.resistances_ohm):
             assert sensor == pytest.approx(3_342_900.0, rel=1e-9)
@@ -610,7 +610,7 @@ class TestCompareSensors:
 
     def test_numpy_series_give_the_table_lists_give(self):
         times, stimuli = comparison_stimulus()
-        profiles = [bench_profile(), fsr_reference_profile()]
+        profiles = [builtin_profile("bench"), builtin_profile("fsr")]
         want = compare_sensors(times, stimuli, profiles)
         for got in (
             compare_sensors(times, [np.array(series) for series in stimuli], profiles),
@@ -622,14 +622,14 @@ class TestCompareSensors:
 
     def test_stimulus_shape_validation(self):
         with pytest.raises(ValueError, match="stimulus"):
-            compare_sensors([0.0, 1.0], [[1.0, 2.0]], [bench_profile(), fsr_reference_profile()])
+            compare_sensors([0.0, 1.0], [[1.0, 2.0]], [builtin_profile("bench"), builtin_profile("fsr")])
         with pytest.raises(ValueError, match="time base"):
-            compare_sensors([0.0, 1.0], [[1.0], [2.0]], [bench_profile(), fsr_reference_profile()])
+            compare_sensors([0.0, 1.0], [[1.0], [2.0]], [builtin_profile("bench"), builtin_profile("fsr")])
 
     @pytest.mark.parametrize("stimuli", [[[], []], []], ids=["series per profile", "one series"])
     def test_empty_time_base_is_rejected(self, stimuli):
         with pytest.raises(ValueError, match="empty time base"):
-            compare_sensors([], stimuli, [bench_profile(), fsr_reference_profile()])
+            compare_sensors([], stimuli, [builtin_profile("bench"), builtin_profile("fsr")])
 
 
 class TestGaitEvent:

@@ -17,7 +17,7 @@ from solesense.acquisition import DividerConfig, counts_from_pascals
 from solesense.analysis import Analyzer, analyze
 from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text
 from solesense.datasets import MEASURED_CALIBRATION
-from solesense.sensor import builtin_profile, builtin_profile_names, measured_profile, static_resistance
+from solesense.sensor import builtin_profile, builtin_profile_names, static_resistance
 from solesense.store import LegacyRecord
 from solesense.synth import GaitParams
 from solesense.telemetry import Deframer, SessionHeader, _pack, encode, frames_from_samples
@@ -256,7 +256,7 @@ class TestAnalyze:
         main(["simulate", "--cycles", "4", "--seed", "2", "--noise", "2000", "-o", str(src)])
         plots_dir = tmp_path / "plots"
         assert main(["analyze", str(src), "--plots", str(plots_dir), "--json", str(tmp_path / "r.json")]) == 0
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         want = ["t_s,forefoot,midfoot_medial,midfoot_central,midfoot_lateral,heel"]
         for sample in store.read_session(src).samples:
             cells = [repr(sample.timestamp)]
@@ -434,8 +434,8 @@ class TestCalibrate:
 
     def test_profile_file_with_fit_r2_still_loads(self, tmp_path):
         path = tmp_path / "old.json"
-        path.write_text(json.dumps({**profile_to_json_dict(measured_profile()), "fit_r2": 1.0}))
-        assert profile_from_json_file(path) == measured_profile()
+        path.write_text(json.dumps({**profile_to_json_dict(builtin_profile("measured")), "fit_r2": 1.0}))
+        assert profile_from_json_file(path) == builtin_profile("measured")
 
     def test_datasheet_range_report(self, tmp_path, capsys):
         cal = tmp_path / "two.csv"
@@ -525,6 +525,21 @@ class TestCompare:
             _t, s, f = map(float, row.split(","))
             assert s == pytest.approx(3342.9, rel=1e-9)
             assert f == pytest.approx(3342.9, rel=1e-9)
+
+    def test_the_table_is_its_charts_twin_with_an_open_sensor(self, tmp_path, capsys):
+        # below measured's onset the sensor is an open circuit: an empty cell in both files
+        stim = tmp_path / "stim.csv"
+        stim.write_text("time_s,sensor_pa,fsr_pa\n0.0,0.0,0.0\n1.0,500000.0,469052.1\n2.0,0.0,0.0\n")
+        out = tmp_path / "cmp.csv"
+        svg = tmp_path / "chart.svg"
+        argv = ["compare", "--stimulus", str(stim), "--sensor-profile", "measured", "-o", str(out), "--svg", str(svg)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        table = out.read_text()
+        assert table == (tmp_path / "chart.csv").read_text()
+        rows = [row.split(",") for row in table.splitlines()[1:]]
+        assert [sensor for _t, sensor, _f in rows][::2] == ["", ""]
+        assert float(rows[1][1]) > 0.0
 
     @pytest.mark.parametrize(
         "body, message",
@@ -677,6 +692,21 @@ class TestStreamCollect:
         _, offline = analyze(collected.samples)
         assert report_path.read_text() == report_json_text(offline)
 
+    def test_collect_once_ends_on_an_empty_stream(self, tmp_path, capsys):
+        # an empty stream still opens and closes one connection, which ends --once
+        out = tmp_path / "c.csv"
+        thread, results, addr = _start_collect(["-o", str(out), "--once"], capsys)
+        assert main(["stream", "--simulate", "--cycles", "0", "--addr", addr]) == 0
+        thread.join(timeout=10)
+        hung = thread.is_alive()
+        if hung:  # release the waiting collect, so the failure does not leave it listening
+            host, port = addr.rsplit(":", 1)
+            socket.create_connection((host, int(port)), timeout=5).close()
+            thread.join(timeout=30)
+        assert not hung, "collect --once kept waiting after an empty stream ended"
+        assert results["rc"] == 0
+        assert store.read_session(out).samples == []
+
     def test_collect_analyze_builds_one_analyzer_per_device(self, tmp_path, capsys, monkeypatch):
         built = []
         init = Analyzer.__init__
@@ -701,7 +731,7 @@ class TestStreamCollect:
         thread, results, addr = _start_collect(
             ["-o", str(run / "session"), "--analyze", "--report", str(run / "r.json"), "--once"], capsys
         )
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         sessions = {
             d: simulate_session(GaitParams(body_mass_kg=mass, cycles=2), profile).samples
             for d, mass in ((1, 60.0), (2, 80.0))
@@ -784,7 +814,7 @@ class TestStreamCollect:
     def test_collect_nothing_writes_valid_empty_session(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         profile_path = tmp_path / "p.json"
-        profile_path.write_text(json.dumps(profile_to_json_dict(sensor.bench_profile())))
+        profile_path.write_text(json.dumps(profile_to_json_dict(sensor.builtin_profile("bench"))))
 
         thread, _results, addr = _start_collect(["-o", str(out), "--once", "--profile", str(profile_path)], capsys)
         host, port = addr.rsplit(":", 1)
@@ -816,9 +846,9 @@ class TestStreamCollect:
     @pytest.mark.parametrize("ext", ["csv", "jsonl"])
     def test_empty_and_one_sample_sessions_record_rate_zero(self, tmp_path, capsys, ext):
         # no rate can be measured from fewer than two samples, none included
-        one = simulate_session(GaitParams(body_mass_kg=70.0, cycles=1), measured_profile()).samples[:1]
+        one = simulate_session(GaitParams(body_mass_kg=70.0, cycles=1), builtin_profile("measured")).samples[:1]
         headers = []
-        for name, wire in (("empty", b""), ("one", encode(next(frames_from_samples(one, measured_profile()))))):
+        for name, wire in (("empty", b""), ("one", encode(next(frames_from_samples(one, builtin_profile("measured")))))):
             out = tmp_path / f"{name}.{ext}"
             thread, results, addr = _start_collect(["-o", str(out), "--once"], capsys)
             host, port = addr.rsplit(":", 1)
@@ -1044,7 +1074,8 @@ class TestStreamWire:
         capsys.readouterr()
         assert main(["stream", "-i", str(session), "--addr", "127.0.0.1:9"]) == 0
         assert capsys.readouterr().out == "sent 0 frames to 127.0.0.1:9, 0 retries\n"
-        assert links.connections == 0 and links.wire == b""
+        # one connection, opened and closed, so that a collect --once ends
+        assert links.connections == 1 and links.wire == b""
 
     def test_jsonl_session_sends_its_csv_twins_wire(self, tmp_path, links, capsys):
         wires = []
@@ -1055,7 +1086,7 @@ class TestStreamWire:
             assert main(["stream", "-i", str(path), "--addr", "127.0.0.1:9"]) == 0
             wires.append(bytes(links.wire))
         _header, times, pascals = store.read_columns(tmp_path / "s.csv")
-        assert wires[0] == wires[1] == _packed(1, times, counts_from_pascals(pascals, measured_profile()))
+        assert wires[0] == wires[1] == _packed(1, times, counts_from_pascals(pascals, builtin_profile("measured")))
 
     @pytest.mark.parametrize("ext", ["csv", "jsonl"])
     def test_session_header_sets_the_divider_and_device(self, tmp_path, links, capsys, ext):
@@ -1066,7 +1097,7 @@ class TestStreamWire:
         session = tmp_path / f"s10.{ext}"
         store.write_columns(SessionHeader(7, store.DEFAULT_EPOCH, "measured", 100.0, divider), times, pascals, session)
         assert main(["stream", "-i", str(session), "--addr", "127.0.0.1:9"]) == 0
-        codes = counts_from_pascals(pascals, measured_profile(), divider)
+        codes = counts_from_pascals(pascals, builtin_profile("measured"), divider)
         assert codes.max() == (1 << 10) - 1  # an idle sensor reads the 10-bit full scale
         assert bytes(links.wire) == _packed(7, times, codes)
 
@@ -1206,7 +1237,7 @@ class TestEmptyWorkingRange:
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--cycles", "1", "-o", "s0.csv"]) == 0
         deg = tmp_path / "deg.json"
-        deg.write_text(json.dumps({**profile_to_json_dict(sensor.datasheet_profile()), "onset_pressure_pa": 750_000.0}))
+        deg.write_text(json.dumps({**profile_to_json_dict(sensor.builtin_profile("datasheet")), "onset_pressure_pa": 750_000.0}))
         capsys.readouterr()
         assert main([*argv, str(deg)]) == 2
         captured = capsys.readouterr()
@@ -1309,7 +1340,7 @@ class TestStreamDeviceFlag:
         assert main(["stream", "-i", str(session), "--device-id", "7", "--addr", "127.0.0.1:9"]) == 0
         header, times, pascals = store.read_columns(session)
         assert header.device_id == 1
-        assert bytes(links.wire) == _packed(7, times, counts_from_pascals(pascals, measured_profile()))
+        assert bytes(links.wire) == _packed(7, times, counts_from_pascals(pascals, builtin_profile("measured")))
         assert {frame.device_id for frame in Deframer().feed(bytes(links.wire))} == {7}
 
 

@@ -11,11 +11,9 @@ from solesense.sensor import (
     CalibrationPoint,
     DynamicsConfig,
     SensorState,
+    builtin_profile,
     characterize,
-    datasheet_profile,
     fit_profile,
-    fsr_reference_profile,
-    measured_profile,
     static_ohms,
     static_resistance,
     step,
@@ -32,7 +30,7 @@ def _points(rows):
 
 class TestFit:
     def test_measured_profile_reproduces_every_point(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         for pressure, resistance in MEASURED_CALIBRATION:
             got = static_resistance(profile, Pressure(pressure))
             assert got.ohms == pytest.approx(resistance, rel=1e-9)
@@ -67,28 +65,28 @@ class TestFit:
 
 class TestStaticCurve:
     def test_datasheet_end_points(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         assert static_resistance(profile, Pressure(200_000.0)).ohms == pytest.approx(150_000.0, rel=1e-9)
         assert static_resistance(profile, Pressure(750_000.0)).ohms == pytest.approx(200.0, rel=1e-9)
 
     def test_open_circuit_below_onset(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         assert static_resistance(profile, Pressure(0.0)).is_open
         assert static_resistance(profile, Pressure(199_999.0)).is_open
 
     def test_log_linear_midpoint(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         expected = math.exp((math.log(150_000.0) + math.log(200.0)) / 2.0)
         got = static_resistance(profile, Pressure(475_000.0)).ohms
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(5477.2255750516, rel=1e-9)
 
     def test_clamps_beyond_last_point(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         assert static_resistance(profile, Pressure(2e6)).ohms == pytest.approx(200.0, rel=1e-12)
 
     def test_monotone_non_increasing(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         rng = random.Random(42)
         for _ in range(500):
             p1 = rng.uniform(200_000.0, 800_000.0)
@@ -98,7 +96,7 @@ class TestStaticCurve:
             r_hi = static_resistance(profile, Pressure(hi))
             assert r_lo.ohms >= r_hi.ohms or r_lo.is_open
 
-    @pytest.mark.parametrize("profile", [measured_profile(), datasheet_profile(), fsr_reference_profile()], ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", [builtin_profile("measured"), builtin_profile("datasheet"), builtin_profile("fsr")], ids=lambda p: p.name)
     def test_array_curve_equals_the_scalar_one(self, profile):
         onset = profile.onset_pressure.pascals
         edges = [0.0, onset, math.nextafter(onset, 0.0), profile.min_pressure_pa, profile.max_pressure_pa, 2e6]
@@ -112,7 +110,7 @@ class TestStaticCurve:
 
 class TestDynamics:
     def test_steady_state_after_long_dwell(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         dyn = DynamicsConfig()
         state = SensorState.settled(Pressure(200_000.0), profile)
         applied = Pressure(600_000.0)
@@ -125,7 +123,7 @@ class TestDynamics:
     def test_first_touch_snaps_from_open(self):
         # from rest the lag has no finite starting point; the first in-range
         # sample adopts the static value immediately
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         dyn = DynamicsConfig()
         state = SensorState.at_rest(0.0)
         state, resistance = step(state, Pressure(436_000.0), 0.001, profile, dyn)
@@ -133,7 +131,7 @@ class TestDynamics:
         assert resistance.ohms == pytest.approx(expected.ohms, rel=1e-12)
 
     def test_release_below_onset_snaps_open(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         dyn = DynamicsConfig(hysteresis_halfwidth=1e-9)
         state = SensorState.settled(Pressure(600_000.0), profile)
         state, resistance = step(state, Pressure(0.0), 0.01, profile, dyn)
@@ -141,7 +139,7 @@ class TestDynamics:
 
     def test_first_order_decay_matches_closed_form(self):
         # each update shrinks the log-space gap to target by exactly exp(-dt/tau)
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         dyn = DynamicsConfig(hysteresis_halfwidth=1e-9)
         state = SensorState.settled(Pressure(250_000.0), profile)
         applied = Pressure(700_000.0)
@@ -158,7 +156,7 @@ class TestDynamics:
             )
 
     def test_recovery_uses_its_own_time_constant(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         dyn = DynamicsConfig(hysteresis_halfwidth=1e-9)
         state = SensorState.settled(Pressure(700_000.0), profile)
         applied = Pressure(250_000.0)
@@ -169,13 +167,13 @@ class TestDynamics:
         assert math.log(resistance.ohms) == pytest.approx(expected, rel=1e-12)
 
     def test_time_backwards_rejected(self):
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         state = SensorState.settled(Pressure(300_000.0), profile, timestamp=5.0)
         with pytest.raises(ValueError, match="backwards"):
             step(state, Pressure(300_000.0), 4.0, profile, DynamicsConfig())
 
     def test_determinism(self):
-        profile = measured_profile()
+        profile = builtin_profile("measured")
         dyn = DynamicsConfig()
 
         def run():
@@ -192,7 +190,7 @@ class TestDynamics:
         # the same pressure path sampled at 100 Hz and 10 kHz leaves the play
         # state identical at shared path points (the path's turning points lie
         # on the shared grid, so every inter-sample segment is monotone)
-        profile = datasheet_profile()
+        profile = builtin_profile("datasheet")
         dyn = DynamicsConfig()
 
         def path(t):  # triangle wave, vertices at multiples of 0.5 s
@@ -218,7 +216,7 @@ class TestDynamics:
 
 class TestCharacterize:
     def test_datasheet_figures(self):
-        figures = characterize(datasheet_profile())
+        figures = characterize(builtin_profile("datasheet"))
         assert figures.resistance_at_min_ohm == pytest.approx(150_000.0, rel=1e-9)
         assert figures.resistance_at_max_ohm == pytest.approx(200.0, rel=1e-9)
         assert figures.pressure_min_pa == 200_000.0
@@ -241,7 +239,7 @@ class TestCharacterize:
 
 class TestFsrReference:
     def test_levels(self):
-        profile = fsr_reference_profile()
+        profile = builtin_profile("fsr")
         assert static_resistance(profile, Pressure(428589.8)).ohms == pytest.approx(3_342_900.0, rel=1e-9)
         assert static_resistance(profile, Pressure(469052.1)).ohms == pytest.approx(123_811.11, rel=1e-9)
         assert static_resistance(profile, Pressure(450000.0)).ohms == pytest.approx(2_051_325.0, rel=1e-9)
@@ -288,7 +286,7 @@ class TestWorkingRange:
             fit_profile("empty", _points(rows), Pressure(onset))
 
     def test_an_onset_below_the_last_pressure_fits(self):
-        last = datasheet_profile().max_pressure_pa
+        last = builtin_profile("datasheet").max_pressure_pa
         profile = fit_profile("narrow", _points(DATASHEET_RANGE), Pressure(last * (1 - 1e-8)))
         assert profile.onset_pressure.pascals < profile.max_pressure_pa
         figures = characterize(profile)
@@ -310,7 +308,7 @@ class TestWorkingRange:
             fit_profile("narrow", _points(rows), Pressure(onset))
 
     def test_the_datasheet_play_is_the_default_bit_for_bit(self):
-        assert DynamicsConfig.for_profile(datasheet_profile()) == DynamicsConfig()
+        assert DynamicsConfig.for_profile(builtin_profile("datasheet")) == DynamicsConfig()
 
     @pytest.mark.parametrize(
         "onset, low",

@@ -14,7 +14,7 @@ from helpers import ReferenceReceiver, receive
 from solesense import acquisition, telemetry
 from solesense.acquisition import DividerConfig, counts_to_sample
 from solesense.analysis import Analyzer
-from solesense.sensor import measured_profile
+from solesense.sensor import builtin_profile
 from solesense.synth import GaitParams, synthesize
 from solesense.telemetry import (
     CRC_SPAN,
@@ -36,7 +36,7 @@ from solesense.telemetry import (
 )
 from solesense.units import CHANNEL_ORDER, Pressure, PressureSample
 
-PROFILE = measured_profile()
+PROFILE = builtin_profile("measured")
 DIVIDER = DividerConfig()
 
 

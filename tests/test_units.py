@@ -10,7 +10,7 @@ import pytest
 from helpers import counts_to_samples, receive
 
 from solesense.acquisition import DividerConfig, _decode_tables, _decoded_samples, counts_to_sample, decode_table
-from solesense.sensor import measured_profile
+from solesense.sensor import builtin_profile
 from solesense.telemetry import Collector, TelemetryFrame, encode
 from solesense.units import (
     CHANNEL_ORDER,
@@ -166,7 +166,7 @@ class TestDomainTypes:
             PressureSample(0.0, extra)
 
     def test_decoded_samples_equal_the_public_constructors(self, monkeypatch):
-        profile, divider = measured_profile(), DividerConfig()
+        profile, divider = builtin_profile("measured"), DividerConfig()
         table = decode_table(profile, divider)
         counts = np.array([[4095, 3000, 3500, 3950, 100], [0, 1, 2, 3, 4], [3920, 3093, 3094, 3500, 2000]])
         times = np.array([0.0, 0.01, 0.02])
@@ -219,11 +219,11 @@ class TestDomainTypes:
                     setattr(sample, name, None)
             assert pickle.loads(pickle.dumps(sample)) == sample
         assert PressureSample._of_rows([], iter(())) == []
-        objects = _decode_tables(measured_profile(), DividerConfig())[1]
+        objects = _decode_tables(builtin_profile("measured"), DividerConfig())[1]
         assert _decoded_samples(objects, [], np.empty((0, 5), np.uint16)) == []
 
     def test_held_decoded_samples_are_small(self):
-        profile, divider = measured_profile(), DividerConfig()
+        profile, divider = builtin_profile("measured"), DividerConfig()
         codes = np.random.default_rng(7).integers(0, len(decode_table(profile, divider)), size=(10_000, 5))
         times = np.arange(len(codes)) / 100.0
         tracemalloc.start()
@@ -236,7 +236,7 @@ class TestDomainTypes:
         assert per_sample < 250  # a float row; the Pressure mapping took 385 B
 
     def test_held_samples_from_the_collector_share_the_table_and_are_small(self):
-        profile, divider = measured_profile(), DividerConfig()
+        profile, divider = builtin_profile("measured"), DividerConfig()
         table = decode_table(profile, divider)
         codes = np.random.default_rng(8).integers(0, len(table), size=(10_000, 5)).tolist()
         wire = b"".join(encode(TelemetryFrame(1, i, 10 * i, tuple(row))) for i, row in enumerate(codes))
