@@ -25,7 +25,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import plots, store
-from .acquisition import DividerConfig, counts_from_pascals, counts_to_pascals, divider_out_ohms, quantize_volts
+from .acquisition import counts_from_pascals, counts_to_pascals, divider_out_ohms, quantize_volts
 from .analysis import _OFF_PA, _ON_PA, Analyzer, GaitEvent, GaitReport, compare_sensors
 from .datasets import comparison_stimulus
 from .sensor import (
@@ -96,6 +96,15 @@ def _load_profile(spec: str) -> CalibrationProfile:
     return builtin_profile(spec)
 
 
+def _header_profile(path, header: SessionHeader) -> CalibrationProfile:
+    """The built-in profile that the header of session file ``path`` names,
+    for a command given no --profile."""
+    try:
+        return builtin_profile(header.profile_name)
+    except CalibrationError as exc:
+        raise CalibrationError(f"{path}: its header names an {exc}; give --profile") from None
+
+
 def profile_to_json_dict(profile: CalibrationProfile) -> dict:
     return {
         "name": profile.name,
@@ -121,11 +130,11 @@ def report_json_text(report: GaitReport) -> str:
 # --- simulate ---------------------------------------------------------------
 
 
-def _simulated_counts(params: GaitParams, profile: CalibrationProfile, divider: DividerConfig):
+def _simulated_counts(params: GaitParams, profile: CalibrationProfile):
     """Synthetic gait -> sensor dynamics -> divider -> ADC on columns: timestamps and (n, 5) codes."""
     times, pascals = synthesize_columns(params)
     _, ohms = run_channel(SensorState.at_rest(0.0), pascals, times, profile, DynamicsConfig())
-    return times, quantize_volts(divider_out_ohms(ohms, divider), divider)
+    return times, quantize_volts(divider_out_ohms(ohms))
 
 
 def _validate_epoch_flag(command: str, epoch: str) -> None:
@@ -157,10 +166,9 @@ def cmd_simulate(args) -> int:
     _validate_epoch_flag("simulate", args.epoch)
     params = _gait_params(args, "simulate")
     profile = _load_profile(args.profile)
-    divider = DividerConfig()
-    header = SessionHeader(args.device_id, args.epoch, profile.name, params.sample_rate_hz, divider)
-    times, counts = _simulated_counts(params, profile, divider)
-    store.write_columns(header, times, counts_to_pascals(counts, profile, divider), args.output)
+    header = SessionHeader(args.device_id, args.epoch, profile.name, params.sample_rate_hz)
+    times, counts = _simulated_counts(params, profile)
+    store.write_columns(header, times, counts_to_pascals(counts, profile), args.output)
     print(f"wrote {len(times)} samples to {args.output}")
     return EXIT_OK
 
@@ -174,18 +182,18 @@ def cmd_stream(args) -> int:
     if args.simulate:  # the ADC's own codes, as the device sends them
         params = _gait_params(args, "stream")
         profile = _load_profile(args.profile or "measured")
-        divider, device_id = DividerConfig(), 1
-        times, counts = _simulated_counts(params, profile, divider)
-    else:
+        device_id = 1
+        times, counts = _simulated_counts(params, profile)
+    else:  # the header's divider records how the session was acquired; the link has its own
         header, times, pascals = store.read_columns(args.input)
-        profile = _load_profile(args.profile or header.profile_name)
-        divider, device_id = header.divider, header.device_id
-        counts = counts_from_pascals(pascals, profile, divider)
+        profile = _load_profile(args.profile) if args.profile else _header_profile(args.input, header)
+        device_id = header.device_id
+        counts = counts_from_pascals(pascals, profile)
     host, port = _parse_addr(args.addr)
     if args.device_id is not None:
         device_id = args.device_id
     emitter = Emitter(
-        lambda: socket.create_connection((host, port), timeout=10.0), profile, divider, device_id, pace=args.pace
+        lambda: socket.create_connection((host, port), timeout=10.0), profile, device_id=device_id, pace=args.pace
     )
     try:
         sent = emitter.send_counts(times, counts)
@@ -212,12 +220,13 @@ def cmd_collect(args) -> int:
     _validate_epoch_flag("collect", args.epoch)
     if args.report is not None and not args.analyze:
         raise _UsageError("collect: --report needs --analyze")
+    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.output):
+        raise _UsageError("collect: --report and -o name the same file")
     host, port = _parse_addr(args.addr)
     profile = _load_profile(args.profile)
     for path in (args.output, args.report):
         if path is not None:
             _check_writable(path)
-    divider = DividerConfig()
 
     # per device; the collector calls the sink from one thread only
     columns: dict[int, tuple[list[float], list[float]]] = defaultdict(lambda: ([], []))  # times, pascals
@@ -238,7 +247,7 @@ def cmd_collect(args) -> int:
                 print(f"\x1b[2J\x1b[Hdevice {device_id}  t={sample.timestamp:.2f}s")
                 print(_render_live(sample))
 
-    collector = Collector(sink, profile=profile, divider=divider, host=host, port=port)
+    collector = Collector(sink, profile=profile, host=host, port=port)
     try:
         collector.start()
     except OSError as exc:  # an address it cannot listen on, taken or unresolvable, is a network error
@@ -257,7 +266,7 @@ def cmd_collect(args) -> int:
         pass
     finally:
         collector.stop()
-        _flush_collected(args, profile.name, divider, columns, analyzers, events)
+        _flush_collected(args, profile.name, columns, analyzers, events)
     return EXIT_OK
 
 
@@ -289,7 +298,6 @@ def _device_path(path: str, device_id: int) -> str:
 def _flush_collected(
     args,
     profile_name: str,
-    divider: DividerConfig,
     columns: dict[int, tuple[list[float], list[float]]],
     analyzers: dict[int, Analyzer],
     events: dict[int, list[GaitEvent]],
@@ -302,7 +310,7 @@ def _flush_collected(
     multi = len(received) > 1
     for device_id in received:
         times, pascals = map(np.array, columns[device_id])
-        header = SessionHeader(device_id, args.epoch, profile_name, _infer_rate(times), divider)
+        header = SessionHeader(device_id, args.epoch, profile_name, _infer_rate(times))
         path = _device_path(args.output, device_id) if multi else args.output
         report = analyzers[device_id].report() if args.analyze else None
         store.write_columns(header, times, pascals.reshape(-1, len(CHANNEL_ORDER)), path, events[device_id], report)
@@ -359,7 +367,7 @@ def cmd_analyze(args) -> int:
     if kind in ("session", "session_jsonl"):
         header, times, pascals = store.read_columns(args.input)
         if args.plots and profile is None:  # only the plots read the header's profile: look its name up for them
-            profile = _load_profile(header.profile_name)
+            profile = _header_profile(args.input, header)
         analyzer = Analyzer()
         analyzer.update_block(times, pascals)
         text = report_json_text(analyzer.report())
@@ -495,7 +503,7 @@ def _stream_flags(p: _Parser) -> None:
     p.add_argument("--addr", default=_default_addr(), help="collector host:port")
     p.add_argument("--device-id", type=_device_id, default=None)
     p.add_argument("--pace", action="store_true", help="pace frames by sample timestamps")
-    p.add_argument("--profile", default=None, help="override the session's profile")
+    p.add_argument("--profile", default=None, help="profile to encode with; default: the session's, or measured")
 
 
 def _collect_flags(p: _Parser) -> None:

@@ -26,11 +26,11 @@ frames up to 256 rows at a time as one _WIRE record array with every CRC
 computed at once (``_pack_block``; ``_pack`` is the scalar form behind
 encode()). Unpaced, a block's bytes go with one sendall; paced, each frame's
 26 bytes go on an absolute schedule. ``Emitter.run`` converts samples to
-codes, up to 256 at a time in one ``counts_from_pascals`` call, and hands them
-to it. A sendall that fails is retried whole on the next connection, so a
-reconnect can repeat up to a whole block of frames, which the collector drops
-as stale timestamps. The collector reads up to _RECV_BYTES at a time and works
-on each received chunk whole.
+codes, up to 256 at a time in one ``counts_from_pascals`` call, paced or not,
+and hands them to it. A sendall that fails is retried whole on the next
+connection, so a reconnect can repeat up to a whole block of frames, which
+the collector drops as stale timestamps. The collector reads up to
+_RECV_BYTES at a time and works on each received chunk whole.
 ``Deframer.scan`` returns its valid frames as packed bytes: a chunk of at
 least _ARRAY_FRAMES whole frames is checked in a few numpy calls and, when it
 is a clean aligned run, returned as one slice. One per-frame loop holds the
@@ -357,7 +357,7 @@ def frames_from_samples(
     as Emitter.run does: a sample no frame can carry raises ValueError after
     the frames before it.
     """
-    for times, counts in _code_blocks(samples, profile, divider, _BLOCK_ROWS):
+    for times, counts in _code_blocks(samples, profile, divider):
         _times, stamps, counts, error = _frame_fields(device_id, start_sequence, times, counts)
         for row in zip(count(start_sequence), stamps.tolist(), map(tuple, counts.tolist())):
             yield TelemetryFrame(device_id, *row)
@@ -367,12 +367,12 @@ def frames_from_samples(
 
 
 def _code_blocks(
-    samples: Iterable[PressureSample], profile: CalibrationProfile, divider: DividerConfig, rows: int
+    samples: Iterable[PressureSample], profile: CalibrationProfile, divider: DividerConfig
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Timestamps and (n, 5) codes of each block of up to ``rows`` samples,
-    each block converted with one counts_from_pascals call."""
+    """Timestamps and (n, 5) codes of each block of up to 256 samples, each
+    block converted with one counts_from_pascals call."""
     samples = iter(samples)
-    while block := list(islice(samples, rows)):
+    while block := list(islice(samples, _BLOCK_ROWS)):
         times, pascals = samples_to_columns(block)
         yield times, counts_from_pascals(pascals, profile, divider)
 
@@ -416,8 +416,8 @@ class Emitter:
     falls due: at the time.monotonic() of the first paced row, in this call
     or an earlier one, plus the row's timestamp less that row's, so sleep
     overshoot and send cost never add up. ``run(samples)`` hands it samples
-    converted to codes, one at a time when paced so that a frame never waits
-    for a later sample.
+    converted to codes 256 at a time, paced or not: pacing decides only when
+    each frame leaves.
 
     A reconnect's backoff does not move the paced schedule: the rows that
     fell due while it waited go out at once, in a burst, and the rows after
@@ -502,11 +502,11 @@ class Emitter:
 
     def run(self, samples: Iterable[PressureSample]) -> int:
         """send_counts of every sample, converted to codes up to 256 at a
-        time, or one at a time when paced; returns the frames delivered so far.
+        time, paced or not; returns the frames delivered so far.
         It connects first, so that the receiver accepts the connection while
         the first block is converted and framed."""
         self._ensure_connected()
-        for times, counts in _code_blocks(samples, self._profile, self._divider, 1 if self._pace else _BLOCK_ROWS):
+        for times, counts in _code_blocks(samples, self._profile, self._divider):
             self.send_counts(times, counts)
         return self.sent
 

@@ -23,7 +23,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from solesense import store
-from solesense.acquisition import DividerConfig, _checked_tables, _decoded_sample, _decoded_samples
+from solesense.acquisition import (
+    DividerConfig,
+    _checked_tables,
+    _decoded_sample,
+    _decoded_samples,
+    divider_out_ohms,
+    quantize_volts,
+)
 from solesense.analysis import (
     _OFF_PA,
     _ON_PA,
@@ -34,10 +41,9 @@ from solesense.analysis import (
     Analyzer,
     GaitEvent,
 )
-from solesense.cli import _simulated_counts
-from solesense.sensor import CalibrationPoint, CalibrationProfile
+from solesense.sensor import CalibrationPoint, CalibrationProfile, DynamicsConfig, SensorState, run_channel
 from solesense.store import CALIBRATION_HEADER, LEGACY_COLUMNS, LegacyRecord, SessionLog
-from solesense.synth import GaitParams
+from solesense.synth import GaitParams, synthesize_columns
 from solesense.telemetry import (
     _BODY,
     _CRC,
@@ -296,8 +302,11 @@ def simulate_session(
     The stored pressures are what a collector would decode from the wire, not
     the synthetic ground truth: hysteresis, lag and quantization are all in.
     The chain runs on columns and equals synthesize -> step -> divider_out ->
-    quantize -> counts_to_sample sample by sample, bit for bit.
+    quantize -> counts_to_sample sample by sample, bit for bit, and, at the
+    default divider, simulate's own chain.
     """
     header = SessionHeader(device_id, epoch, profile.name, params.sample_rate_hz, divider)
-    times, counts = _simulated_counts(params, profile, divider)
+    times, pascals = synthesize_columns(params)
+    _, ohms = run_channel(SensorState.at_rest(0.0), pascals, times, profile, DynamicsConfig())
+    counts = quantize_volts(divider_out_ohms(ohms, divider), divider)
     return SessionLog(header=header, samples=counts_to_samples(times, counts, profile, divider))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,10 +21,10 @@ from solesense.datasets import MEASURED_CALIBRATION
 from solesense.sensor import builtin_profile, builtin_profile_names, static_resistance
 from solesense.store import LegacyRecord
 from solesense.synth import GaitParams
-from solesense.telemetry import Deframer, SessionHeader, _pack, encode, frames_from_samples
-from solesense.units import Pressure, PressureSample
+from solesense.telemetry import Collector, Deframer, SessionHeader, _pack, encode, frames_from_samples
+from solesense.units import Pressure, PressureSample, Resistance, Voltage
 
-from helpers import BENCH_TIME_LOG, count_series, simulate_session, write_legacy_csv
+from helpers import BENCH_TIME_LOG, count_series, receive, simulate_session, write_legacy_csv
 
 EXPECTED_SENSOR_KOHM = [3342.9] * 5 + [29.16212] * 5 + [3342.9] * 4
 EXPECTED_FSR_KOHM = [3342.9] * 4 + [123.81111] * 3 + [3342.9] * 4 + [2051.325] * 3
@@ -162,7 +163,7 @@ class TestSimulate:
 
     def test_out_of_table_code_raises_the_decode_error(self, monkeypatch, capsys, tmp_path):
         # simulate decodes through counts_to_pascals' range check
-        monkeypatch.setattr(cli, "quantize_volts", lambda volts, divider: np.full(volts.shape, 1 << 12))
+        monkeypatch.setattr(cli, "quantize_volts", lambda volts: np.full(volts.shape, 1 << 12))
         assert main(["simulate", "--cycles", "1", "-o", str(tmp_path / "s.csv")]) == 2
         assert "count 4096 is outside the 4096 codes" in capsys.readouterr().err
 
@@ -1020,7 +1021,7 @@ class TestStreamWire:
         argv = ["stream", "--simulate", "--noise", "2000", "--seed", "1", "--profile", name, "--addr", "127.0.0.1:9"]
         assert main(argv) == 0
         params = GaitParams(body_mass_kg=70.0, noise_sigma_pa=2000.0, seed=1)
-        times, codes = cli._simulated_counts(params, builtin_profile(name), DividerConfig())
+        times, codes = cli._simulated_counts(params, builtin_profile(name))
         assert bytes(links.wire) == _packed(1, times, codes)
 
     def test_stream_reports_retries(self, links, capsys):
@@ -1089,7 +1090,9 @@ class TestStreamWire:
         assert wires[0] == wires[1] == _packed(1, times, counts_from_pascals(pascals, builtin_profile("measured")))
 
     @pytest.mark.parametrize("ext", ["csv", "jsonl"])
-    def test_session_header_sets_the_divider_and_device(self, tmp_path, links, capsys, ext):
+    def test_session_header_sets_the_device_and_not_the_divider(self, tmp_path, links, capsys, ext):
+        # the header's divider records how the session was acquired; the
+        # link's codes are the collector's, on the library's divider
         source = tmp_path / "s.csv"
         assert main(["simulate", "--cycles", "2", "-o", str(source)]) == 0
         _header, times, pascals = store.read_columns(source)
@@ -1097,9 +1100,49 @@ class TestStreamWire:
         session = tmp_path / f"s10.{ext}"
         store.write_columns(SessionHeader(7, store.DEFAULT_EPOCH, "measured", 100.0, divider), times, pascals, session)
         assert main(["stream", "-i", str(session), "--addr", "127.0.0.1:9"]) == 0
-        codes = counts_from_pascals(pascals, builtin_profile("measured"), divider)
-        assert codes.max() == (1 << 10) - 1  # an idle sensor reads the 10-bit full scale
+        codes = counts_from_pascals(pascals, builtin_profile("measured"))
+        assert codes.max() > (1 << 10) - 1  # past the 10-bit full scale
         assert bytes(links.wire) == _packed(7, times, codes)
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    @pytest.mark.parametrize("name", builtin_profile_names())
+    @pytest.mark.parametrize(
+        "divider",
+        [DividerConfig(adc_bits=10), DividerConfig(Voltage(5.0), Resistance(47_000.0), 10, Voltage(4.096))],
+        ids=["10 bit", "5 V, 47 kohm, 10 bit, 4.096 V"],
+    )
+    def test_a_replayed_session_collects_as_its_source_whatever_divider_its_header_names(
+        self, tmp_path, links, capsys, ext, name, divider
+    ):
+        source = tmp_path / f"s.{ext}"
+        argv = ["simulate", "--cycles", "2", "--noise", "2000", "--seed", "1", "--profile", name, "-o", str(source)]
+        assert main(argv) == 0
+        header, times, pascals = store.read_columns(source)
+        session = tmp_path / f"d.{ext}"
+        store.write_columns(dataclasses.replace(header, divider=divider), times, pascals, session)
+        assert main(["stream", "-i", str(session), "--addr", "127.0.0.1:9"]) == 0
+        sunk = []
+        receive(Collector(lambda device_id, sample: sunk.append(sample), builtin_profile(name)), [bytes(links.wire)])
+        assert [s.timestamp for s in sunk] == times.tolist()
+        assert [s.as_row() for s in sunk] == list(map(tuple, pascals.tolist()))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["stream", "-i", "{src}", "--addr", "127.0.0.1:9"], ["analyze", "{src}", "--plots", "{tmp}/d"]],
+        ids=["stream", "analyze --plots"],
+    )
+    def test_a_header_profile_no_built_in_has_names_the_file_and_the_flag(self, tmp_path, links, capsys, argv):
+        cal, profile, src = tmp_path / "cal.csv", tmp_path / "p.json", tmp_path / "s.csv"
+        _write_measured_csv(cal)
+        assert main(["calibrate", str(cal), "--name", "custom", "-o", str(profile)]) == 0
+        assert main(["simulate", "--profile", str(profile), "--cycles", "1", "-o", str(src)]) == 0
+        capsys.readouterr()
+        assert main([arg.format(src=src, tmp=tmp_path) for arg in argv]) == 2
+        known = ", ".join(builtin_profile_names())
+        assert capsys.readouterr().err == (
+            f"error: {src}: its header names an unknown profile 'custom' (built-ins: {known}); give --profile\n"
+        )
+        assert links.connections == 0 and not (tmp_path / "d").exists()
 
 
 class TestAddrDefaults:
@@ -1331,6 +1374,19 @@ class TestCollectOutputPaths:
         assert main(argv) == 1
         assert capsys.readouterr().err == "collect: --report needs --analyze\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "report", ["same.csv", "{tmp}/same.csv", "{tmp}/./link.csv"], ids=["same", "absolute", "symlink"]
+    )
+    def test_a_report_on_the_session_file_is_a_usage_error_before_it_listens(
+        self, tmp_path, capsys, monkeypatch, report
+    ):
+        # the report, written last, would replace the session
+        monkeypatch.chdir(tmp_path)
+        os.symlink("same.csv", tmp_path / "link.csv")
+        argv = ["-o", "same.csv", "--analyze", "--report", report.format(tmp=tmp_path)]
+        assert _collect_refused(argv, capsys) == (1, "collect: --report and -o name the same file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
 
 
 class TestStreamDeviceFlag:

@@ -317,7 +317,7 @@ def test_simulated_counts_run_the_sensors_as_one_block(monkeypatch):
 
     monkeypatch.setattr(cli, "run_channel", counted)
     params = GaitParams(body_mass_kg=70.0, cycles=2, noise_sigma_pa=2000.0, seed=4)
-    times, counts = cli._simulated_counts(params, builtin_profile("measured"), DividerConfig())
+    times, counts = cli._simulated_counts(params, builtin_profile("measured"))
     assert calls == [(len(times), len(CHANNEL_ORDER))]
     assert counts.shape == (len(times), len(CHANNEL_ORDER))
 

@@ -421,23 +421,18 @@ class TestEmitter:
         assert wire == b"".join(encode(f) for f in frames_from_samples(samples, PROFILE, DIVIDER))
         assert emitter.retries == 1
 
-    def test_paced_run_sends_each_frame_before_the_next_pull(self):
-        log = []
-
-        def pulled(samples):
-            for k, sample in enumerate(samples):
-                log.append(("pull", k))
-                yield sample
-
-        class _Logging(_MemoryTransport):
-            def sendall(self, data):
-                log.append(("send", Deframer().feed(data)[0].sequence))
-                super().sendall(data)
-
-        transport = _Logging()
-        emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=True, sleep=lambda s: None)
-        assert emitter.run(pulled(_session(300))) == 300
-        assert log == [event for k in range(300) for event in (("pull", k), ("send", k))]
+    def test_paced_run_converts_whole_blocks_and_sends_the_unpaced_bytes(self, monkeypatch):
+        # pacing decides only when each frame leaves
+        calls = _count_calls(monkeypatch, "counts_from_pascals")
+        wires = []
+        for pace in (True, False):
+            transport = _MemoryTransport()
+            emitter = Emitter(lambda: transport, PROFILE, DIVIDER, pace=pace, sleep=lambda s: None)
+            assert emitter.run(_session(300)) == 300
+            wires.append(bytes(transport.buffer))
+            assert len(calls) == 2
+            calls.clear()
+        assert wires[0] == wires[1]
 
     def test_paced_wait_past_the_sleep_limit_sends_both_frames(self):
         # the real time.sleep refuses such a wait at once, without sleeping
