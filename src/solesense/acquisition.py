@@ -29,7 +29,7 @@ wraps a table entry in a Pressure at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +37,13 @@ from .sensor import CalibrationProfile, invert_static_ohms, static_ohms, static_
 from .units import CHANNEL_ORDER, Pressure, PressureSample, Resistance, Voltage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DividerConfig:
     v_in: Voltage = Voltage(3.3)
     r1: Resistance = Resistance(150_000.0)
     adc_bits: int = 12
     v_ref: Voltage | None = None  # defaults to v_in
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.v_in.volts <= 0:
@@ -62,7 +63,7 @@ class DividerConfig:
         return self._hash
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class AdcCount:
     value: int
 

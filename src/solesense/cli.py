@@ -105,6 +105,41 @@ def _header_profile(path, header: SessionHeader) -> CalibrationProfile:
         raise CalibrationError(f"{path}: its header names an {exc}; give --profile") from None
 
 
+# by args attribute, the flags that name a file a command reads: a profile
+# flag only when it names a JSON file (_load_profile)
+_READ_FLAGS = {
+    "input": "the input",
+    "stimulus": "--stimulus",
+    "profile": "--profile",
+    "sensor_profile": "--sensor-profile",
+    "fsr_profile": "--fsr-profile",
+}
+# by args attribute, the flags that name a file a command writes
+_WRITE_FLAGS = {"output": "-o", "json": "--json", "report": "--report", "svg": "--svg"}
+# the charts analyze --plots can write, each an SVG and its CSV twin
+_PLOT_NAMES = ("time_vs_pressure", "time_vs_resistance", "pressure_response_curve")
+
+
+def _refuse_overwrites(command: str, args) -> None:
+    """A usage error, before anything is written, if a file the command writes
+    resolves (os.path.realpath) to one it reads. --svg writes its chart's CSV
+    twin too, and --plots every chart analyze can write there."""
+    reads = {}
+    for name, flag in _READ_FLAGS.items():
+        path = getattr(args, name, None)
+        if path is not None and (name in ("input", "stimulus") or path.endswith(".json")):
+            reads[os.path.realpath(path)] = f"{flag} {path}"
+    writes = [(flag, getattr(args, name, None)) for name, flag in _WRITE_FLAGS.items()]
+    if getattr(args, "svg", None) is not None:
+        writes.append(("--svg", os.path.splitext(args.svg)[0] + ".csv"))
+    if getattr(args, "plots", None) is not None:
+        charts = [os.path.join(args.plots, name) for name in _PLOT_NAMES]
+        writes += [("--plots", chart + ext) for chart in charts for ext in (".svg", ".csv")]
+    for flag, path in writes:
+        if path is not None and os.path.realpath(path) in reads:
+            raise _UsageError(f"{command}: {flag} would write over {reads[os.path.realpath(path)]}")
+
+
 def profile_to_json_dict(profile: CalibrationProfile) -> dict:
     return {
         "name": profile.name,
@@ -563,13 +598,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         if argv and argv[0] in _COMMANDS:  # build only the named command's parser
-            _help, flags, handler = _COMMANDS[argv[0]]
-            parser = _Parser(prog=f"solesense {argv[0]}")
+            command = argv[0]
+            _help, flags, handler = _COMMANDS[command]
+            parser = _Parser(prog=f"solesense {command}")
             flags(parser)
             args = parser.parse_args(argv[1:])
         else:  # no command, -h, an unknown name or --: the full parser's help and errors
             args = build_parser().parse_args(argv)
-            _help, _flags, handler = _COMMANDS[args.command]
+            command = args.command
+            _help, _flags, handler = _COMMANDS[command]
+        _refuse_overwrites(command, args)
         code = handler(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code

@@ -64,7 +64,7 @@ class CalibrationError(ValueError):
     """Raised when calibration data cannot produce a valid profile."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CalibrationPoint:
     pressure_pa: float
     resistance_ohm: float
@@ -76,7 +76,7 @@ class CalibrationPoint:
             raise ValueError(f"calibration resistance must be finite positive, got {self.resistance_ohm!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CalibrationProfile:
     """Fitted monotone pressure -> resistance map for one sensor.
 
@@ -201,7 +201,7 @@ def invert_static_ohms(profile: CalibrationProfile, ohms):
     return np.where(ohms <= profile.points[-1].resistance_ohm, profile.max_pressure_pa, pascals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynamicsConfig:
     """Time constants and hysteresis width of the dynamic sensor model."""
 
@@ -223,7 +223,7 @@ class DynamicsConfig:
         return cls(hysteresis_halfwidth=_PLAY_SHARE * (high - low))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorState:
     """Dynamic state of one simulated sensor, updated functionally by step()."""
 
@@ -370,7 +370,7 @@ def _play_scan(start_pa: float, applied: np.ndarray, halfwidth_pa: float) -> np.
     return np.where(upper < clamped, upper, clamped)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorCharacterization:
     """Figures of merit measured from the fitted model, datasheet-style."""
 

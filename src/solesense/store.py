@@ -548,7 +548,7 @@ def write_session(log: SessionLog, path) -> None:
 # --- the other tables: legacy bench recordings, calibration sweeps, stimuli ----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LegacyRecord:
     time_s: float
     pressure_pa: float

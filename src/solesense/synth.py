@@ -60,7 +60,7 @@ _BLOCK_SAMPLES = 256  # samples per block of synthesize()
 _NO_LOAD = Pressure(0.0)  # shared: swing and clipped noise make many zeros
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaitParams:
     body_mass_kg: float
     cadence_spm: float = 120.0
@@ -198,7 +198,7 @@ def synthesize(params: GaitParams) -> Iterator[PressureSample]:
             yield PressureSample(t, {c: Pressure(v) if v else _NO_LOAD for c, v in zip(CHANNEL_ORDER, row)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseRecord:
     cycle_index: int
     phase: GaitPhase

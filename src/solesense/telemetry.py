@@ -119,7 +119,7 @@ class Truncated(FrameError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelemetryFrame:
     device_id: int
     sequence: int
@@ -322,7 +322,7 @@ def _is_rfc3339(text) -> bool:
     return offset_h <= 23 and offset_m <= 59
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionHeader:
     """Session metadata; written to files, never transmitted on the wire."""
 
@@ -427,7 +427,9 @@ class Emitter:
     backoff, from 100 ms doubling up to 5 s between attempts, each wait passed
     to ``sleep``, and resends the whole failed block, so sequence numbering
     continues across reconnects. ``retries`` counts every failed attempt, a
-    refused connect or a failed sendall. Delivery is at-least-once: the part of a
+    refused connect or a failed sendall. A connect that cannot resolve its
+    host (socket.gaierror, a temporary resolver failure included) is not
+    retried: it raises from the call. Delivery is at-least-once: the part of a
     block that got through before the failure arrives again on the next
     connection, so a reconnect can repeat up to 256 frames, and any frames
     the transport had buffered but never delivered show up at the receiver as
@@ -463,6 +465,8 @@ class Emitter:
         while self._conn is None:
             try:
                 self._conn = self._connect()
+            except socket.gaierror:  # a host that does not resolve, or a resolver that is down: no wait mends it
+                raise
             except OSError:
                 self.retries += 1
                 self._sleep(backoff)

@@ -1,8 +1,9 @@
 """Semantic value types, the fixed sole layout, and force/pressure mechanics.
 
 Every quantity the rest of the package passes around is wrapped in a small
-frozen dataclass so that pascals, newtons, ohms and volts cannot be mixed by
-accident. Arithmetic across quantities only happens through named operations.
+frozen, slotted dataclass so that pascals, newtons, ohms and volts cannot be
+mixed by accident; a value holds its one float in a slot, with no instance
+dict. Arithmetic across quantities only happens through named operations.
 A PressureSample is the exception inside: it holds a float row (a timestamp
 and five pascals in canonical channel order), and a decoded one builds its
 typed Pressures only when a caller reads ``channels``. A decoder builds a
@@ -33,7 +34,7 @@ def _require_finite_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Pressure:
     """Pressure in pascals; non-negative and finite."""
 
@@ -43,7 +44,7 @@ class Pressure:
         _require_finite_nonnegative("pressure", self.pascals)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Force:
     """Force in newtons; non-negative and finite."""
 
@@ -53,7 +54,7 @@ class Force:
         _require_finite_nonnegative("force", self.newtons)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Resistance:
     """Electrical resistance in ohms.
 
@@ -77,7 +78,7 @@ class Resistance:
         return math.isinf(self.ohms)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Voltage:
     """Voltage in volts, >= 0. Upper bounds are enforced by the owning circuit."""
 

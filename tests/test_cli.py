@@ -1180,6 +1180,24 @@ class TestAddrDefaults:
         assert result.returncode == 1 and "0-65535" in result.stderr
 
 
+    def test_stream_to_a_host_that_does_not_resolve_is_a_network_error_at_once(self, tmp_path):
+        # the child's resolver fails every lookup, so the test sends no query;
+        # a subprocess with a timeout, so a stream that retries forever fails instead of hanging
+        child = (
+            "import runpy, socket\n"
+            "def getaddrinfo(*args, **kwargs):\n"
+            "    raise socket.gaierror(socket.EAI_NONAME, 'Name or service not known')\n"
+            "socket.getaddrinfo = getaddrinfo\n"
+            "runpy.run_module('solesense.cli', run_name='__main__')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", child, "stream", "--simulate", "--cycles", "1", "--addr", "nosuchhost.invalid:7332"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 4
+        assert result.stderr == f"network error: [Errno {socket.EAI_NONAME}] Name or service not known\n"
+
 COMMAND_NAMES = ["simulate", "stream", "collect", "analyze", "calibrate", "compare"]
 
 
@@ -1388,6 +1406,60 @@ class TestCollectOutputPaths:
         assert _collect_refused(argv, capsys) == (1, "collect: --report and -o name the same file\n")
         assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
 
+
+
+class TestNoOverwrite:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "s.csv", "--json", "s.csv"], "analyze: --json would write over the input s.csv"),
+            (["analyze", "s.csv", "--json", "link.json"], "analyze: --json would write over the input s.csv"),
+            (
+                ["analyze", "d/time_vs_pressure.csv", "--plots", "d"],
+                "analyze: --plots would write over the input d/time_vs_pressure.csv",
+            ),
+            (["calibrate", "cal.csv", "-o", "cal.csv"], "calibrate: -o would write over the input cal.csv"),
+            (
+                ["compare", "--stimulus", "stim.csv", "-o", "stim.csv"],
+                "compare: -o would write over --stimulus stim.csv",
+            ),
+            (
+                ["compare", "--stimulus", "stim.csv", "-o", "t.csv", "--svg", "stim.svg"],
+                "compare: --svg would write over --stimulus stim.csv",
+            ),
+            (
+                ["compare", "--sensor-profile", "p.json", "-o", "p.json"],
+                "compare: -o would write over --sensor-profile p.json",
+            ),
+            (["simulate", "--profile", "p.json", "-o", "p.json"], "simulate: -o would write over --profile p.json"),
+            (["collect", "--profile", "p.json", "-o", "p.json"], "collect: -o would write over --profile p.json"),
+            (
+                ["collect", "--profile", "p.json", "-o", "c.csv", "--analyze", "--report", "p.json"],
+                "collect: --report would write over --profile p.json",
+            ),
+        ],
+        ids=[
+            "analyze json", "analyze json symlink", "analyze plots", "calibrate", "compare table",
+            "compare chart twin", "compare profile", "simulate", "collect session", "collect report",
+        ],
+    )
+    def test_a_command_refuses_to_write_over_a_file_it_reads(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        for session in ("s.csv", "d/time_vs_pressure.csv"):
+            assert main(["simulate", "--cycles", "1", "-o", session]) == 0
+        os.symlink("s.csv", "link.json")
+        _write_measured_csv(tmp_path / "cal.csv")
+        (tmp_path / "stim.csv").write_text("time_s,pressure_pa\n0.0,0.0\n1.0,500000.0\n")
+        (tmp_path / "p.json").write_text(json.dumps(profile_to_json_dict(builtin_profile("measured"))))
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        if argv[0] == "collect":  # one that listened would be let go, and fail the test
+            rc, err = _collect_refused(argv[1:], capsys)
+        else:
+            rc, err = main(argv), capsys.readouterr().err
+        assert (rc, err) == (1, message + "\n")
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 class TestStreamDeviceFlag:
     def test_the_device_id_flag_overrides_the_sessions(self, tmp_path, links, capsys):

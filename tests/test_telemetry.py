@@ -328,6 +328,20 @@ class TestEmitter:
         assert len(transports) == 2 and len(transports[0].buffer) == 50 * FRAME_LENGTH
         assert emitter.retries == 1
 
+    @pytest.mark.parametrize("code", [socket.EAI_NONAME, socket.EAI_AGAIN], ids=["no such name", "resolver down"])
+    def test_a_host_that_does_not_resolve_raises_without_a_retry(self, code):
+        def connect():
+            raise socket.gaierror(code, "name resolution failed")
+
+        def sleep(seconds):
+            raise AssertionError("the emitter waited to retry a host that does not resolve")
+
+        emitter = Emitter(connect, PROFILE, DIVIDER, sleep=sleep)
+        with pytest.raises(socket.gaierror) as caught:
+            emitter.send_counts(np.array([0.0]), np.zeros((1, 5), dtype=np.int64))
+        assert caught.value.errno == code
+        assert emitter.retries == 0 and emitter.sent == 0
+
     def test_connect_backoff_doubles_to_cap(self):
         attempts = []
         transport = _MemoryTransport()

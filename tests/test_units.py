@@ -1,6 +1,9 @@
 import copy
+import dataclasses
+import importlib
 import math
 import pickle
+import pkgutil
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from types import MappingProxyType
@@ -9,9 +12,28 @@ import numpy as np
 import pytest
 from helpers import counts_to_samples, receive
 
-from solesense.acquisition import DividerConfig, _decode_tables, _decoded_samples, counts_to_sample, decode_table
-from solesense.sensor import builtin_profile
-from solesense.telemetry import Collector, TelemetryFrame, encode
+import solesense
+from solesense.acquisition import (
+    AdcCount,
+    DividerConfig,
+    _decode_tables,
+    _decoded_samples,
+    counts_to_sample,
+    decode_table,
+)
+from solesense.analysis import ComparisonTable, ContactState, GaitEvent, GaitReport, analyze, compare_sensors
+from solesense.sensor import (
+    CalibrationPoint,
+    CalibrationProfile,
+    DynamicsConfig,
+    SensorCharacterization,
+    SensorState,
+    builtin_profile,
+    characterize,
+)
+from solesense.store import DEFAULT_EPOCH, LegacyRecord
+from solesense.synth import GaitParams, PhaseRecord, ground_truth, synthesize
+from solesense.telemetry import Collector, SessionHeader, TelemetryFrame, encode
 from solesense.units import (
     CHANNEL_ORDER,
     REGION_CHANNELS,
@@ -271,3 +293,67 @@ class TestDomainTypes:
         assert set(SoleChannel) - midfoot == {SoleChannel.FOREFOOT, SoleChannel.HEEL}
         assert frozenset(CHANNEL_ORDER) == set(SoleChannel)
         assert len({c: 0 for c in list(SoleChannel) * 2}) == 5
+
+
+def _value_instances() -> dict[type, object]:
+    """One instance of each frozen dataclass in solesense, GaitEvent aside."""
+    profile = builtin_profile("measured")
+    params = GaitParams(70.0, cycles=1)
+    _, report = analyze(synthesize(params))
+    return {
+        Pressure: Pressure(1.0),
+        Force: Force(2.0),
+        Resistance: Resistance(3.0),
+        Voltage: Voltage(1.5),
+        DividerConfig: DividerConfig(),
+        AdcCount: AdcCount(7),
+        CalibrationPoint: profile.points[0],
+        CalibrationProfile: profile,
+        DynamicsConfig: DynamicsConfig(),
+        SensorState: SensorState.at_rest(),
+        SensorCharacterization: characterize(profile),
+        GaitParams: params,
+        PhaseRecord: ground_truth(params)[0],
+        ContactState: ContactState(heel_on=True),
+        GaitReport: report,
+        ComparisonTable: compare_sensors([0.0, 1.0], [[0.0, 5e5], [5e5, 0.0]], [profile, profile]),
+        TelemetryFrame: TelemetryFrame(1, 2, 3, (4, 5, 6, 7, 8)),
+        SessionHeader: SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0),
+        LegacyRecord: LegacyRecord(0.0, 1.0, 2.0),
+    }
+
+
+class TestValueTypeSlots:
+    def test_every_frozen_dataclass_but_gait_event_is_slotted(self):
+        frozen = set()
+        for module in pkgutil.iter_modules(solesense.__path__):
+            for cls in vars(importlib.import_module(f"solesense.{module.name}")).values():
+                if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen:
+                    frozen.add(cls)
+        instances = _value_instances()
+        assert frozen == {*instances, GaitEvent}
+        for cls, value in instances.items():
+            assert "__slots__" in vars(cls), cls
+            assert not hasattr(value, "__dict__"), cls
+        assert "__slots__" not in vars(GaitEvent)  # its one-dict __init__ builds faster
+
+    def test_values_round_trip_through_pickle_deepcopy_and_replace(self):
+        for cls, value in _value_instances().items():
+            for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+                assert type(copied) is cls and copied == value, cls
+                assert repr(copied) == repr(value), cls
+
+    def test_the_divider_hashes_and_compares_on_its_four_fields(self):
+        cfg = DividerConfig()
+        assert hash(cfg) == hash((Voltage(3.3), Resistance(150_000.0), 12, Voltage(3.3)))
+        assert cfg == DividerConfig(v_ref=Voltage(3.3)) and cfg != DividerConfig(adc_bits=10)
+        assert repr(cfg) == (
+            "DividerConfig(v_in=Voltage(volts=3.3), r1=Resistance(ohms=150000.0), adc_bits=12,"
+            " v_ref=Voltage(volts=3.3))"
+        )
+        ten_bit = dataclasses.replace(cfg, adc_bits=10)
+        assert ten_bit == DividerConfig(adc_bits=10)
+        assert hash(ten_bit) == hash((Voltage(3.3), Resistance(150_000.0), 10, Voltage(3.3)))
+        assert hash(ten_bit) != hash(cfg)
+        with pytest.raises(FrozenInstanceError):
+            cfg._hash = 0
