@@ -151,9 +151,15 @@ def profile_to_json_dict(profile: CalibrationProfile) -> dict:
 def profile_from_json_file(path) -> CalibrationProfile:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    try:
-        points = [CalibrationPoint(p, r) for p, r in data["points"]]
-        return fit_profile(data["name"], points, Pressure(data["onset_pressure_pa"]))
+    try:  # typed by the store's rules: a JSON string name, and JSON numbers (no bool), two to a point
+        points = []
+        for k, pair in enumerate(data["points"]):
+            if type(pair) is not list or len(pair) != 2:
+                raise TypeError(f"points[{k}] must be a JSON array of two numbers, got {pair!r}")
+            points.append(CalibrationPoint(*(store._number(f"points[{k}]", value) for value in pair)))
+        name = store._json_typed("name", data["name"], (str,), "string")
+        onset = store._number("onset_pressure_pa", data["onset_pressure_pa"])
+        return fit_profile(name, points, Pressure(onset))
     except (KeyError, TypeError) as exc:  # a field missing, or of the wrong JSON type
         raise CalibrationError(f"{path}: not a calibration profile: {exc.__class__.__name__}: {exc}") from exc
 

@@ -23,11 +23,11 @@ serves every device and runs the sink, so a slow sink delays every connection.
 Both ends work a block at a time. The emitter frames columns of ADC codes
 (``Emitter.send_counts``): it checks every frame field once on the arrays and
 frames up to 256 rows at a time as one _WIRE record array with every CRC
-computed at once (``_pack_block``; ``_pack`` is the scalar form behind
-encode()). Unpaced, a block's bytes go with one sendall; paced, each frame's
-26 bytes go on an absolute schedule. ``Emitter.run`` converts samples to
-codes, up to 256 at a time in one ``counts_from_pascals`` call, paced or not,
-and hands them to it. A sendall that fails is retried whole on the next
+computed at once (``_pack_block``, the one frame builder; encode() packs one
+row through it). Unpaced, a block's bytes go with one sendall; paced, each
+frame's 26 bytes go on an absolute schedule. ``Emitter.run`` converts samples
+to codes, up to 256 at a time in one ``counts_from_pascals`` call, paced or
+not, and hands them to it. A sendall that fails is retried whole on the next
 connection, so a reconnect can repeat up to a whole block of frames, which
 the collector drops as stale timestamps. The collector reads up to
 _RECV_BYTES at a time and works on each received chunk whole.
@@ -38,8 +38,8 @@ sequence and timestamp ledger. A clean run of at least _ARRAY_FRAMES frames,
 which the loop would keep whole (what a healthy link sends), moves the ledger
 in one step instead. Its codes index an object-dtype copy of the decode table
 once, PressureSample._of_rows makes the run's samples, each a float row of the
-table's own floats, and the sink is mapped over them in C: no Python call is
-made per frame but the sink's own. Any other chunk goes through the loop.
+table's own floats, and a plain loop hands them to the sink, with no ledger
+work per frame. Any other chunk goes through the loop.
 ``Deframer.feed`` wraps the scan in TelemetryFrames for callers that want them.
 """
 
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import binascii
 import math
+import operator
 import re
 import selectors
 import socket
@@ -54,11 +55,10 @@ import struct
 import threading
 import time
 import traceback
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import count, islice, repeat
-from operator import length_hint
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -119,6 +119,10 @@ class Truncated(FrameError):
     pass
 
 
+# each TelemetryFrame field's name and largest value, the five counts one by one
+_TOPS = (("device_id", 0xFF), ("sequence", 0xFFFFFFFF), ("timestamp_ms", TIMESTAMP_MAX_MS), *[("counts", 0xFFFF)] * 5)
+
+
 @dataclass(frozen=True, slots=True)
 class TelemetryFrame:
     device_id: int
@@ -127,21 +131,20 @@ class TelemetryFrame:
     counts: tuple[int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.device_id <= 0xFF:
-            raise ValueError(f"device_id out of range: {self.device_id!r}")
-        if not 0 <= self.sequence <= 0xFFFFFFFF:
-            raise ValueError(f"sequence out of range: {self.sequence!r}")
-        if not 0 <= self.timestamp_ms <= TIMESTAMP_MAX_MS:
-            raise ValueError(f"timestamp_ms out of range: {self.timestamp_ms!r}")
-        if len(self.counts) != 5 or any(not 0 <= c <= 0xFFFF for c in self.counts):
+        """Every field an integer (a numpy int or a bool too; never a float) in its wire range."""
+        if len(self.counts) != 5:
             raise ValueError(f"counts must be five u16 values, got {self.counts!r}")
+        for (name, top), value in zip(_TOPS, (self.device_id, self.sequence, self.timestamp_ms, *self.counts)):
+            try:
+                if not 0 <= operator.index(value) <= top:
+                    raise ValueError(f"{name} out of range: {value!r}")
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-# magic, version, device id, sequence, timestamp (low 32 bits, high 16), counts
-_BODY = struct.Struct("<2sBBIIH5H")
-_CRC = struct.Struct("<H")
-_FRAME = struct.Struct(_BODY.format + "H")  # a whole frame: _BODY, then the CRC
-# the same whole frame as a numpy record, for reading a chunk of frames at once
+# a frame: magic, version, device id, sequence, timestamp (low 32, high 16 bits), counts, CRC
+_FRAME = struct.Struct("<2sBBIIH5HH")
+# the same frame as a numpy record, for packing and reading blocks of frames
 _WIRE = np.dtype([
     ("magic", "S2"), ("version", "u1"), ("device", "u1"), ("sequence", "<u4"),
     ("ms_low", "<u4"), ("ms_high", "<u2"), ("counts", "<u2", (5,)), ("crc", "<u2"),
@@ -188,25 +191,16 @@ def _all_valid(frames: bytes) -> bool:
     return bool((_crcs(rows) == np.frombuffer(frames, _WIRE)["crc"]).all())
 
 
-def _pack(device_id: int, sequence: int, timestamp_ms: int, counts) -> bytes:
-    """The 26 wire bytes of one frame. A field out of its range raises
-    struct.error (the timestamp's high 16 bits catch one below 0 or past u48)."""
-    body = _BODY.pack(
-        MAGIC, PROTOCOL_VERSION, device_id, sequence, timestamp_ms & 0xFFFFFFFF, timestamp_ms >> 32, *counts
-    )
-    return body + _CRC.pack(crc16_ccitt_false(body))
-
-
 def _pack_block(device_id: int, sequence: int, stamps: np.ndarray, counts: np.ndarray) -> bytes:
-    """_pack of each row, numbered from ``sequence``, back to back: the ms
+    """The frame of each row, numbered from ``sequence``, back to back: the ms
     ``stamps`` (int64) and (n, 5) ``counts`` filled into one _WIRE record
     array, whose CRCs are computed at once. The fields must fit, as
-    _frame_fields checks them: nothing here wraps or raises."""
+    _frame_fields and TelemetryFrame check them: nothing here wraps or raises."""
     wire = np.empty(len(stamps), _WIRE)
     wire["magic"] = MAGIC
     wire["version"] = PROTOCOL_VERSION
     wire["device"] = device_id
-    wire["sequence"] = np.arange(sequence, sequence + len(stamps))
+    wire["sequence"] = sequence + np.arange(len(stamps))
     wire["ms_low"] = stamps & 0xFFFFFFFF
     wire["ms_high"] = stamps >> 32
     wire["counts"] = counts
@@ -215,7 +209,8 @@ def _pack_block(device_id: int, sequence: int, stamps: np.ndarray, counts: np.nd
 
 
 def encode(frame: TelemetryFrame) -> bytes:
-    return _pack(frame.device_id, frame.sequence, frame.timestamp_ms, frame.counts)
+    """The 26 wire bytes of ``frame``: _pack_block of its one row."""
+    return _pack_block(frame.device_id, frame.sequence, np.array([frame.timestamp_ms]), np.array([frame.counts]))
 
 
 def decode(data: bytes, offset: int = 0) -> TelemetryFrame:
@@ -285,7 +280,9 @@ class Deframer:
             elif buffer[pos + 2] != PROTOCOL_VERSION:
                 pos += 1
                 self.bad_version += 1
-            elif crc16_ccitt_false(buffer[pos : pos + CRC_SPAN]) != _CRC.unpack_from(buffer, pos + CRC_SPAN)[0]:
+            elif crc16_ccitt_false(buffer[pos : pos + CRC_SPAN]) != (
+                buffer[pos + CRC_SPAN] | buffer[pos + CRC_SPAN + 1] << 8  # the wire CRC, the frame's last two bytes
+            ):
                 pos += 1
                 self.bad_crc += 1
             else:
@@ -558,8 +555,8 @@ class Collector:
     Each received chunk is scanned once (``Deframer.scan``, no TelemetryFrame).
     One loop holds the ledger; a clean run of at least _ARRAY_FRAMES frames
     takes a shortcut with the same samples and counters (``_clean_run``): it
-    is decoded into a list of samples at once, and the sink is mapped over
-    that list with no Python loop (``_ingest_run``).
+    is decoded into a list of samples at once, handed to the sink in a plain
+    loop, and taken into the ledger in one step (``_ingest_run``).
     ``sink(device_id, PressureSample)`` runs on that thread, once per kept
     frame and in arrival order: it needs no lock, but a slow sink delays every
     connection; one that raises ends only its own, with the counters taking
@@ -693,23 +690,19 @@ class Collector:
     def _ingest_run(self, expected: dict[int, int], device: int, wire: np.ndarray, ms: np.ndarray) -> None:
         """_ingest_frames on a clean run, which keeps every frame: only the
         first can add gaps, and the run is decoded with one index of the
-        table into a list of samples that the sink is mapped over, with no
-        Python loop. If the sink raises, the ledger takes in the frames up to
-        the one it raised on, as _ingest_frames would: those the list
-        iterator has handed out."""
+        table. If the sink raises, the ledger takes in the frames up to the
+        one it raised on, as _ingest_frames would."""
         first = int(wire["sequence"][0])
         samples = _decoded_samples(self._objects, (ms / 1000.0).tolist(), wire["counts"])
-        rest = iter(samples)
         try:
-            deque(map(self._sink, repeat(device), rest), maxlen=0)  # the sink loop, in C
-        finally:
-            sunk = len(samples) - length_hint(rest)  # the frame the sink raised on included
-            if sunk:
-                stats = self.stats[device]
-                stats.gaps += first - expected.get(device, first)
-                stats.frames += sunk
-                expected[device] = first + sunk
-                self._last_ms[device] = int(ms[sunk - 1])
+            for sunk, sample in enumerate(samples, 1):  # counted before the call, so a raising sink's frame counts
+                self._sink(device, sample)
+        finally:  # a clean run is never empty, so sunk is set
+            stats = self.stats[device]
+            stats.gaps += first - expected.get(device, first)
+            stats.frames += sunk
+            expected[device] = first + sunk
+            self._last_ms[device] = int(ms[sunk - 1])
 
     def _close(self, selector: selectors.BaseSelector, key: selectors.SelectorKey) -> None:
         selector.unregister(key.fileobj)

@@ -45,8 +45,7 @@ from solesense.sensor import CalibrationPoint, CalibrationProfile, DynamicsConfi
 from solesense.store import CALIBRATION_HEADER, LEGACY_COLUMNS, LegacyRecord, SessionLog
 from solesense.synth import GaitParams, synthesize_columns
 from solesense.telemetry import (
-    _BODY,
-    _CRC,
+    _FRAME,
     CRC_SPAN,
     FRAME_LENGTH,
     MAGIC,
@@ -143,7 +142,7 @@ def reference_update(analyzer: Analyzer, sample) -> list[GaitEvent]:
 @dataclass
 class ReferenceDeframer:
     """Deframer.scan one offset at a time, returning each valid frame's
-    ``_BODY`` fields."""
+    ``_FRAME`` fields but its CRC."""
 
     frames: int = 0
     bad_crc: int = 0
@@ -162,7 +161,7 @@ class ReferenceDeframer:
         pos = 0
         last = len(buffer) - FRAME_LENGTH  # the last offset a whole frame starts at
         while pos <= last:
-            body = _BODY.unpack_from(buffer, pos)
+            *body, crc_wire = _FRAME.unpack_from(buffer, pos)
             if body[0] != MAGIC:
                 # jump to the next magic, stopping where less than a frame is left
                 found = buffer.find(MAGIC, pos, last + 2)
@@ -172,11 +171,11 @@ class ReferenceDeframer:
             elif body[1] != PROTOCOL_VERSION:
                 pos += 1
                 self.bad_version += 1
-            elif crc16_ccitt_false(buffer[pos : pos + CRC_SPAN]) != _CRC.unpack_from(buffer, pos + CRC_SPAN)[0]:
+            elif crc16_ccitt_false(buffer[pos : pos + CRC_SPAN]) != crc_wire:
                 pos += 1
                 self.bad_crc += 1
             else:
-                fields.append(body)
+                fields.append(tuple(body))
                 self.frames += 1
                 pos += FRAME_LENGTH
         del buffer[:pos]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from solesense.datasets import MEASURED_CALIBRATION
 from solesense.sensor import builtin_profile, builtin_profile_names, static_resistance
 from solesense.store import LegacyRecord
 from solesense.synth import GaitParams
-from solesense.telemetry import Collector, Deframer, SessionHeader, _pack, encode, frames_from_samples
+from solesense.telemetry import Collector, Deframer, SessionHeader, TelemetryFrame, encode, frames_from_samples
 from solesense.units import Pressure, PressureSample, Resistance, Voltage
 
 from helpers import BENCH_TIME_LOG, count_series, receive, simulate_session, write_legacy_csv
@@ -414,6 +415,29 @@ class TestCalibrate:
             profile_from_json_file(path)
         assert main(["simulate", "--profile", str(path), "-o", str(tmp_path / "s.csv")]) == 2
         assert "p.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"name": 5}, "name must be a JSON string, got int 5"),
+            (
+                {"points": [[200000.0, 150000.0, 1.0], [750000.0, 200.0]]},
+                "points[0] must be a JSON array of two numbers, got [200000.0, 150000.0, 1.0]",
+            ),
+            ({"onset_pressure_pa": True}, "onset_pressure_pa must be a JSON number, got bool True"),
+            ({"points": [[True, 150000.0], [750000.0, 200.0]]}, "points[0] must be a JSON number, got bool True"),
+        ],
+        ids=["name not a string", "point of three numbers", "onset true", "point pressure true"],
+    )
+    def test_a_field_of_the_wrong_json_type_is_a_data_error_naming_the_file(self, tmp_path, capsys, change, message):
+        path, out = tmp_path / "p.json", tmp_path / "s.csv"
+        path.write_text(json.dumps({**profile_to_json_dict(builtin_profile("measured")), **change}))
+        want = f"{path}: not a calibration profile: TypeError: {message}"
+        with pytest.raises(sensor.CalibrationError, match=re.escape(want)):
+            profile_from_json_file(path)
+        assert main(["simulate", "--profile", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -871,7 +895,7 @@ class TestStreamCollect:
         thread, results, addr = _start_collect(["-o", str(out), "--once"], capsys)
         host, port = addr.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=5) as conn:
-            conn.sendall(b"".join(_pack(1, k, ms, [0] * 5) for k, ms in enumerate((0, 10, 30))))
+            conn.sendall(b"".join(encode(TelemetryFrame(1, k, ms, (0,) * 5)) for k, ms in enumerate((0, 10, 30))))
         thread.join(timeout=30)
         assert results["rc"] == 0
         log = store.read_session(out)
@@ -1010,7 +1034,7 @@ def links(monkeypatch):
 def _packed(device_id, times, codes) -> bytes:
     """The frames of rows of ADC codes, numbered from 0."""
     rows = enumerate(zip(times.tolist(), codes.tolist()))
-    return b"".join(_pack(device_id, k, round(t * 1000.0), c) for k, (t, c) in rows)
+    return b"".join(encode(TelemetryFrame(device_id, k, round(t * 1000.0), tuple(c))) for k, (t, c) in rows)
 
 
 class TestStreamWire:

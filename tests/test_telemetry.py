@@ -132,6 +132,47 @@ class TestCodec:
         with pytest.raises(BadCrc):
             decode(bytes(bad_crc))
 
+    @pytest.mark.parametrize(
+        "frame, wire",
+        [
+            (
+                TelemetryFrame(7, 424242, 987654321, (0, 1000, 2000, 3000, 4095)),
+                "534c010732790600b168de3a00000000e803d007b80bff0f5961",
+            ),
+            (
+                TelemetryFrame(255, 0xFFFFFFFF, TIMESTAMP_MAX_MS, (65535,) * 5),
+                "534c01ffffffffffffffffffffffffffffffffffffffffffcf0c",
+            ),
+            (
+                TelemetryFrame(1, 1, (1 << 32) + 5, (1, 2, 3, 4, 5)),
+                "534c010101000000050000000100010002000300040005004607",
+            ),
+        ],
+        ids=["typical", "every field at its top", "timestamp past 32 bits"],
+    )
+    def test_known_answer_frames(self, frame, wire):
+        assert encode(frame).hex() == wire
+        assert decode(bytes.fromhex(wire)) == frame
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((1.0, 0, 0, (0,) * 5), "device_id"),
+            ((1, 0.0, 0, (0,) * 5), "sequence"),
+            ((1, 0, np.float64(3), (0,) * 5), "timestamp_ms"),
+            ((1, 0, 0, (1.5, 0, 0, 0, 0)), "counts"),
+            ((1, 0, 0, (0, 0, 0, 0, np.float32(1))), "counts"),
+        ],
+        ids=["device_id", "sequence", "timestamp_ms", "count", "numpy float count"],
+    )
+    def test_a_field_that_is_not_an_integer_is_refused(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TelemetryFrame(*fields)
+
+    def test_numpy_ints_and_bools_are_integers(self):
+        frame = TelemetryFrame(np.uint8(7), np.uint32(0xFFFFFFFF), np.int64(1 << 40), (True, *np.uint16([1, 2, 3, 4])))
+        assert decode(encode(frame)) == TelemetryFrame(7, 0xFFFFFFFF, 1 << 40, (1, 1, 2, 3, 4))
+
     def test_field_validation(self):
         with pytest.raises(ValueError):
             TelemetryFrame(256, 0, 0, (0, 0, 0, 0, 0))
@@ -604,29 +645,35 @@ class TestEmitter:
         assert frames[3].timestamp_ms == round(samples[3].timestamp * 1000)
 
 
-def _pack_rows(device_id, sequence, stamps, counts):
-    """The scalar framer, row by row."""
-    return b"".join(telemetry._pack(device_id, sequence + k, s, c) for k, (s, c) in enumerate(zip(stamps, counts)))
+def _frames(device_id, sequence, stamps, counts):
+    """The TelemetryFrame of each row, numbered from ``sequence``."""
+    return [TelemetryFrame(device_id, sequence + k, s, tuple(c)) for k, (s, c) in enumerate(zip(stamps, counts))]
+
+
+def _decoded(wire):
+    """decode() of each frame of ``wire``, whole frames back to back: the
+    scalar parser, with its own CRC, reads what the block framer packed."""
+    assert len(wire) % FRAME_LENGTH == 0
+    return [decode(wire, offset) for offset in range(0, len(wire), FRAME_LENGTH)]
 
 
 class TestBlockFramer:
     @pytest.mark.parametrize("n", [1, 2, 255, 256])
-    def test_equals_the_scalar_framer_row_by_row(self, n):
+    def test_decodes_row_by_row(self, n):
         rng = np.random.default_rng(n)
         for _ in range(20):
             device_id, sequence = int(rng.integers(256)), int(rng.integers((1 << 32) - n + 1))
             stamps, counts = rng.integers(1 << 48, size=n), rng.integers(1 << 16, size=(n, 5))
-            want = _pack_rows(device_id, sequence, stamps.tolist(), counts.tolist())
-            assert telemetry._pack_block(device_id, sequence, stamps, counts) == want
+            wire = telemetry._pack_block(device_id, sequence, stamps, counts)
+            assert _decoded(wire) == _frames(device_id, sequence, stamps.tolist(), counts.tolist())
 
     @pytest.mark.parametrize("device_id", [0, 255])
     def test_edge_rows(self, device_id):
         stamps = np.array([0, TIMESTAMP_MAX_MS, 0, TIMESTAMP_MAX_MS])
         counts = np.array([[0] * 5, [65535] * 5, [0, 65535, 0, 65535, 0], [65535, 0, 65535, 0, 65535]])
         sequence = (1 << 32) - 4  # the block ends at sequence 2**32 - 1
-        want = _pack_rows(device_id, sequence, stamps.tolist(), counts.tolist())
-        assert telemetry._pack_block(device_id, sequence, stamps, counts) == want
-        assert decode(want, 3 * FRAME_LENGTH).sequence == (1 << 32) - 1
+        wire = telemetry._pack_block(device_id, sequence, stamps, counts)
+        assert _decoded(wire) == _frames(device_id, sequence, stamps.tolist(), counts.tolist())
 
     def test_paced_and_unpaced_send_the_same_bytes(self):
         times, codes = np.arange(600) * 0.004, np.random.default_rng(6).integers(4096, size=(600, 5))
@@ -637,7 +684,8 @@ class TestBlockFramer:
             assert emitter.send_counts(times, codes) == 600
             assert transport.sends == (3 if not pace else 600)
             wires.append(bytes(transport.buffer))
-        assert wires[0] == wires[1] == _pack_rows(5, 0, np.rint(times * 1000).astype(int).tolist(), codes.tolist())
+        assert wires[0] == wires[1]
+        assert _decoded(wires[0]) == _frames(5, 0, np.rint(times * 1000).astype(int).tolist(), codes.tolist())
 
     def test_a_block_failed_mid_send_is_resent_whole(self):
         transports = []
@@ -660,8 +708,9 @@ class TestBlockFramer:
         times, codes = np.arange(600) * 0.01, np.random.default_rng(7).integers(4096, size=(600, 5))
         emitter = Emitter(connect, PROFILE, DIVIDER, sleep=lambda s: None)
         assert emitter.send_counts(times, codes) == 600 and emitter.retries == 1
-        block = _pack_rows(1, 256, np.rint(times[256:512] * 1000).astype(int).tolist(), codes[256:512].tolist())
-        assert transports[0].payloads[1] == transports[1].payloads[0] == block
+        block = _frames(1, 256, np.rint(times[256:512] * 1000).astype(int).tolist(), codes[256:512].tolist())
+        assert transports[0].payloads[1] == transports[1].payloads[0]
+        assert _decoded(transports[1].payloads[0]) == block
         assert [len(p) for p in transports[1].payloads] == [256 * FRAME_LENGTH, 88 * FRAME_LENGTH]
 
 
