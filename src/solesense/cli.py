@@ -120,24 +120,38 @@ _WRITE_FLAGS = {"output": "-o", "json": "--json", "report": "--report", "svg": "
 _PLOT_NAMES = ("time_vs_pressure", "time_vs_resistance", "pressure_response_curve")
 
 
-def _refuse_overwrites(command: str, args) -> None:
-    """A usage error, before anything is written, if a file the command writes
-    resolves (os.path.realpath) to one it reads. --svg writes its chart's CSV
-    twin too, and --plots every chart analyze can write there."""
-    reads = {}
+def _check_files(command: str, args) -> None:
+    """Before any work: a usage error if a file the command writes resolves
+    (os.path.realpath) to one it reads or to another it writes, else the
+    OSError that opening one would raise for a missing directory or a
+    directory path. --svg writes its chart's CSV twin too, unless that is the
+    -o table (the same bytes), and --plots every chart analyze can write, in
+    a directory that it makes if absent."""
+    clashes = {}  # by realpath, what writing that file would do
     for name, flag in _READ_FLAGS.items():
         path = getattr(args, name, None)
         if path is not None and (name in ("input", "stimulus") or path.endswith(".json")):
-            reads[os.path.realpath(path)] = f"{flag} {path}"
-    writes = [(flag, getattr(args, name, None)) for name, flag in _WRITE_FLAGS.items()]
+            clashes[os.path.realpath(path)] = f"would write over {flag} {path}"
+    writes = [(flag, path) for name, flag in _WRITE_FLAGS.items() if (path := getattr(args, name, None)) is not None]
     if getattr(args, "svg", None) is not None:
-        writes.append(("--svg", os.path.splitext(args.svg)[0] + ".csv"))
+        twin = os.path.splitext(args.svg)[0] + ".csv"
+        if os.path.realpath(twin) != os.path.realpath(args.output):
+            writes.append(("--svg", twin))
     if getattr(args, "plots", None) is not None:
         charts = [os.path.join(args.plots, name) for name in _PLOT_NAMES]
         writes += [("--plots", chart + ext) for chart in charts for ext in (".svg", ".csv")]
     for flag, path in writes:
-        if path is not None and os.path.realpath(path) in reads:
-            raise _UsageError(f"{command}: {flag} would write over {reads[os.path.realpath(path)]}")
+        real = os.path.realpath(path)
+        if real in clashes:
+            raise _UsageError(f"{command}: {flag} {clashes[real]}")
+        clashes[real] = f"and {flag} name the same file"
+    for flag, path in writes:
+        directory = os.path.dirname(path)
+        while flag == "--plots" and directory and not os.path.exists(directory):
+            directory = os.path.dirname(directory)
+        if os.path.isdir(path) or not os.path.isdir(directory or "."):
+            code = errno.EISDIR if os.path.isdir(path) else errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
 
 
 def profile_to_json_dict(profile: CalibrationProfile) -> dict:
@@ -149,9 +163,9 @@ def profile_to_json_dict(profile: CalibrationProfile) -> dict:
 
 
 def profile_from_json_file(path) -> CalibrationProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     try:  # typed by the store's rules: a JSON string name, and JSON numbers (no bool), two to a point
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         points = []
         for k, pair in enumerate(data["points"]):
             if type(pair) is not list or len(pair) != 2:
@@ -160,8 +174,10 @@ def profile_from_json_file(path) -> CalibrationProfile:
         name = store._json_typed("name", data["name"], (str,), "string")
         onset = store._number("onset_pressure_pa", data["onset_pressure_pa"])
         return fit_profile(name, points, Pressure(onset))
-    except (KeyError, TypeError) as exc:  # a field missing, or of the wrong JSON type
+    except (KeyError, TypeError, OverflowError) as exc:  # a field missing, of the wrong JSON type or too large
         raise CalibrationError(f"{path}: not a calibration profile: {exc.__class__.__name__}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or a value the fit refuses
+        raise CalibrationError(f"{path}: {exc}") from exc
 
 
 def report_json_text(report: GaitReport) -> str:
@@ -261,13 +277,8 @@ def cmd_collect(args) -> int:
     _validate_epoch_flag("collect", args.epoch)
     if args.report is not None and not args.analyze:
         raise _UsageError("collect: --report needs --analyze")
-    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.output):
-        raise _UsageError("collect: --report and -o name the same file")
     host, port = _parse_addr(args.addr)
     profile = _load_profile(args.profile)
-    for path in (args.output, args.report):
-        if path is not None:
-            _check_writable(path)
 
     # per device; the collector calls the sink from one thread only
     columns: dict[int, tuple[list[float], list[float]]] = defaultdict(lambda: ([], []))  # times, pascals
@@ -309,16 +320,6 @@ def cmd_collect(args) -> int:
         collector.stop()
         _flush_collected(args, profile.name, columns, analyzers, events)
     return EXIT_OK
-
-
-def _check_writable(path: str) -> None:
-    """Raise the OSError that opening ``path`` for writing would for a missing
-    directory or a directory path, before collect listens for a session that
-    it could not write."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _infer_rate(times: np.ndarray) -> float:
@@ -457,7 +458,10 @@ def cmd_calibrate(args) -> int:
     if not (math.isfinite(args.onset) and args.onset >= 0):
         raise _UsageError(f"calibrate: --onset must be finite and >= 0, got {args.onset!r}")
     points = store.read_calibration_csv(args.input)
-    profile = fit_profile(args.name, points, Pressure(args.onset))
+    try:
+        profile = fit_profile(args.name, points, Pressure(args.onset))
+    except CalibrationError as exc:
+        raise CalibrationError(f"{args.input}: {exc}") from exc
     figures = characterize(profile)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -613,7 +617,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             command = args.command
             _help, _flags, handler = _COMMANDS[command]
-        _refuse_overwrites(command, args)
+        _check_files(command, args)
         code = handler(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code

@@ -197,7 +197,7 @@ def _read_table(path, layouts, record, error=SessionFormatError):
     each row. Returns the layout, the rows, the ``#`` pairs and the number of
     the last ``#`` line; a break raises ``error("path:line: ...")``."""
     rows, pairs = [], {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         pairs_line, columns_line, line = _first_line(fh, pairs)
         columns = _layout(path, columns_line, line, layouts, error)
         for lineno, raw in enumerate(fh, start=columns_line + 1):
@@ -434,7 +434,7 @@ def _read(path) -> tuple[SessionLog, np.ndarray, np.ndarray]:
     its first line (see _first_line) starts with ``{``, else CSV. A file the
     format's array pass refuses goes through its line path, which gives the
     same rows or raises the SessionFormatError naming the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         pairs: dict[str, str] = {}
         header_line, columns_line, line = _first_line(fh, pairs)
         if line.startswith("{"):
@@ -606,6 +606,6 @@ def sniff_kind(path) -> str:
     """Classify a file as 'session_jsonl' if its first line (see _first_line)
     starts with ``{``, as _read tells it, or else by the layout its column line
     names: 'session', 'legacy', 'calibration' or 'stimulus'."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         _, lineno, line = _first_line(fh, {})
     return "session_jsonl" if line.startswith("{") else _KINDS[_layout(path, lineno, line, _KINDS)]

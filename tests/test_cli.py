@@ -440,6 +440,43 @@ class TestCalibrate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"points": [[-5, 1000], [700000, 100]]}, "calibration pressure must be > 0, got -5.0"),
+            ({"points": [[700000, 100]]}, "need >= 2 distinct calibration pressures, got 1"),
+            ({"onset_pressure_pa": -1}, "pressure must be >= 0, got -1.0"),
+            (
+                {"points": [[10**400, 1000], [700000, 100]]},
+                "not a calibration profile: OverflowError: int too large to convert to float",
+            ),
+        ],
+        ids=["point pressure negative", "one point", "onset negative", "point pressure past the float range"],
+    )
+    def test_a_value_the_fit_refuses_is_a_data_error_naming_the_file(self, tmp_path, capsys, change, message):
+        path, out = tmp_path / "q.json", tmp_path / "s.csv"
+        path.write_text(json.dumps({**profile_to_json_dict(builtin_profile("measured")), **change}))
+        with pytest.raises(sensor.CalibrationError, match=re.escape(f"{path}: {message}")):
+            profile_from_json_file(path)
+        assert main(["simulate", "--profile", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert not out.exists()
+
+    def test_a_profile_file_that_is_not_json_is_a_data_error_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "q.json"
+        path.write_text("not json\n")
+        assert main(["simulate", "--profile", str(path), "-o", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: Expecting value: line 1 column 1 (char 0)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+
+    def test_a_calibration_csv_with_a_utf8_bom_fits_as_without(self, tmp_path, capsys):
+        plain, marked = tmp_path / "cal.csv", tmp_path / "bom.csv"
+        _write_measured_csv(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["calibrate", str(plain), "-o", str(tmp_path / "a.json")]) == 0
+        assert main(["calibrate", str(marked), "-o", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["simulate", "-o", "s.csv"],
@@ -1287,7 +1324,7 @@ class TestEmptyWorkingRange:
         cal.write_text("pressure_pa,resistance_ohm\n200000.0,150000.0\n400000.0,20000.0\n750000.0,200.0\n")
         assert main(["calibrate", str(cal), "--onset", "750000", "-o", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: onset 750000.0 Pa is not below the last calibration pressure, 750000.0 Pa\n"
+        assert captured.err == f"error: {cal}: onset 750000.0 Pa is not below the last calibration pressure, 750000.0 Pa\n"
         assert captured.out == "" and not out.exists()
 
     def test_calibrate_on_a_working_range_one_float_step_wide_is_a_data_error(self, tmp_path, capsys):
@@ -1297,7 +1334,7 @@ class TestEmptyWorkingRange:
         assert main(["calibrate", str(cal), "--onset", "749999.9999999999"]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: working range 749999.9999999999 Pa to 750000.0 Pa is too narrow: under 1e-09 of its top pressure\n"
+            f"error: {cal}: working range 749999.9999999999 Pa to 750000.0 Pa is too narrow: under 1e-09 of its top pressure\n"
         )
         assert captured.out == ""
 
@@ -1306,7 +1343,7 @@ class TestEmptyWorkingRange:
         cal.write_text("pressure_pa,resistance_ohm\n100000.0,150000.0\n150000.0,20000.0\n")
         assert main(["calibrate", str(cal)]) == 2
         assert capsys.readouterr().err == (
-            "error: onset 200000.0 Pa is not below the last calibration pressure, 150000.0 Pa\n"
+            f"error: {cal}: onset 200000.0 Pa is not below the last calibration pressure, 150000.0 Pa\n"
         )
 
     @pytest.mark.parametrize(
@@ -1326,7 +1363,7 @@ class TestEmptyWorkingRange:
         capsys.readouterr()
         assert main([*argv, str(deg)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: onset 750000.0 Pa is not below the last calibration pressure, 750000.0 Pa\n"
+        assert captured.err == f"error: {deg}: onset 750000.0 Pa is not below the last calibration pressure, 750000.0 Pa\n"
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["deg.json", "s0.csv"]
 
@@ -1484,6 +1521,107 @@ class TestNoOverwrite:
             rc, err = main(argv), capsys.readouterr().err
         assert (rc, err) == (1, message + "\n")
         assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+def _tree(root):
+    """Every path under ``root``, with a file's bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+# a command refused by the one rule on the files it writes, its exit code and
+# its one line on standard error: each clause, for every command that writes
+ENOENT, ENOTDIR, EISDIR = "[Errno 2] No such file or directory", "[Errno 20] Not a directory", "[Errno 21] Is a directory"
+REFUSED_WRITES = [
+    # not onto a file the command reads
+    (["simulate", "--profile", "p.json", "-o", "p.json"], 1, "simulate: -o would write over --profile p.json"),
+    (["analyze", "s.csv", "--json", "s.csv"], 1, "analyze: --json would write over the input s.csv"),
+    (["calibrate", "cal.csv", "-o", "cal.csv"], 1, "calibrate: -o would write over the input cal.csv"),
+    (
+        ["compare", "--stimulus", "stim.csv", "-o", "t.csv", "--svg", "stim.svg"], 1,
+        "compare: --svg would write over --stimulus stim.csv",
+    ),
+    (["collect", "--profile", "p.json", "-o", "p.json"], 1, "collect: -o would write over --profile p.json"),
+    # not onto another file it writes
+    (
+        ["analyze", "s.csv", "--plots", "d", "--json", "d/time_vs_pressure.csv"], 1,
+        "analyze: --plots and --json name the same file",
+    ),
+    (["analyze", "s.csv", "--plots", "d", "--json", "chart.csv"], 1, "analyze: --plots and --json name the same file"),
+    (["compare", "-o", "c.svg", "--svg", "c.svg"], 1, "compare: --svg and -o name the same file"),
+    (["compare", "-o", "t.csv", "--svg", "c.csv"], 1, "compare: --svg and --svg name the same file"),
+    (["collect", "-o", "c.csv", "--analyze", "--report", "c.csv"], 1, "collect: --report and -o name the same file"),
+    # openable: a directory that exists, and a path that is not one
+    (["simulate", "-o", "nodir/s.csv"], 3, f"i/o error: {ENOENT}: 'nodir/s.csv'"),
+    (["simulate", "-o", "d"], 3, f"i/o error: {EISDIR}: 'd'"),
+    (["analyze", "s.csv", "--json", "nodir/r.json"], 3, f"i/o error: {ENOENT}: 'nodir/r.json'"),
+    (["analyze", "s.csv", "--plots", "afile"], 3, f"i/o error: {ENOTDIR}: 'afile/time_vs_pressure.svg'"),
+    (["analyze", "s.csv", "--plots", "afile/sub"], 3, f"i/o error: {ENOTDIR}: 'afile/sub/time_vs_pressure.svg'"),
+    (["analyze", "s.csv", "--plots", "charts"], 3, f"i/o error: {EISDIR}: 'charts/time_vs_resistance.svg'"),
+    (["calibrate", "cal.csv", "-o", "nodir/p.json"], 3, f"i/o error: {ENOENT}: 'nodir/p.json'"),
+    (["calibrate", "cal.csv", "-o", "afile/p.json"], 3, f"i/o error: {ENOTDIR}: 'afile/p.json'"),
+    (["compare", "-o", "c3.csv", "--svg", "nodir/c.svg"], 3, f"i/o error: {ENOENT}: 'nodir/c.svg'"),
+    (["compare", "-o", "t.csv", "--svg", "d"], 3, f"i/o error: {EISDIR}: 'd'"),
+    (["collect", "-o", "nodir/c.csv"], 3, f"i/o error: {ENOENT}: 'nodir/c.csv'"),
+    (["collect", "-o", "c.csv", "--analyze", "--report", "d"], 3, f"i/o error: {EISDIR}: 'd'"),
+]
+
+
+class TestOneWriteRule:
+    """main checks every command's files before any work: a write may not
+    resolve to a file the command reads or to another write (exit 1), and
+    each must be openable (exit 3). A refused command writes nothing and
+    prints nothing to standard output."""
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        REFUSED_WRITES,
+        ids=[
+            "simulate onto its profile", "analyze onto its input", "calibrate onto its input",
+            "compare twin onto its stimulus", "collect onto its profile",
+            "analyze json onto a plots twin", "analyze json onto a plots chart by symlink", "compare chart onto table",
+            "compare chart onto its own twin", "collect report onto session",
+            "simulate directory missing", "simulate onto a directory", "analyze json directory missing",
+            "analyze plots is a file", "analyze plots under a file", "analyze plots chart is a directory",
+            "calibrate directory missing", "calibrate directory is a file", "compare twin directory missing",
+            "compare chart onto a directory", "collect directory missing", "collect report onto a directory",
+        ],
+    )
+    def test_a_refused_command_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, code, line):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--cycles", "1", "-o", "s.csv"]) == 0
+        _write_measured_csv(tmp_path / "cal.csv")
+        (tmp_path / "stim.csv").write_text("time_s,pressure_pa\n0.0,0.0\n1.0,500000.0\n")
+        (tmp_path / "p.json").write_text(json.dumps(profile_to_json_dict(builtin_profile("measured"))))
+        (tmp_path / "afile").write_text("not a directory\n")
+        (tmp_path / "d").mkdir()
+        (tmp_path / "charts" / "time_vs_resistance.svg").mkdir(parents=True)
+        os.symlink("d/time_vs_pressure.svg", "chart.csv")
+
+        def collector(*args, **kwargs):
+            raise AssertionError("collect listened before it checked its files")
+
+        monkeypatch.setattr(cli, "Collector", collector)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n")
+        assert _tree(tmp_path) == before
+
+    def test_the_compare_table_may_be_its_charts_csv_twin(self, tmp_path, capsys, monkeypatch):
+        # both hold the same bytes
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "-o", "a.csv", "--svg", "a.svg"]) == 0
+        assert capsys.readouterr().out == "wrote comparison table to a.csv\nwrote overlay to a.svg\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.svg"]
+        assert main(["compare", "-o", "b.csv"]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_analyze_makes_a_missing_plots_directory_and_its_parents(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--cycles", "1", "-o", "s.csv"]) == 0
+        assert main(["analyze", "s.csv", "--plots", "new/charts", "--json", "r.json"]) == 0
+        assert len(list((tmp_path / "new" / "charts").iterdir())) == 6
+
 
 class TestStreamDeviceFlag:
     def test_the_device_id_flag_overrides_the_sessions(self, tmp_path, links, capsys):

@@ -544,6 +544,24 @@ class TestOneReader:
         assert len(passes) == 1
 
 
+class TestByteOrderMark:
+    """A session file that starts with a UTF-8 byte-order mark reads as the
+    same file without it, by its format's array pass; no writer writes one."""
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_a_session_with_a_bom_reads_as_without(self, tmp_path, monkeypatch, ext):
+        plain = _written(tmp_path / f"s.{ext}", _session(cycles=2, with_analysis=True))
+        assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked = tmp_path / f"bom.{ext}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert sniff_kind(marked) == sniff_kind(plain)
+        assert read_session(marked) == read_session(plain)  # a JSONL file's events and report too
+        _array_pass_only(monkeypatch)  # the JSONL pass reads the file again from its start
+        header, times, pascals = read_columns(marked)
+        want = read_columns(plain)
+        assert header == want[0] and _bits(times) == _bits(want[1]) and _bits(pascals) == _bits(want[2])
+
+
 class TestFormatByContent:
     """Readers tell CSV from JSONL by content; only writers go by extension."""
 
@@ -636,8 +654,12 @@ class TestTables:
             lambda head, row: [" " + head.replace(",", " , ") + " ", row, row],
             lambda head, row: [head, row, "", row],
             lambda head, row: ["", "  ", head, row, row],
+            lambda head, row: ["\ufeff" + head, row, row],  # what a spreadsheet's "CSV UTF-8" export writes
         ],
-        ids=["note before the header", "note after the header", "spaced header cells", "empty line", "blank lines first"],
+        ids=[
+            "note before the header", "note after the header", "spaced header cells", "empty line", "blank lines first",
+            "utf-8 byte-order mark",
+        ],
     )
     def test_valid_variants_read_as_the_plain_table(self, tmp_path, table, lines):
         kind, reader, _error, columns, row, plain = table
