@@ -392,6 +392,7 @@ def _recording_plots(args, times: list[float], pressures, resistances) -> None:
 
 def _response_curve_plot(args, points) -> None:
     """The chart of ``points``' resistance_ohm over their pressure_pa."""
+    os.makedirs(args.plots, exist_ok=True)
     plots.write_chart(
         os.path.join(args.plots, "pressure_response_curve.svg"),
         [p.pressure_pa for p in points],
@@ -405,11 +406,11 @@ def _response_curve_plot(args, points) -> None:
 
 def cmd_analyze(args) -> int:
     profile = _load_profile(args.profile) if args.profile else None  # checked even where no plot reads it
-    kind = store.sniff_kind(args.input)
+    kind, content = store.read_any(args.input)
     if kind in ("session", "session_jsonl"):
-        header, times, pascals = store.read_columns(args.input)
+        log, times, pascals = content
         if args.plots and profile is None:  # only the plots read the header's profile: look its name up for them
-            profile = _header_profile(args.input, header)
+            profile = _header_profile(args.input, log.header)
         analyzer = Analyzer()
         analyzer.update_block(times, pascals)
         text = report_json_text(analyzer.report())
@@ -427,25 +428,18 @@ def cmd_analyze(args) -> int:
                 zip(names, static_ohms(profile, pascals).T.tolist()),
             )
             _response_curve_plot(args, profile.points)
-    elif kind == "legacy":
-        records = store.read_legacy_csv(args.input)
-        summary = {"kind": "legacy", "records": len(records)}
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    elif kind in ("legacy", "calibration"):
+        count = "records" if kind == "legacy" else "points"
+        sys.stdout.write(json.dumps({"kind": kind, count: len(content)}, indent=2, sort_keys=True) + "\n")
         if args.plots:
-            _recording_plots(
-                args,
-                [r.time_s for r in records],
-                [("pressure_pa", [r.pressure_pa for r in records])],
-                [("resistance_ohm", [r.resistance_ohm for r in records])],
-            )
-            _response_curve_plot(args, records)
-    elif kind == "calibration":
-        points = store.read_calibration_csv(args.input)
-        summary = {"kind": "calibration", "points": len(points)}
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        if args.plots:
-            os.makedirs(args.plots, exist_ok=True)
-            _response_curve_plot(args, points)
+            if kind == "legacy":
+                _recording_plots(
+                    args,
+                    [r.time_s for r in content],
+                    [("pressure_pa", [r.pressure_pa for r in content])],
+                    [("resistance_ohm", [r.resistance_ohm for r in content])],
+                )
+            _response_curve_plot(args, content)
     else:
         raise SessionFormatError(f"{args.input}: a stimulus file is read by compare --stimulus, not analyze")
     return EXIT_OK

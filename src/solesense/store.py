@@ -39,19 +39,21 @@ exact. Samples are written in blocks of whole lines, each block written and
 flushed whole, so the file grows by whole records and a concurrent reader of
 a growing file never sees a torn one.
 
-One reader, _read, opens a session file once, tells the format from its
-first line and parses it in that format's array pass, with no Python step
-per line: a CSV body by numpy's C reader, given the path; a JSONL file
-BLOCK_LINES lines per json.loads, its samples typed a block at a time. Both
-are validated at once (six fields, JSON numbers in JSONL, every timestamp
-finite, every pressure finite and >= 0). A file the array pass cannot take
-whole goes through the format's line path, which checks each row by
-_session_row, so the columns always equal the line path's rows and a
-malformed file raises the same ``path:line`` error. read_columns() returns
-the columns; read_session() wraps them in samples. The JSONL reader types
-every field of every record by one rule set (_number, _integer, _number_map).
+One reader, _read, reads every file: it opens it once, tells its kind by
+its first line (JSON Lines if that starts with ``{``, else the CSV layout
+its column line names) and parses the rest on that handle; an input that
+cannot seek, a pipe, is read into memory once. A session goes through its
+format's array pass, with no Python step per line: a CSV body by numpy's C
+reader, given the path; a JSONL file BLOCK_LINES lines per json.loads, its
+samples typed a block at a time. Both are validated at once (six fields,
+JSON numbers in JSONL, every timestamp finite, every pressure finite and
+>= 0). A file the array pass cannot take whole, or a piped CSV body, goes
+through the format's line path, which checks each row by _session_row, so
+the columns always equal the line path's rows and a malformed file raises
+the same ``path:line`` error. The JSONL reader types every field of every
+record by one rule set (_number, _integer, _number_map).
 
-One line reader, _read_table, reads every CSV table, with one grammar:
+Every CSV table is read by one grammar, its rows by one loop, _rows:
 ``#`` lines hold ``key: value`` pairs, on either side of the column line
 (only the session header uses them); empty lines are skipped, and so are
 lines of spaces before the column line; the first other line is the column
@@ -61,12 +63,12 @@ later line holds one float per column. Anything else raises an error naming
 read-only ones: legacy single-channel bench recordings
 (``time_s,pressure_pa,resistance_ohm``), calibration sweeps
 (``pressure_pa,resistance_ohm``) and comparison stimuli
-(``time_s,sensor_pa,fsr_pa`` or ``time_s,pressure_pa``). sniff_kind finds a
-file's first line, and tells JSON Lines from CSV, as _read does.
+(``time_s,sensor_pa,fsr_pa`` or ``time_s,pressure_pa``).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -180,7 +182,7 @@ def _first_line(fh, pairs: dict[str, str]) -> tuple[int, int, str]:
     return pairs_line, lineno, ""
 
 
-def _layout(path, lineno: int, line: str, layouts, error=SessionFormatError) -> tuple[str, ...]:
+def _layout(path, lineno: int, line: str, layouts, error) -> tuple[str, ...]:
     """The layout a column line (see _first_line) names: one of ``layouts``,
     with its cells' spaces stripped."""
     if not line:
@@ -192,28 +194,25 @@ def _layout(path, lineno: int, line: str, layouts, error=SessionFormatError) -> 
     return columns
 
 
-def _read_table(path, layouts, record, error=SessionFormatError):
-    """Read a CSV table (see the module docstring): ``record(*floats)`` builds
-    each row. Returns the layout, the rows, the ``#`` pairs and the number of
-    the last ``#`` line; a break raises ``error("path:line: ...")``."""
-    rows, pairs = [], {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        pairs_line, columns_line, line = _first_line(fh, pairs)
-        columns = _layout(path, columns_line, line, layouts, error)
-        for lineno, raw in enumerate(fh, start=columns_line + 1):
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                _add_header_pair(pairs, line)
-                pairs_line = lineno
-            elif line:
-                fields = line.split(",")
-                if len(fields) != len(columns):
-                    raise error(f"{path}:{lineno}: expected {len(columns)} fields, got {len(fields)}")
-                try:
-                    rows.append(record(*map(float, fields)))
-                except ValueError as exc:
-                    raise error(f"{path}:{lineno}: {exc}") from exc
-    return columns, rows, pairs, pairs_line
+def _rows(path, lines, columns_line: int, columns, record, pairs: dict[str, str], pairs_line: int, error):
+    """The rows ``record(*floats)`` builds from the ``lines`` after a CSV
+    table's column line, line ``columns_line``, and the number of the last
+    ``#`` line, whose pair goes into ``pairs``; a break raises ``error``."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=columns_line + 1):
+        line = raw.rstrip("\n")
+        if line.startswith("#"):
+            _add_header_pair(pairs, line)
+            pairs_line = lineno
+        elif line:
+            fields = line.split(",")
+            if len(fields) != len(columns):
+                raise error(f"{path}:{lineno}: expected {len(columns)} fields, got {len(fields)}")
+            try:
+                rows.append(record(*map(float, fields)))
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from exc
+    return rows, pairs_line
 
 
 def _session_row(t: float, *pascals: float) -> tuple[float, ...]:
@@ -261,14 +260,10 @@ def _csv_array_pass(path, fh, pairs: dict[str, str], header_line: int, columns_l
 
     loadtxt reads the body by path, skipping the lines through the column
     line: given a str path and no comment character, its C reader pulls the
-    file in chunks, where a file object costs a Python call per line. numpy
-    opens a path by its suffix, so a file named as compressed (a suffix in
-    _COMPRESSED_SUFFIXES) is refused; the path is made absolute so that numpy
-    never takes it for a URL."""
+    file in chunks, where a file object costs a Python call per line. The
+    path is made absolute so that numpy never takes it for a URL."""
     if not any(line != "\n" for line in fh):  # loadtxt warns on a body of blank lines
         rows = np.empty((0, len(SAMPLE_COLUMNS)))
-    elif os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
-        raise ValueError(f"{path}: numpy would decompress a file of this name")
     else:
         rows = np.loadtxt(
             os.path.abspath(path), delimiter=",", comments=None, ndmin=2, skiprows=columns_line, encoding="utf-8"
@@ -429,35 +424,47 @@ def _jsonl_lines(path, fh) -> tuple[SessionLog, list[tuple[float, ...]]]:
 # --- either format -------------------------------------------------------------
 
 
-def _read(path) -> tuple[SessionLog, np.ndarray, np.ndarray]:
-    """A session file's log (no samples) and sample columns: JSON Lines if
-    its first line (see _first_line) starts with ``{``, else CSV. A file the
-    format's array pass refuses goes through its line path, which gives the
-    same rows or raises the SessionFormatError naming the offending line."""
+def _read(path, records: dict, error=SessionFormatError) -> tuple[tuple[str, ...] | None, object]:
+    """Read a table file (see the module docstring) whose layout is one of
+    ``records``'s keys, or JSON Lines if they hold the session's. Returns the
+    layout (None for JSON Lines) and a session's log (no samples) and
+    columns, or the rows ``records[layout]`` builds (not read where that is
+    None). A break raises ``error``, a session's SessionFormatError."""
     with open(path, "r", encoding="utf-8-sig") as fh:
+        by_name = fh.seekable() and os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES
+        if not fh.seekable():  # a pipe: read it once
+            fh = io.StringIO(fh.read())
         pairs: dict[str, str] = {}
         header_line, columns_line, line = _first_line(fh, pairs)
-        if line.startswith("{"):
+        if line.startswith("{") and SAMPLE_COLUMNS in records:
+            columns = None
             fh.seek(0)
             try:
-                return _jsonl_array_pass(fh)
+                return columns, _jsonl_array_pass(fh)
             except _BAD_RECORD:
                 fh.seek(0)
                 log, rows = _jsonl_lines(path, fh)
         else:
-            _layout(path, columns_line, line, (SAMPLE_COLUMNS,))
-            try:
-                return _csv_array_pass(path, fh, pairs, header_line, columns_line)
-            except _BAD_RECORD:  # the line path
-                _, rows, pairs, header_line = _read_table(path, (SAMPLE_COLUMNS,), _session_row)
-                log = SessionLog(_parse_header_block(pairs, path, header_line))
-    return log, *_checked_columns(np.reshape(rows, (-1, len(SAMPLE_COLUMNS))))
+            columns, lines = _layout(path, columns_line, line, records, error), fh
+            if records[columns] is None:
+                return columns, None
+            if columns == SAMPLE_COLUMNS and by_name:  # numpy can read the body by name
+                try:
+                    return columns, _csv_array_pass(path, fh, pairs, header_line, columns_line)
+                except _BAD_RECORD:  # the line path, from the start again
+                    fh.seek(0)
+                    lines = islice(fh, columns_line, None)
+            rows, header_line = _rows(path, lines, columns_line, columns, records[columns], pairs, header_line, error)
+            if columns != SAMPLE_COLUMNS:
+                return columns, rows
+            log = SessionLog(_parse_header_block(pairs, path, header_line))
+    return columns, (log, *_checked_columns(np.reshape(rows, (-1, len(SAMPLE_COLUMNS)))))
 
 
 def read_session(path) -> SessionLog:
     """Read a session in either format, told apart by content: the columns
     read_columns reads, as samples, and a JSONL file's events and report."""
-    log, times, pascals = _read(path)
+    log, times, pascals = _read(path, {SAMPLE_COLUMNS: _session_row})[1]
     log.samples = PressureSample._of_rows(times.tolist(), map(tuple, pascals.tolist()))
     return log
 
@@ -465,7 +472,7 @@ def read_session(path) -> SessionLog:
 def read_columns(path) -> tuple[SessionHeader, np.ndarray, np.ndarray]:
     """Read a session in either format as (header, timestamps, (n, 5) pascals
     in canonical channel order), without building a PressureSample per row."""
-    log, times, pascals = _read(path)
+    log, times, pascals = _read(path, {SAMPLE_COLUMNS: _session_row})[1]
     return log.header, times, pascals
 
 
@@ -555,15 +562,10 @@ class LegacyRecord:
     resistance_ohm: float
 
 
-def read_legacy_csv(path) -> list[LegacyRecord]:
-    """Read the single-channel ``time_s,pressure_pa,resistance_ohm`` layout."""
-    return _read_table(path, (LEGACY_COLUMNS,), LegacyRecord)[1]
-
-
 def read_calibration_csv(path) -> list[CalibrationPoint]:
     """Read ``pressure_pa,resistance_ohm`` rows; open circuit is not
     representable here (the profile's onset pressure covers it)."""
-    return _read_table(path, (CALIBRATION_HEADER,), CalibrationPoint, CalibrationError)[1]
+    return _read(path, {CALIBRATION_HEADER: CalibrationPoint}, CalibrationError)[1]
 
 
 def _stimulus_rows():
@@ -591,21 +593,24 @@ def read_stimulus_csv(path) -> tuple[list[float], list[list[float]]]:
     each device's own (``time_s,sensor_pa,fsr_pa``) or one column for both
     (``time_s,pressure_pa``). Times may repeat but never fall; no rows at all
     is an error that names the file."""
-    _, rows, _, _ = _read_table(path, STIMULUS_LAYOUTS, _stimulus_rows())
+    rows = _read(path, dict.fromkeys(STIMULUS_LAYOUTS, _stimulus_rows()))[1]
     if not rows:
         raise SessionFormatError(f"{path}: empty time base: a comparison needs at least one stimulus row")
     times, *series = map(list, zip(*rows))
     return times, series if len(series) == 2 else series * 2
 
 
-_KINDS = {SAMPLE_COLUMNS: "session", LEGACY_COLUMNS: "legacy", CALIBRATION_HEADER: "calibration"}
+# each layout read_any takes, and the record of its rows: a stimulus's are not read
+_RECORDS = {SAMPLE_COLUMNS: _session_row, LEGACY_COLUMNS: LegacyRecord, CALIBRATION_HEADER: CalibrationPoint,
+            **dict.fromkeys(STIMULUS_LAYOUTS)}
+_KINDS = {None: "session_jsonl", SAMPLE_COLUMNS: "session", LEGACY_COLUMNS: "legacy", CALIBRATION_HEADER: "calibration"}
 _KINDS.update(dict.fromkeys(STIMULUS_LAYOUTS, "stimulus"))
 
 
-def sniff_kind(path) -> str:
-    """Classify a file as 'session_jsonl' if its first line (see _first_line)
-    starts with ``{``, as _read tells it, or else by the layout its column line
-    names: 'session', 'legacy', 'calibration' or 'stimulus'."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        _, lineno, line = _first_line(fh, {})
-    return "session_jsonl" if line.startswith("{") else _KINDS[_layout(path, lineno, line, _KINDS)]
+def read_any(path) -> tuple[str, object]:
+    """A file of any kind and what it holds: 'session_jsonl' or 'session'
+    with its log (no samples) and columns, 'legacy' with its LegacyRecords,
+    'calibration' with its CalibrationPoints, or 'stimulus' with None
+    (read_stimulus_csv reads it). Any break raises SessionFormatError."""
+    columns, content = _read(path, _RECORDS)
+    return _KINDS[columns], content

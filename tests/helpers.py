@@ -3,7 +3,8 @@ decode and fold paths that only the tests use.
 
 The package reads legacy bench recordings and calibration files but never
 writes them, and never reads its charts back; these helpers make the files
-and the counts the tests check. ReferenceReceiver is the collector's receive
+and the counts the tests check, and piped() hands a reader a file through a
+pipe. ReferenceReceiver is the collector's receive
 path one frame at a time, which the chunked receive path must match, and
 receive() hands a Collector chosen chunks without a socket. reference_update
 is Analyzer.update written on the region reduction and the Schmitt trigger as
@@ -14,7 +15,9 @@ gives simulate's chain as a SessionLog of those samples.
 
 from __future__ import annotations
 
+import os
 import selectors
+import threading
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -95,6 +98,26 @@ def write_calibration_csv(path, points: list[CalibrationPoint]) -> None:
         fh.write(",".join(CALIBRATION_HEADER) + "\n")
         for point in points:
             fh.write(f"{point.pressure_pa!r},{point.resistance_ohm!r}\n")
+
+
+def piped(path, read):
+    """``read(name)`` of a pipe's read end, named ``/dev/fd/<n>``, that a
+    thread fills with the bytes of the file at ``path`` and then closes."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        result = read(f"/dev/fd/{read_end}")
+    finally:
+        writer.join(10)
+        os.close(read_end)
+    assert not writer.is_alive(), "the writer never finished"
+    return result
 
 
 def count_series(svg_text: str) -> int:

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import hashlib
 import json
@@ -25,7 +26,7 @@ from solesense.synth import GaitParams
 from solesense.telemetry import Collector, Deframer, SessionHeader, TelemetryFrame, encode, frames_from_samples
 from solesense.units import Pressure, PressureSample, Resistance, Voltage
 
-from helpers import BENCH_TIME_LOG, count_series, receive, simulate_session, write_legacy_csv
+from helpers import BENCH_TIME_LOG, count_series, piped, receive, simulate_session, write_legacy_csv
 
 EXPECTED_SENSOR_KOHM = [3342.9] * 5 + [29.16212] * 5 + [3342.9] * 4
 EXPECTED_FSR_KOHM = [3342.9] * 4 + [123.81111] * 3 + [3342.9] * 4 + [2051.325] * 3
@@ -35,6 +36,20 @@ def _write_measured_csv(path):
     lines = ["pressure_pa,resistance_ohm"]
     lines += [f"{p!r},{r!r}" for p, r in MEASURED_CALIBRATION]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _analyze_input(tmp_path, name):
+    """An input analyze reads, by name: a legacy log, a calibration sweep or a
+    session, CSV unless named .jsonl (s.gz is a plain CSV that numpy would
+    open as gzip)."""
+    path = tmp_path / name
+    if name == "bench.csv":
+        write_legacy_csv(path, [LegacyRecord(t, p, r) for t, p, r in BENCH_TIME_LOG])
+    elif name == "cal.csv":
+        _write_measured_csv(path)
+    else:
+        assert main(["simulate", "--cycles", "3", "--noise", "2000", "-o", str(path)]) == 0
+    return path
 
 
 def _start_collect(argv, capsys):
@@ -382,14 +397,38 @@ class TestAnalyze:
         assert main(["analyze", str(named)]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_the_session_header_is_read_once_after_the_sniff(self, tmp_path, monkeypatch):
+    def test_the_session_header_is_read_once(self, tmp_path, monkeypatch):
         path = tmp_path / "s.csv"
         assert main(["simulate", "--cycles", "1", "-o", str(path)]) == 0
         passes = []
         first_line = store._first_line
         monkeypatch.setattr(store, "_first_line", lambda fh, pairs: passes.append(1) or first_line(fh, pairs))
         assert main(["analyze", str(path)]) == 0
-        assert len(passes) == 2  # sniff_kind's, then the reader's
+        assert len(passes) == 1  # the pass that tells the kind is the reader's
+
+    @pytest.mark.parametrize("name", ["s.csv", "s.jsonl", "bench.csv", "cal.csv", "s.gz"])
+    def test_the_input_is_opened_once(self, tmp_path, capsys, monkeypatch, name):
+        # numpy's own open of a CSV session's body goes through io.open, not this
+        path = _analyze_input(tmp_path, name)
+        opens, builtin_open = [], open
+
+        def counted(file, *args, **kwargs):
+            if file == str(path):
+                opens.append(file)
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted)
+        assert main(["analyze", str(path)]) == 0
+        assert len(opens) == 1
+
+    @pytest.mark.parametrize("name", ["s.csv", "s.jsonl", "bench.csv", "cal.csv"])
+    def test_piped_input_analyzes_as_the_file(self, tmp_path, capsys, name):
+        path = _analyze_input(tmp_path, name)
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 0
+        want = capsys.readouterr().out
+        assert piped(path, lambda pipe: main(["analyze", pipe])) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestCalibrate:

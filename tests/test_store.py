@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,12 +20,11 @@ from solesense.store import (
     LegacyRecord,
     SessionFormatError,
     SessionLog,
+    read_any,
     read_columns,
     read_calibration_csv,
-    read_legacy_csv,
     read_session,
     read_stimulus_csv,
-    sniff_kind,
     write_columns,
     write_session,
 )
@@ -32,7 +32,7 @@ from solesense.synth import GaitParams, synthesize
 from solesense.telemetry import SessionHeader
 from solesense.units import Resistance, Voltage
 
-from helpers import BENCH_TIME_LOG, write_legacy_csv
+from helpers import BENCH_TIME_LOG, piped, write_legacy_csv
 
 
 def _refuse(*args):
@@ -78,9 +78,16 @@ def _assert_columns_as_line_path(path):
 
 def _array_pass_only(monkeypatch):
     """Make a read fail if it falls back to either line path (a session
-    CSV's is _read_table)."""
-    for name in ("_read_table", "_jsonl_lines"):
+    CSV's is the row loop of every CSV table, _rows)."""
+    for name in ("_rows", "_jsonl_lines"):
         monkeypatch.setattr(store, name, lambda path, *args: pytest.fail(f"{path} fell back to the line path"))
+
+
+def read_legacy(path):
+    """A legacy bench log's records, as read_any reads them."""
+    kind, records = read_any(path)
+    assert kind == "legacy"
+    return records
 
 
 def _session(cycles=2, noise=0.0, with_analysis=False):
@@ -554,7 +561,7 @@ class TestByteOrderMark:
         assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
         marked = tmp_path / f"bom.{ext}"
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        assert sniff_kind(marked) == sniff_kind(plain)
+        assert read_any(marked)[0] == read_any(plain)[0]
         assert read_session(marked) == read_session(plain)  # a JSONL file's events and report too
         _array_pass_only(monkeypatch)  # the JSONL pass reads the file again from its start
         header, times, pascals = read_columns(marked)
@@ -599,7 +606,7 @@ class TestLegacy:
         records = [LegacyRecord(t, p, r) for t, p, r in BENCH_TIME_LOG]
         path = tmp_path / "bench.csv"
         write_legacy_csv(path, records)
-        back = read_legacy_csv(path)
+        back = read_legacy(path)
         assert len(back) == 15
         assert back[0] == LegacyRecord(0.0, 428589.8, 3342900.0)
         assert back == records
@@ -608,36 +615,85 @@ class TestLegacy:
         path = tmp_path / "bad.csv"
         path.write_text("0,1,2\n")
         with pytest.raises(SessionFormatError):
-            read_legacy_csv(path)
+            read_any(path)
 
 
-class TestSniff:
+class TestReadAny:
     def test_kinds(self, tmp_path):
         write_session(_session(cycles=1), tmp_path / "a.csv")
         write_session(_session(cycles=1), tmp_path / "a.jsonl")
         write_legacy_csv(tmp_path / "legacy.csv", [LegacyRecord(0.0, 1.0, 2.0)])
         (tmp_path / "cal.csv").write_text("pressure_pa,resistance_ohm\n1,2\n")
-        assert sniff_kind(tmp_path / "a.csv") == "session"
-        assert sniff_kind(tmp_path / "a.jsonl") == "session_jsonl"
-        assert sniff_kind(tmp_path / "legacy.csv") == "legacy"
-        assert sniff_kind(tmp_path / "cal.csv") == "calibration"
+        assert read_any(tmp_path / "a.csv")[0] == "session"
+        assert read_any(tmp_path / "a.jsonl")[0] == "session_jsonl"
+        assert read_any(tmp_path / "legacy.csv")[0] == "legacy"
+        assert read_any(tmp_path / "cal.csv")[0] == "calibration"
         (tmp_path / "junk.txt").write_text("hello\n")
         with pytest.raises(SessionFormatError):
-            sniff_kind(tmp_path / "junk.txt")
+            read_any(tmp_path / "junk.txt")
+
+    def test_each_kind_holds_what_its_reader_reads(self, tmp_path):
+        session = _written(tmp_path / "s.jsonl", _session(cycles=2, noise=1_000.0, with_analysis=True))
+        log, times, pascals = read_any(session)[1]
+        want = read_session(session)
+        assert (log.header, log.samples, log.events, log.report) == (want.header, [], want.events, want.report)
+        assert _bits(times) == _bits(read_columns(session)[1]) and _bits(pascals) == _bits(read_columns(session)[2])
+        cal = tmp_path / "cal.csv"
+        cal.write_text("pressure_pa,resistance_ohm\n200000.0,150000.0\n400000.0,20000.0\n")
+        assert read_any(cal) == ("calibration", read_calibration_csv(cal))
+
+    def test_a_stimulus_is_told_but_its_rows_are_not_read(self, tmp_path):
+        path = tmp_path / "stim.csv"
+        path.write_text("time_s,pressure_pa\n1.0,1.0\n0.0,x\n")
+        assert read_any(path) == ("stimulus", None)
+
+
+class TestPipes:
+    """An input that cannot seek, such as a pipe, reads as the file it carries."""
+
+    @pytest.mark.parametrize("ext", ["csv", "jsonl"])
+    def test_a_piped_session_reads_as_the_file(self, tmp_path, ext):
+        path = _written(tmp_path / f"s.{ext}", _session(cycles=2, noise=1_000.0, with_analysis=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a body it finds empty
+            header, times, pascals = piped(path, read_columns)
+            log = piped(path, read_session)
+        want = read_columns(path)
+        assert header == want[0] and _bits(times) == _bits(want[1]) and _bits(pascals) == _bits(want[2])
+        assert log == read_session(path)
+
+    def test_a_broken_piped_session_names_its_line(self, tmp_path):
+        path = _written(tmp_path / "s.csv", _session(cycles=1))
+        lines = path.read_text().splitlines()
+        lines[12] = "0.5,x,0.0,0.0,0.0,0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SessionFormatError) as want:
+            read_columns(path)
+        with pytest.raises(SessionFormatError) as got:
+            piped(path, read_columns)
+        assert re.sub(r"^/dev/fd/\d+", str(path), str(got.value)) == str(want.value)
+
+    def test_piped_tables_read_as_their_files(self, tmp_path):
+        cal, stim = tmp_path / "cal.csv", tmp_path / "stim.csv"
+        cal.write_text("# bench 3\npressure_pa,resistance_ohm\n200000.0,150000.0\n400000.0,20000.0\n")
+        stim.write_text("time_s,sensor_pa,fsr_pa\n0.0,0.0,0.0\n1.0,500000.0,469052.1\n")
+        assert piped(cal, read_calibration_csv) == read_calibration_csv(cal)
+        assert piped(stim, read_stimulus_csv) == read_stimulus_csv(stim)
+        assert piped(cal, read_any) == read_any(cal)
 
 
 # each CSV table: its reader, the error that reader raises, its column line,
-# a valid row and the kind sniff_kind gives it
+# a valid row and the kind read_any gives it
 TABLES = {
     "session": (read_session, SessionFormatError, SAMPLE_COLUMNS, "0.5,1.0,2.0,3.0,4.0,5.0"),
-    "legacy": (read_legacy_csv, SessionFormatError, LEGACY_COLUMNS, "0.5,428589.8,3342900.0"),
+    "legacy": (read_legacy, SessionFormatError, LEGACY_COLUMNS, "0.5,428589.8,3342900.0"),
     "calibration": (read_calibration_csv, CalibrationError, CALIBRATION_HEADER, "200000.0,150000.0"),
     "stimulus": (read_stimulus_csv, SessionFormatError, STIMULUS_LAYOUTS[0], "0.5,1.0,2.0"),
 }
 
 
 class TestTables:
-    """One grammar for every CSV table, and sniff_kind finds the layout the readers find."""
+    """One grammar for every CSV table, and read_any finds the layout the readers find."""
 
     @pytest.fixture(params=sorted(TABLES))
     def table(self, request, tmp_path):
@@ -666,7 +722,7 @@ class TestTables:
         path = tmp_path / "variant.csv"
         path.write_text("\n".join(lines(",".join(columns), row)) + "\n")
         assert reader(path) == plain
-        assert sniff_kind(path) == kind
+        assert read_any(path)[0] == kind
 
     @pytest.mark.parametrize(
         "bad",
@@ -706,13 +762,13 @@ class TestTableRegressions:
     def test_calibration_note_before_the_header(self, tmp_path):
         path = tmp_path / "cal.csv"
         path.write_text("# bench 3\npressure_pa,resistance_ohm\n200000.0,150000.0\n")
-        assert sniff_kind(path) == "calibration"
+        assert read_any(path)[0] == "calibration"
         assert [(p.pressure_pa, p.resistance_ohm) for p in read_calibration_csv(path)] == [(200000.0, 150000.0)]
 
     def test_spaced_calibration_header_is_sniffed(self, tmp_path):
         path = tmp_path / "cal.csv"
         path.write_text(" pressure_pa , resistance_ohm\n200000.0,150000.0\n")
-        assert sniff_kind(path) == "calibration"
+        assert read_any(path)[0] == "calibration"
         assert len(read_calibration_csv(path)) == 1
 
     def test_calibration_row_with_three_fields_is_rejected(self, tmp_path):
