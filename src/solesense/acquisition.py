@@ -18,12 +18,13 @@ static curve is ``sensor.static_ohms``, so both forms agree bit for bit.
 Decoding indexes ``decode_table``, a tuple of bare pascals per (profile,
 divider). Next to it the profile keeps two arrays of the same values. An
 object-dtype array holds the same float objects: a block decoder
-(``_decoded_samples``, which the collector's clean runs use) indexes it once
-for a whole (n, 5) block of codes and gets the rows as tuples of the table's
-own floats, so decoding allocates no float and a held sample stays one small
-tuple. A float64 view of the table gives ``counts_to_pascals`` its (n, 5)
-pascals in one index, with no Python float in between. ``count_to_pressure``
-wraps a table entry in a Pressure at the API boundary.
+(``_decoded_samples``, which the collector uses on each received chunk)
+indexes it once for a whole (n, 5) block of codes and gets the rows as
+tuples of the table's own floats, so decoding allocates no float and a held
+sample stays one small tuple. A float64 view of the table gives
+``counts_to_pascals`` its (n, 5) pascals in one index, with no Python float
+in between. ``count_to_pressure`` wraps a table entry in a Pressure at the
+API boundary.
 """
 
 from __future__ import annotations
@@ -187,19 +188,13 @@ def count_to_pressure(
     return Pressure(_decoded(decode_table(profile, cfg), count.value))
 
 
-def _decoded_sample(table: tuple[float, ...], timestamp: float, codes) -> PressureSample:
-    """The sample of five codes in canonical order, each already checked to be
-    in ``table``: one float row, with no Pressure built."""
-    return PressureSample._of(timestamp, tuple(map(table.__getitem__, codes)))
-
-
 def _decoded_samples(objects: np.ndarray, timestamps: list[float], codes: np.ndarray) -> list[PressureSample]:
-    """_decoded_sample of each row of an (n, 5) block of codes, all already
-    checked to be in the table, as a list built whole: ``objects`` (from
-    _decode_tables) is indexed once, each row is a tuple of the table's own
-    floats, and PressureSample._of_rows makes the samples with no Python
-    call per row."""
-    return PressureSample._of_rows(timestamps, zip(*objects[codes].T.tolist()))
+    """counts_to_sample of each row of an (n, 5) block of codes, as a list
+    built whole: ``objects`` (from _decode_tables) is indexed once, each row
+    is a tuple of the table's own floats, and PressureSample._of_rows makes
+    the samples with no Python call per row. A code outside the table is
+    clipped to its ends, for a caller that drops that row's sample."""
+    return PressureSample._of_rows(timestamps, zip(*objects.take(codes, mode="clip").T.tolist()))
 
 
 def counts_from_pascals(
@@ -227,7 +222,7 @@ def counts_to_sample(
     if not 0 <= min(counts) <= max(counts) < len(table):
         for raw in counts:
             _decoded(table, raw)  # raises for the first code outside the table
-    return _decoded_sample(table, timestamp, counts)
+    return PressureSample._of(timestamp, tuple(map(table.__getitem__, counts)))  # a float row, no Pressure built
 
 
 def _checked_tables(

@@ -67,14 +67,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
-    """``host:port`` (from --addr or the environment) as a socket address; a
-    port that is not an integer in 0-65535 is a usage error."""
+    """``host:port`` or ``host`` (from --addr or the environment) as a socket
+    address, an IPv6 host in brackets (``[::1]:7332``, ``[::1]``). An IPv6
+    host out of brackets, or a port that is not an integer in 0-65535, is a
+    usage error."""
     host, sep, port = text.rpartition(":")
-    if not sep:
-        return text or "127.0.0.1", DEFAULT_PORT
-    if not (port.isdecimal() and int(port) <= 65535):
+    if not sep or "]" in port:  # no port
+        host, sep = text, ""
+    if host[:1] + host[-1:] == "[]":
+        host = host[1:-1]
+    elif set(host) & set(":[]"):
+        raise _UsageError(f"address {text!r}: an IPv6 host goes in brackets, as in [::1]:{DEFAULT_PORT}")
+    if sep and not (port.isdecimal() and int(port) <= 65535):
         raise _UsageError(f"address {text!r}: the port must be an integer in 0-65535")
-    return host or "127.0.0.1", int(port)
+    return host or "127.0.0.1", int(port) if sep else DEFAULT_PORT
+
+
+def _format_addr(host: str, port: int) -> str:
+    """The address as _parse_addr reads it back: an IPv6 host in brackets."""
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
 
 
 def _device_id(text: str) -> int:
@@ -256,7 +267,7 @@ def cmd_stream(args) -> int:
         sent = emitter.send_counts(times, counts)
     finally:
         emitter.close()
-    print(f"sent {sent} frames to {host}:{port}, {emitter.retries} retries")
+    print(f"sent {sent} frames to {_format_addr(host, port)}, {emitter.retries} retries")
     return EXIT_OK
 
 
@@ -304,8 +315,7 @@ def cmd_collect(args) -> int:
         collector.start()
     except OSError as exc:  # an address it cannot listen on, taken or unresolvable, is a network error
         raise ConnectionError(*exc.args) from exc
-    bound_host, bound_port = collector.address
-    print(f"listening on {bound_host}:{bound_port}", flush=True)
+    print(f"listening on {_format_addr(*collector.address)}", flush=True)
 
     try:
         if args.once:
@@ -539,14 +549,14 @@ def _stream_flags(p: _Parser) -> None:
     _gait_flags(p)
     p.add_argument("--input", "-i", default=None, help="session file to replay")
     p.add_argument("--simulate", action="store_true", help="stream a live simulation instead of a file")
-    p.add_argument("--addr", default=_default_addr(), help="collector host:port")
+    p.add_argument("--addr", default=_default_addr(), help="collector host:port, [host]:port for IPv6")
     p.add_argument("--device-id", type=_device_id, default=None)
     p.add_argument("--pace", action="store_true", help="pace frames by sample timestamps")
     p.add_argument("--profile", default=None, help="profile to encode with; default: the session's, or measured")
 
 
 def _collect_flags(p: _Parser) -> None:
-    p.add_argument("--addr", default=_default_addr(), help="listen host:port (:0 for ephemeral)")
+    p.add_argument("--addr", default=_default_addr(), help="listen host:port, [host]:port for IPv6 (:0 for ephemeral)")
     p.add_argument("-o", "--output", required=True, help="session file to write on shutdown")
     p.add_argument("--analyze", action="store_true", help="attach the online gait analyzer")
     p.add_argument("--report", default=None, help="report JSON path (with --analyze)")

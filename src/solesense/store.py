@@ -44,14 +44,15 @@ its first line (JSON Lines if that starts with ``{``, else the CSV layout
 its column line names) and parses the rest on that handle; an input that
 cannot seek, a pipe, is read into memory once. A session goes through its
 format's array pass, with no Python step per line: a CSV body by numpy's C
-reader, given the path; a JSONL file BLOCK_LINES lines per json.loads, its
+reader, given the path, or the open handle where numpy cannot open the file
+again by its name; a JSONL file BLOCK_LINES lines per json.loads, its
 samples typed a block at a time. Both are validated at once (six fields,
 JSON numbers in JSONL, every timestamp finite, every pressure finite and
->= 0). A file the array pass cannot take whole, or a piped CSV body, goes
-through the format's line path, which checks each row by _session_row, so
-the columns always equal the line path's rows and a malformed file raises
-the same ``path:line`` error. The JSONL reader types every field of every
-record by one rule set (_number, _integer, _number_map).
+>= 0). A file the array pass cannot take whole goes through the format's
+line path, which checks each row by _session_row, so the columns always
+equal the line path's rows and a malformed file raises the same
+``path:line`` error. The JSONL reader types every field of every record by
+one rule set (_number, _integer, _number_map).
 
 Every CSV table is read by one grammar, its rows by one loop, _rows:
 ``#`` lines hold ``key: value`` pairs, on either side of the column line
@@ -253,21 +254,24 @@ _BAD_RECORD = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _csv_array_pass(path, fh, pairs: dict[str, str], header_line: int, columns_line: int):
+def _csv_array_pass(path, fh, by_name: bool, pairs: dict[str, str], header_line: int, columns_line: int):
     """A CSV session's log and columns, ``fh`` read through its column line;
     raises one of _BAD_RECORD on anything the line path might read
     differently or reject.
 
-    loadtxt reads the body by path, skipping the lines through the column
-    line: given a str path and no comment character, its C reader pulls the
-    file in chunks, where a file object costs a Python call per line. The
-    path is made absolute so that numpy never takes it for a URL."""
+    loadtxt reads the body ``by_name`` where numpy can open the file again,
+    skipping the lines through the column line: given a str path and no
+    comment character, its C reader pulls the file in chunks, where a file
+    object costs a Python call per line. The path is made absolute so that
+    numpy never takes it for a URL. Otherwise (a pipe, read into memory, or
+    a name numpy would open through a decompressor) it reads ``fh``."""
+    body = fh.tell()
     if not any(line != "\n" for line in fh):  # loadtxt warns on a body of blank lines
         rows = np.empty((0, len(SAMPLE_COLUMNS)))
     else:
-        rows = np.loadtxt(
-            os.path.abspath(path), delimiter=",", comments=None, ndmin=2, skiprows=columns_line, encoding="utf-8"
-        )
+        fh.seek(body)
+        source, skip = (os.path.abspath(path), columns_line) if by_name else (fh, 0)
+        rows = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
     return SessionLog(_parse_header_block(pairs, path, header_line)), *_checked_columns(rows)
 
 
@@ -448,9 +452,9 @@ def _read(path, records: dict, error=SessionFormatError) -> tuple[tuple[str, ...
             columns, lines = _layout(path, columns_line, line, records, error), fh
             if records[columns] is None:
                 return columns, None
-            if columns == SAMPLE_COLUMNS and by_name:  # numpy can read the body by name
+            if columns == SAMPLE_COLUMNS:
                 try:
-                    return columns, _csv_array_pass(path, fh, pairs, header_line, columns_line)
+                    return columns, _csv_array_pass(path, fh, by_name, pairs, header_line, columns_line)
                 except _BAD_RECORD:  # the line path, from the start again
                     fh.seek(0)
                     lines = islice(fh, columns_line, None)

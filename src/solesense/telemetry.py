@@ -33,13 +33,13 @@ the collector drops as stale timestamps. The collector reads up to
 _RECV_BYTES at a time and works on each received chunk whole.
 ``Deframer.scan`` returns its valid frames as packed bytes: a chunk of at
 least _ARRAY_FRAMES whole frames is checked in a few numpy calls and, when it
-is a clean aligned run, returned as one slice. One per-frame loop holds the
-sequence and timestamp ledger. A clean run of at least _ARRAY_FRAMES frames,
-which the loop would keep whole (what a healthy link sends), moves the ledger
-in one step instead. Its codes index an object-dtype copy of the decode table
-once, PressureSample._of_rows makes the run's samples, each a float row of the
-table's own floats, and a plain loop hands them to the sink, with no ledger
-work per frame. Any other chunk goes through the loop.
+is a clean aligned run, returned as one slice. ``Collector._ingest`` reads
+those bytes once as a _WIRE record array, cuts them into runs (one device,
+consecutive sequences, rising ms timestamps: a healthy link's chunk is one
+run) and moves the sequence and timestamp ledger once per run. The chunk's
+codes index an object-dtype copy of the decode table once,
+PressureSample._of_rows makes its samples, each a float row of the table's
+own floats, and a plain loop hands each run's kept samples to the sink.
 ``Deframer.feed`` wraps the scan in TelemetryFrames for callers that want them.
 """
 
@@ -55,9 +55,11 @@ import struct
 import threading
 import time
 import traceback
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import reduce
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator
 
@@ -66,7 +68,6 @@ import numpy as np
 from .acquisition import (
     DividerConfig,
     _decode_tables,
-    _decoded_sample,
     _decoded_samples,
     counts_from_pascals,
 )
@@ -149,10 +150,10 @@ _WIRE = np.dtype([
     ("magic", "S2"), ("version", "u1"), ("device", "u1"), ("sequence", "<u4"),
     ("ms_low", "<u4"), ("ms_high", "<u2"), ("counts", "<u2", (5,)), ("crc", "<u2"),
 ])
-# whole frames a chunk needs before it is checked as arrays, in the deframer and
-# as a clean run: the checks' numpy calls cost tens of microseconds per chunk,
-# which the per-frame loop beats on fewer frames (a paced link delivers one
-# frame per recv, a bulk one a block of 256 or more)
+# whole frames a chunk needs before the deframer checks it as arrays: the
+# check's numpy calls cost tens of microseconds per chunk, which its per-offset
+# loop beats on fewer frames (a paced link delivers one frame per recv, a bulk
+# one a block of 256 or more)
 _ARRAY_FRAMES = 24
 
 
@@ -552,11 +553,9 @@ class Collector:
     reconnect resends), and counts and skips decode errors. Sequence state is
     per connection; the timestamp guard is per device, across connections, so
     the sink sees each device's times strictly increasing.
-    Each received chunk is scanned once (``Deframer.scan``, no TelemetryFrame).
-    One loop holds the ledger; a clean run of at least _ARRAY_FRAMES frames
-    takes a shortcut with the same samples and counters (``_clean_run``): it
-    is decoded into a list of samples at once, handed to the sink in a plain
-    loop, and taken into the ledger in one step (``_ingest_run``).
+    Each received chunk is scanned once (``Deframer.scan``, no TelemetryFrame)
+    and decoded into a list of samples at once, and ``_ingest`` moves the
+    ledger once per run of frames from one device, numbered and timed on.
     ``sink(device_id, PressureSample)`` runs on that thread, once per kept
     frame and in arrival order: it needs no lock, but a slow sink delays every
     connection; one that raises ends only its own, with the counters taking
@@ -572,7 +571,7 @@ class Collector:
         port: int = DEFAULT_PORT,
     ):
         self._sink = sink
-        self._table, self._objects, _ = _decode_tables(profile, divider)
+        self._objects = _decode_tables(profile, divider)[1]
         self._host = host
         self._port = port
         self._server: socket.socket | None = None
@@ -590,7 +589,8 @@ class Collector:
 
     def start(self) -> None:
         # SO_REUSEADDR on POSIX; an address it cannot bind leaves no socket open
-        server = socket.create_server((self._host, self._port))
+        family = socket.AF_INET6 if ":" in self._host else socket.AF_INET  # no host name holds a colon
+        server = socket.create_server((self._host, self._port), family=family)
         server.setblocking(False)
         self._server = server
         self._wake_read, self._wake_write = socket.socketpair()
@@ -631,78 +631,61 @@ class Collector:
             self._close(selector, key)
             return
         try:
-            frames = deframer.scan(chunk)
-            run = self._clean_run(expected, frames)
-            if run is None:
-                self._ingest_frames(expected, frames)
-            else:
-                self._ingest_run(expected, *run)
+            self._ingest(expected, deframer.scan(chunk))
         except Exception:
             traceback.print_exc()  # a failing sink ends its own connection, not the loop
             self._close(selector, key)
 
-    def _clean_run(self, expected: dict[int, int], frames: bytes):
-        """``(device, wire, ms)`` when ``frames`` is a clean run, else None: at
-        least _ARRAY_FRAMES frames from one device, their sequences counting up
-        by one from the connection's next one or later, their ms timestamps
-        rising strictly from after the device's last kept one, and every code
-        in the table. The ledger would keep every frame of it."""
-        if len(frames) < _ARRAY_FRAMES * FRAME_LENGTH:
-            return None
+    def _ingest(self, expected: dict[int, int], frames: bytes) -> None:
+        """The sequence and timestamp ledger and the decode of a chunk's frames,
+        the one place the ledger's rules are written. It moves once per run, in
+        arrival order: frames from one device, each numbered one above and
+        stamped after the frame before it, so a run's duplicates (below the
+        next sequence), then its stale frames (not after the device's last kept
+        ms), come first. A frame with a code outside the table is a run of its
+        own; the table index clips its codes, and its sample never reaches the
+        sink."""
+        if not frames:
+            return
         wire = np.frombuffer(frames, _WIRE)
-        device = int(wire["device"][0])
+        devices, codes = wire["device"], wire["counts"]
         sequences = wire["sequence"].astype(np.int64)
         ms = wire["ms_low"] | wire["ms_high"].astype(np.int64) << 32
-        clean = (
-            (wire["device"] == device).all()
-            and sequences[0] >= expected.get(device, 0)
-            and (np.diff(sequences) == 1).all()
-            and ms[0] > self._last_ms.get(device, -1)
-            and (np.diff(ms) > 0).all()
-            and wire["counts"].max() < len(self._table)
-        )
-        return (device, wire, ms) if clean else None
-
-    def _ingest_frames(self, expected: dict[int, int], frames: bytes) -> None:
-        """The sequence and timestamp ledger and the decode, one frame at a
-        time: the one place the ledger's rules are written."""
+        # CRC-valid but out of the table: never fatal. A column at a time is
+        # several times faster than max(axis=1) over the records' five codes
+        outside = reduce(np.maximum, codes.T) >= len(self._objects)
+        breaks = (devices[1:] != devices[:-1]) | (sequences[1:] - sequences[:-1] != 1) | (ms[1:] <= ms[:-1])
+        ends = (np.flatnonzero(breaks | outside[1:] | outside[:-1]) + 1).tolist()
+        starts = [0, *ends]
+        times = (ms / 1000.0).tolist()  # rise strictly with ms, so bisect finds a run's stale frames on them
+        samples = _decoded_samples(self._objects, times, codes)
+        runs = zip(starts, [*ends, len(wire)], *(column[starts].tolist() for column in (devices, sequences, outside)))
         last_ms = self._last_ms
-        table = self._table
-        for _magic, _version, device_id, sequence, ts_low, ts_high, *counts, _crc in _FRAME.iter_unpack(frames):
-            stats = self.stats[device_id]
-            timestamp_ms = ts_low | ts_high << 32
-            want = expected.get(device_id, sequence)
-            if sequence < want:  # an at-least-once resend
-                stats.duplicates += 1
+        for start, stop, device, first, lone_outside in runs:
+            stats = self.stats[device]
+            want = expected.get(device, first)
+            fresh = start + min(max(want - first, 0), stop - start)  # below the next sequence: at-least-once resends
+            stats.duplicates += fresh - start
+            if fresh == stop:
                 continue
-            stats.gaps += sequence - want
-            expected[device_id] = sequence + 1
-            if timestamp_ms <= last_ms.get(device_id, -1):  # the sink needs strictly increasing times
-                stats.stale_timestamps += 1
+            stats.gaps += first + fresh - start - want
+            expected[device] = first + stop - start
+            kept = bisect_right(times, last_ms.get(device, -1) / 1000.0, fresh, stop)  # the sink needs rising times
+            stats.stale_timestamps += kept - fresh
+            if kept == stop:
                 continue
-            last_ms[device_id] = timestamp_ms
-            if max(counts) >= len(table):  # CRC-valid but out of the table: never fatal
+            last_ms[device] = int(ms[stop - 1])
+            if lone_outside:
                 stats.decode_errors += 1
                 continue
-            stats.frames += 1
-            self._sink(device_id, _decoded_sample(table, timestamp_ms / 1000.0, counts))
-
-    def _ingest_run(self, expected: dict[int, int], device: int, wire: np.ndarray, ms: np.ndarray) -> None:
-        """_ingest_frames on a clean run, which keeps every frame: only the
-        first can add gaps, and the run is decoded with one index of the
-        table. If the sink raises, the ledger takes in the frames up to the
-        one it raised on, as _ingest_frames would."""
-        first = int(wire["sequence"][0])
-        samples = _decoded_samples(self._objects, (ms / 1000.0).tolist(), wire["counts"])
-        try:
-            for sunk, sample in enumerate(samples, 1):  # counted before the call, so a raising sink's frame counts
-                self._sink(device, sample)
-        finally:  # a clean run is never empty, so sunk is set
-            stats = self.stats[device]
-            stats.gaps += first - expected.get(device, first)
-            stats.frames += sunk
-            expected[device] = first + sunk
-            self._last_ms[device] = int(ms[sunk - 1])
+            try:  # sunk counts a frame before its sink call, so a raising sink's frame counts
+                for sunk, sample in enumerate(samples[kept:stop], 1):
+                    self._sink(device, sample)
+            finally:  # kept < stop, so sunk is set
+                stats.frames += sunk
+                if kept + sunk < stop:  # the sink raised: the ledger takes in the frames up to that one
+                    expected[device] = first + kept + sunk - start
+                    last_ms[device] = int(ms[kept + sunk - 1])
 
     def _close(self, selector: selectors.BaseSelector, key: selectors.SelectorKey) -> None:
         selector.unregister(key.fileobj)

@@ -29,7 +29,6 @@ from solesense import store
 from solesense.acquisition import (
     DividerConfig,
     _checked_tables,
-    _decoded_sample,
     _decoded_samples,
     divider_out_ohms,
     quantize_volts,
@@ -246,7 +245,7 @@ class ReferenceReceiver:
                     stats.decode_errors += 1
                     continue
                 stats.frames += 1
-                self._sink(device_id, _decoded_sample(table, timestamp_ms / 1000.0, counts))
+                self._sink(device_id, PressureSample._of(timestamp_ms / 1000.0, tuple(map(table.__getitem__, counts))))
         except Exception:
             traceback.print_exc()  # a failing sink ends its own connection, not the loop
             self.close(connection)

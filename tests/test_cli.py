@@ -983,7 +983,8 @@ class TestStreamCollect:
             rate = cli._infer_rate(np.array(times))
             assert rate == want and type(rate) is float
 
-    @pytest.mark.parametrize("host", ["127.0.0.1", "::1"], ids=["port taken", "not an IPv4 host"])
+    # 2001:db8::/32 is reserved for documentation, so no machine holds the address
+    @pytest.mark.parametrize("host", ["127.0.0.1", "[2001:db8::1]"], ids=["port taken", "an IPv6 host not on this machine"])
     def test_an_address_collect_cannot_listen_on_is_a_network_error(self, tmp_path, capsys, host):
         out = tmp_path / "c.csv"
         with socket.socket() as taken:
@@ -1677,3 +1678,42 @@ class TestParseAddr:
     def test_a_host_without_a_port_takes_the_default_port(self):
         assert cli._parse_addr("somehost") == ("somehost", cli.DEFAULT_PORT)
         assert cli._parse_addr("") == ("127.0.0.1", cli.DEFAULT_PORT)
+
+    @pytest.mark.parametrize(
+        "text, addr",
+        [("[::1]:7399", ("::1", 7399)), ("[::1]:0", ("::1", 0)), ("[::1]", ("::1", cli.DEFAULT_PORT))],
+    )
+    def test_the_brackets_come_off_an_ipv6_host(self, text, addr):
+        assert cli._parse_addr(text) == addr
+
+    @pytest.mark.parametrize("text", ["::1", "::1:7399", "[::1", "[::1]7399"])
+    def test_an_ipv6_host_out_of_brackets_is_a_usage_error(self, tmp_path, capsys, text):
+        out = tmp_path / "c.csv"
+        assert main(["collect", "--once", "--addr", text, "-o", str(out)]) == 1
+        assert "an IPv6 host goes in brackets, as in [::1]:7332" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _binds_ipv6_loopback() -> bool:
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _binds_ipv6_loopback(), reason="::1 cannot be bound on this host")
+def test_a_link_over_ipv6_loopback_analyzes_as_simulates_file(tmp_path, capsys):
+    source, collected = tmp_path / "s.csv", tmp_path / "c.csv"
+    assert main(["simulate", "--cycles", "3", "-o", str(source)]) == 0
+    thread, results, addr = _start_collect(["--addr", "[::1]:0", "-o", str(collected), "--once"], capsys)
+    assert re.fullmatch(r"\[::1\]:\d+", addr)
+    assert main(["stream", "--simulate", "--cycles", "3", "--addr", addr]) == 0
+    assert capsys.readouterr().out.startswith(f"sent 300 frames to {addr}, 0 retries\n")
+    thread.join(timeout=30)
+    assert results["rc"] == 0
+    capsys.readouterr()
+    assert main(["analyze", str(collected)]) == 0
+    got = capsys.readouterr().out
+    assert main(["analyze", str(source)]) == 0
+    assert got == capsys.readouterr().out

@@ -209,6 +209,15 @@ class TestCsv:
         _assert_columns_equal_rows(path)
         assert read_columns(path)[1].tolist() == [s.timestamp for s in log.samples]
 
+    def test_a_session_named_as_compressed_takes_the_array_pass(self, tmp_path, monkeypatch):
+        plain = _written(tmp_path / "s.csv", _session(cycles=2, noise=1_000.0))
+        named = tmp_path / "s.gz"
+        named.write_bytes(plain.read_bytes())
+        want = read_columns(plain)
+        _array_pass_only(monkeypatch)
+        header, times, pascals = read_columns(named)
+        assert header == want[0] and _bits(times) == _bits(want[1]) and _bits(pascals) == _bits(want[2])
+
     def test_blocks_write_the_lines_one_by_one_would(self, tmp_path):
         log = _session(cycles=6, noise=1_000.0)
         assert len(log.samples) > 2 * BLOCK_LINES
@@ -661,6 +670,13 @@ class TestPipes:
         want = read_columns(path)
         assert header == want[0] and _bits(times) == _bits(want[1]) and _bits(pascals) == _bits(want[2])
         assert log == read_session(path)
+
+    def test_a_piped_csv_session_takes_the_array_pass(self, tmp_path, monkeypatch):
+        path = _written(tmp_path / "s.csv", _session(cycles=2, noise=1_000.0))
+        want = read_columns(path)
+        _array_pass_only(monkeypatch)
+        header, times, pascals = piped(path, read_columns)
+        assert header == want[0] and _bits(times) == _bits(want[1]) and _bits(pascals) == _bits(want[2])
 
     def test_a_broken_piped_session_names_its_line(self, tmp_path):
         path = _written(tmp_path / "s.csv", _session(cycles=1))

@@ -730,7 +730,8 @@ class TestCollector:
         collector.start()
         return collector
 
-    @pytest.mark.parametrize("host", ["127.0.0.1", "::1"], ids=["port taken", "not an IPv4 host"])
+    # 2001:db8::/32 is reserved for documentation, so no machine holds the address
+    @pytest.mark.parametrize("host", ["127.0.0.1", "2001:db8::1"], ids=["port taken", "an IPv6 host not on this machine"])
     def test_an_address_it_cannot_listen_on_leaves_no_socket_open(self, host):
         # a leaked socket warns when it is collected, which fails the test
         with socket.socket() as taken:
@@ -1104,26 +1105,6 @@ def _receives_as_reference(connections, raise_at=None, context=""):
     return collector, got
 
 
-@pytest.fixture
-def routes(monkeypatch):
-    """The frames of each chunk the receive path handed to the clean-run
-    shortcut ("run") and to the per-frame loop ("loop")."""
-    taken = {"run": [], "loop": []}
-    ingest_run, ingest_frames = Collector._ingest_run, Collector._ingest_frames
-
-    def run(self, expected, device, wire, ms):
-        taken["run"].append(len(wire))
-        return ingest_run(self, expected, device, wire, ms)
-
-    def loop(self, expected, frames):
-        taken["loop"].append(len(frames) // FRAME_LENGTH)
-        return ingest_frames(self, expected, frames)
-
-    monkeypatch.setattr(Collector, "_ingest_run", run)
-    monkeypatch.setattr(Collector, "_ingest_frames", loop)
-    return taken
-
-
 _IN_TABLE = (4095, 4000, 3950, 3500, 3000)
 
 
@@ -1137,8 +1118,8 @@ def _run(first, n, device=1):
     return [(device, seq, 10 * seq, _IN_TABLE) for seq in range(first, first + n)]
 
 
-# one flaw that keeps a run from being clean, on the kth frame of a run that
-# follows another: each maps (k, frame) to the frame sent
+# one flaw that breaks a run or drops frames from it, on the kth frame of a run
+# that follows another: each maps (k, frame) to the frame sent
 _FLAWS = {
     "other device": lambda k, d, seq, ms, codes: (2 if k == 12 else d, seq, ms, codes),
     "gap inside": lambda k, d, seq, ms, codes: (d, seq + (k >= 12), ms, codes),
@@ -1150,7 +1131,7 @@ _FLAWS = {
 
 
 class TestReceiveEquivalence:
-    def test_chunked_receive_equals_one_frame_at_a_time(self, monkeypatch, routes):
+    def test_chunked_receive_equals_one_frame_at_a_time(self, monkeypatch):
         checks = {"valid": 0, "invalid": 0}
         all_valid = telemetry._all_valid
 
@@ -1164,38 +1145,32 @@ class TestReceiveEquivalence:
         for seed in range(200):
             connections, raise_at = _receive_schedule(random.Random(seed))
             _receives_as_reference(connections, raise_at, f"seed {seed}")
-        assert routes["run"], routes  # the clean-run shortcut ran
-        assert min(routes["loop"]) < telemetry._ARRAY_FRAMES <= max(routes["loop"])  # the loop on both sizes
         assert min(checks.values()) > 0, checks  # both scan checks
 
-    def test_reconnect_resending_a_block_takes_the_loop(self, routes):
+    def test_reconnect_resending_a_block_is_dropped_as_stale(self):
         # 300 frames, then a new connection resends the last 256 with their
         # stale timestamps before going on
         sent = _run(0, 350)
         collector, sunk = _receives_as_reference([[_wire(sent[:300])], [_wire(sent[44:300]), _wire(sent[300:])]])
-        assert routes == {"run": [300, 50], "loop": [256]}
         stats = collector.stats[1]
         assert (stats.frames, stats.stale_timestamps, stats.duplicates, stats.gaps) == (350, 256, 0, 0)
         assert len(sunk) == 350
 
-    def test_two_devices_in_one_chunk_take_the_loop(self, routes):
+    def test_two_devices_in_one_chunk_are_told_apart(self):
         # numbered and timed as one run, so only the device tells them apart
         frames = [(1 + seq % 2, seq, ms, codes) for _d, seq, ms, codes in _run(0, 30)]
         collector, sunk = _receives_as_reference([[_wire(frames)]])
-        assert routes == {"run": [], "loop": [30]}
         assert [(s.frames, s.gaps) for s in collector.stats.values()] == [(15, 14), (15, 14)]
         assert [d for d, _sample in sunk] == [1 + k % 2 for k in range(30)]
 
-    def test_gap_before_a_clean_run_is_counted(self, routes):
+    def test_gap_before_a_clean_run_is_counted(self):
         collector, sunk = _receives_as_reference([[_wire(_run(0, 30)), _wire(_run(40, 40))]])
-        assert routes == {"run": [30, 40], "loop": []}
         stats = collector.stats[1]
         assert (stats.frames, stats.gaps) == (70, 10)
         assert collector._last_ms[1] == 790
 
-    def test_sink_raising_in_a_clean_run_counts_up_to_that_frame(self, routes, capsys):
+    def test_sink_raising_in_a_clean_run_counts_up_to_that_frame(self, capsys):
         collector, sunk = _receives_as_reference([[_wire(_run(5, 100)), _wire(_run(105, 30))]], raise_at=37)
-        assert routes == {"run": [100], "loop": []}  # the connection ends with the raise
         assert "RuntimeError: sink failed" in capsys.readouterr().err
         assert len(sunk) == 38 and sunk[-1] == "raised"
         stats = collector.stats[1]
@@ -1203,9 +1178,8 @@ class TestReceiveEquivalence:
         assert collector._last_ms[1] == 10 * (5 + 37)
 
     @pytest.mark.parametrize("raise_at", [0, 99], ids=["first frame", "last frame"])
-    def test_sink_raising_at_either_end_of_a_clean_run(self, routes, capsys, raise_at):
+    def test_sink_raising_at_either_end_of_a_clean_run(self, capsys, raise_at):
         collector, sunk = _receives_as_reference([[_wire(_run(5, 100)), _wire(_run(105, 30))]], raise_at=raise_at)
-        assert routes == {"run": [100], "loop": []}
         assert "RuntimeError: sink failed" in capsys.readouterr().err
         assert len(sunk) == raise_at + 1 and sunk[-1] == "raised"
         stats = collector.stats[1]
@@ -1213,7 +1187,7 @@ class TestReceiveEquivalence:
         assert collector._last_ms[1] == 10 * (5 + raise_at)
 
     @pytest.mark.parametrize("flaw", _FLAWS)
-    def test_a_run_with_one_flaw_takes_the_loop(self, routes, flaw):
+    def test_a_run_with_one_flaw_is_received_as_the_reference_receives_it(self, flaw):
         flawed = [_FLAWS[flaw](k, *frame) for k, frame in enumerate(_run(30, 30))]
         _receives_as_reference([[_wire(_run(0, 30)), _wire(flawed)]], context=flaw)
-        assert routes == {"run": [30], "loop": [30]}
+
