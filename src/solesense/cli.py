@@ -17,8 +17,10 @@ import errno
 import json
 import math
 import os
+import signal
 import socket
 import sys
+import threading
 import time
 from collections import defaultdict
 
@@ -247,6 +249,9 @@ def cmd_simulate(args) -> int:
 def cmd_stream(args) -> int:
     if bool(args.input) == bool(args.simulate):
         raise _UsageError("stream: exactly one of --input or --simulate is required")
+    host, port = _parse_addr(args.addr)
+    if port == 0:  # any free port to collect's listen, and no collector's address
+        raise _UsageError(f"stream: address {args.addr!r}: port 0 names no collector; give the port collect listens on")
     if args.simulate:  # the ADC's own codes, as the device sends them
         params = _gait_params(args, "stream")
         profile = _load_profile(args.profile or "measured")
@@ -257,7 +262,6 @@ def cmd_stream(args) -> int:
         profile = _load_profile(args.profile) if args.profile else _header_profile(args.input, header)
         device_id = header.device_id
         counts = counts_from_pascals(pascals, profile)
-    host, port = _parse_addr(args.addr)
     if args.device_id is not None:
         device_id = args.device_id
     emitter = Emitter(
@@ -317,6 +321,11 @@ def cmd_collect(args) -> int:
         raise ConnectionError(*exc.args) from exc
     print(f"listening on {_format_addr(*collector.address)}", flush=True)
 
+    # kill, timeout and a closed terminal stop it as Ctrl-C does, unless their
+    # signal is ignored (nohup); only the main thread may set a handler
+    on_main = threading.current_thread() is threading.main_thread()
+    stops = [getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if on_main and hasattr(signal, name)]
+    previous = {n: signal.signal(n, signal.default_int_handler) for n in stops if signal.getsignal(n) != signal.SIG_IGN}
     try:
         if args.once:
             while not collector.connection_closed.wait(timeout=0.2):
@@ -327,6 +336,8 @@ def cmd_collect(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
+        for number, handler in previous.items():
+            signal.signal(number, handler)
         collector.stop()
         _flush_collected(args, profile.name, columns, analyzers, events)
     return EXIT_OK

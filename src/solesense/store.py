@@ -45,14 +45,14 @@ its column line names) and parses the rest on that handle; an input that
 cannot seek, a pipe, is read into memory once. A session goes through its
 format's array pass, with no Python step per line: a CSV body by numpy's C
 reader, given the path, or the open handle where numpy cannot open the file
-again by its name; a JSONL file BLOCK_LINES lines per json.loads, its
-samples typed a block at a time. Both are validated at once (six fields,
-JSON numbers in JSONL, every timestamp finite, every pressure finite and
->= 0). A file the array pass cannot take whole goes through the format's
-line path, which checks each row by _session_row, so the columns always
-equal the line path's rows and a malformed file raises the same
-``path:line`` error. The JSONL reader types every field of every record by
-one rule set (_number, _integer, _number_map).
+again by its name; a JSONL file in one pass, BLOCK_LINES lines per
+json.loads, its samples typed a block at a time. Both are validated at once
+(six fields, JSON numbers in JSONL, every timestamp finite, every pressure
+finite and >= 0). What the array pass refuses, a CSV body or one JSONL
+block, goes through the format's line path, which checks each row by
+_session_row, so the columns always equal the line path's rows and a
+malformed file raises the same ``path:line`` error. The JSONL reader types
+every field of every record by one rule set (_number, _integer, _number_map).
 
 Every CSV table is read by one grammar, its rows by one loop, _rows:
 ``#`` lines hold ``key: value`` pairs, on either side of the column line
@@ -75,7 +75,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import itemgetter
 from typing import Iterator
 
@@ -254,10 +254,10 @@ _BAD_RECORD = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _csv_array_pass(path, fh, by_name: bool, pairs: dict[str, str], header_line: int, columns_line: int):
-    """A CSV session's log and columns, ``fh`` read through its column line;
-    raises one of _BAD_RECORD on anything the line path might read
-    differently or reject.
+def _csv_array_pass(path, fh, body, by_name: bool, pairs: dict[str, str], header_line: int, columns_line: int):
+    """A CSV session's log and columns, ``fh`` read through its column line,
+    which ends at ``body``; raises one of _BAD_RECORD on anything the line
+    path might read differently or reject.
 
     loadtxt reads the body ``by_name`` where numpy can open the file again,
     skipping the lines through the column line: given a str path and no
@@ -265,7 +265,6 @@ def _csv_array_pass(path, fh, by_name: bool, pairs: dict[str, str], header_line:
     object costs a Python call per line. The path is made absolute so that
     numpy never takes it for a URL. Otherwise (a pipe, read into memory, or
     a name numpy would open through a decompressor) it reads ``fh``."""
-    body = fh.tell()
     if not any(line != "\n" for line in fh):  # loadtxt warns on a body of blank lines
         rows = np.empty((0, len(SAMPLE_COLUMNS)))
     else:
@@ -366,50 +365,45 @@ _TYPE = itemgetter("type")
 _SAMPLE_VALUES = itemgetter(*SAMPLE_COLUMNS)
 
 
-def _jsonl_array_pass(fh) -> tuple[SessionLog, np.ndarray, np.ndarray]:
-    """A JSON Lines session's log and columns, one json.loads per BLOCK_LINES
-    lines, with a Python step per record only in a block that holds records
-    other than samples; raises one of _BAD_RECORD on anything the line path
-    might read differently or reject.
+def _jsonl_array_pass(lines: list[str], log: SessionLog) -> np.ndarray:
+    """The (n, 6) sample rows of a block of JSON Lines, by one json.loads;
+    raises one of _BAD_RECORD on anything the line path might read
+    differently or reject, before it folds the other records into ``log``.
 
-    A block's non-blank lines, stripped, are parsed as one JSON array of them
-    joined by commas. A block that holds a ``[``, or a line after its first
-    that starts with ``"``, is refused: then no joining comma can fall inside
-    a value (an array would take it, an object would need a key after it), so
-    the array has one record per line only if each line holds exactly one JSON
-    value, as the line path requires. Records other than samples go through
-    _read_record; the samples' values are typed a block at a time, by the
-    same rule as _number's."""
-    log = SessionLog(header=None)
-    blocks = [np.empty((0, len(SAMPLE_COLUMNS)))]
-    for chunk in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
-        lines = list(filter(None, map(str.strip, chunk)))
-        text = ",\n".join(lines)
-        if "[" in text or '\n"' in text:
-            raise ValueError("a block whose lines the array pass cannot tell apart")
-        records = json.loads(f"[{text}]")
-        if len(records) != len(lines):
-            raise ValueError("a line that holds other than one JSON value")
-        kinds = list(map(_TYPE, records))
-        if kinds.count("sample") < len(records):
-            for obj, kind in zip(records, kinds):
-                if kind != "sample":
-                    _read_record(obj, log)
-            records = [obj for obj, kind in zip(records, kinds) if kind == "sample"]
-        values = list(map(_SAMPLE_VALUES, records))
-        if not set(map(type, chain.from_iterable(values))) <= _JSON_NUMBERS:
-            raise TypeError("a sample value that is no JSON number")
-        blocks.append(np.array(values, dtype=float).reshape(-1, len(SAMPLE_COLUMNS)))
-    if log.header is None:
-        raise ValueError("missing header line")
-    return log, *_checked_columns(np.concatenate(blocks))
+    The block's non-blank lines, stripped, are parsed as one JSON array of
+    them joined by commas. A block that holds a ``[``, or a line after its
+    first that starts with ``"``, is refused: then no joining comma can fall
+    inside a value (an array would take it, an object would need a key after
+    it), so the array has one record per line only if each line holds exactly
+    one JSON value, as the line path requires. The samples are typed by
+    _number's rule and checked by _check_columns at once; if a record that
+    _read_record folds raises, the line path raises on it too."""
+    lines = list(filter(None, map(str.strip, lines)))
+    text = ",\n".join(lines)
+    if "[" in text or '\n"' in text:
+        raise ValueError("a block whose lines the array pass cannot tell apart")
+    records = json.loads(f"[{text}]")
+    if len(records) != len(lines):
+        raise ValueError("a line that holds other than one JSON value")
+    kinds = list(map(_TYPE, records))
+    others = [] if kinds.count("sample") == len(records) else [obj for obj, k in zip(records, kinds) if k != "sample"]
+    if others:
+        records = [obj for obj, kind in zip(records, kinds) if kind == "sample"]
+    values = list(map(_SAMPLE_VALUES, records))
+    if not set(map(type, chain.from_iterable(values))) <= _JSON_NUMBERS:
+        raise TypeError("a sample value that is no JSON number")
+    rows = np.array(values, dtype=float).reshape(-1, len(SAMPLE_COLUMNS))
+    _check_columns(rows[:, 0], rows[:, 1:])
+    for obj in others:
+        _read_record(obj, log)
+    return rows
 
 
-def _jsonl_lines(path, fh) -> tuple[SessionLog, list[tuple[float, ...]]]:
-    """The JSON Lines line path: the log and rows of the records in ``fh``,
-    one per non-blank line; a bad one raises the error naming its line."""
-    log, rows = SessionLog(header=None), []
-    for lineno, raw in enumerate(fh, start=1):
+def _jsonl_lines(path, lines: list[str], first: int, log: SessionLog) -> list[tuple[float, ...]]:
+    """The line path on a JSONL block numbered from line ``first``: its rows,
+    the other records folded into ``log``; a bad record names its line."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
         if line:
             try:
@@ -420,9 +414,21 @@ def _jsonl_lines(path, fh) -> tuple[SessionLog, list[tuple[float, ...]]]:
                     _read_record(obj, log)
             except _BAD_RECORD as exc:
                 raise SessionFormatError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
+def _jsonl(path, fh) -> tuple[SessionLog, np.ndarray, np.ndarray]:
+    """A JSON Lines session's log and columns, in one pass over ``fh``: each
+    block of BLOCK_LINES lines by the array pass, or the line path if refused."""
+    log, blocks = SessionLog(header=None), []
+    for first, lines in zip(count(1, BLOCK_LINES), iter(lambda: list(islice(fh, BLOCK_LINES)), [])):
+        try:
+            blocks.append(_jsonl_array_pass(lines, log))
+        except _BAD_RECORD:
+            blocks.append(np.reshape(_jsonl_lines(path, lines, first, log), (-1, len(SAMPLE_COLUMNS))))
     if log.header is None:
         raise SessionFormatError(f"{path}: missing header line")
-    return log, rows
+    return log, *_checked_columns(np.concatenate(blocks))
 
 
 # --- either format -------------------------------------------------------------
@@ -441,27 +447,21 @@ def _read(path, records: dict, error=SessionFormatError) -> tuple[tuple[str, ...
         pairs: dict[str, str] = {}
         header_line, columns_line, line = _first_line(fh, pairs)
         if line.startswith("{") and SAMPLE_COLUMNS in records:
-            columns = None
             fh.seek(0)
+            return None, _jsonl(path, fh)
+        columns = _layout(path, columns_line, line, records, error)
+        if records[columns] is None:
+            return columns, None
+        if columns == SAMPLE_COLUMNS:
+            body = fh.tell()
             try:
-                return columns, _jsonl_array_pass(fh)
-            except _BAD_RECORD:
-                fh.seek(0)
-                log, rows = _jsonl_lines(path, fh)
-        else:
-            columns, lines = _layout(path, columns_line, line, records, error), fh
-            if records[columns] is None:
-                return columns, None
-            if columns == SAMPLE_COLUMNS:
-                try:
-                    return columns, _csv_array_pass(path, fh, by_name, pairs, header_line, columns_line)
-                except _BAD_RECORD:  # the line path, from the start again
-                    fh.seek(0)
-                    lines = islice(fh, columns_line, None)
-            rows, header_line = _rows(path, lines, columns_line, columns, records[columns], pairs, header_line, error)
-            if columns != SAMPLE_COLUMNS:
-                return columns, rows
-            log = SessionLog(_parse_header_block(pairs, path, header_line))
+                return columns, _csv_array_pass(path, fh, body, by_name, pairs, header_line, columns_line)
+            except _BAD_RECORD:  # the line path, from the body again
+                fh.seek(body)
+        rows, header_line = _rows(path, fh, columns_line, columns, records[columns], pairs, header_line, error)
+        if columns != SAMPLE_COLUMNS:
+            return columns, rows
+        log = SessionLog(_parse_header_block(pairs, path, header_line))
     return columns, (log, *_checked_columns(np.reshape(rows, (-1, len(SAMPLE_COLUMNS)))))
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -808,6 +809,51 @@ class TestStreamCollect:
         assert results["rc"] == 0
         assert store.read_session(out).samples == []
 
+    @pytest.mark.parametrize("stop", ["SIGTERM", "SIGHUP"])
+    def test_a_terminated_collect_writes_what_it_received(self, tmp_path, capsys, stop):
+        # kill, timeout and a closed terminal stop collect as Ctrl-C does; in a
+        # subprocess, the only place a signal reaches collect's main thread
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        argv = ["collect", "--addr", "127.0.0.1:0", "-o", "c.csv"]
+        collect = subprocess.Popen(
+            [sys.executable, "-m", "solesense.cli", *argv], cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True
+        )
+        try:
+            addr = collect.stdout.readline().split()[-1]
+            assert main(["stream", "--simulate", "--cycles", "2", "--addr", addr]) == 0
+            time.sleep(1.0)  # for the collector to read what the stream sent
+            collect.send_signal(getattr(signal, stop))
+            assert collect.wait(timeout=30) == 0
+        finally:
+            collect.kill()
+            collect.stdout.close()
+        assert len(store.read_columns(tmp_path / "c.csv")[1]) == 200
+
+    def test_a_collect_that_ignores_sighup_keeps_collecting(self, tmp_path, capsys):
+        # as under nohup: the ignored SIGHUP stays ignored, and SIGTERM still stops it
+        child = (
+            "import runpy, signal\n"
+            "signal.signal(signal.SIGHUP, signal.SIG_IGN)\n"
+            "runpy.run_module('solesense.cli', run_name='__main__')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        argv = ["collect", "--addr", "127.0.0.1:0", "-o", "c.csv"]
+        collect = subprocess.Popen(
+            [sys.executable, "-c", child, *argv], cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True
+        )
+        try:
+            addr = collect.stdout.readline().split()[-1]
+            collect.send_signal(signal.SIGHUP)
+            assert main(["stream", "--simulate", "--cycles", "2", "--addr", addr]) == 0
+            time.sleep(1.0)  # for the collector to read what the stream sent
+            assert collect.poll() is None
+            collect.send_signal(signal.SIGTERM)
+            assert collect.wait(timeout=30) == 0
+        finally:
+            collect.kill()
+            collect.stdout.close()
+        assert len(store.read_columns(tmp_path / "c.csv")[1]) == 200
+
     def test_collect_analyze_builds_one_analyzer_per_device(self, tmp_path, capsys, monkeypatch):
         built = []
         init = Analyzer.__init__
@@ -1279,6 +1325,22 @@ class TestAddrDefaults:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
         )
         assert result.returncode == 1 and "0-65535" in result.stderr
+
+    @pytest.mark.parametrize("where", ["flag", "environment"])
+    def test_stream_to_port_0_is_usage_error(self, tmp_path, where):
+        # port 0 is any free port to collect, and no collector's; in a subprocess
+        # with a timeout, so a stream that retries forever fails instead of hanging
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        argv = ["stream", "--simulate", "--cycles", "1"]
+        if where == "flag":
+            argv += ["--addr", "127.0.0.1:0"]
+        else:
+            env["SOLESENSE_ADDR"] = "127.0.0.1:0"
+        result = subprocess.run(
+            [sys.executable, "-m", "solesense.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert result.returncode == 1 and "'127.0.0.1:0'" in result.stderr, result.stderr
 
 
     def test_stream_to_a_host_that_does_not_resolve_is_a_network_error_at_once(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import warnings
 
@@ -450,6 +451,56 @@ class TestJsonl:
         path = _written(tmp_path / "s.jsonl", log)
         _assert_columns_equal_rows(path)
         assert read_columns(path)[0].profile_name == "[lab]"
+
+    def test_only_the_refused_block_reads_by_line(self, tmp_path, monkeypatch):
+        # the header's "[" refuses the first block, and no other
+        log = _session(cycles=6, noise=1_000.0)
+        log.header = SessionHeader(1, DEFAULT_EPOCH, "sole[L]", 100.0)
+        path = _written(tmp_path / "s.jsonl", log)
+        assert len(log.samples) > 2 * BLOCK_LINES
+        _assert_columns_equal_rows(path)
+        rows, session_row = [], store._session_row
+        monkeypatch.setattr(store, "_session_row", lambda *row: rows.append(row) or session_row(*row))
+        header, times, _ = read_columns(path)
+        assert header.profile_name == "sole[L]" and len(times) == len(log.samples)
+        assert 0 < len(rows) <= BLOCK_LINES
+
+    # blank lines, records the array pass refuses and records the line path rejects
+    ODD_LINES = [
+        "",
+        "   ",
+        json.dumps({"type": "event", "kind": "heel_strike", "t_s": 0.1, "cycle_index": 0}),
+        json.dumps({"type": "event", "kind": "jump", "t_s": 0.1, "cycle_index": 0}),
+        json.dumps({"type": "header", "device_id": 2, "epoch": DEFAULT_EPOCH, "profile": "[L]", "sample_rate_hz": 5.0}),
+        json.dumps({"type": "report", "cycles": "many"}),
+        '{"type": "sample", "t_s": 0.5',
+        '"a string"',
+        "[1, 2]",
+        "{}",
+    ] + [
+        json.dumps({"type": "sample", "t_s": 0.5, **dict.fromkeys(SAMPLE_COLUMNS[1:], 1.0), **change})
+        for change in ({}, {"heel_pa": -1.0}, {"heel_pa": "1"}, {"t_s": True}, {"notes": [1]})
+    ]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_odd_lines_at_block_edges_read_as_the_line_path(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = _written(tmp_path / "s.jsonl", _session(cycles=6, noise=1_000.0, with_analysis=True))
+        lines = path.read_text().splitlines()
+        for _ in range(rng.randint(1, 3)):
+            k = rng.choice([0, 1, 2, 254, 255, 256, 510, 511, 512])  # at line 1-3, 255-257 or 511-513
+            lines[k : k + rng.randint(0, 1)] = [rng.choice(self.ODD_LINES)]
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            want = _by_line(path)
+        except SessionFormatError as exc:
+            for reader in (read_session, read_columns):
+                with pytest.raises(SessionFormatError) as info:
+                    reader(path)
+                assert str(info.value) == str(exc)
+        else:
+            assert read_session(path) == want
+            _assert_columns_equal_rows(path)
 
     @pytest.mark.parametrize(
         "record, change, message",
