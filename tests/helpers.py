@@ -10,17 +10,23 @@ receive() hands a Collector chosen chunks without a socket. reference_update
 is Analyzer.update written on the region reduction and the Schmitt trigger as
 functions, which the flat kernel must match. counts_to_samples decodes a block
 of codes to samples through the package's block decoder, and simulate_session
-gives simulate's chain as a SessionLog of those samples.
+gives simulate's chain as a SessionLog of those samples. run_cli runs the
+``solesense`` command in a child process, and send_until_closed hands a
+collector the frames ``packed`` gives and waits for it to hang up.
 """
 
 from __future__ import annotations
 
 import os
 import selectors
+import socket
+import subprocess
+import sys
 import threading
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -56,7 +62,9 @@ from solesense.telemetry import (
     Deframer,
     DeviceStats,
     SessionHeader,
+    TelemetryFrame,
     crc16_ccitt_false,
+    encode,
 )
 from solesense.units import PressureSample
 
@@ -331,3 +339,31 @@ def simulate_session(
     _, ohms = run_channel(SensorState.at_rest(0.0), pascals, times, profile, DynamicsConfig())
     counts = quantize_volts(divider_out_ohms(ohms, divider), divider)
     return SessionLog(header=header, samples=counts_to_samples(times, counts, profile, divider))
+
+
+def run_cli(argv, prelude="", env=None, start=subprocess.run, **kwargs):
+    """``solesense *argv`` in a child Python on the package these tests import,
+    after the Python source ``prelude``; ``start``, subprocess.run or
+    subprocess.Popen, takes ``kwargs``, and ``env`` adds to os.environ."""
+    main = f"{prelude}import runpy\nrunpy.run_module('solesense.cli', run_name='__main__')"
+    command = ["-c", main] if prelude else ["-m", "solesense.cli"]
+    package_root = str(Path(store.__file__).resolve().parents[1])  # src/ in a checkout, or site-packages
+    env = {**os.environ, **(env or {}), "PYTHONPATH": package_root}
+    return start([sys.executable, *command, *argv], env=env, **kwargs)
+
+
+def packed(device_id, times, codes) -> bytes:
+    """The frames of rows of ADC codes, numbered from 0."""
+    rows = enumerate(zip(times.tolist(), codes.tolist()))
+    return b"".join(encode(TelemetryFrame(device_id, k, round(t * 1000.0), tuple(c))) for k, (t, c) in rows)
+
+
+def send_until_closed(addr: str, payload: bytes) -> None:
+    """Send ``payload`` to the collector at host:port ``addr`` and end the
+    stream; the collector hangs up once it has read it all."""
+    host, port = addr.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=30) as link:
+        link.sendall(payload)
+        link.shutdown(socket.SHUT_WR)
+        while link.recv(4096):
+            pass

@@ -1,9 +1,11 @@
-"""Every name a solesense module imports is used in that module.
+"""Every name a solesense module imports is used in that module, and every
+source file compiles without a warning.
 
-``__init__.py`` is exempt: it imports names to re-export them.
+``__init__.py`` is exempt from the first: it imports names to re-export them.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,15 @@ def test_no_unused_import(path):
 def test_catches_an_unused_import():
     tree = ast.parse("import operator\nimport numpy as np\nfrom functools import reduce\n\nx = np.zeros(reduce(max, [1]))\n")
     assert {name for name in _imported(tree) if name not in _used(tree)} == {"operator"}
+
+
+def test_every_source_file_compiles_without_a_warning():
+    # an invalid escape in a string literal warns only when its file is
+    # compiled (a SyntaxWarning from 3.12 on); compile() writes no .pyc
+    folders = [PACKAGE.parents[1] / name for name in ("src", "tests", "demos", "perfbench")]
+    sources = sorted(p for folder in folders for p in folder.rglob("*.py"))
+    assert len(sources) > 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in sources:
+            compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
