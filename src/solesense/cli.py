@@ -47,7 +47,7 @@ from .sensor import (
 )
 from .store import SessionFormatError
 from .synth import DEFAULT_LOAD_SCALE, GaitParams, synthesize_columns
-from .telemetry import ADDR_ENV_VAR, DEFAULT_PORT, Collector, Emitter, SessionHeader
+from .telemetry import _TOPS, ADDR_ENV_VAR, DEFAULT_PORT, Collector, Emitter, SessionHeader
 from .units import CHANNEL_ORDER, PressureSample
 
 EXIT_OK = 0
@@ -92,8 +92,8 @@ def _format_addr(host: str, port: int) -> str:
 
 def _device_id(text: str) -> int:
     """--device-id as the frame's device byte: an integer in 0-255."""
-    if not (text.isdecimal() and int(text) <= 255):
-        raise argparse.ArgumentTypeError(f"must be an integer in 0-255, got {text!r}")
+    if not (text.isdecimal() and int(text) <= _TOPS["device_id"]):
+        raise argparse.ArgumentTypeError(f"must be an integer in 0-{_TOPS['device_id']}, got {text!r}")
     return int(text)
 
 

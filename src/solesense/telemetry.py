@@ -1,6 +1,8 @@
 """Binary telemetry link: frame codec, device-side emitter, collector server.
 
-Wire format (26 bytes, little-endian multi-byte integers):
+Wire format (26 bytes, little-endian multi-byte integers), declared once as
+the _WIRE record dtype: every frame is packed and read as _WIRE records, and
+the frame length, CRC span, byte offsets and field maxima come from its fields.
 
     offset  size  field
     0       2     magic 0x53 0x4C ("SL")
@@ -40,7 +42,7 @@ run) and moves the sequence and timestamp ledger once per run. The chunk's
 codes index an object-dtype copy of the decode table once,
 PressureSample._of_rows makes its samples, each a float row of the table's
 own floats, and a plain loop hands each run's kept samples to the sink.
-``Deframer.feed`` wraps the scan in TelemetryFrames for callers that want them.
+``Deframer.feed`` reads the scan as _WIRE records, wrapped in TelemetryFrames.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import operator
 import re
 import selectors
 import socket
-import struct
 import threading
 import time
 import traceback
@@ -76,9 +77,16 @@ from .units import CHANNEL_ORDER, PressureSample, samples_to_columns
 
 MAGIC = b"SL"
 PROTOCOL_VERSION = 1
-FRAME_LENGTH = 26
-CRC_SPAN = 24  # bytes covered by the CRC
-TIMESTAMP_MAX_MS = (1 << 48) - 1
+# the table above; the u48 timestamp travels as its low 32 and high 16 bits
+_WIRE = np.dtype([
+    ("magic", "V2"), ("version", "u1"), ("device", "u1"), ("sequence", "<u4"),
+    ("ms_low", "<u4"), ("ms_high", "<u2"), ("counts", "<u2", (5,)), ("crc", "<u2"),
+])
+FRAME_LENGTH = _WIRE.itemsize
+CRC_SPAN = _WIRE.fields["crc"][1]  # bytes covered by the CRC: every byte before it
+_VERSION_AT = _WIRE.fields["version"][1]
+_MS_LOW_BITS = 8 * _WIRE["ms_low"].itemsize
+TIMESTAMP_MAX_MS = (1 << (_MS_LOW_BITS + 8 * _WIRE["ms_high"].itemsize)) - 1
 DEFAULT_PORT = 7332
 ADDR_ENV_VAR = "SOLESENSE_ADDR"
 # rows the emitter packs and, unpaced, sends at a time, and samples it converts
@@ -120,8 +128,13 @@ class Truncated(FrameError):
     pass
 
 
-# each TelemetryFrame field's name and largest value, the five counts one by one
-_TOPS = (("device_id", 0xFF), ("sequence", 0xFFFFFFFF), ("timestamp_ms", TIMESTAMP_MAX_MS), *[("counts", 0xFFFF)] * 5)
+# each TelemetryFrame field's largest value, read off its _WIRE field
+_TOPS = {
+    "device_id": np.iinfo(_WIRE["device"]).max, "sequence": np.iinfo(_WIRE["sequence"]).max,
+    "timestamp_ms": TIMESTAMP_MAX_MS, "counts": np.iinfo(_WIRE["counts"].base).max,
+}
+# the same, for each value a TelemetryFrame holds in order, the five counts one by one
+_VALUE_TOPS = tuple((name, _TOPS[name]) for name in ("device_id", "sequence", "timestamp_ms", *["counts"] * 5))
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,7 +148,7 @@ class TelemetryFrame:
         """Every field an integer (a numpy int or a bool too; never a float) in its wire range."""
         if len(self.counts) != 5:
             raise ValueError(f"counts must be five u16 values, got {self.counts!r}")
-        for (name, top), value in zip(_TOPS, (self.device_id, self.sequence, self.timestamp_ms, *self.counts)):
+        for (name, top), value in zip(_VALUE_TOPS, (self.device_id, self.sequence, self.timestamp_ms, *self.counts)):
             try:
                 if not 0 <= operator.index(value) <= top:
                     raise ValueError(f"{name} out of range: {value!r}")
@@ -143,13 +156,6 @@ class TelemetryFrame:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-# a frame: magic, version, device id, sequence, timestamp (low 32, high 16 bits), counts, CRC
-_FRAME = struct.Struct("<2sBBIIH5HH")
-# the same frame as a numpy record, for packing and reading blocks of frames
-_WIRE = np.dtype([
-    ("magic", "S2"), ("version", "u1"), ("device", "u1"), ("sequence", "<u4"),
-    ("ms_low", "<u4"), ("ms_high", "<u2"), ("counts", "<u2", (5,)), ("crc", "<u2"),
-])
 # whole frames a chunk needs before the deframer checks it as arrays: the
 # check's numpy calls cost tens of microseconds per chunk, which its per-offset
 # loop beats on fewer frames (a paced link delivers one frame per recv, a bulk
@@ -175,7 +181,6 @@ def _crc_byte_table() -> np.ndarray:
 
 _CRC_BYTES = _crc_byte_table()
 _CRC_ROWS = np.arange(CRC_SPAN) * 256
-_HEAD = np.frombuffer(MAGIC + bytes([PROTOCOL_VERSION]), np.uint8)
 
 
 def _crcs(rows: np.ndarray) -> np.ndarray:
@@ -186,10 +191,22 @@ def _crcs(rows: np.ndarray) -> np.ndarray:
 def _all_valid(frames: bytes) -> bool:
     """Whether ``frames``, whole frames back to back, all pass decode()'s
     magic, version and CRC checks."""
-    rows = np.frombuffer(frames, np.uint8).reshape(-1, FRAME_LENGTH)
-    if not (rows[:, : len(_HEAD)] == _HEAD).all():
+    wire = np.frombuffer(frames, _WIRE)
+    if not ((wire["magic"] == np.void(MAGIC)) & (wire["version"] == PROTOCOL_VERSION)).all():
         return False
-    return bool((_crcs(rows) == np.frombuffer(frames, _WIRE)["crc"]).all())
+    rows = np.frombuffer(frames, np.uint8).reshape(-1, FRAME_LENGTH)
+    return bool((_crcs(rows) == wire["crc"]).all())
+
+
+def _joined_ms(wire: np.ndarray) -> np.ndarray:
+    """The u48 timestamps of _WIRE records, as int64."""
+    return wire["ms_low"] | wire["ms_high"].astype(np.int64) << _MS_LOW_BITS
+
+
+def _frames(wire: np.ndarray) -> list[TelemetryFrame]:
+    """The TelemetryFrame of each _WIRE record."""
+    columns = wire["device"].tolist(), wire["sequence"].tolist(), _joined_ms(wire).tolist()
+    return list(map(TelemetryFrame, *columns, map(tuple, wire["counts"].tolist())))
 
 
 def _pack_block(device_id: int, sequence: int, stamps: np.ndarray, counts: np.ndarray) -> bytes:
@@ -202,8 +219,8 @@ def _pack_block(device_id: int, sequence: int, stamps: np.ndarray, counts: np.nd
     wire["version"] = PROTOCOL_VERSION
     wire["device"] = device_id
     wire["sequence"] = sequence + np.arange(len(stamps))
-    wire["ms_low"] = stamps & 0xFFFFFFFF
-    wire["ms_high"] = stamps >> 32
+    wire["ms_low"] = stamps & ((1 << _MS_LOW_BITS) - 1)  # the one split of the u48 timestamp
+    wire["ms_high"] = stamps >> _MS_LOW_BITS
     wire["counts"] = counts
     wire["crc"] = _crcs(wire.view(np.uint8).reshape(-1, FRAME_LENGTH))
     return wire.tobytes()
@@ -215,18 +232,23 @@ def encode(frame: TelemetryFrame) -> bytes:
 
 
 def decode(data: bytes, offset: int = 0) -> TelemetryFrame:
-    """Decode one frame starting at ``offset``; validates magic, version, CRC."""
+    """Decode the frame ``offset`` bytes into ``data`` as a _WIRE record; validates
+    magic, version, CRC. A negative ``offset`` is a ValueError, never a count
+    from the end; past the end, Truncated reports 0 bytes left."""
+    if offset < 0:
+        raise ValueError(f"offset must be 0 or more, got {offset}")
     if len(data) - offset < FRAME_LENGTH:
-        raise Truncated(f"need {FRAME_LENGTH} bytes, have {len(data) - offset}", offset)
-    magic, version, device_id, sequence, ts_low, ts_high, *counts, crc_wire = _FRAME.unpack_from(data, offset)
+        raise Truncated(f"need {FRAME_LENGTH} bytes, have {max(len(data) - offset, 0)}", offset)
+    wire = np.frombuffer(data, _WIRE, 1, offset)
+    [(magic, version, *_fields, crc_wire)] = wire.tolist()
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}", offset)
     if version != PROTOCOL_VERSION:
-        raise BadVersion(f"unsupported version {version}", offset + 2)
+        raise BadVersion(f"unsupported version {version}", offset + _VERSION_AT)
     crc_calc = crc16_ccitt_false(data[offset : offset + CRC_SPAN])
     if crc_wire != crc_calc:
         raise BadCrc(f"crc mismatch: wire {crc_wire:#06x} != {crc_calc:#06x}", offset)
-    return TelemetryFrame(device_id, sequence, ts_low | ts_high << 32, tuple(counts))
+    return _frames(wire)[0]
 
 
 @dataclass
@@ -278,7 +300,7 @@ class Deframer:
                 skip_to = last + 1 if found < 0 else found
                 self.skipped_bytes += skip_to - pos
                 pos = skip_to
-            elif buffer[pos + 2] != PROTOCOL_VERSION:
+            elif buffer[pos + _VERSION_AT] != PROTOCOL_VERSION:
                 pos += 1
                 self.bad_version += 1
             elif crc16_ccitt_false(buffer[pos : pos + CRC_SPAN]) != (
@@ -294,13 +316,8 @@ class Deframer:
         return b"".join(valid)
 
     def feed(self, data: bytes) -> list[TelemetryFrame]:
-        """scan(), as TelemetryFrames."""
-        return [
-            TelemetryFrame(device_id, sequence, ts_low | ts_high << 32, tuple(counts))
-            for _magic, _version, device_id, sequence, ts_low, ts_high, *counts, _crc in _FRAME.iter_unpack(
-                self.scan(data)
-            )
-        ]
+        """scan(), as TelemetryFrames read off its bytes as _WIRE records."""
+        return _frames(np.frombuffer(self.scan(data), _WIRE))
 
 
 # RFC 3339 date-time: date, "T", time with an optional fraction, then "Z" or an offset
@@ -331,8 +348,8 @@ class SessionHeader:
     divider: DividerConfig = DividerConfig()
 
     def __post_init__(self) -> None:
-        if not (type(self.device_id) is int and 0 <= self.device_id <= 255):
-            raise ValueError(f"device_id must be an integer in 0-255, got {self.device_id!r}")
+        if not (type(self.device_id) is int and 0 <= self.device_id <= _TOPS["device_id"]):
+            raise ValueError(f"device_id must be an integer in 0-{_TOPS['device_id']}, got {self.device_id!r}")
         if not isinstance(self.profile_name, str):
             raise ValueError(f"profile_name must be a string, got {self.profile_name!r}")
         rate = self.sample_rate_hz
@@ -388,12 +405,13 @@ def _frame_fields(device_id: int, sequence: int, times, counts) -> tuple[np.ndar
         raise ValueError(f"expected n times and (n, {width}) integer counts, got {shapes}")
     ms = times * 1000.0
     stamps = np.rint(ms)
-    # NaN fails both comparisons, and a negative code has bits past 15 too
-    fits = (stamps >= 0) & (stamps <= float(TIMESTAMP_MAX_MS)) & ~(counts >> 16).any(axis=1)
+    # NaN fails both comparisons
+    fits = (stamps >= 0) & (stamps <= float(_TOPS["timestamp_ms"]))
+    fits &= ((counts >= 0) & (counts <= _TOPS["counts"])).all(axis=1)
     fit = min(
         n if fits.all() else int(fits.argmin()),
-        n if 0 <= device_id <= 0xFF else 0,
-        min(n, max(0, (1 << 32) - sequence)) if sequence >= 0 else 0,
+        n if 0 <= device_id <= _TOPS["device_id"] else 0,
+        min(n, max(0, _TOPS["sequence"] + 1 - sequence)) if sequence >= 0 else 0,
     )
     error = None
     if fit < n:
@@ -650,7 +668,7 @@ class Collector:
         wire = np.frombuffer(frames, _WIRE)
         devices, codes = wire["device"], wire["counts"]
         sequences = wire["sequence"].astype(np.int64)
-        ms = wire["ms_low"] | wire["ms_high"].astype(np.int64) << 32
+        ms = _joined_ms(wire)
         # CRC-valid but out of the table: never fatal. A column at a time is
         # several times faster than max(axis=1) over the records' five codes
         outside = reduce(np.maximum, codes.T) >= len(self._objects)

@@ -4,15 +4,16 @@ decode and fold paths that only the tests use.
 The package reads legacy bench recordings and calibration files but never
 writes them, and never reads its charts back; these helpers make the files
 and the counts the tests check, and piped() hands a reader a file through a
-pipe. ReferenceReceiver is the collector's receive
-path one frame at a time, which the chunked receive path must match, and
-receive() hands a Collector chosen chunks without a socket. reference_update
-is Analyzer.update written on the region reduction and the Schmitt trigger as
-functions, which the flat kernel must match. counts_to_samples decodes a block
-of codes to samples through the package's block decoder, and simulate_session
-gives simulate's chain as a SessionLog of those samples. run_cli runs the
-``solesense`` command in a child process, and send_until_closed hands a
-collector the frames ``packed`` gives and waits for it to hang up.
+pipe. reference_decode is decode() on a struct layout of its own, and
+ReferenceReceiver is the collector's receive path one frame at a time on it,
+which the chunked receive path must match; receive() hands a Collector chosen
+chunks without a socket. reference_update is Analyzer.update written on the
+region reduction and the Schmitt trigger as functions, which the flat kernel
+must match. counts_to_samples decodes a block of codes to samples through the
+package's block decoder, and simulate_session gives simulate's chain as a
+SessionLog of those samples. run_cli runs the ``solesense`` command in a child
+process, and send_until_closed hands a collector the frames ``packed`` gives
+and waits for it to hang up.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import os
 import selectors
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -53,16 +55,17 @@ from solesense.sensor import CalibrationPoint, CalibrationProfile, DynamicsConfi
 from solesense.store import CALIBRATION_HEADER, LEGACY_COLUMNS, LegacyRecord, SessionLog
 from solesense.synth import GaitParams, synthesize_columns
 from solesense.telemetry import (
-    _FRAME,
-    CRC_SPAN,
-    FRAME_LENGTH,
     MAGIC,
     PROTOCOL_VERSION,
+    BadCrc,
+    BadMagic,
+    BadVersion,
     Collector,
     Deframer,
     DeviceStats,
     SessionHeader,
     TelemetryFrame,
+    Truncated,
     crc16_ccitt_false,
     encode,
 )
@@ -169,10 +172,32 @@ def reference_update(analyzer: Analyzer, sample) -> list[GaitEvent]:
     return [] if event is None else [event]
 
 
+# the frame, written down apart from the package's own layout: magic, version,
+# device id, sequence, timestamp (low 32, high 16 bits), five counts, CRC
+_LAYOUT = struct.Struct("<2sBBIIH5HH")
+_CRC_SPAN = _LAYOUT.size - 2
+
+
+def reference_decode(data, offset: int):
+    """decode() on _LAYOUT: the frame that starts ``offset`` bytes into
+    ``data`` as (device id, sequence, timestamp ms, counts), or the class of
+    the FrameError that decode() raises there."""
+    if len(data) - offset < _LAYOUT.size:
+        return Truncated
+    magic, version, device_id, sequence, ts_low, ts_high, *counts, crc_wire = _LAYOUT.unpack_from(data, offset)
+    if magic != MAGIC:
+        return BadMagic
+    if version != PROTOCOL_VERSION:
+        return BadVersion
+    if crc16_ccitt_false(data[offset : offset + _CRC_SPAN]) != crc_wire:
+        return BadCrc
+    return device_id, sequence, ts_low | ts_high << 32, tuple(counts)
+
+
 @dataclass
 class ReferenceDeframer:
-    """Deframer.scan one offset at a time, returning each valid frame's
-    ``_FRAME`` fields but its CRC."""
+    """Deframer.scan one offset at a time through reference_decode, returning
+    each valid frame as (device id, sequence, timestamp ms, counts)."""
 
     frames: int = 0
     bad_crc: int = 0
@@ -187,29 +212,29 @@ class ReferenceDeframer:
     def scan(self, data: bytes) -> list[tuple]:
         buffer = self._buffer
         buffer.extend(data)
-        fields: list[tuple] = []
+        frames: list[tuple] = []
         pos = 0
-        last = len(buffer) - FRAME_LENGTH  # the last offset a whole frame starts at
+        last = len(buffer) - _LAYOUT.size  # the last offset a whole frame starts at
         while pos <= last:
-            *body, crc_wire = _FRAME.unpack_from(buffer, pos)
-            if body[0] != MAGIC:
+            frame = reference_decode(buffer, pos)
+            if frame is BadMagic:
                 # jump to the next magic, stopping where less than a frame is left
                 found = buffer.find(MAGIC, pos, last + 2)
                 skip_to = last + 1 if found < 0 else found
                 self.skipped_bytes += skip_to - pos
                 pos = skip_to
-            elif body[1] != PROTOCOL_VERSION:
+            elif frame is BadVersion:
                 pos += 1
                 self.bad_version += 1
-            elif crc16_ccitt_false(buffer[pos : pos + CRC_SPAN]) != crc_wire:
+            elif frame is BadCrc:
                 pos += 1
                 self.bad_crc += 1
             else:
-                fields.append(tuple(body))
+                frames.append(frame)
                 self.frames += 1
-                pos += FRAME_LENGTH
+                pos += _LAYOUT.size
         del buffer[:pos]
-        return fields
+        return frames
 
 
 class ReferenceReceiver:
@@ -236,9 +261,8 @@ class ReferenceReceiver:
         last_ms = self._last_ms
         try:
             table = self._table
-            for _magic, _version, device_id, sequence, ts_low, ts_high, *counts in deframer.scan(chunk):
+            for device_id, sequence, timestamp_ms, counts in deframer.scan(chunk):
                 stats = self.stats[device_id]
-                timestamp_ms = ts_low | ts_high << 32
                 want = expected.get(device_id, sequence)
                 if sequence < want:  # an at-least-once resend
                     stats.duplicates += 1

@@ -1072,14 +1072,6 @@ class TestStreamCollect:
             assert capsys.readouterr().err.splitlines() == [f"simulate: {message}", f"collect: {message}"]
             assert not simulated.exists() and not collected.exists()
 
-    def test_report_without_analyze_is_usage_error(self, tmp_path):
-        # in a subprocess with a timeout, so a collect that starts listening fails instead of hanging
-        argv = ["collect", "--once", "--addr", "127.0.0.1:0", "-o", "s.csv", "--report", "r.json"]
-        result = run_cli(argv, cwd=tmp_path, capture_output=True, text=True, timeout=20)
-        assert result.returncode == 1 and "--report needs --analyze" in result.stderr
-        assert list(tmp_path.iterdir()) == []
-
-
     @pytest.mark.parametrize("case", ["flag", "header"])
     def test_bad_device_id_fails_before_connecting(self, tmp_path, case):
         # in a subprocess with a timeout, so a stream that retries forever fails instead of hanging

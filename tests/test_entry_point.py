@@ -52,6 +52,9 @@ LEGS = {
     "analyze crlf": Leg("analyze crlf.csv", prints="s.txt"),
     "analyze jsonl of a profile named with brackets": Leg("analyze left.jsonl", prints="left.txt"),
     "analyze json onto a plots twin": Leg("analyze s.csv --plots d --json d/time_vs_pressure.csv", 1, absent=("d",)),
+    # the exit status of a usage error that must come before collect listens, or the leg times out
+    "collect --report without --analyze": Leg("collect --once --addr 127.0.0.1:0 -o nr.csv --report nr.json", 1,
+                                              absent=("nr.csv", "nr.json")),
     # the system's own resolver: an .invalid name never resolves
     "stream to a host that does not resolve": Leg("stream --simulate --cycles 1 --addr nosuchhost.invalid:7332", 4),
     "link --once": _link("--simulate", "c.csv"),

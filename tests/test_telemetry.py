@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import ReferenceReceiver, receive
+from helpers import ReferenceDeframer, ReferenceReceiver, receive, reference_decode
 
 from solesense import acquisition, telemetry
 from solesense.acquisition import DividerConfig, counts_to_sample
@@ -27,6 +28,7 @@ from solesense.telemetry import (
     Collector,
     Deframer,
     Emitter,
+    FrameError,
     TelemetryFrame,
     Truncated,
     crc16_ccitt_false,
@@ -91,6 +93,38 @@ class TestCodec:
         for _ in range(500):
             span = bytes(rng.randrange(256) for _ in range(CRC_SPAN))
             assert crc16_ccitt_false(span) == bitwise(span)
+
+    def test_wire_layout_equals_the_module_docstring_table(self):
+        # (offset, size) of each row of the table, in field order
+        table = re.findall(r"^ {4}(\d+) +(\d+) ", telemetry.__doc__, re.M)
+        rows = [(int(offset), int(size)) for offset, size in table]
+        documented = dict(zip(["magic", "version", "device", "sequence", "timestamp", "counts", "crc"], rows, strict=True))
+        wire = telemetry._WIRE
+        spans = {name: (wire.fields[name][1], wire[name].itemsize) for name in wire.names}
+        (low, low_size), (_high, high_size) = spans.pop("ms_low"), spans.pop("ms_high")
+        assert {**spans, "timestamp": (low, low_size + high_size)} == documented
+        crc_offset, crc_size = documented["crc"]
+        assert FRAME_LENGTH == crc_offset + crc_size == 26
+        assert CRC_SPAN == crc_offset == 24
+        bits = {name: 8 * size for name, (_offset, size) in documented.items()}
+        assert TIMESTAMP_MAX_MS == 2 ** bits["timestamp"] - 1
+        tops = {"device_id": 2 ** bits["device"] - 1, "sequence": 2 ** bits["sequence"] - 1,
+                "timestamp_ms": TIMESTAMP_MAX_MS, "counts": 2 ** (bits["counts"] // 5) - 1}  # five counts
+        assert telemetry._TOPS == tops
+
+    @pytest.mark.parametrize("offset", [-1, -FRAME_LENGTH, -2 * FRAME_LENGTH, -100])
+    def test_a_negative_offset_is_refused(self, offset):
+        # never a count from the end, as a slice would take it
+        wire = encode(TelemetryFrame(1, 0, 0, (0,) * 5)) + encode(TelemetryFrame(2, 1, 1, (1,) * 5))
+        with pytest.raises(ValueError, match=f"^offset must be 0 or more, got {offset}$") as err:
+            decode(wire, offset)
+        assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("offset", [FRAME_LENGTH, FRAME_LENGTH + 1, 3 * FRAME_LENGTH])
+    def test_an_offset_at_or_past_the_end_leaves_no_bytes(self, offset):
+        with pytest.raises(Truncated, match=rf"^need 26 bytes, have 0 \(at byte {offset}\)$") as err:
+            decode(encode(TelemetryFrame(1, 0, 0, (0,) * 5)), offset)
+        assert err.value.offset == offset
 
     def test_frame_layout(self):
         frame = TelemetryFrame(1, 0, 0, (0, 1, 2, 3, 4))
@@ -184,7 +218,51 @@ class TestCodec:
             TelemetryFrame(0, 0, 0, (0, 0, 0, 0))
 
 
+def _corpus(seed) -> bytes:
+    """200 clean frames, then 300 each clean, behind junk, with a flipped bit,
+    with a bad version or cut short, back to back."""
+    rng = random.Random(seed)
+    wire = bytearray(b"".join(encode(_random_frame(rng)) for _ in range(200)))
+    for _ in range(300):
+        encoded = bytearray(encode(_random_frame(rng)))
+        kind = rng.choice(["clean", "junk", "flip", "version", "cut"])
+        if kind == "junk":
+            wire += bytes(rng.choice(b"SL\x01\x00\xff") for _ in range(rng.randint(1, 30)))
+        elif kind == "flip":
+            encoded[rng.randrange(FRAME_LENGTH)] ^= 1 << rng.randrange(8)
+        elif kind == "version":
+            encoded[2] = rng.choice([0, 2, 255])
+        elif kind == "cut":
+            del encoded[rng.randrange(1, FRAME_LENGTH) :]
+        wire += encoded
+    return bytes(wire)
+
+
 class TestDeframer:
+    @pytest.mark.parametrize("chunk", [1, 7, FRAME_LENGTH, 4096])
+    def test_feed_equals_a_struct_reading(self, chunk):
+        corpus = _corpus(chunk)
+        deframer, reference = Deframer(), ReferenceDeframer()
+        got, want = [], []
+        for i in range(0, len(corpus), chunk):
+            got += deframer.feed(corpus[i : i + chunk])
+            want += [TelemetryFrame(*fields) for fields in reference.scan(corpus[i : i + chunk])]
+        assert got == want and len(want) > 200
+        counters = ("frames", "bad_crc", "bad_version", "skipped_bytes")
+        assert [getattr(deframer, c) for c in counters] == [getattr(reference, c) for c in counters]
+
+    def test_decode_equals_a_struct_reading_at_every_offset(self):
+        def decoded(data, offset):
+            try:
+                return decode(data, offset)
+            except FrameError as error:
+                return type(error)
+
+        corpus = _corpus(9)
+        for offset in range(len(corpus) + FRAME_LENGTH):
+            want = reference_decode(corpus, offset)
+            assert decoded(corpus, offset) == (TelemetryFrame(*want) if isinstance(want, tuple) else want), offset
+
     def test_clean_stream(self):
         rng = random.Random(1)
         frames = [_random_frame(rng) for _ in range(20)]
