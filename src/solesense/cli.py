@@ -5,15 +5,17 @@ timestamps come from the inputs or the --epoch flag, never the wall clock
 (live collection excepted). Exit codes are a stable scripting contract:
 0 success, 1 usage, 2 data/validation, 3 I/O, 4 network.
 
-Each call builds the parser of the one command it names, so a usage error
+A call parses with the parser of the one command it names, so a usage error
 names that command; only an argv that names none is parsed by the parser of
-every command.
+every command. A parser is built once per process, by the first call that
+needs it; $SOLESENSE_ADDR, the default of --addr, is read at each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -97,8 +99,17 @@ def _device_id(text: str) -> int:
     return int(text)
 
 
-def _default_addr() -> str:
-    return os.environ.get(ADDR_ENV_VAR, f"127.0.0.1:{DEFAULT_PORT}")
+class _AddrFlag(argparse.Action):
+    """--addr, whose default argparse reads at each parse, not when the parser
+    is built: $SOLESENSE_ADDR, else 127.0.0.1:7332. The property drops the
+    default=None that argparse.Action.__init__ stores."""
+
+    default = property(
+        lambda self: os.environ.get(ADDR_ENV_VAR, f"127.0.0.1:{DEFAULT_PORT}"), lambda self, value: None
+    )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
 
 
 def _load_profile(spec: str) -> CalibrationProfile:
@@ -560,14 +571,14 @@ def _stream_flags(p: _Parser) -> None:
     _gait_flags(p)
     p.add_argument("--input", "-i", default=None, help="session file to replay")
     p.add_argument("--simulate", action="store_true", help="stream a live simulation instead of a file")
-    p.add_argument("--addr", default=_default_addr(), help="collector host:port, [host]:port for IPv6")
+    p.add_argument("--addr", action=_AddrFlag, help="collector host:port, [host]:port for IPv6")
     p.add_argument("--device-id", type=_device_id, default=None)
     p.add_argument("--pace", action="store_true", help="pace frames by sample timestamps")
     p.add_argument("--profile", default=None, help="profile to encode with; default: the session's, or measured")
 
 
 def _collect_flags(p: _Parser) -> None:
-    p.add_argument("--addr", default=_default_addr(), help="listen host:port, [host]:port for IPv6 (:0 for ephemeral)")
+    p.add_argument("--addr", action=_AddrFlag, help="listen host:port, [host]:port for IPv6 (:0 for ephemeral)")
     p.add_argument("-o", "--output", required=True, help="session file to write on shutdown")
     p.add_argument("--analyze", action="store_true", help="attach the online gait analyzer")
     p.add_argument("--report", default=None, help="report JSON path (with --analyze)")
@@ -619,21 +630,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> _Parser:
+    """The parser main parses with, built by the first call that needs it:
+    ``command``'s alone, or with None the full parser (build_parser). Calls
+    from any thread share it, so a parse must write nothing to it."""
+    if command is None:
+        return build_parser()
+    parser = _Parser(prog=f"solesense {command}")
+    _COMMANDS[command][1](parser)
+    return parser
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0] in _COMMANDS:  # build only the named command's parser
-            command = argv[0]
-            _help, flags, handler = _COMMANDS[command]
-            parser = _Parser(prog=f"solesense {command}")
-            flags(parser)
-            args = parser.parse_args(argv[1:])
-        else:  # no command, -h, an unknown name or --: the full parser's help and errors
-            args = build_parser().parse_args(argv)
-            command = args.command
-            _help, _flags, handler = _COMMANDS[command]
+        # the named command's parser alone, so that a usage error names it; no
+        # command, -h, an unknown name or --: the full parser's help and errors
+        named = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = _parser(named).parse_args(argv[1:] if named else argv)
+        command = named or args.command
         _check_files(command, args)
-        code = handler(args)
+        code = _COMMANDS[command][2](args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except _UsageError as exc:

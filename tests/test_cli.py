@@ -7,6 +7,7 @@ import re
 import signal
 import socket
 import subprocess
+import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
@@ -1096,15 +1097,18 @@ class TestStreamCollect:
 class _Links:
     """socket.create_connection for stream, and the connection it returns: an
     in-memory transport whose first ``refusals`` connects and first
-    ``failures`` sendalls raise."""
+    ``failures`` sendalls raise. ``addresses`` holds the address of each
+    connect."""
 
     def __init__(self):
+        self.addresses = []
         self.connections = 0
         self.refusals = 0
         self.failures = 0
         self.wire = bytearray()
 
     def create_connection(self, address, timeout=None):
+        self.addresses.append(address)
         self.connections += 1
         if self.refusals:
             self.refusals -= 1
@@ -1126,6 +1130,17 @@ def links(monkeypatch):
     links = _Links()
     monkeypatch.setattr(cli.socket, "create_connection", links.create_connection)
     return links
+
+
+@pytest.fixture
+def no_listen(monkeypatch):
+    """A cli.Collector that fails the test, for a collect that must fail
+    before it listens: one that listened would wait for a connection."""
+
+    def collector(*args, **kwargs):
+        raise AssertionError("collect listened")
+
+    monkeypatch.setattr(cli, "Collector", collector)
 
 
 class TestStreamWire:
@@ -1276,8 +1291,26 @@ class TestAddrDefaults:
         args = build_parser().parse_args(["stream", "-i", "x.csv"])
         assert args.addr == "127.0.0.1:7332"
 
+    def test_the_environment_is_read_at_every_call(self, tmp_path, capsys, monkeypatch, links):
+        # a parser outlives the call that built it, but not that call's environment;
+        # stubs record where stream connects and collect would listen, and neither opens a socket
+        listens = []
+
+        def collector(sink, profile, host, port):
+            listens.append((host, port))
+            raise OSError("the stub collector listens nowhere")
+
+        monkeypatch.setattr(cli, "Collector", collector)
+        for host, port in [("10.0.0.1", 9000), ("10.0.0.2", 9001)]:
+            monkeypatch.setenv("SOLESENSE_ADDR", f"{host}:{port}")
+            assert main(["stream", "--simulate", "--cycles", "0"]) == 0
+            assert main(["collect", "--once", "-o", str(tmp_path / "c.csv")]) == 3
+            assert cli.build_parser().parse_args(["stream", "-i", "x.csv"]).addr == f"{host}:{port}"
+        assert links.addresses == listens == [("10.0.0.1", 9000), ("10.0.0.2", 9001)]
+        assert capsys.readouterr().out.count("sent 0 frames to 10.0.0.2:9001, 0 retries\n") == 1
+
     @pytest.mark.parametrize("addr", ["127.0.0.1:70000", "127.0.0.1:-1", "127.0.0.1:abc"])
-    def test_bad_port_is_usage_error(self, tmp_path, capsys, monkeypatch, addr):
+    def test_bad_port_is_usage_error(self, tmp_path, capsys, monkeypatch, no_listen, addr):
         out = tmp_path / "x.csv"
         assert main(["collect", "--once", "--addr", addr, "-o", str(out)]) == 1
         monkeypatch.setenv("SOLESENSE_ADDR", addr)
@@ -1357,6 +1390,7 @@ class TestOneCommandParser:
     def test_a_call_builds_no_other_commands_flags(self, tmp_path, capsys, monkeypatch, name):
         session, report = tmp_path / "s.csv", tmp_path / "r.json"
         assert main(["simulate", "--cycles", "2", "-o", str(session)]) == 0
+        cli._parser.cache_clear()  # else a parser built before the patches parses, and they prove nothing
 
         def refuse(*args):
             raise AssertionError(f"{name} built a parser it does not parse with")
@@ -1372,6 +1406,60 @@ class TestOneCommandParser:
         else:
             assert main(["simulate", "--cycles", "2", "-o", str(session)]) == 0
             assert len(store.read_session(session).samples) == 200
+
+    @pytest.mark.parametrize("argv", [["simulate", "--cycles", "1", "-o", "s.csv"], ["bogus"]])
+    def test_a_second_call_builds_no_parser(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        built, init = [], cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        rc = main(argv)
+        built.clear()
+        assert main(argv) == rc
+        assert built == []
+
+    def test_a_call_carries_no_flag_into_the_next(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--seed", "3", "--noise", "2000", "-o", "a.csv"]) == 0
+        assert main(["simulate", "-o", "b.csv"]) == 0
+        assert run_cli(["simulate", "-o", "c.csv"], cwd=tmp_path, capture_output=True).returncode == 0
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["analyze", "a.csv"]) == 0
+        report = capsys.readouterr().out
+        assert main(["analyze", "a.csv", "b.csv"]) == 1
+        assert capsys.readouterr().err == "solesense analyze: unrecognized arguments: b.csv\n"
+        assert main(["analyze", "a.csv"]) == 0
+        assert capsys.readouterr() == (report, "")
+
+    def test_threads_share_a_parser_and_no_parse(self, monkeypatch):
+        # more threads than cores, switching often: a parse that wrote to the
+        # shared parser would hand one thread's flags to another
+        monkeypatch.setenv("SOLESENSE_ADDR", "env:1")
+        parser, crossed = cli._parser("stream"), []
+
+        def parse(k):
+            flags, addr = (["--addr", f"h{k}:{k}"], f"h{k}:{k}") if k % 2 else ([], "env:1")
+            for _ in range(200):
+                args = parser.parse_args(["--seed", str(k), *flags])
+                if (args.seed, args.addr) != (k, addr):
+                    crossed.append((k, args.seed, args.addr))
+
+        threads = [threading.Thread(target=parse, args=(k,), daemon=True) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and crossed == []
 
 
 class TestEmptyWorkingRange:
@@ -1503,11 +1591,7 @@ class TestCollectOutputPaths:
         assert err.startswith("i/o error: ") and repr(named.format(tmp=tmp_path)) in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_report_without_analyze_is_a_usage_error_before_it_listens(self, tmp_path, capsys, monkeypatch):
-        def collector(*args, **kwargs):
-            raise AssertionError("collect listened with --report and no --analyze")
-
-        monkeypatch.setattr(cli, "Collector", collector)
+    def test_report_without_analyze_is_a_usage_error_before_it_listens(self, tmp_path, capsys, no_listen):
         argv = ["collect", "--once", "-o", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json")]
         assert main(argv) == 1
         assert capsys.readouterr().err == "collect: --report needs --analyze\n"
@@ -1667,7 +1751,7 @@ class TestParseAddr:
         assert cli._parse_addr(text) == addr
 
     @pytest.mark.parametrize("text", ["::1", "::1:7399", "[::1", "[::1]7399"])
-    def test_an_ipv6_host_out_of_brackets_is_a_usage_error(self, tmp_path, capsys, text):
+    def test_an_ipv6_host_out_of_brackets_is_a_usage_error(self, tmp_path, capsys, no_listen, text):
         out = tmp_path / "c.csv"
         assert main(["collect", "--once", "--addr", text, "-o", str(out)]) == 1
         assert "an IPv6 host goes in brackets, as in [::1]:7332" in capsys.readouterr().err
