@@ -2,13 +2,18 @@
 
 Every command is deterministic given its flags and input files: output
 timestamps come from the inputs or the --epoch flag, never the wall clock
-(live collection excepted). Exit codes are a stable scripting contract:
-0 success, 1 usage, 2 data/validation, 3 I/O, 4 network.
+(live collection excepted). Exit codes (EXIT_*) are a stable scripting
+contract, which the help of build_parser states for operators.
 
 A call parses with the parser of the one command it names, so a usage error
 names that command; only an argv that names none is parsed by the parser of
 every command. A parser is built once per process, by the first call that
 needs it; $SOLESENSE_ADDR, the default of --addr, is read at each call.
+
+Before any work, _check_files refuses a command whose written files clash
+with each other or with what it reads. analyze --plots draws only the charts
+of one table, _CHARTS, from which that check lists them too, and every CSV
+twin of a chart is named by plots.csv_twin.
 """
 
 from __future__ import annotations
@@ -140,17 +145,23 @@ _READ_FLAGS = {
 }
 # by args attribute, the flags that name a file a command writes
 _WRITE_FLAGS = {"output": "-o", "json": "--json", "report": "--report", "svg": "--svg"}
-# the charts analyze --plots can write, each an SVG and its CSV twin
-_PLOT_NAMES = ("time_vs_pressure", "time_vs_resistance", "pressure_response_curve")
+# by SVG file name, the charts analyze --plots draws, each with its CSV twin
+# (plots.csv_twin): write_chart's title, x label, y label and twin's x column
+_CHARTS = {
+    "time_vs_pressure.svg": ("Pressure over time", "time [s]", "pressure [Pa]", "t_s"),
+    "time_vs_resistance.svg": ("Resistance over time", "time [s]", "resistance [ohm]", "t_s"),
+    "pressure_response_curve.svg": ("Pressure response curve", "pressure [Pa]", "resistance [ohm]", "pressure_pa"),
+}
 
 
 def _check_files(command: str, args) -> None:
     """Before any work: a usage error if a file the command writes resolves
     (os.path.realpath) to one it reads or to another it writes, else the
     OSError that opening one would raise for a missing directory or a
-    directory path. --svg writes its chart's CSV twin too, unless that is the
-    -o table (the same bytes), and --plots every chart analyze can write, in
-    a directory that it makes if absent."""
+    directory path. --svg writes its chart's CSV twin too (plots.csv_twin),
+    unless that is the -o table (the same bytes), and an --svg that is its own
+    twin is a usage error. --plots writes every _CHARTS chart and its twin, in
+    a directory that analyze makes if absent."""
     clashes = {}  # by realpath, what writing that file would do
     for name, flag in _READ_FLAGS.items():
         path = getattr(args, name, None)
@@ -158,12 +169,14 @@ def _check_files(command: str, args) -> None:
             clashes[os.path.realpath(path)] = f"would write over {flag} {path}"
     writes = [(flag, path) for name, flag in _WRITE_FLAGS.items() if (path := getattr(args, name, None)) is not None]
     if getattr(args, "svg", None) is not None:
-        twin = os.path.splitext(args.svg)[0] + ".csv"
+        twin = plots.csv_twin(args.svg)
+        if os.path.realpath(twin) == os.path.realpath(args.svg):  # the table would replace the chart
+            raise _UsageError(f"{command}: --svg {args.svg} is its own CSV twin")
         if os.path.realpath(twin) != os.path.realpath(args.output):
             writes.append(("--svg", twin))
     if getattr(args, "plots", None) is not None:
-        charts = [os.path.join(args.plots, name) for name in _PLOT_NAMES]
-        writes += [("--plots", chart + ext) for chart in charts for ext in (".svg", ".csv")]
+        charts = [os.path.join(args.plots, name) for name in _CHARTS]
+        writes += [("--plots", path) for chart in charts for path in (chart, plots.csv_twin(chart))]
     for flag, path in writes:
         real = os.path.realpath(path)
         if real in clashes:
@@ -402,38 +415,21 @@ def _write_report(path: str, report: GaitReport) -> None:
 # --- analyze ------------------------------------------------------------------
 
 
-def _recording_plots(args, times: list[float], pressures, resistances) -> None:
-    """The time-vs-pressure and time-vs-resistance charts of a recording;
-    ``pressures`` and ``resistances`` are (name, values) series over ``times``.
-    An inf or None resistance (an open sensor) plots as a gap."""
-    os.makedirs(args.plots, exist_ok=True)
-    for name, title, y_label, series in (
-        ("time_vs_pressure", "Pressure over time", "pressure [Pa]", pressures),
-        ("time_vs_resistance", "Resistance over time", "resistance [ohm]", resistances),
-    ):
-        plots.write_chart(
-            os.path.join(args.plots, f"{name}.svg"),
-            times,
-            list(series),
-            title=title,
-            x_label="time [s]",
-            y_label=y_label,
-            x_column="t_s",
-        )
-
-
-def _response_curve_plot(args, points) -> None:
-    """The chart of ``points``' resistance_ohm over their pressure_pa."""
-    os.makedirs(args.plots, exist_ok=True)
-    plots.write_chart(
-        os.path.join(args.plots, "pressure_response_curve.svg"),
-        [p.pressure_pa for p in points],
-        [("resistance_ohm", [p.resistance_ohm for p in points])],
-        title="Pressure response curve",
-        x_label="pressure [Pa]",
-        y_label="resistance [ohm]",
-        x_column="pressure_pa",
-    )
+def _write_plots(directory: str, points, recording=None) -> None:
+    """Draw in ``directory``, made if absent, the _CHARTS an input has: the
+    response curve of its calibration ``points`` and, given a recording as
+    (times, pressures, resistances), its two charts over time, where
+    pressures and resistances are lists of (name, values) series over the
+    times. An inf or None resistance (an open sensor) plots as a gap."""
+    os.makedirs(directory, exist_ok=True)
+    charts = {}
+    if recording is not None:
+        times, pressures, resistances = recording
+        charts = {"time_vs_pressure.svg": (times, pressures), "time_vs_resistance.svg": (times, resistances)}
+    curve = [("resistance_ohm", [p.resistance_ohm for p in points])]
+    charts["pressure_response_curve.svg"] = ([p.pressure_pa for p in points], curve)
+    for name, (xs, series) in charts.items():
+        plots.write_chart(os.path.join(directory, name), xs, series, *_CHARTS[name])
 
 
 def cmd_analyze(args) -> int:
@@ -453,25 +449,18 @@ def cmd_analyze(args) -> int:
             sys.stdout.write(text)
         if args.plots:
             names = [channel.value for channel in CHANNEL_ORDER]
-            _recording_plots(
-                args,
-                times.tolist(),
-                zip(names, pascals.T.tolist()),
-                zip(names, static_ohms(profile, pascals).T.tolist()),
-            )
-            _response_curve_plot(args, profile.points)
+            pressures = list(zip(names, pascals.T.tolist()))
+            resistances = list(zip(names, static_ohms(profile, pascals).T.tolist()))
+            _write_plots(args.plots, profile.points, (times.tolist(), pressures, resistances))
     elif kind in ("legacy", "calibration"):
         count = "records" if kind == "legacy" else "points"
         sys.stdout.write(json.dumps({"kind": kind, count: len(content)}, indent=2, sort_keys=True) + "\n")
-        if args.plots:
-            if kind == "legacy":
-                _recording_plots(
-                    args,
-                    [r.time_s for r in content],
-                    [("pressure_pa", [r.pressure_pa for r in content])],
-                    [("resistance_ohm", [r.resistance_ohm for r in content])],
-                )
-            _response_curve_plot(args, content)
+        if args.plots and kind == "legacy":  # a log's records are its response curve's points too
+            pressures = [("pressure_pa", [r.pressure_pa for r in content])]
+            resistances = [("resistance_ohm", [r.resistance_ohm for r in content])]
+            _write_plots(args.plots, content, ([r.time_s for r in content], pressures, resistances))
+        elif args.plots:
+            _write_plots(args.plots, content)
     else:
         raise SessionFormatError(f"{args.input}: a stimulus file is read by compare --stimulus, not analyze")
     return EXIT_OK
@@ -623,7 +612,13 @@ _COMMANDS = {
 
 def build_parser() -> _Parser:
     """The parser of every command; main parses with it only an argv that names none."""
-    parser = _Parser(prog="solesense", description=__doc__)
+    parser = _Parser(
+        prog="solesense",
+        description="A digital twin of a five-channel pressure-sensing insole: simulate a gait session, stream it"
+        " to collect over TCP, analyze gait and draw its charts, calibrate a sensor profile, compare the"
+        " fabricated sensor with a commercial FSR. Run 'solesense COMMAND -h' for a command's flags."
+        " Exit codes: 0 success, 1 usage, 2 data/validation, 3 I/O, 4 network.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, flags, _handler) in _COMMANDS.items():
         flags(sub.add_parser(name, help=help_line))

@@ -155,6 +155,13 @@ def write_table(
             fh.write(",".join([repr(float(x)), *cells]) + "\n")
 
 
+def csv_twin(svg_path):
+    """The path of the CSV data twin of the chart at ``svg_path``: the same
+    name with a ``.csv`` suffix in place of its own (``a/chart.svg`` ->
+    ``a/chart.csv``)."""
+    return os.path.splitext(svg_path)[0] + ".csv"
+
+
 def write_chart(
     svg_path,
     xs: Sequence[float],
@@ -164,12 +171,8 @@ def write_chart(
     y_label: str = "",
     x_column: str = "x",
 ) -> None:
-    """Write the SVG of (name, ys) series over ``xs`` and its CSV data twin,
-    the write_table of the same series.
-
-    The twin sits beside the SVG under the same name with a ``.csv`` suffix in
-    place of the SVG's own (``a/chart.svg`` -> ``a/chart.csv``).
-    """
+    """Write the SVG of (name, ys) series over ``xs`` and, at csv_twin of
+    its path, its CSV data twin: the write_table of the same series."""
     with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(line_chart_svg(xs, series, title=title, x_label=x_label, y_label=y_label))
-    write_table(os.path.splitext(svg_path)[0] + ".csv", xs, series, x_column)
+    write_table(csv_twin(svg_path), xs, series, x_column)

@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from solesense import cli, sensor, store
+from solesense import cli, plots, sensor, store
 from solesense.acquisition import DividerConfig, counts_from_pascals
 from solesense.analysis import Analyzer, analyze
 from solesense.cli import main, profile_from_json_file, profile_to_json_dict, report_json_text
@@ -256,6 +256,21 @@ class TestAnalyze:
         rows = (plots_dir / "pressure_response_curve.csv").read_text().splitlines()[1:]
         got = [tuple(map(float, row.split(","))) for row in rows]
         assert got == [tuple(map(float, pair)) for pair in MEASURED_CALIBRATION]
+
+    @pytest.mark.parametrize(
+        "name, charts",
+        [
+            ("s.csv", ["time_vs_pressure", "time_vs_resistance", "pressure_response_curve"]),
+            ("bench.csv", ["time_vs_pressure", "time_vs_resistance", "pressure_response_curve"]),
+            ("cal.csv", ["pressure_response_curve"]),
+        ],
+        ids=["session", "legacy", "calibration"],
+    )
+    def test_plots_writes_exactly_the_charts_of_its_input(self, tmp_path, capsys, name, charts):
+        src = _analyze_input(tmp_path, name)
+        assert main(["analyze", str(src), "--plots", str(tmp_path / "d"), "--json", str(tmp_path / "r.json")]) == 0
+        want = sorted(f"{chart}{ext}" for chart in charts for ext in (".svg", ".csv"))
+        assert sorted(os.listdir(tmp_path / "d")) == want
 
     def test_plots_are_valid_svg(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
@@ -1372,6 +1387,10 @@ class TestOneCommandParser:
         out = capsys.readouterr().out
         assert exc.value.code == 0 and out.startswith("usage: solesense [-h]")
         assert "{" + ",".join(COMMAND_NAMES) + "}" in out
+        # for operators: the exit codes, and no notes on how the code parses
+        words = " ".join(out.split())  # argparse re-wraps the description
+        assert "0 success, 1 usage, 2 data/validation, 3 I/O, 4 network" in words
+        assert "parser" not in words.lower()
 
     @pytest.mark.parametrize(
         "argv, words",
@@ -1647,7 +1666,7 @@ REFUSED_WRITES = [
     ),
     (["analyze", "s.csv", "--plots", "d", "--json", "chart.csv"], 1, "analyze: --plots and --json name the same file"),
     (["compare", "-o", "c.svg", "--svg", "c.svg"], 1, "compare: --svg and -o name the same file"),
-    (["compare", "-o", "t.csv", "--svg", "c.csv"], 1, "compare: --svg and --svg name the same file"),
+    (["compare", "-o", "t.csv", "--svg", "c.csv"], 1, "compare: --svg c.csv is its own CSV twin"),
     (["collect", "-o", "c.csv", "--analyze", "--report", "c.csv"], 1, "collect: --report and -o name the same file"),
     # openable: a directory that exists, and a path that is not one
     (["simulate", "-o", "nodir/s.csv"], 3, f"i/o error: {ENOENT}: 'nodir/s.csv'"),
@@ -1710,6 +1729,54 @@ class TestOneWriteRule:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", line + "\n")
         assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("name", [path for svg in cli._CHARTS for path in (svg, plots.csv_twin(svg))])
+    def test_json_onto_any_plots_file_is_a_usage_error(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--cycles", "1", "-o", "s.csv"]) == 0
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(["analyze", "s.csv", "--plots", "d", "--json", f"d/{name}"]) == 1
+        assert capsys.readouterr() == ("", "analyze: --plots and --json name the same file\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "inputs, argv",
+        [
+            ([], ["simulate", "-o", "{out}/s.csv"]),
+            (["s.csv"], ["analyze", "{in}/s.csv", "--json", "{out}/r.json", "--plots", "{out}/d"]),
+            (["bench.csv"], ["analyze", "{in}/bench.csv", "--json", "{out}/r.json", "--plots", "{out}/d"]),
+            (["cal.csv"], ["analyze", "{in}/cal.csv", "--json", "{out}/r.json", "--plots", "{out}/d"]),
+            (["cal.csv"], ["calibrate", "{in}/cal.csv", "-o", "{out}/p.json"]),
+            ([], ["compare", "-o", "{out}/t.csv", "--svg", "{out}/c.svg"]),
+        ],
+        ids=["simulate", "analyze session", "analyze legacy", "analyze calibration", "calibrate", "compare"],
+    )
+    def test_every_file_a_command_writes_was_checked(self, tmp_path, capsys, monkeypatch, inputs, argv):
+        # collect is left out: its file names depend on which devices connect
+        given, out = tmp_path / "in", tmp_path / "out"
+        given.mkdir()
+        out.mkdir()
+        for name in inputs:
+            _analyze_input(given, name)
+        # by function, the real paths of what the check passed to it: os.path.realpath
+        # (the clash half of the rule) and os.path.isdir (the openable half)
+        seen = {"realpath": set(), "isdir": set()}
+        check, realpath = cli._check_files, os.path.realpath
+
+        def recording_check(command, args):
+            with monkeypatch.context() as patch:
+                for name, paths in seen.items():
+                    function = getattr(os.path, name)
+                    patch.setattr(os.path, name, lambda path, f=function, s=paths: s.add(realpath(path)) or f(path))
+                check(command, args)
+
+        monkeypatch.setattr(cli, "_check_files", recording_check)
+        assert main([arg.format(**{"in": given, "out": out}) for arg in argv]) == 0
+        written = {realpath(path) for path in out.rglob("*") if path.is_file()}
+        assert written
+        for name, paths in seen.items():
+            assert written <= paths, (name, sorted(written - paths))
 
     def test_the_compare_table_may_be_its_charts_csv_twin(self, tmp_path, capsys, monkeypatch):
         # both hold the same bytes
