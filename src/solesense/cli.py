@@ -8,7 +8,8 @@ contract, which the help of build_parser states for operators.
 A call parses with the parser of the one command it names, so a usage error
 names that command; only an argv that names none is parsed by the parser of
 every command. A parser is built once per process, by the first call that
-needs it; $SOLESENSE_ADDR, the default of --addr, is read at each call.
+needs it, and a parse writes nothing to it: --addr has no parse-time default,
+and stream and collect read $SOLESENSE_ADDR in its place at each call.
 
 Before any work, _check_files refuses a command whose written files clash
 with each other or with what it reads. analyze --plots draws only the charts
@@ -54,7 +55,7 @@ from .sensor import (
 )
 from .store import SessionFormatError
 from .synth import DEFAULT_LOAD_SCALE, GaitParams, synthesize_columns
-from .telemetry import _TOPS, ADDR_ENV_VAR, DEFAULT_PORT, Collector, Emitter, SessionHeader
+from .telemetry import _TOPS, DEFAULT_PORT, Collector, Emitter, SessionHeader
 from .units import CHANNEL_ORDER, PressureSample
 
 EXIT_OK = 0
@@ -64,6 +65,8 @@ EXIT_IO = 3
 EXIT_NETWORK = 4
 
 FULL_SCALE_PA = 750_000.0  # top of the display color ramp
+_METER_WIDTH = 28  # characters of a full-scale bar in the --live view
+ADDR_ENV_VAR = "SOLESENSE_ADDR"
 
 
 class _UsageError(Exception):
@@ -75,11 +78,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _addr(flag: str | None) -> str:
+    """The address stream and collect use: --addr, else $SOLESENSE_ADDR, read
+    at each call, else 127.0.0.1:7332."""
+    return os.environ.get(ADDR_ENV_VAR, f"127.0.0.1:{DEFAULT_PORT}") if flag is None else flag
+
+
 def _parse_addr(text: str) -> tuple[str, int]:
-    """``host:port`` or ``host`` (from --addr or the environment) as a socket
-    address, an IPv6 host in brackets (``[::1]:7332``, ``[::1]``). An IPv6
-    host out of brackets, or a port that is not an integer in 0-65535, is a
-    usage error."""
+    """``host:port`` or ``host`` (from _addr) as a socket address, an IPv6
+    host in brackets (``[::1]:7332``, ``[::1]``). An IPv6 host out of
+    brackets, or a port that is not an integer in 0-65535, is a usage error."""
     host, sep, port = text.rpartition(":")
     if not sep or "]" in port:  # no port
         host, sep = text, ""
@@ -102,19 +110,6 @@ def _device_id(text: str) -> int:
     if not (text.isdecimal() and int(text) <= _TOPS["device_id"]):
         raise argparse.ArgumentTypeError(f"must be an integer in 0-{_TOPS['device_id']}, got {text!r}")
     return int(text)
-
-
-class _AddrFlag(argparse.Action):
-    """--addr, whose default argparse reads at each parse, not when the parser
-    is built: $SOLESENSE_ADDR, else 127.0.0.1:7332. The property drops the
-    default=None that argparse.Action.__init__ stores."""
-
-    default = property(
-        lambda self: os.environ.get(ADDR_ENV_VAR, f"127.0.0.1:{DEFAULT_PORT}"), lambda self, value: None
-    )
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
 
 
 def _load_profile(spec: str) -> CalibrationProfile:
@@ -161,12 +156,15 @@ def _check_files(command: str, args) -> None:
     directory path. --svg writes its chart's CSV twin too (plots.csv_twin),
     unless that is the -o table (the same bytes), and an --svg that is its own
     twin is a usage error. --plots writes every _CHARTS chart and its twin, in
-    a directory that analyze makes if absent."""
-    clashes = {}  # by realpath, what writing that file would do
+    a directory that analyze makes if absent. collect may write each file at
+    the _device_path of any device id instead, so those paths must not be
+    reads and must be openable too; they are not checked against the names
+    as given, which they replace and could clash with falsely."""
+    reads = {}  # by realpath, what writing that file would do
     for name, flag in _READ_FLAGS.items():
         path = getattr(args, name, None)
         if path is not None and (name in ("input", "stimulus") or path.endswith(".json")):
-            clashes[os.path.realpath(path)] = f"would write over {flag} {path}"
+            reads[os.path.realpath(path)] = f"would write over {flag} {path}"
     writes = [(flag, path) for name, flag in _WRITE_FLAGS.items() if (path := getattr(args, name, None)) is not None]
     if getattr(args, "svg", None) is not None:
         twin = plots.csv_twin(args.svg)
@@ -177,11 +175,19 @@ def _check_files(command: str, args) -> None:
     if getattr(args, "plots", None) is not None:
         charts = [os.path.join(args.plots, name) for name in _CHARTS]
         writes += [("--plots", path) for chart in charts for path in (chart, plots.csv_twin(chart))]
+    clashes = dict(reads)
     for flag, path in writes:
         real = os.path.realpath(path)
         if real in clashes:
             raise _UsageError(f"{command}: {flag} {clashes[real]}")
         clashes[real] = f"and {flag} name the same file"
+    if command == "collect":
+        for flag, path in list(writes):
+            for device_id in range(_TOPS["device_id"] + 1):
+                device_path = _device_path(path, device_id)
+                if (real := os.path.realpath(device_path)) in reads:
+                    raise _UsageError(f"{command}: {flag} of device {device_id} {reads[real]}")
+                writes.append((flag, device_path))
     for flag, path in writes:
         directory = os.path.dirname(path)
         while flag == "--plots" and directory and not os.path.exists(directory):
@@ -273,9 +279,10 @@ def cmd_simulate(args) -> int:
 def cmd_stream(args) -> int:
     if bool(args.input) == bool(args.simulate):
         raise _UsageError("stream: exactly one of --input or --simulate is required")
-    host, port = _parse_addr(args.addr)
+    addr = _addr(args.addr)
+    host, port = _parse_addr(addr)
     if port == 0:  # any free port to collect's listen, and no collector's address
-        raise _UsageError(f"stream: address {args.addr!r}: port 0 names no collector; give the port collect listens on")
+        raise _UsageError(f"stream: address {addr!r}: port 0 names no collector; give the port collect listens on")
     if args.simulate:  # the ADC's own codes, as the device sends them
         params = _gait_params(args, "stream")
         profile = _load_profile(args.profile or "measured")
@@ -299,15 +306,15 @@ def cmd_stream(args) -> int:
     return EXIT_OK
 
 
-def _render_live(sample: PressureSample, width: int = 28) -> str:
+def _render_live(sample: PressureSample) -> str:
     rows = []
     for channel in CHANNEL_ORDER:
         value = sample.value(channel)
         fraction = min(value / FULL_SCALE_PA, 1.0)
         r, g, b = plots.pressure_color(fraction)
-        bar = "#" * round(fraction * width)
+        bar = "#" * round(fraction * _METER_WIDTH)
         rows.append(
-            f"\x1b[38;2;{r};{g};{b}m{channel.value:>16} |{bar:<{width}}|\x1b[0m {value / 1000.0:8.1f} kPa"
+            f"\x1b[38;2;{r};{g};{b}m{channel.value:>16} |{bar:<{_METER_WIDTH}}|\x1b[0m {value / 1000.0:8.1f} kPa"
         )
     return "\n".join(rows)
 
@@ -316,7 +323,7 @@ def cmd_collect(args) -> int:
     _validate_epoch_flag("collect", args.epoch)
     if args.report is not None and not args.analyze:
         raise _UsageError("collect: --report needs --analyze")
-    host, port = _parse_addr(args.addr)
+    host, port = _parse_addr(_addr(args.addr))
     profile = _load_profile(args.profile)
 
     # per device; the collector calls the sink from one thread only
@@ -420,7 +427,7 @@ def _write_plots(directory: str, points, recording=None) -> None:
     response curve of its calibration ``points`` and, given a recording as
     (times, pressures, resistances), its two charts over time, where
     pressures and resistances are lists of (name, values) series over the
-    times. An inf or None resistance (an open sensor) plots as a gap."""
+    times. An inf resistance (an open sensor) plots as a gap."""
     os.makedirs(directory, exist_ok=True)
     charts = {}
     if recording is not None:
@@ -560,14 +567,14 @@ def _stream_flags(p: _Parser) -> None:
     _gait_flags(p)
     p.add_argument("--input", "-i", default=None, help="session file to replay")
     p.add_argument("--simulate", action="store_true", help="stream a live simulation instead of a file")
-    p.add_argument("--addr", action=_AddrFlag, help="collector host:port, [host]:port for IPv6")
+    p.add_argument("--addr", help="collector host:port, [host]:port for IPv6")
     p.add_argument("--device-id", type=_device_id, default=None)
     p.add_argument("--pace", action="store_true", help="pace frames by sample timestamps")
     p.add_argument("--profile", default=None, help="profile to encode with; default: the session's, or measured")
 
 
 def _collect_flags(p: _Parser) -> None:
-    p.add_argument("--addr", action=_AddrFlag, help="listen host:port, [host]:port for IPv6 (:0 for ephemeral)")
+    p.add_argument("--addr", help="listen host:port, [host]:port for IPv6 (:0 for ephemeral)")
     p.add_argument("-o", "--output", required=True, help="session file to write on shutdown")
     p.add_argument("--analyze", action="store_true", help="attach the online gait analyzer")
     p.add_argument("--report", default=None, help="report JSON path (with --analyze)")

@@ -19,6 +19,7 @@ _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 28.0
 _MARGIN_BOTTOM = 40.0
+_TICKS = 5  # labels along each axis, both ends included
 
 
 def pressure_color(fraction: float) -> tuple[int, int, int]:
@@ -32,11 +33,11 @@ def pressure_color(fraction: float) -> tuple[int, int, int]:
 
 
 def _finite(values) -> list[float]:
-    return [v for v in values if v is not None and math.isfinite(v)]
+    return [v for v in values if math.isfinite(v)]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def _fmt(value: float) -> str:
@@ -49,7 +50,7 @@ def _fmt(value: float) -> str:
 
 def line_chart_svg(
     xs: Sequence[float],
-    series: Sequence[tuple[str, Sequence[float | None]]],
+    series: Sequence[tuple[str, Sequence[float]]],
     title: str = "",
     x_label: str = "",
     y_label: str = "",
@@ -57,7 +58,7 @@ def line_chart_svg(
     """Render named (name, ys) series, one y per x of ``xs``, as an 800 x 480
     SVG document string.
 
-    A ``None`` y value breaks the polyline (used for open-circuit gaps).
+    A y that is not finite breaks the polyline (an open sensor's inf).
     """
     xs_all = _finite(xs)
     ys_all = [y for _name, ys in series for y in _finite(ys)]
@@ -116,7 +117,7 @@ def line_chart_svg(
         color = _PALETTE[index % len(_PALETTE)]
         runs: list[list[str]] = [[]]
         for x, y in zip(xs, ys, strict=True):
-            if y is None or not math.isfinite(y):
+            if not math.isfinite(y):
                 if runs[-1]:
                     runs.append([])
                 continue
@@ -144,14 +145,14 @@ def line_chart_svg(
 
 
 def write_table(
-    path, xs: Sequence[float], series: Sequence[tuple[str, Sequence[float | None]]], x_column: str = "x"
+    path, xs: Sequence[float], series: Sequence[tuple[str, Sequence[float]]], x_column: str = "x"
 ) -> None:
     """Write (name, ys) series over ``xs`` as a CSV table: the x column, then
-    one column per series; a y that is None or not finite is an empty cell."""
+    one column per series; a y that is not finite is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join([x_column, *(name for name, _ys in series)]) + "\n")
         for x, *ys in zip(xs, *(ys for _name, ys in series), strict=True):
-            cells = ("" if y is None or not math.isfinite(y) else repr(float(y)) for y in ys)
+            cells = ("" if not math.isfinite(y) else repr(float(y)) for y in ys)
             fh.write(",".join([repr(float(x)), *cells]) + "\n")
 
 
@@ -165,7 +166,7 @@ def csv_twin(svg_path):
 def write_chart(
     svg_path,
     xs: Sequence[float],
-    series: Sequence[tuple[str, Sequence[float | None]]],
+    series: Sequence[tuple[str, Sequence[float]]],
     title: str = "",
     x_label: str = "",
     y_label: str = "",

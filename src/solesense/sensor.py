@@ -124,10 +124,16 @@ def fit_profile(
 
     Sorts by pressure, averages the resistances of duplicate pressures, and
     interpolates ln(resistance) piecewise-linearly in pressure. Rejected: a
-    resistance that rises with pressure (the device is negative-piezoresistive),
-    an onset at or above the last pressure (an empty working range), and a
-    working range narrower than _MIN_RANGE_SHARE of its top pressure.
+    name that a session header cannot carry (a line break, or whitespace at
+    either end, which its reader strips), a resistance that rises with pressure (the
+    device is negative-piezoresistive), an onset at or above the last pressure
+    (an empty working range), and a working range narrower than
+    _MIN_RANGE_SHARE of its top pressure.
     """
+    if "\n" in name or "\r" in name or name != name.strip():
+        raise CalibrationError(
+            f"profile name {name!r}: a session header cannot carry a line break or whitespace at either end"
+        )
     by_pressure: dict[float, list[float]] = {}
     for point in points:
         by_pressure.setdefault(point.pressure_pa, []).append(point.resistance_ohm)
@@ -398,13 +404,11 @@ class SensorCharacterization:
 
 
 def _log_crossing_time(times: np.ndarray, log_r: np.ndarray, threshold: float, rising: bool) -> float:
-    """First time ln(R) crosses a threshold, linearly interpolated."""
+    """First time ln(R) crosses a threshold, linearly interpolated. The
+    caller's threshold lies past the first sample and short of the last, as
+    _transition_time's 10% and 90% levels do."""
     crossed = log_r >= threshold if rising else log_r <= threshold
     idx = int(np.argmax(crossed))
-    if not crossed[idx]:
-        raise ValueError("trajectory never crossed threshold")
-    if idx == 0:
-        return float(times[0])
     t0, t1 = times[idx - 1], times[idx]
     y0, y1 = log_r[idx - 1], log_r[idx]
     return float(t0 + (threshold - y0) / (y1 - y0) * (t1 - t0))

@@ -88,7 +88,6 @@ _VERSION_AT = _WIRE.fields["version"][1]
 _MS_LOW_BITS = 8 * _WIRE["ms_low"].itemsize
 TIMESTAMP_MAX_MS = (1 << (_MS_LOW_BITS + 8 * _WIRE["ms_high"].itemsize)) - 1
 DEFAULT_PORT = 7332
-ADDR_ENV_VAR = "SOLESENSE_ADDR"
 # rows the emitter packs and, unpaced, sends at a time, and samples it converts
 # at a time: bounds its read-ahead and the Python copies of one block
 _BLOCK_ROWS = 256
@@ -231,23 +230,20 @@ def encode(frame: TelemetryFrame) -> bytes:
     return _pack_block(frame.device_id, frame.sequence, np.array([frame.timestamp_ms]), np.array([frame.counts]))
 
 
-def decode(data: bytes, offset: int = 0) -> TelemetryFrame:
-    """Decode the frame ``offset`` bytes into ``data`` as a _WIRE record; validates
-    magic, version, CRC. A negative ``offset`` is a ValueError, never a count
-    from the end; past the end, Truncated reports 0 bytes left."""
-    if offset < 0:
-        raise ValueError(f"offset must be 0 or more, got {offset}")
-    if len(data) - offset < FRAME_LENGTH:
-        raise Truncated(f"need {FRAME_LENGTH} bytes, have {max(len(data) - offset, 0)}", offset)
-    wire = np.frombuffer(data, _WIRE, 1, offset)
+def decode(data: bytes) -> TelemetryFrame:
+    """Decode the frame at the start of ``data`` as a _WIRE record; validates
+    magic, version, CRC."""
+    if len(data) < FRAME_LENGTH:
+        raise Truncated(f"need {FRAME_LENGTH} bytes, have {len(data)}", 0)
+    wire = np.frombuffer(data, _WIRE, 1)
     [(magic, version, *_fields, crc_wire)] = wire.tolist()
     if magic != MAGIC:
-        raise BadMagic(f"bad magic {magic!r}", offset)
+        raise BadMagic(f"bad magic {magic!r}", 0)
     if version != PROTOCOL_VERSION:
-        raise BadVersion(f"unsupported version {version}", offset + _VERSION_AT)
-    crc_calc = crc16_ccitt_false(data[offset : offset + CRC_SPAN])
+        raise BadVersion(f"unsupported version {version}", _VERSION_AT)
+    crc_calc = crc16_ccitt_false(data[:CRC_SPAN])
     if crc_wire != crc_calc:
-        raise BadCrc(f"crc mismatch: wire {crc_wire:#06x} != {crc_calc:#06x}", offset)
+        raise BadCrc(f"crc mismatch: wire {crc_wire:#06x} != {crc_calc:#06x}", 0)
     return _frames(wire)[0]
 
 

@@ -159,8 +159,8 @@ class PressureSample:
     A sample is a float row: it holds its timestamp and the five pressures in
     canonical channel order. ``channels``, the read-only mapping of Pressures
     in canonical order, is kept from the public constructor, or else built on
-    its first access and kept. Like the frozen dataclass it replaces, a sample
-    is immutable, compares by value and cannot be hashed.
+    its first access and kept. A sample is immutable, compares by value and
+    cannot be hashed.
     """
 
     # no __getattr__ for the lazy mapping: defining one keeps CPython from

@@ -294,14 +294,17 @@ class ReferenceReceiver:
 
 class _Received:
     """A connection as Collector._read sees it: recv() hands out the given
-    chunks, then b"" for the end of the stream."""
+    chunks, raising any that is an exception, then b"" for the end of the
+    stream."""
 
-    def __init__(self, chunks: Iterable[bytes]):
+    def __init__(self, chunks: Iterable[bytes | BaseException]):
         self._chunks = iter(chunks)
         self.closed = False
 
     def recv(self, size: int) -> bytes:
         chunk = next(self._chunks, b"")
+        if isinstance(chunk, BaseException):
+            raise chunk
         assert len(chunk) <= size
         return chunk
 
@@ -314,9 +317,10 @@ class _Selector:
         pass
 
 
-def receive(collector: Collector, chunks: Iterable[bytes]) -> tuple[Deframer, dict[int, int]]:
+def receive(collector: Collector, chunks: Iterable[bytes | BaseException]) -> tuple[Deframer, dict[int, int]]:
     """Run ``chunks`` through collector's receive path as one connection, up
-    to its close; returns the connection's deframer and next sequences."""
+    to its close (an exception among them is what recv raises there);
+    returns the connection's deframer and next sequences."""
     received = _Received(chunks)
     key = selectors.SelectorKey(received, 0, selectors.EVENT_READ, (Deframer(), {}))
     while not received.closed:
@@ -365,14 +369,18 @@ def simulate_session(
     return SessionLog(header=header, samples=counts_to_samples(times, counts, profile, divider))
 
 
+# the directory that holds the package these tests import: src/ in a checkout,
+# or site-packages; a child Python takes it as its PYTHONPATH
+PACKAGE_ROOT = str(Path(store.__file__).resolve().parents[1])
+
+
 def run_cli(argv, prelude="", env=None, start=subprocess.run, **kwargs):
     """``solesense *argv`` in a child Python on the package these tests import,
     after the Python source ``prelude``; ``start``, subprocess.run or
     subprocess.Popen, takes ``kwargs``, and ``env`` adds to os.environ."""
     main = f"{prelude}import runpy\nrunpy.run_module('solesense.cli', run_name='__main__')"
     command = ["-c", main] if prelude else ["-m", "solesense.cli"]
-    package_root = str(Path(store.__file__).resolve().parents[1])  # src/ in a checkout, or site-packages
-    env = {**os.environ, **(env or {}), "PYTHONPATH": package_root}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": PACKAGE_ROOT}
     return start([sys.executable, *command, *argv], env=env, **kwargs)
 
 

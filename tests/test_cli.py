@@ -79,6 +79,7 @@ BAD_GAIT_FLAGS = [
     ("--load-scale", "-1", "load scale"),
     ("--rate", "inf", "sample rate"),
     ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--cycles", "-1", "cycles must be >= 0, got -1"),
     ("--mass", "1e308", "body mass 1e+308 kg"),
     ("--load-scale", "1e308", "load scale 1e+308 gives a base pressure"),
     ("--load-scale", "5.6e301", "load scale 5.6e+301 gives a base pressure that is not finite at its peak share"),
@@ -1290,37 +1291,42 @@ class TestStreamWire:
         assert links.connections == 0 and not (tmp_path / "d").exists()
 
 
+@pytest.fixture
+def listens(monkeypatch):
+    """The (host, port) of each collect's Collector, a stub that listens
+    nowhere: collect exits 3 when it would listen."""
+    listens = []
+
+    def collector(sink, profile, host, port):
+        listens.append((host, port))
+        raise OSError("the stub collector listens nowhere")
+
+    monkeypatch.setattr(cli, "Collector", collector)
+    return listens
+
+
 class TestAddrDefaults:
-    def test_env_var_supplies_default(self, monkeypatch):
+    # stubs record where stream connects and collect would listen, and neither opens a socket
+    def _addresses(self, tmp_path, links, listens, *flags):
+        assert main(["stream", "--simulate", "--cycles", "0", *flags]) == 0
+        assert main(["collect", "--once", "-o", str(tmp_path / "c.csv"), *flags]) == 3
+        return links.addresses.pop(), listens.pop()
+
+    def test_env_var_supplies_default(self, tmp_path, capsys, monkeypatch, links, listens):
         monkeypatch.setenv("SOLESENSE_ADDR", "10.0.0.1:9000")
-        from solesense.cli import build_parser
+        assert self._addresses(tmp_path, links, listens) == (("10.0.0.1", 9000),) * 2
+        assert self._addresses(tmp_path, links, listens, "--addr", "10.0.0.3:9") == (("10.0.0.3", 9),) * 2
 
-        parser = build_parser()
-        args = parser.parse_args(["stream", "-i", "x.csv"])
-        assert args.addr == "10.0.0.1:9000"
-
-    def test_default_port(self, monkeypatch):
+    def test_default_port(self, tmp_path, capsys, monkeypatch, links, listens):
         monkeypatch.delenv("SOLESENSE_ADDR", raising=False)
-        from solesense.cli import build_parser
+        assert self._addresses(tmp_path, links, listens) == (("127.0.0.1", 7332),) * 2
 
-        args = build_parser().parse_args(["stream", "-i", "x.csv"])
-        assert args.addr == "127.0.0.1:7332"
-
-    def test_the_environment_is_read_at_every_call(self, tmp_path, capsys, monkeypatch, links):
-        # a parser outlives the call that built it, but not that call's environment;
-        # stubs record where stream connects and collect would listen, and neither opens a socket
-        listens = []
-
-        def collector(sink, profile, host, port):
-            listens.append((host, port))
-            raise OSError("the stub collector listens nowhere")
-
-        monkeypatch.setattr(cli, "Collector", collector)
+    def test_the_environment_is_read_at_every_call(self, tmp_path, capsys, monkeypatch, links, listens):
+        # a parser outlives the call that built it, but not that call's environment
         for host, port in [("10.0.0.1", 9000), ("10.0.0.2", 9001)]:
             monkeypatch.setenv("SOLESENSE_ADDR", f"{host}:{port}")
             assert main(["stream", "--simulate", "--cycles", "0"]) == 0
             assert main(["collect", "--once", "-o", str(tmp_path / "c.csv")]) == 3
-            assert cli.build_parser().parse_args(["stream", "-i", "x.csv"]).addr == f"{host}:{port}"
         assert links.addresses == listens == [("10.0.0.1", 9000), ("10.0.0.2", 9001)]
         assert capsys.readouterr().out.count("sent 0 frames to 10.0.0.2:9001, 0 retries\n") == 1
 
@@ -1457,12 +1463,13 @@ class TestOneCommandParser:
 
     def test_threads_share_a_parser_and_no_parse(self, monkeypatch):
         # more threads than cores, switching often: a parse that wrote to the
-        # shared parser would hand one thread's flags to another
+        # shared parser would hand one thread's flags to another; the
+        # environment is read by the command, never by the parse
         monkeypatch.setenv("SOLESENSE_ADDR", "env:1")
         parser, crossed = cli._parser("stream"), []
 
         def parse(k):
-            flags, addr = (["--addr", f"h{k}:{k}"], f"h{k}:{k}") if k % 2 else ([], "env:1")
+            flags, addr = (["--addr", f"h{k}:{k}"], f"h{k}:{k}") if k % 2 else ([], None)
             for _ in range(200):
                 args = parser.parse_args(["--seed", str(k), *flags])
                 if (args.seed, args.addr) != (k, addr):
@@ -1479,6 +1486,32 @@ class TestOneCommandParser:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and crossed == []
+
+
+class TestProfileName:
+    """A profile name must survive the CSV session header, whose reader
+    splits lines and strips each value."""
+
+    @pytest.mark.parametrize("name", ["sole\nleft", "sole\r", " sole"])
+    def test_calibrate_refuses_a_name_the_header_cannot_carry_and_writes_nothing(self, tmp_path, capsys, name):
+        cal, profile = tmp_path / "cal.csv", tmp_path / "p.json"
+        _write_measured_csv(cal)
+        assert main(["calibrate", str(cal), "--name", name, "-o", str(profile)]) == 2
+        assert capsys.readouterr() == ("", f"error: {cal}: profile name {name!r}: a session header cannot carry"
+                                           " a line break or whitespace at either end\n")
+        assert not profile.exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "-o", "s.csv"], ["collect", "--once", "-o", "c.csv"]])
+    def test_a_profile_file_with_such_a_name_is_refused_when_loaded(
+        self, tmp_path, capsys, monkeypatch, no_listen, argv
+    ):
+        # collect fails before it listens, not when it writes the session
+        monkeypatch.chdir(tmp_path)
+        body = profile_to_json_dict(builtin_profile("measured"))
+        (tmp_path / "p.json").write_text(json.dumps({**body, "name": "sole\nleft"}))
+        assert main([*argv, "--profile", "p.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: p.json: profile name 'sole\\nleft': ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
 class TestEmptyWorkingRange:
@@ -1617,6 +1650,28 @@ class TestCollectOutputPaths:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (
+                ["--report", "p.json", "-o", "s.csv"],
+                "collect: --report of device 1 would write over --profile p-dev1.json",
+            ),
+            (["-o", "p.json"], "collect: -o of device 1 would write over --profile p-dev1.json"),
+        ],
+        ids=["report", "session"],
+    )
+    def test_a_device_file_on_the_profile_is_a_usage_error_before_it_listens(
+        self, tmp_path, capsys, monkeypatch, flags, line
+    ):
+        # with devices 1 and 2 on the link, device 1's file would replace the profile
+        monkeypatch.chdir(tmp_path)
+        profile = tmp_path / "p-dev1.json"
+        profile.write_text(json.dumps(profile_to_json_dict(builtin_profile("measured"))))
+        before = _tree(tmp_path)
+        assert _collect_refused(["--analyze", "--profile", "p-dev1.json", *flags], capsys) == (1, line + "\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
         "report", ["same.csv", "{tmp}/same.csv", "{tmp}/./link.csv"], ids=["same", "absolute", "symlink"]
     )
     def test_a_report_on_the_session_file_is_a_usage_error_before_it_listens(
@@ -1684,6 +1739,24 @@ REFUSED_WRITES = [
 ]
 
 
+class _TwoDevices:
+    """A Collector for collect --once that listens nowhere: once started, its
+    sink has taken a sample from each of devices 1 and 2, and the connection
+    has closed."""
+
+    def __init__(self, sink, profile, host, port):
+        self._sink, self.address = sink, (host, port)
+        self.connection_closed = threading.Event()
+
+    def start(self):
+        for device_id in (1, 2):
+            self._sink(device_id, PressureSample.from_row(0.0, (0.0,) * 5))
+        self.connection_closed.set()
+
+    def stop(self):
+        pass
+
+
 class TestOneWriteRule:
     """main checks every command's files before any work: a write may not
     resolve to a file the command reads or to another write (exit 1), and
@@ -1749,11 +1822,15 @@ class TestOneWriteRule:
             (["cal.csv"], ["analyze", "{in}/cal.csv", "--json", "{out}/r.json", "--plots", "{out}/d"]),
             (["cal.csv"], ["calibrate", "{in}/cal.csv", "-o", "{out}/p.json"]),
             ([], ["compare", "-o", "{out}/t.csv", "--svg", "{out}/c.svg"]),
+            ([], ["collect", "--once", "--analyze", "-o", "{out}/c.csv", "--report", "{out}/r.json"]),
         ],
-        ids=["simulate", "analyze session", "analyze legacy", "analyze calibration", "calibrate", "compare"],
+        ids=[
+            "simulate", "analyze session", "analyze legacy", "analyze calibration", "calibrate", "compare",
+            "collect two devices",
+        ],
     )
     def test_every_file_a_command_writes_was_checked(self, tmp_path, capsys, monkeypatch, inputs, argv):
-        # collect is left out: its file names depend on which devices connect
+        monkeypatch.setattr(cli, "Collector", _TwoDevices)  # collect writes -dev1 and -dev2 files
         given, out = tmp_path / "in", tmp_path / "out"
         given.mkdir()
         out.mkdir()
@@ -1840,10 +1917,11 @@ def test_a_link_over_ipv6_loopback_analyzes_as_simulates_file(tmp_path, capsys):
     thread, results, addr = _start_collect(["--addr", "[::1]:0", "-o", str(collected), "--once"], capsys)
     assert re.fullmatch(r"\[::1\]:\d+", addr)
     assert main(["stream", "--simulate", "--cycles", "3", "--addr", addr]) == 0
-    assert capsys.readouterr().out.startswith(f"sent 300 frames to {addr}, 0 retries\n")
     thread.join(timeout=30)
     assert results["rc"] == 0
-    capsys.readouterr()
+    # both threads print, collect once the link closes: in either order
+    lines = sorted(capsys.readouterr().out.splitlines())
+    assert lines == [f"sent 300 frames to {addr}, 0 retries", f"wrote 300 samples to {collected}"]
     assert main(["analyze", str(collected)]) == 0
     got = capsys.readouterr().out
     assert main(["analyze", str(source)]) == 0

@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion against the package in ``src``."""
+"""Each narrative demo runs to completion against the package the tests import:
+``src`` in a checkout, or an installed one run from outside it with ``-o pythonpath=``."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import PACKAGE_ROOT
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,7 +20,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
     result = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 from solesense.plots import line_chart_svg, pressure_color, write_chart
@@ -30,7 +31,7 @@ class TestSvg:
         assert "demo" in svg
 
     def test_gaps_split_polylines(self):
-        svg = line_chart_svg([0, 1, 2, 3], [("a", [1.0, None, 2.0, 3.0])])
+        svg = line_chart_svg([0, 1, 2, 3], [("a", [1.0, math.nan, 2.0, 3.0])])
         assert count_series(svg) == 1
         assert svg.count("<polyline") == 2  # broken at the gap
 
@@ -45,7 +46,7 @@ class TestSvg:
     def test_csv_twin_carries_exact_data(self, tmp_path):
         svg = tmp_path / "c.svg"
         csv = tmp_path / "c.csv"
-        write_chart(svg, [0.5, 1.5], [("y", [10.0, None])], x_column="t")
+        write_chart(svg, [0.5, 1.5], [("y", [10.0, math.nan])], x_column="t")
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,y"
         assert lines[1] == "0.5,10.0"

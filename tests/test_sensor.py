@@ -18,7 +18,9 @@ from solesense.sensor import (
     static_resistance,
     step,
 )
+from solesense import store
 from solesense.store import read_calibration_csv
+from solesense.telemetry import SessionHeader
 from solesense.units import Pressure
 
 from helpers import write_calibration_csv
@@ -61,6 +63,21 @@ class TestFit:
     def test_rejects_increasing_resistance(self):
         with pytest.raises(CalibrationError, match="must not increase"):
             fit_profile("bad", _points([(1e5, 1000.0), (2e5, 2000.0)]), Pressure(0.0))
+
+    # the session header's CSV reader splits lines and strips each value
+    @pytest.mark.parametrize("name", ["sole\nleft", "sole\rleft", "sole\r\n", " sole", "sole\t", "\u2028"])
+    def test_rejects_a_name_a_session_header_cannot_carry(self, name):
+        with pytest.raises(CalibrationError, match=f"^profile name {re.escape(repr(name))}: ") as err:
+            fit_profile(name, _points([(1e5, 1000.0), (2e5, 500.0)]), Pressure(0.0))
+        assert "line break or whitespace at either end" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["sole left", "sole[L]", "", "s\u00f8le", "a\x0bb", "a: b,c"])
+    def test_a_name_it_takes_reads_back_from_a_csv_session_header(self, tmp_path, name):
+        profile = fit_profile(name, _points([(1e5, 1000.0), (2e5, 500.0)]), Pressure(0.0))
+        path = tmp_path / "s.csv"
+        header = SessionHeader(1, store.DEFAULT_EPOCH, profile.name, 100.0)
+        store.write_columns(header, np.zeros(1), np.zeros((1, 5)), path)
+        assert store.read_columns(path)[0].profile_name == name
 
 
 class TestStaticCurve:
@@ -109,6 +126,12 @@ class TestStaticCurve:
 
 
 class TestDynamics:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["tau_load", "tau_recover", "hysteresis_halfwidth", "sample_period"])
+    def test_refuses_a_field_that_is_not_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got {re.escape(repr(value))}$"):
+            DynamicsConfig(**{field: value})
+
     def test_steady_state_after_long_dwell(self):
         profile = builtin_profile("datasheet")
         dyn = DynamicsConfig()

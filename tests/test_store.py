@@ -844,6 +844,14 @@ class TestTableRegressions:
         with pytest.raises(CalibrationError, match=re.escape(f"{path}:2: expected 2 fields, got 3")):
             read_calibration_csv(path)
 
+    @pytest.mark.parametrize("resistance", ["0", "-1", "nan"])
+    def test_a_calibration_resistance_that_is_not_finite_and_positive_names_its_line(self, tmp_path, resistance):
+        path = tmp_path / "cal.csv"
+        path.write_text(f"pressure_pa,resistance_ohm\n200000.0,150000.0\n300000.0,{resistance}\n")
+        message = f"{path}:3: calibration resistance must be finite positive, got {float(resistance)!r}"
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+            read_calibration_csv(path)
+
     def test_short_stimulus_row_names_its_line(self, tmp_path):
         path = tmp_path / "stim.csv"
         path.write_text("time_s,sensor_pa,fsr_pa\n0.0,1.0,2.0\n1.0,1.0\n")

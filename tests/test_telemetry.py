@@ -112,20 +112,6 @@ class TestCodec:
                 "timestamp_ms": TIMESTAMP_MAX_MS, "counts": 2 ** (bits["counts"] // 5) - 1}  # five counts
         assert telemetry._TOPS == tops
 
-    @pytest.mark.parametrize("offset", [-1, -FRAME_LENGTH, -2 * FRAME_LENGTH, -100])
-    def test_a_negative_offset_is_refused(self, offset):
-        # never a count from the end, as a slice would take it
-        wire = encode(TelemetryFrame(1, 0, 0, (0,) * 5)) + encode(TelemetryFrame(2, 1, 1, (1,) * 5))
-        with pytest.raises(ValueError, match=f"^offset must be 0 or more, got {offset}$") as err:
-            decode(wire, offset)
-        assert type(err.value) is ValueError
-
-    @pytest.mark.parametrize("offset", [FRAME_LENGTH, FRAME_LENGTH + 1, 3 * FRAME_LENGTH])
-    def test_an_offset_at_or_past_the_end_leaves_no_bytes(self, offset):
-        with pytest.raises(Truncated, match=rf"^need 26 bytes, have 0 \(at byte {offset}\)$") as err:
-            decode(encode(TelemetryFrame(1, 0, 0, (0,) * 5)), offset)
-        assert err.value.offset == offset
-
     def test_frame_layout(self):
         frame = TelemetryFrame(1, 0, 0, (0, 1, 2, 3, 4))
         wire = encode(frame)
@@ -254,7 +240,7 @@ class TestDeframer:
     def test_decode_equals_a_struct_reading_at_every_offset(self):
         def decoded(data, offset):
             try:
-                return decode(data, offset)
+                return decode(data[offset : offset + FRAME_LENGTH])
             except FrameError as error:
                 return type(error)
 
@@ -302,7 +288,7 @@ class TestDeframer:
             frames, skipped, bad_version, bad_crc, pos = [], 0, 0, 0, 0
             while True:
                 try:
-                    frames.append(decode(wire, pos))
+                    frames.append(decode(wire[pos : pos + FRAME_LENGTH]))
                     pos += FRAME_LENGTH
                 except Truncated:
                     return frames, skipped, bad_version, bad_crc
@@ -732,7 +718,7 @@ def _decoded(wire):
     """decode() of each frame of ``wire``, whole frames back to back: the
     scalar parser, with its own CRC, reads what the block framer packed."""
     assert len(wire) % FRAME_LENGTH == 0
-    return [decode(wire, offset) for offset in range(0, len(wire), FRAME_LENGTH)]
+    return [decode(wire[offset : offset + FRAME_LENGTH]) for offset in range(0, len(wire), FRAME_LENGTH)]
 
 
 class TestBlockFramer:
@@ -910,6 +896,21 @@ class TestCollector:
         stats = collector.stats[7]
         assert (stats.frames, stats.decode_errors, stats.gaps) == (4, 1, 0)
         assert collector.connections_closed == 1
+
+    def test_a_reset_connection_closes_as_the_end_of_the_stream_does(self):
+        # the frames before the reset reach the sink, the deframer's errors
+        # land, the close is counted, and nothing after the reset is read
+        sink = _ListSink()
+        collector = Collector(sink, PROFILE, DIVIDER)
+        frames = [TelemetryFrame(7, seq, 10 * seq, (4000, 3900, 3800, 3700, 3600)) for seq in range(4)]
+        corrupted = bytearray(encode(frames[3]))
+        corrupted[16] ^= 0x02
+        wire = b"".join(encode(f) for f in frames[:3]) + bytes(corrupted)
+        receive(collector, [wire, ConnectionResetError("reset by peer"), encode(frames[3])])
+        assert [s.timestamp for s in sink.samples[7]] == [0.0, 0.01, 0.02]
+        stats = collector.stats[7]
+        assert (stats.frames, stats.decode_errors, stats.gaps) == (3, 1, 0)
+        assert collector.connections_closed == 1 and collector.connection_closed.is_set()
 
     def test_end_to_end_conservation_in_memory(self):
         # lossless transport: collector output equals the acquisition

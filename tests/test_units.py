@@ -225,6 +225,14 @@ class TestDomainTypes:
                 assert route.as_row() == pascals and route.timestamp == t
         assert len(inits) == len(decoded)  # the public constructor still checks each one
 
+    def test_a_sample_equals_no_other_type_and_deletes_no_field(self):
+        sample = PressureSample.from_row(0.5, (1.0, 2.0, 3.0, 4.0, 5.0))
+        assert (sample == object()) is False and sample != object()
+        for name in ("timestamp", "_row"):
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(sample, name)
+        assert (sample.timestamp, sample.as_row()) == (0.5, (1.0, 2.0, 3.0, 4.0, 5.0))
+
     def test_block_built_samples_equal_one_at_a_time(self):
         rows = [(0.0, 1.5, 2.0, 3.0, 4.0), (-0.0, 0.0, 0.0, 0.0, -0.0), (5e5, 0.0, 7.25, 0.0, 1e-300)]
         times = [0.0, 0.01, 1e9]
