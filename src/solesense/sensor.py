@@ -117,6 +117,16 @@ class CalibrationProfile:
         return max(self.onset_pressure.pascals, self.min_pressure_pa), self.max_pressure_pa
 
 
+def check_profile_name(name: str) -> None:
+    """Raise CalibrationError for a profile name that a CSV session header
+    cannot read back: one with a line break, or with whitespace at either end,
+    which its reader strips."""
+    if "\n" in name or "\r" in name or name != name.strip():
+        raise CalibrationError(
+            f"profile name {name!r}: a session header cannot carry a line break or whitespace at either end"
+        )
+
+
 def fit_profile(
     name: str, points: list[CalibrationPoint], onset_pressure: Pressure
 ) -> CalibrationProfile:
@@ -130,10 +140,7 @@ def fit_profile(
     (an empty working range), and a working range narrower than
     _MIN_RANGE_SHARE of its top pressure.
     """
-    if "\n" in name or "\r" in name or name != name.strip():
-        raise CalibrationError(
-            f"profile name {name!r}: a session header cannot carry a line break or whitespace at either end"
-        )
+    check_profile_name(name)
     by_pressure: dict[float, list[float]] = {}
     for point in points:
         by_pressure.setdefault(point.pressure_pa, []).append(point.resistance_ohm)
@@ -361,15 +368,19 @@ def _play_scan(start_pa: float, applied: np.ndarray, halfwidth_pa: float) -> np.
     """
     lower = applied - halfwidth_pa
     upper = applied + halfwidth_pa
+    # each round's max goes into two buffers made once per call, and its min
+    # back into the bounds; the buffers are freed before the clamps allocate
+    # theirs, so the call's peak memory does not rise
+    max_lower, max_upper = np.empty_like(lower), np.empty_like(upper)
     stride = 1
     while stride < len(applied):
-        first_lower, first_upper = lower[:-stride], upper[:-stride]
         then_lower, then_upper = lower[stride:], upper[stride:]
-        lower[stride:], upper[stride:] = (
-            np.minimum(np.maximum(first_lower, then_lower), then_upper),
-            np.minimum(np.maximum(first_upper, then_lower), then_upper),
-        )
+        np.maximum(lower[:-stride], then_lower, out=max_lower[stride:])
+        np.maximum(upper[:-stride], then_lower, out=max_upper[stride:])
+        np.minimum(max_lower[stride:], then_upper, out=then_lower)
+        np.minimum(max_upper[stride:], then_upper, out=then_upper)
         stride *= 2
+    del max_lower, max_upper
     # max(x, L) and min(x, U) as play_update's builtins pick them: x unless
     # the bound is strictly beyond it, so a -0.0 start stays -0.0
     clamped = np.where(lower > start_pa, lower, start_pa)

@@ -83,7 +83,7 @@ import numpy as np
 
 from .acquisition import DividerConfig
 from .analysis import GaitEvent, GaitEventKind, GaitReport
-from .sensor import CalibrationError, CalibrationPoint
+from .sensor import CalibrationError, CalibrationPoint, check_profile_name
 from .telemetry import SessionHeader
 from .units import (
     CHANNEL_ORDER,
@@ -527,12 +527,15 @@ def _jsonl_block(times: np.ndarray, pascals: np.ndarray) -> str:
 def write_columns(header: SessionHeader, times, pascals, path, events=(), report: GaitReport | None = None) -> None:
     """Write a session's columns in the format its path's extension names,
     BLOCK_LINES rows at a time, each block flushed; events and the report go
-    to JSONL only. Columns no reader takes raise ValueError before the file
-    is opened."""
+    to JSONL only. Columns no reader takes raise ValueError, and a profile
+    name that a CSV header cannot carry raises CalibrationError (a
+    ValueError), before the file is opened."""
     times = np.asarray(times, dtype=float)
     pascals = np.ascontiguousarray(pascals, dtype=float)
     _check_columns(times, pascals)
     jsonl = str(path).endswith(".jsonl")
+    if not jsonl:
+        check_profile_name(header.profile_name)
     fields = _header_fields(header)
     if jsonl:
         session = {name: fields.pop(name) for name in _SESSION_FIELDS}

@@ -167,7 +167,13 @@ def synthesize_columns(params: GaitParams) -> tuple[np.ndarray, np.ndarray]:
     applied after envelope construction. It is drawn as one (n, 5) block,
     which is the same stream as n draws of five.
     """
-    return _columns(params, 0, params.sample_count, np.random.default_rng(params.seed))
+    return _columns(params, 0, params.sample_count, _noise_rng(params))
+
+
+def _noise_rng(params: GaitParams) -> np.random.Generator | None:
+    """The noise generator, or None without noise: the first default_rng call
+    imports numpy.random, which costs about 5 MiB of memory."""
+    return np.random.default_rng(params.seed) if params.noise_sigma_pa > 0 else None
 
 
 def _columns(params: GaitParams, start: int, stop: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +197,7 @@ def synthesize(params: GaitParams) -> Iterator[PressureSample]:
     Runs the same kernel on consecutive blocks of samples, with one generator
     for the noise, so memory stays bounded however long the stream is.
     """
-    rng = np.random.default_rng(params.seed)
+    rng = _noise_rng(params)
     for start in range(0, params.sample_count, _BLOCK_SAMPLES):
         times, pascals = _columns(params, start, min(start + _BLOCK_SAMPLES, params.sample_count), rng)
         for t, row in zip(times.tolist(), pascals.tolist()):

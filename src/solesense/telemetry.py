@@ -32,7 +32,8 @@ to codes, up to 256 at a time in one ``counts_from_pascals`` call, paced or
 not, and hands them to it. A sendall that fails is retried whole on the next
 connection, so a reconnect can repeat up to a whole block of frames, which
 the collector drops as stale timestamps. The collector reads up to
-_RECV_BYTES at a time and works on each received chunk whole.
+_RECV_BYTES at a time and hands each received chunk whole to
+``Collector._receive``, the one receive step, which needs no socket.
 ``Deframer.scan`` returns its valid frames as packed bytes: a chunk of at
 least _ARRAY_FRAMES whole frames is checked in a few numpy calls and, when it
 is a clean aligned run, returned as one slice. ``Collector._ingest`` reads
@@ -61,7 +62,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import reduce
-from itertools import count, islice
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -364,14 +365,15 @@ def frames_from_samples(
 ) -> Iterator[TelemetryFrame]:
     """Pure sample -> frame conversion; sequence increments by one per sample.
 
-    Reads ahead up to 256 samples, which it converts and checks as one block,
-    as Emitter.run does: a sample no frame can carry raises ValueError after
-    the frames before it.
+    Reads ahead up to 256 samples, which it converts, checks and packs as one
+    block, as Emitter.run does, and reads the packed records back, so its
+    frames are the bytes the emitter sends: a sample no frame can carry
+    raises ValueError after the frames before it.
     """
     for times, counts in _code_blocks(samples, profile, divider):
         _times, stamps, counts, error = _frame_fields(device_id, start_sequence, times, counts)
-        for row in zip(count(start_sequence), stamps.tolist(), map(tuple, counts.tolist())):
-            yield TelemetryFrame(device_id, *row)
+        if len(stamps):  # none fits a device id or a start sequence that no frame can carry
+            yield from _frames(np.frombuffer(_pack_block(device_id, start_sequence, stamps, counts), _WIRE))
         if error is not None:
             raise error
         start_sequence += len(stamps)
@@ -567,9 +569,11 @@ class Collector:
     reconnect resends), and counts and skips decode errors. Sequence state is
     per connection; the timestamp guard is per device, across connections, so
     the sink sees each device's times strictly increasing.
-    Each received chunk is scanned once (``Deframer.scan``, no TelemetryFrame)
-    and decoded into a list of samples at once, and ``_ingest`` moves the
-    ledger once per run of frames from one device, numbered and timed on.
+    ``_receive``, the one receive step, takes each received chunk with no
+    socket (an empty chunk is the end of the stream): it is scanned once
+    (``Deframer.scan``, no TelemetryFrame) and decoded into a list of samples
+    at once, and ``_ingest`` moves the ledger once per run of frames from one
+    device, numbered and timed on.
     ``sink(device_id, PressureSample)`` runs on that thread, once per kept
     frame and in arrival order: it needs no lock, but a slow sink delays every
     connection; one that raises ends only its own, with the counters taking
@@ -630,25 +634,40 @@ class Collector:
                         # per connection: its deframer and, per device, the next sequence
                         selector.register(conn, selectors.EVENT_READ, (Deframer(), {}))
             finally:
-                for key in list(selector.get_map().values()):
+                for key in selector.get_map().values():
                     if key.data is not None:
-                        self._close(selector, key)
+                        self._receive(key.data, b"")
+                        key.fileobj.close()
                 self._server.close()
 
     def _read(self, selector: selectors.BaseSelector, key: selectors.SelectorKey) -> None:
-        deframer, expected = key.data
         try:
             chunk = key.fileobj.recv(_RECV_BYTES)  # readable: returns at once, b"" at end of stream
         except OSError:
             chunk = b""
-        if not chunk:
-            self._close(selector, key)
-            return
-        try:
-            self._ingest(expected, deframer.scan(chunk))
-        except Exception:
-            traceback.print_exc()  # a failing sink ends its own connection, not the loop
-            self._close(selector, key)
+        if not self._receive(key.data, chunk):
+            selector.unregister(key.fileobj)
+            key.fileobj.close()
+
+    def _receive(self, connection: tuple[Deframer, dict[int, int]], chunk: bytes) -> bool:
+        """The one receive step, with no socket: scan and ingest one received
+        chunk of ``connection``, its deframer and next sequence per device,
+        where an empty chunk is the end of its stream. False once the
+        connection has closed, at the end of its stream or because the sink
+        raised; its deframer's errors have then landed on its first device, or
+        device 0 if it had none, and the close is counted."""
+        deframer, expected = connection
+        if chunk:
+            try:
+                self._ingest(expected, deframer.scan(chunk))
+                return True
+            except Exception:
+                traceback.print_exc()  # a failing sink ends its own connection, not the loop
+        if deframer.error_count:
+            self.stats[next(iter(expected), 0)].decode_errors += deframer.error_count
+        self.connections_closed += 1
+        self.connection_closed.set()
+        return False
 
     def _ingest(self, expected: dict[int, int], frames: bytes) -> None:
         """The sequence and timestamp ledger and the decode of a chunk's frames,
@@ -700,16 +719,6 @@ class Collector:
                 if kept + sunk < stop:  # the sink raised: the ledger takes in the frames up to that one
                     expected[device] = first + kept + sunk - start
                     last_ms[device] = int(ms[kept + sunk - 1])
-
-    def _close(self, selector: selectors.BaseSelector, key: selectors.SelectorKey) -> None:
-        selector.unregister(key.fileobj)
-        key.fileobj.close()
-        # its deframer's errors land on its first device, or device 0 if it had none
-        deframer, expected = key.data
-        if deframer.error_count:
-            self.stats[next(iter(expected), 0)].decode_errors += deframer.error_count
-        self.connections_closed += 1
-        self.connection_closed.set()
 
     def stop(self) -> None:
         if self._thread is not None:

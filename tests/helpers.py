@@ -5,21 +5,20 @@ The package reads legacy bench recordings and calibration files but never
 writes them, and never reads its charts back; these helpers make the files
 and the counts the tests check, and piped() hands a reader a file through a
 pipe. reference_decode is decode() on a struct layout of its own, and
-ReferenceReceiver is the collector's receive path one frame at a time on it,
-which the chunked receive path must match; receive() hands a Collector chosen
-chunks without a socket. reference_update is Analyzer.update written on the
-region reduction and the Schmitt trigger as functions, which the flat kernel
-must match. counts_to_samples decodes a block of codes to samples through the
-package's block decoder, and simulate_session gives simulate's chain as a
-SessionLog of those samples. run_cli runs the ``solesense`` command in a child
-process, and send_until_closed hands a collector the frames ``packed`` gives
-and waits for it to hang up.
+ReferenceReceiver is the collector's receive step one frame at a time on it,
+which the chunked receive step must match; receive() hands either step
+chosen chunks as one connection. reference_update is Analyzer.update written
+on the region reduction and the Schmitt trigger as functions, which the flat
+kernel must match. counts_to_samples decodes a block of codes to samples
+through the package's block decoder, and simulate_session gives simulate's
+chain as a SessionLog of those samples. run_cli runs the ``solesense`` command
+in a child process, and send_until_closed hands a collector the frames
+``packed`` gives and waits for it to hang up.
 """
 
 from __future__ import annotations
 
 import os
-import selectors
 import socket
 import struct
 import subprocess
@@ -238,8 +237,8 @@ class ReferenceDeframer:
 
 
 class ReferenceReceiver:
-    """Collector._read and Collector._close, one frame at a time, on
-    connections held as (ReferenceDeframer, next sequence per device)."""
+    """Collector._receive, one frame at a time, on connections held as
+    (ReferenceDeframer, next sequence per device)."""
 
     def __init__(self, sink: Callable, table: tuple[float, ...]):
         self._sink = sink
@@ -248,11 +247,7 @@ class ReferenceReceiver:
         self._last_ms: dict[int, int] = {}
         self.connections_closed = 0
 
-    @staticmethod
-    def connection() -> tuple[ReferenceDeframer, dict[int, int]]:
-        return ReferenceDeframer(), {}
-
-    def read(self, connection, chunk: bytes) -> bool:
+    def _receive(self, connection, chunk: bytes) -> bool:
         """Take one received chunk; False when the connection was closed."""
         deframer, expected = connection
         if not chunk:
@@ -292,40 +287,15 @@ class ReferenceReceiver:
         self.connections_closed += 1
 
 
-class _Received:
-    """A connection as Collector._read sees it: recv() hands out the given
-    chunks, raising any that is an exception, then b"" for the end of the
-    stream."""
-
-    def __init__(self, chunks: Iterable[bytes | BaseException]):
-        self._chunks = iter(chunks)
-        self.closed = False
-
-    def recv(self, size: int) -> bytes:
-        chunk = next(self._chunks, b"")
-        if isinstance(chunk, BaseException):
-            raise chunk
-        assert len(chunk) <= size
-        return chunk
-
-    def close(self) -> None:
-        self.closed = True
-
-
-class _Selector:
-    def unregister(self, fileobj) -> None:
-        pass
-
-
-def receive(collector: Collector, chunks: Iterable[bytes | BaseException]) -> tuple[Deframer, dict[int, int]]:
-    """Run ``chunks`` through collector's receive path as one connection, up
-    to its close (an exception among them is what recv raises there);
-    returns the connection's deframer and next sequences."""
-    received = _Received(chunks)
-    key = selectors.SelectorKey(received, 0, selectors.EVENT_READ, (Deframer(), {}))
-    while not received.closed:
-        collector._read(_Selector(), key)
-    return key.data
+def receive(receiver: Collector | ReferenceReceiver, chunks: Iterable[bytes], deframer=None) -> tuple:
+    """Hand ``chunks``, then the end of the stream, to ``receiver._receive``
+    as one connection, up to its close; returns the connection: ``deframer``
+    (a new Deframer by default) and its next sequence per device."""
+    connection = (deframer or Deframer(), {})
+    for chunk in [*chunks, b""]:
+        if not receiver._receive(connection, chunk):
+            break
+    return connection
 
 
 _BLOCK_ROWS = 256

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from solesense.sensor import (
     CalibrationPoint,
     DynamicsConfig,
     SensorState,
+    _play_scan,
     builtin_profile,
     characterize,
     fit_profile,
+    play_update,
     static_ohms,
     static_resistance,
     step,
@@ -131,6 +134,21 @@ class TestDynamics:
     def test_refuses_a_field_that_is_not_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got {re.escape(repr(value))}$"):
             DynamicsConfig(**{field: value})
+
+    # one row, a power of two and either side of it, and a long column
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1023, 1024, 1025, 100_000])
+    @pytest.mark.parametrize("start", [-0.0, 0.0, 300_000.0], ids=["-0.0", "0.0", "loaded"])
+    def test_the_play_scan_equals_play_update_sample_by_sample(self, n, start):
+        halfwidth = DynamicsConfig().hysteresis_halfwidth
+        rng = np.random.default_rng(n)
+        # a walk that stays in the dead band and leaves it both ways, resting at
+        # 0 Pa and at the halfwidth, whose lower bound is 0.0 against a -0.0 start
+        applied = np.maximum(0.0, np.cumsum(rng.normal(0.0, halfwidth, (n, 5)), axis=0))
+        applied[rng.random((n, 5)) < 0.1] = halfwidth
+        got = _play_scan(start, applied, halfwidth)
+        for column, played in zip(applied.T.tolist(), got.T):
+            want = accumulate(column, lambda x, a: play_update(x, a, halfwidth), initial=start)
+            assert played.tobytes() == np.array(list(want)[1:]).tobytes()
 
     def test_steady_state_after_long_dwell(self):
         profile = builtin_profile("datasheet")

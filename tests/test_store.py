@@ -570,6 +570,18 @@ class TestColumns:
             write_columns(SessionHeader(1, DEFAULT_EPOCH, "measured", 100.0), times, pascals, path)
         assert path.read_text() == "kept\n"
 
+    # the CSV header reader splits lines and strips each value; JSONL carries any name
+    @pytest.mark.parametrize("name", ["sole\nleft", " left ", "left\r"])
+    def test_a_profile_name_a_csv_header_cannot_carry_is_refused_before_the_file_opens(self, tmp_path, name):
+        header = SessionHeader(1, DEFAULT_EPOCH, name, 100.0)
+        path = tmp_path / "s.csv"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match=f"^profile name {re.escape(repr(name))}: "):
+            write_columns(header, np.zeros(1), np.zeros((1, 5)), path)
+        assert path.read_text() == "kept\n"
+        write_columns(header, np.zeros(1), np.zeros((1, 5)), tmp_path / "s.jsonl")
+        assert read_columns(tmp_path / "s.jsonl")[0].profile_name == name
+
     def test_csv_has_no_place_for_events_or_the_report(self, tmp_path):
         log = _session(cycles=3, with_analysis=True)
         assert log.events and log.report is not None

@@ -93,6 +93,17 @@ class TestSynthesize:
         b = [s.as_row() for s in synthesize(params)]
         assert a == b
 
+    @pytest.mark.parametrize(
+        "synthesis", [synthesize_columns, lambda params: list(synthesize(params))], ids=["columns", "samples"]
+    )
+    @pytest.mark.parametrize("noise, made", [(0.0, 0), (2000.0, 1)])
+    def test_a_noise_generator_is_made_only_for_noise(self, monkeypatch, synthesis, noise, made):
+        seeds = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
+        synthesis(GaitParams(body_mass_kg=70, cycles=2, noise_sigma_pa=noise, seed=42))
+        assert seeds == [42] * made
+
     def test_noise_never_negative(self):
         params = GaitParams(body_mass_kg=70, cycles=2, noise_sigma_pa=50_000.0, seed=1)
         for sample in synthesize(params):

@@ -3,6 +3,7 @@ import errno
 import random
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -898,19 +899,30 @@ class TestCollector:
         assert collector.connections_closed == 1
 
     def test_a_reset_connection_closes_as_the_end_of_the_stream_does(self):
-        # the frames before the reset reach the sink, the deframer's errors
-        # land, the close is counted, and nothing after the reset is read
+        # a close with SO_LINGER 0 resets the connection, so the collector's
+        # recv raises once it has read what came before: those frames reach
+        # the sink, the deframer's errors land and the close is counted. The
+        # collector keeps serving: a second device's frames still reach the sink
         sink = _ListSink()
-        collector = Collector(sink, PROFILE, DIVIDER)
+        collector = self._start(sink)
         frames = [TelemetryFrame(7, seq, 10 * seq, (4000, 3900, 3800, 3700, 3600)) for seq in range(4)]
         corrupted = bytearray(encode(frames[3]))
         corrupted[16] ^= 0x02
-        wire = b"".join(encode(f) for f in frames[:3]) + bytes(corrupted)
-        receive(collector, [wire, ConnectionResetError("reset by peer"), encode(frames[3])])
+        conn = socket.create_connection(collector.address, timeout=5)
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.sendall(b"".join(encode(f) for f in frames[:3]) + bytes(corrupted))
+        conn.close()
+        assert collector.connection_closed.wait(timeout=5.0)
+        collector.connection_closed.clear()
+        with socket.create_connection(collector.address, timeout=5) as conn:
+            conn.sendall(b"".join(encode(TelemetryFrame(8, f.sequence, f.timestamp_ms, f.counts)) for f in frames[:2]))
+        assert collector.connection_closed.wait(timeout=5.0)
+        collector.stop()
         assert [s.timestamp for s in sink.samples[7]] == [0.0, 0.01, 0.02]
         stats = collector.stats[7]
         assert (stats.frames, stats.decode_errors, stats.gaps) == (3, 1, 0)
-        assert collector.connections_closed == 1 and collector.connection_closed.is_set()
+        assert [s.timestamp for s in sink.samples[8]] == [0.0, 0.01]
+        assert collector.connections_closed == 2
 
     def test_end_to_end_conservation_in_memory(self):
         # lossless transport: collector output equals the acquisition
@@ -1148,8 +1160,8 @@ def _receive_schedule(rng):
 
 
 def _receives_as_reference(connections, raise_at=None, context=""):
-    """Run each connection's chunks through a Collector's receive path and
-    through ReferenceReceiver, with a sink that raises on call ``raise_at``,
+    """Run each connection's chunks through a Collector's receive step and
+    through ReferenceReceiver's, with a sink that raises on call ``raise_at``,
     and assert that both agree on everything; returns the collector and the
     sink calls."""
     table = acquisition.decode_table(PROFILE, DIVIDER)
@@ -1167,11 +1179,8 @@ def _receives_as_reference(connections, raise_at=None, context=""):
     reference = ReferenceReceiver(sink_into(want), table)
     collector = Collector(sink_into(got), PROFILE, DIVIDER)
     for chunks in connections:
-        ref_conn = reference.connection()
-        for chunk in chunks + [b""]:
-            if not reference.read(ref_conn, chunk):
-                break
-        (ref_deframer, ref_expected), (deframer, expected) = ref_conn, receive(collector, chunks)
+        ref_deframer, ref_expected = receive(reference, chunks, ReferenceDeframer())
+        deframer, expected = receive(collector, chunks)
         assert list(expected.items()) == list(ref_expected.items()), context
         counters = ("frames", "bad_crc", "bad_version", "skipped_bytes")
         got_counters = [getattr(deframer, c) for c in counters]
