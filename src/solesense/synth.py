@@ -9,7 +9,8 @@ One cycle is one stride of one foot (two steps), so at a cadence of
 ``c`` steps per minute the cycle lasts ``120 / c`` seconds.
 
 The signal is built on columns: ``synthesize_columns`` returns the whole
-stream as arrays, and ``synthesize`` reads from the same envelope kernel.
+stream as arrays, and ``synthesize`` turns each block of the same kernel
+into samples the way the decoders do, one float row per sample.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .units import (
     GRAVITY_M_S2,
     SENSOR_AREA_M2,
     GaitPhase,
-    Pressure,
     PressureSample,
 )
 
@@ -57,7 +57,6 @@ FOREFOOT_SHARE = 1.1
 MIDFOOT_SHARE = 0.35
 
 _BLOCK_SAMPLES = 256  # samples per block of synthesize()
-_NO_LOAD = Pressure(0.0)  # shared: swing and clipped noise make many zeros
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,13 +194,16 @@ def synthesize(params: GaitParams) -> Iterator[PressureSample]:
     """The stream of synthesize_columns, one typed sample at a time.
 
     Runs the same kernel on consecutive blocks of samples, with one generator
-    for the noise, so memory stays bounded however long the stream is.
+    for the noise, so memory stays bounded however long the stream is. Each
+    block becomes samples through ``PressureSample._of_rows``, as a decoded
+    block does: a sample holds its float row, and ``channels`` builds a typed
+    Pressure on each lookup. The kernel's pascals are finite and non-negative,
+    which is all ``_of_rows`` takes unchecked.
     """
     rng = _noise_rng(params)
     for start in range(0, params.sample_count, _BLOCK_SAMPLES):
         times, pascals = _columns(params, start, min(start + _BLOCK_SAMPLES, params.sample_count), rng)
-        for t, row in zip(times.tolist(), pascals.tolist()):
-            yield PressureSample(t, {c: Pressure(v) if v else _NO_LOAD for c, v in zip(CHANNEL_ORDER, row)})
+        yield from PressureSample._of_rows(times.tolist(), map(tuple, pascals.tolist()))
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,11 +4,11 @@ Every quantity the rest of the package passes around is wrapped in a small
 frozen, slotted dataclass so that pascals, newtons, ohms and volts cannot be
 mixed by accident; a value holds its one float in a slot, with no instance
 dict. Arithmetic across quantities only happens through named operations.
-A PressureSample is the exception inside: it holds a float row (a timestamp
-and five pascals in canonical channel order), and a decoded one builds its
-typed Pressures only when a caller reads ``channels``. A decoder builds a
-whole block of samples at once (``PressureSample._of_rows``), with no Python
-call per sample.
+A PressureSample is the exception inside: it holds only a float row (a
+timestamp and five pascals in canonical channel order), and builds a typed
+Pressure each time a caller looks one up in ``channels``. A decoder or the
+generator builds a whole block of samples at once
+(``PressureSample._of_rows``), with no Python call per sample.
 """
 
 from __future__ import annotations
@@ -153,19 +153,38 @@ _new = object.__new__
 _set = object.__setattr__  # PressureSample's own __setattr__ refuses
 
 
+class _RowChannels(Mapping):
+    """A row's five pascals as a mapping of Pressures in canonical order,
+    each built when it is looked up."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: tuple[float, ...]) -> None:
+        self._row = row
+
+    def __getitem__(self, channel: SoleChannel) -> Pressure:
+        return Pressure(self._row[_CHANNEL_INDEX[channel]])
+
+    def __iter__(self):
+        return iter(CHANNEL_ORDER)
+
+    def __len__(self) -> int:
+        return len(CHANNEL_ORDER)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class PressureSample:
     """One timestamped reading of all five channels, in pascals.
 
     A sample is a float row: it holds its timestamp and the five pressures in
-    canonical channel order. ``channels``, the read-only mapping of Pressures
-    in canonical order, is kept from the public constructor, or else built on
-    its first access and kept. A sample is immutable, compares by value and
-    cannot be hashed.
+    canonical channel order, and nothing else. ``channels``, the read-only
+    mapping of Pressures in canonical order, is built on each read, never
+    stored. A sample is immutable, compares by value and cannot be hashed.
     """
 
-    # no __getattr__ for the lazy mapping: defining one keeps CPython from
-    # specializing every attribute read of a sample, made per received frame
-    __slots__ = ("timestamp", "_row", "_channels")
+    __slots__ = ("timestamp", "_row")
 
     def __init__(self, timestamp: float, channels: Mapping[SoleChannel, Pressure]) -> None:
         try:
@@ -177,7 +196,6 @@ class PressureSample:
             raise ValueError(f"sample must carry all five channels, missing {missing}")
         _set(self, "timestamp", timestamp)
         _set(self, "_row", tuple(map(_PASCALS, pressures)))
-        _set(self, "_channels", MappingProxyType(dict(zip(CHANNEL_ORDER, pressures))))
 
     @classmethod
     def _of(cls, timestamp: float, row: tuple[float, ...]) -> "PressureSample":
@@ -200,12 +218,7 @@ class PressureSample:
 
     @property
     def channels(self) -> Mapping[SoleChannel, Pressure]:
-        try:
-            return self._channels
-        except AttributeError:  # a decoded or from_row sample, read for the first time
-            channels = MappingProxyType(dict(zip(CHANNEL_ORDER, map(Pressure, self._row))))
-            _set(self, "_channels", channels)
-            return channels
+        return MappingProxyType(_RowChannels(self._row))
 
     def value(self, channel: SoleChannel) -> float:
         return self._row[_CHANNEL_INDEX[channel]]

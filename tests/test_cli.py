@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -178,6 +179,27 @@ class TestSimulate:
         assert main(["simulate", "--cycles", "5", "--seed", "3", "--noise", "2000", "-o", str(out)]) == 0
         assert len(built) == 0
         assert len(store.read_session(out).samples) == 500
+
+    def test_the_divider_and_the_adc_see_no_dead_block(self, monkeypatch):
+        # a long session peaks in these two stages: what the call still holds
+        # when they start is the timestamps and the ohms, 48 B a sample; the
+        # synthesized block and the effective pascals would add 80 B more
+        params = GaitParams(body_mass_kg=70.0, sample_rate_hz=1000.0, cycles=50, noise_sigma_pa=2000.0)
+        profile = builtin_profile("measured")
+        cli._simulated_counts(dataclasses.replace(params, cycles=1), profile)  # imports and caches outside the trace
+        held = []
+        divider = cli.divider_out_ohms
+        monkeypatch.setattr(
+            cli, "divider_out_ohms", lambda ohms: held.append(tracemalloc.get_traced_memory()[0]) or divider(ohms)
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            times, counts = cli._simulated_counts(params, profile)
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (len(times), 5) == (50_000, 5)
+        assert (held[0] - before) / len(times) < 80  # 128 B while both dead blocks were kept
 
     def test_out_of_table_code_raises_the_decode_error(self, monkeypatch, capsys, tmp_path):
         # simulate decodes through counts_to_pascals' range check

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +105,48 @@ class TestSynthesize:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
         synthesis(GaitParams(body_mass_kg=70, cycles=2, noise_sigma_pa=noise, seed=42))
         assert seeds == [42] * made
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            pytest.param(GaitParams(body_mass_kg=70), id="noiseless"),
+            pytest.param(GaitParams(body_mass_kg=70, noise_sigma_pa=2000.0), id="noise"),
+            pytest.param(GaitParams(body_mass_kg=0), id="mass 0"),
+            pytest.param(GaitParams(body_mass_kg=0, noise_sigma_pa=2000.0), id="mass 0, noise"),
+            pytest.param(GaitParams(body_mass_kg=70, load_scale=0.0, noise_sigma_pa=2000.0), id="load scale 0"),
+            pytest.param(
+                GaitParams(body_mass_kg=70, stance_fraction=0.7, sample_rate_hz=333.0, noise_sigma_pa=2000.0),
+                id="stance 0.7 at 333 Hz",
+            ),
+            *(
+                pytest.param(GaitParams(body_mass_kg=70, cycles=30, noise_sigma_pa=2000.0, seed=seed), id=f"seed {seed}")
+                for seed in (1, 2, 3)
+            ),
+        ],
+    )
+    def test_samples_equal_the_columns_bit_for_bit(self, params):
+        samples = list(synthesize(params))
+        times, pascals = synthesize_columns(params)
+        got_times = np.array([s.timestamp for s in samples], dtype=float)
+        got_pascals = np.array([s.as_row() for s in samples], dtype=float).reshape(-1, 5)
+        assert np.array_equal(got_times.view(np.int64), times.view(np.int64))
+        assert np.array_equal(got_pascals.view(np.int64), pascals.view(np.int64))
+        # the samples hold the kernel's values as they are: none is -0.0
+        assert not np.signbit(pascals).any()
+
+    @pytest.mark.parametrize("noise", [0.0, 2000.0])
+    def test_held_samples_are_small(self, noise):
+        params = GaitParams(body_mass_kg=70, cycles=100, noise_sigma_pa=noise)
+        list(synthesize(dataclasses.replace(params, cycles=1)))  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = list(synthesize(params))
+            per_sample = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 10_000
+        assert per_sample < 400  # a float row, 280 B; 555-650 B with a kept Pressure mapping beside it
 
     def test_noise_never_negative(self):
         params = GaitParams(body_mass_kg=70, cycles=2, noise_sigma_pa=50_000.0, seed=1)

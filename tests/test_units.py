@@ -213,7 +213,9 @@ class TestDomainTypes:
                 assert isinstance(channels, MappingProxyType)
                 assert list(channels) == list(CHANNEL_ORDER)
                 assert [channels[c] for c in CHANNEL_ORDER] == [Pressure(p) for p in pascals]
-                assert route.channels is channels  # built once, then kept
+                again = route.channels  # built on each read, never stored
+                assert again == channels and isinstance(again, MappingProxyType) and again is not channels
+                assert PressureSample.__slots__ == ("timestamp", "_row")
                 with pytest.raises(TypeError):
                     channels[SoleChannel.HEEL] = Pressure(2.0)
                 for name in ("timestamp", "channels", "_row"):
