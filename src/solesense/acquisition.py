@@ -30,6 +30,7 @@ API boundary.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,20 +65,36 @@ class DividerConfig:
         return self._hash
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class AdcCount:
+    """An ADC code: a non-negative integer (a numpy int or a bool too; never a float)."""
+
     value: int
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"ADC count must be >= 0, got {self.value!r}")
+    def __init__(self, value: int) -> None:
+        if type(value) is not int or value < 0:
+            if _code(value) < 0:
+                raise ValueError(f"ADC count must be >= 0, got {value!r}")
+        _SET_VALUE(self, value)
+
+
+_SET_VALUE = AdcCount.value.__set__  # the slot's own setter, past the frozen __setattr__
+
+
+def _code(value: int) -> int:
+    """``value`` as an int by operator.index; ValueError if it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"ADC count must be an integer, got {value!r}") from None
 
 
 def divider_out(r2: Resistance, cfg: DividerConfig = DividerConfig()) -> Voltage:
     """Divider output across the sensor; open circuit reads the full rail."""
-    if r2.is_open:
-        return Voltage(cfg.v_in.volts)
-    return Voltage(cfg.v_in.volts * r2.ohms / (cfg.r1.ohms + r2.ohms))
+    ohms, v_in = r2.ohms, cfg.v_in.volts
+    if ohms == math.inf:
+        return Voltage(v_in)
+    return Voltage(v_in * ohms / (cfg.r1.ohms + ohms))
 
 
 def divider_out_ohms(ohms: np.ndarray, cfg: DividerConfig = DividerConfig()) -> np.ndarray:
@@ -119,7 +136,11 @@ def quantize(v: Voltage, cfg: DividerConfig = DividerConfig()) -> AdcCount:
     """Ideal ADC: floor quantizer clamped to the code range."""
     codes = 1 << cfg.adc_bits
     raw = math.floor(v.volts / cfg.v_ref.volts * codes)
-    return AdcCount(min(max(raw, 0), codes - 1))
+    if raw < 0:
+        raw = 0
+    elif raw >= codes:
+        raw = codes - 1
+    return AdcCount(raw)
 
 
 def quantize_volts(volts: np.ndarray, cfg: DividerConfig = DividerConfig()) -> np.ndarray:
@@ -219,10 +240,15 @@ def counts_to_sample(
     if len(counts) != len(CHANNEL_ORDER):
         raise ValueError(f"expected {len(CHANNEL_ORDER)} counts, got {len(counts)}")
     table = decode_table(profile, cfg)
-    if not 0 <= min(counts) <= max(counts) < len(table):
-        for raw in counts:
-            _decoded(table, raw)  # raises for the first code outside the table
-    return PressureSample._of(timestamp, tuple(map(table.__getitem__, counts)))  # a float row, no Pressure built
+    try:
+        if min(counts) >= 0:
+            forefoot, medial, central, lateral, heel = counts
+            # a float row, no Pressure built
+            return PressureSample._of(timestamp, (table[forefoot], table[medial], table[central], table[lateral], table[heel]))
+    except (TypeError, IndexError):  # a code that is no integer, or one past the table's end
+        pass
+    for raw in counts:
+        _decoded(table, _code(raw))  # raises for the first code that is no integer or outside the table
 
 
 def _checked_tables(

@@ -42,6 +42,7 @@ from .units import Pressure, Resistance
 RESPONSE_TIME_S = 0.120
 RECOVERY_TIME_S = 0.100
 _LN9 = math.log(9.0)
+_INF = math.inf
 
 # Half-width of the pressure play operator: 3% of the working range (by
 # default the datasheet's), so a full loading/unloading loop is 6% of it wide.
@@ -236,13 +237,22 @@ class DynamicsConfig:
         return cls(hysteresis_halfwidth=_PLAY_SHARE * (high - low))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SensorState:
-    """Dynamic state of one simulated sensor, updated functionally by step()."""
+    """Dynamic state of one simulated sensor, updated functionally by step().
+
+    Its constructor stores its three fields through the slots' own setters,
+    unchecked: step() builds one state per sample.
+    """
 
     effective_pressure: Pressure
     lagged_resistance: Resistance
     last_timestamp: float
+
+    def __init__(self, effective_pressure: Pressure, lagged_resistance: Resistance, last_timestamp: float) -> None:
+        _SET_PRESSURE(self, effective_pressure)
+        _SET_RESISTANCE(self, lagged_resistance)
+        _SET_TIMESTAMP(self, last_timestamp)
 
     @classmethod
     def at_rest(cls, timestamp: float = 0.0) -> "SensorState":
@@ -253,6 +263,12 @@ class SensorState:
         cls, pressure: Pressure, profile: CalibrationProfile, timestamp: float = 0.0
     ) -> "SensorState":
         return cls(pressure, static_resistance(profile, pressure), timestamp)
+
+
+# the slots' own setters, which a frozen dataclass's __setattr__ does not reach
+_SET_PRESSURE = SensorState.effective_pressure.__set__
+_SET_RESISTANCE = SensorState.lagged_resistance.__set__
+_SET_TIMESTAMP = SensorState.last_timestamp.__set__
 
 
 def play_update(effective_pa: float, applied_pa: float, halfwidth_pa: float) -> float:
@@ -268,12 +284,20 @@ def _lagged_ohms(previous: float, target: float, dt: float, dynamics: DynamicsCo
     first transition out of an open state likewise adopts the target with no
     lag: a first-order approach from infinite ohms is undefined.
     """
-    if target == math.inf or previous == math.inf:
+    if target == _INF or previous == _INF:
         return target
     tau = dynamics.tau_load if target < previous else dynamics.tau_recover
     decay = math.exp(-dt / tau)
     log_target = math.log(target)
     return math.exp(log_target + (math.log(previous) - log_target) * decay)
+
+
+def _check_time(timestamp: float, last: float) -> None:
+    """Raise for a timestamp that is not finite, or that comes before ``last``."""
+    if not math.isfinite(timestamp):
+        raise ValueError(f"timestamp must be finite, got {timestamp!r}")
+    if timestamp < last:
+        raise ValueError(f"time went backwards: {timestamp} < {last}")
 
 
 def step(
@@ -283,21 +307,20 @@ def step(
     profile: CalibrationProfile,
     dynamics: DynamicsConfig,
 ) -> tuple[SensorState, Resistance]:
-    """Advance the sensor one sample: play operator, static curve, then lag."""
-    if timestamp < state.last_timestamp:
-        raise ValueError(
-            f"time went backwards: {timestamp} < {state.last_timestamp}"
-        )
+    """Advance the sensor one sample: play operator, static curve, then lag.
+
+    A timestamp that is not finite, or before the state's, raises ValueError.
+    One call builds one Pressure, one Resistance and one SensorState, and
+    reads each field of its arguments once.
+    """
+    last = state.last_timestamp
+    if not last <= timestamp < _INF:
+        _check_time(timestamp, last)
     effective = play_update(
         state.effective_pressure.pascals, applied_pressure.pascals, dynamics.hysteresis_halfwidth
     )
     lagged = Resistance(
-        _lagged_ohms(
-            state.lagged_resistance.ohms,
-            _static_ohms(profile, effective),
-            timestamp - state.last_timestamp,
-            dynamics,
-        )
+        _lagged_ohms(state.lagged_resistance.ohms, _static_ohms(profile, effective), timestamp - last, dynamics)
     )
     return SensorState(Pressure(effective), lagged, timestamp), lagged
 
@@ -316,7 +339,8 @@ def run_channel(
     pascals and the lagged ohms after each sample, in the shape of
     ``applied_pa``, each column equal bit for bit to what step() gives sample
     by sample. The checks, the play scan and the static curve run once on the
-    whole block; only the lag runs column by column.
+    whole block; only the lag runs column by column. A timestamp that is not
+    finite raises step()'s ValueError.
 
     The play operator is _play_scan. It is exact because min and max only
     choose among floats that already exist: every bound is some a +/- h, and
@@ -336,8 +360,12 @@ def run_channel(
     if not np.all(np.isfinite(applied) & (applied >= 0.0)):
         raise ValueError("applied pressures must be finite and >= 0")
     steps = np.diff(times, prepend=state.last_timestamp)
-    if np.any(steps < 0):
-        raise ValueError(f"time went backwards in the column starting at {state.last_timestamp}")
+    if not np.all((steps >= 0.0) & (steps < _INF)):  # from a finite start: every time finite, none going back
+        finite = np.isfinite(times)
+        if not finite.all():
+            _check_time(float(times[~finite][0]), state.last_timestamp)
+        if np.any(steps < 0):
+            raise ValueError(f"time went backwards in the column starting at {state.last_timestamp}")
 
     block = applied if applied.ndim == 2 else applied[:, np.newaxis]
     effective = _play_scan(state.effective_pressure.pascals, block, dynamics.hysteresis_halfwidth)

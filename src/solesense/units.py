@@ -4,6 +4,12 @@ Every quantity the rest of the package passes around is wrapped in a small
 frozen, slotted dataclass so that pascals, newtons, ohms and volts cannot be
 mixed by accident; a value holds its one float in a slot, with no instance
 dict. Arithmetic across quantities only happens through named operations.
+Each value type has one constructor, and it checks every value: an exact
+float in range takes the short path (one type test, one comparison, then the
+slot's own setter), and any other value goes through the full check, then is
+stored as given or refused. Per call, best of 5 x 200,000 in process on a
+2-vCPU VM (Python 3.11.7): Pressure() 0.42 -> 0.26 us, Resistance() 0.39 ->
+0.24 us, against the generated dataclass __init__ and __post_init__.
 A PressureSample is the exception inside: it holds only a float row (a
 timestamp and five pascals in canonical channel order), and builds a typed
 Pressure each time a caller looks one up in ``channels``. A decoder or the
@@ -25,6 +31,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 GRAVITY_M_S2 = 9.81
+_INF = math.inf
 
 
 def _require_finite_nonnegative(name: str, value: float) -> None:
@@ -34,27 +41,31 @@ def _require_finite_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Pressure:
     """Pressure in pascals; non-negative and finite."""
 
     pascals: float
 
-    def __post_init__(self) -> None:
-        _require_finite_nonnegative("pressure", self.pascals)
+    def __init__(self, pascals: float) -> None:
+        if type(pascals) is not float or not 0.0 <= pascals < _INF:
+            _require_finite_nonnegative("pressure", pascals)
+        _SET_PASCALS(self, pascals)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Force:
     """Force in newtons; non-negative and finite."""
 
     newtons: float
 
-    def __post_init__(self) -> None:
-        _require_finite_nonnegative("force", self.newtons)
+    def __init__(self, newtons: float) -> None:
+        if type(newtons) is not float or not 0.0 <= newtons < _INF:
+            _require_finite_nonnegative("force", newtons)
+        _SET_NEWTONS(self, newtons)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Resistance:
     """Electrical resistance in ohms.
 
@@ -65,9 +76,11 @@ class Resistance:
 
     ohms: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.ohms) or self.ohms <= 0:
-            raise ValueError(f"resistance must be positive or open, got {self.ohms!r}")
+    def __init__(self, ohms: float) -> None:
+        if type(ohms) is not float or not ohms > 0.0:  # inf passes, nan does not
+            if math.isnan(ohms) or ohms <= 0:
+                raise ValueError(f"resistance must be positive or open, got {ohms!r}")
+        _SET_OHMS(self, ohms)
 
     @classmethod
     def open_circuit(cls) -> "Resistance":
@@ -78,14 +91,23 @@ class Resistance:
         return math.isinf(self.ohms)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Voltage:
     """Voltage in volts, >= 0. Upper bounds are enforced by the owning circuit."""
 
     volts: float
 
-    def __post_init__(self) -> None:
-        _require_finite_nonnegative("voltage", self.volts)
+    def __init__(self, volts: float) -> None:
+        if type(volts) is not float or not 0.0 <= volts < _INF:
+            _require_finite_nonnegative("voltage", volts)
+        _SET_VOLTS(self, volts)
+
+
+# the slots' own setters, which a frozen dataclass's __setattr__ does not reach
+_SET_PASCALS = Pressure.pascals.__set__
+_SET_NEWTONS = Force.newtons.__set__
+_SET_OHMS = Resistance.ohms.__set__
+_SET_VOLTS = Voltage.volts.__set__
 
 
 class SoleChannel(Enum):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -333,3 +334,50 @@ class TestRefusedInputs:
     def test_four_counts_make_no_sample(self):
         with pytest.raises(ValueError, match="expected 5 counts, got 4"):
             counts_to_sample(0.0, (0, 0, 0, 0), builtin_profile("measured"), CFG)
+
+
+class TestAdcCodes:
+    """An ADC code is an integer by TelemetryFrame's rule: anything with
+    __index__ (a numpy int or a bool too), never a float."""
+
+    @pytest.mark.parametrize(
+        "code", [4095.0, 1.5, 0.0, -0.0, 1e308, np.float64(7.0), math.nan, math.inf, -math.inf, -1.0, "1", None],
+        ids=repr,
+    )
+    def test_a_code_that_is_not_an_integer_is_refused(self, code):
+        with pytest.raises(ValueError, match=f"^ADC count must be an integer, got {re.escape(repr(code))}$"):
+            AdcCount(code)
+        with pytest.raises(ValueError, match="^ADC count must be an integer"):
+            counts_to_sample(0.0, (4095, 4095, code, 4095, 4095), builtin_profile("measured"), CFG)
+
+    def test_a_float_code_reaches_no_table_lookup(self):
+        profile = builtin_profile("measured")
+        with pytest.raises(ValueError, match=r"^ADC count must be an integer, got 4095\.0$"):
+            count_to_pressure(AdcCount(4095.0), profile, CFG)
+        with pytest.raises(ValueError, match=r"^ADC count must be an integer, got 4095\.0$"):
+            counts_to_sample(0.0, (4095.0,) * 5, profile, CFG)
+
+    @pytest.mark.parametrize("code", [7, True, np.int64(7), np.uint16(4095)], ids=repr)
+    def test_integer_codes_are_kept_as_given(self, code):
+        assert AdcCount(code).value is code
+        row = counts_to_sample(0.0, (code,) * 5, builtin_profile("measured"), CFG).as_row()
+        assert row == (decode_table(builtin_profile("measured"), CFG)[int(code)],) * 5
+
+
+def test_the_per_sample_chain_builds_only_what_it_returns(monkeypatch):
+    """divider_out builds one Voltage, quantize one AdcCount, and
+    counts_to_sample one sample and no value type."""
+    profile = builtin_profile("measured")
+    built = {cls: [] for cls in (Voltage, AdcCount, Pressure, Resistance)}
+    for cls, calls in built.items():
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=init, _calls=calls: _calls.append(1) or _init(self, *args))
+    for r in (Resistance(1.0), Resistance(150_000.0), Resistance.open_circuit()):
+        for calls in built.values():
+            calls.clear()
+        quantize(divider_out(r, CFG), CFG)
+        assert [len(calls) for calls in built.values()] == [1, 1, 0, 0]
+    for calls in built.values():
+        calls.clear()
+    counts_to_sample(0.0, (0, 1, 2, 4094, FULL_SCALE), profile, CFG)
+    assert [len(calls) for calls in built.values()] == [0, 0, 0, 0]

@@ -17,6 +17,7 @@ from solesense.sensor import (
     characterize,
     fit_profile,
     play_update,
+    run_channel,
     static_ohms,
     static_resistance,
     step,
@@ -24,7 +25,7 @@ from solesense.sensor import (
 from solesense import store
 from solesense.store import read_calibration_csv
 from solesense.telemetry import SessionHeader
-from solesense.units import Pressure
+from solesense.units import Pressure, Resistance
 
 from helpers import write_calibration_csv
 
@@ -362,3 +363,64 @@ class TestWorkingRange:
         figures = characterize(profile)
         assert figures.pressure_min_pa == onset and figures.pressure_max_pa == 750_000.0
         assert math.isfinite(figures.sensitivity_ohm_per_pa) and figures.sensitivity_ohm_per_pa > 0
+
+
+class TestTimestamps:
+    """A timestamp that is not finite is refused by step and run_channel alike."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("loaded", [False, True], ids=["at rest", "loaded"])
+    def test_step_refuses_a_timestamp_that_is_not_finite(self, bad, loaded):
+        profile = builtin_profile("measured")
+        state = SensorState.settled(Pressure(500_000.0), profile) if loaded else SensorState.at_rest(0.0)
+        applied = Pressure(520_000.0 if loaded else 0.0)
+        with pytest.raises(ValueError, match=f"^timestamp must be finite, got {bad!r}$"):
+            step(state, applied, bad, profile, DynamicsConfig())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_run_channel_refuses_a_timestamp_that_is_not_finite(self, bad, where):
+        profile = builtin_profile("measured")
+        times = [0.01, 0.02, 0.03]
+        times[where] = bad
+        for state in (SensorState.at_rest(0.0), SensorState.settled(Pressure(500_000.0), profile)):
+            with pytest.raises(ValueError, match=f"^timestamp must be finite, got {bad!r}$"):
+                run_channel(state, [0.0, 5e5, 6e5], times, profile, DynamicsConfig())
+            with pytest.raises(ValueError, match=f"^timestamp must be finite, got {bad!r}$"):
+                run_channel(state, np.full((3, 5), 5e5), times, profile, DynamicsConfig())
+
+    def test_a_refused_timestamp_leaves_time_ordered(self):
+        profile = builtin_profile("measured")
+        state = SensorState.at_rest(0.0)
+        with pytest.raises(ValueError):
+            state, _ = step(state, Pressure(0.0), math.nan, profile, DynamicsConfig())
+        with pytest.raises(ValueError, match="backwards"):
+            step(state, Pressure(0.0), -5.0, profile, DynamicsConfig())
+
+
+class TestStepBuilds:
+    """One step builds exactly the objects it returns: one Pressure, one
+    Resistance and one SensorState, whatever the sensor is doing."""
+
+    def test_one_step_builds_one_of_each(self, monkeypatch):
+        profile = builtin_profile("measured")
+        dynamics = DynamicsConfig()
+        states = [
+            SensorState.at_rest(0.0),
+            SensorState.settled(Pressure(500_000.0), profile),
+            SensorState.settled(Pressure(700_000.0), profile),
+        ]
+        applied = [Pressure(0.0), Pressure(520_000.0), Pressure(450_000.0), Pressure(5e6)]
+        built = {cls: [] for cls in (Pressure, Resistance, SensorState)}
+        for cls, calls in built.items():
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=init, _calls=calls: _calls.append(1) or _init(self, *args))
+        for state in states:
+            for pressure in applied:
+                for calls in built.values():
+                    calls.clear()
+                after, resistance = step(state, pressure, 0.01, profile, dynamics)
+                assert after.lagged_resistance is resistance
+                assert {cls.__name__: len(calls) for cls, calls in built.items()} == {
+                    "Pressure": 1, "Resistance": 1, "SensorState": 1
+                }

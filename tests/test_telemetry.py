@@ -1029,8 +1029,8 @@ class TestCollector:
         init = PressureSample.__init__
         monkeypatch.setattr(PressureSample, "__init__", lambda self, *args: checked.append(1) or init(self, *args))
         pressures = []  # a sample is a float row: no Pressure is built
-        post_init = Pressure.__post_init__
-        monkeypatch.setattr(Pressure, "__post_init__", lambda self: pressures.append(1) or post_init(self))
+        pressure_init = Pressure.__init__
+        monkeypatch.setattr(Pressure, "__init__", lambda self, *args: pressures.append(1) or pressure_init(self, *args))
         conn = socket.create_connection(collector.address, timeout=5)
         conn.sendall(wire)
         conn.close()

@@ -367,3 +367,141 @@ class TestValueTypeSlots:
         assert hash(ten_bit) != hash(cfg)
         with pytest.raises(FrozenInstanceError):
             cfg._hash = 0
+
+
+# What each value type's constructor does with each input: KEPT stores the
+# input itself (so an int stays an int and an np.float64 an np.float64), and
+# a pair is the exception class and message raised. The Pressure column holds
+# for Force and Voltage too, with their own names in the message. AdcCount
+# rows for codes that are not integers are left to TestAdcCodes.
+KEPT = object()
+_FINITE = (ValueError, "{} must be finite, got {!r}")
+_NEGATIVE = (ValueError, "{} must be >= 0, got {!r}")
+_NOT_OHMS = (ValueError, "resistance must be positive or open, got {1!r}")
+_NOT_REAL = (TypeError, "must be real number, not {2}")
+CONSTRUCTION_TABLE = [
+    # input,           Pressure,  Resistance, AdcCount
+    (1.5, KEPT, KEPT, None),
+    (0.0, KEPT, _NOT_OHMS, None),
+    (-0.0, KEPT, _NOT_OHMS, None),
+    (5e-324, KEPT, KEPT, None),
+    (1e308, KEPT, KEPT, None),
+    (3, KEPT, KEPT, KEPT),
+    (True, KEPT, KEPT, KEPT),
+    (np.float64(2.5), KEPT, KEPT, None),
+    (np.int64(7), KEPT, KEPT, KEPT),
+    (math.nan, _FINITE, _NOT_OHMS, None),
+    (math.inf, _FINITE, KEPT, None),
+    (-math.inf, _FINITE, _NOT_OHMS, None),
+    (-1.0, _NEGATIVE, _NOT_OHMS, None),
+    ("1", _NOT_REAL, _NOT_REAL, None),
+    (None, _NOT_REAL, _NOT_REAL, None),
+    (-1, _NEGATIVE, _NOT_OHMS, (ValueError, "ADC count must be >= 0, got -1")),
+    (np.int64(-1), _NEGATIVE, _NOT_OHMS, (ValueError, "ADC count must be >= 0, got np.int64(-1)")),
+]
+# (type, field, name in its messages, column, two ordered values)
+VALUE_TYPES = [
+    (Pressure, "pascals", "pressure", 1, (1.5, 2.5)),
+    (Force, "newtons", "force", 1, (1.5, 2.5)),
+    (Voltage, "volts", "voltage", 1, (1.5, 2.5)),
+    (Resistance, "ohms", "resistance", 2, (1.5, math.inf)),
+    (AdcCount, "value", "ADC count", 3, (1, 4095)),
+]
+
+
+CONSTRUCTIONS = [
+    pytest.param(cls, field, name, ordered[0], row[0], row[column], id=f"{cls.__name__}-{row[0]!r}")
+    for cls, field, name, column, ordered in VALUE_TYPES
+    for row in CONSTRUCTION_TABLE
+    if row[column] is not None
+]
+
+
+class TestValueTypeConstructors:
+    @pytest.mark.parametrize("cls,field,name,valid,value,outcome", CONSTRUCTIONS)
+    def test_each_input_is_kept_or_refused_as_before(self, cls, field, name, valid, value, outcome):
+        if outcome is KEPT:
+            for built in (cls(value), cls(**{field: value}), dataclasses.replace(cls(value))):
+                assert getattr(built, field) is value
+            return
+        error, message = outcome
+        with pytest.raises(error) as raised:
+            cls(value)
+        assert str(raised.value) == message.format(name, value, type(value).__name__)
+        with pytest.raises(error) as raised:
+            dataclasses.replace(cls(valid), **{field: value})
+        assert str(raised.value) == message.format(name, value, type(value).__name__)
+
+    @pytest.mark.parametrize("cls,field,name,column,ordered", VALUE_TYPES, ids=[row[0].__name__ for row in VALUE_TYPES])
+    def test_the_dataclass_protocol_is_kept(self, cls, field, name, column, ordered):
+        low, high = ordered
+        value = cls(low)
+        assert cls.__match_args__ == (field,) and cls.__slots__ == (field,)
+        assert not hasattr(value, "__dict__")
+        assert repr(value) == f"{cls.__name__}({field}={low!r})"
+        assert value == cls(low) and value != cls(high) and value != low
+        assert value < cls(high) and cls(high) > value and value <= cls(low) and not value < cls(low)
+        assert hash(value) == hash(cls(low)) == hash((low,))
+        other = Pressure if cls is not Pressure else Force
+        assert value != other(low)
+        with pytest.raises(TypeError):
+            value < other(low)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(copied) is cls and copied == value and repr(copied) == repr(value)
+        assert dataclasses.replace(value, **{field: high}) == cls(high)
+        match value:
+            case cls(found):
+                assert found == low
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+            setattr(value, field, high)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+            delattr(value, field)
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing 1 required positional argument: '{field}'$"):
+            cls()
+        with pytest.raises(TypeError, match="unexpected keyword argument 'other'"):
+            cls(low, other=1)
+
+    @pytest.mark.parametrize("row", CONSTRUCTION_TABLE, ids=lambda row: repr(row[0]))
+    def test_a_sensor_state_keeps_what_it_is_given_unchecked(self, row):
+        value = row[0]
+        state = SensorState(value, value, value)
+        assert state.effective_pressure is state.lagged_resistance is state.last_timestamp is value
+        named = SensorState(last_timestamp=value, lagged_resistance=value, effective_pressure=value)
+        assert named.last_timestamp is value
+
+    def test_the_sensor_state_dataclass_protocol_is_kept(self):
+        fields = ("effective_pressure", "lagged_resistance", "last_timestamp")
+        state = SensorState(Pressure(1.5), Resistance(2.5), 0.25)
+        assert SensorState.__match_args__ == SensorState.__slots__ == fields
+        assert not hasattr(state, "__dict__")
+        assert repr(state) == (
+            "SensorState(effective_pressure=Pressure(pascals=1.5), lagged_resistance=Resistance(ohms=2.5),"
+            " last_timestamp=0.25)"
+        )
+        assert state == SensorState(Pressure(1.5), Resistance(2.5), 0.25)
+        assert state != SensorState(Pressure(1.5), Resistance(2.5), 0.5)
+        assert hash(state) == hash((Pressure(1.5), Resistance(2.5), 0.25))
+        with pytest.raises(TypeError):
+            state < state
+        for copied in (pickle.loads(pickle.dumps(state)), copy.copy(state), copy.deepcopy(state)):
+            assert type(copied) is SensorState and copied == state and repr(copied) == repr(state)
+        assert dataclasses.replace(state, last_timestamp=0.5).last_timestamp == 0.5
+        assert SensorState.at_rest(0.5) == SensorState(Pressure(0.0), Resistance.open_circuit(), 0.5)
+        match state:
+            case SensorState(pressure, resistance, timestamp):
+                assert (pressure, resistance, timestamp) == (Pressure(1.5), Resistance(2.5), 0.25)
+        for field in fields:
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+                setattr(state, field, None)
+        with pytest.raises(TypeError, match=r"^SensorState\.__init__\(\) missing 1 required positional argument: 'last_timestamp'$"):
+            SensorState(Pressure(1.5), Resistance(2.5))
+
+    def test_a_channel_lookup_builds_one_pressure(self, monkeypatch):
+        sample = PressureSample.from_row(0.5, (1.0, 2.0, 3.0, 4.0, 5.0))
+        built = []
+        init = Pressure.__init__
+        monkeypatch.setattr(Pressure, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        for channel in CHANNEL_ORDER:
+            built.clear()
+            assert sample.channels[channel] == Pressure(sample.value(channel))
+            assert len(built) == 2  # the lookup's, and the one it is compared to
